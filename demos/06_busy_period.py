@@ -23,8 +23,8 @@ for level in (1, 2):
                       level_cap=40, substeps=4)
     sup = np.abs(vol.total() - ode.total()).max()
     print("start level %d: sup |Volterra - oracle| = %.2e  "
-          "(off-support leak %.1e, cap mass %.1e)"
-          % (level, sup, vol.off_support, ode.cap_mass))
+          "(error estimate %.1e, off-support leak %.1e, cap mass %.1e)"
+          % (level, sup, vol.error_estimate, vol.off_support, ode.cap_mass))
 
 # The CDF itself, started from one customer at t = 0.  The final column
 # splits the absorption by the arrival stage found at the moment the system

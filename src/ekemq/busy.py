@@ -22,9 +22,12 @@ s = 0):
 where up/local/down are the generator blocks and j the starting level.  The
 kernel satisfies K(t, t) = local(t), so a product-trapezoid discretization
 with the diagonal term kept implicit is stable and second-order accurate.
-The kernel is never materialized: each step assembles the three shifted
-weights from Poisson pmf tables and contracts them against the stored X
-rows in one einsum per shift.
+The kernel is never materialized.  The arrival weights of F_n depend on
+a2 - a1 only (a Toeplitz block), so each step first correlates the stored X
+rows with their arrival pmf rows, once for all three shifts; the completed
+cycles (A, D) of one shift then run consecutively, so the arrival and
+service factors are contiguous slices of the correlation and of the service
+pmf table, and each shift is a single matrix product.
 
 `busy_oracle` integrates the killed process directly (levels truncated high,
 absorption counted per arrival stage) and shares no code path with the
@@ -40,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln
 
-from .model import ModelSpec, generator_blocks
+from .model import ModelSpec, _stage_blocks
 
 # Poisson pmf tables are cut this many standard deviations past the mean
 # (plus a floor for tiny means); entries beyond are below 1e-16 of the mass.
@@ -48,7 +51,7 @@ _TAIL_SIGMAS = 12.0
 _TAIL_FLOOR = 35.0
 
 
-def _table_width(mean: float, stages: int) -> int:
+def _table_width(mean: float) -> int:
     return int(math.ceil(mean + _TAIL_SIGMAS * math.sqrt(mean) + _TAIL_FLOOR))
 
 
@@ -73,16 +76,8 @@ def _unit_blocks(spec: ModelSpec):
     """
     k, m = spec.k, spec.m
     eye_k, eye_m = np.eye(k), np.eye(m)
-    arr_local = -np.eye(k)
-    for i in range(k - 1):
-        arr_local[i, i + 1] = 1.0
-    arr_done = np.zeros((k, k))
-    arr_done[k - 1, 0] = 1.0
-    srv_local = -np.eye(m)
-    for i in range(m - 1):
-        srv_local[i, i + 1] = 1.0
-    srv_done = np.zeros((m, m))
-    srv_done[m - 1, 0] = 1.0
+    arr_local, arr_done = _stage_blocks(k, 1.0)
+    srv_local, srv_done = _stage_blocks(m, 1.0)
     return (
         np.kron(arr_done, eye_m),                   # U
         np.kron(arr_local, eye_m),                  # LA
@@ -123,8 +118,8 @@ def net_change_matrix(spec: ModelSpec, u: float, t: float, n: int) -> np.ndarray
     lam_cum = float(spec.arrival.cumulative(u, t))
     mu_cum = float(spec.service.cumulative(u, t))
     k, m = spec.k, spec.m
-    width_a = _table_width(lam_cum, k)
-    width_d = _table_width(mu_cum, m)
+    width_a = _table_width(lam_cum)
+    width_d = _table_width(mu_cum)
     a_max = width_a // k + 1
     d_max = width_d // m + 1
     slices, ia, idx, mask_a, mask_d = _pair_indices(
@@ -159,6 +154,10 @@ class VolterraSolution:
     off_support tracks how much of the computed absorption row leaked off
     the fresh-service columns (a pure discretization diagnostic), cap_mass
     the probability parked at the truncation cap (oracle route only).
+    error_estimate is max over times of |fine - coarse| / 3 of the totals of
+    the two marches behind a refined Volterra solution: the Richardson
+    estimate of the raw error at half the step, which bounds the refined
+    values' error in practice.  It is None for raw marches and the oracle.
     """
 
     level: int
@@ -170,6 +169,7 @@ class VolterraSolution:
     source: str
     off_support: float = 0.0
     cap_mass: float = 0.0
+    error_estimate: float | None = None
 
     def total(self) -> np.ndarray:
         return self.values.sum(axis=1)
@@ -184,7 +184,8 @@ def busy_period_cdf(spec: ModelSpec, level: int, phase, u: float = 0.0,
     absorption density is accumulated into a CDF on the same grid.  With
     refine=True (the default) a second march at half the step sharpens the
     values by Richardson extrapolation of the second-order scheme; the
-    reported grid stays at `step`.  refine=False exposes the raw march,
+    reported grid stays at `step`, and the difference between the two
+    marches is kept as `error_estimate`.  refine=False exposes the raw march,
     which is what step-halving order studies should use.  Raises
     RuntimeError when the march leaves [0, 1] by more than rounding allows,
     the symptom of too coarse a step.
@@ -193,10 +194,12 @@ def busy_period_cdf(spec: ModelSpec, level: int, phase, u: float = 0.0,
         coarse = _volterra_march(spec, level, phase, u, horizon, step)
         fine = _volterra_march(spec, level, phase, u, horizon, step / 2)
         values = (4.0 * fine.values[::2] - coarse.values) / 3.0
+        gap = np.abs(fine.total()[::2] - coarse.total()).max()
         return VolterraSolution(
             level=coarse.level, phase=coarse.phase, u=coarse.u,
             step=coarse.step, times=coarse.times, values=values,
             source="volterra", off_support=fine.off_support,
+            error_estimate=float(gap / 3.0),
         )
     return _volterra_march(spec, level, phase, u, horizon, step)
 
@@ -225,8 +228,8 @@ def _volterra_march(spec: ModelSpec, level: int, phase, u: float,
 
     lam_total = acc_a[-1] - acc_a[0]
     mu_total = acc_d[-1] - acc_d[0]
-    width_a = _table_width(lam_total, k)
-    width_d = _table_width(mu_total, m)
+    width_a = _table_width(lam_total)
+    width_d = _table_width(mu_total)
     a_max = width_a // k + 1
     d_max = width_d // m + 1 + level + 2
 
@@ -248,16 +251,6 @@ def _volterra_march(spec: ModelSpec, level: int, phase, u: float,
         + lam[:, None] * (rows[-1 - level] @ blk_u)
     )
 
-    # kernel gather indices for shifts +1, 0, -1
-    k_slices, k_ia, k_id, k_ma, k_md = _pair_indices(
-        [1, 0, -1], a_max, d_max, k, m
-    )
-    mask_a = k_ma.astype(float)
-    # service-side gather restricted to source stage 0: the absorption
-    # density lives on fresh-service columns, so only that slice of the
-    # history enters the convolution (its indices are never negative)
-    k_id0 = k_id[:, 0, :]
-
     dens = np.zeros((n_steps + 1, km))
     dens[0] = forcing[0]
     weighted0 = np.zeros((n_steps + 1, k))
@@ -267,25 +260,31 @@ def _volterra_march(spec: ModelSpec, level: int, phase, u: float,
     for i in range(1, n_steps + 1):
         lam_gaps = acc_a[i] - acc_a[:i]
         mu_gaps = acc_d[i] - acc_d[:i]
-        # the oldest row has the widest pmf; size tables and pair prefixes
-        # to it (pairs are A-ascending within each shift, so a prefix works)
-        a_hi = min(a_max, _table_width(lam_gaps[0], k) // k + 1)
-        d_hi = min(d_max, _table_width(mu_gaps[0], m) // m + 1)
+        # the oldest row has the widest pmf; size tables and cycle counts
+        # to it
+        a_hi = min(a_max, _table_width(lam_gaps[0]) // k + 1)
+        d_hi = min(d_max, _table_width(mu_gaps[0]) // m + 1)
         pa = _poisson_table(lam_gaps, a_hi * k + k)
         pd = _poisson_table(mu_gaps, d_hi * m + m)
+        # the arrival weights depend on a2 - a1 only, so contracting the
+        # history against them is a correlation with the pmf row:
+        # y[r, c] = sum_a xs[r, a] pa[r, c - a], zero where c < a
         xs = weighted0[:i]
+        y = xs[:, :1] * pa
+        for a in range(1, k):
+            y[:, a:] += xs[:, a:a + 1] * pa[:, :-a]
         conv = {}
-        for shift, sl in zip((1, 0, -1), k_slices):
-            count = min(a_hi, d_hi + shift) - max(0, shift) + 1
-            count = min(count, sl.stop - sl.start)
-            if count <= 0:
-                conv[shift] = np.zeros(km)
-                continue
-            ssl = slice(sl.start, sl.start + count)
-            ga_i = pa[:, k_ia[ssl]] * mask_a[ssl][None]   # (i, P', k, k)
-            gd_i = pd[:, k_id0[ssl]]                      # (i, P', m)
-            half = np.einsum("rpab,ra->rpb", ga_i, xs)
-            conv[shift] = np.einsum("rpb,rpt->bt", half, gd_i).reshape(km)
+        for shift in (1, 0, -1):
+            # pairs (A, D = A - shift) are consecutive from A0, so both
+            # blocks are contiguous slices of the tables; service columns
+            # are restricted to source stage 0, where the history lives.
+            # a_hi, d_hi >= 1 keep count >= 1
+            a0 = max(0, shift)
+            d0 = a0 - shift
+            count = min(a_hi, d_hi + shift) - a0 + 1
+            half = y[:, a0 * k:(a0 + count) * k].reshape(-1, k)
+            gd = pd[:, d0 * m:(d0 + count) * m].reshape(-1, m)
+            conv[shift] = (half.T @ gd).reshape(km)
         integral = (
             mu[i] * (conv[1] @ blk_d)
             + lam[i] * (conv[0] @ blk_la) + mu[i] * (conv[0] @ blk_ls)

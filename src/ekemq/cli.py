@@ -420,6 +420,7 @@ def cmd_busy(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> None:
         "step": vol.step,
         "sup_diff": float(np.abs(vt - ot).max()),
         "off_support": vol.off_support,
+        "error_estimate": vol.error_estimate,
         "cap_mass": ode.cap_mass,
     })
 

@@ -26,8 +26,12 @@ import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 
-# Grid used to certify nonnegativity of a rate function at construction.
+# Nonnegativity of a rate function is checked at construction on a grid of
+# _POSITIVITY_GRID points, or of _POSITIVITY_POINTS_PER_HARMONIC points per
+# period of its top harmonic where that is finer, so that a dip narrower
+# than the fixed grid's spacing cannot pass between its points.
 _POSITIVITY_GRID = 4096
+_POSITIVITY_POINTS_PER_HARMONIC = 64
 
 
 def _as_terms(terms) -> tuple[tuple[int, float], ...]:
@@ -67,7 +71,9 @@ class RateFunction:
         object.__setattr__(self, "sin", _as_terms(self.sin))
         if not self.base > 0.0:
             raise ValueError("rate function must have a strictly positive mean")
-        grid = np.arange(_POSITIVITY_GRID) / _POSITIVITY_GRID
+        top = max((j for j, _ in self.cos + self.sin), default=0)
+        points = max(_POSITIVITY_GRID, _POSITIVITY_POINTS_PER_HARMONIC * top)
+        grid = np.arange(points) / points
         low = float(np.min(self.value(grid)))
         if low < -1e-12:
             raise ValueError(f"rate function dips negative (min {low:.3e})")

@@ -144,6 +144,71 @@ def test_refinement_beats_raw_march(mm1_spec):
     assert abs(refined.total()[-1] - want) < abs(raw.total()[-1] - want) / 5
 
 
+def test_error_estimate_tracks_raw_error(mm1_spec):
+    raw = busy_period_cdf(mm1_spec, 1, 0, horizon=1.0, step=0.01,
+                          refine=False)
+    fine = busy_period_cdf(mm1_spec, 1, 0, horizon=1.0, step=0.005,
+                           refine=False)
+    refined = busy_period_cdf(mm1_spec, 1, 0, horizon=1.0, step=0.01)
+    idx = [int(round(t_ref / 0.01)) for t_ref in _MM1_BUSY_REF]
+    want = np.array(list(_MM1_BUSY_REF.values()))
+    fine_err = np.abs(fine.total()[::2][idx] - want).max()
+    refined_err = np.abs(refined.total()[idx] - want).max()
+    est = refined.error_estimate
+    assert fine_err / 1.5 <= est <= 1.5 * fine_err
+    assert est >= refined_err
+    assert raw.error_estimate is None
+    assert busy_oracle(mm1_spec, 1, 0, horizon=1.0, step=0.05,
+                       level_cap=60).error_estimate is None
+
+
+def _brute_force_march(spec, level, q0, u, horizon, n_steps):
+    """Product-trapezoid march assembled from whole kernel matrices.
+
+    X(t_i) + h/2 X(t_i) local(t_i) = g'(t_i) - h sum_{r<i} w_r X0(t_r)
+    K(t_r, t_i), with K and g' built from net_change_matrix and the
+    generator blocks, and X0 the row restricted to fresh-service columns.
+    Returns the CDF by arrival stage on the grid.
+    """
+    k, m = spec.k, spec.m
+    km = k * m
+    h = horizon / n_steps
+    times = u + h * np.arange(n_steps + 1)
+    blocks = [generator_blocks(spec, t) for t in times]
+    fresh = np.zeros(km)
+    fresh[::m] = 1.0
+
+    def kernel(r, i, base):
+        b = blocks[i]
+        return (net_change_matrix(spec, times[r], times[i], base + 1) @ b.down
+                + net_change_matrix(spec, times[r], times[i], base) @ b.local
+                + net_change_matrix(spec, times[r], times[i], base - 1) @ b.up)
+
+    dens = np.zeros((n_steps + 1, km))
+    for i in range(n_steps + 1):
+        rhs = kernel(0, i, -level)[q0].copy()
+        for r in range(i):
+            weight = 0.5 if r == 0 else 1.0
+            rhs -= h * weight * (dens[r] * fresh) @ kernel(r, i, 0)
+        lhs = np.eye(km) + 0.5 * h * blocks[i].local if i else np.eye(km)
+        dens[i] = np.linalg.solve(lhs.T, rhs)
+    on_support = dens[:, ::m]
+    increments = 0.5 * h * (on_support[1:] + on_support[:-1])
+    return np.vstack([np.zeros((1, k)), np.cumsum(increments, axis=0)])
+
+
+@pytest.mark.parametrize("level, phase, n_steps", [(1, (0, 0), 32),
+                                                    (2, (1, 2), 24)])
+def test_march_matches_brute_force_assembly(tight_spec, level, phase,
+                                            n_steps):
+    u, horizon = 0.2, 0.75
+    sol = busy_period_cdf(tight_spec, level, phase, u=u, horizon=horizon,
+                          step=horizon / n_steps, refine=False)
+    want = _brute_force_march(tight_spec, level, sol.phase, u, horizon,
+                              n_steps)
+    assert np.abs(sol.values - want).max() < 1e-12
+
+
 def test_raw_march_is_second_order(mm1_spec):
     sols = [busy_period_cdf(mm1_spec, 1, 0, horizon=1.5, step=s,
                             refine=False).total()
@@ -171,6 +236,22 @@ def test_periodic_routes_agree_interior_start(periodic74_spec):
                            step=1 / 128)
     assert np.array_equal(vol.values, flat.values)
     assert vol.phase == 11
+
+
+@pytest.mark.parametrize("k, m, level, phase", [
+    (3, 1, 2, (0, 0)),      # E3/M/1: one service stage
+    (1, 3, 3, (0, 2)),      # M/E3/1: one arrival stage
+    (7, 4, 3, (4, 2)),      # interior start above level one
+])
+def test_routes_agree_across_stage_counts(k, m, level, phase):
+    spec = ModelSpec(k, m,
+                     RateFunction(3.0 * k / 7, sin=((1, -2.0 * k / 7),)),
+                     RateFunction(5.0 * m / 4, sin=((1, 4.0 * m / 4),)))
+    vol = busy_period_cdf(spec, level, phase, u=0.3, horizon=2.0,
+                          step=1 / 64)
+    ode = busy_oracle(spec, level, phase, u=0.3, horizon=2.0, step=1 / 64,
+                      level_cap=40, substeps=4)
+    assert np.abs(vol.total() - ode.total()).max() < 1e-5
 
 
 def test_cdf_shape_and_monotonicity(periodic74_spec):

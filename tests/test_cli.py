@@ -171,6 +171,7 @@ def test_busy_overrides(tmp_path):
     assert meta["u"] == 0.25
     assert meta["sup_diff"] < 1e-3
     assert meta["cap_mass"] < 1e-10
+    assert 0.0 < meta["error_estimate"] < 1e-2
     header = (out / "busy.csv").read_text().splitlines()[1].split(",")
     assert header == ["t", "volterra_a0", "ode_a0",
                       "volterra_total", "ode_total"]

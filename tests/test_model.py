@@ -59,6 +59,16 @@ def test_rate_rejects_negative_minimum():
         RateFunction(-3.0)
 
 
+def test_rate_rejects_dip_between_coarse_grid_points():
+    # sin(2 pi 4096 t) vanishes at every point of a 4096-point grid, so the
+    # rate reads 1 there while its true minimum is -1
+    grid = np.arange(4096) / 4096
+    assert np.min(1.0 + 2.0 * np.sin(2 * np.pi * 4096 * grid)) > 0.99
+    with pytest.raises(ValueError, match="dips negative"):
+        RateFunction(1.0, sin=((4096, 2.0),))
+    RateFunction(2.5, sin=((4096, 2.0),))
+
+
 def test_cumulative_rejects_reversed_interval():
     r = RateFunction(2.0)
     with pytest.raises(ValueError):
