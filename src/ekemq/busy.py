@@ -29,9 +29,13 @@ cycles (A, D) of one shift then run consecutively, so the arrival and
 service factors are contiguous slices of the correlation and of the service
 pmf table, and each shift is a single matrix product.
 
-`busy_oracle` integrates the killed process directly (levels truncated high,
-absorption counted per arrival stage) and shares no code path with the
-Volterra route; the two must agree and tests enforce it.
+`busy_oracle` integrates the killed process directly: the periodic oracle's
+truncated system (levels truncated high) with the empty level made
+absorbing, so its k empty states count absorption by arrival stage.  It
+reuses the periodic oracle's structure builder and RK4 step
+(`oracle._structure_matrices`, `oracle._rk4_step`) and shares no code path
+with the Volterra route, which imports nothing from `oracle`; the two must
+agree and tests enforce it.
 """
 
 from __future__ import annotations
@@ -40,10 +44,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import gammaln
 
 from .model import ModelSpec, _stage_blocks
+from .oracle import _rk4_step, _structure_matrices
 
 # Poisson pmf tables are cut this many standard deviations past the mean
 # (plus a floor for tiny means); entries beyond are below 1e-16 of the mass.
@@ -311,64 +315,32 @@ def _volterra_march(spec: ModelSpec, level: int, phase, u: float,
     )
 
 
-def _absorbing_structure(k: int, m: int, level_cap: int):
-    """Unit-rate structure of the killed process with absorption sinks.
-
-    States: levels 1..level_cap (km phases each), then k sink states counting
-    absorption by arrival stage.  Transposed CSR for row-vector stepping.
-    """
-    km = k * m
-    dim = level_cap * km + k
-
-    def busy(j: int, a: int, s: int) -> int:
-        return (j - 1) * km + a * m + s
-
-    def sink(a: int) -> int:
-        return level_cap * km + a
-
-    arr_r, arr_c, arr_v = [], [], []
-    srv_r, srv_c, srv_v = [], [], []
-    for j in range(1, level_cap + 1):
-        for a in range(k):
-            for s in range(m):
-                x = busy(j, a, s)
-                if a < k - 1:
-                    arr_r.append(x); arr_c.append(x); arr_v.append(-1.0)
-                    arr_r.append(x); arr_c.append(busy(j, a + 1, s)); arr_v.append(1.0)
-                elif j < level_cap:
-                    arr_r.append(x); arr_c.append(x); arr_v.append(-1.0)
-                    arr_r.append(x); arr_c.append(busy(j + 1, 0, s)); arr_v.append(1.0)
-                srv_r.append(x); srv_c.append(x); srv_v.append(-1.0)
-                if s < m - 1:
-                    srv_r.append(x); srv_c.append(busy(j, a, s + 1)); srv_v.append(1.0)
-                elif j > 1:
-                    srv_r.append(x); srv_c.append(busy(j - 1, a, 0)); srv_v.append(1.0)
-                else:
-                    srv_r.append(x); srv_c.append(sink(a)); srv_v.append(1.0)
-
-    s_arr = sp.csr_matrix((arr_v, (arr_r, arr_c)), shape=(dim, dim))
-    s_srv = sp.csr_matrix((srv_v, (srv_r, srv_c)), shape=(dim, dim))
-    return s_arr.T.tocsr(), s_srv.T.tocsr()
-
-
 def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
                 horizon: float = 5.0, step: float = 1.0 / 512,
                 level_cap: int = 40, substeps: int = 4) -> VolterraSolution:
     """Absorbing-ODE route: integrate the killed process and read the sinks.
 
-    The level cap must be generous enough that essentially no probability
-    visits it; the run aborts when more than 1e-10 ever sits at the cap.
+    Records the sinks every `step` (rounded so that whole steps fill the
+    horizon) after `substeps` RK4 steps each.  The level cap must be generous
+    enough that essentially no probability visits it; the run aborts when
+    more than 1e-10 ever sits at the cap.
     """
     if level < 1:
         raise ValueError("busy period starts at level >= 1")
     if level > level_cap // 2:
         raise ValueError("level_cap should comfortably exceed the start level")
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    if horizon <= 0 or step <= 0:
+        raise ValueError("horizon and step must be positive")
+    n_rec = int(round(horizon / step))
+    if n_rec < 1:
+        raise ValueError("horizon must cover at least one step")
     q0 = _normalize_phase(spec, phase)
     k, m = spec.k, spec.m
     km = k * m
-    n_rec = int(round(horizon / step))
     h = (horizon / n_rec) / substeps
-    at, mt = _absorbing_structure(k, m, level_cap)
+    at, mt = _structure_matrices(k, m, level_cap, absorbing=True)
     dim = at.shape[0]
 
     total_steps = n_rec * substeps
@@ -376,27 +348,19 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     lam = spec.arrival.value(nodes)
     mu = spec.service.value(nodes)
 
+    # the k sinks come first, then levels 1..level_cap
     p = np.zeros(dim)
-    p[(level - 1) * km + q0] = 1.0
+    p[k + (level - 1) * km + q0] = 1.0
     values = np.zeros((n_rec + 1, k))
-    cap_slice = slice((level_cap - 1) * km, level_cap * km)
+    cap_slice = slice(k + (level_cap - 1) * km, dim)
     cap_mass = 0.0
 
     idx = 0
     for rec in range(1, n_rec + 1):
         for _ in range(substeps):
-            l0, lh, l1 = lam[2 * idx], lam[2 * idx + 1], lam[2 * idx + 2]
-            m0, mh, m1 = mu[2 * idx], mu[2 * idx + 1], mu[2 * idx + 2]
-            k1 = l0 * (at @ p) + m0 * (mt @ p)
-            q = p + (0.5 * h) * k1
-            k2 = lh * (at @ q) + mh * (mt @ q)
-            q = p + (0.5 * h) * k2
-            k3 = lh * (at @ q) + mh * (mt @ q)
-            q = p + h * k3
-            k4 = l1 * (at @ q) + m1 * (mt @ q)
-            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            p = _rk4_step(at, mt, p, h, lam, mu, idx)
             idx += 1
-        values[rec] = p[level_cap * km:]
+        values[rec] = p[:k]
         cap_mass = max(cap_mass, float(p[cap_slice].sum()))
         if cap_mass > 1e-10:
             raise RuntimeError(

@@ -24,8 +24,6 @@ import argparse
 import json
 import math
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,7 +128,6 @@ class RunConfig:
         "busy.step": (_parse_float, 1.0 / 512),
         "busy.cap": (_parse_int, 40),
         "busy.substeps": (_parse_int, 4),
-        "threads": (_parse_int, 1),
     }
     _REQUIRED = ("model.k", "model.m", "model.arrival.base", "model.service.base")
 
@@ -225,14 +222,15 @@ def _time_grid(count: int) -> np.ndarray:
     return np.arange(count) / count
 
 
-def _map_maybe_parallel(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _series_setup(cfg: RunConfig, spec: ModelSpec):
+    dist = integrate_periodic(
+        spec, level_cap=cfg["oracle.levels"], grid_size=cfg["oracle.grid"],
+        tol=cfg["oracle.tol"], max_periods=cfg["oracle.max_periods"],
+    )
+    return dist, extract_boundary(dist)
 
 
-def cmd_roots(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> None:
+def cmd_roots(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     roots = build_root_set(spec, cfg["series.order"])
     rows = [
         (r.n, r.branch, r.y.real, r.y.imag, abs(r.y), r.poly_residual, r.exp_residual)
@@ -243,13 +241,8 @@ def cmd_roots(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> None:
                 "poly_residual", "exp_residual"), rows)
 
 
-def cmd_oracle(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> None:
-    t0 = time.perf_counter()
-    dist = integrate_periodic(
-        spec, level_cap=cfg["oracle.levels"], grid_size=cfg["oracle.grid"],
-        tol=cfg["oracle.tol"], max_periods=cfg["oracle.max_periods"],
-    )
-    elapsed = time.perf_counter() - t0
+def cmd_oracle(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
+    dist, boundary = _series_setup(cfg, spec)
     m = spec.m
     rows = []
     for i, t in enumerate(dist.grid):
@@ -262,7 +255,6 @@ def cmd_oracle(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> None
                ("t", "level", "arrival_stage", "service_stage", "probability"),
                rows)
 
-    boundary = extract_boundary(dist)
     brows = []
     for i, t in enumerate(boundary.grid):
         for a in range(spec.k):
@@ -278,50 +270,32 @@ def cmd_oracle(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> None
         "cap_mass": dist.cap_mass(),
         "level_cap": dist.level_cap,
         "grid_size": dist.grid_size,
-        "runtime_seconds": elapsed,
     })
 
 
-def _series_setup(cfg: RunConfig, spec: ModelSpec):
-    t0 = time.perf_counter()
-    dist = integrate_periodic(
-        spec, level_cap=cfg["oracle.levels"], grid_size=cfg["oracle.grid"],
-        tol=cfg["oracle.tol"], max_periods=cfg["oracle.max_periods"],
-    )
-    oracle_time = time.perf_counter() - t0
-    boundary = extract_boundary(dist)
-    return dist, boundary, oracle_time
-
-
-def cmd_analyze(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> None:
-    dist, boundary, oracle_time = _series_setup(cfg, spec)
+def cmd_analyze(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
+    dist, boundary = _series_setup(cfg, spec)
     order = cfg["series.order"]
-    t0 = time.perf_counter()
     roots = build_root_set(spec, order)
     ev = SeriesEvaluator(roots, boundary,
                          nodes=cfg["series.nodes"], panels=cfg["series.panels"])
     times = _time_grid(cfg["analyze.times"])
     oracle_levels = dist.levels_at(times)
 
-    def one_level(j):
+    levels = cfg["analyze.levels"]
+    for j in levels:
+        if not 1 <= j <= dist.level_cap:
+            raise ValueError(f"analyze level {j} outside oracle truncation")
+
+    m = spec.m
+    rows = []
+    sup = {}
+    for j in levels:
         series_vals = ev.level_matrix(j, times).real
         oracle_vals = oracle_levels[:, j - 1, :]
         budget = truncation_error_bound(spec, 0.0, j, order,
                                         nodes=cfg["series.nodes"],
                                         panels=cfg["series.panels"])
-        return series_vals, oracle_vals, budget
-
-    levels = list(cfg["analyze.levels"])
-    for j in levels:
-        if not 1 <= j <= dist.level_cap:
-            raise ValueError(f"analyze level {j} outside oracle truncation")
-    results = _map_maybe_parallel(one_level, levels, threads)
-    series_time = time.perf_counter() - t0
-
-    m = spec.m
-    rows = []
-    sup = {}
-    for j, (series_vals, oracle_vals, budget) in zip(levels, results):
         diff = np.abs(series_vals - oracle_vals)
         sup[str(j)] = float(diff.max())
         bound_txt = _fmt(budget.bound) if budget.applicable else "NA"
@@ -338,12 +312,11 @@ def cmd_analyze(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> Non
         "sup_error_by_level": sup,
         "oracle_periods": dist.periods,
         "oracle_residual": dist.residual,
-        "runtime_seconds": {"oracle": oracle_time, "series": series_time},
     })
 
 
-def cmd_bounds(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> None:
-    _, boundary, _ = _series_setup(cfg, spec)
+def cmd_bounds(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
+    _, boundary = _series_setup(cfg, spec)
     times = _time_grid(cfg["bounds.times"])
     reference = build_root_set(spec, cfg["bounds.reference"])
     ev_ref = SeriesEvaluator(reference, boundary,
@@ -373,8 +346,8 @@ def cmd_bounds(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> None
                ("level", "order", "bound", "measured"), rows)
 
 
-def cmd_waiting(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> None:
-    dist, boundary, _ = _series_setup(cfg, spec)
+def cmd_waiting(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
+    dist, boundary = _series_setup(cfg, spec)
     roots = build_root_set(spec, cfg["series.order"])
     horizons = np.linspace(0.0, cfg["waiting.horizon"], cfg["waiting.steps"])
     kind = cfg["waiting.kind"]
@@ -396,7 +369,7 @@ def cmd_waiting(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> Non
     })
 
 
-def cmd_busy(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> None:
+def cmd_busy(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     level = cfg["busy.level"]
     phase = cfg["busy.phase"]
     vol = busy_period_cdf(spec, level, phase, u=cfg["busy.u"],
@@ -425,8 +398,8 @@ def cmd_busy(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> None:
     })
 
 
-def cmd_compare(cfg: RunConfig, spec: ModelSpec, out: Path, threads: int) -> None:
-    dist, boundary, _ = _series_setup(cfg, spec)
+def cmd_compare(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
+    dist, boundary = _series_setup(cfg, spec)
     roots = build_root_set(spec, cfg["series.order"])
     ev = SeriesEvaluator(roots, boundary,
                          nodes=cfg["series.nodes"], panels=cfg["series.panels"])
@@ -475,8 +448,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to key=value config")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="parallel workers for independent work items")
         if name == "waiting":
             p.add_argument("--u", type=float, default=None,
                            help="override waiting.u")
@@ -497,9 +468,6 @@ def main(argv=None) -> int:
             cfg.values["waiting.kind"] = args.kind
         if getattr(args, "j", None) is not None:
             cfg.values["busy.level"] = int(args.j)
-        threads = args.threads if args.threads is not None else cfg["threads"]
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
         spec = cfg.spec()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -508,7 +476,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, spec, out, threads)
+        _COMMANDS[args.command](cfg, spec, out)
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         kind = f"{type(exc).__module__}.{type(exc).__qualname__}"
         print(f"numerical failure in {args.command}: {kind}: {exc}", file=sys.stderr)

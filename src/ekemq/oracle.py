@@ -12,9 +12,18 @@ period to the next.  The two constant structure matrices S_arr and S_srv
 carry unit rates; the time dependence sits entirely in the two scalars, so
 no matrix is rebuilt inside the stepping loop.
 
+The same truncated system, with the empty level absorbing instead of
+reflecting, is the busy-period oracle: in the periodic system an arrival
+moves an empty state to the next arrival stage or starts level 1, while in
+the killed system the k empty states have no exits and count absorption by
+arrival stage.  `_structure_matrices` builds both and `_rk4_step` steps
+both; `busy.busy_oracle` is the second caller.
+
 This module is deliberately independent of the root-series machinery: it
-never sees characteristic roots and the series code never sees this solver.
-Their agreement is checked in tests, not assumed anywhere.
+never sees characteristic roots.  The series route does read one output of
+it, the empty-system boundary (`extract_boundary`), so series-vs-oracle
+agreement checks the series given the oracle's boundary; the levels beyond
+it are computed independently and compared in tests, not assumed anywhere.
 """
 
 from __future__ import annotations
@@ -55,12 +64,14 @@ class TrigInterpolant:
         return vals
 
 
-def _structure_matrices(k: int, m: int, level_cap: int):
+def _structure_matrices(k: int, m: int, level_cap: int, absorbing: bool = False):
     """Unit-rate generator structure, split into arrival and service parts.
 
-    State order: k idle states (arrival stage a), then levels 1..level_cap
+    State order: k empty states (arrival stage a), then levels 1..level_cap
     with km phases each, phase (a, s) flattened as a*m + s.  Returned as the
     transposed CSR matrices so that rhs = lam * (AT @ p) + mu * (MT @ p).
+    With absorbing=True the empty states keep no arrival exits: they are the
+    sinks of the process killed at its first visit to the empty level.
     """
     km = k * m
     dim = k + level_cap * km
@@ -76,7 +87,9 @@ def _structure_matrices(k: int, m: int, level_cap: int):
         cols.append(j)
         vals.append(v)
 
-    for a in range(k):
+    # an arrival to an empty state advances its stage or starts level 1;
+    # the killed process has ended there, so its empty states have no exits
+    for a in range(0 if absorbing else k):
         put(arr_r, arr_c, arr_v, a, a, -1.0)
         if a < k - 1:
             put(arr_r, arr_c, arr_v, a, a + 1, 1.0)
@@ -106,6 +119,25 @@ def _structure_matrices(k: int, m: int, level_cap: int):
     s_arr = sp.csr_matrix((arr_v, (arr_r, arr_c)), shape=(dim, dim))
     s_srv = sp.csr_matrix((srv_v, (srv_r, srv_c)), shape=(dim, dim))
     return s_arr.T.tocsr(), s_srv.T.tocsr()
+
+
+def _rk4_step(at, mt, p: np.ndarray, h: float, lam: np.ndarray,
+              mu: np.ndarray, i: int) -> np.ndarray:
+    """One classical RK4 step of p' = lam(t) * (AT @ p) + mu(t) * (MT @ p).
+
+    lam and mu hold the rates at half-step nodes, so step i runs from node
+    2i through node 2i+1 to node 2i+2.
+    """
+    l0, lh, l1 = lam[2 * i], lam[2 * i + 1], lam[2 * i + 2]
+    m0, mh, m1 = mu[2 * i], mu[2 * i + 1], mu[2 * i + 2]
+    k1 = l0 * (at @ p) + m0 * (mt @ p)
+    q = p + (0.5 * h) * k1
+    k2 = lh * (at @ q) + mh * (mt @ q)
+    q = p + (0.5 * h) * k2
+    k3 = lh * (at @ q) + mh * (mt @ q)
+    q = p + h * k3
+    k4 = l1 * (at @ q) + m1 * (mt @ q)
+    return p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass
@@ -193,16 +225,7 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     for period in range(1, max_periods + 1):
         for i in range(grid_size):
             samples[i] = p
-            l0, lh, l1 = lam[2 * i], lam[2 * i + 1], lam[2 * i + 2]
-            m0, mh, m1 = mu[2 * i], mu[2 * i + 1], mu[2 * i + 2]
-            k1 = l0 * (at @ p) + m0 * (mt @ p)
-            q = p + (0.5 * h) * k1
-            k2 = lh * (at @ q) + mh * (mt @ q)
-            q = p + (0.5 * h) * k2
-            k3 = lh * (at @ q) + mh * (mt @ q)
-            q = p + h * k3
-            k4 = l1 * (at @ q) + m1 * (mt @ q)
-            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            p = _rk4_step(at, mt, p, h, lam, mu, i)
         if prev is not None:
             residual = float(np.abs(samples - prev).max())
             if residual <= tol:

@@ -307,5 +307,13 @@ def test_argument_checks(periodic74_spec, mm1_spec):
         busy_period_cdf(periodic74_spec, 1, 0, horizon=-1.0)
     with pytest.raises(ValueError):
         busy_oracle(mm1_spec, 30, 0, level_cap=40)
+    with pytest.raises(ValueError, match="substeps must be >= 1"):
+        busy_oracle(mm1_spec, 1, 0, substeps=0)
+    with pytest.raises(ValueError, match="horizon and step must be positive"):
+        busy_oracle(mm1_spec, 1, 0, step=-0.01)
+    with pytest.raises(ValueError, match="horizon and step must be positive"):
+        busy_oracle(mm1_spec, 1, 0, horizon=-1.0)
+    with pytest.raises(ValueError, match="horizon must cover at least one step"):
+        busy_oracle(mm1_spec, 1, 0, horizon=0.1, step=0.25)
     with pytest.raises(ValueError):
         net_change_probability(periodic74_spec, 0.0, 1.0, 0, 9, 0, 0, 0)

@@ -1,11 +1,14 @@
 """Command-line front end: config grammar, outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ekemq
 from ekemq.cli import ConfigError, RunConfig, main
 
 MM1_BASE = {
@@ -56,6 +59,8 @@ def test_config_defaults_and_parsing():
 def test_config_rejects_unknown_key():
     with pytest.raises(ConfigError, match="line 2: unknown key"):
         RunConfig.from_text("model.k = 1\nmodel.q = 2\n")
+    with pytest.raises(ConfigError, match="line 2: unknown key 'threads'"):
+        RunConfig.from_text("model.k = 1\nthreads = 2\n")
 
 
 def test_config_rejects_duplicate_and_missing():
@@ -131,12 +136,23 @@ def test_oracle_outputs(tmp_path):
     assert (out / "boundary.csv").exists()
 
 
-def test_analyze_outputs_and_threads(tmp_path):
+def test_oracle_outputs_are_byte_identical(tmp_path):
+    cfg = write_cfg(tmp_path)
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(["oracle", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["oracle", "--config", cfg, "--out", str(out2)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == ["boundary.csv", "distribution.csv", "oracle.json"]
+    assert sorted(p.name for p in out2.iterdir()) == names
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_analyze_outputs_and_determinism(tmp_path):
     cfg = write_cfg(tmp_path)
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
     assert main(["analyze", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["analyze", "--config", cfg, "--out", str(out2),
-                 "--threads", "2"]) == 0
+    assert main(["analyze", "--config", cfg, "--out", str(out2)]) == 0
     meta1 = json.loads((out1 / "analyze.json").read_text())
     meta2 = json.loads((out2 / "analyze.json").read_text())
     assert meta1["sup_error_by_level"] == meta2["sup_error_by_level"]
@@ -202,10 +218,13 @@ def test_module_entry_point(tmp_path):
         "model.arrival.sin": "1:-2", "model.service.sin": "1:4",
         "series.order": 1,
     })
+    # the child imports the same package as this process, installed or not
+    src = str(Path(ekemq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ekemq.cli", "roots",
          "--config", cfg, "--out", str(tmp_path / "m")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "m" / "roots.csv").exists()
