@@ -15,16 +15,12 @@ from .model import (
     ModelSpec,
     GeneratorBlocks,
     ergodic_margin,
-    flat_index,
-    split_index,
     generator_blocks,
-    phase_eigensystem,
 )
 from .roots import (
     CharacteristicRoot,
     RootSet,
     characteristic_roots,
-    outer_roots_by_iteration,
     build_root_set,
 )
 from .oracle import (
@@ -36,10 +32,8 @@ from .oracle import (
 from .series import (
     LevelEstimate,
     SeriesEvaluator,
-    root_coefficient,
     phase_weights,
     level_probabilities,
-    net_change_probability,
 )
 from .bounds import (
     ErrorBudget,
@@ -68,14 +62,10 @@ __all__ = [
     "ModelSpec",
     "GeneratorBlocks",
     "ergodic_margin",
-    "flat_index",
-    "split_index",
     "generator_blocks",
-    "phase_eigensystem",
     "CharacteristicRoot",
     "RootSet",
     "characteristic_roots",
-    "outer_roots_by_iteration",
     "build_root_set",
     "PeriodicDistribution",
     "BoundaryFunctions",
@@ -83,10 +73,8 @@ __all__ = [
     "extract_boundary",
     "LevelEstimate",
     "SeriesEvaluator",
-    "root_coefficient",
     "phase_weights",
     "level_probabilities",
-    "net_change_probability",
     "ErrorBudget",
     "root_modulus_bracket",
     "tail_constant",

@@ -230,6 +230,38 @@ def _series_setup(cfg: RunConfig, spec: ModelSpec):
     return dist, extract_boundary(dist)
 
 
+def _quadrature(cfg: RunConfig) -> dict:
+    """Period-integral quadrature keywords shared by every series call."""
+    return {"nodes": cfg["series.nodes"], "panels": cfg["series.panels"]}
+
+
+def _evaluator(cfg: RunConfig, roots, boundary) -> SeriesEvaluator:
+    return SeriesEvaluator(roots, boundary, **_quadrature(cfg))
+
+
+def _level_pairs(cfg: RunConfig, dist, ev: SeriesEvaluator):
+    """(times, [(level, series, oracle)]) for the analyze levels."""
+    levels = cfg["analyze.levels"]
+    for j in levels:
+        if not 1 <= j <= dist.level_cap:
+            raise ValueError(f"analyze level {j} outside oracle truncation")
+    times = _time_grid(cfg["analyze.times"])
+    oracle_levels = dist.levels_at(times)
+    return times, [(j, ev.level_matrix(j, times).real, oracle_levels[:, j - 1, :])
+                   for j in levels]
+
+
+def _wait_pair(cfg: RunConfig, spec: ModelSpec, roots, dist, boundary,
+               kind: str):
+    """(horizons, series CDF, oracle CDF) of a wait arriving at waiting.u."""
+    horizons = np.linspace(0.0, cfg["waiting.horizon"], cfg["waiting.steps"])
+    u = cfg["waiting.u"]
+    series = wait_cdf(spec, roots, boundary, u, horizons, kind=kind,
+                      **_quadrature(cfg))
+    reference = oracle_wait_cdf(spec, dist, u, horizons, kind=kind)
+    return horizons, series.values, reference.values
+
+
 def cmd_roots(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     roots = build_root_set(spec, cfg["series.order"])
     rows = [
@@ -276,26 +308,14 @@ def cmd_oracle(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
 def cmd_analyze(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     dist, boundary = _series_setup(cfg, spec)
     order = cfg["series.order"]
-    roots = build_root_set(spec, order)
-    ev = SeriesEvaluator(roots, boundary,
-                         nodes=cfg["series.nodes"], panels=cfg["series.panels"])
-    times = _time_grid(cfg["analyze.times"])
-    oracle_levels = dist.levels_at(times)
-
-    levels = cfg["analyze.levels"]
-    for j in levels:
-        if not 1 <= j <= dist.level_cap:
-            raise ValueError(f"analyze level {j} outside oracle truncation")
+    ev = _evaluator(cfg, build_root_set(spec, order), boundary)
+    times, pairs = _level_pairs(cfg, dist, ev)
 
     m = spec.m
     rows = []
     sup = {}
-    for j in levels:
-        series_vals = ev.level_matrix(j, times).real
-        oracle_vals = oracle_levels[:, j - 1, :]
-        budget = truncation_error_bound(spec, 0.0, j, order,
-                                        nodes=cfg["series.nodes"],
-                                        panels=cfg["series.panels"])
+    for j, series_vals, oracle_vals in pairs:
+        budget = truncation_error_bound(spec, 0.0, j, order, **_quadrature(cfg))
         diff = np.abs(series_vals - oracle_vals)
         sup[str(j)] = float(diff.max())
         bound_txt = _fmt(budget.bound) if budget.applicable else "NA"
@@ -319,23 +339,16 @@ def cmd_bounds(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     _, boundary = _series_setup(cfg, spec)
     times = _time_grid(cfg["bounds.times"])
     reference = build_root_set(spec, cfg["bounds.reference"])
-    ev_ref = SeriesEvaluator(reference, boundary,
-                             nodes=cfg["series.nodes"], panels=cfg["series.panels"])
-
-    evs = {}
-    for q in cfg["bounds.orders"]:
-        evs[q] = SeriesEvaluator(build_root_set(spec, q), boundary,
-                                 nodes=cfg["series.nodes"],
-                                 panels=cfg["series.panels"])
+    ev_ref = _evaluator(cfg, reference, boundary)
+    evs = {q: _evaluator(cfg, build_root_set(spec, q), boundary)
+           for q in cfg["bounds.orders"]}
 
     rows = []
     for j in cfg["bounds.levels"]:
         ref_vals = ev_ref.level_matrix(j, times).real
         for q in cfg["bounds.orders"]:
             measured = float(np.abs(evs[q].level_matrix(j, times).real - ref_vals).max())
-            budgets = [truncation_error_bound(spec, t, j, q,
-                                              nodes=cfg["series.nodes"],
-                                              panels=cfg["series.panels"])
+            budgets = [truncation_error_bound(spec, t, j, q, **_quadrature(cfg))
                        for t in times]
             if all(b.applicable for b in budgets):
                 bound_txt = _fmt(max(b.bound for b in budgets))
@@ -349,23 +362,20 @@ def cmd_bounds(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
 def cmd_waiting(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     dist, boundary = _series_setup(cfg, spec)
     roots = build_root_set(spec, cfg["series.order"])
-    horizons = np.linspace(0.0, cfg["waiting.horizon"], cfg["waiting.steps"])
     kind = cfg["waiting.kind"]
-    u = cfg["waiting.u"]
-    series = wait_cdf(spec, roots, boundary, u, horizons, kind=kind,
-                      nodes=cfg["series.nodes"], panels=cfg["series.panels"])
-    reference = oracle_wait_cdf(spec, dist, u, horizons, kind=kind)
+    horizons, series, reference = _wait_pair(cfg, spec, roots, dist, boundary,
+                                             kind)
     rows = [
         (t, sv, ov, abs(sv - ov))
-        for t, sv, ov in zip(horizons, series.values, reference.values)
+        for t, sv, ov in zip(horizons, series, reference)
     ]
     _write_csv(out / "waiting.csv", "waiting v1",
                ("t", "series", "oracle", "abs_diff"), rows)
     _write_json(out / "waiting.json", {
         "kind": kind,
-        "u": u,
+        "u": cfg["waiting.u"],
         "order": cfg["series.order"],
-        "sup_diff": float(np.abs(series.values - reference.values).max()),
+        "sup_diff": float(np.abs(series - reference).max()),
     })
 
 
@@ -401,29 +411,19 @@ def cmd_busy(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
 def cmd_compare(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     dist, boundary = _series_setup(cfg, spec)
     roots = build_root_set(spec, cfg["series.order"])
-    ev = SeriesEvaluator(roots, boundary,
-                         nodes=cfg["series.nodes"], panels=cfg["series.panels"])
-    times = _time_grid(cfg["analyze.times"])
-    oracle_levels = dist.levels_at(times)
-    levels = {}
-    for j in cfg["analyze.levels"]:
-        diff = np.abs(ev.level_matrix(j, times).real - oracle_levels[:, j - 1, :])
-        levels[str(j)] = float(diff.max())
-
-    horizons = np.linspace(0.0, cfg["waiting.horizon"], cfg["waiting.steps"])
-    u = cfg["waiting.u"]
+    _, pairs = _level_pairs(cfg, dist, _evaluator(cfg, roots, boundary))
+    levels = {str(j): float(np.abs(series - oracle).max())
+              for j, series, oracle in pairs}
     waits = {}
     for kind in ("queue", "sojourn"):
-        series = wait_cdf(spec, roots, boundary, u, horizons, kind=kind,
-                          nodes=cfg["series.nodes"], panels=cfg["series.panels"])
-        reference = oracle_wait_cdf(spec, dist, u, horizons, kind=kind)
-        waits[kind] = float(np.abs(series.values - reference.values).max())
+        _, series, reference = _wait_pair(cfg, spec, roots, dist, boundary, kind)
+        waits[kind] = float(np.abs(series - reference).max())
 
     _write_json(out / "compare.json", {
         "order": cfg["series.order"],
         "levels_sup_diff": levels,
         "waiting_sup_diff": waits,
-        "waiting_u": u,
+        "waiting_u": cfg["waiting.u"],
     })
 
 

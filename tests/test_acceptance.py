@@ -23,12 +23,12 @@ from ekemq import (
     extract_boundary,
     integrate_periodic,
     net_change_matrix,
-    net_change_probability,
     oracle_wait_cdf,
     root_modulus_bracket,
     truncation_error_bound,
     wait_cdf,
 )
+from ekemq.series import net_change_probability
 
 
 def test_acceptance_mm1_reduction():

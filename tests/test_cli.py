@@ -203,6 +203,16 @@ def test_compare_output(tmp_path):
     assert all(v < 1e-8 for v in meta["levels_sup_diff"].values())
 
 
+def test_levels_outside_truncation_exit_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, **{"analyze.levels": "1,41"})
+    for command in ("analyze", "compare"):
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / command)]) == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure in {command}" in err
+        assert "analyze level 41 outside oracle truncation" in err
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, **{"oracle.tol": 1e-14,
                                  "oracle.max_periods": 1})

@@ -10,12 +10,14 @@ from ekemq import (
     ModelSpec,
     RateFunction,
     ergodic_margin,
-    flat_index,
     generator_blocks,
+)
+from ekemq.model import (
+    flat_index,
+    level_transform_matrix,
     phase_eigensystem,
     split_index,
 )
-from ekemq.model import level_transform_matrix
 
 
 def test_rate_values_match_hand_formula():

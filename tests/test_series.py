@@ -15,10 +15,8 @@ from ekemq import (
     SeriesEvaluator,
     build_root_set,
     level_probabilities,
-    net_change_probability,
-    root_coefficient,
 )
-from ekemq.series import phase_weights
+from ekemq.series import net_change_probability, phase_weights, root_coefficient
 
 
 def test_mm1_series_is_geometric(mm1_spec, mm1_roots, mm1_boundary):
