@@ -1,8 +1,9 @@
 # The truncated-ODE oracle
 #
-# Integrating the level-truncated Kolmogorov equations period after period
-# until the within-period law stops changing gives the asymptotic periodic
-# distribution with no series in sight.  Every series result in this package
+# Solving the level-truncated Kolmogorov equations for their periodic regime
+# (the fixed point of the one-period map, started from the period-averaged
+# law and accelerated by Anderson mixing, accepted once two plain periods
+# agree) gives the asymptotic periodic distribution with no series in sight.  Every series result in this package
 # is judged against this route.
 
 import numpy as np

@@ -320,8 +320,8 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     k, m = spec.k, spec.m
     km = k * m
     h = (horizon / n_rec) / substeps
-    at, mt = _structure_matrices(k, m, level_cap, absorbing=True)
-    dim = at.shape[0]
+    op = _structure_matrices(k, m, level_cap, absorbing=True)
+    dim = op.shape[1]
 
     total_steps = n_rec * substeps
     nodes = u + (horizon / total_steps) * 0.5 * np.arange(2 * total_steps + 1)
@@ -338,7 +338,7 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     idx = 0
     for rec in range(1, n_rec + 1):
         for _ in range(substeps):
-            p = _rk4_step(at, mt, p, h, lam, mu, idx)
+            p = _rk4_step(op, p, h, lam, mu, idx)
             idx += 1
         values[rec] = p[:k]
         cap_mass = max(cap_mass, float(p[cap_slice].sum()))

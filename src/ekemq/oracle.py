@@ -7,10 +7,18 @@ the generator conservative).  The resulting linear ODE
     p'(t) = lam(t) * p(t) S_arr + mu(t) * p(t) S_srv
 
 is driven with classical fourth-order Runge-Kutta steps aligned to a fixed
-output grid until the state, sampled on that grid, stops changing from one
-period to the next.  The two constant structure matrices S_arr and S_srv
-carry unit rates; the time dependence sits entirely in the two scalars, so
-no matrix is rebuilt inside the stepping loop.
+output grid.  The two constant structure matrices S_arr and S_srv carry
+unit rates and are stacked into one sparse operator, so each RK stage is a
+single sparse product and the time dependence sits entirely in two
+scalars; no matrix is rebuilt inside the stepping loop.
+
+The periodic law is the fixed point of the one-period map Phi, and it is
+solved as one (periodic steady-state shooting, Aprille & Trick, Proc. IEEE
+1972): the solve starts from the stationary law of the period-averaged
+generator, found by linear level reduction from the cap down, and
+accelerates the period map with Anderson mixing (Walker & Ni, SIAM J.
+Numer. Anal. 2011).  It stops only when two consecutive plain periods,
+sampled on the grid, agree to the tolerance.
 
 The same truncated system, with the empty level absorbing instead of
 reflecting, is the busy-period oracle: in the periodic system an arrival
@@ -34,6 +42,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import ModelSpec
+
+# The periodic solve mixes the last _ANDERSON_DEPTH period residual
+# differences, and runs plain periods once a period moves its start by at
+# most _PLAIN_FRACTION * tol, so that the plain check of two consecutive
+# periods usually passes at once and the fixed point is resolved below tol.
+_ANDERSON_DEPTH = 8
+_PLAIN_FRACTION = 0.1
 
 
 class TrigInterpolant:
@@ -68,8 +83,9 @@ def _structure_matrices(k: int, m: int, level_cap: int, absorbing: bool = False)
     """Unit-rate generator structure, split into arrival and service parts.
 
     State order: k empty states (arrival stage a), then levels 1..level_cap
-    with km phases each, phase (a, s) flattened as a*m + s.  Returned as the
-    transposed CSR matrices so that rhs = lam * (AT @ p) + mu * (MT @ p).
+    with km phases each, phase (a, s) flattened as a*m + s.  Returned as one
+    stacked (2*dim, dim) CSR operator [AT; MT] of the transposed parts, so
+    that y = op @ p gives rhs = lam * y[:dim] + mu * y[dim:].
     With absorbing=True the empty states keep no arrival exits: they are the
     sinks of the process killed at its first visit to the empty level.
     """
@@ -118,26 +134,64 @@ def _structure_matrices(k: int, m: int, level_cap: int, absorbing: bool = False)
 
     s_arr = sp.csr_matrix((arr_v, (arr_r, arr_c)), shape=(dim, dim))
     s_srv = sp.csr_matrix((srv_v, (srv_r, srv_c)), shape=(dim, dim))
-    return s_arr.T.tocsr(), s_srv.T.tocsr()
+    return sp.vstack([s_arr.T.tocsr(), s_srv.T.tocsr()], format="csr")
 
 
-def _rk4_step(at, mt, p: np.ndarray, h: float, lam: np.ndarray,
+def _rk4_step(op, p: np.ndarray, h: float, lam: np.ndarray,
               mu: np.ndarray, i: int) -> np.ndarray:
     """One classical RK4 step of p' = lam(t) * (AT @ p) + mu(t) * (MT @ p).
 
-    lam and mu hold the rates at half-step nodes, so step i runs from node
-    2i through node 2i+1 to node 2i+2.
+    op is the stacked operator of `_structure_matrices`, so each stage is
+    one sparse product whose halves are AT @ p and MT @ p.  lam and mu hold
+    the rates at half-step nodes, so step i runs from node 2i through node
+    2i+1 to node 2i+2.
     """
+    dim = p.shape[0]
     l0, lh, l1 = lam[2 * i], lam[2 * i + 1], lam[2 * i + 2]
     m0, mh, m1 = mu[2 * i], mu[2 * i + 1], mu[2 * i + 2]
-    k1 = l0 * (at @ p) + m0 * (mt @ p)
-    q = p + (0.5 * h) * k1
-    k2 = lh * (at @ q) + mh * (mt @ q)
-    q = p + (0.5 * h) * k2
-    k3 = lh * (at @ q) + mh * (mt @ q)
-    q = p + h * k3
-    k4 = l1 * (at @ q) + m1 * (mt @ q)
+    y = op @ p
+    k1 = l0 * y[:dim] + m0 * y[dim:]
+    y = op @ (p + (0.5 * h) * k1)
+    k2 = lh * y[:dim] + mh * y[dim:]
+    y = op @ (p + (0.5 * h) * k2)
+    k3 = lh * y[:dim] + mh * y[dim:]
+    y = op @ (p + h * k3)
+    k4 = l1 * y[:dim] + m1 * y[dim:]
     return p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _averaged_stationary(op, spec: ModelSpec, level_cap: int) -> np.ndarray:
+    """Stationary law of the period-averaged generator lam*S_arr + mu*S_srv,
+    lam and mu the mean rates.
+
+    The generator is level-tridiagonal, so linear level reduction from the
+    cap down writes each level as a linear image of the one below,
+    p_j = R_j p_{j-1}; the censored k x k system on the empty level then
+    fixes p_0 up to scale and the levels follow upwards.  The blocks are
+    sliced from the CSR and solved densely with numpy.
+    """
+    k, km = spec.k, spec.phase_count
+    dim = op.shape[1]
+    g = (spec.arrival.mean() * op[:dim] + spec.service.mean() * op[dim:]).tocsr()
+    edges = [0] + [k + j * km for j in range(level_cap + 1)]
+
+    def block(i: int, j: int) -> np.ndarray:
+        return g[edges[i]:edges[i + 1], edges[j]:edges[j + 1]].toarray()
+
+    maps = {}
+    diag = block(level_cap, level_cap)
+    for j in range(level_cap, 0, -1):
+        maps[j] = -np.linalg.solve(diag, block(j, j - 1))
+        diag = block(j - 1, j - 1) + block(j - 1, j) @ maps[j]
+    # the censored columns sum to zero; trade one equation for a scale
+    diag[-1] = 1.0
+    rhs = np.zeros(k)
+    rhs[-1] = 1.0
+    parts = [np.linalg.solve(diag, rhs)]
+    for j in range(1, level_cap + 1):
+        parts.append(maps[j] @ parts[-1])
+    p = np.concatenate(parts)
+    return p / p.sum()
 
 
 @dataclass
@@ -146,8 +200,8 @@ class PeriodicDistribution:
 
     idle[i, a] is the probability of an empty system with arrival stage a at
     time grid[i]; levels[i, j-1, a*m+s] the probability of level j in phase
-    (a, s).  `residual` is the sup-norm change between the last two periods
-    and `periods` how many were integrated.
+    (a, s).  `residual` is the sup-norm change between the last two plain
+    periods and `periods` how many periods were integrated in all.
     """
 
     spec: ModelSpec
@@ -196,13 +250,20 @@ class PeriodicDistribution:
 
 def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 512,
                        tol: float = 1e-10, max_periods: int = 500) -> PeriodicDistribution:
-    """Integrate the truncated queue until its periodic regime is reached.
+    """Solve for the periodic regime of the truncated queue.
 
-    Starts from the uniform distribution over all truncated states and runs
-    whole periods with grid_size RK4 steps each; convergence is declared
-    when the state sampled at the grid points changes by at most tol in
-    sup norm between consecutive periods.  Raises RuntimeError when
-    max_periods is exhausted first.
+    The periodic law is the fixed point of the one-period map Phi (grid_size
+    RK4 steps over one period).  The solve starts from the stationary law of
+    the period-averaged generator and applies Anderson mixing of depth
+    _ANDERSON_DEPTH to Phi, renormalizing each mixed start to mass 1 and
+    restarting the mixing history whenever the period residual stops
+    falling.  Once a period moves its start by at most _PLAIN_FRACTION * tol,
+    the following periods run plainly, each from where the last one ended;
+    convergence is declared when two consecutive plain periods, sampled at
+    the grid points, differ by at most tol in sup norm, and those samples
+    are returned.  `periods` counts every application of Phi, mixed or
+    plain, and RuntimeError is raised when max_periods of them are
+    exhausted first.
     """
     if level_cap < 1:
         raise ValueError("level_cap must be >= 1")
@@ -210,22 +271,24 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
         raise ValueError("grid_size must be >= 4")
     k, km = spec.k, spec.phase_count
     dim = k + level_cap * km
-    at, mt = _structure_matrices(spec.k, spec.m, level_cap)
+    op = _structure_matrices(spec.k, spec.m, level_cap)
 
     half_nodes = np.arange(2 * grid_size + 1) / (2.0 * grid_size)
     lam = spec.arrival.value(half_nodes)
     mu = spec.service.value(half_nodes)
 
     h = 1.0 / grid_size
-    p = np.full(dim, 1.0 / dim)
+    p = _averaged_stationary(op, spec, level_cap)
     samples = np.empty((grid_size, dim))
-    prev = None
+    prev = None  # samples of the plain period that ended where this one starts
+    ends, moves = [], []  # Anderson history: Phi(x) and Phi(x) - x
     residual = np.inf
 
     for period in range(1, max_periods + 1):
+        start = p
         for i in range(grid_size):
             samples[i] = p
-            p = _rk4_step(at, mt, p, h, lam, mu, i)
+            p = _rk4_step(op, p, h, lam, mu, i)
         if prev is not None:
             residual = float(np.abs(samples - prev).max())
             if residual <= tol:
@@ -239,7 +302,20 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
                     periods=period,
                     residual=residual,
                 )
-        prev = samples.copy()
+        move = p - start
+        if moves and np.linalg.norm(move) >= np.linalg.norm(moves[-1]):
+            ends, moves = [], []
+        ends = (ends + [p])[-(_ANDERSON_DEPTH + 1):]
+        moves = (moves + [move])[-(_ANDERSON_DEPTH + 1):]
+        if len(moves) == 1 or np.abs(move).max() <= _PLAIN_FRACTION * tol:
+            prev = samples.copy()
+            continue
+        d_move = np.diff(np.array(moves), axis=0).T
+        d_end = np.diff(np.array(ends), axis=0).T
+        gamma = np.linalg.lstsq(d_move, move, rcond=None)[0]
+        p = p - d_end @ gamma
+        p = p / p.sum()
+        prev = None
 
     raise RuntimeError(
         f"periodic regime not reached in {max_periods} periods "

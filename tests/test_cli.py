@@ -6,10 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ekemq
-from ekemq.cli import ConfigError, RunConfig, main
+from ekemq import ModelSpec, RateFunction, extract_boundary
+from ekemq.cli import ConfigError, RunConfig, _write_csv, _write_law, main
+from ekemq.oracle import PeriodicDistribution
 
 MM1_BASE = {
     "model.k": 1,
@@ -146,6 +149,46 @@ def test_oracle_outputs_are_byte_identical(tmp_path):
     assert sorted(p.name for p in out2.iterdir()) == names
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_law_writer_matches_row_writer(tmp_path):
+    spec = ModelSpec(2, 3, RateFunction(1.0), RateFunction(2.0))
+    grid_size, cap = 5, 3
+    rng = np.random.default_rng(11)
+    idle = rng.random((grid_size, spec.k))
+    levels = rng.random((grid_size, cap, spec.phase_count)) * 10.0 ** -rng.integers(
+        0, 300, (grid_size, cap, spec.phase_count))
+    idle[0, 0], levels[1, 0, 0], levels[2, 1, 3], levels[3, 2, 5] = 1.0, 0.0, -0.0, 5e-324
+    dist = PeriodicDistribution(spec=spec, level_cap=cap, grid_size=grid_size,
+                                grid=np.arange(grid_size) / grid_size, idle=idle,
+                                levels=levels, periods=0, residual=0.0)
+    boundary = extract_boundary(dist)
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    _write_law(new, spec, dist, boundary)
+    # the row-tuple writer the law files had before
+    m = spec.m
+    rows = []
+    for i, t in enumerate(dist.grid):
+        for a in range(spec.k):
+            rows.append((t, 0, a, -1, dist.idle[i, a]))
+        for j in range(1, cap + 1):
+            for ph in range(spec.phase_count):
+                rows.append((t, j, ph // m, ph % m, dist.levels[i, j - 1, ph]))
+    _write_csv(old / "distribution.csv", "periodic-distribution v1",
+               ("t", "level", "arrival_stage", "service_stage", "probability"),
+               rows)
+    brows = []
+    for i, t in enumerate(boundary.grid):
+        for a in range(spec.k):
+            brows.append((t, "idle", a, -1, boundary.idle[i, a]))
+        for ph in range(spec.phase_count):
+            brows.append((t, "first", ph // m, ph % m, boundary.first[i, ph]))
+    _write_csv(old / "boundary.csv", "boundary v1",
+               ("t", "kind", "arrival_stage", "service_stage", "value"), brows)
+    for name in ("distribution.csv", "boundary.csv"):
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
 
 def test_analyze_outputs_and_determinism(tmp_path):

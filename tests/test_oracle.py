@@ -1,15 +1,21 @@
 """Periodic ODE oracle: convergence, conservation, closed-form reductions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ekemq
 from ekemq import (
     ModelSpec,
     RateFunction,
     extract_boundary,
     integrate_periodic,
 )
-from ekemq.oracle import TrigInterpolant
+from ekemq.oracle import TrigInterpolant, _rk4_step, _structure_matrices
 
 
 def test_mm1_reduces_to_truncated_geometric(mm1_dist):
@@ -38,7 +44,7 @@ def test_nonnegative_and_converged(periodic74_dist):
     assert periodic74_dist.idle.min() > -1e-12
     assert periodic74_dist.levels.min() > -1e-12
     assert periodic74_dist.residual <= 1e-10
-    assert periodic74_dist.periods < 200
+    assert periodic74_dist.periods < 40
 
 
 def test_cap_leakage_negligible(periodic74_dist):
@@ -108,10 +114,96 @@ def test_trig_interpolant_exact_on_bandlimited_data():
 
 
 def test_unconverged_run_raises():
-    spec = ModelSpec(1, 1, RateFunction(3.0), RateFunction(5.0))
-    with pytest.raises(RuntimeError):
+    # time-varying rates: constant ones start at their exact fixed point
+    spec = ModelSpec(1, 1, RateFunction(3.0, sin=((1, 2.0),)), RateFunction(5.0))
+    with pytest.raises(RuntimeError, match="not reached in 3 periods"):
         integrate_periodic(spec, level_cap=40, grid_size=32, tol=1e-13,
                            max_periods=3)
+
+
+def test_high_load_converges(periodic74_spec):
+    spec = ModelSpec(7, 4, RateFunction(7.0, sin=((1, -2.0),)),
+                     periodic74_spec.service)
+    assert spec.load == pytest.approx(0.8)
+    dist = integrate_periodic(spec, level_cap=120, grid_size=128, tol=1e-10)
+    # 24 periods with mixing; plain periods from the same start need ~180
+    assert dist.periods < 60
+    assert dist.residual <= 1e-10
+    assert dist.cap_mass() <= 1e-30
+    assert np.abs(dist.total_mass() - 1.0).max() <= 1e-12
+
+
+def _plain_rk4_step(at, mt, p, h, lam, mu, i):
+    """RK4 with the arrival and service operators applied separately."""
+    l0, lh, l1 = lam[2 * i], lam[2 * i + 1], lam[2 * i + 2]
+    m0, mh, m1 = mu[2 * i], mu[2 * i + 1], mu[2 * i + 2]
+    k1 = l0 * (at @ p) + m0 * (mt @ p)
+    q = p + (0.5 * h) * k1
+    k2 = lh * (at @ q) + mh * (mt @ q)
+    q = p + (0.5 * h) * k2
+    k3 = lh * (at @ q) + mh * (mt @ q)
+    q = p + h * k3
+    k4 = l1 * (at @ q) + m1 * (mt @ q)
+    return p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rates(spec, grid_size):
+    nodes = np.arange(2 * grid_size + 1) / (2.0 * grid_size)
+    return spec.arrival.value(nodes), spec.service.value(nodes)
+
+
+@pytest.mark.parametrize("absorbing", [False, True])
+def test_stacked_step_matches_two_operators(periodic74_spec, absorbing):
+    spec, grid_size = periodic74_spec, 64
+    op = _structure_matrices(spec.k, spec.m, 6, absorbing=absorbing)
+    dim = op.shape[1]
+    assert op.shape == (2 * dim, dim)
+    at, mt = op[:dim], op[dim:]
+    lam, mu = _rates(spec, grid_size)
+    p = q = np.random.default_rng(5).random(dim)
+    for i in range(grid_size):
+        p = _rk4_step(op, p, 1.0 / grid_size, lam, mu, i)
+        q = _plain_rk4_step(at, mt, q, 1.0 / grid_size, lam, mu, i)
+    assert np.array_equal(p, q)
+
+
+def test_accelerated_solve_matches_plain_iteration(periodic74_spec):
+    spec, cap, grid_size = periodic74_spec, 30, 64
+    dist = integrate_periodic(spec, level_cap=cap, grid_size=grid_size)
+    # the period map iterated from the uniform start until two sampled
+    # periods agree to 1e-13
+    op = _structure_matrices(spec.k, spec.m, cap)
+    dim = op.shape[1]
+    lam, mu = _rates(spec, grid_size)
+    p = np.full(dim, 1.0 / dim)
+    prev = None
+    for _ in range(1000):
+        samples = np.empty((grid_size, dim))
+        for i in range(grid_size):
+            samples[i] = p
+            p = _rk4_step(op, p, 1.0 / grid_size, lam, mu, i)
+        if prev is not None and np.abs(samples - prev).max() <= 1e-13:
+            break
+        prev = samples
+    else:
+        pytest.fail("plain iteration did not reach 1e-13")
+    solved = np.hstack([dist.idle, dist.levels.reshape(grid_size, -1)])
+    assert np.abs(solved - samples).max() <= 1e-10
+
+
+def test_import_loads_no_scipy_solvers():
+    # scipy.linalg and scipy.sparse.linalg cost about 7 MB and 50 ms to
+    # import; the averaged start is solved with numpy's dense solver
+    src = str(Path(ekemq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ekemq; print(sorted(n for n in sys.modules "
+         "if n in ('scipy.linalg', 'scipy.sparse.linalg')))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_oracle_validates_arguments(mm1_spec):
