@@ -33,7 +33,6 @@ from .series import (
     LevelEstimate,
     SeriesEvaluator,
     phase_weights,
-    level_probabilities,
 )
 from .bounds import (
     ErrorBudget,
@@ -74,7 +73,6 @@ __all__ = [
     "LevelEstimate",
     "SeriesEvaluator",
     "phase_weights",
-    "level_probabilities",
     "ErrorBudget",
     "root_modulus_bracket",
     "tail_constant",

@@ -44,8 +44,7 @@ def root_modulus_bracket(spec: ModelSpec, n: int) -> tuple[float, float]:
     return (center - half) / lb, (center + half) / lb
 
 
-def tail_constant(spec: ModelSpec, t: float, n: int,
-                  nodes: int = 8, panels: int = 64) -> float:
+def tail_constant(spec: ModelSpec, t: float, n: int) -> float:
     """Window constant C_n with |f| <= C_n * |chi| for roots at frequency n.
 
     C_n = integral over [t-1, t] of (lam(u) + mu(u))
@@ -64,7 +63,7 @@ def tail_constant(spec: ModelSpec, t: float, n: int,
         raise ValueError(
             f"tail constant not applicable at n={n}: denominator {denom:g} <= 0"
         )
-    u, w = composite_gauss(t - 1.0, t, nodes, panels)
+    u, w = composite_gauss(t - 1.0, t)
     lam_cum = spec.arrival.accumulated(t) - spec.arrival.accumulated(u)
     total_rate = spec.arrival.value(u) + spec.service.value(u)
     numer = float(np.dot(w, total_rate * np.exp((mb / lb) * lam_cum)))
@@ -87,8 +86,8 @@ class ErrorBudget:
     reason: str | None = None
 
 
-def truncation_error_bound(spec: ModelSpec, t: float, level: int, order: int,
-                           nodes: int = 8, panels: int = 64) -> ErrorBudget:
+def truncation_error_bound(spec: ModelSpec, t: float, level: int,
+                           order: int) -> ErrorBudget:
     """Closed-form bound on the discarded |n| > order part of the series.
 
     bound = (m * C_order / pi)
@@ -116,7 +115,7 @@ def truncation_error_bound(spec: ModelSpec, t: float, level: int, order: int,
     if edge <= 0.0:
         return na("order too small: 2 pi order must exceed (lam+2 mu)/sqrt(2)")
     try:
-        c_q = tail_constant(spec, t, order, nodes=nodes, panels=panels)
+        c_q = tail_constant(spec, t, order)
     except ValueError as exc:
         return na(str(exc))
 
@@ -128,7 +127,7 @@ def truncation_error_bound(spec: ModelSpec, t: float, level: int, order: int,
 
 
 def empirical_decay(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
-                    t: float, nodes: int = 8, panels: int = 64):
+                    t: float):
     """Measured |f| per frequency: list of (n, max over branches of |f(t)|).
 
     Purely diagnostic; no decay rate is claimed.  Useful when choosing the
@@ -136,7 +135,7 @@ def empirical_decay(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions
     """
     if roots.spec != spec:
         raise ValueError("root set belongs to a different model")
-    ev = SeriesEvaluator(roots, boundary, nodes=nodes, panels=panels)
+    ev = SeriesEvaluator(roots, boundary)
     f_abs = np.abs(ev.coefficients([t])[0])
     out: dict[int, float] = {}
     for root, size in zip(roots.roots, f_abs):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -105,8 +104,6 @@ class RunConfig:
         "model.service.cos": (_parse_terms, ()),
         "model.service.sin": (_parse_terms, ()),
         "series.order": (_parse_int, 10),
-        "series.nodes": (_parse_int, 8),
-        "series.panels": (_parse_int, 64),
         "oracle.levels": (_parse_int, 50),
         "oracle.grid": (_parse_int, 512),
         "oracle.tol": (_parse_float, 1e-10),
@@ -230,15 +227,6 @@ def _series_setup(cfg: RunConfig, spec: ModelSpec):
     return dist, extract_boundary(dist)
 
 
-def _quadrature(cfg: RunConfig) -> dict:
-    """Period-integral quadrature keywords shared by every series call."""
-    return {"nodes": cfg["series.nodes"], "panels": cfg["series.panels"]}
-
-
-def _evaluator(cfg: RunConfig, roots, boundary) -> SeriesEvaluator:
-    return SeriesEvaluator(roots, boundary, **_quadrature(cfg))
-
-
 def _level_pairs(cfg: RunConfig, dist, ev: SeriesEvaluator):
     """(times, [(level, series, oracle)]) for the analyze levels."""
     levels = cfg["analyze.levels"]
@@ -256,8 +244,7 @@ def _wait_pair(cfg: RunConfig, spec: ModelSpec, roots, dist, boundary,
     """(horizons, series CDF, oracle CDF) of a wait arriving at waiting.u."""
     horizons = np.linspace(0.0, cfg["waiting.horizon"], cfg["waiting.steps"])
     u = cfg["waiting.u"]
-    series = wait_cdf(spec, roots, boundary, u, horizons, kind=kind,
-                      **_quadrature(cfg))
+    series = wait_cdf(spec, roots, boundary, u, horizons, kind=kind)
     reference = oracle_wait_cdf(spec, dist, u, horizons, kind=kind)
     return horizons, series.values, reference.values
 
@@ -319,14 +306,14 @@ def cmd_oracle(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
 def cmd_analyze(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     dist, boundary = _series_setup(cfg, spec)
     order = cfg["series.order"]
-    ev = _evaluator(cfg, build_root_set(spec, order), boundary)
+    ev = SeriesEvaluator(build_root_set(spec, order), boundary)
     times, pairs = _level_pairs(cfg, dist, ev)
 
     m = spec.m
     rows = []
     sup = {}
     for j, series_vals, oracle_vals in pairs:
-        budget = truncation_error_bound(spec, 0.0, j, order, **_quadrature(cfg))
+        budget = truncation_error_bound(spec, 0.0, j, order)
         diff = np.abs(series_vals - oracle_vals)
         sup[str(j)] = float(diff.max())
         bound_txt = _fmt(budget.bound) if budget.applicable else "NA"
@@ -350,8 +337,8 @@ def cmd_bounds(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     _, boundary = _series_setup(cfg, spec)
     times = _time_grid(cfg["bounds.times"])
     reference = build_root_set(spec, cfg["bounds.reference"])
-    ev_ref = _evaluator(cfg, reference, boundary)
-    evs = {q: _evaluator(cfg, build_root_set(spec, q), boundary)
+    ev_ref = SeriesEvaluator(reference, boundary)
+    evs = {q: SeriesEvaluator(build_root_set(spec, q), boundary)
            for q in cfg["bounds.orders"]}
 
     rows = []
@@ -359,7 +346,7 @@ def cmd_bounds(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
         ref_vals = ev_ref.level_matrix(j, times).real
         for q in cfg["bounds.orders"]:
             measured = float(np.abs(evs[q].level_matrix(j, times).real - ref_vals).max())
-            budgets = [truncation_error_bound(spec, t, j, q, **_quadrature(cfg))
+            budgets = [truncation_error_bound(spec, t, j, q)
                        for t in times]
             if all(b.applicable for b in budgets):
                 bound_txt = _fmt(max(b.bound for b in budgets))
@@ -422,7 +409,7 @@ def cmd_busy(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
 def cmd_compare(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     dist, boundary = _series_setup(cfg, spec)
     roots = build_root_set(spec, cfg["series.order"])
-    _, pairs = _level_pairs(cfg, dist, _evaluator(cfg, roots, boundary))
+    _, pairs = _level_pairs(cfg, dist, SeriesEvaluator(roots, boundary))
     levels = {str(j): float(np.abs(series - oracle).max())
               for j, series, oracle in pairs}
     waits = {}

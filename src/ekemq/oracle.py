@@ -50,6 +50,8 @@ from .model import ModelSpec
 _ANDERSON_DEPTH = 8
 _PLAIN_FRACTION = 0.1
 
+_CAP_MASS_LIMIT = 1e-6
+
 
 class TrigInterpolant:
     """Trigonometric interpolation of 1-periodic samples on a uniform grid.
@@ -216,7 +218,6 @@ class PeriodicDistribution:
 
     def _interpolant(self) -> TrigInterpolant:
         if self._interp is None:
-            km = self.spec.phase_count
             flat = np.concatenate(
                 [self.idle, self.levels.reshape(self.grid_size, -1)], axis=1
             )
@@ -263,7 +264,9 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     the grid points, differ by at most tol in sup norm, and those samples
     are returned.  `periods` counts every application of Phi, mixed or
     plain, and RuntimeError is raised when max_periods of them are
-    exhausted first.
+    exhausted first, or when the converged law puts more than
+    _CAP_MASS_LIMIT = 1e-6 on the level cap at some grid time (raise
+    level_cap).
     """
     if level_cap < 1:
         raise ValueError("level_cap must be >= 1")
@@ -292,7 +295,7 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
         if prev is not None:
             residual = float(np.abs(samples - prev).max())
             if residual <= tol:
-                return PeriodicDistribution(
+                dist = PeriodicDistribution(
                     spec=spec,
                     level_cap=level_cap,
                     grid_size=grid_size,
@@ -302,6 +305,10 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
                     periods=period,
                     residual=residual,
                 )
+                if dist.cap_mass() > _CAP_MASS_LIMIT:
+                    raise RuntimeError(f"probability {dist.cap_mass():.3e} sits at "
+                                       f"the level cap {level_cap}; raise level_cap")
+                return dist
         move = p - start
         if moves and np.linalg.norm(move) >= np.linalg.norm(moves[-1]):
             ends, moves = [], []

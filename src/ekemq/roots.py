@@ -13,11 +13,11 @@ a consistent branch, so y is stored and chi is always derived.
 
 For every n the equation has exactly k solutions with |y| <= 1 and m with
 |y| > 1 (stability makes y = 1, which appears at n = 0, count as inside).
-Only the m outside solutions enter the level series.  Two independent
-solvers are provided: the companion-matrix eigenvalue route (numpy.roots)
-and a fixed-point iteration that contracts onto the outside solutions for
-large |n|; build_root_set uses the former and tests hold the two against
-each other.
+Only the m outside solutions enter the level series.  build_root_set
+solves them by the companion-matrix eigenvalue route (numpy.roots); the
+fixed-point iteration `outer_roots_by_iteration`, which contracts onto the
+outside solutions for large |n|, is an independent solver that tests hold
+against it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ _INSIDE_TOL = 1e-9
 
 _POLY_RESIDUAL_SCALE = 1e-10
 _EXP_RESIDUAL_TOL = 1e-8
+_NEWTON_STEPS = 3
+
+# Outside roots of one frequency closer than this count as collided.
+_COLLISION_GAP = 1e-8
 
 
 def _poly_coeffs(spec: ModelSpec, n: int) -> np.ndarray:
@@ -62,19 +66,31 @@ def _poly_deriv(spec: ModelSpec, n: int, y: complex) -> complex:
     return (k + m) * lb * y ** (k + m - 1) - k * (lb + mb + 2j * math.pi * n) * y ** (k - 1)
 
 
-def characteristic_roots(spec: ModelSpec, n: int, newton_steps: int = 3):
+def _by_angle(ys) -> list:
+    """ys sorted by arg(y) in [0, 2 pi), ties broken by |y|."""
+    return sorted(ys, key=lambda y: (cmath.phase(y) % (2.0 * math.pi), abs(y)))
+
+
+def _collision(ys):
+    """The first pair (i, j), i < j, of ys closer than _COLLISION_GAP, or None."""
+    return next(((i, j) for i in range(len(ys)) for j in range(i + 1, len(ys))
+                 if abs(ys[i] - ys[j]) < _COLLISION_GAP), None)
+
+
+def characteristic_roots(spec: ModelSpec, n: int):
     """All k+m roots for frequency n, split into (inside, outside) by |y|.
 
-    Roots come from the companion matrix and are polished with a few Newton
-    steps.  Exactly k roots must satisfy |y| <= 1 + 1e-9 and m must lie
-    strictly outside; any other split signals a bug or a broken model and
-    raises RuntimeError.  Both groups are sorted by arg(y) in [0, 2 pi).
+    Roots come from the companion matrix and are polished with
+    _NEWTON_STEPS Newton steps.  Exactly k roots must satisfy
+    |y| <= 1 + 1e-9 and m must lie strictly outside; any other split
+    signals a bug or a broken model and raises RuntimeError.  Both groups
+    are sorted by arg(y) in [0, 2 pi).
     """
     ys = np.roots(_poly_coeffs(spec, n))
     polished = []
     for y in ys:
         y = complex(y)
-        for _ in range(newton_steps):
+        for _ in range(_NEWTON_STEPS):
             d = _poly_deriv(spec, n, y)
             if d == 0:
                 break
@@ -88,15 +104,11 @@ def characteristic_roots(spec: ModelSpec, n: int, newton_steps: int = 3):
             f"root split failed at n={n}: {len(inside)} inside, "
             f"{len(outside)} outside (wanted {spec.k}/{spec.m})"
         )
-
-    def by_angle(group):
-        return sorted(group, key=lambda y: (cmath.phase(y) % (2.0 * math.pi), abs(y)))
-
-    return by_angle(inside), by_angle(outside)
+    return _by_angle(inside), _by_angle(outside)
 
 
 def outer_roots_by_iteration(spec: ModelSpec, n: int, tol: float = 1e-13,
-                             max_iter: int = 400, fallback: bool = True):
+                             max_iter: int = 400) -> list:
     """Outside roots via the fixed-point map
 
         y <- w_m**b * ((2 pi i n + lam_bar + mu_bar * (1 - y**(-k))) / lam_bar)**(1/m)
@@ -104,48 +116,39 @@ def outer_roots_by_iteration(spec: ModelSpec, n: int, tol: float = 1e-13,
     seeded at y0 = w_m**b * ((2 pi i n + lam_bar + mu_bar) / lam_bar)**(1/m)
     for b = 0..m-1, where w_m = exp(2 pi i / m) and the 1/m power is the
     principal branch.  For large |n| the seeds start close to the solutions
-    and the map contracts.  Returns (roots sorted by arg, used_fallback).
+    and the map contracts.  Returns the roots sorted by arg.
 
-    When some seed fails to converge, or the converged points collide, the
-    companion-matrix roots are returned instead with used_fallback=True
-    (or RuntimeError is raised if fallback=False).
+    Raises RuntimeError when some seed fails to converge, when the
+    converged points collide, or when one of them lies inside the circle.
     """
     lb = spec.arrival_mean
     mb = spec.service_mean
     k, m = spec.k, spec.m
     shift = 2j * math.pi * n + lb + mb
 
-    def fail(reason: str):
-        if fallback:
-            _, outside = characteristic_roots(spec, n)
-            return list(outside), True
-        raise RuntimeError(f"outer-root iteration failed at n={n}: {reason}")
+    def fail(reason: str) -> RuntimeError:
+        return RuntimeError(f"outer-root iteration failed at n={n}: {reason}")
 
     found = []
     for b in range(m):
         phase = cmath.exp(2j * math.pi * b / m)
         y = phase * (shift / lb) ** (1.0 / m)
-        ok = False
         for _ in range(max_iter):
             y_next = phase * ((shift - mb * y ** (-k)) / lb) ** (1.0 / m)
-            if abs(y_next - y) <= tol * max(1.0, abs(y_next)):
-                y = y_next
-                ok = True
-                break
+            converged = abs(y_next - y) <= tol * max(1.0, abs(y_next))
             y = y_next
-        if not ok:
-            return fail(f"seed {b} did not converge in {max_iter} iterations")
+            if converged:
+                break
+        else:
+            raise fail(f"seed {b} did not converge in {max_iter} iterations")
         found.append(y)
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(found[i] - found[j]) < 1e-8:
-                return fail(f"seeds {i} and {j} collided")
+    pair = _collision(found)
+    if pair is not None:
+        raise fail(f"seeds {pair[0]} and {pair[1]} collided")
     if any(abs(y) <= 1.0 + _INSIDE_TOL for y in found):
-        return fail("iteration landed on an inside root")
-
-    found.sort(key=lambda y: (cmath.phase(y) % (2.0 * math.pi), abs(y)))
-    return found, False
+        raise fail("iteration landed on an inside root")
+    return _by_angle(found)
 
 
 @dataclass(frozen=True)
@@ -220,7 +223,7 @@ class RootSet:
         return len(self.roots)
 
 
-def build_root_set(spec: ModelSpec, order: int, method: str = "companion") -> RootSet:
+def build_root_set(spec: ModelSpec, order: int) -> RootSet:
     """Collect the m outside roots for every n in [-order, order].
 
     Roots at -n are the conjugates of those at n (the polynomial's
@@ -231,27 +234,17 @@ def build_root_set(spec: ModelSpec, order: int, method: str = "companion") -> Ro
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if method not in ("companion", "iteration"):
-        raise ValueError(f"unknown method {method!r}")
 
     collected: list[CharacteristicRoot] = []
     for n in range(order + 1):
-        if method == "companion":
-            _, outside = characteristic_roots(spec, n)
-        else:
-            outside, _ = outer_roots_by_iteration(spec, n, fallback=True)
-        for i in range(len(outside)):
-            for j in range(i + 1, len(outside)):
-                if abs(outside[i] - outside[j]) < 1e-8:
-                    raise RuntimeError(f"outside roots collide at n={n}")
+        _, outside = characteristic_roots(spec, n)
+        if _collision(outside) is not None:
+            raise RuntimeError(f"outside roots collide at n={n}")
         collected.extend(
             _make_root(spec, n, b, y) for b, y in enumerate(outside)
         )
         if n > 0:
-            mirrored = sorted(
-                (y.conjugate() for y in outside),
-                key=lambda y: (cmath.phase(y) % (2.0 * math.pi), abs(y)),
-            )
+            mirrored = _by_angle(y.conjugate() for y in outside)
             collected.extend(
                 _make_root(spec, -n, b, y) for b, y in enumerate(mirrored)
             )

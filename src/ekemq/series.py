@@ -45,12 +45,6 @@ from .model import ModelSpec
 from .oracle import BoundaryFunctions
 from .roots import CharacteristicRoot, RootSet
 
-# Quadrature defaults for the window integral: 8-point Gauss-Legendre on 64
-# equal panels resolves integrands oscillating up to roughly exp(2 pi i 40 u)
-# to near machine precision.
-_NODES = 8
-_PANELS = 64
-
 _DENOM_FLOOR = 1e-12
 
 
@@ -81,8 +75,7 @@ def _denominator(spec: ModelSpec, ym, yik):
 
 
 def root_coefficient(root: CharacteristicRoot, t: float,
-                     boundary: BoundaryFunctions, spec: ModelSpec,
-                     nodes: int = _NODES, panels: int = _PANELS) -> complex:
+                     boundary: BoundaryFunctions, spec: ModelSpec) -> complex:
     """Window-integral coefficient of one root at one time, by quadrature
     over [t-1, t]."""
     if (root.k, root.m) != (spec.k, spec.m):
@@ -94,7 +87,7 @@ def root_coefficient(root: CharacteristicRoot, t: float,
     if abs(denom) < _DENOM_FLOOR:
         raise RuntimeError(f"degenerate series denominator at n={root.n}")
 
-    u, w = composite_gauss(t - 1.0, t, nodes, panels)
+    u, w = composite_gauss(t - 1.0, t)
     lam_cum = spec.arrival.accumulated(t) - spec.arrival.accumulated(u)
     mu_cum = spec.service.accumulated(t) - spec.service.accumulated(u)
     growth = np.exp(lam_cum * (ym - 1.0) + mu_cum * (yik - 1.0))
@@ -131,9 +124,10 @@ class SeriesEvaluator:
     residual, which the root constructor already certifies.
     """
 
-    def __init__(self, roots: RootSet, boundary: BoundaryFunctions,
-                 nodes: int = _NODES, panels: int = _PANELS):
+    def __init__(self, roots: RootSet, boundary: BoundaryFunctions):
         spec = roots.spec
+        if boundary.first.shape[1] != spec.phase_count or boundary.idle.shape[1] != spec.k:
+            raise ValueError("boundary belongs to a different model")
         self.spec = spec
         self.roots = roots
         ys = np.array([r.y for r in roots.roots], dtype=complex)
@@ -146,7 +140,7 @@ class SeriesEvaluator:
         if np.any(np.abs(denom) < _DENOM_FLOOR):
             raise RuntimeError("degenerate series denominator in root set")
 
-        u, w = composite_gauss(0.0, 1.0, nodes, panels)
+        u, w = composite_gauss(0.0, 1.0)
         lam0 = spec.arrival.accumulated(u)
         mu0 = spec.service.accumulated(u)
         decay = np.exp(-(np.outer(lam0, self._ym - 1.0)
@@ -188,16 +182,6 @@ class SeriesEvaluator:
             values=vals.real.copy(),
             imag_residual=float(np.abs(vals.imag).max()),
         )
-
-
-def level_probabilities(spec: ModelSpec, roots: RootSet,
-                        boundary: BoundaryFunctions, level: int, t: float,
-                        nodes: int = _NODES, panels: int = _PANELS) -> LevelEstimate:
-    """Series estimate of the level-`level` phase probabilities at time t."""
-    if roots.spec != spec:
-        raise ValueError("root set belongs to a different model")
-    ev = SeriesEvaluator(roots, boundary, nodes=nodes, panels=panels)
-    return ev.level_estimate(level, t)
 
 
 def _log_poisson(counts: np.ndarray, rate: float) -> np.ndarray:

@@ -17,6 +17,10 @@ the factor into
 
     x / (1 - x) * (P{N > m} - chi exp(-M) (exp(M x) - sum_{q=0}^{m} (M x)**q / q!)).
 
+For far roots |M x| is small and |chi| huge, so forming the bracket by
+subtraction would hand its rounding error to chi; where |M x| is below
+_DIRECT_TAIL_RADIUS the bracket is summed directly as sum_{q>m} (M x)**q / q!.
+
 The idle state contributes an atom at zero wait (or an m-stage Erlang for
 the sojourn).  `oracle_wait_cdf` computes the same quantity from a truncated
 ODE distribution with no root in sight.
@@ -36,14 +40,37 @@ from .roots import RootSet
 from .series import SeriesEvaluator
 
 _KINDS = ("queue", "sojourn")
+_DIRECT_TAIL_RADIUS = 8.0
 
 
 def _poisson_tail(threshold, mean):
     """P{Poisson(mean) >= threshold}; thresholds <= 0 give 1 exactly."""
     threshold = np.asarray(threshold, dtype=float)
     mean = np.asarray(mean, dtype=float)
-    out = np.where(threshold <= 0, 1.0, gammainc(np.maximum(threshold, 1.0), mean))
-    return out
+    return np.where(threshold <= 0, 1.0, gammainc(np.maximum(threshold, 1.0), mean))
+
+
+def _exp_tail(z: np.ndarray, m: int) -> np.ndarray:
+    """exp(z) - sum_{q=0}^{m} z**q / q! for complex z, elementwise.
+
+    Entries with |z| < _DIRECT_TAIL_RADIUS sum the terms q > m directly,
+    until no term can exceed eps times the first; the others subtract.
+    """
+    near = np.abs(z) < _DIRECT_TAIL_RADIUS
+    term = partial = np.ones_like(z)
+    for q in range(1, m + 1):
+        term = term * z * (1.0 / q)
+        partial = partial + term
+    zn = np.where(near, z, 0.0)
+    radius = float(np.abs(zn).max(initial=0.0))
+    term = np.where(near, term, 0.0) * zn * (1.0 / (m + 1))
+    direct, q, ratio = term, m + 1, 1.0
+    while ratio > np.finfo(float).eps:
+        q += 1
+        term = term * zn * (1.0 / q)
+        direct = direct + term
+        ratio *= radius / q
+    return np.where(near, direct, np.exp(z) - partial)
 
 
 def conditional_wait_cdf(spec: ModelSpec, level: int, s: int, u: float, t):
@@ -82,8 +109,7 @@ class CDFCurve:
 
 
 def wait_cdf(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
-             u: float, horizons, kind: str = "queue",
-             nodes: int = 8, panels: int = 64) -> CDFCurve:
+             u: float, horizons, kind: str = "queue") -> CDFCurve:
     """Series route to the waiting-time law of a virtual customer at time u."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
@@ -94,7 +120,7 @@ def wait_cdf(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
         raise ValueError("horizons must be nonnegative")
     m = spec.m
 
-    ev = SeriesEvaluator(roots, boundary, nodes=nodes, panels=panels)
+    ev = SeriesEvaluator(roots, boundary)
     f_u = ev.coefficients([u])[0]                      # per-root coefficient
     x = ev._yik                                        # chi**(-1/m)
     chi = ev._chi
@@ -108,13 +134,10 @@ def wait_cdf(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
         tail_factor = 1.0 - np.exp(np.outer(mu_cum, x - 1.0))
         atom = idle_mass * np.ones_like(mu_cum)
     else:
-        qs = np.arange(m + 1)
-        partial_real = sum(mu_cum ** q / math.factorial(q) for q in qs)
-        mx = np.outer(mu_cum, x)
-        partial_cplx = sum((mx ** q) / math.factorial(q) for q in qs)
+        partial_real = sum(mu_cum ** q / math.factorial(q) for q in range(m + 1))
         over_m = 1.0 - np.exp(-mu_cum) * partial_real
-        tail_factor = over_m[:, None] \
-            - chi[None, :] * np.exp(-mu_cum)[:, None] * (np.exp(mx) - partial_cplx)
+        tail_factor = over_m[:, None] - chi[None, :] * np.exp(-mu_cum)[:, None] \
+            * _exp_tail(np.outer(mu_cum, x), m)
         atom = idle_mass * _poisson_tail(m, mu_cum)
 
     series_part = np.real(tail_factor * prefactor[None, :]).sum(axis=1)

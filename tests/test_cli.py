@@ -64,6 +64,9 @@ def test_config_rejects_unknown_key():
         RunConfig.from_text("model.k = 1\nmodel.q = 2\n")
     with pytest.raises(ConfigError, match="line 2: unknown key 'threads'"):
         RunConfig.from_text("model.k = 1\nthreads = 2\n")
+    for key in ("series.nodes", "series.panels"):
+        with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+            RunConfig.from_text(f"model.k = 1\n{key} = 8\n")
 
 
 def test_config_rejects_duplicate_and_missing():
@@ -263,6 +266,19 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
                  "--out", str(tmp_path / "f")]) == 3
     err = capsys.readouterr().err
     assert "numerical failure in analyze" in err
+
+
+def test_mass_at_cap_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, **{
+        "model.k": 2, "model.m": 3,
+        "model.arrival.base": 1.9, "model.arrival.sin": "1:0.5",
+        "model.service.base": 2.9, "model.service.cos": "2:0.3",
+        "oracle.levels": 60, "oracle.grid": 16, "oracle.tol": 1e-12,
+    })
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure in oracle" in err
+    assert "at the level cap 60" in err
 
 
 def test_module_entry_point(tmp_path):

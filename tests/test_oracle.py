@@ -121,6 +121,14 @@ def test_unconverged_run_raises():
                            max_periods=3)
 
 
+def test_mass_at_cap_raises():
+    # load 0.98: the iteration converges, but 3e-3 of the law sits at the cap
+    spec = ModelSpec(2, 3, RateFunction(1.9, sin=((1, 0.5),)),
+                     RateFunction(2.9, cos=((2, 0.3),)))
+    with pytest.raises(RuntimeError, match="at the level cap 60"):
+        integrate_periodic(spec, level_cap=60, grid_size=16, tol=1e-12)
+
+
 def test_high_load_converges(periodic74_spec):
     spec = ModelSpec(7, 4, RateFunction(7.0, sin=((1, -2.0),)),
                      periodic74_spec.service)

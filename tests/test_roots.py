@@ -74,11 +74,10 @@ def test_fractional_powers_are_integer_powers(periodic74_roots10):
 def test_iteration_agrees_with_companion(periodic74_spec):
     for n in (0, 1, 2, 3, 5, 10, 20):
         _, outside = characteristic_roots(periodic74_spec, n)
-        iterated, fell_back = outer_roots_by_iteration(periodic74_spec, n)
+        iterated = outer_roots_by_iteration(periodic74_spec, n)
         a = _sorted_by_arg(outside)
         b = _sorted_by_arg(iterated)
         assert max(abs(x - y) for x, y in zip(a, b)) < 1e-9
-        assert not fell_back
 
 
 def test_iteration_seeds_close_at_high_frequency(periodic74_spec):
@@ -92,14 +91,8 @@ def test_iteration_seeds_close_at_high_frequency(periodic74_spec):
 
 
 def test_iteration_disallowed_fallback_raises(periodic74_spec):
-    try:
-        outer_roots_by_iteration(periodic74_spec, 0, max_iter=1, fallback=False)
-    except RuntimeError:
-        return
-    roots, fell_back = outer_roots_by_iteration(
-        periodic74_spec, 0, max_iter=1, fallback=True
-    )
-    assert fell_back or len(roots) == 4
+    with pytest.raises(RuntimeError, match="did not converge"):
+        outer_roots_by_iteration(periodic74_spec, 0, max_iter=1)
 
 
 def test_root_set_rejects_unknown_frequency(periodic74_roots10):

@@ -14,8 +14,8 @@ from ekemq import (
     RateFunction,
     SeriesEvaluator,
     build_root_set,
-    level_probabilities,
 )
+from ekemq import _quad
 from ekemq.series import net_change_probability, phase_weights, root_coefficient
 
 
@@ -82,11 +82,12 @@ def test_series_values_are_real(periodic74_roots10, periodic74_boundary):
 
 
 def test_quadrature_self_convergence(periodic74_spec, periodic74_roots10,
-                                     periodic74_boundary):
-    base = SeriesEvaluator(periodic74_roots10, periodic74_boundary,
-                           nodes=8, panels=64)
-    rich = SeriesEvaluator(periodic74_roots10, periodic74_boundary,
-                           nodes=12, panels=128)
+                                     periodic74_boundary, monkeypatch):
+    base = SeriesEvaluator(periodic74_roots10, periodic74_boundary)
+    # the same series under a finer rule: 12 nodes on 128 panels
+    monkeypatch.setattr(_quad, "NODES", 12)
+    monkeypatch.setattr(_quad, "PANELS", 128)
+    rich = SeriesEvaluator(periodic74_roots10, periodic74_boundary)
     ts = np.arange(8) / 8.0
     a = base.level_matrix(1, ts).real
     b = rich.level_matrix(1, ts).real
@@ -95,8 +96,8 @@ def test_quadrature_self_convergence(periodic74_spec, periodic74_roots10,
 
 def test_level_estimate_scalar_path(periodic74_spec, periodic74_roots10,
                                     periodic74_boundary, periodic74_dist):
-    est = level_probabilities(periodic74_spec, periodic74_roots10,
-                              periodic74_boundary, 1, 0.25)
+    est = SeriesEvaluator(periodic74_roots10,
+                          periodic74_boundary).level_estimate(1, 0.25)
     assert est.level == 1
     assert est.order == 10
     assert est.values.shape == (28,)
@@ -114,8 +115,8 @@ def test_level_zero_is_rejected(periodic74_roots10, periodic74_boundary):
 
 def test_mismatched_root_set_rejected(mm1_spec, periodic74_roots10,
                                       mm1_boundary):
-    with pytest.raises(ValueError):
-        level_probabilities(mm1_spec, periodic74_roots10, mm1_boundary, 1, 0.0)
+    with pytest.raises(ValueError, match="different model"):
+        SeriesEvaluator(periodic74_roots10, mm1_boundary).level_estimate(1, 0.0)
 
 
 def test_phase_weight_table():

@@ -90,6 +90,18 @@ def test_periodic_sojourn_routes_agree(periodic74_spec, periodic74_dist,
     assert np.abs(series.values - oracle.values).max() < 2e-3
 
 
+def test_periodic_sojourn_high_order(periodic74_spec, periodic74_dist,
+                                     periodic74_boundary, periodic74_roots40):
+    # far roots have small |M x| and huge |chi|: forming the sojourn factor
+    # by subtraction put 6e-2 of rounding error into this curve
+    ts = np.linspace(0.0, 3.0, 61)
+    oracle = oracle_wait_cdf(periodic74_spec, periodic74_dist, 0.2, ts,
+                             kind="sojourn")
+    series = wait_cdf(periodic74_spec, periodic74_roots40, periodic74_boundary,
+                      0.2, ts, kind="sojourn")
+    assert np.abs(series.values - oracle.values).max() < 1e-6
+
+
 def test_atom_at_zero(periodic74_spec, periodic74_dist):
     idle = float(periodic74_dist.idle_at([0.4])[0].sum())
     queue = oracle_wait_cdf(periodic74_spec, periodic74_dist, 0.4,
