@@ -30,7 +30,6 @@ from .oracle import (
     extract_boundary,
 )
 from .series import (
-    LevelEstimate,
     SeriesEvaluator,
     phase_weights,
 )
@@ -39,7 +38,6 @@ from .bounds import (
     root_modulus_bracket,
     tail_constant,
     truncation_error_bound,
-    empirical_decay,
 )
 from .waiting import (
     CDFCurve,
@@ -70,14 +68,12 @@ __all__ = [
     "BoundaryFunctions",
     "integrate_periodic",
     "extract_boundary",
-    "LevelEstimate",
     "SeriesEvaluator",
     "phase_weights",
     "ErrorBudget",
     "root_modulus_bracket",
     "tail_constant",
     "truncation_error_bound",
-    "empirical_decay",
     "CDFCurve",
     "conditional_wait_cdf",
     "wait_cdf",

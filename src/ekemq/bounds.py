@@ -12,8 +12,7 @@ Three ingredients:
 
 Each piece can be inapplicable (a nonpositive denominator, too low a level,
 too small an order); that state is reported explicitly and is never
-conflated with a zero bound.  `empirical_decay` reports the measured
-coefficient sizes so the a-priori picture can be checked against reality.
+conflated with a zero bound.
 """
 
 from __future__ import annotations
@@ -25,9 +24,13 @@ import numpy as np
 
 from ._quad import composite_gauss
 from .model import ModelSpec
-from .oracle import BoundaryFunctions
-from .roots import RootSet
-from .series import SeriesEvaluator
+
+
+def _bracket_edges(spec: ModelSpec, n: float) -> tuple[float, float]:
+    """Unscaled bracket edges 2 pi n -+ (lam_bar + 2 mu_bar) / sqrt(2)."""
+    half = (spec.arrival_mean + 2.0 * spec.service_mean) / math.sqrt(2.0)
+    center = 2.0 * math.pi * n
+    return center - half, center + half
 
 
 def root_modulus_bracket(spec: ModelSpec, n: int) -> tuple[float, float]:
@@ -37,11 +40,8 @@ def root_modulus_bracket(spec: ModelSpec, n: int) -> tuple[float, float]:
     edge is only informative once it clears 1, which happens for |n| of a
     few at typical rates.
     """
-    lb = spec.arrival_mean
-    mb = spec.service_mean
-    half = (lb + 2.0 * mb) / math.sqrt(2.0)
-    center = 2.0 * math.pi * abs(n)
-    return (center - half) / lb, (center + half) / lb
+    lower, upper = _bracket_edges(spec, abs(n))
+    return lower / spec.arrival_mean, upper / spec.arrival_mean
 
 
 def tail_constant(spec: ModelSpec, t: float, n: int) -> float:
@@ -109,9 +109,7 @@ def truncation_error_bound(spec: ModelSpec, t: float, level: int,
     if k * (level - 2) - 1 <= 0:
         return na("bound needs k*(level-2) > 1")
     lb = spec.arrival_mean
-    mb = spec.service_mean
-    half = (lb + 2.0 * mb) / math.sqrt(2.0)
-    edge = 2.0 * math.pi * order - half
+    edge = _bracket_edges(spec, order)[0]
     if edge <= 0.0:
         return na("order too small: 2 pi order must exceed (lam+2 mu)/sqrt(2)")
     try:
@@ -124,20 +122,3 @@ def truncation_error_bound(spec: ModelSpec, t: float, level: int,
         / ((k * (level - 2) - 1) * lb ** (k * (2 - level)))
     return ErrorBudget(level=level, order=order, applicable=True,
                        bound=float(bound), tail_const=float(c_q))
-
-
-def empirical_decay(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
-                    t: float):
-    """Measured |f| per frequency: list of (n, max over branches of |f(t)|).
-
-    Purely diagnostic; no decay rate is claimed.  Useful when choosing the
-    truncation order and for confronting C_n with reality.
-    """
-    if roots.spec != spec:
-        raise ValueError("root set belongs to a different model")
-    ev = SeriesEvaluator(roots, boundary)
-    f_abs = np.abs(ev.coefficients([t])[0])
-    out: dict[int, float] = {}
-    for root, size in zip(roots.roots, f_abs):
-        out[root.n] = max(out.get(root.n, 0.0), float(size))
-    return sorted(out.items())

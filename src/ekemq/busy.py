@@ -215,7 +215,9 @@ def busy_period_cdf(spec: ModelSpec, level: int, phase, u: float = 0.0,
     """
     if refine:
         coarse = _volterra_march(spec, level, phase, u, horizon, step)
-        fine = _volterra_march(spec, level, phase, u, horizon, step / 2)
+        # half the coarse march's own step: halving `step` itself puts the
+        # fine grid on other times when `step` does not divide `horizon`
+        fine = _volterra_march(spec, level, phase, u, horizon, coarse.step / 2)
         values = (4.0 * fine.values[::2] - coarse.values) / 3.0
         gap = np.abs(fine.total()[::2] - coarse.total()).max()
         return VolterraSolution(

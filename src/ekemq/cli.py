@@ -119,7 +119,7 @@ class RunConfig:
         "waiting.horizon": (_parse_float, 3.0),
         "waiting.steps": (_parse_int, 61),
         "busy.level": (_parse_int, 1),
-        "busy.phase": (_parse_pair, None),
+        "busy.phase": (_parse_pair, (0, 0)),
         "busy.u": (_parse_float, 0.0),
         "busy.horizon": (_parse_float, 5.0),
         "busy.step": (_parse_float, 1.0 / 512),
@@ -158,8 +158,6 @@ class RunConfig:
                     raise ConfigError(f"key {key!r}: {exc}") from exc
             else:
                 values[key] = default
-        if values["busy.phase"] is None:
-            values["busy.phase"] = (0, 0)
         return cls(values=values)
 
     @classmethod

@@ -173,16 +173,6 @@ class ModelSpec:
         return (self.arrival_mean / self.k) / (self.service_mean / self.m)
 
 
-def flat_index(a: int, s: int, m: int) -> int:
-    """Flatten (arrival stage a, service stage s) to a*m + s."""
-    return a * m + s
-
-
-def split_index(idx: int, m: int) -> tuple[int, int]:
-    """Inverse of flat_index."""
-    return divmod(idx, m)
-
-
 def _stage_blocks(count: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Local and completion blocks of a cyclic Erlang stage chain.
 
@@ -234,7 +224,7 @@ def generator_blocks(spec: ModelSpec, t: float) -> GeneratorBlocks:
     idle_up[k - 1, 0] = lam
     down_to_idle = np.zeros((k * m, k))
     for a in range(k):
-        down_to_idle[flat_index(a, m - 1, m), a] = mu
+        down_to_idle[a * m + m - 1, a] = mu
 
     return GeneratorBlocks(
         t=float(t),
@@ -246,62 +236,3 @@ def generator_blocks(spec: ModelSpec, t: float) -> GeneratorBlocks:
         down_to_idle=down_to_idle,
     )
 
-
-def phase_eigensystem(spec: ModelSpec, z: complex, t: float,
-                      root_k: complex | None = None,
-                      root_m: complex | None = None):
-    """Eigenvalues and eigenvectors of the level-transform matrix.
-
-    For a fixed transform variable z the matrix local + z*up + (1/z)*down is
-    a Kronecker sum of a k x k arrival part and an m x m service part, so
-    its km eigenpairs factor.  With w_k = exp(2 pi i / k), w_m likewise, and
-    caller-chosen branches root_k (root_k**k == z) and root_m
-    (root_m**m == z):
-
-      value(l, j)  = lam(t) * (w_k**l * root_k - 1) + mu(t) * (w_m**j / root_m - 1)
-      vector(l, j) = kron(v_l, u_j)
-      v_l[i] = root_k**(i + 1 - k) * w_k**(i l) / sqrt(k)
-      u_j[i] = root_m**(m - 1 - i) * w_m**(i j) / sqrt(m)
-
-    Returns (values, vectors) with values[l*m + j] matching the column
-    vectors[:, l*m + j].  The branch choice only permutes/rescales the
-    system; defaults are the principal roots.
-    """
-    k, m = spec.k, spec.m
-    z = complex(z)
-    if z == 0:
-        raise ValueError("transform variable must be nonzero")
-    if root_k is None:
-        root_k = z ** (1.0 / k)
-    if root_m is None:
-        root_m = z ** (1.0 / m)
-    if abs(root_k ** k - z) > 1e-9 * max(1.0, abs(z)):
-        raise ValueError("root_k is not a k-th root of z")
-    if abs(root_m ** m - z) > 1e-9 * max(1.0, abs(z)):
-        raise ValueError("root_m is not an m-th root of z")
-    lam = float(spec.arrival.value(t))
-    mu = float(spec.service.value(t))
-
-    wk = np.exp(2j * np.pi * np.arange(k) / k)
-    wm = np.exp(2j * np.pi * np.arange(m) / m)
-
-    arr_vals = lam * (wk * root_k - 1.0)            # index l
-    srv_vals = mu * (wm / root_m - 1.0)             # index j
-
-    i_k = np.arange(k)
-    i_m = np.arange(m)
-    arr_vecs = (root_k ** (i_k[:, None] + 1 - k)) * wk[None, :] ** i_k[:, None]
-    arr_vecs /= math.sqrt(k)                        # column l
-    srv_vecs = (root_m ** (m - 1 - i_m[:, None])) * wm[None, :] ** i_m[:, None]
-    srv_vecs /= math.sqrt(m)                        # column j
-
-    values = (arr_vals[:, None] + srv_vals[None, :]).reshape(-1)
-    vectors = np.einsum("al,sj->aslj", arr_vecs, srv_vecs).reshape(k * m, k * m)
-    return values, vectors
-
-
-def level_transform_matrix(spec: ModelSpec, z: complex, t: float) -> np.ndarray:
-    """local + z*up + (1/z)*down, the matrix diagonalized by phase_eigensystem."""
-    blocks = generator_blocks(spec, t)
-    z = complex(z)
-    return blocks.local.astype(complex) + z * blocks.up + blocks.down / z

@@ -35,7 +35,6 @@ oracle checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -96,25 +95,6 @@ def root_coefficient(root: CharacteristicRoot, t: float,
     return complex(np.dot(w, growth * drive) / denom)
 
 
-@dataclass(frozen=True)
-class LevelEstimate:
-    """Series value of one busy level at one time.
-
-    values is the real part over the km phases (a*m + s order);
-    imag_residual is the largest imaginary part left after summing the
-    conjugate-symmetric root set and should sit at roundoff level.
-    """
-
-    level: int
-    t: float
-    order: int
-    values: np.ndarray
-    imag_residual: float
-
-    def total(self) -> float:
-        return float(self.values.sum())
-
-
 class SeriesEvaluator:
     """Evaluates the root series for many times and levels at once.
 
@@ -129,7 +109,6 @@ class SeriesEvaluator:
         if boundary.first.shape[1] != spec.phase_count or boundary.idle.shape[1] != spec.k:
             raise ValueError("boundary belongs to a different model")
         self.spec = spec
-        self.roots = roots
         ys = np.array([r.y for r in roots.roots], dtype=complex)
         k, m = spec.k, spec.m
         self._ym = ys ** m
@@ -172,16 +151,6 @@ class SeriesEvaluator:
         with np.errstate(under="ignore"):
             shift = np.exp(-float(level) * np.log(self._chi))
         return (f * shift[None, :]) @ self._rows
-
-    def level_estimate(self, level: int, t: float) -> LevelEstimate:
-        vals = self.level_matrix(level, [float(t)])[0]
-        return LevelEstimate(
-            level=level,
-            t=float(t),
-            order=self.roots.order,
-            values=vals.real.copy(),
-            imag_residual=float(np.abs(vals.imag).max()),
-        )
 
 
 def _log_poisson(counts: np.ndarray, rate: float) -> np.ndarray:

@@ -8,7 +8,6 @@ import pytest
 from ekemq import (
     SeriesEvaluator,
     build_root_set,
-    empirical_decay,
     extract_boundary,
     integrate_periodic,
     root_modulus_bracket,
@@ -117,14 +116,19 @@ def test_budget_dominates_measured_truncation(periodic74_spec,
         assert measured <= worst
 
 
-def test_empirical_decay_shape_and_symmetry(periodic74_spec,
-                                            periodic74_roots40,
+def _coefficient_sizes(roots, boundary, t):
+    """Largest |f(t)| over the branches at each frequency n, keyed by n."""
+    f_abs = np.abs(SeriesEvaluator(roots, boundary).coefficients([t])[0])
+    sizes = {}
+    for root, size in zip(roots.roots, f_abs):
+        sizes[root.n] = max(sizes.get(root.n, 0.0), float(size))
+    return sizes
+
+
+def test_empirical_decay_shape_and_symmetry(periodic74_roots40,
                                             periodic74_boundary):
-    table = empirical_decay(periodic74_spec, periodic74_roots40,
-                            periodic74_boundary, 0.25)
-    ns = [n for n, _ in table]
-    assert ns == list(range(-40, 41))
-    sizes = dict(table)
+    sizes = _coefficient_sizes(periodic74_roots40, periodic74_boundary, 0.25)
+    assert sorted(sizes) == list(range(-40, 41))
     for n in range(1, 41):
         assert sizes[n] == pytest.approx(sizes[-n], rel=1e-10)
     tail = [sizes[n] for n in range(20, 41)]
@@ -132,23 +136,15 @@ def test_empirical_decay_shape_and_symmetry(periodic74_spec,
 
 
 def test_flat_rates_concentrate_at_frequency_zero(flat74_spec,
-                                                  periodic74_spec,
                                                   periodic74_roots40,
                                                   periodic74_boundary):
     flat_dist = integrate_periodic(flat74_spec, level_cap=40, grid_size=128,
                                    tol=1e-10)
     flat_boundary = extract_boundary(flat_dist)
     flat_roots = build_root_set(flat74_spec, 10)
-    flat_table = dict(empirical_decay(flat74_spec, flat_roots,
-                                      flat_boundary, 0.25))
-    periodic_table = dict(empirical_decay(periodic74_spec, periodic74_roots40,
-                                          periodic74_boundary, 0.25))
+    flat_table = _coefficient_sizes(flat_roots, flat_boundary, 0.25)
+    periodic_table = _coefficient_sizes(periodic74_roots40,
+                                        periodic74_boundary, 0.25)
     assert flat_table[0] > 1e-3
     for n in range(1, 11):
         assert flat_table[n] < 1e-5 * periodic_table[n]
-
-
-def test_empirical_decay_rejects_foreign_roots(mm1_spec, periodic74_roots40,
-                                               mm1_boundary):
-    with pytest.raises(ValueError):
-        empirical_decay(mm1_spec, periodic74_roots40, mm1_boundary, 0.25)

@@ -144,6 +144,17 @@ def test_refinement_beats_raw_march(mm1_spec):
     assert abs(refined.total()[-1] - want) < abs(raw.total()[-1] - want) / 5
 
 
+@pytest.mark.parametrize("horizon, step", [(1.0, 0.03), (2.0, 0.0075)])
+def test_refinement_when_step_does_not_divide_horizon(mm1_spec, horizon, step):
+    # the fine march must sit on the coarse grid's own times: 1/0.03 rounds
+    # to 33 steps, 2/0.03 to 67; 2/0.0075 to 267, 4/0.0075 to 533
+    refined = busy_period_cdf(mm1_spec, 1, 0, horizon=horizon, step=step)
+    oracle = busy_oracle(mm1_spec, 1, 0, horizon=horizon, step=step,
+                         level_cap=40, substeps=64)
+    assert np.array_equal(refined.times, oracle.times)
+    assert np.abs(refined.total() - oracle.total()).max() <= 1e-3
+
+
 def test_error_estimate_tracks_raw_error(mm1_spec):
     raw = busy_period_cdf(mm1_spec, 1, 0, horizon=1.0, step=0.01,
                           refine=False)

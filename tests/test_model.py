@@ -12,12 +12,6 @@ from ekemq import (
     ergodic_margin,
     generator_blocks,
 )
-from ekemq.model import (
-    flat_index,
-    level_transform_matrix,
-    phase_eigensystem,
-    split_index,
-)
 
 
 def test_rate_values_match_hand_formula():
@@ -100,13 +94,6 @@ def test_spec_properties(periodic74_spec):
     assert periodic74_spec.load == pytest.approx(12.0 / 35.0)
 
 
-def test_flat_split_index_roundtrip():
-    for m in (1, 3, 4):
-        for a in range(5):
-            for s in range(m):
-                assert split_index(flat_index(a, s, m), m) == (a, s)
-
-
 def test_generator_rows_sum_to_zero(periodic74_spec):
     for t in (0.0, 0.3, 0.77):
         b = generator_blocks(periodic74_spec, t)
@@ -147,37 +134,3 @@ def test_up_block_advances_arrival_stage(periodic74_spec):
     assert b.up[6 * 4 + 2, 0 * 4 + 2] == pytest.approx(lam0)
     assert b.up[:5 * 4].max() == 0.0
     assert b.idle_up[6, 0] == pytest.approx(lam0)
-
-
-def test_eigensystem_diagonalizes_transform(periodic74_spec):
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(100):
-        z = np.exp(2j * np.pi * rng.random()) * rng.uniform(0.5, 2.0)
-        t = rng.uniform(0.0, 1.0)
-        root_k = z ** (1.0 / 7) * np.exp(2j * np.pi * rng.integers(0, 7) / 7)
-        root_m = z ** (1.0 / 4) * np.exp(2j * np.pi * rng.integers(0, 4) / 4)
-        vals, vecs = phase_eigensystem(periodic74_spec, z, t,
-                                       root_k=root_k, root_m=root_m)
-        A = level_transform_matrix(periodic74_spec, z, t)
-        worst = max(worst, np.abs(A @ vecs - vecs * vals[None, :]).max())
-    assert worst < 1e-10
-
-
-def test_eigensystem_rejects_wrong_branch(periodic74_spec):
-    with pytest.raises(ValueError):
-        phase_eigensystem(periodic74_spec, 2.0 + 0j, 0.0, root_k=1.3 + 0j)
-
-
-def test_eigenvalue_formula_spot_check(periodic74_spec):
-    z = 0.8 + 0.3j
-    t = 0.4
-    vals, _ = phase_eigensystem(periodic74_spec, z, t)
-    lam = periodic74_spec.arrival.value(t)
-    mu = periodic74_spec.service.value(t)
-    rk = z ** (1.0 / 7)
-    rm = z ** (1.0 / 4)
-    wk = np.exp(2j * np.pi / 7)
-    wm = np.exp(2j * np.pi / 4)
-    expected = lam * (wk ** 2 * rk - 1.0) + mu * (wm ** 3 / rm - 1.0)
-    assert vals[2 * 4 + 3] == pytest.approx(expected, abs=1e-12)

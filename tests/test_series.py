@@ -94,19 +94,6 @@ def test_quadrature_self_convergence(periodic74_spec, periodic74_roots10,
     assert np.abs(a - b).max() < 1e-10
 
 
-def test_level_estimate_scalar_path(periodic74_spec, periodic74_roots10,
-                                    periodic74_boundary, periodic74_dist):
-    est = SeriesEvaluator(periodic74_roots10,
-                          periodic74_boundary).level_estimate(1, 0.25)
-    assert est.level == 1
-    assert est.order == 10
-    assert est.values.shape == (28,)
-    oracle_vals = periodic74_dist.levels_at(np.array([0.25]))[0, 0, :]
-    assert np.abs(est.values - oracle_vals).max() < 1e-3
-    assert est.total() == pytest.approx(oracle_vals.sum(), abs=1e-3)
-    assert est.imag_residual < 1e-12
-
-
 def test_level_zero_is_rejected(periodic74_roots10, periodic74_boundary):
     ev = SeriesEvaluator(periodic74_roots10, periodic74_boundary)
     with pytest.raises(ValueError):
@@ -116,7 +103,7 @@ def test_level_zero_is_rejected(periodic74_roots10, periodic74_boundary):
 def test_mismatched_root_set_rejected(mm1_spec, periodic74_roots10,
                                       mm1_boundary):
     with pytest.raises(ValueError, match="different model"):
-        SeriesEvaluator(periodic74_roots10, mm1_boundary).level_estimate(1, 0.0)
+        SeriesEvaluator(periodic74_roots10, mm1_boundary)
 
 
 def test_phase_weight_table():
