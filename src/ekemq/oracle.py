@@ -32,6 +32,9 @@ never sees characteristic roots.  The series route does read one output of
 it, the empty-system boundary (`extract_boundary`), so series-vs-oracle
 agreement checks the series given the oracle's boundary; the levels beyond
 it are computed independently and compared in tests, not assumed anywhere.
+The boundary samples itself at the nodes of the series' quadrature rule
+(`_quad.period_rule`) on request, so that every evaluator on it shares one
+set of samples.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from ._quad import period_rule
 from .model import ModelSpec
 
 # The periodic solve mixes the last _ANDERSON_DEPTH period residual
@@ -330,31 +334,42 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryFunctions:
     """The two boundary slices the series method needs, as smooth functions.
 
     idle[i] holds the k idle-state probabilities and first[i] the km level-1
     probabilities on the grid; evaluation between grid points uses
     trigonometric interpolation, which reproduces the grid values exactly.
+
+    A boundary is immutable.  The constructor clips the slices at zero into
+    fresh arrays, copies the grid and marks all three read-only, so an
+    in-place edit raises instead of disagreeing with the interpolants built
+    from them.  The values at the nodes of the series' period rule
+    (`period_samples`) are computed on first use, once per boundary and rule.
     """
 
     grid_size: int
     grid: np.ndarray
     idle: np.ndarray
     first: np.ndarray
-    _idle_interp: TrigInterpolant | None = field(repr=False, default=None)
-    _first_interp: TrigInterpolant | None = field(repr=False, default=None)
+    _idle_interp: TrigInterpolant = field(init=False, repr=False, compare=False)
+    _first_interp: TrigInterpolant = field(init=False, repr=False, compare=False)
+    _samples: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         for name, arr in (("idle", self.idle), ("first", self.first)):
             low = float(arr.min())
             if low < -1e-9:
                 raise ValueError(f"boundary slice {name} is negative ({low:.3e})")
-        self.idle = np.maximum(self.idle, 0.0)
-        self.first = np.maximum(self.first, 0.0)
-        self._idle_interp = TrigInterpolant(self.idle)
-        self._first_interp = TrigInterpolant(self.first)
+        arrays = {"grid": np.array(self.grid, dtype=float),
+                  "idle": np.maximum(self.idle, 0.0),
+                  "first": np.maximum(self.first, 0.0)}
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_idle_interp", TrigInterpolant(self.idle))
+        object.__setattr__(self, "_first_interp", TrigInterpolant(self.first))
 
     def idle_at(self, u) -> np.ndarray:
         """Idle-state probabilities at times u, shape (len(u), k)."""
@@ -364,12 +379,23 @@ class BoundaryFunctions:
         """Level-1 phase probabilities at times u, shape (len(u), km)."""
         return self._first_interp(u)
 
+    def period_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """(idle_at(u), first_at(u)) at the nodes u of `_quad.period_rule`,
+        as read-only arrays, computed once per boundary and rule."""
+        u = period_rule()[0]
+        if self._samples is None or self._samples[0] is not u:
+            idle, first = self.idle_at(u), self.first_at(u)
+            idle.flags.writeable = False
+            first.flags.writeable = False
+            object.__setattr__(self, "_samples", (u, idle, first))
+        return self._samples[1], self._samples[2]
+
 
 def extract_boundary(dist: PeriodicDistribution) -> BoundaryFunctions:
     """Pull the idle and level-1 slices out of an integrated distribution."""
     return BoundaryFunctions(
         grid_size=dist.grid_size,
-        grid=dist.grid.copy(),
-        idle=dist.idle.copy(),
-        first=dist.levels[:, 0].copy(),
+        grid=dist.grid,
+        idle=dist.idle,
+        first=dist.levels[:, 0],
     )

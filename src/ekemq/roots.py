@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -205,11 +205,17 @@ def _make_root(spec: ModelSpec, n: int, branch: int, y: complex) -> Characterist
 
 @dataclass(frozen=True)
 class RootSet:
-    """Outside roots for every frequency |n| <= order, ordered by (n, branch)."""
+    """Outside roots for every frequency |n| <= order, ordered by (n, branch).
+
+    `_derived` keeps what other modules compute from the roots alone (the
+    series factors of `series.SeriesEvaluator`), filled on first use and
+    living as long as the set; it takes no part in comparison or repr.
+    """
 
     spec: ModelSpec
     order: int
     roots: tuple[CharacteristicRoot, ...]
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def by_n(self, n: int) -> tuple[CharacteristicRoot, ...]:
         if abs(n) > self.order:

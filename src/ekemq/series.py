@@ -27,6 +27,13 @@ fact that at an exact root the integrand times exp(-W0(u)) is 1-periodic
 one period-integral per root serves every t; tests pin the two routes
 against each other.
 
+`SeriesEvaluator` computes each ingredient of that period integral once per
+object whose data it depends on: the quadrature rule once per (NODES,
+PANELS) in `_quad`, the boundary at the rule's nodes once per boundary and
+rule (boundaries are immutable), the root-only factors once per root set,
+the period integral itself once per root set, boundary and rule, and the
+growth factors once per time grid.
+
 The module also carries the scalar transition coefficient of the free
 (boundary-ignoring) process, used by tests and by the busy-period module's
 oracle checks.
@@ -39,7 +46,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from ._quad import composite_gauss
+from ._quad import composite_gauss, period_rule
 from .model import ModelSpec
 from .oracle import BoundaryFunctions
 from .roots import CharacteristicRoot, RootSet
@@ -54,17 +61,19 @@ def phase_weights(root: CharacteristicRoot) -> np.ndarray:
     return np.kron(a_part, s_part)
 
 
-def _drive_values(spec: ModelSpec, boundary: BoundaryFunctions, u: np.ndarray,
-                  chi: np.ndarray, arrival_pows: np.ndarray) -> np.ndarray:
+def _drive_values(spec: ModelSpec, u: np.ndarray, idle: np.ndarray,
+                  first: np.ndarray, chi: np.ndarray,
+                  arrival_pows: np.ndarray) -> np.ndarray:
     """drive(u) for a batch of roots, shape (len(u), n_roots).
 
-    chi has shape (n_roots,) and arrival_pows[a, r] = chi_r**(a/k).
+    idle and first are the boundary slices sampled at u, chi has shape
+    (n_roots,) and arrival_pows[a, r] = chi_r**(a/k).
     """
     lam = spec.arrival.value(u)
     mu = spec.service.value(u)
-    idle_last = boundary.idle_at(u)[:, spec.k - 1]
+    idle_last = idle[:, spec.k - 1]
     cols = np.arange(spec.k) * spec.m + (spec.m - 1)
-    first_last = boundary.first_at(u)[:, cols]          # (nu, k)
+    first_last = first[:, cols]                         # (nu, k)
     return (idle_last * lam)[:, None] * chi[None, :] \
         - mu[:, None] * (first_last @ arrival_pows)
 
@@ -91,8 +100,66 @@ def root_coefficient(root: CharacteristicRoot, t: float,
     mu_cum = spec.service.accumulated(t) - spec.service.accumulated(u)
     growth = np.exp(lam_cum * (ym - 1.0) + mu_cum * (yik - 1.0))
     apows = (ym ** np.arange(spec.k))[:, None]
-    drive = _drive_values(spec, boundary, u, np.array([chi]), apows)[:, 0]
+    drive = _drive_values(spec, u, boundary.idle_at(u), boundary.first_at(u),
+                          np.array([chi]), apows)[:, 0]
     return complex(np.dot(w, growth * drive) / denom)
+
+
+class _RootFactors:
+    """The factors of the series that depend on one root set alone.
+
+    Built once per `RootSet` and kept in it: the root powers
+    chi**(1/k) = y**m, chi**(-1/m) = y**(-k), chi and log chi, the
+    denominators, the arrival powers chi**(a/k) and the phase rows, all
+    read-only; and the period integral for the last boundary and rule.
+    exp(-W0) at the rule's nodes, a (nodes, n_roots) array, is formed inside
+    the period integral and not kept.
+    """
+
+    def __init__(self, roots: RootSet):
+        spec = roots.spec
+        ys = np.array([r.y for r in roots.roots], dtype=complex)
+        k, m = spec.k, spec.m
+        self.spec = spec
+        self.ym = ys ** m
+        self.yik = ys ** (-k)
+        self.chi = ys ** (k * m)
+        self.log_chi = np.log(self.chi)
+        self.denom = _denominator(spec, self.ym, self.yik)
+        if np.any(np.abs(self.denom) < _DENOM_FLOOR):
+            raise RuntimeError("degenerate series denominator in root set")
+        self.apows = self.ym[None, :] ** np.arange(k)[:, None]    # (k, n_roots)
+        rows_a = self.ym[:, None] ** (-np.arange(k))[None, :]
+        rows_s = (ys[:, None] ** k) ** np.arange(m)[None, :]
+        self.rows = np.einsum("ra,rs->ras", rows_a, rows_s).reshape(len(ys), k * m)
+        for arr in (self.ym, self.yik, self.chi, self.log_chi, self.denom,
+                    self.apows, self.rows):
+            arr.flags.writeable = False
+        self._last = None
+
+    def period_integral(self, boundary: BoundaryFunctions) -> np.ndarray:
+        """Per-root (1/denom) * integral over [0, 1] of exp(-W0(u)) * drive(u),
+        read-only, kept for the last boundary and rule asked for.  A boundary
+        is immutable, so its identity is a valid key."""
+        u, w = period_rule()
+        if self._last is None or self._last[0] is not boundary or self._last[1] is not u:
+            lam0 = self.spec.arrival.accumulated(u)
+            mu0 = self.spec.service.accumulated(u)
+            decay = np.exp(-(np.outer(lam0, self.ym - 1.0)
+                             + np.outer(mu0, self.yik - 1.0)))
+            idle, first = boundary.period_samples()
+            drive = _drive_values(self.spec, u, idle, first, self.chi, self.apows)
+            coef = (w @ (drive * decay)) / self.denom
+            coef.flags.writeable = False
+            self._last = (boundary, u, coef)
+        return self._last[2]
+
+
+def _root_factors(roots: RootSet) -> _RootFactors:
+    factors = roots._derived.get(_RootFactors)
+    if factors is None:
+        factors = roots._derived[_RootFactors] = _RootFactors(roots)
+    return factors
 
 
 class SeriesEvaluator:
@@ -102,6 +169,17 @@ class SeriesEvaluator:
     sweep is a closed-form exponential away.  Exactness of the underlying
     period shift (hence agreement with `root_coefficient`) rests on the root
     residual, which the root constructor already certifies.
+
+    Nothing is computed per evaluator that an earlier one on the same data
+    computed: the quadrature rule is built once per (NODES, PANELS), the
+    boundary is sampled at its nodes once per boundary and rule, the
+    root-only factors (powers, denominators, arrival powers, phase rows)
+    once per root set, and the period integral once per root set, boundary
+    and rule.  An evaluator built again on a root set and boundary, as
+    `waiting.wait_cdf` does for every epoch, does no quadrature at all.
+    The growth factors exp(W0(t)) are kept for the last time array asked
+    for (compared by value, against a private copy), so a level sweep on one
+    grid computes them once; every call still returns a fresh array.
     """
 
     def __init__(self, roots: RootSet, boundary: BoundaryFunctions):
@@ -109,47 +187,39 @@ class SeriesEvaluator:
         if boundary.first.shape[1] != spec.phase_count or boundary.idle.shape[1] != spec.k:
             raise ValueError("boundary belongs to a different model")
         self.spec = spec
-        ys = np.array([r.y for r in roots.roots], dtype=complex)
-        k, m = spec.k, spec.m
-        self._ym = ys ** m
-        self._yik = ys ** (-k)
-        self._chi = ys ** (k * m)
+        factors = _root_factors(roots)
+        self._ym, self._yik, self._chi = factors.ym, factors.yik, factors.chi
+        self._log_chi, self._rows = factors.log_chi, factors.rows
 
-        denom = _denominator(spec, self._ym, self._yik)
-        if np.any(np.abs(denom) < _DENOM_FLOOR):
-            raise RuntimeError("degenerate series denominator in root set")
+        self._coef = factors.period_integral(boundary)
+        self._memo_t = None
+        self._memo_f = None
 
-        u, w = composite_gauss(0.0, 1.0)
-        lam0 = spec.arrival.accumulated(u)
-        mu0 = spec.service.accumulated(u)
-        decay = np.exp(-(np.outer(lam0, self._ym - 1.0)
-                         + np.outer(mu0, self._yik - 1.0)))
-        apows = self._ym[None, :] ** np.arange(k)[:, None]    # (k, n_roots)
-        drive = _drive_values(spec, boundary, u, self._chi, apows)
-        self._coef = (w @ (drive * decay)) / denom
-
-        rows_a = self._ym[:, None] ** (-np.arange(k))[None, :]
-        rows_s = (ys[:, None] ** k) ** np.arange(m)[None, :]
-        self._rows = np.einsum("ra,rs->ras", rows_a, rows_s).reshape(len(ys), k * m)
+    def _coefficients(self, t) -> np.ndarray:
+        """f(t) as kept for the last time array; callers must not write it."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if self._memo_t is None or not np.array_equal(t, self._memo_t):
+            lam0 = self.spec.arrival.accumulated(t)
+            mu0 = self.spec.service.accumulated(t)
+            growth = np.exp(np.outer(lam0, self._ym - 1.0)
+                            + np.outer(mu0, self._yik - 1.0))
+            self._memo_f = growth * self._coef[None, :]
+            self._memo_t = t.copy()
+        return self._memo_f
 
     def coefficients(self, t) -> np.ndarray:
         """Per-root coefficients f(t), shape (len(t), n_roots)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        lam0 = self.spec.arrival.accumulated(t)
-        mu0 = self.spec.service.accumulated(t)
-        growth = np.exp(np.outer(lam0, self._ym - 1.0)
-                        + np.outer(mu0, self._yik - 1.0))
-        return growth * self._coef[None, :]
+        return self._coefficients(t).copy()
 
     def level_matrix(self, level: int, t) -> np.ndarray:
         """Complex series values for one level, shape (len(t), km)."""
         if level < 1:
             raise ValueError("series levels start at 1; level 0 is the idle state")
-        f = self.coefficients(t)
+        f = self._coefficients(t)
         # exp(-j log chi) instead of chi**(-j): the direct power overflows to
         # nan for far-out roots at deep levels, where the true value underflows
         with np.errstate(under="ignore"):
-            shift = np.exp(-float(level) * np.log(self._chi))
+            shift = np.exp(-float(level) * self._log_chi)
         return (f * shift[None, :]) @ self._rows
 
 

@@ -115,7 +115,9 @@ def wait_cdf(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
         raise ValueError(f"kind must be one of {_KINDS}")
     if roots.spec != spec:
         raise ValueError("root set belongs to a different model")
-    horizons = np.asarray(horizons, dtype=float)
+    horizons = np.atleast_1d(np.asarray(horizons, dtype=float))
+    if horizons.ndim != 1:
+        raise ValueError("horizons must be a number or a 1-D array")
     if np.any(horizons < 0):
         raise ValueError("horizons must be nonnegative")
     m = spec.m
@@ -127,7 +129,7 @@ def wait_cdf(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
     stage_sum = (ev._ym[:, None] ** (-np.arange(spec.k))[None, :]).sum(axis=1)
     prefactor = f_u * stage_sum * x / (1.0 - x)
 
-    mu_cum = np.atleast_1d(spec.service.cumulative(u, u + horizons))
+    mu_cum = spec.service.cumulative(u, u + horizons)
     idle_mass = float(boundary.idle_at([u])[0].sum())
 
     if kind == "queue":
@@ -152,7 +154,9 @@ def oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: float,
     """ODE-oracle route: condition on the truncated state at time u."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
-    horizons = np.asarray(horizons, dtype=float)
+    horizons = np.atleast_1d(np.asarray(horizons, dtype=float))
+    if horizons.ndim != 1:
+        raise ValueError("horizons must be a number or a 1-D array")
     if np.any(horizons < 0):
         raise ValueError("horizons must be nonnegative")
     m = spec.m
@@ -166,7 +170,7 @@ def oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: float,
     if kind == "sojourn":
         thresholds = thresholds + m
 
-    mu_cum = np.atleast_1d(spec.service.cumulative(u, u + horizons))
+    mu_cum = spec.service.cumulative(u, u + horizons)
     tails = _poisson_tail(thresholds[None, :], mu_cum[:, None])
     values = tails @ by_stage.ravel()
     if kind == "queue":

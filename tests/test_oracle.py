@@ -1,5 +1,6 @@
 """Periodic ODE oracle: convergence, conservation, closed-form reductions."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -34,6 +35,19 @@ def test_mm1_boundary_is_flat(mm1_boundary):
     norm = 1.0 - rho ** 61
     assert np.abs(mm1_boundary.idle_at(u) - 0.4 / norm).max() < 1e-10
     assert np.abs(mm1_boundary.first_at(u) - 0.24 / norm).max() < 1e-10
+
+
+def test_boundary_is_immutable(mm1_dist):
+    boundary = extract_boundary(mm1_dist)
+    for arr in (boundary.idle, boundary.first, boundary.grid):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, ...] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        boundary.idle = np.full_like(boundary.idle, 5.0)
+    norm = 1.0 - 0.6 ** 61
+    assert boundary.idle_at([0.0])[0, 0] == pytest.approx(0.4 / norm, abs=1e-10)
+    # the distribution the boundary came from stays writable
+    assert mm1_dist.idle.flags.writeable and mm1_dist.grid.flags.writeable
 
 
 def test_total_mass_is_one(periodic74_dist):

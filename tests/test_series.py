@@ -10,6 +10,7 @@ import pytest
 from scipy.stats import poisson, skellam
 
 from ekemq import (
+    BoundaryFunctions,
     ModelSpec,
     RateFunction,
     SeriesEvaluator,
@@ -91,7 +92,48 @@ def test_quadrature_self_convergence(periodic74_spec, periodic74_roots10,
     ts = np.arange(8) / 8.0
     a = base.level_matrix(1, ts).real
     b = rich.level_matrix(1, ts).real
+    # a cache keyed on anything but the rule would hand rich the base values
+    assert not np.array_equal(a, b)
     assert np.abs(a - b).max() < 1e-10
+
+
+def test_time_memo_sees_in_place_edits(periodic74_roots10, periodic74_boundary):
+    ev = SeriesEvaluator(periodic74_roots10, periodic74_boundary)
+    ts = np.linspace(0.0, 1.0, 9)
+    ev.level_matrix(2, ts)
+    ts[3] = 0.123
+    fresh = SeriesEvaluator(periodic74_roots10, periodic74_boundary)
+    assert np.array_equal(ev.level_matrix(2, ts), fresh.level_matrix(2, ts.copy()))
+    ts[5] = 0.777
+    fresh = SeriesEvaluator(periodic74_roots10, periodic74_boundary)
+    assert np.array_equal(ev.coefficients(ts), fresh.coefficients(ts.copy()))
+
+
+def test_period_integral_follows_the_boundary(periodic74_spec, periodic74_roots10,
+                                              periodic74_boundary):
+    # the coefficients are linear in the boundary, and halving is exact
+    b = periodic74_boundary
+    half = BoundaryFunctions(grid_size=b.grid_size, grid=b.grid,
+                             idle=0.5 * b.idle, first=0.5 * b.first)
+    ts = np.linspace(0.0, 1.0, 5)
+    full = SeriesEvaluator(periodic74_roots10, b).coefficients(ts)
+    halved = SeriesEvaluator(periodic74_roots10, half).coefficients(ts)
+    again = SeriesEvaluator(periodic74_roots10, b).coefficients(ts)
+    assert np.array_equal(halved, 0.5 * full)
+    assert np.array_equal(again, full)
+
+
+def test_returned_arrays_are_fresh(periodic74_roots10, periodic74_boundary):
+    ev = SeriesEvaluator(periodic74_roots10, periodic74_boundary)
+    ts = np.linspace(0.0, 1.0, 5)
+    coef = ev.coefficients(ts)
+    expected_coef = coef.copy()
+    coef[:] = 0.0
+    values = ev.level_matrix(1, ts)
+    expected_values = values.copy()
+    values[:] = 0.0
+    assert np.array_equal(ev.coefficients(ts), expected_coef)
+    assert np.array_equal(ev.level_matrix(1, ts), expected_values)
 
 
 def test_level_zero_is_rejected(periodic74_roots10, periodic74_boundary):

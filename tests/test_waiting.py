@@ -5,11 +5,14 @@ import pytest
 from scipy.special import gammainc
 
 from ekemq import (
+    _quad,
     build_root_set,
     conditional_wait_cdf,
+    extract_boundary,
     oracle_wait_cdf,
     wait_cdf,
 )
+from ekemq.oracle import TrigInterpolant
 
 
 def test_conditional_wait_is_poisson_tail(periodic74_spec):
@@ -147,3 +150,59 @@ def test_curve_metadata_and_checks(periodic74_spec, periodic74_dist,
                  0.1, np.array([-1.0]))
     with pytest.raises(ValueError):
         wait_cdf(mm1_spec, periodic74_roots10, periodic74_boundary, 0.1, ts)
+
+
+def test_horizons_are_one_dimensional(periodic74_spec, periodic74_dist,
+                                       periodic74_boundary, periodic74_roots10):
+    for kind in ("queue", "sojourn"):
+        curves = (
+            (wait_cdf(periodic74_spec, periodic74_roots10, periodic74_boundary,
+                      0.2, 1.0, kind=kind),
+             wait_cdf(periodic74_spec, periodic74_roots10, periodic74_boundary,
+                      0.2, [1.0], kind=kind)),
+            (oracle_wait_cdf(periodic74_spec, periodic74_dist, 0.2, 1.0, kind=kind),
+             oracle_wait_cdf(periodic74_spec, periodic74_dist, 0.2, [1.0], kind=kind)),
+        )
+        for scalar, vector in curves:
+            assert scalar.horizons.shape == scalar.values.shape == (1,)
+            assert np.array_equal(scalar.values, vector.values)
+    grid = np.ones((2, 3))
+    with pytest.raises(ValueError, match="1-D"):
+        wait_cdf(periodic74_spec, periodic74_roots10, periodic74_boundary, 0.2, grid)
+    with pytest.raises(ValueError, match="1-D"):
+        oracle_wait_cdf(periodic74_spec, periodic74_dist, 0.2, grid)
+
+
+def test_repeated_wait_cdf_matches_fresh_objects(periodic74_spec, periodic74_dist):
+    spec = periodic74_spec
+    roots = build_root_set(spec, 10)
+    boundary = extract_boundary(periodic74_dist)
+    ts = np.linspace(0.0, 3.0, 31)
+    for kind in ("queue", "sojourn"):
+        first = wait_cdf(spec, roots, boundary, 0.3, ts, kind=kind)
+        wait_cdf(spec, roots, boundary, 0.8, ts, kind=kind)
+        again = wait_cdf(spec, roots, boundary, 0.3, ts, kind=kind)
+        fresh = wait_cdf(spec, build_root_set(spec, 10),
+                         extract_boundary(periodic74_dist), 0.3, ts, kind=kind)
+        assert np.array_equal(first.values, fresh.values)
+        assert np.array_equal(again.values, fresh.values)
+
+
+def test_wait_cdf_samples_boundary_once(periodic74_spec, periodic74_dist,
+                                        periodic74_roots10, monkeypatch):
+    rule_size = _quad.NODES * _quad.PANELS
+    calls = []
+    evaluate = TrigInterpolant.__call__
+
+    def counted(self, u):
+        if np.size(u) >= rule_size:
+            calls.append(np.size(u))
+        return evaluate(self, u)
+
+    monkeypatch.setattr(TrigInterpolant, "__call__", counted)
+    boundary = extract_boundary(periodic74_dist)
+    ts = np.linspace(0.0, 2.0, 11)
+    for u in np.arange(10) / 10.0:
+        wait_cdf(periodic74_spec, periodic74_roots10, boundary, u, ts)
+    # the idle slice and the level-1 slice, each once at the rule's nodes
+    assert calls == [rule_size, rule_size]
