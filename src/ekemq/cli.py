@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,9 +51,12 @@ def _parse_int(raw: str) -> int:
 
 def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int_list(raw: str) -> tuple[int, ...]:
@@ -445,13 +449,12 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to key=value config")
         p.add_argument("--out", default="out", help="output directory")
         if name == "waiting":
-            p.add_argument("--u", type=float, default=None,
-                           help="override waiting.u")
+            p.add_argument("--u", default=None, help="override waiting.u")
             p.add_argument("--kind", choices=("queue", "sojourn"), default=None,
                            help="override waiting.kind")
         if name == "busy":
             p.add_argument("--j", type=int, default=None, help="override busy.level")
-            p.add_argument("--u", type=float, default=None, help="override busy.u")
+            p.add_argument("--u", default=None, help="override busy.u")
 
     args = parser.parse_args(argv)
 
@@ -459,7 +462,10 @@ def main(argv=None) -> int:
         cfg = RunConfig.load(args.config)
         if getattr(args, "u", None) is not None:
             key = "waiting.u" if args.command == "waiting" else "busy.u"
-            cfg.values[key] = float(args.u)
+            try:
+                cfg.values[key] = _parse_float(args.u)
+            except ConfigError as exc:
+                raise ConfigError(f"--u: {exc}") from exc
         if getattr(args, "kind", None) is not None:
             cfg.values["waiting.kind"] = args.kind
         if getattr(args, "j", None) is not None:

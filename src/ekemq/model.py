@@ -41,7 +41,10 @@ def _as_terms(terms) -> tuple[tuple[int, float], ...]:
         j = int(j)
         if j < 1:
             raise ValueError(f"harmonic index must be >= 1, got {j}")
-        out.append((j, float(amp)))
+        amp = float(amp)
+        if not math.isfinite(amp):
+            raise ValueError(f"harmonic {j} has a non-finite amplitude {amp}")
+        out.append((j, amp))
     out.sort()
     seen = [j for j, _ in out]
     if len(set(seen)) != len(seen):
@@ -69,8 +72,8 @@ class RateFunction:
         object.__setattr__(self, "base", float(self.base))
         object.__setattr__(self, "cos", _as_terms(self.cos))
         object.__setattr__(self, "sin", _as_terms(self.sin))
-        if not self.base > 0.0:
-            raise ValueError("rate function must have a strictly positive mean")
+        if not 0.0 < self.base < math.inf:
+            raise ValueError("rate function must have a strictly positive, finite mean")
         top = max((j for j, _ in self.cos + self.sin), default=0)
         points = max(_POSITIVITY_GRID, _POSITIVITY_POINTS_PER_HARMONIC * top)
         grid = np.arange(points) / points

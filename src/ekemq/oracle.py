@@ -32,19 +32,20 @@ never sees characteristic roots.  The series route does read one output of
 it, the empty-system boundary (`extract_boundary`), so series-vs-oracle
 agreement checks the series given the oracle's boundary; the levels beyond
 it are computed independently and compared in tests, not assumed anywhere.
-The boundary samples itself at the nodes of the series' quadrature rule
-(`_quad.period_rule`) on request, so that every evaluator on it shares one
-set of samples.
+The boundary samples itself at the nodes of the series' period rule
+(`_quad.PERIOD_NODES`) on first use, so that every evaluator on it shares
+one set of samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._quad import period_rule
+from . import _quad
 from .model import ModelSpec
 
 # The periodic solve mixes the last _ANDERSON_DEPTH period residual
@@ -200,41 +201,70 @@ def _averaged_stationary(op, spec: ModelSpec, level_cap: int) -> np.ndarray:
     return p / p.sum()
 
 
-@dataclass
-class PeriodicDistribution:
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class _Sampled:
+    """Samples whose rows are the times grid[i] = i / grid_size of a period;
+    grid_size and the read-only grid are read off the `idle` rows."""
+
+    @property
+    def grid_size(self) -> int:
+        return len(self.idle)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return _read_only(np.arange(self.grid_size) / self.grid_size)
+
+
+@dataclass(frozen=True)
+class PeriodicDistribution(_Sampled):
     """Periodic law of the truncated queue, sampled on a uniform grid.
 
     idle[i, a] is the probability of an empty system with arrival stage a at
     time grid[i]; levels[i, j-1, a*m+s] the probability of level j in phase
-    (a, s).  `residual` is the sup-norm change between the last two plain
-    periods and `periods` how many periods were integrated in all.
+    (a, s), j up to level_cap = levels.shape[1].  `residual` is the sup-norm
+    change between the last two plain periods and `periods` how many periods
+    were integrated in all.
+
+    A law is immutable: the constructor copies idle and levels into
+    read-only arrays, so an edit raises instead of disagreeing with the
+    interpolant that `idle_at` and `levels_at` build once per law.
     """
 
     spec: ModelSpec
-    level_cap: int
-    grid_size: int
-    grid: np.ndarray
     idle: np.ndarray
     levels: np.ndarray
     periods: int
     residual: float
-    _interp: TrigInterpolant | None = field(default=None, repr=False)
 
-    def _interpolant(self) -> TrigInterpolant:
-        if self._interp is None:
-            flat = np.concatenate(
-                [self.idle, self.levels.reshape(self.grid_size, -1)], axis=1
-            )
-            self._interp = TrigInterpolant(flat)
-        return self._interp
+    def __post_init__(self):
+        if len(self.idle) != len(self.levels):
+            raise ValueError(f"idle has {len(self.idle)} grid rows, "
+                             f"levels {len(self.levels)}")
+        for name in ("idle", "levels"):
+            arr = np.array(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, _read_only(arr))
+
+    @property
+    def level_cap(self) -> int:
+        return self.levels.shape[1]
+
+    @cached_property
+    def _interp(self) -> TrigInterpolant:
+        """Interpolant of every state's samples, built once per law."""
+        return TrigInterpolant(np.concatenate(
+            [self.idle, self.levels.reshape(self.grid_size, -1)], axis=1))
 
     def idle_at(self, u) -> np.ndarray:
         """Idle-state probabilities at arbitrary times, (len(u), k)."""
-        return self._interpolant()(u)[:, : self.spec.k]
+        return self._interp(u)[:, : self.spec.k]
 
     def levels_at(self, u) -> np.ndarray:
         """Busy-level probabilities at arbitrary times, (len(u), cap, km)."""
-        vals = self._interpolant()(u)[:, self.spec.k:]
+        vals = self._interp(u)[:, self.spec.k:]
         return vals.reshape(-1, self.level_cap, self.spec.phase_count)
 
     def level_mass(self, j: int) -> np.ndarray:
@@ -270,12 +300,16 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     plain, and RuntimeError is raised when max_periods of them are
     exhausted first, or when the converged law puts more than
     _CAP_MASS_LIMIT = 1e-6 on the level cap at some grid time (raise
-    level_cap).
+    level_cap).  tol must be > 0 and max_periods >= 1.
     """
     if level_cap < 1:
         raise ValueError("level_cap must be >= 1")
     if grid_size < 4:
         raise ValueError("grid_size must be >= 4")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if max_periods < 1:
+        raise ValueError("max_periods must be >= 1")
     k, km = spec.k, spec.phase_count
     dim = k + level_cap * km
     op = _structure_matrices(spec.k, spec.m, level_cap)
@@ -301,11 +335,8 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
             if residual <= tol:
                 dist = PeriodicDistribution(
                     spec=spec,
-                    level_cap=level_cap,
-                    grid_size=grid_size,
-                    grid=np.arange(grid_size) / grid_size,
-                    idle=samples[:, :k].copy(),
-                    levels=samples[:, k:].reshape(grid_size, level_cap, km).copy(),
+                    idle=samples[:, :k],
+                    levels=samples[:, k:].reshape(grid_size, level_cap, km),
                     periods=period,
                     residual=residual,
                 )
@@ -335,41 +366,39 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
 
 
 @dataclass(frozen=True)
-class BoundaryFunctions:
+class BoundaryFunctions(_Sampled):
     """The two boundary slices the series method needs, as smooth functions.
 
     idle[i] holds the k idle-state probabilities and first[i] the km level-1
-    probabilities on the grid; evaluation between grid points uses
+    probabilities at time grid[i]; evaluation between grid points uses
     trigonometric interpolation, which reproduces the grid values exactly.
 
-    A boundary is immutable.  The constructor clips the slices at zero into
-    fresh arrays, copies the grid and marks all three read-only, so an
-    in-place edit raises instead of disagreeing with the interpolants built
-    from them.  The values at the nodes of the series' period rule
-    (`period_samples`) are computed on first use, once per boundary and rule.
+    A boundary is immutable: the constructor clips the slices at zero into
+    fresh read-only arrays, so an edit raises instead of disagreeing with
+    the interpolants and the values at the nodes of the series' period rule
+    (`period_samples`), each computed on first use, once per boundary.
     """
 
-    grid_size: int
-    grid: np.ndarray
     idle: np.ndarray
     first: np.ndarray
-    _idle_interp: TrigInterpolant = field(init=False, repr=False, compare=False)
-    _first_interp: TrigInterpolant = field(init=False, repr=False, compare=False)
-    _samples: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        for name, arr in (("idle", self.idle), ("first", self.first)):
-            low = float(arr.min())
-            if low < -1e-9:
-                raise ValueError(f"boundary slice {name} is negative ({low:.3e})")
-        arrays = {"grid": np.array(self.grid, dtype=float),
-                  "idle": np.maximum(self.idle, 0.0),
-                  "first": np.maximum(self.first, 0.0)}
-        for name, arr in arrays.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_idle_interp", TrigInterpolant(self.idle))
-        object.__setattr__(self, "_first_interp", TrigInterpolant(self.first))
+        if len(self.idle) != len(self.first):
+            raise ValueError(f"boundary slice idle has {len(self.idle)} grid rows, "
+                             f"first {len(self.first)}")
+        for name in ("idle", "first"):
+            arr = getattr(self, name)
+            if arr.min() < -1e-9:
+                raise ValueError(f"boundary slice {name} is negative ({arr.min():.3e})")
+            object.__setattr__(self, name, _read_only(np.maximum(arr, 0.0)))
+
+    @cached_property
+    def _idle_interp(self) -> TrigInterpolant:
+        return TrigInterpolant(self.idle)
+
+    @cached_property
+    def _first_interp(self) -> TrigInterpolant:
+        return TrigInterpolant(self.first)
 
     def idle_at(self, u) -> np.ndarray:
         """Idle-state probabilities at times u, shape (len(u), k)."""
@@ -379,23 +408,14 @@ class BoundaryFunctions:
         """Level-1 phase probabilities at times u, shape (len(u), km)."""
         return self._first_interp(u)
 
+    @cached_property
     def period_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """(idle_at(u), first_at(u)) at the nodes u of `_quad.period_rule`,
-        as read-only arrays, computed once per boundary and rule."""
-        u = period_rule()[0]
-        if self._samples is None or self._samples[0] is not u:
-            idle, first = self.idle_at(u), self.first_at(u)
-            idle.flags.writeable = False
-            first.flags.writeable = False
-            object.__setattr__(self, "_samples", (u, idle, first))
-        return self._samples[1], self._samples[2]
+        """(idle_at(u), first_at(u)) at the nodes u of the series' period
+        rule, `_quad.PERIOD_NODES`, read-only, computed once per boundary."""
+        u = _quad.PERIOD_NODES
+        return _read_only(self.idle_at(u)), _read_only(self.first_at(u))
 
 
 def extract_boundary(dist: PeriodicDistribution) -> BoundaryFunctions:
     """Pull the idle and level-1 slices out of an integrated distribution."""
-    return BoundaryFunctions(
-        grid_size=dist.grid_size,
-        grid=dist.grid,
-        idle=dist.idle,
-        first=dist.levels[:, 0],
-    )
+    return BoundaryFunctions(idle=dist.idle, first=dist.levels[:, 0])

@@ -28,11 +28,11 @@ one period-integral per root serves every t; tests pin the two routes
 against each other.
 
 `SeriesEvaluator` computes each ingredient of that period integral once per
-object whose data it depends on: the quadrature rule once per (NODES,
-PANELS) in `_quad`, the boundary at the rule's nodes once per boundary and
-rule (boundaries are immutable), the root-only factors once per root set,
-the period integral itself once per root set, boundary and rule, and the
-growth factors once per time grid.
+object whose data it depends on: the period rule once, at import of
+`_quad`; the boundary at the rule's nodes once per boundary (boundaries are
+immutable); the root-only factors once per root set; the period integral
+itself once per root set and boundary; and the growth factors once per time
+grid.
 
 The module also carries the scalar transition coefficient of the free
 (boundary-ignoring) process, used by tests and by the busy-period module's
@@ -46,7 +46,8 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from ._quad import composite_gauss, period_rule
+from . import _quad
+from ._quad import composite_gauss
 from .model import ModelSpec
 from .oracle import BoundaryFunctions
 from .roots import CharacteristicRoot, RootSet
@@ -111,7 +112,7 @@ class _RootFactors:
     Built once per `RootSet` and kept in it: the root powers
     chi**(1/k) = y**m, chi**(-1/m) = y**(-k), chi and log chi, the
     denominators, the arrival powers chi**(a/k) and the phase rows, all
-    read-only; and the period integral for the last boundary and rule.
+    read-only; and the period integral for the last boundary asked for.
     exp(-W0) at the rule's nodes, a (nodes, n_roots) array, is formed inside
     the period integral and not kept.
     """
@@ -139,23 +140,25 @@ class _RootFactors:
 
     def period_integral(self, boundary: BoundaryFunctions) -> np.ndarray:
         """Per-root (1/denom) * integral over [0, 1] of exp(-W0(u)) * drive(u),
-        read-only, kept for the last boundary and rule asked for.  A boundary
-        is immutable, so its identity is a valid key."""
-        u, w = period_rule()
-        if self._last is None or self._last[0] is not boundary or self._last[1] is not u:
+        read-only, kept for the last boundary asked for.  A boundary is
+        immutable, so its identity is a valid key."""
+        if self._last is None or self._last[0] is not boundary:
+            u, w = _quad.PERIOD_NODES, _quad.PERIOD_WEIGHTS
             lam0 = self.spec.arrival.accumulated(u)
             mu0 = self.spec.service.accumulated(u)
             decay = np.exp(-(np.outer(lam0, self.ym - 1.0)
                              + np.outer(mu0, self.yik - 1.0)))
-            idle, first = boundary.period_samples()
+            idle, first = boundary.period_samples
             drive = _drive_values(self.spec, u, idle, first, self.chi, self.apows)
             coef = (w @ (drive * decay)) / self.denom
             coef.flags.writeable = False
-            self._last = (boundary, u, coef)
-        return self._last[2]
+            self._last = (boundary, coef)
+        return self._last[1]
 
 
 def _root_factors(roots: RootSet) -> _RootFactors:
+    """The factors of one root set, built once per root set and kept in its
+    `_derived` slot."""
     factors = roots._derived.get(_RootFactors)
     if factors is None:
         factors = roots._derived[_RootFactors] = _RootFactors(roots)
@@ -171,11 +174,10 @@ class SeriesEvaluator:
     residual, which the root constructor already certifies.
 
     Nothing is computed per evaluator that an earlier one on the same data
-    computed: the quadrature rule is built once per (NODES, PANELS), the
-    boundary is sampled at its nodes once per boundary and rule, the
-    root-only factors (powers, denominators, arrival powers, phase rows)
-    once per root set, and the period integral once per root set, boundary
-    and rule.  An evaluator built again on a root set and boundary, as
+    computed: the period rule is built once at import, the boundary is
+    sampled at its nodes once per boundary, the root-only factors (powers,
+    denominators, arrival powers, phase rows) once per root set, and the
+    period integral once per root set and boundary.  An evaluator built again on a root set and boundary, as
     `waiting.wait_cdf` does for every epoch, does no quadrature at all.
     The growth factors exp(W0(t)) are kept for the last time array asked
     for (compared by value, against a private copy), so a level sweep on one

@@ -95,6 +95,23 @@ def test_bad_values_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o4")]) == 2
     err = capsys.readouterr().err
     assert err.count("configuration error") == 4
+    # non-finite numbers stop at the config, before any solver sees them
+    for n, (command, key, value) in enumerate([
+            ("waiting", "waiting.u", "nan"),
+            ("busy", "busy.horizon", "inf"),
+            ("oracle", "model.arrival.sin", "1:nan"),
+            ("oracle", "model.service.base", "-inf")]):
+        cfg = write_cfg(tmp_path, f"nonfinite{n}.cfg", **{key: value})
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / f"n{n}")]) == 2
+        assert "finite" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path)
+    for command in ("waiting", "busy"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command),
+                     "--u", "nan"]) == 2
+        assert "--u: expected a finite number" in capsys.readouterr().err
+    assert not any((tmp_path / name).exists()
+                   for name in ("n0", "n1", "n2", "n3", "waiting", "busy"))
 
 
 def test_usage_error_exits_2():
@@ -142,13 +159,23 @@ def test_oracle_outputs(tmp_path):
     assert (out / "boundary.csv").exists()
 
 
-def test_oracle_outputs_are_byte_identical(tmp_path):
+@pytest.mark.parametrize("args, names", [
+    (["roots"], ["roots.csv"]),
+    (["oracle"], ["boundary.csv", "distribution.csv", "oracle.json"]),
+    (["analyze"], ["analyze.json", "levels.csv"]),
+    (["bounds"], ["bounds.csv"]),
+    (["waiting", "--kind", "queue"], ["waiting.csv", "waiting.json"]),
+    (["waiting", "--kind", "sojourn"], ["waiting.csv", "waiting.json"]),
+    (["busy"], ["busy.csv", "busy.json"]),
+    (["compare"], ["compare.json"]),
+], ids=["roots", "oracle", "analyze", "bounds", "waiting-queue", "waiting-sojourn",
+        "busy", "compare"])
+def test_outputs_are_byte_identical(tmp_path, args, names):
     cfg = write_cfg(tmp_path)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert main(["oracle", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["oracle", "--config", cfg, "--out", str(out2)]) == 0
-    names = sorted(p.name for p in out1.iterdir())
-    assert names == ["boundary.csv", "distribution.csv", "oracle.json"]
+    for out in (out1, out2):
+        assert main([*args, "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out1.iterdir()) == names
     assert sorted(p.name for p in out2.iterdir()) == names
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
@@ -162,9 +189,8 @@ def test_law_writer_matches_row_writer(tmp_path):
     levels = rng.random((grid_size, cap, spec.phase_count)) * 10.0 ** -rng.integers(
         0, 300, (grid_size, cap, spec.phase_count))
     idle[0, 0], levels[1, 0, 0], levels[2, 1, 3], levels[3, 2, 5] = 1.0, 0.0, -0.0, 5e-324
-    dist = PeriodicDistribution(spec=spec, level_cap=cap, grid_size=grid_size,
-                                grid=np.arange(grid_size) / grid_size, idle=idle,
-                                levels=levels, periods=0, residual=0.0)
+    dist = PeriodicDistribution(spec=spec, idle=idle, levels=levels,
+                                periods=0, residual=0.0)
     boundary = extract_boundary(dist)
     old, new = tmp_path / "old", tmp_path / "new"
     old.mkdir()

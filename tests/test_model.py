@@ -65,6 +65,18 @@ def test_rate_rejects_dip_between_coarse_grid_points():
     RateFunction(2.5, sin=((4096, 2.0),))
 
 
+def test_rate_rejects_non_finite_values():
+    # nan slips past a sign check, since nan < 0 and nan > 0 are both False
+    for base in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite mean"):
+            RateFunction(base)
+    for amp in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite amplitude"):
+            RateFunction(3.0, sin=((1, amp),))
+        with pytest.raises(ValueError, match="non-finite amplitude"):
+            RateFunction(3.0, cos=((2, amp),))
+
+
 def test_cumulative_rejects_reversed_interval():
     r = RateFunction(2.0)
     with pytest.raises(ValueError):

@@ -11,12 +11,18 @@ import pytest
 
 import ekemq
 from ekemq import (
+    BoundaryFunctions,
     ModelSpec,
     RateFunction,
     extract_boundary,
     integrate_periodic,
 )
-from ekemq.oracle import TrigInterpolant, _rk4_step, _structure_matrices
+from ekemq.oracle import (
+    PeriodicDistribution,
+    TrigInterpolant,
+    _rk4_step,
+    _structure_matrices,
+)
 
 
 def test_mm1_reduces_to_truncated_geometric(mm1_dist):
@@ -46,8 +52,42 @@ def test_boundary_is_immutable(mm1_dist):
         boundary.idle = np.full_like(boundary.idle, 5.0)
     norm = 1.0 - 0.6 ** 61
     assert boundary.idle_at([0.0])[0, 0] == pytest.approx(0.4 / norm, abs=1e-10)
-    # the distribution the boundary came from stays writable
-    assert mm1_dist.idle.flags.writeable and mm1_dist.grid.flags.writeable
+    # the distribution the boundary came from is read-only too
+    assert not mm1_dist.idle.flags.writeable and not mm1_dist.grid.flags.writeable
+
+
+def test_distribution_is_immutable(mm1_dist):
+    mm1_dist.idle_at([0.0])
+    for arr in (mm1_dist.idle, mm1_dist.levels, mm1_dist.grid):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, ...] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mm1_dist.idle = np.full_like(mm1_dist.idle, 5.0)
+    # the interpolant built by idle_at still agrees with the grid samples
+    grid = mm1_dist.grid
+    assert np.abs(mm1_dist.idle_at(grid) - mm1_dist.idle).max() < 1e-12
+    assert np.abs(mm1_dist.levels_at(grid) - mm1_dist.levels).max() < 1e-12
+
+
+def test_grids_are_read_off_the_samples(mm1_spec):
+    idle = np.full((8, 1), 0.4)
+    levels = 0.4 * 0.6 ** np.arange(1, 31)[None, :, None] * np.ones((8, 1, 1))
+    dist = PeriodicDistribution(spec=mm1_spec, idle=idle, levels=levels,
+                                periods=1, residual=0.0)
+    assert (dist.grid_size, dist.level_cap) == (8, 30)
+    assert np.array_equal(dist.grid, np.arange(8) / 8)
+    # the law holds copies, so editing the arrays it was built from is no edit
+    idle[0, 0] = levels[0, 0, 0] = 5.0
+    assert dist.idle[0, 0] == 0.4 and dist.levels[0, 0, 0] == pytest.approx(0.24)
+    boundary = extract_boundary(dist)
+    assert boundary.grid_size == 8
+    assert np.array_equal(boundary.grid, dist.grid)
+    # slices on grids of different sizes are refused
+    with pytest.raises(ValueError, match="grid rows"):
+        BoundaryFunctions(idle=boundary.idle, first=boundary.first[:7])
+    with pytest.raises(ValueError, match="grid rows"):
+        PeriodicDistribution(spec=mm1_spec, idle=idle[:7], levels=levels,
+                             periods=1, residual=0.0)
 
 
 def test_total_mass_is_one(periodic74_dist):
@@ -233,3 +273,10 @@ def test_oracle_validates_arguments(mm1_spec):
         integrate_periodic(mm1_spec, level_cap=0)
     with pytest.raises(ValueError):
         integrate_periodic(mm1_spec, level_cap=10, grid_size=3)
+    # a residual is never <= nan or below zero, and exactly zero only by luck,
+    # so these would integrate every period and then fail
+    for tol in (np.nan, -1e-10, 0.0):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            integrate_periodic(mm1_spec, level_cap=10, grid_size=8, tol=tol)
+    with pytest.raises(ValueError, match="max_periods must be >= 1"):
+        integrate_periodic(mm1_spec, level_cap=10, grid_size=8, max_periods=0)

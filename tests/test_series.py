@@ -15,6 +15,7 @@ from ekemq import (
     RateFunction,
     SeriesEvaluator,
     build_root_set,
+    extract_boundary,
 )
 from ekemq import _quad
 from ekemq.series import net_change_probability, phase_weights, root_coefficient
@@ -82,17 +83,23 @@ def test_series_values_are_real(periodic74_roots10, periodic74_boundary):
         assert np.abs(vals.imag).max() < 1e-9 * max(scale, 1.0)
 
 
-def test_quadrature_self_convergence(periodic74_spec, periodic74_roots10,
-                                     periodic74_boundary, monkeypatch):
+def test_quadrature_self_convergence(periodic74_spec, periodic74_dist,
+                                     periodic74_roots10, periodic74_boundary,
+                                     monkeypatch):
     base = SeriesEvaluator(periodic74_roots10, periodic74_boundary)
-    # the same series under a finer rule: 12 nodes on 128 panels
-    monkeypatch.setattr(_quad, "NODES", 12)
-    monkeypatch.setattr(_quad, "PANELS", 128)
-    rich = SeriesEvaluator(periodic74_roots10, periodic74_boundary)
+    # the same series under a finer period rule, 12 nodes on 128 panels; the
+    # root set and boundary are fresh, as the fixtures keep base-rule values
+    xi, wi = np.polynomial.legendre.leggauss(12)
+    half = 0.5 / 128
+    mid = (2 * np.arange(128) + 1) * half
+    monkeypatch.setattr(_quad, "PERIOD_NODES", (mid[:, None] + half * xi).ravel())
+    monkeypatch.setattr(_quad, "PERIOD_WEIGHTS", np.tile(half * wi, 128))
+    rich = SeriesEvaluator(build_root_set(periodic74_spec, 10),
+                           extract_boundary(periodic74_dist))
     ts = np.arange(8) / 8.0
     a = base.level_matrix(1, ts).real
     b = rich.level_matrix(1, ts).real
-    # a cache keyed on anything but the rule would hand rich the base values
+    # a rule bound at import would hand rich the base values
     assert not np.array_equal(a, b)
     assert np.abs(a - b).max() < 1e-10
 
@@ -113,8 +120,7 @@ def test_period_integral_follows_the_boundary(periodic74_spec, periodic74_roots1
                                               periodic74_boundary):
     # the coefficients are linear in the boundary, and halving is exact
     b = periodic74_boundary
-    half = BoundaryFunctions(grid_size=b.grid_size, grid=b.grid,
-                             idle=0.5 * b.idle, first=0.5 * b.first)
+    half = BoundaryFunctions(idle=0.5 * b.idle, first=0.5 * b.first)
     ts = np.linspace(0.0, 1.0, 5)
     full = SeriesEvaluator(periodic74_roots10, b).coefficients(ts)
     halved = SeriesEvaluator(periodic74_roots10, half).coefficients(ts)
