@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Configuration is a flat key = value text file with dotted keys (see
-RunConfig._SCHEMA for the full key set and defaults); rate functions are
-given by their mean and comma-separated harmonic:amplitude terms, e.g.
+RunConfig._SCHEMA for the full key set, ranges and defaults); rate functions
+are given by their mean and comma-separated harmonic:amplitude terms, e.g.
 
     model.k = 7
     model.m = 4
@@ -85,6 +85,19 @@ def _parse_pair(raw: str) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
+def _at_least(parse, low, strict: bool = False):
+    """`parse`, then refuse a value, or any entry of a list, below `low`
+    (or equal to it when `strict`)."""
+    def checked(raw: str):
+        value = parse(raw)
+        for v in value if isinstance(value, tuple) else (value,):
+            if v < low or (strict and v == low):
+                sign = ">" if strict else ">="
+                raise ConfigError(f"must be {sign} {low}, got {v}")
+        return value
+    return checked
+
+
 def _parse_kind(raw: str) -> str:
     raw = raw.strip()
     if raw not in ("queue", "sojourn"):
@@ -99,38 +112,37 @@ class RunConfig:
     values: dict
 
     _SCHEMA = {
-        "model.k": (_parse_int, None),
-        "model.m": (_parse_int, None),
+        "model.k": (_at_least(_parse_int, 1), None),
+        "model.m": (_at_least(_parse_int, 1), None),
         "model.arrival.base": (_parse_float, None),
         "model.arrival.cos": (_parse_terms, ()),
         "model.arrival.sin": (_parse_terms, ()),
         "model.service.base": (_parse_float, None),
         "model.service.cos": (_parse_terms, ()),
         "model.service.sin": (_parse_terms, ()),
-        "series.order": (_parse_int, 10),
-        "oracle.levels": (_parse_int, 50),
-        "oracle.grid": (_parse_int, 512),
-        "oracle.tol": (_parse_float, 1e-10),
-        "oracle.max_periods": (_parse_int, 500),
-        "analyze.levels": (_parse_int_list, (1, 2, 3)),
-        "analyze.times": (_parse_int, 16),
-        "bounds.levels": (_parse_int_list, (3, 4, 5)),
-        "bounds.orders": (_parse_int_list, (3, 5, 10)),
-        "bounds.reference": (_parse_int, 40),
-        "bounds.times": (_parse_int, 16),
+        "series.order": (_at_least(_parse_int, 0), 10),
+        "oracle.levels": (_at_least(_parse_int, 1), 50),
+        "oracle.grid": (_at_least(_parse_int, 4), 512),
+        "oracle.tol": (_at_least(_parse_float, 0.0, strict=True), 1e-10),
+        "oracle.max_periods": (_at_least(_parse_int, 1), 500),
+        "analyze.levels": (_at_least(_parse_int_list, 1), (1, 2, 3)),
+        "analyze.times": (_at_least(_parse_int, 1), 16),
+        "bounds.levels": (_at_least(_parse_int_list, 1), (3, 4, 5)),
+        "bounds.orders": (_at_least(_parse_int_list, 0), (3, 5, 10)),
+        "bounds.reference": (_at_least(_parse_int, 0), 40),
+        "bounds.times": (_at_least(_parse_int, 1), 16),
         "waiting.u": (_parse_float, 0.2),
         "waiting.kind": (_parse_kind, "queue"),
-        "waiting.horizon": (_parse_float, 3.0),
-        "waiting.steps": (_parse_int, 61),
-        "busy.level": (_parse_int, 1),
-        "busy.phase": (_parse_pair, (0, 0)),
+        "waiting.horizon": (_at_least(_parse_float, 0.0), 3.0),
+        "waiting.steps": (_at_least(_parse_int, 1), 61),
+        "busy.level": (_at_least(_parse_int, 1), 1),
+        "busy.phase": (_at_least(_parse_pair, 0), (0, 0)),
         "busy.u": (_parse_float, 0.0),
-        "busy.horizon": (_parse_float, 5.0),
-        "busy.step": (_parse_float, 1.0 / 512),
-        "busy.cap": (_parse_int, 40),
-        "busy.substeps": (_parse_int, 4),
+        "busy.horizon": (_at_least(_parse_float, 0.0, strict=True), 5.0),
+        "busy.step": (_at_least(_parse_float, 0.0, strict=True), 1.0 / 512),
+        "busy.cap": (_at_least(_parse_int, 1), 40),
+        "busy.substeps": (_at_least(_parse_int, 1), 4),
     }
-    _REQUIRED = ("model.k", "model.m", "model.arrival.base", "model.service.base")
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -149,10 +161,6 @@ class RunConfig:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             raw[key] = value.strip()
 
-        for key in cls._REQUIRED:
-            if key not in raw:
-                raise ConfigError(f"missing required key {key!r}")
-
         values = {}
         for key, (parse, default) in cls._SCHEMA.items():
             if key in raw:
@@ -160,8 +168,19 @@ class RunConfig:
                     values[key] = parse(raw[key])
                 except ConfigError as exc:
                     raise ConfigError(f"key {key!r}: {exc}") from exc
+            elif default is None:
+                raise ConfigError(f"missing required key {key!r}")
             else:
                 values[key] = default
+        # the two limits that join keys
+        cap = values["oracle.levels"]
+        if max(values["analyze.levels"], default=0) > cap:
+            raise ConfigError(f"key 'analyze.levels': a level is past "
+                              f"oracle.levels = {cap}")
+        a, s = values["busy.phase"]
+        if a >= values["model.k"] or s >= values["model.m"]:
+            raise ConfigError(f"key 'busy.phase': stages {a},{s} are outside "
+                              "model.k x model.m")
         return cls(values=values)
 
     @classmethod
@@ -194,8 +213,6 @@ class RunConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -231,14 +248,10 @@ def _series_setup(cfg: RunConfig, spec: ModelSpec):
 
 def _level_pairs(cfg: RunConfig, dist, ev: SeriesEvaluator):
     """(times, [(level, series, oracle)]) for the analyze levels."""
-    levels = cfg["analyze.levels"]
-    for j in levels:
-        if not 1 <= j <= dist.level_cap:
-            raise ValueError(f"analyze level {j} outside oracle truncation")
     times = _time_grid(cfg["analyze.times"])
     oracle_levels = dist.levels_at(times)
     return times, [(j, ev.level_matrix(j, times).real, oracle_levels[:, j - 1, :])
-                   for j in levels]
+                   for j in cfg["analyze.levels"]]
 
 
 def _wait_pair(cfg: RunConfig, spec: ModelSpec, roots, dist, boundary,
@@ -315,11 +328,11 @@ def cmd_analyze(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     rows = []
     sup = {}
     for j, series_vals, oracle_vals in pairs:
-        budget = truncation_error_bound(spec, 0.0, j, order)
         diff = np.abs(series_vals - oracle_vals)
         sup[str(j)] = float(diff.max())
-        bound_txt = _fmt(budget.bound) if budget.applicable else "NA"
         for i, t in enumerate(times):
+            budget = truncation_error_bound(spec, t, j, order)
+            bound_txt = _fmt(budget.bound) if budget.applicable else "NA"
             for ph in range(spec.phase_count):
                 rows.append((t, j, ph // m, ph % m,
                              series_vals[i, ph], oracle_vals[i, ph],
@@ -448,28 +461,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to key=value config")
         p.add_argument("--out", default="out", help="output directory")
-        if name == "waiting":
-            p.add_argument("--u", default=None, help="override waiting.u")
-            p.add_argument("--kind", choices=("queue", "sojourn"), default=None,
-                           help="override waiting.kind")
-        if name == "busy":
-            p.add_argument("--j", type=int, default=None, help="override busy.level")
-            p.add_argument("--u", default=None, help="override busy.u")
 
     args = parser.parse_args(argv)
 
     try:
         cfg = RunConfig.load(args.config)
-        if getattr(args, "u", None) is not None:
-            key = "waiting.u" if args.command == "waiting" else "busy.u"
-            try:
-                cfg.values[key] = _parse_float(args.u)
-            except ConfigError as exc:
-                raise ConfigError(f"--u: {exc}") from exc
-        if getattr(args, "kind", None) is not None:
-            cfg.values["waiting.kind"] = args.kind
-        if getattr(args, "j", None) is not None:
-            cfg.values["busy.level"] = int(args.j)
         spec = cfg.spec()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

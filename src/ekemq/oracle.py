@@ -68,8 +68,6 @@ class TrigInterpolant:
 
     def __init__(self, samples: np.ndarray):
         samples = np.asarray(samples, dtype=float)
-        if samples.ndim == 1:
-            samples = samples[:, None]
         self.n = samples.shape[0]
         coef = np.fft.rfft(samples, axis=0) / self.n
         weights = np.full(coef.shape[0], 2.0)
@@ -266,17 +264,6 @@ class PeriodicDistribution(_Sampled):
         """Busy-level probabilities at arbitrary times, (len(u), cap, km)."""
         vals = self._interp(u)[:, self.spec.k:]
         return vals.reshape(-1, self.level_cap, self.spec.phase_count)
-
-    def level_mass(self, j: int) -> np.ndarray:
-        """Total probability of level j on the grid."""
-        if j == 0:
-            return self.idle.sum(axis=1)
-        if not 1 <= j <= self.level_cap:
-            raise ValueError(f"level {j} outside truncation 0..{self.level_cap}")
-        return self.levels[:, j - 1].sum(axis=1)
-
-    def total_mass(self) -> np.ndarray:
-        return self.idle.sum(axis=1) + self.levels.sum(axis=(1, 2))
 
     def cap_mass(self) -> float:
         """Largest probability seen at the truncation cap; a cap check."""

@@ -217,11 +217,6 @@ class RootSet:
     roots: tuple[CharacteristicRoot, ...]
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def by_n(self, n: int) -> tuple[CharacteristicRoot, ...]:
-        if abs(n) > self.order:
-            raise KeyError(f"frequency {n} outside truncation order {self.order}")
-        return tuple(r for r in self.roots if r.n == n)
-
     def __iter__(self):
         return iter(self.roots)
 

@@ -35,8 +35,8 @@ itself once per root set and boundary; and the growth factors once per time
 grid.
 
 The module also carries the scalar transition coefficient of the free
-(boundary-ignoring) process, used by tests and by the busy-period module's
-oracle checks.
+(boundary-ignoring) process, `net_change_probability`; only tests call it,
+as a reference for the busy-period module's transition weights.
 """
 
 from __future__ import annotations

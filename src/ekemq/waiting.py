@@ -154,6 +154,8 @@ def oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: float,
     """ODE-oracle route: condition on the truncated state at time u."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
+    if dist.spec != spec:
+        raise ValueError("distribution belongs to a different model")
     horizons = np.atleast_1d(np.asarray(horizons, dtype=float))
     if horizons.ndim != 1:
         raise ValueError("horizons must be a number or a 1-D array")

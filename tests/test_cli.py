@@ -11,6 +11,7 @@ import pytest
 
 import ekemq
 from ekemq import ModelSpec, RateFunction, extract_boundary
+from ekemq.bounds import truncation_error_bound
 from ekemq.cli import ConfigError, RunConfig, _write_csv, _write_law, main
 from ekemq.oracle import PeriodicDistribution
 
@@ -105,19 +106,28 @@ def test_bad_values_exit_2(tmp_path, capsys):
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / f"n{n}")]) == 2
         assert "finite" in capsys.readouterr().err
-    cfg = write_cfg(tmp_path)
     for command in ("waiting", "busy"):
-        assert main([command, "--config", cfg, "--out", str(tmp_path / command),
-                     "--u", "nan"]) == 2
-        assert "--u: expected a finite number" in capsys.readouterr().err
+        cfg = write_cfg(tmp_path, f"{command}.cfg", **{f"{command}.u": "nan"})
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert f"key '{command}.u': expected a finite number" in err
     assert not any((tmp_path / name).exists()
                    for name in ("n0", "n1", "n2", "n3", "waiting", "busy"))
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    # the config file is the one input: no flag overrides its keys
+    cfg = write_cfg(tmp_path)
+    for extra in (["waiting", "--u", "0.5"], ["waiting", "--kind", "sojourn"],
+                  ["busy", "--j", "2"], ["busy", "--u", "0.25"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*extra, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_roots_output_and_determinism(tmp_path):
@@ -159,22 +169,22 @@ def test_oracle_outputs(tmp_path):
     assert (out / "boundary.csv").exists()
 
 
-@pytest.mark.parametrize("args, names", [
-    (["roots"], ["roots.csv"]),
-    (["oracle"], ["boundary.csv", "distribution.csv", "oracle.json"]),
-    (["analyze"], ["analyze.json", "levels.csv"]),
-    (["bounds"], ["bounds.csv"]),
-    (["waiting", "--kind", "queue"], ["waiting.csv", "waiting.json"]),
-    (["waiting", "--kind", "sojourn"], ["waiting.csv", "waiting.json"]),
-    (["busy"], ["busy.csv", "busy.json"]),
-    (["compare"], ["compare.json"]),
+@pytest.mark.parametrize("command, keys, names", [
+    ("roots", {}, ["roots.csv"]),
+    ("oracle", {}, ["boundary.csv", "distribution.csv", "oracle.json"]),
+    ("analyze", {}, ["analyze.json", "levels.csv"]),
+    ("bounds", {}, ["bounds.csv"]),
+    ("waiting", {"waiting.kind": "queue"}, ["waiting.csv", "waiting.json"]),
+    ("waiting", {"waiting.kind": "sojourn"}, ["waiting.csv", "waiting.json"]),
+    ("busy", {}, ["busy.csv", "busy.json"]),
+    ("compare", {}, ["compare.json"]),
 ], ids=["roots", "oracle", "analyze", "bounds", "waiting-queue", "waiting-sojourn",
         "busy", "compare"])
-def test_outputs_are_byte_identical(tmp_path, args, names):
-    cfg = write_cfg(tmp_path)
+def test_outputs_are_byte_identical(tmp_path, command, keys, names):
+    cfg = write_cfg(tmp_path, **keys)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):
-        assert main([*args, "--config", cfg, "--out", str(out)]) == 0
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
     assert sorted(p.name for p in out1.iterdir()) == names
     assert sorted(p.name for p in out2.iterdir()) == names
     for name in names:
@@ -235,11 +245,28 @@ def test_analyze_outputs_and_determinism(tmp_path):
     assert lines[2].rstrip().endswith("NA")
 
 
+def test_analyze_rows_carry_their_own_tail_bound(tmp_path):
+    keys = {"model.k": 7, "model.m": 4,
+            "model.arrival.sin": "1:-2", "model.service.sin": "1:4",
+            "series.order": 10, "analyze.levels": "3", "analyze.times": 4}
+    cfg = write_cfg(tmp_path, **keys)
+    out = tmp_path / "a"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    spec = RunConfig.load(cfg).spec()
+    rows = [line.split(",")
+            for line in (out / "levels.csv").read_text().splitlines()[2:]]
+    assert len(rows) == 4 * 28
+    for row in rows:
+        t, j = float(row[0]), int(row[1])
+        assert float(row[-1]) == truncation_error_bound(spec, t, j, 10).bound
+    # the bound moves with the time of day on this model
+    assert len({row[-1] for row in rows}) == 4
+
+
 def test_waiting_overrides(tmp_path):
-    cfg = write_cfg(tmp_path)
+    cfg = write_cfg(tmp_path, **{"waiting.u": 0.5, "waiting.kind": "sojourn"})
     out = tmp_path / "w"
-    assert main(["waiting", "--config", cfg, "--out", str(out),
-                 "--u", "0.5", "--kind", "sojourn"]) == 0
+    assert main(["waiting", "--config", cfg, "--out", str(out)]) == 0
     meta = json.loads((out / "waiting.json").read_text())
     assert meta["kind"] == "sojourn"
     assert meta["u"] == 0.5
@@ -250,10 +277,9 @@ def test_waiting_overrides(tmp_path):
 
 
 def test_busy_overrides(tmp_path):
-    cfg = write_cfg(tmp_path)
+    cfg = write_cfg(tmp_path, **{"busy.level": 2, "busy.u": 0.25})
     out = tmp_path / "b"
-    assert main(["busy", "--config", cfg, "--out", str(out),
-                 "--j", "2", "--u", "0.25"]) == 0
+    assert main(["busy", "--config", cfg, "--out", str(out)]) == 0
     meta = json.loads((out / "busy.json").read_text())
     assert meta["level"] == 2
     assert meta["u"] == 0.25
@@ -275,14 +301,41 @@ def test_compare_output(tmp_path):
     assert all(v < 1e-8 for v in meta["levels_sup_diff"].values())
 
 
-def test_levels_outside_truncation_exit_3(tmp_path, capsys):
+def test_levels_outside_truncation_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, **{"analyze.levels": "1,41"})
     for command in ("analyze", "compare"):
         assert main([command, "--config", cfg,
-                     "--out", str(tmp_path / command)]) == 3
+                     "--out", str(tmp_path / command)]) == 2
         err = capsys.readouterr().err
-        assert f"numerical failure in {command}" in err
-        assert "analyze level 41 outside oracle truncation" in err
+        assert "configuration error: key 'analyze.levels'" in err
+        assert "past oracle.levels = 40" in err
+        assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("analyze", "analyze.levels", "0"),
+    ("bounds", "bounds.levels", "0"),
+    ("busy", "busy.level", "0"),
+    ("roots", "series.order", "-1"),
+    ("oracle", "oracle.grid", "2"),
+    ("oracle", "oracle.levels", "0"),
+    ("oracle", "oracle.tol", "0"),
+    ("oracle", "oracle.max_periods", "0"),
+    ("waiting", "waiting.steps", "0"),
+    ("analyze", "analyze.times", "0"),
+    ("bounds", "bounds.times", "0"),
+    ("waiting", "waiting.horizon", "-1"),
+    ("busy", "busy.substeps", "0"),
+    ("busy", "busy.phase", "0,5"),
+])
+def test_out_of_range_values_exit_2(tmp_path, capsys, command, key, value):
+    # refused when the config is parsed, before any solve; the analyze-level
+    # limit is test_levels_outside_truncation_exit_2
+    cfg = write_cfg(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"configuration error: key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

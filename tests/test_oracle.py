@@ -91,7 +91,8 @@ def test_grids_are_read_off_the_samples(mm1_spec):
 
 
 def test_total_mass_is_one(periodic74_dist):
-    assert np.abs(periodic74_dist.total_mass() - 1.0).max() < 1e-12
+    assert np.abs(periodic74_dist.idle.sum(axis=1)
+                  + periodic74_dist.levels.sum(axis=(1, 2)) - 1.0).max() < 1e-12
 
 
 def test_nonnegative_and_converged(periodic74_dist):
@@ -134,8 +135,8 @@ def test_interpolation_matches_grid_samples(periodic74_dist):
 
 
 def test_level_mass_and_ordering(periodic74_dist):
-    m1 = periodic74_dist.level_mass(1)
-    m5 = periodic74_dist.level_mass(5)
+    m1 = periodic74_dist.levels[:, 0].sum(axis=1)
+    m5 = periodic74_dist.levels[:, 4].sum(axis=1)
     assert np.all(m1 > 0)
     assert np.all(m5 < m1)
 
@@ -192,7 +193,8 @@ def test_high_load_converges(periodic74_spec):
     assert dist.periods < 60
     assert dist.residual <= 1e-10
     assert dist.cap_mass() <= 1e-30
-    assert np.abs(dist.total_mass() - 1.0).max() <= 1e-12
+    mass = dist.idle.sum(axis=1) + dist.levels.sum(axis=(1, 2))
+    assert np.abs(mass - 1.0).max() <= 1e-12
 
 
 def _plain_rk4_step(at, mt, p, h, lam, mu, i):

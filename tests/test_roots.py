@@ -40,8 +40,8 @@ def test_root_set_size_and_residuals(periodic74_spec):
 def test_root_set_conjugate_symmetry(periodic74_roots40):
     rs = periodic74_roots40
     for n in (1, 7, 25, 40):
-        pos = _sorted_by_arg([r.y for r in rs.by_n(n)])
-        neg = _sorted_by_arg([np.conj(r.y) for r in rs.by_n(-n)])
+        pos = _sorted_by_arg([r.y for r in rs if r.n == n])
+        neg = _sorted_by_arg([np.conj(r.y) for r in rs if r.n == -n])
         neg_matched = sorted(neg, key=lambda y: (y.real, y.imag))
         pos_matched = sorted(pos, key=lambda y: (y.real, y.imag))
         assert max(abs(a - b) for a, b in zip(pos_matched, neg_matched)) < 1e-12
@@ -49,7 +49,7 @@ def test_root_set_conjugate_symmetry(periodic74_roots40):
 
 def test_roots_distinct_within_frequency(periodic74_roots40):
     for n in range(-40, 41):
-        ys = [r.y for r in periodic74_roots40.by_n(n)]
+        ys = [r.y for r in periodic74_roots40 if r.n == n]
         for i in range(len(ys)):
             for j in range(i + 1, len(ys)):
                 assert abs(ys[i] - ys[j]) > 1e-8
@@ -57,7 +57,8 @@ def test_roots_distinct_within_frequency(periodic74_roots40):
 
 def test_branch_labels_sorted_by_argument(periodic74_roots10):
     for n in (-10, -3, 0, 4, 10):
-        rs = sorted(periodic74_roots10.by_n(n), key=lambda r: r.branch)
+        rs = sorted((r for r in periodic74_roots10 if r.n == n),
+                    key=lambda r: r.branch)
         args = [np.angle(r.y) % (2 * np.pi) for r in rs]
         assert all(args[i] <= args[i + 1] + 1e-12 for i in range(len(args) - 1))
 
@@ -93,11 +94,6 @@ def test_iteration_seeds_close_at_high_frequency(periodic74_spec):
 def test_iteration_disallowed_fallback_raises(periodic74_spec):
     with pytest.raises(RuntimeError, match="did not converge"):
         outer_roots_by_iteration(periodic74_spec, 0, max_iter=1)
-
-
-def test_root_set_rejects_unknown_frequency(periodic74_roots10):
-    with pytest.raises(KeyError):
-        periodic74_roots10.by_n(11)
 
 
 def test_residual_scale_for_tight_frequencies():

@@ -5,6 +5,8 @@ import pytest
 from scipy.special import gammainc
 
 from ekemq import (
+    ModelSpec,
+    RateFunction,
     _quad,
     build_root_set,
     conditional_wait_cdf,
@@ -150,6 +152,17 @@ def test_curve_metadata_and_checks(periodic74_spec, periodic74_dist,
                  0.1, np.array([-1.0]))
     with pytest.raises(ValueError):
         wait_cdf(mm1_spec, periodic74_roots10, periodic74_boundary, 0.1, ts)
+
+
+def test_oracle_route_rejects_a_law_of_another_model(mm1_spec, mm1_dist):
+    # the law is solved at rates 3 and 5; read with rates 1 and 9 it gave
+    # [0.901, 0.984], neither model's wait (rates 1 and 9: [0.998, 1.000])
+    other = ModelSpec(1, 1, RateFunction(1.0), RateFunction(9.0))
+    t = np.array([0.5, 1.0])
+    with pytest.raises(ValueError, match="different model"):
+        oracle_wait_cdf(other, mm1_dist, 0.0, t)
+    curve = oracle_wait_cdf(mm1_spec, mm1_dist, 0.0, t)
+    assert np.abs(curve.values - (1.0 - 0.6 * np.exp(-2.0 * t))).max() < 1e-8
 
 
 def test_horizons_are_one_dimensional(periodic74_spec, periodic74_dist,
