@@ -22,18 +22,22 @@ s = 0):
 where up/local/down are the generator blocks and j the starting level.  The
 kernel satisfies K(t, t) = local(t), so a product-trapezoid discretization
 with the diagonal term kept implicit is stable and second-order accurate.
-The kernel is never materialized.  The forcing row and the history integral
-are the same product-integration sum, rows contracted against F_n for three
-consecutive n; they differ only in the rows (the start row, or the stored X
-rows on fresh-service columns), the service source stage and the base shift
-(-j or 0), so each step subtracts one from the other and applies the
-generator blocks once.  Row 0 of each step's pmf tables is exactly the
-forcing window [u, t_i].  The arrival weights of F_n
-depend on a2 - a1 only (a Toeplitz block), so `_toeplitz_contraction` first
-correlates the rows with their arrival pmf rows, once for all three shifts;
-the completed cycles (A, D) of one shift then run consecutively, so the
-arrival and service factors are contiguous slices of the correlation and of
-the service pmf table, and each shift is a single matrix product.
+The kernel is never materialized.  Once the boundary is stripped the
+weights form a semigroup (Poisson(a) * Poisson(b) = Poisson(a + b)), and in
+absolute levels the forcing and the history both read levels 1, 0 and -1,
+so forcing minus history at step i is one lattice state:
+
+    Z_0 = unit mass at level j, stage (a1, s1),
+    Z_i = (Z_{i-1} - h w_{i-1} X(t_{i-1}) at level 0, service stage 0)
+          * F(t_{i-1}, t_i),
+
+w the trapezoid weights.  A step is two 1-D convolutions with the Poisson
+pmfs of its stage means, arrivals along the index L k + a and services
+along (-L) m + s, so it costs O(lattice), not O(i).  The lattice spans
+levels -1 - A to max(j, 1 + D), with A and D the horizon's arrival and
+service cycle counts at tails below 1e-16: mass below it cannot climb back
+to level -1 within the horizon, nor mass above it come down to level 1, so
+it is dropped.
 
 `busy_oracle` integrates the killed process directly: the periodic oracle's
 truncated system (levels truncated high) with the empty level made
@@ -123,35 +127,23 @@ def net_change_matrix(spec: ModelSpec, u: float, t: float, n: int) -> np.ndarray
     return out
 
 
-def _toeplitz_contraction(x, pa, pd, m, s_src, base, a_hi, d_hi):
-    """[sum_r x[r] F_n[(., s_src), :] for n = base + 1, base, base - 1].
+def _carry(z: np.ndarray, mean: float) -> np.ndarray:
+    """Convolve the columns of z with the pmf of Poisson(mean), dropping
+    what runs off the end.
 
-    x[r, a] weights the start state (a, s_src) of window r, whose pmf rows
-    are pa[r] (arrival) and pd[r] (service), cut at a_hi and d_hi cycles.
-    Returns three rows of length k m.
+    The pmf comes from the ratio recurrence, cut once past the mean where a
+    tap falls below 1e-18 of the head.
     """
-    k = x.shape[1]
-    # the arrival weights depend on a2 - a1 only, so contracting the rows
-    # against them is a correlation with the pmf row:
-    # y[r, c] = sum_a x[r, a] pa[r, c - a], zero where c < a
-    y = x[:, :1] * pa
-    for a in range(1, k):
-        y[:, a:] += x[:, a:a + 1] * pa[:, :-a]
-    if s_src:
-        # P_D[s_src, s2] = pd[D m + s2 - s_src], zero for negative counts
-        pd = np.hstack([np.zeros((len(pd), s_src)), pd])
-    rows = []
-    for shift in (base + 1, base, base - 1):
-        # pairs (A, D = A - shift) are consecutive from A0, so both blocks
-        # are contiguous slices of the tables
-        a0 = max(0, shift)
-        d0 = a0 - shift
-        # (empty for a forcing shift whose D0 lies past the table)
-        count = max(0, min(a_hi, d_hi + shift) - a0 + 1)
-        half = y[:, a0 * k:(a0 + count) * k].reshape(-1, k)
-        gd = pd[:, d0 * m:(d0 + count) * m].reshape(-1, m)
-        rows.append((half.T @ gd).reshape(k * m))
-    return rows
+    taps = [math.exp(-mean)]
+    if not taps[0]:
+        raise RuntimeError("Volterra march: the step is too coarse for these "
+                           "rates")
+    while len(taps) <= mean or taps[-1] >= 1e-18 * taps[0]:
+        taps.append(taps[-1] * mean / len(taps))
+    out = taps[0] * z
+    for x in range(1, len(taps)):
+        out[x:] += taps[x] * z[:-x]
+    return out
 
 
 def _normalize_phase(spec: ModelSpec, phase) -> int:
@@ -250,36 +242,32 @@ def _volterra_march(spec: ModelSpec, level: int, phase, u: float,
     acc_a = spec.arrival.accumulated(times)
     acc_d = spec.service.accumulated(times)
     blk_u, blk_la, blk_ls, blk_d = _unit_blocks(spec)
-    start = np.zeros((1, k))
-    start[0, a1] = 1.0
+    # the free process on levels bottom..top; mass outside cannot return to
+    # levels -1..1 within the horizon
+    bottom = -1 - (_table_width(acc_a[-1] - acc_a[0]) // k + 1)
+    top = max(level, 1 + _table_width(acc_d[-1] - acc_d[0]) // m + 1)
+    z = np.zeros((top - bottom + 1, k, m))
+    z[level - bottom, a1, s1] = 1.0
 
     dens = np.zeros((n_steps + 1, km))
-    weighted0 = np.zeros((n_steps + 1, k))
     eye = np.eye(km)
     for i in range(n_steps + 1):
-        # window r runs over [t_r, t_i]; step 0 has the single empty window
-        lam_gaps = acc_a[i] - acc_a[:max(i, 1)]
-        mu_gaps = acc_d[i] - acc_d[:max(i, 1)]
-        # the oldest row has the widest pmf; size tables and cycle counts
-        # to it
-        a_hi = _table_width(lam_gaps[0]) // k + 1
-        d_hi = _table_width(mu_gaps[0]) // m + 1
-        pa = _poisson_table(lam_gaps, a_hi * k + k)
-        pd = _poisson_table(mu_gaps, d_hi * m + m)
-        # forcing minus history, before the kernel's generator blocks; row 0
-        # spans [u, t_i], the forcing window
-        rows = _toeplitz_contraction(start, pa[:1], pd[:1], m, s1, -level,
-                                     a_hi, d_hi)
         if i:
-            history = _toeplitz_contraction(weighted0[:i], pa, pd, m, 0, 0,
-                                            a_hi, d_hi)
-            rows = [f - h * g for f, g in zip(rows, history)]
+            # the last history term joins at level 0, fresh service; the
+            # trapezoid weight is a half at the start point
+            z[-bottom, :, 0] -= h * dens[i - 1, ::m] * (0.5 if i == 1 else 1.0)
+            # arrivals move the index L k + a, services (-L) m + s
+            z = _carry(z.reshape(-1, m), acc_a[i] - acc_a[i - 1])
+            z = z.reshape(-1, k, m)[::-1].transpose(0, 2, 1).reshape(-1, k)
+            z = _carry(z, acc_d[i] - acc_d[i - 1])
+            z = z.reshape(-1, m, k)[::-1].transpose(0, 2, 1)
+        # forcing minus history at levels 1, 0 and -1, before the kernel's
+        # generator blocks
+        rows = [z[lvl - bottom].reshape(km) for lvl in (1, 0, -1)]
         local_i = lam[i] * blk_la + mu[i] * blk_ls
         rhs = (mu[i] * (rows[0] @ blk_d) + rows[1] @ local_i
                + lam[i] * (rows[2] @ blk_u))
         dens[i] = np.linalg.solve(eye + (0.5 * h) * local_i.T, rhs) if i else rhs
-        # trapezoid weights: a half at the start point
-        weighted0[i] = dens[i].reshape(k, m)[:, 0] * (0.5 if i == 0 else 1.0)
 
     on_support = dens.reshape(-1, k, m)[:, :, 0]
     off_support = float(np.abs(dens.reshape(-1, k, m)[:, :, 1:]).max()) if m > 1 else 0.0

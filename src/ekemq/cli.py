@@ -172,7 +172,7 @@ class RunConfig:
                 raise ConfigError(f"missing required key {key!r}")
             else:
                 values[key] = default
-        # the two limits that join keys
+        # the limits that join keys
         cap = values["oracle.levels"]
         if max(values["analyze.levels"], default=0) > cap:
             raise ConfigError(f"key 'analyze.levels': a level is past "
@@ -181,6 +181,13 @@ class RunConfig:
         if a >= values["model.k"] or s >= values["model.m"]:
             raise ConfigError(f"key 'busy.phase': stages {a},{s} are outside "
                               "model.k x model.m")
+        if values["busy.cap"] < 2 * values["busy.level"]:
+            raise ConfigError("key 'busy.cap': below twice busy.level")
+        # int(round(horizon / step)) >= 2, the march's step count, without
+        # rounding an infinite ratio
+        if values["busy.horizon"] / values["busy.step"] < 1.5:
+            raise ConfigError("key 'busy.step': busy.horizon holds fewer than "
+                              "two steps")
         return cls(values=values)
 
     @classmethod

@@ -212,8 +212,7 @@ def _brute_force_march(spec, level, q0, u, horizon, n_steps):
     (1, (0, 0), 32),
     (2, (1, 2), 24),
     (3, (1, 1), 20),
-    # the lowest forcing shifts need more cycles than the early pmf tables
-    # hold, so their contractions are empty
+    # a start too high to empty within the horizon
     (13, (1, 2), 8),
 ])
 def test_march_matches_brute_force_assembly(tight_spec, level, phase,
@@ -224,6 +223,53 @@ def test_march_matches_brute_force_assembly(tight_spec, level, phase,
     want = _brute_force_march(tight_spec, level, sol.phase, u, horizon,
                               n_steps)
     assert np.abs(sol.values - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("case, level, phase, step", [
+    # M/M/1: one arrival and one service stage, so every stage completion
+    # moves a level
+    ("mm1", 1, 0, 0.75 / 32),
+    ("mm1", 3, 0, 0.75 / 16),
+    # the last stage of both streams: the next completions change the level
+    ("periodic74", 2, (6, 3), 0.75 / 12),
+    # 0.75 / 0.037 = 20.3, so the march takes 20 steps of 0.0375
+    ("tight", 2, (1, 0), 0.037),
+])
+def test_march_matches_brute_force_at_lattice_edges(request, case, level,
+                                                    phase, step):
+    spec = request.getfixturevalue(f"{case}_spec")
+    u, horizon = 0.2, 0.75
+    sol = busy_period_cdf(spec, level, phase, u=u, horizon=horizon,
+                          step=step, refine=False)
+    n_steps = int(round(horizon / step))
+    assert sol.step == horizon / n_steps
+    want = _brute_force_march(spec, level, sol.phase, u, horizon, n_steps)
+    assert np.abs(sol.values - want).max() < 1e-12
+
+
+# Reference-model CDF totals at t = u + 0.25, 1 and 2 (step 1/128, horizon
+# 2), as the history-sum march computed them before the level lattice
+# replaced it; the lattice agrees to rounding.
+_REFERENCE_BUSY_FROZEN = {
+    (1, (0, 0), 0.37): {
+        False: (0.04097164803609337, 0.7226548027697013, 0.9603606614857476),
+        True: (0.0409586410201653, 0.7220300710268536, 0.9586623490381884),
+    },
+    (2, (6, 3), 0.1): {
+        False: (0.052091336806582324, 0.23036539240396744, 0.6538966159350885),
+        True: (0.051981184294830146, 0.2298085648785402, 0.6526035958372514),
+    },
+}
+
+
+@pytest.mark.parametrize("start", list(_REFERENCE_BUSY_FROZEN))
+def test_reference_volterra_frozen_values(periodic74_spec, start):
+    level, phase, u = start
+    for refine, want in _REFERENCE_BUSY_FROZEN[start].items():
+        sol = busy_period_cdf(periodic74_spec, level, phase, u=u, horizon=2.0,
+                              step=1 / 128, refine=refine)
+        got = sol.total()[[32, 128, 256]]
+        assert np.abs(got - np.array(want)).max() < 1e-14, refine
 
 
 def test_raw_march_is_second_order(mm1_spec):

@@ -181,6 +181,12 @@ def test_oracle_outputs(tmp_path):
 ], ids=["roots", "oracle", "analyze", "bounds", "waiting-queue", "waiting-sojourn",
         "busy", "compare"])
 def test_outputs_are_byte_identical(tmp_path, command, keys, names):
+    """Same config, same bytes, at the fixed BLAS thread count of one process.
+
+    Both runs share this process and so its BLAS thread count; bytes written
+    at another thread count can differ, as the order of BLAS reductions
+    does.
+    """
     cfg = write_cfg(tmp_path, **keys)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):
@@ -327,6 +333,8 @@ def test_levels_outside_truncation_exit_2(tmp_path, capsys):
     ("waiting", "waiting.horizon", "-1"),
     ("busy", "busy.substeps", "0"),
     ("busy", "busy.phase", "0,5"),
+    ("busy", "busy.cap", "1"),
+    ("busy", "busy.step", "0.75"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, capsys, command, key, value):
     # refused when the config is parsed, before any solve; the analyze-level
