@@ -286,14 +286,16 @@ def _write_grid_csv(path: Path, schema: str, header, grid, labels,
                     values: np.ndarray) -> None:
     """Rows (t, label, value) for every grid time t and state, states in
     `labels` order: the bytes `_write_csv` gives on the same rows, formatted
-    with one join per grid time instead of one `_fmt` call per cell."""
+    with one `%` call per grid time on a template of the whole row."""
+    template = "".join(f"%s,{label.replace('%', '%%')},%.17g\n" for label in labels)
+    cells = [None] * (2 * len(labels))
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema: {schema}\n")
         fh.write(",".join(header) + "\n")
         for t, row in zip(grid.tolist(), values.tolist()):
-            prefix = format(t, ".17g") + ","
-            fh.write("".join([f"{prefix}{label},{v:.17g}\n"
-                              for label, v in zip(labels, row)]))
+            cells[0::2] = [format(t, ".17g")] * len(labels)
+            cells[1::2] = row
+            fh.write(template % tuple(cells))
 
 
 def _write_law(out: Path, spec: ModelSpec, dist, boundary) -> None:

@@ -14,11 +14,16 @@ scalars; no matrix is rebuilt inside the stepping loop.
 
 The periodic law is the fixed point of the one-period map Phi, and it is
 solved as one (periodic steady-state shooting, Aprille & Trick, Proc. IEEE
-1972): the solve starts from the stationary law of the period-averaged
-generator, found by linear level reduction from the cap down, and
-accelerates the period map with Anderson mixing (Walker & Ni, SIAM J.
-Numer. Anal. 2011).  It stops only when two consecutive plain periods,
-sampled on the grid, agree to the tolerance.
+1972), accelerating the period map with Anderson mixing (Walker & Ni, SIAM
+J. Numer. Anal. 2011).  It stops only when two consecutive plain periods,
+sampled on the grid, agree to the tolerance.  The solve on a grid of N
+steps starts from the fixed point of the same solve on N // 4 steps, taken
+at t = 0 (nested iteration, Brandt, Math. Comp. 1977): the coarse grid
+resolves the slow modes that dominate the period count at a quarter of the
+cost per period.  The nesting stops at a grid below 8 steps or one where
+RK4 would be unstable for the generator, and that solve starts from the
+stationary law of the period-averaged generator, found by linear level
+reduction from the cap down.
 
 The same truncated system, with the empty level absorbing instead of
 reflecting, is the busy-period oracle: in the periodic system an arrival
@@ -56,6 +61,15 @@ _ANDERSON_DEPTH = 8
 _PLAIN_FRACTION = 0.1
 
 _CAP_MASS_LIMIT = 1e-6
+
+# The solve on grid N starts from the t = 0 state of its own fixed point on
+# grid N // _COARSEN, while that grid has at least _COARSE_MIN_GRID points
+# and keeps h * 2 max(lam + mu) <= _RK4_REAL_LIMIT: by Gershgorin the
+# generator's spectrum lies in [-2 max(lam + mu), 0], and RK4's real
+# stability interval is [-2.78, 0].
+_COARSEN = 4
+_COARSE_MIN_GRID = 8
+_RK4_REAL_LIMIT = 2.5
 
 
 class TrigInterpolant:
@@ -225,7 +239,8 @@ class PeriodicDistribution(_Sampled):
     time grid[i]; levels[i, j-1, a*m+s] the probability of level j in phase
     (a, s), j up to level_cap = levels.shape[1].  `residual` is the sup-norm
     change between the last two plain periods and `periods` how many periods
-    were integrated in all.
+    were integrated on this grid, after the start from the coarser grids'
+    solves, whose periods it does not count.
 
     A law is immutable: the constructor copies idle and levels into
     read-only arrays, so an edit raises instead of disagreeing with the
@@ -275,16 +290,21 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     """Solve for the periodic regime of the truncated queue.
 
     The periodic law is the fixed point of the one-period map Phi (grid_size
-    RK4 steps over one period).  The solve starts from the stationary law of
-    the period-averaged generator and applies Anderson mixing of depth
-    _ANDERSON_DEPTH to Phi, renormalizing each mixed start to mass 1 and
-    restarting the mixing history whenever the period residual stops
+    RK4 steps over one period).  The solve starts from the t = 0 state of
+    `integrate_periodic(spec, level_cap, grid_size // _COARSEN, tol,
+    max_periods)`, a recursive call, while that grid has at least
+    _COARSE_MIN_GRID steps and h * 2 max(lam + mu) stays within
+    _RK4_REAL_LIMIT on it; otherwise it starts from the stationary law of
+    the period-averaged generator.  From there it applies Anderson mixing
+    of depth _ANDERSON_DEPTH to Phi, renormalizing each mixed start to mass
+    1 and restarting the mixing history whenever the period residual stops
     falling.  Once a period moves its start by at most _PLAIN_FRACTION * tol,
     the following periods run plainly, each from where the last one ended;
     convergence is declared when two consecutive plain periods, sampled at
     the grid points, differ by at most tol in sup norm, and those samples
-    are returned.  `periods` counts every application of Phi, mixed or
-    plain, and RuntimeError is raised when max_periods of them are
+    are returned.  `periods` counts every application of Phi on grid_size
+    steps, mixed or plain, and not the periods of the coarser solves.  On
+    every grid, RuntimeError is raised when max_periods periods are
     exhausted first, or when the converged law puts more than
     _CAP_MASS_LIMIT = 1e-6 on the level cap at some grid time (raise
     level_cap).  tol must be > 0 and max_periods >= 1.
@@ -306,7 +326,14 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     mu = spec.service.value(half_nodes)
 
     h = 1.0 / grid_size
-    p = _averaged_stationary(op, spec, level_cap)
+    coarse = grid_size // _COARSEN
+    stable = coarse * _RK4_REAL_LIMIT >= 2.0 * (lam + mu).max()
+    if coarse >= _COARSE_MIN_GRID and stable:
+        start = integrate_periodic(spec, level_cap, coarse, tol, max_periods)
+        p = np.concatenate([start.idle[0], start.levels[0].ravel()])
+        del start  # else the coarse law lives through the fine periods
+    else:
+        p = _averaged_stationary(op, spec, level_cap)
     samples = np.empty((grid_size, dim))
     prev = None  # samples of the plain period that ended where this one starts
     ends, moves = [], []  # Anderson history: Phi(x) and Phi(x) - x

@@ -189,10 +189,35 @@ def test_high_load_converges(periodic74_spec):
                      periodic74_spec.service)
     assert spec.load == pytest.approx(0.8)
     dist = integrate_periodic(spec, level_cap=120, grid_size=128, tol=1e-10)
-    # 24 periods with mixing; plain periods from the same start need ~180
+    # 11 fine periods from the grid-32 fixed point; plain periods from the
+    # averaged start need ~180
     assert dist.periods < 60
     assert dist.residual <= 1e-10
     assert dist.cap_mass() <= 1e-30
+    mass = dist.idle.sum(axis=1) + dist.levels.sum(axis=(1, 2))
+    assert np.abs(mass - 1.0).max() <= 1e-12
+
+
+def test_nested_start_cuts_fine_periods(periodic74_spec):
+    # started from the grid-32 fixed point (itself started from grid 8); the
+    # averaged start needs 12 periods here and ends 3.5e-12 from the fixed point
+    dist = integrate_periodic(periodic74_spec, level_cap=50, grid_size=128)
+    assert dist.periods <= 8
+    assert dist.residual <= 1e-10
+    tight = integrate_periodic(periodic74_spec, level_cap=50, grid_size=128,
+                               tol=1e-14)
+    assert np.abs(dist.idle - tight.idle).max() <= 1e-11
+    assert np.abs(dist.levels - tight.levels).max() <= 1e-11
+
+
+def test_unstable_quarter_grid_starts_from_the_averaged_law():
+    # max(lam + mu) is about 72, so RK4 needs h <= 2.78 / 144: grid 64 is
+    # stable, its quarter grid 16 overflows
+    spec = ModelSpec(2, 3, RateFunction(20.0, sin=((1, 5.0),)),
+                     RateFunction(45.0, cos=((1, 5.0),)))
+    dist = integrate_periodic(spec, level_cap=40, grid_size=64)
+    assert dist.residual <= 1e-10
+    assert dist.idle.min() >= -1e-12 and dist.levels.min() >= -1e-12
     mass = dist.idle.sum(axis=1) + dist.levels.sum(axis=(1, 2))
     assert np.abs(mass - 1.0).max() <= 1e-12
 
