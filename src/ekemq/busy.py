@@ -39,6 +39,27 @@ service cycle counts at tails below 1e-16: mass below it cannot climb back
 to level -1 within the horizon, nor mass above it come down to level 1, so
 it is dropped.
 
+Each convolution is one GEMM.  The pmf taps of every step come from the
+ratio recurrence before the march, each row cut once past its mean where
+a tap falls below 1e-18 of the head; b + 1 is the longest row.  Each
+stream's layout stores its sequences in blocks of b behind one zero block,
+so block q of the output reads only input blocks q - 1 and q: the
+(rows, 2b) window matrix of block pairs times the (2b, b) block Toeplitz
+[T1 T0]^T of the step's taps, written straight into the other stream's
+layout.  The implicit solve needs no factorization:
+
+    I + h/2 local^T = d (I + alpha X + beta Y),
+    d = 1 - h (lam + mu)/2,  alpha = h lam / 2d,  beta = h mu / 2d,
+
+with X = kron(N_k^T, I) and Y = kron(I, N_m^T) commuting nilpotents, so
+its inverse is the finite, exact Neumann series
+
+    (1/d) sum over p < k, q < m of (-alpha)^p (-beta)^q C(p + q, p) X^p Y^q,
+
+a causal kernel on the (a, s) grid tabulated for all steps at once.  The
+forcing-minus-history rows at levels -1..1 meet the generator blocks in one
+constant matrix, so a step is a handful of BLAS-sized calls.
+
 `busy_oracle` integrates the killed process directly: the periodic oracle's
 truncated system (levels truncated high) with the empty level made
 absorbing, so its k empty states count absorption by arrival stage.  It
@@ -127,23 +148,90 @@ def net_change_matrix(spec: ModelSpec, u: float, t: float, n: int) -> np.ndarray
     return out
 
 
-def _carry(z: np.ndarray, mean: float) -> np.ndarray:
-    """Convolve the columns of z with the pmf of Poisson(mean), dropping
-    what runs off the end.
+def _poisson_taps(means: np.ndarray) -> np.ndarray:
+    """pmf(Poisson(means[i]), x) for x = 0..b, one row per mean, by the
+    ratio recurrence, shape (len(means), b + 2).
 
-    The pmf comes from the ratio recurrence, cut once past the mean where a
-    tap falls below 1e-18 of the head.
+    Row i is cut once past means[i] where a tap falls below 1e-18 of its
+    head and is zero past its cut; b + 1 is the longest row, so the last
+    column is zero throughout.
     """
-    taps = [math.exp(-mean)]
-    if not taps[0]:
+    head = np.exp(-means)
+    if not head.all():
         raise RuntimeError("Volterra march: the step is too coarse for these "
                            "rates")
-    while len(taps) <= mean or taps[-1] >= 1e-18 * taps[0]:
-        taps.append(taps[-1] * mean / len(taps))
-    out = taps[0] * z
-    for x in range(1, len(taps)):
-        out[x:] += taps[x] * z[:-x]
-    return out
+    cols = [head]
+    growing = np.ones(len(means), dtype=bool)
+    while growing.any():
+        growing &= (len(cols) <= means) | (cols[-1] >= 1e-18 * head)
+        cols.append(np.where(growing, cols[-1] * means / len(cols), 0.0))
+    return np.stack(cols, axis=1)
+
+
+class _BlockedLayout:
+    """`channels` sequences of `length` lattice entries in blocks of b
+    behind one zero block, so that convolving them all with a `_poisson_taps`
+    row of width b + 2, dropping what runs off the end, is one GEMM: row
+    (c, q) of the window matrix holds blocks q - 1 and q of sequence c.
+    `seq` and `out` are (channels, length) views of the sequences and of
+    the last carry's result.
+    """
+
+    def __init__(self, channels: int, length: int, b: int):
+        blocks = -(-length // b)
+        data = np.zeros((channels, (blocks + 1) * b))
+        self.seq = data[:, b:b + length]
+        row, col = data.strides
+        self._window = np.lib.stride_tricks.as_strided(
+            data, shape=(channels, blocks, 2 * b), strides=(row, b * col, col))
+        self._rows = np.empty((channels * blocks, 2 * b))
+        self._rows_3d = self._rows.reshape(channels, blocks, 2 * b)
+        self._out = np.empty((channels * blocks, b))
+        self.out = self._out.reshape(channels, blocks * b)[:, :length]
+        # T[c, r] = taps[b + r - c], or the zero column b + 1 outside 0..b
+        lag = b + np.arange(b)[None, :] - np.arange(2 * b)[:, None]
+        self._toeplitz = np.where((lag >= 0) & (lag <= b), lag, b + 1)
+
+    def carry(self, taps: np.ndarray) -> np.ndarray:
+        """Convolve every sequence with one `_poisson_taps` row into `out`,
+        which is returned."""
+        np.copyto(self._rows_3d, self._window)
+        np.matmul(self._rows, taps[self._toeplitz], out=self._out)
+        return self.out
+
+
+def _inverse_kernels(k: int, m: int, h: float, lam: np.ndarray,
+                     mu: np.ndarray) -> np.ndarray:
+    """The exact Neumann series of the module docstring for the inverse of
+    I + h/2 local(t)^T at each rate pair, shape (len(lam), k m + 1).
+
+    X^p Y^q shifts (a, s) by (p, q), so each term is one entry of a causal
+    kernel on the (a, s) grid, flattened at p m + q.  The last column is a
+    zero for `_causal_index` to read.
+    """
+    d = 1.0 - 0.5 * h * (lam + mu)
+    binom = np.array([[math.comb(p + q, p) for q in range(m)]
+                      for p in range(k)], dtype=float)
+    kern = np.zeros((len(lam), k * m + 1))
+    grid = kern[:, :-1].reshape(len(lam), k, m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        arr = (-0.5 * h * lam / d)[:, None] ** np.arange(k)
+        srv = (-0.5 * h * mu / d)[:, None] ** np.arange(m)
+        np.multiply(arr[:, :, None], srv[:, None, :], out=grid)
+        grid *= binom
+        grid /= d[:, None, None]
+    return kern
+
+
+def _causal_index(k: int, m: int) -> np.ndarray:
+    """Index into a `_inverse_kernels` row that gives R = (I + h/2 local)^-1,
+    so x R solves (I + h/2 local^T) y = x: R[(a', s'), (a, s)] is the
+    kernel at (a - a', s - s'), or the row's trailing zero where either
+    shift is negative."""
+    a, s = np.divmod(np.arange(k * m), m)
+    da = a[None, :] - a[:, None]
+    ds = s[None, :] - s[:, None]
+    return np.where((da >= 0) & (ds >= 0), da * m + ds, k * m)
 
 
 def _normalize_phase(spec: ModelSpec, phase) -> int:
@@ -228,47 +316,19 @@ def _volterra_march(spec: ModelSpec, level: int, phase, u: float,
     if horizon <= 0 or step <= 0:
         raise ValueError("horizon and step must be positive")
     q0 = _normalize_phase(spec, phase)
-    a1, s1 = divmod(q0, spec.m)
-    k, m = spec.k, spec.m
-    km = k * m
     n_steps = int(round(horizon / step))
     if n_steps < 2:
         raise ValueError("horizon must cover at least two steps")
     h = horizon / n_steps
     times = u + h * np.arange(n_steps + 1)
+    dens = _absorption_rows(spec, level, q0, times, h)
+    if not np.isfinite(dens).all():
+        raise RuntimeError(
+            "Volterra march is not finite; the step is too coarse for these "
+            "rates"
+        )
 
-    lam = spec.arrival.value(times)
-    mu = spec.service.value(times)
-    acc_a = spec.arrival.accumulated(times)
-    acc_d = spec.service.accumulated(times)
-    blk_u, blk_la, blk_ls, blk_d = _unit_blocks(spec)
-    # the free process on levels bottom..top; mass outside cannot return to
-    # levels -1..1 within the horizon
-    bottom = -1 - (_table_width(acc_a[-1] - acc_a[0]) // k + 1)
-    top = max(level, 1 + _table_width(acc_d[-1] - acc_d[0]) // m + 1)
-    z = np.zeros((top - bottom + 1, k, m))
-    z[level - bottom, a1, s1] = 1.0
-
-    dens = np.zeros((n_steps + 1, km))
-    eye = np.eye(km)
-    for i in range(n_steps + 1):
-        if i:
-            # the last history term joins at level 0, fresh service; the
-            # trapezoid weight is a half at the start point
-            z[-bottom, :, 0] -= h * dens[i - 1, ::m] * (0.5 if i == 1 else 1.0)
-            # arrivals move the index L k + a, services (-L) m + s
-            z = _carry(z.reshape(-1, m), acc_a[i] - acc_a[i - 1])
-            z = z.reshape(-1, k, m)[::-1].transpose(0, 2, 1).reshape(-1, k)
-            z = _carry(z, acc_d[i] - acc_d[i - 1])
-            z = z.reshape(-1, m, k)[::-1].transpose(0, 2, 1)
-        # forcing minus history at levels 1, 0 and -1, before the kernel's
-        # generator blocks
-        rows = [z[lvl - bottom].reshape(km) for lvl in (1, 0, -1)]
-        local_i = lam[i] * blk_la + mu[i] * blk_ls
-        rhs = (mu[i] * (rows[0] @ blk_d) + rows[1] @ local_i
-               + lam[i] * (rows[2] @ blk_u))
-        dens[i] = np.linalg.solve(eye + (0.5 * h) * local_i.T, rhs) if i else rhs
-
+    k, m = spec.k, spec.m
     on_support = dens.reshape(-1, k, m)[:, :, 0]
     off_support = float(np.abs(dens.reshape(-1, k, m)[:, :, 1:]).max()) if m > 1 else 0.0
     increments = 0.5 * h * (on_support[1:] + on_support[:-1])
@@ -283,6 +343,71 @@ def _volterra_march(spec: ModelSpec, level: int, phase, u: float,
         level=level, phase=q0, u=float(u), step=h, times=times,
         values=values, source="volterra", off_support=off_support,
     )
+
+
+def _absorption_rows(spec: ModelSpec, level: int, q0: int, times: np.ndarray,
+                     h: float) -> np.ndarray:
+    """Absorption-rate rows X(t_i) of the product-trapezoid march on the
+    grid `times` of step h, started at `level` in phase q0, (len(times), km).
+    The march's tables are freed on return."""
+    a1, s1 = divmod(q0, spec.m)
+    k, m = spec.k, spec.m
+    km = k * m
+    n_steps = len(times) - 1
+
+    lam = spec.arrival.value(times)
+    mu = spec.service.value(times)
+    acc_a = spec.arrival.accumulated(times)
+    acc_d = spec.service.accumulated(times)
+    # the free process on levels bottom..top; mass outside cannot return to
+    # levels -1..1 within the horizon
+    bottom = -1 - (_table_width(acc_a[-1] - acc_a[0]) // k + 1)
+    top = max(level, 1 + _table_width(acc_d[-1] - acc_d[0]) // m + 1)
+    span = top - bottom + 1
+    inverse = _inverse_kernels(k, m, h, lam, mu)
+    # arrivals move the index L k + a (one sequence per service stage),
+    # services the index (top - L) m + s (one per arrival stage); each carry
+    # writes its output into the other stream's layout
+    taps_a = _poisson_taps(np.diff(acc_a))
+    taps_d = _poisson_taps(np.diff(acc_d))
+    arr = _BlockedLayout(m, span * k, taps_a.shape[1] - 2)
+    srv = _BlockedLayout(k, span * m, taps_d.shape[1] - 2)
+    arr_to_srv = srv.seq.reshape(k, span, m)[:, ::-1]
+    srv_to_arr = arr.seq.reshape(m, span, k)[:, ::-1]
+    arr_out = arr.out.reshape(m, span, k).transpose(2, 1, 0)
+    srv_out = srv.out.reshape(k, span, m).transpose(2, 1, 0)
+    arr.seq[s1, (level - bottom) * k + a1] = 1.0
+    # the last history term joins at level 0, fresh service
+    inject = arr.seq[0, -bottom * k:(1 - bottom) * k]
+    slab = arr.seq[:, (-1 - bottom) * k:(2 - bottom) * k]
+
+    # forcing minus history on levels -1..1, slab order (s, level, a), maps
+    # to [lam part, mu part] of the row before the implicit solve:
+    # lam (row_0 LA + row_-1 U) + mu (row_1 D + row_0 LS)
+    blk_u, blk_la, blk_ls, blk_d = _unit_blocks(spec)
+    zero = np.zeros((km, km))
+    natural = np.block([[blk_u, zero], [blk_la, blk_ls], [zero, blk_d]])
+    s_idx, lvl, a_idx = np.indices((m, 3, k)).reshape(3, -1)
+    to_rhs = natural[lvl * km + a_idx * m + s_idx]
+    rates = np.column_stack([lam, mu])
+    causal = _causal_index(k, m)
+    weights = np.full(n_steps, h)
+    weights[0] = 0.5 * h
+
+    dens = np.zeros((n_steps + 1, km))
+    # a singular implicit matrix (d = 0) makes the rows non-finite, which
+    # the caller reports as too coarse a step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps + 1):
+            if i:
+                inject -= weights[i - 1] * dens[i - 1, ::m]
+                arr.carry(taps_a[i - 1])
+                np.copyto(arr_to_srv, arr_out)
+                srv.carry(taps_d[i - 1])
+                np.copyto(srv_to_arr, srv_out)
+            rhs = rates[i] @ (slab.reshape(-1) @ to_rhs).reshape(2, km)
+            dens[i] = rhs @ inverse[i][causal] if i else rhs
+    return dens
 
 
 def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,

@@ -62,6 +62,10 @@ _PLAIN_FRACTION = 0.1
 
 _CAP_MASS_LIMIT = 1e-6
 
+# A period that ends with an L1 norm above 1 + _NORM_SLACK has grown
+# negative entries: RK4 is unstable on the grid, so the solve stops there.
+_NORM_SLACK = 1e-6
+
 # The solve on grid N starts from the t = 0 state of its own fixed point on
 # grid N // _COARSEN, while that grid has at least _COARSE_MIN_GRID points
 # and keeps h * 2 max(lam + mu) <= _RK4_REAL_LIMIT: by Gershgorin the
@@ -110,46 +114,24 @@ def _structure_matrices(k: int, m: int, level_cap: int, absorbing: bool = False)
     """
     km = k * m
     dim = k + level_cap * km
-
-    def busy(j: int, a: int, s: int) -> int:
-        return k + (j - 1) * km + a * m + s
-
-    arr_r, arr_c, arr_v = [], [], []
-    srv_r, srv_c, srv_v = [], [], []
-
-    def put(rows, cols, vals, i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    # an arrival to an empty state advances its stage or starts level 1;
-    # the killed process has ended there, so its empty states have no exits
-    for a in range(0 if absorbing else k):
-        put(arr_r, arr_c, arr_v, a, a, -1.0)
-        if a < k - 1:
-            put(arr_r, arr_c, arr_v, a, a + 1, 1.0)
-        else:
-            put(arr_r, arr_c, arr_v, a, busy(1, 0, 0), 1.0)
-
-    for j in range(1, level_cap + 1):
-        for a in range(k):
-            for s in range(m):
-                x = busy(j, a, s)
-                # arrival stages; the final stage at the cap is blocked
-                if a < k - 1:
-                    put(arr_r, arr_c, arr_v, x, x, -1.0)
-                    put(arr_r, arr_c, arr_v, x, busy(j, a + 1, s), 1.0)
-                elif j < level_cap:
-                    put(arr_r, arr_c, arr_v, x, x, -1.0)
-                    put(arr_r, arr_c, arr_v, x, busy(j + 1, 0, s), 1.0)
-                # service stages
-                put(srv_r, srv_c, srv_v, x, x, -1.0)
-                if s < m - 1:
-                    put(srv_r, srv_c, srv_v, x, busy(j, a, s + 1), 1.0)
-                elif j > 1:
-                    put(srv_r, srv_c, srv_v, x, busy(j - 1, a, 0), 1.0)
-                else:
-                    put(srv_r, srv_c, srv_v, x, a, 1.0)
+    # an arrival advances the stage: an empty state a goes to a + 1 (a = k-1
+    # to level 1, phase (0, 0), which is state k), a busy state x to x + m
+    # ((j, a, s) to (j, a + 1, s), or (j, k-1, s) to (j + 1, 0, s)); the
+    # final stage at the cap is blocked, and the killed process has ended
+    # in its empty states, so they have no exits
+    empty = np.arange(k if absorbing else 0, k)
+    busy = np.arange(k, dim - m)
+    arr_r = np.concatenate([empty, empty, busy, busy])
+    arr_c = np.concatenate([empty, empty + 1, busy, busy + m])
+    arr_v = np.repeat([-1.0, 1.0, -1.0, 1.0], [len(empty)] * 2 + [len(busy)] * 2)
+    # a service advances the stage, and the last stage completes it: level
+    # j > 1 goes to (j - 1, a, 0), level 1 to the empty state a
+    x = np.arange(k, dim)
+    s = (x - k) % m
+    done = np.where(x - k >= km, x - km - (m - 1), (x - k) // m)
+    srv_r = np.concatenate([x, x])
+    srv_c = np.concatenate([x, np.where(s < m - 1, x + 1, done)])
+    srv_v = np.repeat([-1.0, 1.0], len(x))
 
     s_arr = sp.csr_matrix((arr_v, (arr_r, arr_c)), shape=(dim, dim))
     s_srv = sp.csr_matrix((srv_v, (srv_r, srv_c)), shape=(dim, dim))
@@ -305,7 +287,9 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     are returned.  `periods` counts every application of Phi on grid_size
     steps, mixed or plain, and not the periods of the coarser solves.  On
     every grid, RuntimeError is raised when max_periods periods are
-    exhausted first, or when the converged law puts more than
+    exhausted first, when a period ends non-finite or with an L1 norm past
+    1 + _NORM_SLACK (the grid is too coarse for RK4 at these rates; raise
+    grid_size), or when the converged law puts more than
     _CAP_MASS_LIMIT = 1e-6 on the level cap at some grid time (raise
     level_cap).  tol must be > 0 and max_periods >= 1.
     """
@@ -341,9 +325,15 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
 
     for period in range(1, max_periods + 1):
         start = p
-        for i in range(grid_size):
-            samples[i] = p
-            p = _rk4_step(op, p, h, lam, mu, i)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(grid_size):
+                samples[i] = p
+                p = _rk4_step(op, p, h, lam, mu, i)
+        norm = np.abs(p).sum()
+        if not norm <= 1.0 + _NORM_SLACK:
+            raise RuntimeError(f"grid_size {grid_size} is too coarse for RK4 at "
+                               f"these rates: a period ended with L1 norm "
+                               f"{norm:.3e}; raise grid_size")
         if prev is not None:
             residual = float(np.abs(samples - prev).max())
             if residual <= tol:

@@ -18,6 +18,12 @@ from ekemq import (
     generator_blocks,
     net_change_matrix,
 )
+from ekemq.busy import (
+    _BlockedLayout,
+    _causal_index,
+    _inverse_kernels,
+    _poisson_taps,
+)
 from ekemq.series import net_change_probability
 
 
@@ -350,6 +356,75 @@ def test_too_coarse_step_is_reported(periodic74_spec):
     with pytest.raises(RuntimeError, match="too coarse"):
         busy_period_cdf(periodic74_spec, 1, 0, horizon=5.0, step=1 / 32,
                         refine=False)
+
+
+def test_non_finite_march_is_reported(mm1_spec):
+    # h (lam + mu) / 2 = 1 at step 0.25: the implicit matrix is singular
+    for refine in (False, True):
+        with pytest.raises(RuntimeError, match="too coarse"):
+            busy_period_cdf(mm1_spec, 1, 0, horizon=1.0, step=0.25,
+                            refine=refine)
+
+
+def _scalar_taps(mean):
+    """Poisson taps by the ratio recurrence, cut once past the mean where a
+    tap falls below 1e-18 of the head."""
+    taps = [np.exp(-mean)]
+    while len(taps) <= mean or taps[-1] >= 1e-18 * taps[0]:
+        taps.append(taps[-1] * mean / len(taps))
+    return np.array(taps)
+
+
+def test_taps_follow_the_scalar_cut_rule():
+    means = np.array([1e-20, 0.004, 0.05, 0.7, 3.0, 12.5])
+    taps = _poisson_taps(means)
+    for row, mean in zip(taps, means):
+        want = _scalar_taps(mean)
+        assert np.array_equal(row[:len(want)], want)
+        assert not row[len(want):].any()
+    assert len(_scalar_taps(means.max())) == taps.shape[1] - 1
+    with pytest.raises(RuntimeError, match="too coarse"):
+        _poisson_taps(np.array([0.1, 800.0]))
+
+
+def test_blocked_carry_matches_tap_convolution():
+    # rows laid out as `_poisson_taps` lays them out (a zero column last),
+    # with random taps so that every tap shows; the first row has fewer taps
+    # than b + 1, and the lattice length is not a multiple of b
+    b, length = 4, 23
+    rng = np.random.default_rng(7)
+    taps = np.hstack([rng.random((2, b + 1)), np.zeros((2, 1))])
+    taps[0, 3:] = 0.0
+    layout = _BlockedLayout(3, length, b)
+    x = rng.random((3, length))
+    layout.seq[:] = x
+    for row in taps:
+        got = layout.carry(row)
+        want = np.array([np.convolve(seq, row)[:length] for seq in x])
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (2, 3), (7, 4)])
+def test_closed_form_inverse_matches_solve(k, m):
+    spec = ModelSpec(k, m,
+                     RateFunction(3.0 * k / 7, sin=((1, -2.0 * k / 7),)),
+                     RateFunction(5.0 * m / 4, sin=((1, 4.0 * m / 4),)))
+    times = np.linspace(0.0, 1.0, 17)
+    lam, mu = spec.arrival.value(times), spec.service.value(times)
+    causal = _causal_index(k, m)
+    rhs = np.random.default_rng(3).standard_normal(k * m)
+    # from step 1/1024 to the coarsest power of two at which the diagonal
+    # d = 1 - h (lam + mu) / 2 stays positive
+    steps = [2.0 ** -e for e in range(10, 0, -1)
+             if 2.0 ** -e * (lam + mu).max() < 2.0]
+    assert len(steps) >= 7
+    for h in steps:
+        kernels = _inverse_kernels(k, m, h, lam, mu)
+        for i, t in enumerate(times):
+            lhs = np.eye(k * m) + 0.5 * h * generator_blocks(spec, t).local.T
+            want = np.linalg.solve(lhs, rhs)
+            got = rhs @ kernels[i][causal]
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_cap_overflow_is_reported(mm1_spec):

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from ekemq import (
     ModelSpec,
     RateFunction,
     extract_boundary,
+    generator_blocks,
     integrate_periodic,
 )
 from ekemq.oracle import (
@@ -220,6 +222,66 @@ def test_unstable_quarter_grid_starts_from_the_averaged_law():
     assert dist.idle.min() >= -1e-12 and dist.levels.min() >= -1e-12
     mass = dist.idle.sum(axis=1) + dist.levels.sum(axis=(1, 2))
     assert np.abs(mass - 1.0).max() <= 1e-12
+
+
+def test_too_coarse_grid_is_reported():
+    # the model above on grid 16: h * 2 max(lam + mu) is about 9, far past
+    # RK4's real stability limit of 2.78, and the first period ends with an
+    # L1 norm of about 1e28
+    spec = ModelSpec(2, 3, RateFunction(20.0, sin=((1, 5.0),)),
+                     RateFunction(45.0, cos=((1, 5.0),)))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="grid_size 16 is too coarse"):
+            integrate_periodic(spec, level_cap=40, grid_size=16)
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+def _truncated_generator(spec, level_cap, absorbing):
+    """Dense generator of the truncated queue from the generator blocks;
+    at the cap the final arrival stage is blocked, and with absorbing=True
+    the empty states have no exits."""
+    b = generator_blocks(spec, 0.0)
+    k, km = spec.k, spec.phase_count
+    edges = [0] + [k + j * km for j in range(level_cap + 1)]
+    g = np.zeros((edges[-1], edges[-1]))
+
+    def block(i, j):
+        return g[edges[i]:edges[i + 1], edges[j]:edges[j + 1]]
+
+    if not absorbing:
+        block(0, 0)[:] = b.idle
+        block(0, 1)[:] = b.idle_up
+    block(1, 0)[:] = b.down_to_idle
+    for j in range(1, level_cap + 1):
+        block(j, j)[:] = b.local
+        if j > 1:
+            block(j, j - 1)[:] = b.down
+        if j < level_cap:
+            block(j, j + 1)[:] = b.up
+        else:
+            block(j, j)[:] += np.diag(b.up.sum(axis=1))
+    return g
+
+
+@pytest.mark.parametrize("absorbing", [False, True])
+@pytest.mark.parametrize("level_cap", [1, 2, 6])
+@pytest.mark.parametrize("k, m", [(1, 1), (2, 3), (7, 4)])
+def test_structure_matches_generator_blocks(k, m, level_cap, absorbing):
+    # G(lam, mu) = lam A + mu S; rates that are powers of two keep A and S
+    # exact
+    def generator(lam):
+        spec = ModelSpec(k, m, RateFunction(lam), RateFunction(16.0))
+        return _truncated_generator(spec, level_cap, absorbing)
+
+    arr = generator(2.0) - generator(1.0)
+    srv = (generator(1.0) - arr) / 16.0
+    want = np.vstack([arr.T, srv.T])
+    op = _structure_matrices(k, m, level_cap, absorbing=absorbing)
+    assert np.array_equal(op.toarray(), want)
+    # a canonical CSR of a given matrix is unique
+    assert op.has_canonical_format
+    assert op.nnz == np.count_nonzero(want)
 
 
 def _plain_rk4_step(at, mt, p, h, lam, mu, i):
