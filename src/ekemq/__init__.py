@@ -28,6 +28,7 @@ from .oracle import (
     BoundaryFunctions,
     integrate_periodic,
     extract_boundary,
+    busy_oracle,
 )
 from .series import (
     SeriesEvaluator,
@@ -49,7 +50,6 @@ from .busy import (
     VolterraSolution,
     net_change_matrix,
     busy_period_cdf,
-    busy_oracle,
 )
 
 __version__ = "0.1.0"
@@ -68,6 +68,7 @@ __all__ = [
     "BoundaryFunctions",
     "integrate_periodic",
     "extract_boundary",
+    "busy_oracle",
     "SeriesEvaluator",
     "phase_weights",
     "ErrorBudget",
@@ -81,6 +82,5 @@ __all__ = [
     "VolterraSolution",
     "net_change_matrix",
     "busy_period_cdf",
-    "busy_oracle",
     "__version__",
 ]

@@ -60,13 +60,11 @@ a causal kernel on the (a, s) grid tabulated for all steps at once.  The
 forcing-minus-history rows at levels -1..1 meet the generator blocks in one
 constant matrix, so a step is a handful of BLAS-sized calls.
 
-`busy_oracle` integrates the killed process directly: the periodic oracle's
-truncated system (levels truncated high) with the empty level made
-absorbing, so its k empty states count absorption by arrival stage.  It
-reuses the periodic oracle's structure builder and RK4 step
-(`oracle._structure_matrices`, `oracle._rk4_step`) and shares no code path
-with the Volterra route, which imports nothing from `oracle`; the two must
-agree and tests enforce it.
+The absorbing-ODE route is `oracle.busy_oracle`, which integrates the
+killed process with the periodic oracle's truncated system.  This module
+imports nothing from `oracle`, and the oracle reads only the result type
+`VolterraSolution` from here, so the two routes share no code path; they
+must agree and tests enforce it.
 """
 
 from __future__ import annotations
@@ -77,8 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .model import ModelSpec, _stage_blocks
-from .oracle import _rk4_step, _structure_matrices
+from .model import ModelSpec, _normalize_phase, _stage_blocks
 
 # Poisson pmf tables are cut this many standard deviations past the mean
 # (plus a floor for tiny means); entries beyond are below 1e-16 of the mass.
@@ -232,18 +229,6 @@ def _causal_index(k: int, m: int) -> np.ndarray:
     da = a[None, :] - a[:, None]
     ds = s[None, :] - s[:, None]
     return np.where((da >= 0) & (ds >= 0), da * m + ds, k * m)
-
-
-def _normalize_phase(spec: ModelSpec, phase) -> int:
-    if isinstance(phase, tuple):
-        a, s = phase
-        if not (0 <= a < spec.k and 0 <= s < spec.m):
-            raise ValueError("start phase out of range")
-        return a * spec.m + s
-    phase = int(phase)
-    if not 0 <= phase < spec.phase_count:
-        raise ValueError("start phase out of range")
-    return phase
 
 
 @dataclass(frozen=True)
@@ -408,63 +393,3 @@ def _absorption_rows(spec: ModelSpec, level: int, q0: int, times: np.ndarray,
             rhs = rates[i] @ (slab.reshape(-1) @ to_rhs).reshape(2, km)
             dens[i] = rhs @ inverse[i][causal] if i else rhs
     return dens
-
-
-def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
-                horizon: float = 5.0, step: float = 1.0 / 512,
-                level_cap: int = 40, substeps: int = 4) -> VolterraSolution:
-    """Absorbing-ODE route: integrate the killed process and read the sinks.
-
-    Records the sinks every `step` (rounded so that whole steps fill the
-    horizon) after `substeps` RK4 steps each.  The level cap must be generous
-    enough that essentially no probability visits it; the run aborts when
-    more than 1e-10 ever sits at the cap.
-    """
-    if level < 1:
-        raise ValueError("busy period starts at level >= 1")
-    if level > level_cap // 2:
-        raise ValueError("level_cap should comfortably exceed the start level")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    if horizon <= 0 or step <= 0:
-        raise ValueError("horizon and step must be positive")
-    n_rec = int(round(horizon / step))
-    if n_rec < 1:
-        raise ValueError("horizon must cover at least one step")
-    q0 = _normalize_phase(spec, phase)
-    k, m = spec.k, spec.m
-    km = k * m
-    h = (horizon / n_rec) / substeps
-    op = _structure_matrices(k, m, level_cap, absorbing=True)
-    dim = op.shape[1]
-
-    total_steps = n_rec * substeps
-    nodes = u + (horizon / total_steps) * 0.5 * np.arange(2 * total_steps + 1)
-    lam = spec.arrival.value(nodes)
-    mu = spec.service.value(nodes)
-
-    # the k sinks come first, then levels 1..level_cap
-    p = np.zeros(dim)
-    p[k + (level - 1) * km + q0] = 1.0
-    values = np.zeros((n_rec + 1, k))
-    cap_slice = slice(k + (level_cap - 1) * km, dim)
-    cap_mass = 0.0
-
-    idx = 0
-    for rec in range(1, n_rec + 1):
-        for _ in range(substeps):
-            p = _rk4_step(op, p, h, lam, mu, idx)
-            idx += 1
-        values[rec] = p[:k]
-        cap_mass = max(cap_mass, float(p[cap_slice].sum()))
-        if cap_mass > 1e-10:
-            raise RuntimeError(
-                f"probability {cap_mass:.3e} reached the level cap {level_cap}; "
-                "raise level_cap"
-            )
-
-    return VolterraSolution(
-        level=level, phase=q0, u=float(u), step=horizon / n_rec,
-        times=u + (horizon / n_rec) * np.arange(n_rec + 1),
-        values=values, source="ode", cap_mass=cap_mass,
-    )

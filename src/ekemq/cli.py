@@ -30,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import truncation_error_bound
-from .busy import busy_oracle, busy_period_cdf
+from .busy import busy_period_cdf
 from .model import ModelSpec, RateFunction
-from .oracle import extract_boundary, integrate_periodic
+from .oracle import busy_oracle, extract_boundary, integrate_periodic
 from .roots import build_root_set
 from .series import SeriesEvaluator
 from .waiting import oracle_wait_cdf, wait_cdf
@@ -286,15 +286,15 @@ def _write_grid_csv(path: Path, schema: str, header, grid, labels,
                     values: np.ndarray) -> None:
     """Rows (t, label, value) for every grid time t and state, states in
     `labels` order: the bytes `_write_csv` gives on the same rows, formatted
-    with one `%` call per grid time on a template of the whole row."""
+    one grid row at a time, by one `%` call on a template of the whole row."""
     template = "".join(f"%s,{label.replace('%', '%%')},%.17g\n" for label in labels)
     cells = [None] * (2 * len(labels))
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema: {schema}\n")
         fh.write(",".join(header) + "\n")
-        for t, row in zip(grid.tolist(), values.tolist()):
+        for t, row in zip(grid.tolist(), values):
             cells[0::2] = [format(t, ".17g")] * len(labels)
-            cells[1::2] = row
+            cells[1::2] = row.tolist()
             fh.write(template % tuple(cells))
 
 

@@ -176,6 +176,14 @@ class ModelSpec:
         return (self.arrival_mean / self.k) / (self.service_mean / self.m)
 
 
+def _normalize_phase(spec: ModelSpec, phase) -> int:
+    """Flat index a*m + s of a phase given as (a, s) or already flat."""
+    a, s = phase if isinstance(phase, tuple) else divmod(int(phase), spec.m)
+    if not (0 <= a < spec.k and 0 <= s < spec.m):
+        raise ValueError("start phase out of range")
+    return a * spec.m + s
+
+
 def _stage_blocks(count: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Local and completion blocks of a cyclic Erlang stage chain.
 

@@ -16,21 +16,22 @@ The periodic law is the fixed point of the one-period map Phi, and it is
 solved as one (periodic steady-state shooting, Aprille & Trick, Proc. IEEE
 1972), accelerating the period map with Anderson mixing (Walker & Ni, SIAM
 J. Numer. Anal. 2011).  It stops only when two consecutive plain periods,
-sampled on the grid, agree to the tolerance.  The solve on a grid of N
-steps starts from the fixed point of the same solve on N // 4 steps, taken
-at t = 0 (nested iteration, Brandt, Math. Comp. 1977): the coarse grid
+sampled on the grid, agree to the tolerance.  The solve walks a ladder of
+grids, each a quarter of the one before, sharing one structure operator,
+and starts each grid from the t = 0 state of the fixed point on the grid
+below (nested iteration, Brandt, Math. Comp. 1977): the coarse grid
 resolves the slow modes that dominate the period count at a quarter of the
-cost per period.  The nesting stops at a grid below 8 steps or one where
-RK4 would be unstable for the generator, and that solve starts from the
+cost per period.  The ladder ends before a grid below 8 steps or one where
+RK4 would be unstable for the generator; its coarsest grid starts from the
 stationary law of the period-averaged generator, found by linear level
 reduction from the cap down.
 
 The same truncated system, with the empty level absorbing instead of
-reflecting, is the busy-period oracle: in the periodic system an arrival
-moves an empty state to the next arrival stage or starts level 1, while in
-the killed system the k empty states have no exits and count absorption by
-arrival stage.  `_structure_matrices` builds both and `_rk4_step` steps
-both; `busy.busy_oracle` is the second caller.
+reflecting, is the busy-period oracle `busy_oracle`: in the periodic system
+an arrival moves an empty state to the next arrival stage or starts level
+1, while in the killed system the k empty states have no exits and count
+absorption by arrival stage.  `_structure_matrices` builds both and
+`_rk4_step` steps both; no other module calls them.
 
 This module is deliberately independent of the root-series machinery: it
 never sees characteristic roots.  The series route does read one output of
@@ -51,7 +52,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _quad
-from .model import ModelSpec
+from .busy import VolterraSolution
+from .model import ModelSpec, _normalize_phase
 
 # The periodic solve mixes the last _ANDERSON_DEPTH period residual
 # differences, and runs plain periods once a period moves its start by at
@@ -66,9 +68,9 @@ _CAP_MASS_LIMIT = 1e-6
 # negative entries: RK4 is unstable on the grid, so the solve stops there.
 _NORM_SLACK = 1e-6
 
-# The solve on grid N starts from the t = 0 state of its own fixed point on
-# grid N // _COARSEN, while that grid has at least _COARSE_MIN_GRID points
-# and keeps h * 2 max(lam + mu) <= _RK4_REAL_LIMIT: by Gershgorin the
+# The solve on grid N starts from the t = 0 state of the fixed point on the
+# ladder's grid N // _COARSEN, while that grid has at least _COARSE_MIN_GRID
+# points and keeps h * 2 max(lam + mu) <= _RK4_REAL_LIMIT: by Gershgorin the
 # generator's spectrum lies in [-2 max(lam + mu), 0], and RK4's real
 # stability interval is [-2.78, 0].
 _COARSEN = 4
@@ -221,8 +223,8 @@ class PeriodicDistribution(_Sampled):
     time grid[i]; levels[i, j-1, a*m+s] the probability of level j in phase
     (a, s), j up to level_cap = levels.shape[1].  `residual` is the sup-norm
     change between the last two plain periods and `periods` how many periods
-    were integrated on this grid, after the start from the coarser grids'
-    solves, whose periods it does not count.
+    were integrated on this grid, after the start from the fixed points on
+    the coarser grids of the solve's ladder, whose periods it does not count.
 
     A law is immutable: the constructor copies idle and levels into
     read-only arrays, so an edit raises instead of disagreeing with the
@@ -267,57 +269,20 @@ class PeriodicDistribution(_Sampled):
         return float(self.levels[:, -1].sum(axis=1).max())
 
 
-def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 512,
-                       tol: float = 1e-10, max_periods: int = 500) -> PeriodicDistribution:
-    """Solve for the periodic regime of the truncated queue.
+def _half_step_rates(spec: ModelSpec, grid_size: int):
+    """lam and mu at the half-step nodes i / (2 grid_size), i = 0..2 grid_size."""
+    nodes = np.arange(2 * grid_size + 1) / (2.0 * grid_size)
+    return spec.arrival.value(nodes), spec.service.value(nodes)
 
-    The periodic law is the fixed point of the one-period map Phi (grid_size
-    RK4 steps over one period).  The solve starts from the t = 0 state of
-    `integrate_periodic(spec, level_cap, grid_size // _COARSEN, tol,
-    max_periods)`, a recursive call, while that grid has at least
-    _COARSE_MIN_GRID steps and h * 2 max(lam + mu) stays within
-    _RK4_REAL_LIMIT on it; otherwise it starts from the stationary law of
-    the period-averaged generator.  From there it applies Anderson mixing
-    of depth _ANDERSON_DEPTH to Phi, renormalizing each mixed start to mass
-    1 and restarting the mixing history whenever the period residual stops
-    falling.  Once a period moves its start by at most _PLAIN_FRACTION * tol,
-    the following periods run plainly, each from where the last one ended;
-    convergence is declared when two consecutive plain periods, sampled at
-    the grid points, differ by at most tol in sup norm, and those samples
-    are returned.  `periods` counts every application of Phi on grid_size
-    steps, mixed or plain, and not the periods of the coarser solves.  On
-    every grid, RuntimeError is raised when max_periods periods are
-    exhausted first, when a period ends non-finite or with an L1 norm past
-    1 + _NORM_SLACK (the grid is too coarse for RK4 at these rates; raise
-    grid_size), or when the converged law puts more than
-    _CAP_MASS_LIMIT = 1e-6 on the level cap at some grid time (raise
-    level_cap).  tol must be > 0 and max_periods >= 1.
-    """
-    if level_cap < 1:
-        raise ValueError("level_cap must be >= 1")
-    if grid_size < 4:
-        raise ValueError("grid_size must be >= 4")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if max_periods < 1:
-        raise ValueError("max_periods must be >= 1")
-    k, km = spec.k, spec.phase_count
-    dim = k + level_cap * km
-    op = _structure_matrices(spec.k, spec.m, level_cap)
 
-    half_nodes = np.arange(2 * grid_size + 1) / (2.0 * grid_size)
-    lam = spec.arrival.value(half_nodes)
-    mu = spec.service.value(half_nodes)
-
+def _periodic_samples(op, spec: ModelSpec, grid_size: int, p: np.ndarray,
+                      tol: float, max_periods: int):
+    """(samples at the grid times, periods, last residual) of the fixed point
+    on grid_size steps started at p, by the iteration and checks of
+    `integrate_periodic`."""
+    k, km, dim = spec.k, spec.phase_count, op.shape[1]
+    lam, mu = _half_step_rates(spec, grid_size)
     h = 1.0 / grid_size
-    coarse = grid_size // _COARSEN
-    stable = coarse * _RK4_REAL_LIMIT >= 2.0 * (lam + mu).max()
-    if coarse >= _COARSE_MIN_GRID and stable:
-        start = integrate_periodic(spec, level_cap, coarse, tol, max_periods)
-        p = np.concatenate([start.idle[0], start.levels[0].ravel()])
-        del start  # else the coarse law lives through the fine periods
-    else:
-        p = _averaged_stationary(op, spec, level_cap)
     samples = np.empty((grid_size, dim))
     prev = None  # samples of the plain period that ended where this one starts
     ends, moves = [], []  # Anderson history: Phi(x) and Phi(x) - x
@@ -337,17 +302,11 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
         if prev is not None:
             residual = float(np.abs(samples - prev).max())
             if residual <= tol:
-                dist = PeriodicDistribution(
-                    spec=spec,
-                    idle=samples[:, :k],
-                    levels=samples[:, k:].reshape(grid_size, level_cap, km),
-                    periods=period,
-                    residual=residual,
-                )
-                if dist.cap_mass() > _CAP_MASS_LIMIT:
-                    raise RuntimeError(f"probability {dist.cap_mass():.3e} sits at "
-                                       f"the level cap {level_cap}; raise level_cap")
-                return dist
+                cap_mass = float(samples[:, -km:].sum(axis=1).max())
+                if cap_mass > _CAP_MASS_LIMIT:
+                    raise RuntimeError(f"probability {cap_mass:.3e} sits at the "
+                                       f"level cap {(dim - k) // km}; raise level_cap")
+                return samples, period, residual
         move = p - start
         if moves and np.linalg.norm(move) >= np.linalg.norm(moves[-1]):
             ends, moves = [], []
@@ -363,10 +322,61 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
         p = p / p.sum()
         prev = None
 
-    raise RuntimeError(
-        f"periodic regime not reached in {max_periods} periods "
-        f"(last residual {residual:.3e}); raise max_periods or loosen tol"
-    )
+    raise RuntimeError(f"periodic regime not reached in {max_periods} periods "
+                       f"on grid {grid_size} (last residual {residual:.3e}); "
+                       f"raise max_periods or loosen tol")
+
+
+def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 512,
+                       tol: float = 1e-10, max_periods: int = 500) -> PeriodicDistribution:
+    """Solve for the periodic regime of the truncated queue.
+
+    The periodic law is the fixed point of the one-period map Phi (grid_size
+    RK4 steps over one period), solved on a ladder of grids that share one
+    structure operator: below grid N comes grid N // _COARSEN while that has
+    at least _COARSE_MIN_GRID steps and its step times 2 max(lam + mu), over
+    the half-step rates of grid N, is within _RK4_REAL_LIMIT.  The coarsest
+    grid starts from the stationary law of the period-averaged generator,
+    each finer one from the t = 0 state of the fixed point below it.  Every
+    grid applies Anderson mixing of depth _ANDERSON_DEPTH to Phi,
+    renormalizing each mixed start to mass 1 and restarting the mixing
+    history whenever the period residual stops falling.  Once a period moves
+    its start by at most _PLAIN_FRACTION * tol, the periods run plainly, each
+    from where the last one ended, and the grid has converged when two
+    consecutive plain periods, sampled at its grid points, differ by at most
+    tol in sup norm.  The samples on grid_size are returned; `periods` counts
+    every application of Phi on grid_size steps, mixed or plain, and none of
+    the coarser grids'.  On every grid, RuntimeError is raised when
+    max_periods periods are exhausted first (naming the grid), when a period
+    ends non-finite or with an L1 norm past 1 + _NORM_SLACK (the grid is too
+    coarse for RK4 at these rates; raise grid_size), or when the converged
+    law puts more than _CAP_MASS_LIMIT = 1e-6 on the level cap at some grid
+    time (raise level_cap).  tol must be > 0 and max_periods >= 1.
+    """
+    if level_cap < 1:
+        raise ValueError("level_cap must be >= 1")
+    if grid_size < 4:
+        raise ValueError("grid_size must be >= 4")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if max_periods < 1:
+        raise ValueError("max_periods must be >= 1")
+    op = _structure_matrices(spec.k, spec.m, level_cap)
+    ladder = [grid_size]
+    while (coarse := ladder[-1] // _COARSEN) >= _COARSE_MIN_GRID:
+        lam, mu = _half_step_rates(spec, ladder[-1])
+        if coarse * _RK4_REAL_LIMIT < 2.0 * (lam + mu).max():
+            break
+        ladder.append(coarse)
+    p = _averaged_stationary(op, spec, level_cap)
+    for grid in reversed(ladder[1:]):
+        # a copy, else the coarse samples live through the finer periods
+        p = _periodic_samples(op, spec, grid, p, tol, max_periods)[0][0].copy()
+    samples, periods, residual = _periodic_samples(op, spec, grid_size, p, tol,
+                                                   max_periods)
+    return PeriodicDistribution(
+        spec=spec, idle=samples[:, :spec.k], periods=periods, residual=residual,
+        levels=samples[:, spec.k:].reshape(grid_size, level_cap, spec.phase_count))
 
 
 @dataclass(frozen=True)
@@ -423,3 +433,59 @@ class BoundaryFunctions(_Sampled):
 def extract_boundary(dist: PeriodicDistribution) -> BoundaryFunctions:
     """Pull the idle and level-1 slices out of an integrated distribution."""
     return BoundaryFunctions(idle=dist.idle, first=dist.levels[:, 0])
+
+
+def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
+                horizon: float = 5.0, step: float = 1.0 / 512,
+                level_cap: int = 40, substeps: int = 4) -> VolterraSolution:
+    """Absorbing-ODE route: integrate the killed process and read the sinks.
+
+    Records the sinks every `step` (rounded so that whole steps fill the
+    horizon) after `substeps` RK4 steps each.  The level cap must be generous
+    enough that essentially no probability visits it; the run aborts when
+    more than 1e-10 ever sits at the cap.
+    """
+    if level < 1:
+        raise ValueError("busy period starts at level >= 1")
+    if level > level_cap // 2:
+        raise ValueError("level_cap should comfortably exceed the start level")
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    if horizon <= 0 or step <= 0:
+        raise ValueError("horizon and step must be positive")
+    n_rec = int(round(horizon / step))
+    if n_rec < 1:
+        raise ValueError("horizon must cover at least one step")
+    q0 = _normalize_phase(spec, phase)
+    k, km = spec.k, spec.phase_count
+    h = (horizon / n_rec) / substeps
+    op = _structure_matrices(k, spec.m, level_cap, absorbing=True)
+    dim = op.shape[1]
+
+    total_steps = n_rec * substeps
+    nodes = u + (horizon / total_steps) * 0.5 * np.arange(2 * total_steps + 1)
+    lam, mu = spec.arrival.value(nodes), spec.service.value(nodes)
+
+    # the k sinks come first, then levels 1..level_cap
+    p = np.zeros(dim)
+    p[k + (level - 1) * km + q0] = 1.0
+    values = np.zeros((n_rec + 1, k))
+    cap_slice = slice(k + (level_cap - 1) * km, dim)
+    cap_mass = 0.0
+
+    for rec in range(1, n_rec + 1):
+        for idx in range((rec - 1) * substeps, rec * substeps):
+            p = _rk4_step(op, p, h, lam, mu, idx)
+        values[rec] = p[:k]
+        cap_mass = max(cap_mass, float(p[cap_slice].sum()))
+        if cap_mass > 1e-10:
+            raise RuntimeError(
+                f"probability {cap_mass:.3e} reached the level cap {level_cap}; "
+                "raise level_cap"
+            )
+
+    return VolterraSolution(
+        level=level, phase=q0, u=float(u), step=horizon / n_rec,
+        times=u + (horizon / n_rec) * np.arange(n_rec + 1),
+        values=values, source="ode", cap_mass=cap_mass,
+    )

@@ -108,18 +108,24 @@ class CDFCurve:
             raise ValueError(f"kind must be one of {_KINDS}")
 
 
-def wait_cdf(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
-             u: float, horizons, kind: str = "queue") -> CDFCurve:
-    """Series route to the waiting-time law of a virtual customer at time u."""
+def _horizons(kind: str, horizons) -> np.ndarray:
+    """Checked horizons of a wait CDF of `kind`, as a 1-D float array."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
-    if roots.spec != spec:
-        raise ValueError("root set belongs to a different model")
     horizons = np.atleast_1d(np.asarray(horizons, dtype=float))
     if horizons.ndim != 1:
         raise ValueError("horizons must be a number or a 1-D array")
     if np.any(horizons < 0):
         raise ValueError("horizons must be nonnegative")
+    return horizons
+
+
+def wait_cdf(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
+             u: float, horizons, kind: str = "queue") -> CDFCurve:
+    """Series route to the waiting-time law of a virtual customer at time u."""
+    horizons = _horizons(kind, horizons)
+    if roots.spec != spec:
+        raise ValueError("root set belongs to a different model")
     m = spec.m
 
     ev = SeriesEvaluator(roots, boundary)
@@ -152,15 +158,9 @@ def wait_cdf(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
 def oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: float,
                     horizons, kind: str = "queue") -> CDFCurve:
     """ODE-oracle route: condition on the truncated state at time u."""
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}")
+    horizons = _horizons(kind, horizons)
     if dist.spec != spec:
         raise ValueError("distribution belongs to a different model")
-    horizons = np.atleast_1d(np.asarray(horizons, dtype=float))
-    if horizons.ndim != 1:
-        raise ValueError("horizons must be a number or a 1-D array")
-    if np.any(horizons < 0):
-        raise ValueError("horizons must be nonnegative")
     m = spec.m
 
     idle_mass = float(dist.idle_at([u])[0].sum())

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ekemq
+from ekemq import oracle
 from ekemq import (
     BoundaryFunctions,
     ModelSpec,
@@ -173,7 +174,8 @@ def test_trig_interpolant_exact_on_bandlimited_data():
 def test_unconverged_run_raises():
     # time-varying rates: constant ones start at their exact fixed point
     spec = ModelSpec(1, 1, RateFunction(3.0, sin=((1, 2.0),)), RateFunction(5.0))
-    with pytest.raises(RuntimeError, match="not reached in 3 periods"):
+    # the first rung of the grid-32 ladder is grid 8, and it fails there
+    with pytest.raises(RuntimeError, match="not reached in 3 periods on grid 8 "):
         integrate_periodic(spec, level_cap=40, grid_size=32, tol=1e-13,
                            max_periods=3)
 
@@ -210,6 +212,29 @@ def test_nested_start_cuts_fine_periods(periodic74_spec):
                                tol=1e-14)
     assert np.abs(dist.idle - tight.idle).max() <= 1e-11
     assert np.abs(dist.levels - tight.levels).max() <= 1e-11
+
+
+def test_one_operator_walks_the_whole_ladder(periodic74_spec, monkeypatch):
+    # grid 128 starts from grid 32, which starts from grid 8; one operator
+    # serves all three and the solve never calls itself
+    builds, calls, grids = [], [], []
+
+    def spy(name, log, record):
+        original = getattr(oracle, name)
+
+        def wrapped(*args, **kwargs):
+            log.append(record(*args))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(oracle, name, wrapped)
+
+    spy("_structure_matrices", builds, lambda *args: args)
+    spy("integrate_periodic", calls, lambda *args: args[1:])
+    spy("_periodic_samples", grids, lambda op, spec, grid, *rest: grid)
+    dist = oracle.integrate_periodic(periodic74_spec, 50, 128)
+    assert builds == [(7, 4, 50)]
+    assert calls == [(50, 128)]
+    assert grids == [8, 32, 128]
+    assert dist.grid_size == 128 and dist.residual <= 1e-10
 
 
 def test_unstable_quarter_grid_starts_from_the_averaged_law():

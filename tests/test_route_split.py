@@ -1,60 +1,56 @@
-"""The busy period's two routes share no code.
+"""The ODE route lives in `oracle.py`, and the routes it checks share no code.
 
-Their agreement is the correctness argument for both, so the Volterra
-route in `busy.py` may use nothing imported from the periodic oracle, and
-only `busy_oracle` runs the oracle's structure builder and RK4 step.  A
-stdlib `ast` check, like the unused-import check.
+Agreement between routes is the correctness argument, so the busy period's
+Volterra route imports nothing from the oracle, the oracle reads only the
+busy period's result type, and the truncated generator and its RK4 step
+never leave `oracle.py`.  The package imports of every module are read off
+its source.
 """
 
 import ast
 from pathlib import Path
 
-BUSY = Path(__file__).resolve().parent.parent / "src" / "ekemq" / "busy.py"
-_DEFS = (ast.FunctionDef, ast.ClassDef)
+SRC = Path(__file__).resolve().parent.parent / "src" / "ekemq"
 
 
-def _oracle_names(tree: ast.Module) -> set[str]:
-    """Names bound by any import that reaches the oracle module."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            from_oracle = "oracle" in (node.module or "").split(".")
-            for alias in node.names:
-                if from_oracle or alias.name == "oracle":
-                    names.add(alias.asname or alias.name)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if "oracle" in alias.name.split("."):
-                    names.add(alias.asname or alias.name.split(".")[0])
-    return names
+def _package_imports(module: str) -> set[tuple[str, str]]:
+    """(module, name) for every `from .module import name` in the source,
+    with `from . import name` as ("", name)."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return {(node.module or "", alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names}
 
 
-def _oracle_users(source: str) -> set[str]:
-    """Top-level definitions that read a name imported from the oracle;
-    module-level code that reads one counts as '<module>'."""
-    tree = ast.parse(source)
-    oracle = _oracle_names(tree)
-    users = set()
-    for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-        if read & oracle:
-            users.add(node.name if isinstance(node, _DEFS) else "<module>")
-    return users
+def _from_oracle(module: str) -> set[str]:
+    """Names the module imports from the oracle, or "oracle" itself."""
+    return {name for mod, name in _package_imports(module)
+            if mod == "oracle" or (mod, name) == ("", "oracle")}
 
 
-def test_checker_sees_oracle_use():
-    source = ("from .oracle import _rk4_step as step\n"
-              "from . import oracle\n"
-              "alias = step\n"
-              "def march():\n    return oracle.x\n"
-              "def other():\n    return 1\n")
-    assert _oracle_users(source) == {"<module>", "march"}
+def test_volterra_route_imports_nothing_from_the_oracle():
+    assert _from_oracle("busy") == set()
 
 
-def test_only_busy_oracle_uses_the_oracle():
-    source = BUSY.read_text()
-    assert _oracle_names(ast.parse(source)) == {"_rk4_step",
-                                                "_structure_matrices"}
-    assert _oracle_users(source) == {"busy_oracle"}
+def test_oracle_imports_only_the_model_the_rule_and_the_busy_result():
+    assert _package_imports("oracle") == {("", "_quad"),
+                                          ("model", "ModelSpec"),
+                                          ("model", "_normalize_phase"),
+                                          ("busy", "VolterraSolution")}
+
+
+def test_roots_and_bounds_import_nothing_from_the_oracle():
+    assert _from_oracle("roots") == set()
+    assert _from_oracle("bounds") == set()
+
+
+def test_series_reads_only_the_boundary_from_the_oracle():
+    assert _from_oracle("series") == {"BoundaryFunctions"}
+
+
+def test_only_the_oracle_names_its_generator_and_step():
+    for path in SRC.glob("*.py"):
+        source = path.read_text()
+        if path.name != "oracle.py":
+            assert "_structure_matrices" not in source, path.name
+            assert "_rk4_step" not in source, path.name
