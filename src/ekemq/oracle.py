@@ -8,9 +8,11 @@ the generator conservative).  The resulting linear ODE
 
 is driven with classical fourth-order Runge-Kutta steps aligned to a fixed
 output grid.  The two constant structure matrices S_arr and S_srv carry
-unit rates and are stacked into one sparse operator, so each RK stage is a
-single sparse product and the time dependence sits entirely in two
-scalars; no matrix is rebuilt inside the stepping loop.
+unit rates and are folded onto one sparsity pattern, the union of theirs,
+with their values kept side by side, so the generator at a node is that
+pattern with the values lam * a + mu * s: one small dense product refreshes
+it in place, no matrix is rebuilt inside the stepping loop, and each RK
+stage is a single sparse product, four per step.
 
 The periodic law is the fixed point of the one-period map Phi, and it is
 solved as one (periodic steady-state shooting, Aprille & Trick, Proc. IEEE
@@ -31,7 +33,7 @@ reflecting, is the busy-period oracle `busy_oracle`: in the periodic system
 an arrival moves an empty state to the next arrival stage or starts level
 1, while in the killed system the k empty states have no exits and count
 absorption by arrival stage.  `_structure_matrices` builds both and
-`_rk4_step` steps both; no other module calls them.
+`_rk4_march` steps both; no other module calls them.
 
 This module is deliberately independent of the root-series machinery: it
 never sees characteristic roots.  The series route does read one output of
@@ -64,8 +66,9 @@ _PLAIN_FRACTION = 0.1
 
 _CAP_MASS_LIMIT = 1e-6
 
-# A period that ends with an L1 norm above 1 + _NORM_SLACK has grown
-# negative entries: RK4 is unstable on the grid, so the solve stops there.
+# A period or busy-period record that ends with an L1 norm above
+# 1 + _NORM_SLACK has grown negative entries: RK4 is unstable at that step,
+# so the solve stops there.
 _NORM_SLACK = 1e-6
 
 # The solve on grid N starts from the t = 0 state of the fixed point on the
@@ -105,12 +108,16 @@ class TrigInterpolant:
 
 
 def _structure_matrices(k: int, m: int, level_cap: int, absorbing: bool = False):
-    """Unit-rate generator structure, split into arrival and service parts.
+    """Unit-rate generator structure on one folded sparsity pattern.
 
     State order: k empty states (arrival stage a), then levels 1..level_cap
-    with km phases each, phase (a, s) flattened as a*m + s.  Returned as one
-    stacked (2*dim, dim) CSR operator [AT; MT] of the transposed parts, so
-    that y = op @ p gives rhs = lam * y[:dim] + mu * y[dim:].
+    with km phases each, phase (a, s) flattened as a*m + s.  Returned as
+    (pattern, parts): pattern is the dim x dim canonical CSR of the union of
+    the transposed arrival and service parts AT and MT, with zero data, and
+    parts the (2, nnz) values of AT and MT on it.  The transposed generator
+    at rates lam, mu, lam * AT + mu * MT, is pattern with the data
+    np.dot((lam, mu), parts); every part value is 0 or +-1, so each entry is
+    rounded at most once.
     With absorbing=True the empty states keep no arrival exits: they are the
     sinks of the process killed at its first visit to the empty level.
     """
@@ -135,32 +142,68 @@ def _structure_matrices(k: int, m: int, level_cap: int, absorbing: bool = False)
     srv_c = np.concatenate([x, np.where(s < m - 1, x + 1, done)])
     srv_v = np.repeat([-1.0, 1.0], len(x))
 
-    s_arr = sp.csr_matrix((arr_v, (arr_r, arr_c)), shape=(dim, dim))
-    s_srv = sp.csr_matrix((srv_v, (srv_r, srv_c)), shape=(dim, dim))
-    return sp.vstack([s_arr.T.tocsr(), s_srv.T.tocsr()], format="csr")
+    # entry (r, c) of the generator is entry (c, r) of its transpose; each
+    # part has at most one entry per position, and sorted keys c * dim + r
+    # are the row-major order of a canonical CSR
+    keys, at = np.unique(np.concatenate([arr_c, srv_c]) * dim
+                         + np.concatenate([arr_r, srv_r]), return_inverse=True)
+    parts = np.zeros((2, len(keys)))
+    parts[0, at[:len(arr_v)]] = arr_v
+    parts[1, at[len(arr_v):]] = srv_v
+    indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
+    pattern = sp.csr_matrix((np.zeros(len(keys)), keys % dim, indptr),
+                            shape=(dim, dim))
+    return pattern, parts
 
 
-def _rk4_step(op, p: np.ndarray, h: float, lam: np.ndarray,
-              mu: np.ndarray, i: int) -> np.ndarray:
-    """One classical RK4 step of p' = lam(t) * (AT @ p) + mu(t) * (MT @ p).
+def _generator(op, lam: float, mu: float):
+    """The transposed generator lam * AT + mu * MT of op =
+    `_structure_matrices(...)`, a CSR sharing the pattern's indices and
+    indptr."""
+    pattern, parts = op
+    return sp.csr_matrix((np.dot((lam, mu), parts), pattern.indices,
+                          pattern.indptr), shape=pattern.shape)
 
-    op is the stacked operator of `_structure_matrices`, so each stage is
-    one sparse product whose halves are AT @ p and MT @ p.  lam and mu hold
-    the rates at half-step nodes, so step i runs from node 2i through node
-    2i+1 to node 2i+2.
+
+def _rk4_march(op, lam: np.ndarray, mu: np.ndarray, h: float, p: np.ndarray):
+    """Yield the state after each classical RK4 step of p' = G(t) p from p.
+
+    G(t) is the folded generator of op = `_structure_matrices(...)` at the
+    rates lam(t), mu(t).  lam and mu hold the rates at half-step nodes, so
+    step i runs from node 2i through node 2i+1 to node 2i+2, and the march
+    makes (len(lam) - 1) // 2 steps.  Three CSR generators, for nodes 2i,
+    2i+1 and 2i+2, share the pattern's indices and indptr; the one at node
+    2i+2 becomes the next step's node 2i, so a step refreshes the values of
+    two and makes four products G @ v.  The yielded state is a buffer that
+    the next step overwrites; p itself is not written.
     """
-    dim = p.shape[0]
-    l0, lh, l1 = lam[2 * i], lam[2 * i + 1], lam[2 * i + 2]
-    m0, mh, m1 = mu[2 * i], mu[2 * i + 1], mu[2 * i + 2]
-    y = op @ p
-    k1 = l0 * y[:dim] + m0 * y[dim:]
-    y = op @ (p + (0.5 * h) * k1)
-    k2 = lh * y[:dim] + mh * y[dim:]
-    y = op @ (p + (0.5 * h) * k2)
-    k3 = lh * y[:dim] + mh * y[dim:]
-    y = op @ (p + h * k3)
-    k4 = l1 * y[:dim] + m1 * y[dim:]
-    return p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    parts = op[1]
+    g0, gh, g1 = (_generator(op, lam[0], mu[0]) for _ in range(3))
+    p = p.copy()
+    q = np.empty_like(p)
+    for i in range((len(lam) - 1) // 2):
+        np.dot((lam[2 * i + 1], mu[2 * i + 1]), parts, out=gh.data)
+        np.dot((lam[2 * i + 2], mu[2 * i + 2]), parts, out=g1.data)
+        k1 = g0 @ p
+        np.multiply(k1, 0.5 * h, out=q)
+        q += p
+        k2 = gh @ q
+        np.multiply(k2, 0.5 * h, out=q)
+        q += p
+        k3 = gh @ q
+        np.multiply(k3, h, out=q)
+        q += p
+        k4 = g1 @ q
+        # p + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= h / 6.0
+        p += k2
+        yield p
+        g0, g1 = g1, g0
 
 
 def _averaged_stationary(op, spec: ModelSpec, level_cap: int) -> np.ndarray:
@@ -174,8 +217,7 @@ def _averaged_stationary(op, spec: ModelSpec, level_cap: int) -> np.ndarray:
     sliced from the CSR and solved densely with numpy.
     """
     k, km = spec.k, spec.phase_count
-    dim = op.shape[1]
-    g = (spec.arrival.mean() * op[:dim] + spec.service.mean() * op[dim:]).tocsr()
+    g = _generator(op, spec.arrival.mean(), spec.service.mean())
     edges = [0] + [k + j * km for j in range(level_cap + 1)]
 
     def block(i: int, j: int) -> np.ndarray:
@@ -280,7 +322,7 @@ def _periodic_samples(op, spec: ModelSpec, grid_size: int, p: np.ndarray,
     """(samples at the grid times, periods, last residual) of the fixed point
     on grid_size steps started at p, by the iteration and checks of
     `integrate_periodic`."""
-    k, km, dim = spec.k, spec.phase_count, op.shape[1]
+    k, km, dim = spec.k, spec.phase_count, op[0].shape[0]
     lam, mu = _half_step_rates(spec, grid_size)
     h = 1.0 / grid_size
     samples = np.empty((grid_size, dim))
@@ -290,10 +332,12 @@ def _periodic_samples(op, spec: ModelSpec, grid_size: int, p: np.ndarray,
 
     for period in range(1, max_periods + 1):
         start = p
+        samples[0] = p
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(grid_size):
-                samples[i] = p
-                p = _rk4_step(op, p, h, lam, mu, i)
+            march = _rk4_march(op, lam, mu, h, p)
+            for row in samples[1:]:
+                row[:] = next(march)
+            p = next(march)
         norm = np.abs(p).sum()
         if not norm <= 1.0 + _NORM_SLACK:
             raise RuntimeError(f"grid_size {grid_size} is too coarse for RK4 at "
@@ -442,8 +486,10 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
 
     Records the sinks every `step` (rounded so that whole steps fill the
     horizon) after `substeps` RK4 steps each.  The level cap must be generous
-    enough that essentially no probability visits it; the run aborts when
-    more than 1e-10 ever sits at the cap.
+    enough that essentially no probability visits it: the run aborts when
+    more than 1e-10 sits at the cap at a record time, read as absolute mass.
+    It also aborts when a record ends non-finite or with an L1 norm above
+    1 + _NORM_SLACK: the step is too coarse for RK4 at these rates.
     """
     if level < 1:
         raise ValueError("busy period starts at level >= 1")
@@ -460,7 +506,7 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     k, km = spec.k, spec.phase_count
     h = (horizon / n_rec) / substeps
     op = _structure_matrices(k, spec.m, level_cap, absorbing=True)
-    dim = op.shape[1]
+    dim = op[0].shape[0]
 
     total_steps = n_rec * substeps
     nodes = u + (horizon / total_steps) * 0.5 * np.arange(2 * total_steps + 1)
@@ -473,16 +519,24 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     cap_slice = slice(k + (level_cap - 1) * km, dim)
     cap_mass = 0.0
 
-    for rec in range(1, n_rec + 1):
-        for idx in range((rec - 1) * substeps, rec * substeps):
-            p = _rk4_step(op, p, h, lam, mu, idx)
-        values[rec] = p[:k]
-        cap_mass = max(cap_mass, float(p[cap_slice].sum()))
-        if cap_mass > 1e-10:
-            raise RuntimeError(
-                f"probability {cap_mass:.3e} reached the level cap {level_cap}; "
-                "raise level_cap"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        march = _rk4_march(op, lam, mu, h, p)
+        for rec in range(1, n_rec + 1):
+            for _ in range(substeps):
+                p = next(march)
+            mass = np.abs(p)
+            norm = mass.sum()
+            if not norm <= 1.0 + _NORM_SLACK:
+                raise RuntimeError(
+                    f"step {step} with substeps {substeps} is too coarse for "
+                    f"RK4 at these rates: a record ended with L1 norm "
+                    f"{norm:.3e}; lower step or raise substeps")
+            values[rec] = p[:k]
+            cap_mass = max(cap_mass, float(mass[cap_slice].sum()))
+            if cap_mass > 1e-10:
+                raise RuntimeError(
+                    f"probability {cap_mass:.3e} reached the level cap "
+                    f"{level_cap}; raise level_cap")
 
     return VolterraSolution(
         level=level, phase=q0, u=float(u), step=horizon / n_rec,

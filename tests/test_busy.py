@@ -6,6 +6,8 @@ integrating it around the unit circle and inverting by FFT recovers every
 weight at once without a Poisson table in sight.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import skellam
@@ -430,6 +432,25 @@ def test_closed_form_inverse_matches_solve(k, m):
 def test_cap_overflow_is_reported(mm1_spec):
     with pytest.raises(RuntimeError, match="level cap"):
         busy_oracle(mm1_spec, 2, 0, horizon=1.0, step=0.05, level_cap=4)
+
+
+@pytest.mark.parametrize("step", [0.5, 0.25])
+def test_busy_oracle_too_coarse_is_reported(periodic74_spec, step):
+    # h * 2 max(lam + mu) is 8 and 4, past RK4's real stability limit of
+    # 2.78: unchecked, the totals reach about 1e9 and -1.5e3 at the horizon,
+    # while the signed mass at the cap sums to zero
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match=f"step {step} with substeps 1 "
+                                               "is too coarse"):
+            busy_oracle(periodic74_spec, 1, 0, horizon=3.0, step=step,
+                        level_cap=20, substeps=1)
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    # the same horizon on a fine enough step passes every check
+    fine = busy_oracle(periodic74_spec, 1, 0, horizon=3.0, step=step,
+                       level_cap=20, substeps=16)
+    assert 0.0 <= fine.cap_mass <= 1e-10
+    assert 0.99 < fine.total()[-1] <= 1.0 + 1e-12
 
 
 def test_argument_checks(periodic74_spec, mm1_spec):

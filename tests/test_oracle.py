@@ -23,7 +23,8 @@ from ekemq import (
 from ekemq.oracle import (
     PeriodicDistribution,
     TrigInterpolant,
-    _rk4_step,
+    _generator,
+    _rk4_march,
     _structure_matrices,
 )
 
@@ -289,6 +290,11 @@ def _truncated_generator(spec, level_cap, absorbing):
     return g
 
 
+def _parts(op):
+    """The transposed arrival and service parts AT, MT of a folded operator."""
+    return _generator(op, 1.0, 0.0), _generator(op, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("absorbing", [False, True])
 @pytest.mark.parametrize("level_cap", [1, 2, 6])
 @pytest.mark.parametrize("k, m", [(1, 1), (2, 3), (7, 4)])
@@ -301,12 +307,29 @@ def test_structure_matches_generator_blocks(k, m, level_cap, absorbing):
 
     arr = generator(2.0) - generator(1.0)
     srv = (generator(1.0) - arr) / 16.0
-    want = np.vstack([arr.T, srv.T])
     op = _structure_matrices(k, m, level_cap, absorbing=absorbing)
-    assert np.array_equal(op.toarray(), want)
-    # a canonical CSR of a given matrix is unique
-    assert op.has_canonical_format
-    assert op.nnz == np.count_nonzero(want)
+    pattern, parts = op
+    at, mt = _parts(op)
+    assert np.array_equal(at.toarray(), arr.T)
+    assert np.array_equal(mt.toarray(), srv.T)
+    # the pattern is the union of the parts, and a canonical CSR of a given
+    # pattern is unique
+    assert pattern.has_canonical_format
+    assert pattern.nnz == np.count_nonzero(np.abs(arr) + np.abs(srv))
+    assert parts.shape == (2, pattern.nnz)
+
+
+@pytest.mark.parametrize("absorbing", [False, True])
+@pytest.mark.parametrize("k, m", [(1, 1), (2, 3), (7, 4)])
+def test_folded_generator_is_exact_on_dyadic_data(k, m, absorbing):
+    # powers of two times small integers: every product and sum is exact,
+    # so the folded generator must reproduce the split one bit for bit
+    op = _structure_matrices(k, m, 6, absorbing=absorbing)
+    at, mt = _parts(op)
+    v = np.random.default_rng(3).integers(-64, 65, op[0].shape[0]) * 2.0 ** -20
+    for lam, mu in ((4.0, 0.5), (0.25, 8.0), (1.0, 1.0)):
+        want = lam * (at @ v) + mu * (mt @ v)
+        assert np.array_equal(_generator(op, lam, mu) @ v, want)
 
 
 def _plain_rk4_step(at, mt, p, h, lam, mu, i):
@@ -329,18 +352,22 @@ def _rates(spec, grid_size):
 
 
 @pytest.mark.parametrize("absorbing", [False, True])
-def test_stacked_step_matches_two_operators(periodic74_spec, absorbing):
+def test_march_matches_plain_steps(periodic74_spec, absorbing):
+    # the folded generator rounds lam * a + mu * s once per entry where the
+    # split step rounds the two products' sums apart: the same steps to
+    # within rounding (3.3e-16 relative measured)
     spec, grid_size = periodic74_spec, 64
     op = _structure_matrices(spec.k, spec.m, 6, absorbing=absorbing)
-    dim = op.shape[1]
-    assert op.shape == (2 * dim, dim)
-    at, mt = op[:dim], op[dim:]
+    at, mt = _parts(op)
     lam, mu = _rates(spec, grid_size)
-    p = q = np.random.default_rng(5).random(dim)
-    for i in range(grid_size):
-        p = _rk4_step(op, p, 1.0 / grid_size, lam, mu, i)
+    start = np.random.default_rng(5).random(op[0].shape[0])
+    q = start
+    for i, p in enumerate(_rk4_march(op, lam, mu, 1.0 / grid_size, start)):
         q = _plain_rk4_step(at, mt, q, 1.0 / grid_size, lam, mu, i)
-    assert np.array_equal(p, q)
+        assert np.abs(p - q).max() <= 1e-15 * np.abs(q).max()
+    assert i == grid_size - 1
+    # the march does not write its start
+    assert np.array_equal(start, np.random.default_rng(5).random(len(start)))
 
 
 def test_accelerated_solve_matches_plain_iteration(periodic74_spec):
@@ -348,8 +375,8 @@ def test_accelerated_solve_matches_plain_iteration(periodic74_spec):
     dist = integrate_periodic(spec, level_cap=cap, grid_size=grid_size)
     # the period map iterated from the uniform start until two sampled
     # periods agree to 1e-13
-    op = _structure_matrices(spec.k, spec.m, cap)
-    dim = op.shape[1]
+    at, mt = _parts(_structure_matrices(spec.k, spec.m, cap))
+    dim = at.shape[0]
     lam, mu = _rates(spec, grid_size)
     p = np.full(dim, 1.0 / dim)
     prev = None
@@ -357,7 +384,7 @@ def test_accelerated_solve_matches_plain_iteration(periodic74_spec):
         samples = np.empty((grid_size, dim))
         for i in range(grid_size):
             samples[i] = p
-            p = _rk4_step(op, p, 1.0 / grid_size, lam, mu, i)
+            p = _plain_rk4_step(at, mt, p, 1.0 / grid_size, lam, mu, i)
         if prev is not None and np.abs(samples - prev).max() <= 1e-13:
             break
         prev = samples
