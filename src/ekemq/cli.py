@@ -282,20 +282,50 @@ def cmd_roots(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
                 "poly_residual", "exp_residual"), rows)
 
 
+# The float writers format about this many values at a time, which keeps
+# the formatter's working arrays near 1.5 MB.
+_CHUNK_VALUES = 2 ** 13
+
+
+def _csv_head(schema: str, header) -> bytes:
+    return f"# schema: {schema}\n{','.join(header)}\n".encode()
+
+
+def _write_matrix_csv(path: Path, schema: str, header, matrix: np.ndarray) -> None:
+    """One row per matrix row, every cell a float: `_write_csv`'s bytes on
+    the same rows, written a chunk of rows at a time."""
+    # imported here, so that a run that writes no float matrix neither
+    # loads the formatter nor builds its tables
+    from . import _g17
+    step = max(1, _CHUNK_VALUES // matrix.shape[1])
+    with open(path, "wb") as fh:
+        fh.write(_csv_head(schema, header))
+        for i in range(0, len(matrix), step):
+            fh.write(_g17.csv_lines(matrix[i:i + step]))
+
+
 def _write_grid_csv(path: Path, schema: str, header, grid, labels,
                     values: np.ndarray) -> None:
     """Rows (t, label, value) for every grid time t and state, states in
-    `labels` order: the bytes `_write_csv` gives on the same rows, formatted
-    one grid row at a time, by one `%` call on a template of the whole row."""
-    template = "".join(f"%s,{label.replace('%', '%%')},%.17g\n" for label in labels)
-    cells = [None] * (2 * len(labels))
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {schema}\n")
-        fh.write(",".join(header) + "\n")
-        for t, row in zip(grid.tolist(), values):
-            cells[0::2] = [format(t, ".17g")] * len(labels)
-            cells[1::2] = row.tolist()
-            fh.write(template % tuple(cells))
+    `labels` order: `_write_csv`'s bytes on the same rows, written a chunk
+    of grid rows at a time.
+
+    The values are formatted by `_g17`, whose bytes are Python's '%.17g'
+    ones: its table of powers of ten is correctly rounded, so a value
+    scaled to 17 digits is within 1.001 long-double eps (relative) of the
+    exact one, and a value that close to a rounding tie, as well as 0, -0,
+    nan, inf and |x| >= 1, is formatted by Python's '%.17g' itself (the
+    argument in full is in `ekemq._g17`).
+    """
+    from . import _g17  # see _write_matrix_csv
+    times = _g17.text_rows(f"{t:.17g}," for t in grid.tolist())[:, None]
+    names = _g17.text_rows(f"{label}," for label in labels)[None]
+    step = max(1, _CHUNK_VALUES // len(labels))
+    with open(path, "wb") as fh:
+        fh.write(_csv_head(schema, header))
+        for i in range(0, len(grid), step):
+            fh.write(_g17.csv_lines(values[i:i + step, :, None], times[i:i + step],
+                                    names))
 
 
 def _write_law(out: Path, spec: ModelSpec, dist, boundary) -> None:
@@ -414,10 +444,8 @@ def cmd_busy(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     header += [f"ode_a{a}" for a in range(spec.k)]
     header += ["volterra_total", "ode_total"]
     vt, ot = vol.total(), ode.total()
-    rows = []
-    for i, t in enumerate(vol.times):
-        rows.append((t, *vol.values[i], *ode.values[i], vt[i], ot[i]))
-    _write_csv(out / "busy.csv", "busy-period v1", header, rows)
+    _write_matrix_csv(out / "busy.csv", "busy-period v1", header,
+                      np.column_stack([vol.times, vol.values, ode.values, vt, ot]))
     _write_json(out / "busy.json", {
         "level": level,
         "phase": list(divmod(vol.phase, spec.m)),

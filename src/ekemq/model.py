@@ -29,9 +29,13 @@ _TWO_PI = 2.0 * math.pi
 # Nonnegativity of a rate function is checked at construction on a grid of
 # _POSITIVITY_GRID points, or of _POSITIVITY_POINTS_PER_HARMONIC points per
 # period of its top harmonic where that is finer, so that a dip narrower
-# than the fixed grid's spacing cannot pass between its points.
+# than the fixed grid's spacing cannot pass between its points.  Each
+# sampled local minimum is then refined by _POSITIVITY_NEWTON_STEPS Newton
+# steps on the derivative, so that a dip between two grid points counts at
+# its true depth.
 _POSITIVITY_GRID = 4096
 _POSITIVITY_POINTS_PER_HARMONIC = 64
+_POSITIVITY_NEWTON_STEPS = 4
 
 
 def _as_terms(terms) -> tuple[tuple[int, float], ...]:
@@ -77,7 +81,13 @@ class RateFunction:
         top = max((j for j, _ in self.cos + self.sin), default=0)
         points = max(_POSITIVITY_GRID, _POSITIVITY_POINTS_PER_HARMONIC * top)
         grid = np.arange(points) / points
-        low = float(np.min(self.value(grid)))
+        values = self.value(grid)
+        t = grid[(values <= np.roll(values, 1)) & (values <= np.roll(values, -1))]
+        for _ in range(_POSITIVITY_NEWTON_STEPS):
+            slope, curvature = self._derivatives(t)
+            t = t - np.divide(slope, curvature, out=np.zeros_like(t),
+                              where=curvature > 0.0)
+        low = min(float(np.min(values)), float(np.min(self.value(t))))
         if low < -1e-12:
             raise ValueError(f"rate function dips negative (min {low:.3e})")
 
@@ -90,6 +100,20 @@ class RateFunction:
         for j, amp in self.sin:
             out += amp * np.sin(_TWO_PI * j * t)
         return out if out.ndim else float(out)
+
+    def _derivatives(self, t: np.ndarray):
+        """First and second derivatives of the rate at the times t."""
+        slope = np.zeros_like(t)
+        curvature = np.zeros_like(t)
+        for j, amp in self.cos:
+            w = _TWO_PI * j
+            slope -= amp * w * np.sin(w * t)
+            curvature -= amp * w * w * np.cos(w * t)
+        for j, amp in self.sin:
+            w = _TWO_PI * j
+            slope += amp * w * np.cos(w * t)
+            curvature -= amp * w * w * np.sin(w * t)
+        return slope, curvature
 
     def mean(self) -> float:
         """Average over one period; the harmonics integrate to zero."""

@@ -15,9 +15,8 @@ For every n the equation has exactly k solutions with |y| <= 1 and m with
 |y| > 1 (stability makes y = 1, which appears at n = 0, count as inside).
 Only the m outside solutions enter the level series.  build_root_set
 solves them by the companion-matrix eigenvalue route (numpy.roots); the
-fixed-point iteration `outer_roots_by_iteration`, which contracts onto the
-outside solutions for large |n|, is an independent solver that tests hold
-against it.
+tests hold it against an independent solver, the fixed-point iteration
+`outer_roots_by_iteration` in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -105,50 +104,6 @@ def characteristic_roots(spec: ModelSpec, n: int):
             f"{len(outside)} outside (wanted {spec.k}/{spec.m})"
         )
     return _by_angle(inside), _by_angle(outside)
-
-
-def outer_roots_by_iteration(spec: ModelSpec, n: int, tol: float = 1e-13,
-                             max_iter: int = 400) -> list:
-    """Outside roots via the fixed-point map
-
-        y <- w_m**b * ((2 pi i n + lam_bar + mu_bar * (1 - y**(-k))) / lam_bar)**(1/m)
-
-    seeded at y0 = w_m**b * ((2 pi i n + lam_bar + mu_bar) / lam_bar)**(1/m)
-    for b = 0..m-1, where w_m = exp(2 pi i / m) and the 1/m power is the
-    principal branch.  For large |n| the seeds start close to the solutions
-    and the map contracts.  Returns the roots sorted by arg.
-
-    Raises RuntimeError when some seed fails to converge, when the
-    converged points collide, or when one of them lies inside the circle.
-    """
-    lb = spec.arrival_mean
-    mb = spec.service_mean
-    k, m = spec.k, spec.m
-    shift = 2j * math.pi * n + lb + mb
-
-    def fail(reason: str) -> RuntimeError:
-        return RuntimeError(f"outer-root iteration failed at n={n}: {reason}")
-
-    found = []
-    for b in range(m):
-        phase = cmath.exp(2j * math.pi * b / m)
-        y = phase * (shift / lb) ** (1.0 / m)
-        for _ in range(max_iter):
-            y_next = phase * ((shift - mb * y ** (-k)) / lb) ** (1.0 / m)
-            converged = abs(y_next - y) <= tol * max(1.0, abs(y_next))
-            y = y_next
-            if converged:
-                break
-        else:
-            raise fail(f"seed {b} did not converge in {max_iter} iterations")
-        found.append(y)
-
-    pair = _collision(found)
-    if pair is not None:
-        raise fail(f"seeds {pair[0]} and {pair[1]} collided")
-    if any(abs(y) <= 1.0 + _INSIDE_TOL for y in found):
-        raise fail("iteration landed on an inside root")
-    return _by_angle(found)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,11 @@ Lam and M being the cumulative rates over [u, t].  All fractional powers of
 chi are integer powers of y (chi**(1/k) = y**m, chi**(-1/m) = y**(-k)), so
 branch bookkeeping never leaves the root object.
 
-Two evaluation routes are kept.  `root_coefficient` performs the literal
-window quadrature for one root at one time.  `SeriesEvaluator` exploits the
-fact that at an exact root the integrand times exp(-W0(u)) is 1-periodic
-(the root condition makes the period factor exp(2 pi i n) exactly one), so
-one period-integral per root serves every t; tests pin the two routes
-against each other.
+`SeriesEvaluator` exploits the fact that at an exact root the integrand
+times exp(-W0(u)) is 1-periodic (the root condition makes the period factor
+exp(2 pi i n) exactly one), so one period-integral per root serves every t.
+The tests pin it against the literal window quadrature for one root at one
+time, `root_coefficient` in `tests/reference.py`.
 
 `SeriesEvaluator` computes each ingredient of that period integral once per
 object whose data it depends on: the period rule once, at import of
@@ -33,21 +32,13 @@ object whose data it depends on: the period rule once, at import of
 immutable); the root-only factors once per root set; the period integral
 itself once per root set and boundary; and the growth factors once per time
 grid.
-
-The module also carries the scalar transition coefficient of the free
-(boundary-ignoring) process, `net_change_probability`; only tests call it,
-as a reference for the busy-period module's transition weights.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.special import gammaln
 
 from . import _quad
-from ._quad import composite_gauss
 from .model import ModelSpec
 from .oracle import BoundaryFunctions
 from .roots import CharacteristicRoot, RootSet
@@ -81,29 +72,6 @@ def _drive_values(spec: ModelSpec, u: np.ndarray, idle: np.ndarray,
 
 def _denominator(spec: ModelSpec, ym, yik):
     return spec.m * spec.arrival_mean * ym - spec.k * spec.service_mean * yik
-
-
-def root_coefficient(root: CharacteristicRoot, t: float,
-                     boundary: BoundaryFunctions, spec: ModelSpec) -> complex:
-    """Window-integral coefficient of one root at one time, by quadrature
-    over [t-1, t]."""
-    if (root.k, root.m) != (spec.k, spec.m):
-        raise ValueError("root does not belong to this model")
-    ym = root.chi_root_k
-    yik = 1.0 / root.chi_root_m
-    chi = root.chi
-    denom = _denominator(spec, ym, yik)
-    if abs(denom) < _DENOM_FLOOR:
-        raise RuntimeError(f"degenerate series denominator at n={root.n}")
-
-    u, w = composite_gauss(t - 1.0, t)
-    lam_cum = spec.arrival.accumulated(t) - spec.arrival.accumulated(u)
-    mu_cum = spec.service.accumulated(t) - spec.service.accumulated(u)
-    growth = np.exp(lam_cum * (ym - 1.0) + mu_cum * (yik - 1.0))
-    apows = (ym ** np.arange(spec.k))[:, None]
-    drive = _drive_values(spec, u, boundary.idle_at(u), boundary.first_at(u),
-                          np.array([chi]), apows)[:, 0]
-    return complex(np.dot(w, growth * drive) / denom)
 
 
 class _RootFactors:
@@ -170,8 +138,8 @@ class SeriesEvaluator:
 
     The constructor pays one period-integral per root; every later time
     sweep is a closed-form exponential away.  Exactness of the underlying
-    period shift (hence agreement with `root_coefficient`) rests on the root
-    residual, which the root constructor already certifies.
+    period shift (hence agreement with the literal window quadrature) rests
+    on the root residual, which the root constructor already certifies.
 
     Nothing is computed per evaluator that an earlier one on the same data
     computed: the period rule is built once at import, the boundary is
@@ -223,43 +191,3 @@ class SeriesEvaluator:
         with np.errstate(under="ignore"):
             shift = np.exp(-float(level) * self._log_chi)
         return (f * shift[None, :]) @ self._rows
-
-
-def _log_poisson(counts: np.ndarray, rate: float) -> np.ndarray:
-    """Log pmf of Poisson(rate) at integer counts >= 0; rate may be zero."""
-    if rate <= 0.0:
-        return np.where(counts == 0, 0.0, -np.inf)
-    return counts * math.log(rate) - rate - gammaln(counts + 1.0)
-
-
-def net_change_probability(spec: ModelSpec, u: float, t: float, n: int,
-                           a1: int, s1: int, a2: int, s2: int) -> float:
-    """Transition weight of the free phase process over [u, t].
-
-    Ignoring the empty-system boundary, stage completions over the window
-    are two independent Poisson streams with means Lam and M (the cumulative
-    rates).  This returns the weight at net level change n between phases
-    (a1, s1) and (a2, s2): with a = (a2 - a1) mod k and s = (s2 - s1) mod m,
-
-        exp(-Lam - M) * sum_{l >= max(0, -n)}
-            M**(l m + s) / (l m + s)!  *  Lam**((n+l) k + a) / ((n+l) k + a)!
-
-    The sum is cut far beyond the mode of the service-side Poisson factor,
-    where terms are below 1e-16 of the total.  At u = t the weight is
-    exactly the identity's entry (1 when n = 0 and the phases match).
-    """
-    k, m = spec.k, spec.m
-    if not (0 <= a1 < k and 0 <= a2 < k and 0 <= s1 < m and 0 <= s2 < m):
-        raise ValueError("phase indices out of range")
-    a = (a2 - a1) % k
-    s = (s2 - s1) % m
-    lam_cum = float(spec.arrival.cumulative(u, t))
-    mu_cum = float(spec.service.cumulative(u, t))
-
-    l_lo = max(0, -n)
-    l_hi = l_lo + int((mu_cum + 12.0 * math.sqrt(mu_cum) + 45.0) / m) + 2
-    ell = np.arange(l_lo, l_hi + 1)
-    log_terms = (_log_poisson(ell * m + s, mu_cum)
-                 + _log_poisson((n + ell) * k + a, lam_cum))
-    with np.errstate(under="ignore"):
-        return float(np.exp(log_terms).sum())

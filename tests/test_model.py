@@ -65,6 +65,26 @@ def test_rate_rejects_dip_between_coarse_grid_points():
     RateFunction(2.5, sin=((4096, 2.0),))
 
 
+def test_rate_rejects_dip_between_fine_grid_points():
+    # base - R cos(2 pi t - theta) with its minimum, -5e-7, halfway between
+    # two points of the 4096-point grid, where it reads about +6.8e-7
+    R = 4.0
+    theta = 2 * np.pi * (0.5 / 4096 + 0.5)
+    cos, sin = ((1, -R * np.cos(theta)),), ((1, -R * np.sin(theta)),)
+    grid = np.arange(4096) / 4096
+    assert np.min(R - 5e-7 - R * np.cos(2 * np.pi * grid - theta)) > 6e-7
+    with pytest.raises(ValueError, match=r"dips negative \(min -5"):
+        RateFunction(R - 5e-7, cos=cos, sin=sin)
+    RateFunction(R + 5e-7, cos=cos, sin=sin)
+
+
+def test_rate_accepts_minimum_touching_zero():
+    # on a grid point, and between grid points
+    RateFunction(1.0, cos=((1, -1.0),))
+    theta = 2 * np.pi * (0.5 / 4096 + 0.25)
+    RateFunction(1.0, cos=((1, -np.cos(theta)),), sin=((1, -np.sin(theta)),))
+
+
 def test_rate_rejects_non_finite_values():
     # nan slips past a sign check, since nan < 0 and nan > 0 are both False
     for base in (math.nan, math.inf):

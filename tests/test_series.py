@@ -18,7 +18,8 @@ from ekemq import (
     extract_boundary,
 )
 from ekemq import _quad
-from ekemq.series import net_change_probability, phase_weights, root_coefficient
+from ekemq.series import phase_weights
+from reference import net_change_probability, root_coefficient
 
 
 def test_mm1_series_is_geometric(mm1_spec, mm1_roots, mm1_boundary):
