@@ -73,7 +73,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import ModelSpec, _normalize_phase, _stage_blocks
 
@@ -93,6 +92,7 @@ def _poisson_table(means: np.ndarray, width: int) -> np.ndarray:
     Log-space keeps large means stable; means equal to zero reduce to the
     unit mass at x = 0.
     """
+    from scipy.special import gammaln  # see waiting._poisson_tail
     counts = np.arange(width, dtype=float)
     log_fact = gammaln(counts + 1.0)
     means = np.asarray(means, dtype=float)[:, None]

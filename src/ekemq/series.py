@@ -32,6 +32,12 @@ object whose data it depends on: the period rule once, at import of
 immutable); the root-only factors once per root set; the period integral
 itself once per root set and boundary; and the growth factors once per time
 grid.
+
+A level sweep at deep levels drives far roots' terms below the normal range,
+where x86 multiplies in microcode at 10 to 100 times the normal cost; the
+level sweep therefore cuts every root whose smallest term at the level
+would be subnormal (`SeriesEvaluator.level_matrix` states the rule and its
+bound), so that its product sees zeros and normal numbers only.
 """
 
 from __future__ import annotations
@@ -44,6 +50,10 @@ from .oracle import BoundaryFunctions
 from .roots import CharacteristicRoot, RootSet
 
 _DENOM_FLOOR = 1e-12
+
+# log of the smallest normal double, 2**-1022: a root is cut from a level
+# when the log of its smallest term falls below it
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 
 def phase_weights(root: CharacteristicRoot) -> np.ndarray:
@@ -79,8 +89,9 @@ class _RootFactors:
 
     Built once per `RootSet` and kept in it: the root powers
     chi**(1/k) = y**m, chi**(-1/m) = y**(-k), chi and log chi, the
-    denominators, the arrival powers chi**(a/k) and the phase rows, all
-    read-only; and the period integral for the last boundary asked for.
+    denominators, the arrival powers chi**(a/k), the phase rows and the log
+    of each row's smallest modulus, all read-only; and the period integral
+    for the last boundary asked for.
     exp(-W0) at the rule's nodes, a (nodes, n_roots) array, is formed inside
     the period integral and not kept.
     """
@@ -101,8 +112,9 @@ class _RootFactors:
         rows_a = self.ym[:, None] ** (-np.arange(k))[None, :]
         rows_s = (ys[:, None] ** k) ** np.arange(m)[None, :]
         self.rows = np.einsum("ra,rs->ras", rows_a, rows_s).reshape(len(ys), k * m)
+        self.log_row_min = np.log(np.abs(self.rows).min(axis=1))
         for arr in (self.ym, self.yik, self.chi, self.log_chi, self.denom,
-                    self.apows, self.rows):
+                    self.apows, self.rows, self.log_row_min):
             arr.flags.writeable = False
         self._last = None
 
@@ -160,10 +172,12 @@ class SeriesEvaluator:
         factors = _root_factors(roots)
         self._ym, self._yik, self._chi = factors.ym, factors.yik, factors.chi
         self._log_chi, self._rows = factors.log_chi, factors.rows
+        self._log_row_min = factors.log_row_min
 
         self._coef = factors.period_integral(boundary)
         self._memo_t = None
         self._memo_f = None
+        self._memo_log_min = None
 
     def _coefficients(self, t) -> np.ndarray:
         """f(t) as kept for the last time array; callers must not write it."""
@@ -174,6 +188,7 @@ class SeriesEvaluator:
             growth = np.exp(np.outer(lam0, self._ym - 1.0)
                             + np.outer(mu0, self._yik - 1.0))
             self._memo_f = growth * self._coef[None, :]
+            self._memo_log_min = None
             self._memo_t = t.copy()
         return self._memo_f
 
@@ -181,13 +196,51 @@ class SeriesEvaluator:
         """Per-root coefficients f(t), shape (len(t), n_roots)."""
         return self._coefficients(t).copy()
 
-    def level_matrix(self, level: int, t) -> np.ndarray:
-        """Complex series values for one level, shape (len(t), km)."""
+    def _level_coefficients(self, level: int, t) -> np.ndarray:
+        """f(t) * chi**(-level) per root, with the cut roots' columns zero:
+        the left operand of `level_matrix`'s product, shape (len(t), n_roots).
+
+        Kept with f(t) on first use: per root, the log of min_t |f(t)| *
+        min |row|, the smallest term at level 0, over the nonzero f(t) (a
+        zero f(t) makes zero terms, never subnormal ones; a root with no
+        nonzero f(t) gets +inf and is never cut).
+        """
         if level < 1:
             raise ValueError("series levels start at 1; level 0 is the idle state")
         f = self._coefficients(t)
+        if self._memo_log_min is None:
+            size = np.abs(f)
+            f_min = size.min(axis=0, where=size > 0.0, initial=np.inf)
+            self._memo_log_min = np.log(f_min) + self._log_row_min
         # exp(-j log chi) instead of chi**(-j): the direct power overflows to
         # nan for far-out roots at deep levels, where the true value underflows
         with np.errstate(under="ignore"):
             shift = np.exp(-float(level) * self._log_chi)
-        return (f * shift[None, :]) @ self._rows
+        # log |chi**(-j)| = -j Re(log chi)
+        shift[self._memo_log_min - float(level) * self._log_chi.real < _LOG_TINY] = 0.0
+        return f * shift[None, :]
+
+    def level_matrix(self, level: int, t) -> np.ndarray:
+        """Complex series values for one level, shape (len(t), km).
+
+        The value is sum over roots of f(t) chi**(-level) row, one product
+        of the (len(t), n_roots) coefficients and the (n_roots, km) phase
+        rows.  A root is cut (its chi**(-level) set to 0) when its smallest
+        term, min_t |f(t)| * |chi|**(-level) * min |row| (the minimum over
+        the nonzero f(t)), lies below 2**-1022, the smallest normal double,
+        compared in logs.  The row at phase (0, 0) is 1, so min |row| <= 1,
+        and every kept root's operands and terms have modulus 2**-1022 or
+        more, or are zero: the product does no subnormal arithmetic, which
+        on x86 runs in microcode at 10 to 100 times the normal cost.  (A
+        real or imaginary part far below its modulus can still be
+        subnormal; none is on the reference sweep of levels 1-30.)
+
+        Each term of a cut root is below 2**-1022 * (max_t |f| / min_t |f|)
+        * (max |row| / min |row|), the floor times the root's own dynamic
+        range, so a value moves by at most the sum of that bound over the
+        cut roots, up to the rounding of the logs and of the sum.  On the
+        reference model at order 40 the bound is below 1e-285 per root, no
+        value of levels 1-30 moves, and at levels 100-130 no value moves by
+        more than 5e-304.
+        """
+        return self._level_coefficients(level, t) @ self._rows

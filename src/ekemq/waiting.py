@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .model import ModelSpec
 from .oracle import BoundaryFunctions, PeriodicDistribution
@@ -45,6 +44,9 @@ _DIRECT_TAIL_RADIUS = 8.0
 
 def _poisson_tail(threshold, mean):
     """P{Poisson(mean) >= threshold}; thresholds <= 0 give 1 exactly."""
+    # imported here, so that a run that computes no wait does not pay the
+    # 60 ms import of scipy.special
+    from scipy.special import gammainc
     threshold = np.asarray(threshold, dtype=float)
     mean = np.asarray(mean, dtype=float)
     return np.where(threshold <= 0, 1.0, gammainc(np.maximum(threshold, 1.0), mean))
@@ -163,8 +165,9 @@ def oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: float,
         raise ValueError("distribution belongs to a different model")
     m = spec.m
 
-    idle_mass = float(dist.idle_at([u])[0].sum())
-    levels = dist.levels_at([u])[0]                    # (cap, km)
+    idle, levels = dist.states_at([u])
+    idle_mass = float(idle[0].sum())
+    levels = levels[0]                                 # (cap, km)
     by_stage = levels.reshape(dist.level_cap, spec.k, m).sum(axis=1)
 
     j_idx = np.arange(1, dist.level_cap + 1)

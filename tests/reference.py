@@ -10,7 +10,13 @@ another way, kept to pin that route:
   process, against the busy-period module's transition weights;
 - `outer_roots_by_iteration`: the outside characteristic roots by a
   fixed-point iteration, against `build_root_set`'s companion-matrix
-  eigenvalues.
+  eigenvalues;
+- `uncut_level_matrix`: the level series with every root kept, against
+  `SeriesEvaluator.level_matrix`, which cuts roots whose terms would be
+  subnormal;
+- `unflushed_busy_oracle`: the absorbing-ODE march with no entry of its
+  state zeroed, against `busy_oracle`, which flushes entries below
+  `oracle._STATE_FLOOR` at every record.
 """
 
 from __future__ import annotations
@@ -22,10 +28,11 @@ import numpy as np
 from scipy.special import gammaln
 
 from ekemq._quad import composite_gauss
-from ekemq.model import ModelSpec
-from ekemq.oracle import BoundaryFunctions
+from ekemq.model import ModelSpec, _normalize_phase
+from ekemq.oracle import BoundaryFunctions, _rk4_march, _structure_matrices
 from ekemq.roots import _INSIDE_TOL, CharacteristicRoot, _by_angle, _collision
-from ekemq.series import _DENOM_FLOOR, _denominator, _drive_values
+from ekemq.series import (_DENOM_FLOOR, SeriesEvaluator, _denominator,
+                          _drive_values)
 
 
 def root_coefficient(root: CharacteristicRoot, t: float,
@@ -133,3 +140,41 @@ def outer_roots_by_iteration(spec: ModelSpec, n: int, tol: float = 1e-13,
     if any(abs(y) <= 1.0 + _INSIDE_TOL for y in found):
         raise fail("iteration landed on an inside root")
     return _by_angle(found)
+
+
+def uncut_level_matrix(ev: SeriesEvaluator, level: int, t) -> np.ndarray:
+    """Series values at one level with no root cut: every root's term, down
+    to the subnormal ones, goes into the product."""
+    f = ev.coefficients(t)
+    with np.errstate(under="ignore"):
+        shift = np.exp(-float(level) * ev._log_chi)
+    return (f * shift[None, :]) @ ev._rows
+
+
+def unflushed_busy_oracle(spec: ModelSpec, level: int, phase, u: float,
+                          horizon: float, step: float, level_cap: int,
+                          substeps: int):
+    """(sink values per record, cap mass, subnormal transient entries seen
+    at records) of `busy_oracle`'s march with no entry of the state zeroed;
+    the arguments are taken as valid."""
+    n_rec = int(round(horizon / step))
+    k, km = spec.k, spec.phase_count
+    op = _structure_matrices(k, spec.m, level_cap, absorbing=True)
+    total_steps = n_rec * substeps
+    nodes = u + (horizon / total_steps) * 0.5 * np.arange(2 * total_steps + 1)
+    p = np.zeros(op[0].shape[0])
+    p[k + (level - 1) * km + _normalize_phase(spec, phase)] = 1.0
+    values = np.zeros((n_rec + 1, k))
+    cap_mass, subnormal = 0.0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        march = _rk4_march(op, spec.arrival.value(nodes), spec.service.value(nodes),
+                           (horizon / n_rec) / substeps, p)
+        for rec in range(1, n_rec + 1):
+            for _ in range(substeps):
+                p = next(march)
+            mass = np.abs(p)
+            values[rec] = p[:k]
+            cap_mass = max(cap_mass, float(mass[k + (level_cap - 1) * km:].sum()))
+            subnormal += np.count_nonzero((mass[k:] > 0.0)
+                                          & (mass[k:] < np.finfo(float).tiny))
+    return values, cap_mass, subnormal

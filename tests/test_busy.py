@@ -26,7 +26,7 @@ from ekemq.busy import (
     _inverse_kernels,
     _poisson_taps,
 )
-from reference import net_change_probability
+from reference import net_change_probability, unflushed_busy_oracle
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +131,23 @@ def test_mm1_volterra_frozen_values(mm1_spec):
     for t_ref, want in _MM1_BUSY_REF.items():
         i = int(round((t_ref - sol.u) / sol.step))
         assert total[i] == pytest.approx(want, abs=2e-5)
+
+
+@pytest.mark.parametrize("u, step", [(0.0, 1.0 / 128), (0.5, 1.0 / 128),
+                                     (0.0, 1.0 / 512)],
+                         ids=["bench-u0", "bench-u0.5", "cli-defaults"])
+def test_flush_keeps_oracle_values(periodic74_spec, u, step):
+    # the benchmark's busy-period settings at two start times half a period
+    # apart, and the CLI defaults
+    sol = busy_oracle(periodic74_spec, 1, (0, 0), u=u, horizon=5.0, step=step,
+                      level_cap=40, substeps=4)
+    values, cap_mass, subnormal = unflushed_busy_oracle(
+        periodic74_spec, 1, (0, 0), u=u, horizon=5.0, step=step, level_cap=40,
+        substeps=4)
+    assert np.array_equal(sol.values, values)
+    assert sol.cap_mass == cap_mass
+    # without the flush, the march carries subnormal entries
+    assert subnormal > 1000
 
 
 def test_mm1_oracle_frozen_values(mm1_spec):

@@ -71,6 +71,9 @@ def test_distribution_is_immutable(mm1_dist):
     grid = mm1_dist.grid
     assert np.abs(mm1_dist.idle_at(grid) - mm1_dist.idle).max() < 1e-12
     assert np.abs(mm1_dist.levels_at(grid) - mm1_dist.levels).max() < 1e-12
+    idle, levels = mm1_dist.states_at([0.3, 0.7])
+    assert np.array_equal(idle, mm1_dist.idle_at([0.3, 0.7]))
+    assert np.array_equal(levels, mm1_dist.levels_at([0.3, 0.7]))
 
 
 def test_grids_are_read_off_the_samples(mm1_spec):
@@ -407,6 +410,24 @@ def test_import_loads_no_scipy_solvers():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_busy_routes_load_no_scipy_special():
+    # scipy.special takes about 60 ms to import; only the wait laws and the
+    # test-side Poisson tables use it
+    src = str(Path(ekemq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ekemq\n"
+         "spec = ekemq.ModelSpec(1, 1, ekemq.RateFunction(3.0), ekemq.RateFunction(5.0))\n"
+         "ekemq.busy_period_cdf(spec, 1, 0, horizon=0.5, step=1 / 64)\n"
+         "ekemq.busy_oracle(spec, 1, 0, horizon=0.5, step=1 / 64)\n"
+         "print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_oracle_validates_arguments(mm1_spec):

@@ -19,7 +19,15 @@ from ekemq import (
 )
 from ekemq import _quad
 from ekemq.series import phase_weights
-from reference import net_change_probability, root_coefficient
+from reference import net_change_probability, root_coefficient, uncut_level_matrix
+
+_SWEEP_ORDERS = (3, 5, 10, 20, 40)
+_TINY = np.finfo(float).tiny
+
+
+def _subnormal_count(arr: np.ndarray) -> int:
+    parts = np.abs(arr.view(float))
+    return int(np.count_nonzero((parts > 0.0) & (parts < _TINY)))
 
 
 def test_mm1_series_is_geometric(mm1_spec, mm1_roots, mm1_boundary):
@@ -141,6 +149,53 @@ def test_returned_arrays_are_fresh(periodic74_roots10, periodic74_boundary):
     values[:] = 0.0
     assert np.array_equal(ev.coefficients(ts), expected_coef)
     assert np.array_equal(ev.level_matrix(1, ts), expected_values)
+
+
+@pytest.fixture(scope="module")
+def sweep_evaluators(periodic74_spec, periodic74_boundary):
+    return {q: SeriesEvaluator(build_root_set(periodic74_spec, q), periodic74_boundary)
+            for q in _SWEEP_ORDERS}
+
+
+def test_level_cut_keeps_every_value(sweep_evaluators, periodic74_dist):
+    ts = periodic74_dist.grid
+    for q, ev in sweep_evaluators.items():
+        for j in range(1, 31):
+            assert np.array_equal(ev.level_matrix(j, ts), uncut_level_matrix(ev, j, ts)), (q, j)
+
+
+def test_level_sweep_does_no_subnormal_arithmetic(sweep_evaluators, periodic74_dist):
+    ts = periodic74_dist.grid
+    uncut = 0
+    for q, ev in sweep_evaluators.items():
+        assert _subnormal_count(ev._rows) == 0
+        for j in range(1, 31):
+            assert _subnormal_count(ev._level_coefficients(j, ts)) == 0, (q, j)
+            with np.errstate(under="ignore"):
+                shift = np.exp(-float(j) * ev._log_chi)
+            uncut += _subnormal_count(ev.coefficients(ts) * shift[None, :])
+    # without the cut, the order-40 sweep multiplies subnormal operands
+    assert uncut > 10_000
+
+
+def test_deep_level_cut_is_within_bound(sweep_evaluators, periodic74_dist):
+    # past level 100 the values approach 1e-300 and the cut drops roots whose
+    # terms are normal; each term of a cut root is below 2**-1022 times its
+    # root's dynamic range, max |f| / min |f| * max |row| / min |row|
+    ev = sweep_evaluators[40]
+    ts = periodic74_dist.grid
+    size = np.abs(ev.coefficients(ts))
+    rows = np.abs(ev._rows)
+    term_bound = _TINY * (size.max(axis=0) / size.min(axis=0)) \
+        * (rows.max(axis=1) / rows.min(axis=1))
+    assert term_bound.max() < 1e-285
+    moved = 0
+    for j in range(100, 131):
+        cut = ~ev._level_coefficients(j, ts).any(axis=0)
+        diff = np.abs(ev.level_matrix(j, ts) - uncut_level_matrix(ev, j, ts))
+        assert diff.max() <= term_bound[cut].sum(), j
+        moved += np.count_nonzero(diff)
+    assert moved > 0
 
 
 def test_level_zero_is_rejected(periodic74_roots10, periodic74_boundary):
