@@ -19,11 +19,26 @@ the factor into
 
 For far roots |M x| is small and |chi| huge, so forming the bracket by
 subtraction would hand its rounding error to chi; where |M x| is below
-_DIRECT_TAIL_RADIUS the bracket is summed directly as sum_{q>m} (M x)**q / q!.
+_DIRECT_TAIL_RADIUS the bracket is summed directly, for every horizon and
+root at once, as one matrix product
+
+    sum_{q=m+1}^{Q} (M x)**q / q! = sum_q (M**q / q!) * x**q = (A @ B)[M, x],
+
+A the real (horizons x terms) table of M**q / q! and B the complex
+(terms x roots) table of x**q, each one cumulative product.
 
 The idle state contributes an atom at zero wait (or an m-stage Erlang for
 the sojourn).  `oracle_wait_cdf` computes the same quantity from a truncated
-ODE distribution with no root in sight.
+ODE distribution with no root in sight.  Its thresholds n = m j - s run
+through the consecutive integers 1..n_max, n_max = m * level_cap (shifted
+by m for the sojourn), so with w_n the law's weight at threshold n, C_i =
+sum_{n <= i} w_n and p_i the Poisson(M) pmf, summation by parts gives
+
+    sum_n w_n P{N >= n} = sum_{i <= n_max} p_i C_i + C_{n_max} P{N > n_max}:
+
+one pmf table and one matrix-vector product, and a single incomplete gamma
+per horizon where there was one per threshold.  Every term is nonnegative,
+so nothing cancels.
 """
 
 from __future__ import annotations
@@ -41,6 +56,10 @@ from .series import SeriesEvaluator
 _KINDS = ("queue", "sojourn")
 _DIRECT_TAIL_RADIUS = 8.0
 
+# means above which a pmf row cannot start from exp(-mean), which leaves the
+# normal range past about 708 and is 0 past 745, zeroing the whole row
+_SEED_LIMIT = 700.0
+
 
 def _poisson_tail(threshold, mean):
     """P{Poisson(mean) >= threshold}; thresholds <= 0 give 1 exactly."""
@@ -52,27 +71,67 @@ def _poisson_tail(threshold, mean):
     return np.where(threshold <= 0, 1.0, gammainc(np.maximum(threshold, 1.0), mean))
 
 
-def _exp_tail(z: np.ndarray, m: int) -> np.ndarray:
-    """exp(z) - sum_{q=0}^{m} z**q / q! for complex z, elementwise.
+def _poisson_pmf_rows(mean: np.ndarray, top: int) -> np.ndarray:
+    """p_i(M) = exp(-M) M**i / i! for i = 0..top, one row per mean M.
 
-    Entries with |z| < _DIRECT_TAIL_RADIUS sum the terms q > m directly,
-    until no term can exceed eps times the first; the others subtract.
+    A row is one cumulative product of the ratios p_i / p_{i-1} = M / i
+    from p_0 = exp(-M).  For M above _SEED_LIMIT that seed underflows, so
+    such a row starts at its mode a = min(floor(M), top) instead, where
+
+        log p_a = a log1p((M - a) / a) - (M - a) - log(2 pi a) / 2
+                  - (1/(12 a) - 1/(360 a**3) + 1/(1260 a**5))
+
+    is Stirling's series for log a!, and takes the ratios outward both ways,
+    every one of them at most 1.  The series is good to a few ulps for
+    a >= 100 (the naive a log M - M - lgamma(a + 1) loses about 1e-12 to
+    cancellation at M = 1000); a = top < 100 leaves every p_i of the row
+    below 1e-170, where its error does not show.
     """
+    rows = np.empty((mean.size, top + 1))
+    rows[:, 0] = np.exp(-mean)
+    np.divide(mean[:, None], np.arange(1, top + 1), out=rows[:, 1:])
+    np.cumprod(rows, axis=1, out=rows)
+    far = mean > _SEED_LIMIT
+    if far.any():
+        big = mean[far][:, None]
+        a = np.minimum(np.floor(big), top)
+        i = np.arange(top + 1)
+        log_mode = (a * np.log1p((big - a) / a) - (big - a) - 0.5 * np.log(2.0 * np.pi * a)
+                    - (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * a * a)) / (a * a)) / a)
+        up = np.cumprod(np.where(i > a, big / np.maximum(i, 1), 1.0), axis=1)
+        down = np.cumprod(np.where(i < a, (i + 1.0) / big, 1.0)[:, ::-1], axis=1)[:, ::-1]
+        rows[far] = np.exp(log_mode) * up * down
+    return rows
+
+
+def _exp_tail(mean: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """exp(z) - sum_{q=0}^{m} z**q / q! at z = outer(mean, x), x complex.
+
+    Entries with |z| < _DIRECT_TAIL_RADIUS sum the terms q = m+1..Q
+    directly, as one product of the tables mean**q / q! and x**q; Q is the
+    first order at which no term can exceed eps times the first.  The
+    others subtract.
+    """
+    z = np.outer(mean, x)
     near = np.abs(z) < _DIRECT_TAIL_RADIUS
-    term = partial = np.ones_like(z)
-    for q in range(1, m + 1):
-        term = term * z * (1.0 / q)
-        partial = partial + term
-    zn = np.where(near, z, 0.0)
-    radius = float(np.abs(zn).max(initial=0.0))
-    term = np.where(near, term, 0.0) * zn * (1.0 / (m + 1))
-    direct, q, ratio = term, m + 1, 1.0
+    radius = float(np.abs(z[near]).max(initial=0.0))
+    top, ratio = m + 1, 1.0
     while ratio > np.finfo(float).eps:
-        q += 1
-        term = term * zn * (1.0 / q)
-        direct = direct + term
-        ratio *= radius / q
-    return np.where(near, direct, np.exp(z) - partial)
+        top += 1
+        ratio *= radius / top
+    scaled = np.cumprod(mean[:, None] / np.arange(1, top + 1), axis=1)[:, m:]
+    powers = np.cumprod(np.broadcast_to(x, (top, x.size)), axis=0)[m:]
+    # scaled is real, so the complex product is one real product with the
+    # interleaved (real, imaginary) columns of powers
+    out = (scaled @ powers.view(float)).view(complex)
+
+    zf = z[~near]
+    term = partial = np.ones_like(zf)
+    for q in range(1, m + 1):
+        term = term * zf * (1.0 / q)
+        partial = partial + term
+    out[~near] = np.exp(zf) - partial
+    return out
 
 
 def conditional_wait_cdf(spec: ModelSpec, level: int, s: int, u: float, t):
@@ -147,7 +206,7 @@ def wait_cdf(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
         partial_real = sum(mu_cum ** q / math.factorial(q) for q in range(m + 1))
         over_m = 1.0 - np.exp(-mu_cum) * partial_real
         tail_factor = over_m[:, None] - chi[None, :] * np.exp(-mu_cum)[:, None] \
-            * _exp_tail(np.outer(mu_cum, x), m)
+            * _exp_tail(mu_cum, x, m)
         atom = idle_mass * _poisson_tail(m, mu_cum)
 
     series_part = np.real(tail_factor * prefactor[None, :]).sum(axis=1)
@@ -170,14 +229,15 @@ def oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: float,
     levels = levels[0]                                 # (cap, km)
     by_stage = levels.reshape(dist.level_cap, spec.k, m).sum(axis=1)
 
-    j_idx = np.arange(1, dist.level_cap + 1)
-    thresholds = (m * j_idx[:, None] - np.arange(m)[None, :]).ravel()
-    if kind == "sojourn":
-        thresholds = thresholds + m
+    # weight of threshold n = m*j - s, n = 1..m*cap, cumulated from n = 0;
+    # the sojourn's thresholds start m further on
+    shift = m if kind == "sojourn" else 0
+    top = m * dist.level_cap + shift
+    cumulated = np.concatenate((np.zeros(shift + 1), np.cumsum(by_stage[:, ::-1])))
 
     mu_cum = spec.service.cumulative(u, u + horizons)
-    tails = _poisson_tail(thresholds[None, :], mu_cum[:, None])
-    values = tails @ by_stage.ravel()
+    values = (_poisson_pmf_rows(mu_cum, top) @ cumulated
+              + cumulated[-1] * _poisson_tail(top + 1, mu_cum))
     if kind == "queue":
         values = values + idle_mass
     else:

@@ -16,23 +16,35 @@ another way, kept to pin that route:
   subnormal;
 - `unflushed_busy_oracle`: the absorbing-ODE march with no entry of its
   state zeroed, against `busy_oracle`, which flushes entries below
-  `oracle._STATE_FLOOR` at every record.
+  `oracle._STATE_FLOOR` at every record;
+- `gammainc_oracle_wait_cdf`: the oracle wait route with one incomplete
+  gamma per (horizon, threshold), against `oracle_wait_cdf`, which sums by
+  parts over one Poisson pmf table;
+- `looped_exp_tail`: the sojourn bracket summed term by term over the full
+  array, against `waiting._exp_tail`, which forms the direct sum as one
+  matrix product;
+- `exact_exp_tail`: one entry of the sojourn bracket in exact rational
+  arithmetic, against both.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
 
 from ekemq._quad import composite_gauss
 from ekemq.model import ModelSpec, _normalize_phase
-from ekemq.oracle import BoundaryFunctions, _rk4_march, _structure_matrices
+from ekemq.oracle import (BoundaryFunctions, PeriodicDistribution, _rk4_march,
+                          _structure_matrices)
 from ekemq.roots import _INSIDE_TOL, CharacteristicRoot, _by_angle, _collision
 from ekemq.series import (_DENOM_FLOOR, SeriesEvaluator, _denominator,
                           _drive_values)
+from ekemq.waiting import (_DIRECT_TAIL_RADIUS, CDFCurve, _horizons,
+                           _poisson_tail)
 
 
 def root_coefficient(root: CharacteristicRoot, t: float,
@@ -178,3 +190,79 @@ def unflushed_busy_oracle(spec: ModelSpec, level: int, phase, u: float,
             subnormal += np.count_nonzero((mass[k:] > 0.0)
                                           & (mass[k:] < np.finfo(float).tiny))
     return values, cap_mass, subnormal
+
+
+def gammainc_oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: float,
+                             horizons, kind: str = "queue") -> CDFCurve:
+    """ODE-oracle route: condition on the truncated state at time u."""
+    horizons = _horizons(kind, horizons)
+    if dist.spec != spec:
+        raise ValueError("distribution belongs to a different model")
+    m = spec.m
+
+    idle, levels = dist.states_at([u])
+    idle_mass = float(idle[0].sum())
+    levels = levels[0]                                 # (cap, km)
+    by_stage = levels.reshape(dist.level_cap, spec.k, m).sum(axis=1)
+
+    j_idx = np.arange(1, dist.level_cap + 1)
+    thresholds = (m * j_idx[:, None] - np.arange(m)[None, :]).ravel()
+    if kind == "sojourn":
+        thresholds = thresholds + m
+
+    mu_cum = spec.service.cumulative(u, u + horizons)
+    tails = _poisson_tail(thresholds[None, :], mu_cum[:, None])
+    values = tails @ by_stage.ravel()
+    if kind == "queue":
+        values = values + idle_mass
+    else:
+        values = values + idle_mass * _poisson_tail(m, mu_cum)
+
+    return CDFCurve(kind=kind, u=float(u), horizons=horizons.copy(),
+                    values=values, source="oracle")
+
+
+def looped_exp_tail(z: np.ndarray, m: int) -> np.ndarray:
+    """exp(z) - sum_{q=0}^{m} z**q / q! for complex z, elementwise.
+
+    Entries with |z| < _DIRECT_TAIL_RADIUS sum the terms q > m directly,
+    until no term can exceed eps times the first; the others subtract.
+    """
+    near = np.abs(z) < _DIRECT_TAIL_RADIUS
+    term = partial = np.ones_like(z)
+    for q in range(1, m + 1):
+        term = term * z * (1.0 / q)
+        partial = partial + term
+    zn = np.where(near, z, 0.0)
+    radius = float(np.abs(zn).max(initial=0.0))
+    term = np.where(near, term, 0.0) * zn * (1.0 / (m + 1))
+    direct, q, ratio = term, m + 1, 1.0
+    while ratio > np.finfo(float).eps:
+        q += 1
+        term = term * zn * (1.0 / q)
+        direct = direct + term
+        ratio *= radius / q
+    return np.where(near, direct, np.exp(z) - partial)
+
+
+def exact_exp_tail(mean: float, x: complex, m: int) -> tuple[Fraction, Fraction]:
+    """(real, imaginary) part of sum_{q>m} (mean x)**q / q!, in exact
+    rational arithmetic from the float inputs.
+
+    The series is cut once the ratio |z| / (q+1) of consecutive terms is at
+    most 1/2, so that the remainder is below the last term, and that term
+    is below 2**-100 of the sum.
+    """
+    zr, zi = Fraction(mean) * Fraction(x.real), Fraction(mean) * Fraction(x.imag)
+    tr, ti = Fraction(1), Fraction(0)
+    sr = si = Fraction(0)
+    q = 0
+    while True:
+        q += 1
+        tr, ti = (tr * zr - ti * zi) / q, (tr * zi + ti * zr) / q
+        if q <= m:
+            continue
+        sr, si = sr + tr, si + ti
+        if (4 * (zr * zr + zi * zi) <= (q + 1) ** 2
+                and tr * tr + ti * ti <= Fraction(1, 2 ** 200) * (sr * sr + si * si)):
+            return sr, si

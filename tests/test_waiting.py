@@ -1,18 +1,25 @@
 """Waiting and sojourn laws: closed forms, dual-route agreement, edge cases."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from reference import exact_exp_tail, gammainc_oracle_wait_cdf, looped_exp_tail
 from scipy.special import gammainc
 
 from ekemq import (
     ModelSpec,
+    PeriodicDistribution,
     RateFunction,
+    SeriesEvaluator,
     _quad,
     build_root_set,
     conditional_wait_cdf,
     extract_boundary,
     oracle_wait_cdf,
     wait_cdf,
+    waiting,
 )
 from ekemq.oracle import TrigInterpolant
 
@@ -219,3 +226,96 @@ def test_wait_cdf_samples_boundary_once(periodic74_spec, periodic74_dist,
         wait_cdf(periodic74_spec, periodic74_roots10, boundary, u, ts)
     # the idle slice and the level-1 slice, each once at the rule's nodes
     assert calls == [rule_size, rule_size]
+
+
+def test_oracle_wait_matches_gammainc_route(periodic74_spec, periodic74_dist):
+    # summation by parts over one pmf table against one incomplete gamma per
+    # (horizon, threshold); every term is nonnegative, so only rounding
+    # separates them
+    ts = np.linspace(0.0, 3.0, 61)
+    worst = 0.0
+    for u in np.arange(64) / 64.0:
+        for kind in ("queue", "sojourn"):
+            got = oracle_wait_cdf(periodic74_spec, periodic74_dist, u, ts, kind=kind)
+            ref = gammainc_oracle_wait_cdf(periodic74_spec, periodic74_dist, u, ts,
+                                           kind=kind)
+            worst = max(worst, float(np.abs(got.values - ref.values).max()))
+    assert worst <= 1e-15
+
+
+def test_oracle_wait_long_horizon():
+    # thresholds up to m * cap = 1600 with weight 0.998**n, horizons up to a
+    # mean of 1000 stage completions: exp(-M) underflows past M ~ 745, and
+    # pmf rows seeded with it put the wait up to 0.81 off
+    spec = ModelSpec(1, 4, RateFunction(1.0), RateFunction(5.0))
+    cap, grid = 400, 4
+    n = 4 * np.arange(1, cap + 1)[:, None] - np.arange(4)[None, :]
+    weights = 0.998 ** n.astype(float)
+    levels = np.broadcast_to(0.9 * weights / weights.sum(), (grid, cap, 4))
+    dist = PeriodicDistribution(spec=spec, idle=np.full((grid, 1), 0.1),
+                                levels=levels, periods=1, residual=0.0)
+    ts = np.linspace(0.0, 200.0, 41)
+    assert spec.service.cumulative(0.0, ts[-1]) == pytest.approx(1000.0)
+    for kind in ("queue", "sojourn"):
+        got = oracle_wait_cdf(spec, dist, 0.0, ts, kind=kind).values
+        ref = gammainc_oracle_wait_cdf(spec, dist, 0.0, ts, kind=kind).values
+        assert np.abs(got - ref).max() <= 1e-13, kind
+
+
+def test_sojourn_series_matches_looped_tail(periodic74_spec, periodic74_boundary,
+                                            periodic74_roots10, periodic74_roots40,
+                                            monkeypatch):
+    # with the term-by-term loop in place of the product, wait_cdf is the
+    # route as it was before the product; the terms carry |chi| up to 3e13
+    ts = np.linspace(0.0, 3.0, 61)
+
+    def looped(mean, x, m):
+        return looped_exp_tail(np.outer(mean, x), m)
+
+    for roots in (periodic74_roots10, periodic74_roots40):
+        for u in (0.2, 0.7):
+            got, ref = {}, {}
+            for kind in ("queue", "sojourn"):
+                got[kind] = wait_cdf(periodic74_spec, roots, periodic74_boundary,
+                                     u, ts, kind=kind).values
+                with monkeypatch.context() as patch:
+                    patch.setattr(waiting, "_exp_tail", looped)
+                    ref[kind] = wait_cdf(periodic74_spec, roots, periodic74_boundary,
+                                         u, ts, kind=kind).values
+            assert np.abs(got["sojourn"] - ref["sojourn"]).max() <= 5e-13
+            assert np.array_equal(got["queue"], ref["queue"])
+
+
+def _exact_tail_errors(spec, roots, boundary, u, ts, every_root=1):
+    """(relative errors, |M x|) of `_exp_tail` at each horizon and every
+    `every_root`-th root, against exact rational arithmetic on the same
+    floats."""
+    x = SeriesEvaluator(roots, boundary)._yik[::every_root]
+    mean = spec.service.cumulative(u, u + ts)
+    tail = waiting._exp_tail(mean, x, spec.m)
+    errors, size = [], []
+    for h, big in enumerate(mean):
+        for r, root in enumerate(x):
+            sr, si = exact_exp_tail(big, root, spec.m)
+            gap = ((Fraction(tail[h, r].real) - sr) ** 2
+                   + (Fraction(tail[h, r].imag) - si) ** 2)
+            errors.append(math.sqrt(gap / (sr * sr + si * si)))
+            size.append(abs(big * root))
+    return np.array(errors), np.array(size)
+
+
+def test_exp_tail_in_exact_arithmetic(periodic74_spec, periodic74_boundary,
+                                      periodic74_roots40, mm1_spec, mm1_roots,
+                                      mm1_boundary):
+    # the reference model at order 40 (every 6th horizon, every 27th root),
+    # where every entry is summed by the product; and the M/M/1 sojourn,
+    # whose one root takes the product below |M x| = 8 and the subtraction
+    # above it
+    ref_errors, _ = _exact_tail_errors(periodic74_spec, periodic74_roots40,
+                                       periodic74_boundary, 0.2,
+                                       np.linspace(0.0, 3.0, 61)[1::6], every_root=27)
+    mm1_errors, size = _exact_tail_errors(mm1_spec, mm1_roots, mm1_boundary,
+                                          0.8, np.linspace(0.0, 6.0, 41)[1:])
+    assert np.any(size < 8.0) and np.any(size >= 8.0)
+    assert ref_errors.max() <= 2e-15
+    assert mm1_errors.max() <= 2e-15
