@@ -1,9 +1,10 @@
 """'%.17g' for float64 arrays at numpy speed, byte for byte.
 
-The CSV writers of the CLI format each float as Python's '%.17g' does.
-Python converts one value per call, correctly rounded; here a whole block
-is converted at once, exactly where a long-double error bound proves the
-digits, and by Python's own '%.17g' for every other value.
+Every CSV file of the CLI is written by `csv_lines`, each float as
+Python's '%.17g' does.  Python converts one value per call, correctly
+rounded; here a whole block is converted at once, exactly where a
+long-double error bound proves the digits, and by Python's own '%.17g' for
+every other value.
 
 Each value takes a field of FIELD = 32 bytes, four 8-byte words of
 left-aligned, NUL-padded text:
@@ -38,10 +39,11 @@ POW10 = np.array([np.longdouble(f"1e{16 + q}") for q in range(326)])
 ROUNDING_BOUND = 1.001 * float(np.finfo(np.longdouble).eps)
 
 
-def text_rows(strings, width: int = 0) -> np.ndarray:
-    """ASCII strings as the rows of a NUL-padded uint8 matrix, `width` bytes
-    each, or as many as the longest takes."""
-    rows = np.array([s.encode() for s in strings], f"S{width}" if width else "S")
+def text_rows(cells, width: int = 0) -> np.ndarray:
+    """ASCII strings, and floats as '%.17g', as the rows of a NUL-padded
+    uint8 matrix, `width` bytes each, or as many as the longest takes."""
+    rows = np.array([(c if isinstance(c, str) else "%.17g" % c).encode() for c in cells],
+                    f"S{width}" if width else "S")
     return rows.view(np.uint8).reshape(len(rows), rows.itemsize)
 
 
@@ -143,19 +145,25 @@ def fields(values: np.ndarray) -> np.ndarray:
     return text.reshape(np.shape(values) + (FIELD,))
 
 
-def csv_lines(cells: np.ndarray, *prefix: np.ndarray) -> bytes:
-    """One CSV line per row of `cells` (shape (..., c)): the `prefix` fields,
-    NUL-padded uint8 matrices that broadcast against cells.shape[:-1] +
-    (width,), then the cells as '%.17g', joined by ',' and ended by '\\n'."""
-    lead, count = cells.shape[:-1], cells.shape[-1]
-    start = sum(p.shape[-1] for p in prefix)
-    out = np.empty(lead + (start + count * FIELD,), np.uint8)
-    at = 0
-    for p in prefix:
-        out[..., at:at + p.shape[-1]] = p
-        at += p.shape[-1]
-    body = out[..., start:].reshape(lead + (count, FIELD))
-    body[...] = fields(cells)
-    body[..., -1] = ord(",")
-    body[..., -1, -1] = ord("\n")
+def csv_lines(*columns: np.ndarray) -> bytes:
+    """One CSV line per element of the columns' broadcast shape, in C order:
+    a field from each column in turn, joined by ',' and ended by '\\n'.  A
+    column is a float array, written as '%.17g', or a `text_rows` matrix,
+    whose last axis holds each field's bytes; an integer passed as a float
+    is written as the integer."""
+    text = [c.dtype == np.uint8 for c in columns]
+    lead = np.broadcast_shapes(*(c.shape[:-1] if t else c.shape
+                                 for c, t in zip(columns, text)))
+    # a text field takes one byte more than its text, a float's field has
+    # its last byte spare: the separator after each field goes there
+    widths = [c.shape[-1] + 1 if t else FIELD for c, t in zip(columns, text)]
+    out = np.empty(lead + (sum(widths),), np.uint8)
+    end = 0
+    for column, is_text, width in zip(columns, text, widths):
+        at, end = end, end + width
+        if is_text:
+            out[..., at:end - 1] = column
+        else:
+            out[..., at:end] = fields(column)
+        out[..., end - 1] = ord("\n") if end == out.shape[-1] else ord(",")
     return out.tobytes().translate(None, b"\0")

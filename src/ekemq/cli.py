@@ -14,8 +14,9 @@ are given by their mean and comma-separated harmonic:amplitude terms, e.g.
 Subcommands: analyze, roots, oracle, bounds, waiting, busy, compare.  Every
 command writes CSV files (first line `# schema: <name>`, floats with 17
 significant digits, fixed row order, so identical configs give identical
-bytes) and JSON summaries into --out.  Exit codes: 0 success, 2 bad
-configuration or usage, 3 numerical failure.
+bytes, all through the one writer `_write_csv`) and JSON summaries into
+--out.  Exit codes: 0 success, 2 bad configuration or usage (an --out that
+cannot be made a directory among them), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -219,20 +220,28 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+# The writer formats about this many floats at a time, which keeps the
+# formatter's working arrays near 1.5 MB.
+_CHUNK_VALUES = 2 ** 13
 
 
-def _write_csv(path: Path, schema: str, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {schema}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _write_csv(path: Path, schema: str, header, *columns: np.ndarray) -> None:
+    """Every CSV file of the CLI: the schema line, the header, then
+    `_g17.csv_lines` of the columns, a chunk along the first axis at a time.
+    A column has one axis per axis of the lines (a text column one more,
+    for its bytes), each of full length or 1; one of length 1 on the first
+    axis serves every chunk."""
+    # _g17 is imported where it is used, so that a run that writes no CSV
+    # neither loads the formatter nor builds its tables
+    from . import _g17
+    floats = [c for c in columns if c.dtype != np.uint8]
+    lead = np.broadcast_shapes(*(c.shape for c in floats))
+    step = max(1, _CHUNK_VALUES // (len(floats) * math.prod(lead[1:])))
+    with open(path, "wb") as fh:
+        fh.write(f"# schema: {schema}\n{','.join(header)}\n".encode())
+        for i in range(0, max(len(c) for c in columns), step):
+            fh.write(_g17.csv_lines(*(c[i:i + step] if len(c) > 1 else c
+                                      for c in columns)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -273,76 +282,33 @@ def _wait_pair(cfg: RunConfig, spec: ModelSpec, roots, dist, boundary,
 
 def cmd_roots(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     roots = build_root_set(spec, cfg["series.order"])
-    rows = [
-        (r.n, r.branch, r.y.real, r.y.imag, abs(r.y), r.poly_residual, r.exp_residual)
-        for r in roots.roots
-    ]
+    # abs(r.y) per root: np.abs of a complex array can differ in the last bit
+    columns = np.array([(r.n, r.branch, r.y.real, r.y.imag, abs(r.y),
+                         r.poly_residual, r.exp_residual) for r in roots.roots])
     _write_csv(out / "roots.csv", "roots v1",
                ("n", "branch", "re_y", "im_y", "abs_y",
-                "poly_residual", "exp_residual"), rows)
-
-
-# The float writers format about this many values at a time, which keeps
-# the formatter's working arrays near 1.5 MB.
-_CHUNK_VALUES = 2 ** 13
-
-
-def _csv_head(schema: str, header) -> bytes:
-    return f"# schema: {schema}\n{','.join(header)}\n".encode()
-
-
-def _write_matrix_csv(path: Path, schema: str, header, matrix: np.ndarray) -> None:
-    """One row per matrix row, every cell a float: `_write_csv`'s bytes on
-    the same rows, written a chunk of rows at a time."""
-    # imported here, so that a run that writes no float matrix neither
-    # loads the formatter nor builds its tables
-    from . import _g17
-    step = max(1, _CHUNK_VALUES // matrix.shape[1])
-    with open(path, "wb") as fh:
-        fh.write(_csv_head(schema, header))
-        for i in range(0, len(matrix), step):
-            fh.write(_g17.csv_lines(matrix[i:i + step]))
-
-
-def _write_grid_csv(path: Path, schema: str, header, grid, labels,
-                    values: np.ndarray) -> None:
-    """Rows (t, label, value) for every grid time t and state, states in
-    `labels` order: `_write_csv`'s bytes on the same rows, written a chunk
-    of grid rows at a time.
-
-    The values are formatted by `_g17`, whose bytes are Python's '%.17g'
-    ones: its table of powers of ten is correctly rounded, so a value
-    scaled to 17 digits is within 1.001 long-double eps (relative) of the
-    exact one, and a value that close to a rounding tie, as well as 0, -0,
-    nan, inf and |x| >= 1, is formatted by Python's '%.17g' itself (the
-    argument in full is in `ekemq._g17`).
-    """
-    from . import _g17  # see _write_matrix_csv
-    times = _g17.text_rows(f"{t:.17g}," for t in grid.tolist())[:, None]
-    names = _g17.text_rows(f"{label}," for label in labels)[None]
-    step = max(1, _CHUNK_VALUES // len(labels))
-    with open(path, "wb") as fh:
-        fh.write(_csv_head(schema, header))
-        for i in range(0, len(grid), step):
-            fh.write(_g17.csv_lines(values[i:i + step, :, None], times[i:i + step],
-                                    names))
+                "poly_residual", "exp_residual"), *columns.T)
 
 
 def _write_law(out: Path, spec: ModelSpec, dist, boundary) -> None:
-    """distribution.csv and boundary.csv of the oracle command."""
+    """distribution.csv and boundary.csv of the oracle command: a line
+    (t, state label, value) for every grid time t and state."""
+    from . import _g17  # see _write_csv
     m = spec.m
     idle = [f"{a},-1" for a in range(spec.k)]
     phases = [f"{ph // m},{ph % m}" for ph in range(spec.phase_count)]
     labels = [f"0,{a}" for a in idle] + [
         f"{j},{ph}" for j in range(1, dist.level_cap + 1) for ph in phases]
-    _write_grid_csv(out / "distribution.csv", "periodic-distribution v1",
-                    ("t", "level", "arrival_stage", "service_stage", "probability"),
-                    dist.grid, labels,
-                    np.hstack([dist.idle, dist.levels.reshape(dist.grid_size, -1)]))
+    # the grid times are rendered once and serve every chunk
+    _write_csv(out / "distribution.csv", "periodic-distribution v1",
+               ("t", "level", "arrival_stage", "service_stage", "probability"),
+               _g17.text_rows(dist.grid.tolist())[:, None], _g17.text_rows(labels)[None],
+               np.hstack([dist.idle, dist.levels.reshape(dist.grid_size, -1)]))
     blabels = [f"idle,{a}" for a in idle] + [f"first,{ph}" for ph in phases]
-    _write_grid_csv(out / "boundary.csv", "boundary v1",
-                    ("t", "kind", "arrival_stage", "service_stage", "value"),
-                    boundary.grid, blabels, np.hstack([boundary.idle, boundary.first]))
+    _write_csv(out / "boundary.csv", "boundary v1",
+               ("t", "kind", "arrival_stage", "service_stage", "value"),
+               _g17.text_rows(boundary.grid.tolist())[:, None],
+               _g17.text_rows(blabels)[None], np.hstack([boundary.idle, boundary.first]))
 
 
 def cmd_oracle(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
@@ -363,25 +329,24 @@ def cmd_analyze(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     ev = SeriesEvaluator(build_root_set(spec, order), boundary)
     times, pairs = _level_pairs(cfg, dist, ev)
 
-    m = spec.m
-    rows = []
-    sup = {}
-    for j, series_vals, oracle_vals in pairs:
-        diff = np.abs(series_vals - oracle_vals)
-        sup[str(j)] = float(diff.max())
-        for i, t in enumerate(times):
-            budget = truncation_error_bound(spec, t, j, order)
-            bound_txt = _fmt(budget.bound) if budget.applicable else "NA"
-            for ph in range(spec.phase_count):
-                rows.append((t, j, ph // m, ph % m,
-                             series_vals[i, ph], oracle_vals[i, ph],
-                             diff[i, ph], bound_txt))
+    from . import _g17  # see _write_csv
+    # a line per (level, time) row and phase column
+    km = spec.phase_count
+    levels = np.array(cfg["analyze.levels"], dtype=float)
+    phases = np.arange(km, dtype=float)[None]
+    series = np.array([s for _, s, _ in pairs]).reshape(-1, km)
+    oracle = np.array([o for _, _, o in pairs]).reshape(-1, km)
+    bounds = [b.bound if b.applicable else "NA" for j in cfg["analyze.levels"]
+              for b in (truncation_error_bound(spec, t, j, order) for t in times)]
     _write_csv(out / "levels.csv", "level-comparison v1",
                ("t", "level", "arrival_stage", "service_stage",
-                "series", "oracle", "abs_diff", "tail_bound"), rows)
+                "series", "oracle", "abs_diff", "tail_bound"),
+               np.tile(times, len(levels))[:, None], np.repeat(levels, len(times))[:, None],
+               phases // spec.m, phases % spec.m, series, oracle,
+               np.abs(series - oracle), _g17.text_rows(bounds)[:, None])
     _write_json(out / "analyze.json", {
         "order": order,
-        "sup_error_by_level": sup,
+        "sup_error_by_level": {str(j): float(np.abs(s - o).max()) for j, s, o in pairs},
         "oracle_periods": dist.periods,
         "oracle_residual": dist.residual,
     })
@@ -395,20 +360,24 @@ def cmd_bounds(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     evs = {q: SeriesEvaluator(build_root_set(spec, q), boundary)
            for q in cfg["bounds.orders"]}
 
-    rows = []
+    from . import _g17  # see _write_csv
+    levels = np.array(cfg["bounds.levels"], dtype=float)
+    orders = np.array(cfg["bounds.orders"], dtype=float)
+    bounds, measured = [], []
     for j in cfg["bounds.levels"]:
         ref_vals = ev_ref.level_matrix(j, times).real
         for q in cfg["bounds.orders"]:
-            measured = float(np.abs(evs[q].level_matrix(j, times).real - ref_vals).max())
+            measured.append(np.abs(evs[q].level_matrix(j, times).real - ref_vals).max())
             budgets = [truncation_error_bound(spec, t, j, q)
                        for t in times]
             if all(b.applicable for b in budgets):
-                bound_txt = _fmt(max(b.bound for b in budgets))
+                bounds.append(max(b.bound for b in budgets))
             else:
-                bound_txt = "NA"
-            rows.append((j, q, bound_txt, measured))
+                bounds.append("NA")
     _write_csv(out / "bounds.csv", "tail-bounds v1",
-               ("level", "order", "bound", "measured"), rows)
+               ("level", "order", "bound", "measured"),
+               np.repeat(levels, len(orders)), np.tile(orders, len(levels)),
+               _g17.text_rows(bounds), np.array(measured, dtype=float))
 
 
 def cmd_waiting(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
@@ -417,12 +386,9 @@ def cmd_waiting(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     kind = cfg["waiting.kind"]
     horizons, series, reference = _wait_pair(cfg, spec, roots, dist, boundary,
                                              kind)
-    rows = [
-        (t, sv, ov, abs(sv - ov))
-        for t, sv, ov in zip(horizons, series, reference)
-    ]
     _write_csv(out / "waiting.csv", "waiting v1",
-               ("t", "series", "oracle", "abs_diff"), rows)
+               ("t", "series", "oracle", "abs_diff"),
+               horizons, series, reference, np.abs(series - reference))
     _write_json(out / "waiting.json", {
         "kind": kind,
         "u": cfg["waiting.u"],
@@ -444,8 +410,8 @@ def cmd_busy(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     header += [f"ode_a{a}" for a in range(spec.k)]
     header += ["volterra_total", "ode_total"]
     vt, ot = vol.total(), ode.total()
-    _write_matrix_csv(out / "busy.csv", "busy-period v1", header,
-                      np.column_stack([vol.times, vol.values, ode.values, vt, ot]))
+    _write_csv(out / "busy.csv", "busy-period v1", header,
+               vol.times, *vol.values.T, *ode.values.T, vt, ot)
     _write_json(out / "busy.json", {
         "level": level,
         "phase": list(divmod(vol.phase, spec.m)),
@@ -511,6 +477,11 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot use --out {args.out!r} as the output directory: {exc}",
+              file=sys.stderr)
+        return 2
+    try:
         _COMMANDS[args.command](cfg, spec, out)
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         kind = f"{type(exc).__module__}.{type(exc).__qualname__}"

@@ -89,9 +89,10 @@ class _RootFactors:
 
     Built once per `RootSet` and kept in it: the root powers
     chi**(1/k) = y**m, chi**(-1/m) = y**(-k), chi and log chi, the
-    denominators, the arrival powers chi**(a/k), the phase rows and the log
-    of each row's smallest modulus, all read-only; and the period integral
-    for the last boundary asked for.
+    denominators, the arrival powers chi**(a/k), the phase rows, the log
+    of each row's smallest modulus and the stage sums
+    sum_a chi**(-a/k) of the wait series, all read-only; and the period
+    integral for the last boundary asked for.
     exp(-W0) at the rule's nodes, a (nodes, n_roots) array, is formed inside
     the period integral and not kept.
     """
@@ -113,8 +114,9 @@ class _RootFactors:
         rows_s = (ys[:, None] ** k) ** np.arange(m)[None, :]
         self.rows = np.einsum("ra,rs->ras", rows_a, rows_s).reshape(len(ys), k * m)
         self.log_row_min = np.log(np.abs(self.rows).min(axis=1))
+        self.stage_sum = rows_a.sum(axis=1)
         for arr in (self.ym, self.yik, self.chi, self.log_chi, self.denom,
-                    self.apows, self.rows, self.log_row_min):
+                    self.apows, self.rows, self.log_row_min, self.stage_sum):
             arr.flags.writeable = False
         self._last = None
 
@@ -169,12 +171,8 @@ class SeriesEvaluator:
         if boundary.first.shape[1] != spec.phase_count or boundary.idle.shape[1] != spec.k:
             raise ValueError("boundary belongs to a different model")
         self.spec = spec
-        factors = _root_factors(roots)
-        self._ym, self._yik, self._chi = factors.ym, factors.yik, factors.chi
-        self._log_chi, self._rows = factors.log_chi, factors.rows
-        self._log_row_min = factors.log_row_min
-
-        self._coef = factors.period_integral(boundary)
+        self._factors = _root_factors(roots)
+        self._coef = self._factors.period_integral(boundary)
         self._memo_t = None
         self._memo_f = None
         self._memo_log_min = None
@@ -185,8 +183,8 @@ class SeriesEvaluator:
         if self._memo_t is None or not np.array_equal(t, self._memo_t):
             lam0 = self.spec.arrival.accumulated(t)
             mu0 = self.spec.service.accumulated(t)
-            growth = np.exp(np.outer(lam0, self._ym - 1.0)
-                            + np.outer(mu0, self._yik - 1.0))
+            growth = np.exp(np.outer(lam0, self._factors.ym - 1.0)
+                            + np.outer(mu0, self._factors.yik - 1.0))
             self._memo_f = growth * self._coef[None, :]
             self._memo_log_min = None
             self._memo_t = t.copy()
@@ -208,16 +206,17 @@ class SeriesEvaluator:
         if level < 1:
             raise ValueError("series levels start at 1; level 0 is the idle state")
         f = self._coefficients(t)
+        log_chi = self._factors.log_chi
         if self._memo_log_min is None:
             size = np.abs(f)
             f_min = size.min(axis=0, where=size > 0.0, initial=np.inf)
-            self._memo_log_min = np.log(f_min) + self._log_row_min
+            self._memo_log_min = np.log(f_min) + self._factors.log_row_min
         # exp(-j log chi) instead of chi**(-j): the direct power overflows to
         # nan for far-out roots at deep levels, where the true value underflows
         with np.errstate(under="ignore"):
-            shift = np.exp(-float(level) * self._log_chi)
+            shift = np.exp(-float(level) * log_chi)
         # log |chi**(-j)| = -j Re(log chi)
-        shift[self._memo_log_min - float(level) * self._log_chi.real < _LOG_TINY] = 0.0
+        shift[self._memo_log_min - float(level) * log_chi.real < _LOG_TINY] = 0.0
         return f * shift[None, :]
 
     def level_matrix(self, level: int, t) -> np.ndarray:
@@ -243,4 +242,4 @@ class SeriesEvaluator:
         value of levels 1-30 moves, and at levels 100-130 no value moves by
         more than 5e-304.
         """
-        return self._level_coefficients(level, t) @ self._rows
+        return self._level_coefficients(level, t) @ self._factors.rows

@@ -51,7 +51,7 @@ import numpy as np
 from .model import ModelSpec
 from .oracle import BoundaryFunctions, PeriodicDistribution
 from .roots import RootSet
-from .series import SeriesEvaluator
+from .series import SeriesEvaluator, _root_factors
 
 _KINDS = ("queue", "sojourn")
 _DIRECT_TAIL_RADIUS = 8.0
@@ -189,12 +189,10 @@ def wait_cdf(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
         raise ValueError("root set belongs to a different model")
     m = spec.m
 
-    ev = SeriesEvaluator(roots, boundary)
-    f_u = ev.coefficients([u])[0]                      # per-root coefficient
-    x = ev._yik                                        # chi**(-1/m)
-    chi = ev._chi
-    stage_sum = (ev._ym[:, None] ** (-np.arange(spec.k))[None, :]).sum(axis=1)
-    prefactor = f_u * stage_sum * x / (1.0 - x)
+    f_u = SeriesEvaluator(roots, boundary).coefficients([u])[0]  # per-root coefficient
+    factors = _root_factors(roots)
+    x, chi = factors.yik, factors.chi                  # x = chi**(-1/m)
+    prefactor = f_u * factors.stage_sum * x / (1.0 - x)
 
     mu_cum = spec.service.cumulative(u, u + horizons)
     idle_mass = float(boundary.idle_at([u])[0].sum())

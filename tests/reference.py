@@ -24,7 +24,10 @@ another way, kept to pin that route:
   array, against `waiting._exp_tail`, which forms the direct sum as one
   matrix product;
 - `exact_exp_tail`: one entry of the sojourn bracket in exact rational
-  arithmetic, against both.
+  arithmetic, against both;
+- `write_csv_by_rows`: a CSV file written row tuple by row tuple, one
+  Python `format` per value, against the CLI's `_write_csv`, which formats
+  whole columns through `ekemq._g17`.
 """
 
 from __future__ import annotations
@@ -159,8 +162,8 @@ def uncut_level_matrix(ev: SeriesEvaluator, level: int, t) -> np.ndarray:
     to the subnormal ones, goes into the product."""
     f = ev.coefficients(t)
     with np.errstate(under="ignore"):
-        shift = np.exp(-float(level) * ev._log_chi)
-    return (f * shift[None, :]) @ ev._rows
+        shift = np.exp(-float(level) * ev._factors.log_chi)
+    return (f * shift[None, :]) @ ev._factors.rows
 
 
 def unflushed_busy_oracle(spec: ModelSpec, level: int, phase, u: float,
@@ -266,3 +269,19 @@ def exact_exp_tail(mean: float, x: complex, m: int) -> tuple[Fraction, Fraction]
         if (4 * (zr * zr + zi * zi) <= (q + 1) ** 2
                 and tr * tr + ti * ti <= Fraction(1, 2 ** 200) * (sr * sr + si * si)):
             return sr, si
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def write_csv_by_rows(path, schema: str, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# schema: {schema}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")

@@ -9,17 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import write_csv_by_rows
 
 import ekemq
 from ekemq import ModelSpec, RateFunction, extract_boundary, integrate_periodic
 from ekemq.bounds import truncation_error_bound
-from ekemq._g17 import POW10, csv_lines, fast_fields
+from ekemq._g17 import POW10, csv_lines, fast_fields, text_rows
 from ekemq.cli import (
+    _CHUNK_VALUES,
     ConfigError,
     RunConfig,
     _write_csv,
     _write_law,
-    _write_matrix_csv,
     main,
 )
 from ekemq.oracle import PeriodicDistribution
@@ -207,8 +208,8 @@ def test_outputs_are_byte_identical(tmp_path, command, keys, names):
 
 
 def _write_law_by_rows(out, spec, dist, boundary):
-    """The row-tuple writer the law files had before: one `_write_csv` row
-    per grid time and state."""
+    """The row-tuple writer the law files had before: one row per grid time
+    and state."""
     m = spec.m
     rows = []
     for i, t in enumerate(dist.grid):
@@ -217,17 +218,17 @@ def _write_law_by_rows(out, spec, dist, boundary):
         for j in range(1, dist.level_cap + 1):
             for ph in range(spec.phase_count):
                 rows.append((t, j, ph // m, ph % m, dist.levels[i, j - 1, ph]))
-    _write_csv(out / "distribution.csv", "periodic-distribution v1",
-               ("t", "level", "arrival_stage", "service_stage", "probability"),
-               rows)
+    write_csv_by_rows(out / "distribution.csv", "periodic-distribution v1",
+                      ("t", "level", "arrival_stage", "service_stage", "probability"),
+                      rows)
     brows = []
     for i, t in enumerate(boundary.grid):
         for a in range(spec.k):
             brows.append((t, "idle", a, -1, boundary.idle[i, a]))
         for ph in range(spec.phase_count):
             brows.append((t, "first", ph // m, ph % m, boundary.first[i, ph]))
-    _write_csv(out / "boundary.csv", "boundary v1",
-               ("t", "kind", "arrival_stage", "service_stage", "value"), brows)
+    write_csv_by_rows(out / "boundary.csv", "boundary v1",
+                      ("t", "kind", "arrival_stage", "service_stage", "value"), brows)
 
 
 def _assert_law_writers_agree(tmp_path, spec, dist):
@@ -323,10 +324,66 @@ def test_matrix_writer_matches_row_writer(tmp_path):
     matrix[1, 1:] = [0.0, -0.0, 1.0, -2e-9]
     matrix[2, 1:] = [np.nan, np.inf, 5e-324, 0.5]
     header = ["t", "a", "b", "c", "d"]
-    _write_matrix_csv(tmp_path / "new.csv", "busy-period v1", header, matrix)
-    _write_csv(tmp_path / "old.csv", "busy-period v1", header,
-               [tuple(row) for row in matrix])
+    _write_csv(tmp_path / "new.csv", "busy-period v1", header, *matrix.T)
+    write_csv_by_rows(tmp_path / "old.csv", "busy-period v1", header,
+                      [tuple(row) for row in matrix])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _mixed_columns(rows):
+    """(columns, row tuples) of `rows` lines: an integer column of 0,
+    negatives and values up to 40, a text column of '%.17g' numbers and
+    'NA', and a column of every kind of double in `_doubles_to_format`."""
+    rng = np.random.default_rng(7)
+    ints = rng.integers(-40, 41, rows)
+    ints[:3] = [0, -1, 40][:rows]
+    doubles = np.concatenate([chunk[:2000] for chunk in _doubles_to_format()])
+    values = np.resize(rng.permutation(doubles), rows)
+    texts = [float(v) if i % 3 else "NA" for i, v in enumerate(values[::-1])]
+    columns = (ints.astype(float), text_rows(texts), values)
+    return columns, list(zip(ints.tolist(), texts, values.tolist()))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3 * _CHUNK_VALUES])
+def test_column_writer_matches_row_writer(tmp_path, rows):
+    columns, tuples = _mixed_columns(rows)
+    header = ["level", "bound", "value"]
+    _write_csv(tmp_path / "new.csv", "mixed v1", header, *columns)
+    write_csv_by_rows(tmp_path / "old.csv", "mixed v1", header, tuples)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert len((tmp_path / "new.csv").read_text().splitlines()) == 2 + rows
+
+
+def test_integer_valued_doubles_are_written_as_integers():
+    # root frequencies, branches, levels, stages and the idle stage -1, as
+    # the CLI passes them: as doubles
+    ints = list(range(-40, 1001)) + [10 ** 6, 2 ** 53]
+    got = csv_lines(np.array(ints, dtype=float)[:, None]).decode()
+    assert got == "".join(f"{i}\n" for i in ints)
+
+
+@pytest.mark.parametrize("command, key, name", [
+    ("analyze", "analyze.levels", "levels.csv"),
+    ("bounds", "bounds.orders", "bounds.csv"),
+    ("bounds", "bounds.levels", "bounds.csv"),
+])
+def test_empty_lists_write_header_only_files(tmp_path, command, key, name):
+    cfg = write_cfg(tmp_path, **{key: ""})
+    out = tmp_path / "e"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert len((out / name).read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
+def test_unusable_out_exits_2(tmp_path, capsys, under):
+    cfg = write_cfg(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if under else taken
+    assert main(["roots", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err
+    assert "numerical failure" not in err
 
 
 def test_analyze_outputs_and_determinism(tmp_path):

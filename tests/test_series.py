@@ -168,11 +168,11 @@ def test_level_sweep_does_no_subnormal_arithmetic(sweep_evaluators, periodic74_d
     ts = periodic74_dist.grid
     uncut = 0
     for q, ev in sweep_evaluators.items():
-        assert _subnormal_count(ev._rows) == 0
+        assert _subnormal_count(ev._factors.rows) == 0
         for j in range(1, 31):
             assert _subnormal_count(ev._level_coefficients(j, ts)) == 0, (q, j)
             with np.errstate(under="ignore"):
-                shift = np.exp(-float(j) * ev._log_chi)
+                shift = np.exp(-float(j) * ev._factors.log_chi)
             uncut += _subnormal_count(ev.coefficients(ts) * shift[None, :])
     # without the cut, the order-40 sweep multiplies subnormal operands
     assert uncut > 10_000
@@ -185,7 +185,7 @@ def test_deep_level_cut_is_within_bound(sweep_evaluators, periodic74_dist):
     ev = sweep_evaluators[40]
     ts = periodic74_dist.grid
     size = np.abs(ev.coefficients(ts))
-    rows = np.abs(ev._rows)
+    rows = np.abs(ev._factors.rows)
     term_bound = _TINY * (size.max(axis=0) / size.min(axis=0)) \
         * (rows.max(axis=1) / rows.min(axis=1))
     assert term_bound.max() < 1e-285

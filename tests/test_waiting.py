@@ -290,7 +290,7 @@ def _exact_tail_errors(spec, roots, boundary, u, ts, every_root=1):
     """(relative errors, |M x|) of `_exp_tail` at each horizon and every
     `every_root`-th root, against exact rational arithmetic on the same
     floats."""
-    x = SeriesEvaluator(roots, boundary)._yik[::every_root]
+    x = SeriesEvaluator(roots, boundary)._factors.yik[::every_root]
     mean = spec.service.cumulative(u, u + ts)
     tail = waiting._exp_tail(mean, x, spec.m)
     errors, size = [], []
