@@ -17,6 +17,7 @@ conflated with a zero bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,7 +54,10 @@ def tail_constant(spec: ModelSpec, t: float, n: int) -> float:
 
     Raises ValueError when the denominator is not positive, which makes the
     constant inapplicable (it happens for small |n| unless service strongly
-    dominates).
+    dominates).  The window integral in the numerator depends on the model
+    and t only, so it is computed once per (spec, t) and kept for the next
+    frequency, level or order (`_window_integral`); the constant is the same
+    float either way.
     """
     lb = spec.arrival_mean
     mb = spec.service_mean
@@ -63,11 +67,23 @@ def tail_constant(spec: ModelSpec, t: float, n: int) -> float:
         raise ValueError(
             f"tail constant not applicable at n={n}: denominator {denom:g} <= 0"
         )
+    return _window_integral(spec, float(t)) / denom
+
+
+# A time grid of up to 256 points keeps all its window integrals: callers
+# loop over the times innermost, so a smaller cache than the grid would evict
+# every entry before its next use.
+@functools.lru_cache(maxsize=256)
+def _window_integral(spec: ModelSpec, t: float) -> float:
+    """integral over [t-1, t] of (lam(u) + mu(u)) * exp((mu_bar / lam_bar)
+    * Lam(u, t)) du, the numerator of `tail_constant`; ModelSpec is frozen
+    and hashable, so the cache never serves one model's integral to
+    another."""
+    lb, mb = spec.arrival_mean, spec.service_mean
     u, w = composite_gauss(t - 1.0, t)
     lam_cum = spec.arrival.accumulated(t) - spec.arrival.accumulated(u)
     total_rate = spec.arrival.value(u) + spec.service.value(u)
-    numer = float(np.dot(w, total_rate * np.exp((mb / lb) * lam_cum)))
-    return numer / denom
+    return float(np.dot(w, total_rate * np.exp((mb / lb) * lam_cum)))
 
 
 @dataclass(frozen=True)

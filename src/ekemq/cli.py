@@ -16,7 +16,8 @@ command writes CSV files (first line `# schema: <name>`, floats with 17
 significant digits, fixed row order, so identical configs give identical
 bytes, all through the one writer `_write_csv`) and JSON summaries into
 --out.  Exit codes: 0 success, 2 bad configuration or usage (an --out that
-cannot be made a directory among them), 3 numerical failure.
+cannot be made a directory, or an output file in it that cannot be written,
+among them), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -483,6 +484,11 @@ def main(argv=None) -> int:
         return 2
     try:
         _COMMANDS[args.command](cfg, spec, out)
+    except OSError as exc:  # an output file that cannot be written
+        path = args.out if exc.filename is None else exc.filename
+        print(f"cannot write the output of {args.command} to {str(path)!r}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         kind = f"{type(exc).__module__}.{type(exc).__qualname__}"
         print(f"numerical failure in {args.command}: {kind}: {exc}", file=sys.stderr)

@@ -277,10 +277,18 @@ class PeriodicDistribution(_Sampled):
     were integrated on this grid, after the start from the fixed points on
     the coarser grids of the solve's ladder, whose periods it does not count.
 
+    Two trigonometric interpolants read the law between grid times, each
+    built on first use, once per law.  The state interpolant holds every
+    state's samples, k + level_cap * km columns (257 x 1,407 complex
+    coefficients on the reference law), and serves `states_at`, `idle_at`
+    and `levels_at`.  The stage interpolant holds the k idle states and the
+    level_cap * m sums of each level's samples over arrival stage (257 x
+    207 on the reference law), and serves `stage_sums_at`, which is all the
+    oracle wait route reads.
+
     A law is immutable: the constructor copies idle and levels into
     read-only arrays, so an edit raises instead of disagreeing with the
-    interpolant that `states_at`, `idle_at` and `levels_at` build once per
-    law.
+    interpolants.
     """
 
     spec: ModelSpec
@@ -312,6 +320,24 @@ class PeriodicDistribution(_Sampled):
         vals = self._interp(u)
         return (vals[:, :self.spec.k], vals[:, self.spec.k:].reshape(
             -1, self.level_cap, self.spec.phase_count))
+
+    @cached_property
+    def _stage_interp(self) -> TrigInterpolant:
+        """Interpolant of the idle states and of the busy states summed over
+        arrival stage, built once per law; the sums are taken of the samples."""
+        by_stage = self.levels.reshape(self.grid_size, self.level_cap, self.spec.k,
+                                       self.spec.m).sum(axis=2)
+        return TrigInterpolant(np.concatenate(
+            [self.idle, by_stage.reshape(self.grid_size, -1)], axis=1))
+
+    def stage_sums_at(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """(idle_at(u), levels_at(u) summed over arrival stage), shapes
+        (len(u), k) and (len(u), level_cap, m), from one evaluation of the
+        stage interpolant; the sums agree with those of `levels_at` to
+        rounding."""
+        vals = self._stage_interp(u)
+        return (vals[:, :self.spec.k],
+                vals[:, self.spec.k:].reshape(-1, self.level_cap, self.spec.m))
 
     def idle_at(self, u) -> np.ndarray:
         """Idle-state probabilities at arbitrary times, (len(u), k)."""

@@ -29,7 +29,11 @@ A the real (horizons x terms) table of M**q / q! and B the complex
 
 The idle state contributes an atom at zero wait (or an m-stage Erlang for
 the sojourn).  `oracle_wait_cdf` computes the same quantity from a truncated
-ODE distribution with no root in sight.  Its thresholds n = m j - s run
+ODE distribution with no root in sight.  It needs the law at time u only
+through the idle states and each level's sums over arrival stage, so it
+reads the law's service-stage interpolant (`stage_sums_at`, built once per
+law, k + level_cap * m columns) and never the interpolant of every state.
+Its thresholds n = m j - s run
 through the consecutive integers 1..n_max, n_max = m * level_cap (shifted
 by m for the sojourn), so with w_n the law's weight at threshold n, C_i =
 sum_{n <= i} w_n and p_i the Poisson(M) pmf, summation by parts gives
@@ -222,10 +226,9 @@ def oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: float,
         raise ValueError("distribution belongs to a different model")
     m = spec.m
 
-    idle, levels = dist.states_at([u])
+    idle, by_stage = dist.stage_sums_at([u])
     idle_mass = float(idle[0].sum())
-    levels = levels[0]                                 # (cap, km)
-    by_stage = levels.reshape(dist.level_cap, spec.k, m).sum(axis=1)
+    by_stage = by_stage[0]                             # (cap, m)
 
     # weight of threshold n = m*j - s, n = 1..m*cap, cumulated from n = 0;
     # the sojourn's thresholds start m further on

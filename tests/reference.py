@@ -27,7 +27,10 @@ another way, kept to pin that route:
   arithmetic, against both;
 - `write_csv_by_rows`: a CSV file written row tuple by row tuple, one
   Python `format` per value, against the CLI's `_write_csv`, which formats
-  whole columns through `ekemq._g17`.
+  whole columns through `ekemq._g17`;
+- `uncached_tail_constant`: the window constant C_n with its window
+  integral formed at every call, against `bounds.tail_constant`, which
+  forms it once per (spec, t).
 """
 
 from __future__ import annotations
@@ -285,3 +288,29 @@ def write_csv_by_rows(path, schema: str, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def uncached_tail_constant(spec: ModelSpec, t: float, n: int) -> float:
+    """Window constant C_n with |f| <= C_n * |chi| for roots at frequency n.
+
+    C_n = integral over [t-1, t] of (lam(u) + mu(u))
+            * exp((mu_bar / lam_bar) * Lam(u, t)) du
+          / (m * sqrt((lam_bar + mu_bar)**2 + 4 pi**2 n**2) - (k + m) * mu_bar)
+
+    Raises ValueError when the denominator is not positive, which makes the
+    constant inapplicable (it happens for small |n| unless service strongly
+    dominates).
+    """
+    lb = spec.arrival_mean
+    mb = spec.service_mean
+    denom = spec.m * math.sqrt((lb + mb) ** 2 + 4.0 * math.pi ** 2 * n ** 2) \
+        - (spec.k + spec.m) * mb
+    if denom <= 0.0:
+        raise ValueError(
+            f"tail constant not applicable at n={n}: denominator {denom:g} <= 0"
+        )
+    u, w = composite_gauss(t - 1.0, t)
+    lam_cum = spec.arrival.accumulated(t) - spec.arrival.accumulated(u)
+    total_rate = spec.arrival.value(u) + spec.service.value(u)
+    numer = float(np.dot(w, total_rate * np.exp((mb / lb) * lam_cum)))
+    return numer / denom

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from reference import uncached_tail_constant
 
 from ekemq import (
+    ModelSpec,
+    RateFunction,
     SeriesEvaluator,
+    bounds,
     build_root_set,
     extract_boundary,
     integrate_periodic,
@@ -47,6 +51,45 @@ def test_bracket_contains_outer_moduli(periodic74_spec, periodic74_roots40):
 def test_tail_constant_frozen_value(periodic74_spec):
     assert tail_constant(periodic74_spec, 0.0, 10) == \
         pytest.approx(1.96650334798778, rel=1e-10)
+
+
+def test_tail_constant_matches_uncached_bits(periodic74_spec):
+    # the CLI passes its times as numpy floats; both kinds hit one entry
+    bounds._window_integral.cache_clear()
+    times = np.arange(16) / 16.0
+    for t in [*times, *times.tolist()]:
+        for n in range(3, 41):
+            assert tail_constant(periodic74_spec, t, n) == \
+                uncached_tail_constant(periodic74_spec, t, n)
+
+
+def test_one_window_integral_per_time(periodic74_spec, monkeypatch):
+    bounds._window_integral.cache_clear()
+    rules, gauss = [], bounds.composite_gauss
+
+    def counted(a, b):
+        rules.append(b)
+        return gauss(a, b)
+
+    monkeypatch.setattr(bounds, "composite_gauss", counted)
+    times = np.arange(16) / 16.0
+    for level in (3, 4, 5):
+        for order in (3, 5, 10, 20, 40):
+            for t in times:
+                assert truncation_error_bound(periodic74_spec, t, level, order).applicable
+    assert sorted(rules) == times.tolist()
+
+
+def test_window_cache_keeps_models_apart(periodic74_spec):
+    # the same model with one service amplitude changed
+    other = ModelSpec(7, 4, periodic74_spec.arrival,
+                      RateFunction(5.0, sin=((1, 3.0),)))
+    for t in (0.0, 0.25):
+        mine = tail_constant(periodic74_spec, t, 10)
+        theirs = tail_constant(other, t, 10)
+        assert mine != theirs
+        assert mine == uncached_tail_constant(periodic74_spec, t, 10)
+        assert theirs == uncached_tail_constant(other, t, 10)
 
 
 def test_tail_constant_decreases_in_frequency(periodic74_spec):

@@ -386,6 +386,16 @@ def test_unusable_out_exits_2(tmp_path, capsys, under):
     assert "numerical failure" not in err
 
 
+def test_unwritable_output_file_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "o"
+    (out / "roots.csv").mkdir(parents=True)
+    assert main(["roots", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "roots.csv") in err
+    assert "numerical failure" not in err
+
+
 def test_analyze_outputs_and_determinism(tmp_path):
     cfg = write_cfg(tmp_path)
     out1, out2 = tmp_path / "t1", tmp_path / "t2"

@@ -141,6 +141,20 @@ def test_interpolation_matches_grid_samples(periodic74_dist):
     assert np.abs(lv - periodic74_dist.levels[idx]).max() < 1e-9
 
 
+def test_stage_sums_match_summed_states(periodic74_dist):
+    # the stage interpolant sums the samples over arrival stage and then
+    # interpolates, the state interpolant's values are summed afterwards:
+    # rounding apart; the idle columns are the same interpolation
+    dist = periodic74_dist
+    for u in np.arange(64) / 64.0 + 1.0 / 1024.0:
+        idle, by_stage = dist.stage_sums_at([u])
+        ref_idle, levels = dist.states_at([u])
+        summed = levels.reshape(1, dist.level_cap, dist.spec.k, dist.spec.m).sum(axis=2)
+        assert by_stage.shape == (1, dist.level_cap, dist.spec.m)
+        assert np.abs(by_stage - summed).max() <= 1e-15
+        assert np.array_equal(idle, ref_idle)
+
+
 def test_level_mass_and_ordering(periodic74_dist):
     m1 = periodic74_dist.levels[:, 0].sum(axis=1)
     m5 = periodic74_dist.levels[:, 4].sum(axis=1)

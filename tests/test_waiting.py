@@ -243,6 +243,21 @@ def test_oracle_wait_matches_gammainc_route(periodic74_spec, periodic74_dist):
     assert worst <= 1e-15
 
 
+def test_oracle_wait_reads_only_the_stage_interpolant(periodic74_spec,
+                                                     periodic74_dist):
+    # a fresh law, so that no earlier test has built either interpolant
+    dist = PeriodicDistribution(spec=periodic74_spec, idle=periodic74_dist.idle,
+                                levels=periodic74_dist.levels,
+                                periods=periodic74_dist.periods,
+                                residual=periodic74_dist.residual)
+    ts = np.linspace(0.0, 3.0, 61)
+    for u in (0.0, 0.3, 0.75):
+        for kind in ("queue", "sojourn"):
+            oracle_wait_cdf(periodic74_spec, dist, u, ts, kind=kind)
+    assert "_stage_interp" in vars(dist)
+    assert "_interp" not in vars(dist)
+
+
 def test_oracle_wait_long_horizon():
     # thresholds up to m * cap = 1600 with weight 0.998**n, horizons up to a
     # mean of 1000 stage completions: exp(-M) underflows past M ~ 745, and
