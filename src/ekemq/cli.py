@@ -126,7 +126,6 @@ class RunConfig:
         "oracle.levels": (_at_least(_parse_int, 1), 50),
         "oracle.grid": (_at_least(_parse_int, 4), 512),
         "oracle.tol": (_at_least(_parse_float, 0.0, strict=True), 1e-10),
-        "oracle.max_periods": (_at_least(_parse_int, 1), 500),
         "analyze.levels": (_at_least(_parse_int_list, 1), (1, 2, 3)),
         "analyze.times": (_at_least(_parse_int, 1), 16),
         "bounds.levels": (_at_least(_parse_int_list, 1), (3, 4, 5)),
@@ -258,7 +257,7 @@ def _time_grid(count: int) -> np.ndarray:
 def _series_setup(cfg: RunConfig, spec: ModelSpec):
     dist = integrate_periodic(
         spec, level_cap=cfg["oracle.levels"], grid_size=cfg["oracle.grid"],
-        tol=cfg["oracle.tol"], max_periods=cfg["oracle.max_periods"],
+        tol=cfg["oracle.tol"],
     )
     return dist, extract_boundary(dist)
 

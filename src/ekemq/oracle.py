@@ -1,4 +1,4 @@
-"""Reference route: direct integration of the truncated level process.
+"""Reference route: the truncated level process, solved directly.
 
 The queue is truncated at a finite level cap; arrivals that would push the
 chain above the cap are blocked (the blocked stage simply freezes, keeping
@@ -6,34 +6,42 @@ the generator conservative).  The resulting linear ODE
 
     p'(t) = lam(t) * p(t) S_arr + mu(t) * p(t) S_srv
 
-is driven with classical fourth-order Runge-Kutta steps aligned to a fixed
-output grid.  The two constant structure matrices S_arr and S_srv carry
-unit rates and are folded onto one sparsity pattern, the union of theirs,
-with their values kept side by side, so the generator at a node is that
-pattern with the values lam * a + mu * s: one small dense product refreshes
-it in place, no matrix is rebuilt inside the stepping loop, and each RK
-stage is a single sparse product, four per step.
+has periodic coefficients, and its periodic solution is the law.  The
+rates are finite trigonometric sums, so with p(t) = sum_n c_n e^{2 pi i n t}
+the ODE holds exactly harmonic by harmonic (harmonic balance, or Hill's
+method: Kundert & Sangiovanni-Vincentelli, IEEE Trans. CAD 1986):
 
-The periodic law is the fixed point of the one-period map Phi, and it is
-solved as one (periodic steady-state shooting, Aprille & Trick, Proc. IEEE
-1972), accelerating the period map with Anderson mixing (Walker & Ni, SIAM
-J. Numer. Anal. 2011).  It stops only when two consecutive plain periods,
-sampled on the grid, agree to the tolerance.  The solve walks a ladder of
-grids, each a quarter of the one before, sharing one structure operator,
-and starts each grid from the t = 0 state of the fixed point on the grid
-below (nested iteration, Brandt, Math. Comp. 1977): the coarse grid
-resolves the slow modes that dominate the period count at a quarter of the
-cost per period.  The ladder ends before a grid below 8 steps or one where
-RK4 would be unstable for the generator; its coarsest grid starts from the
-stationary law of the period-averaged generator, found by linear level
-reduction from the cap down.
+    2 pi i n c_n = sum_j (lam_j S_arr^T + mu_j S_srv^T) c_{n-j},
 
-The same truncated system, with the empty level absorbing instead of
-reflecting, is the busy-period oracle `busy_oracle`: in the periodic system
-an arrival moves an empty state to the next arrival stage or starts level
-1, while in the killed system the k empty states have no exits and count
-absorption by arrival stage.  `_structure_matrices` builds both and
-`_rk4_march` steps both; no other module calls them.
+lam_j and mu_j the rates' Fourier coefficients.  `integrate_periodic`
+solves these equations for n = 0..N, with c_{-n} = conj(c_n) and one n = 0
+equation traded for the total mass, by restarted GMRES (Saad & Schultz,
+SIAM J. Sci. Stat. Comput. 1986) preconditioned by the mean generator,
+block eliminated over levels for every harmonic at once; it grows N until
+the top harmonic is below the tolerance, samples the law on its output
+grid by one inverse FFT and keeps the series to read the law between grid
+times.  No period is integrated, and the error is the truncation past N,
+which |c_N| shows, plus the linear solve's residual.
+numpy does all of it.  The time-domain solve, RK4 periods to the period
+map's fixed point, is kept in the tests as the cross-check.
+
+The busy-period oracle `busy_oracle` does integrate in time: the same
+truncated system with the empty level absorbing instead of reflecting is
+driven with classical fourth-order Runge-Kutta steps.  The two constant
+structure matrices S_arr and S_srv carry unit rates and are folded onto one
+sparsity pattern, the union of theirs, with their values kept side by side,
+so the generator at a node is that pattern with the values lam * a + mu *
+s: one small dense product refreshes it in place, no matrix is rebuilt
+inside the stepping loop, and each RK stage is a single sparse product,
+four per step.  scipy.sparse is imported only there, on first use.
+
+In the periodic system an arrival moves an empty state to the next arrival
+stage or starts level 1, while in the killed system the k empty states have
+no exits and count absorption by arrival stage.  `_structure_matrices`
+builds both and `_rk4_march` steps both: the killed one here, the periodic
+one in the tests' time-domain solve.  The harmonic-balance equations apply
+the periodic one by slicing, in its state order.  No other module calls
+them.
 
 This module is deliberately independent of the root-series machinery: it
 never sees characteristic roots.  The series route does read one output of
@@ -47,22 +55,37 @@ one set of samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _quad
 from .busy import VolterraSolution
 from .model import ModelSpec, _normalize_phase
 
-# The periodic solve mixes the last _ANDERSON_DEPTH period residual
-# differences, and runs plain periods once a period moves its start by at
-# most _PLAIN_FRACTION * tol, so that the plain check of two consecutive
-# periods usually passes at once and the fixed point is resolved below tol.
-_ANDERSON_DEPTH = 8
-_PLAIN_FRACTION = 0.1
+# The law's Fourier coefficients c_0..c_N are solved for with N first
+# _FIRST_HARMONIC, or twice the rates' top harmonic where that is larger
+# (none for constant rates: N = 0), and then grown by half, warm-started,
+# while max |c_N| > tol and N stays within _MAX_HARMONIC.  N is rounded up
+# to a multiple of the rates' harmonic spacing (`_HarmonicBalance.spacing`),
+# so that c_N is a harmonic the law can have.
+_FIRST_HARMONIC = 12
+_MAX_HARMONIC = 128
+
+# GMRES restarts every _RESTART iterations.  It stops once the 2-norm of the
+# residual of the harmonic-balance equations is at most _SOLVE_FRACTION *
+# tol, or once a restart cycle fails to halve it: the residual then sits at
+# its rounding floor, about 1e-16.
+_RESTART = 30
+_SOLVE_FRACTION = 0.01
+
+# From the cap down, the level blocks of the preconditioner's elimination
+# converge (within 7 to 11 levels on the reference model and up to load
+# 0.95); the first block within _REUSE_TOL of the one above it, relative in
+# max norm, serves every level below.
+_REUSE_TOL = 1e-15
 
 _CAP_MASS_LIMIT = 1e-6
 
@@ -73,19 +96,10 @@ _CAP_MASS_LIMIT = 1e-6
 # entries a record's RK4 steps grow from kept ones are still normal.
 _STATE_FLOOR = 1e-280
 
-# A period or busy-period record that ends with an L1 norm above
-# 1 + _NORM_SLACK has grown negative entries: RK4 is unstable at that step,
-# so the solve stops there.
+# A busy-period record (or a period of the tests' time-domain solve) that
+# ends with an L1 norm above 1 + _NORM_SLACK has grown negative entries: RK4
+# is unstable at that step, so the solve stops there.
 _NORM_SLACK = 1e-6
-
-# The solve on grid N starts from the t = 0 state of the fixed point on the
-# ladder's grid N // _COARSEN, while that grid has at least _COARSE_MIN_GRID
-# points and keeps h * 2 max(lam + mu) <= _RK4_REAL_LIMIT: by Gershgorin the
-# generator's spectrum lies in [-2 max(lam + mu), 0], and RK4's real
-# stability interval is [-2.78, 0].
-_COARSEN = 4
-_COARSE_MIN_GRID = 8
-_RK4_REAL_LIMIT = 2.5
 
 
 class TrigInterpolant:
@@ -93,17 +107,29 @@ class TrigInterpolant:
 
     Exact at the sample points.  For an even number of samples the top
     (Nyquist) harmonic is folded to a pure cosine, the usual convention for
-    real data.
+    real data.  `from_series` evaluates a real trigonometric series given
+    by its coefficients instead.
     """
 
     def __init__(self, samples: np.ndarray):
         samples = np.asarray(samples, dtype=float)
-        self.n = samples.shape[0]
-        coef = np.fft.rfft(samples, axis=0) / self.n
+        n = samples.shape[0]
+        coef = np.fft.rfft(samples, axis=0) / n
+        if n % 2 == 0:
+            coef[-1] *= 0.5
+        self._set_series(coef)
+
+    @classmethod
+    def from_series(cls, coef: np.ndarray) -> TrigInterpolant:
+        """The function sum_n c_n e^{2 pi i n t} over |n| <= N, with c_{-n} =
+        conj(c_n), from c_0..c_N (rows of coef; c_0 taken real)."""
+        interp = cls.__new__(cls)
+        interp._set_series(np.asarray(coef, dtype=complex))
+        return interp
+
+    def _set_series(self, coef: np.ndarray) -> None:
         weights = np.full(coef.shape[0], 2.0)
         weights[0] = 1.0
-        if self.n % 2 == 0:
-            weights[-1] = 1.0
         self._coef = weights[:, None] * coef
         self._harmonics = np.arange(coef.shape[0])
 
@@ -124,10 +150,13 @@ def _structure_matrices(k: int, m: int, level_cap: int, absorbing: bool = False)
     parts the (2, nnz) values of AT and MT on it.  The transposed generator
     at rates lam, mu, lam * AT + mu * MT, is pattern with the data
     np.dot((lam, mu), parts); every part value is 0 or +-1, so each entry is
-    rounded at most once.
+    rounded at most once.  scipy.sparse is imported here, on first use: the
+    periodic solve never needs it.
     With absorbing=True the empty states keep no arrival exits: they are the
     sinks of the process killed at its first visit to the empty level.
     """
+    import scipy.sparse as sp
+
     km = k * m
     dim = k + level_cap * km
     # an arrival advances the stage: an empty state a goes to a + 1 (a = k-1
@@ -167,6 +196,8 @@ def _generator(op, lam: float, mu: float):
     """The transposed generator lam * AT + mu * MT of op =
     `_structure_matrices(...)`, a CSR sharing the pattern's indices and
     indptr."""
+    import scipy.sparse as sp
+
     pattern, parts = op
     return sp.csr_matrix((np.dot((lam, mu), parts), pattern.indices,
                           pattern.indptr), shape=pattern.shape)
@@ -215,39 +246,6 @@ def _rk4_march(op, lam: np.ndarray, mu: np.ndarray, h: float, p: np.ndarray):
         g0, g1 = g1, g0
 
 
-def _averaged_stationary(op, spec: ModelSpec, level_cap: int) -> np.ndarray:
-    """Stationary law of the period-averaged generator lam*S_arr + mu*S_srv,
-    lam and mu the mean rates.
-
-    The generator is level-tridiagonal, so linear level reduction from the
-    cap down writes each level as a linear image of the one below,
-    p_j = R_j p_{j-1}; the censored k x k system on the empty level then
-    fixes p_0 up to scale and the levels follow upwards.  The blocks are
-    sliced from the CSR and solved densely with numpy.
-    """
-    k, km = spec.k, spec.phase_count
-    g = _generator(op, spec.arrival.mean(), spec.service.mean())
-    edges = [0] + [k + j * km for j in range(level_cap + 1)]
-
-    def block(i: int, j: int) -> np.ndarray:
-        return g[edges[i]:edges[i + 1], edges[j]:edges[j + 1]].toarray()
-
-    maps = {}
-    diag = block(level_cap, level_cap)
-    for j in range(level_cap, 0, -1):
-        maps[j] = -np.linalg.solve(diag, block(j, j - 1))
-        diag = block(j - 1, j - 1) + block(j - 1, j) @ maps[j]
-    # the censored columns sum to zero; trade one equation for a scale
-    diag[-1] = 1.0
-    rhs = np.zeros(k)
-    rhs[-1] = 1.0
-    parts = [np.linalg.solve(diag, rhs)]
-    for j in range(1, level_cap + 1):
-        parts.append(maps[j] @ parts[-1])
-    p = np.concatenate(parts)
-    return p / p.sum()
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -272,23 +270,28 @@ class PeriodicDistribution(_Sampled):
 
     idle[i, a] is the probability of an empty system with arrival stage a at
     time grid[i]; levels[i, j-1, a*m+s] the probability of level j in phase
-    (a, s), j up to level_cap = levels.shape[1].  `residual` is the sup-norm
-    change between the last two plain periods and `periods` how many periods
-    were integrated on this grid, after the start from the fixed points on
-    the coarser grids of the solve's ladder, whose periods it does not count.
+    (a, s), j up to level_cap = levels.shape[1].  From `integrate_periodic`,
+    `periods` is N, the top harmonic of the law's solved Fourier series (0
+    for constant rates), and `residual` the larger of max |c_N| (0 for N =
+    0) and the 2-norm of the harmonic-balance equations' residual; both
+    names are kept from the time-domain solve, where they counted periods
+    and bounded the change between the last two.  `series` holds that
+    series, c_0..c_N as (N + 1, k + level_cap * km) complex rows in the
+    state order of the sample columns; a law built from samples alone has
+    none.
 
-    Two trigonometric interpolants read the law between grid times, each
-    built on first use, once per law.  The state interpolant holds every
-    state's samples, k + level_cap * km columns (257 x 1,407 complex
-    coefficients on the reference law), and serves `states_at`, `idle_at`
-    and `levels_at`.  The stage interpolant holds the k idle states and the
-    level_cap * m sums of each level's samples over arrival stage (257 x
-    207 on the reference law), and serves `stage_sums_at`, which is all the
+    Two trigonometric series read the law between grid times, each built
+    on first use, once per law: from `series` where the law has one, else
+    from the samples by interpolation (257 harmonics on grid 512, against
+    13 in the reference law's series).  The state series holds every
+    state and serves `states_at`, `idle_at` and `levels_at`.  The stage
+    series holds the k idle states and the level_cap * m sums of each
+    level over arrival stage, and serves `stage_sums_at`, which is all the
     oracle wait route reads.
 
-    A law is immutable: the constructor copies idle and levels into
-    read-only arrays, so an edit raises instead of disagreeing with the
-    interpolants.
+    A law is immutable: the constructor copies idle, levels and series
+    into read-only arrays, so an edit raises instead of disagreeing with
+    the series built from them.
     """
 
     spec: ModelSpec
@@ -296,44 +299,56 @@ class PeriodicDistribution(_Sampled):
     levels: np.ndarray
     periods: int
     residual: float
+    series: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.idle) != len(self.levels):
             raise ValueError(f"idle has {len(self.idle)} grid rows, "
                              f"levels {len(self.levels)}")
-        for name in ("idle", "levels"):
-            arr = np.array(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, _read_only(arr))
+        for name, kind in (("idle", float), ("levels", float), ("series", complex)):
+            if getattr(self, name) is not None:
+                arr = np.array(getattr(self, name), dtype=kind)
+                object.__setattr__(self, name, _read_only(arr))
 
     @property
     def level_cap(self) -> int:
         return self.levels.shape[1]
 
+    def _series_of(self, columns) -> TrigInterpolant:
+        """The series of the state columns picked by columns, a linear map
+        of (rows, states) arrays: from `series`, or the samples' interpolant."""
+        if self.series is not None:
+            return TrigInterpolant.from_series(columns(self.series))
+        return TrigInterpolant(columns(np.concatenate(
+            [self.idle, self.levels.reshape(self.grid_size, -1)], axis=1)))
+
     @cached_property
     def _interp(self) -> TrigInterpolant:
-        """Interpolant of every state's samples, built once per law."""
-        return TrigInterpolant(np.concatenate(
-            [self.idle, self.levels.reshape(self.grid_size, -1)], axis=1))
+        """Series of every state, built once per law."""
+        return self._series_of(lambda states: states)
 
     def states_at(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """(idle_at(u), levels_at(u)) from one evaluation of the interpolant."""
+        """(idle_at(u), levels_at(u)) from one evaluation of the series."""
         vals = self._interp(u)
         return (vals[:, :self.spec.k], vals[:, self.spec.k:].reshape(
             -1, self.level_cap, self.spec.phase_count))
 
+    def _by_stage(self, states: np.ndarray) -> np.ndarray:
+        k, m = self.spec.k, self.spec.m
+        rows = len(states)
+        by_stage = states[:, k:].reshape(rows, self.level_cap, k, m).sum(axis=2)
+        return np.concatenate([states[:, :k], by_stage.reshape(rows, -1)], axis=1)
+
     @cached_property
     def _stage_interp(self) -> TrigInterpolant:
-        """Interpolant of the idle states and of the busy states summed over
-        arrival stage, built once per law; the sums are taken of the samples."""
-        by_stage = self.levels.reshape(self.grid_size, self.level_cap, self.spec.k,
-                                       self.spec.m).sum(axis=2)
-        return TrigInterpolant(np.concatenate(
-            [self.idle, by_stage.reshape(self.grid_size, -1)], axis=1))
+        """Series of the idle states and of the busy states summed over
+        arrival stage, built once per law."""
+        return self._series_of(self._by_stage)
 
     def stage_sums_at(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(idle_at(u), levels_at(u) summed over arrival stage), shapes
         (len(u), k) and (len(u), level_cap, m), from one evaluation of the
-        stage interpolant; the sums agree with those of `levels_at` to
+        stage series; the sums agree with those of `levels_at` to
         rounding."""
         vals = self._stage_interp(u)
         return (vals[:, :self.spec.k],
@@ -352,91 +367,309 @@ class PeriodicDistribution(_Sampled):
         return float(self.levels[:, -1].sum(axis=1).max())
 
 
-def _half_step_rates(spec: ModelSpec, grid_size: int):
-    """lam and mu at the half-step nodes i / (2 grid_size), i = 0..2 grid_size."""
-    nodes = np.arange(2 * grid_size + 1) / (2.0 * grid_size)
-    return spec.arrival.value(nodes), spec.service.value(nodes)
+def _harmonics(rate) -> dict[int, complex]:
+    """Complex amplitudes r_j, j >= 1, of a rate's harmonics:
+    value(t) = base + sum_j (r_j e^{2 pi i j t} + conj(r_j) e^{-2 pi i j t})."""
+    out = {}
+    for j, amp in rate.cos:
+        out[j] = out.get(j, 0.0) + 0.5 * amp
+    for j, amp in rate.sin:
+        out[j] = out.get(j, 0.0) - 0.5j * amp
+    return out
 
 
-def _periodic_samples(op, spec: ModelSpec, grid_size: int, p: np.ndarray,
-                      tol: float, max_periods: int):
-    """(samples at the grid times, periods, last residual) of the fixed point
-    on grid_size steps started at p, by the iteration and checks of
+class _LevelElimination:
+    """Solves (Gbar - 2 pi i n) z_n = r_n for a range of harmonics n at once,
+    Gbar the transposed generator at the mean rates lam, mu.
+
+    Gbar is level-tridiagonal, so block elimination from the cap down writes
+    level j as z_j = R_j z_{j-1} + g_j, and the k x k system left on the
+    empty level fixes z_0.  The blocks are (harmonics, km, km) arrays applied
+    with np.matmul.  R_j reads only the final arrival stage of level j - 1
+    and the correction that level j + 1 sends down only its final service
+    stage, so they are kept as km x m and km x k column slices.  For n = 0
+    Gbar is singular; its equation (0, k - 1) is traded for the total mass,
+    which the elimination writes as a linear form of z_0 plus the mass that
+    the g_j carry (weights w_j), so this slice solves the bordered mean
+    generator exactly: applied to the mass equation alone it returns the
+    stationary law of the mean generator.
+    """
+
+    def __init__(self, hb: _HarmonicBalance, harmonics: np.ndarray):
+        k, m, km, cap = hb.k, hb.m, hb.k * hb.m, hb.cap
+        lam, mu = hb.mean
+        self.count = len(harmonics)
+        shift = 2j * np.pi * harmonics[:, None, None] * np.eye(km)
+        diag = hb.cap_block - shift
+        inverses = []
+        for _ in range(cap):
+            inverse = np.linalg.inv(diag)
+            if inverses and (np.abs(inverse - inverses[-1]).max()
+                             <= _REUSE_TOL * np.abs(inverse).max()):
+                break
+            inverses.append(inverse)
+            # the level below sees this one through its service completions
+            diag = hb.level_block - shift
+            diag[:, ::m, (k - 1) * m:] -= (lam * mu) * inverse[:, m - 1::m, :m]
+        self.inverses = np.array(inverses)  # levels cap, cap - 1, ...
+        # level j's block, j = 0..cap (0 unused)
+        block = [min(cap - j, len(inverses) - 1) for j in range(cap + 1)]
+        ups = -lam * self.inverses[..., :m]
+        self.ups = [ups[i] for i in block]
+        downs = -mu * self.inverses[..., ::m]
+        self.downs = [downs[i] for i in block]
+        self.first_up = first_up = -lam * self.inverses[block[1], :, :, :1]
+        empty = hb.empty_block - 2j * np.pi * harmonics[:, None, None] * np.eye(k)
+        empty[:, :, k - 1] += mu * first_up[:, m - 1::m, 0]
+        self.weights = None
+        if harmonics[0] == 0:
+            # w_j = 1 + (the mass that level j + 1 and above put on level j's
+            # final arrival stage), from the cap down
+            weights = np.ones((cap, km))
+            for j in range(cap - 1, 0, -1):
+                weights[j - 1, (k - 1) * m:] += weights[j] @ self.ups[j + 1][0].real
+            empty[0, k - 1] = 1.0
+            empty[0, k - 1, k - 1] += weights[0] @ first_up[0, :, 0].real
+            self.weights = weights
+        self.empty_inverse = np.linalg.inv(empty)
+        self.k, self.m, self.cap, self.mu = k, m, cap, mu
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        k, m, cap = self.k, self.m, self.cap
+        count = len(r)
+        levels = r[:, k:].reshape(count, cap, -1).transpose(1, 0, 2)[..., None]
+        g = np.empty(levels.shape, complex)  # g[j - 1] holds level j
+        low = cap - len(self.inverses)  # levels 1..low share the last block
+        np.matmul(self.inverses[::-1], levels[low:], out=g[low:])
+        np.matmul(self.inverses[-1], levels[:low], out=g[:low])
+        for j in range(cap - 1, 0, -1):
+            g[j - 1] += self.downs[j] @ g[j, :, m - 1::m]
+        rhs = r[:, :k, None] - self.mu * g[0, :, m - 1::m]
+        if self.weights is not None:
+            rhs[0, k - 1, 0] = r[0, k - 1].real - np.vdot(self.weights, g[:, 0, :, 0].real)
+        empty = self.empty_inverse @ rhs
+        g[0] += self.first_up @ empty[:, k - 1:]
+        for j in range(2, cap + 1):
+            g[j - 1] += self.ups[j] @ g[j - 2, :, (k - 1) * m:]
+        z = np.empty_like(r)
+        z[:, :k] = empty[..., 0]
+        z[:, k:] = g[..., 0].transpose(1, 0, 2).reshape(count, -1)
+        if self.weights is not None:
+            z[0] = z[0].real
+        return z
+
+
+class _HarmonicBalance:
+    """The harmonic-balance equations of the truncated queue for c_0..c_N,
+    and their preconditioner.
+
+    With p(t) = sum_n c_n e^{2 pi i n t} and the rates' harmonics lam_j,
+    mu_j, the ODE p' = (lam(t) AT + mu(t) MT) p holds harmonic by harmonic:
+    sum_j (lam_j AT + mu_j MT) c_{n-j} - 2 pi i n c_n = 0.  The law is
+    real, so c_{-n} = conj(c_n) and only n = 0..N are unknowns, c_0 real;
+    harmonics past N are dropped.  Equation (0, k - 1), the last empty
+    state's at n = 0, is traded for sum(c_0) = 1.  AT and MT are applied by
+    slicing in the state order of `_structure_matrices`.  The preconditioner
+    keeps the rates' means only, which decouples the harmonics; its factors
+    are one `_LevelElimination` per range of harmonics, added as N grows, so
+    no harmonic is factored twice.
+    """
+
+    def __init__(self, spec: ModelSpec, level_cap: int):
+        k, m = spec.k, spec.m
+        self.k, self.m, self.cap = k, m, level_cap
+        self.dim = k + level_cap * k * m
+        self.rates = [(rate.mean(), _harmonics(rate))
+                      for rate in (spec.arrival, spec.service)]
+        harmonics = [j for _, harm in self.rates for j in harm]
+        self.top = max(harmonics, default=0)
+        # the equations tie c_n only to the c_{n -+ j} and the mass sits at
+        # n = 0, so c_n is exactly 0 unless n is a multiple of the gcd of the
+        # rates' harmonics (0 for constant rates)
+        self.spacing = math.gcd(*harmonics)
+        self.mean = lam, mu = spec.arrival.mean(), spec.service.mean()
+        # a stage chain leaves each stage at its rate for the next one
+        arr = lam * (np.eye(k, k=1) - np.eye(k))
+        srv = mu * (np.eye(m, k=1) - np.eye(m))
+        local = np.kron(arr, np.eye(m)) + np.kron(np.eye(k), srv)
+        self.level_block = local.T.copy()
+        # at the cap the final arrival stage is blocked
+        local[(k - 1) * m:, (k - 1) * m:] += lam * np.eye(m)
+        self.cap_block = local.T.copy()
+        self.empty_block = arr.T.copy()
+        self.factors: list[_LevelElimination] = []
+
+    def factor(self, count: int) -> None:
+        """Factor the harmonics not yet factored below count."""
+        done = sum(f.count for f in self.factors)
+        if count > done:
+            self.factors.append(_LevelElimination(self, np.arange(done, count)))
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        z = np.empty_like(r)
+        low = 0
+        for f in self.factors:
+            z[low:low + f.count] = f.solve(r[low:low + f.count])
+            low += f.count
+        return z
+
+    def equations(self, c: np.ndarray) -> np.ndarray:
+        k, m, cap, dim, top = self.k, self.m, self.cap, self.dim, self.top
+        count = len(c)
+        # c_{-top} .. c_{count - 1 + top}, zero past N
+        padded = np.zeros((count + 2 * top, dim), complex)
+        padded[top:top + count] = c
+        padded[:top] = np.conj(c[top:0:-1])
+        flows = []
+        for base, harm in self.rates:
+            flow = base * c
+            for j, amp in harm.items():
+                flow += amp * padded[top - j:top - j + count]
+                flow += np.conj(amp) * padded[top + j:top + j + count]
+            flows.append(flow)
+        arr, srv = flows
+        # an arrival moves empty state a to a + 1 (k - 1 to level 1), a
+        # busy state x to x + m; the final stage at the cap is blocked
+        out = -arr
+        out[:, dim - m:] = 0.0
+        out[:, 1:k + 1] += arr[:, :k]
+        out[:, k + m:] += arr[:, k:dim - m]
+        # a service advances the stage; the last one moves (j, a, m - 1) to
+        # (j - 1, a, 0), or at level 1 to empty state a
+        busy = out[:, k:].reshape(count, cap, k, m)
+        srv = srv[:, k:].reshape(count, cap, k, m)
+        busy -= srv
+        busy[..., 1:] += srv[..., :-1]
+        busy[:, :-1, :, 0] += srv[:, 1:, :, m - 1]
+        out[:, :k] += srv[:, 0, :, m - 1]
+        out -= (2j * np.pi * np.arange(count))[:, None] * c
+        out[0] = out[0].real
+        out[0, k - 1] = c[0].real.sum()
+        return out
+
+
+def _gmres(operator, precondition, b: np.ndarray, x: np.ndarray, target: float):
+    """Restarted GMRES (Saad & Schultz 1986) with right preconditioning for
+    operator(x) = b on real vectors, started at x.
+
+    Returns (x, |b - operator(x)|_2) once that residual is at most target,
+    or once a restart cycle fails to halve it.
+    """
+    r = b - operator(x)
+    beta = float(np.linalg.norm(r))
+    while beta > target:
+        basis = np.zeros((_RESTART + 1, len(b)))
+        hess = np.zeros((_RESTART + 1, _RESTART))
+        rotations = np.zeros((_RESTART, 2))
+        g = np.zeros(_RESTART + 1)
+        g[0] = beta
+        basis[0] = r / beta
+        for i in range(_RESTART):
+            w = operator(precondition(basis[i]))
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                h = basis[:i + 1] @ w
+                w -= h @ basis[:i + 1]
+                hess[:i + 1, i] += h
+            hess[i + 1, i] = np.linalg.norm(w)
+            if hess[i + 1, i] > 0.0:
+                basis[i + 1] = w / hess[i + 1, i]
+            for j, (cos, sin) in enumerate(rotations[:i]):
+                hess[j:j + 2, i] = (cos * hess[j, i] + sin * hess[j + 1, i],
+                                    cos * hess[j + 1, i] - sin * hess[j, i])
+            radius = np.hypot(*hess[i:i + 2, i])
+            rotations[i] = hess[i:i + 2, i] / radius
+            hess[i, i] = radius
+            g[i + 1] = -rotations[i, 1] * g[i]
+            g[i] *= rotations[i, 0]
+            if abs(g[i + 1]) <= target:
+                break
+        y = np.linalg.solve(np.triu(hess[:i + 1, :i + 1]), g[:i + 1])
+        x = x + precondition(y @ basis[:i + 1])
+        r = b - operator(x)
+        last, beta = beta, float(np.linalg.norm(r))
+        if beta > 0.5 * last:
+            break
+    return x, beta
+
+
+def _fourier_coefficients(spec: ModelSpec, level_cap: int, tol: float):
+    """(c, residual): the law's Fourier coefficients c_0..c_N, an (N + 1,
+    dim) complex array, by the search over N and the checks of
     `integrate_periodic`."""
-    k, km, dim = spec.k, spec.phase_count, op[0].shape[0]
-    lam, mu = _half_step_rates(spec, grid_size)
-    h = 1.0 / grid_size
-    samples = np.empty((grid_size, dim))
-    prev = None  # samples of the plain period that ended where this one starts
-    ends, moves = [], []  # Anderson history: Phi(x) and Phi(x) - x
-    residual = np.inf
+    hb = _HarmonicBalance(spec, level_cap)
+    spacing = hb.spacing
+    top = -(-max(_FIRST_HARMONIC, 2 * hb.top) // spacing) * spacing if hb.top else 0
+    if top > _MAX_HARMONIC:
+        raise RuntimeError(f"the rates reach harmonic {hb.top}, past half of the "
+                           f"largest N, {_MAX_HARMONIC}")
 
-    for period in range(1, max_periods + 1):
-        start = p
-        samples[0] = p
-        with np.errstate(over="ignore", invalid="ignore"):
-            march = _rk4_march(op, lam, mu, h, p)
-            for row in samples[1:]:
-                row[:] = next(march)
-            p = next(march)
-        norm = np.abs(p).sum()
-        if not norm <= 1.0 + _NORM_SLACK:
-            raise RuntimeError(f"grid_size {grid_size} is too coarse for RK4 at "
-                               f"these rates: a period ended with L1 norm "
-                               f"{norm:.3e}; raise grid_size")
-        if prev is not None:
-            residual = float(np.abs(samples - prev).max())
-            if residual <= tol:
-                cap_mass = float(samples[:, -km:].sum(axis=1).max())
-                if cap_mass > _CAP_MASS_LIMIT:
-                    raise RuntimeError(f"probability {cap_mass:.3e} sits at the "
-                                       f"level cap {(dim - k) // km}; raise level_cap")
-                return samples, period, residual
-        move = p - start
-        if moves and np.linalg.norm(move) >= np.linalg.norm(moves[-1]):
-            ends, moves = [], []
-        ends = (ends + [p])[-(_ANDERSON_DEPTH + 1):]
-        moves = (moves + [move])[-(_ANDERSON_DEPTH + 1):]
-        if len(moves) == 1 or np.abs(move).max() <= _PLAIN_FRACTION * tol:
-            prev = samples.copy()
-            continue
-        d_move = np.diff(np.array(moves), axis=0).T
-        d_end = np.diff(np.array(ends), axis=0).T
-        gamma = np.linalg.lstsq(d_move, move, rcond=None)[0]
-        p = p - d_end @ gamma
-        p = p / p.sum()
-        prev = None
+    def flat(f):
+        return lambda v: f(v.view(complex).reshape(-1, hb.dim)).reshape(-1).view(float)
 
-    raise RuntimeError(f"periodic regime not reached in {max_periods} periods "
-                       f"on grid {grid_size} (last residual {residual:.3e}); "
-                       f"raise max_periods or loosen tol")
+    c = np.zeros((0, hb.dim), complex)
+    while True:
+        hb.factor(top + 1)
+        start = np.zeros((top + 1, hb.dim), complex)
+        start[:len(c)] = c  # warm start from the last N
+        b = np.zeros_like(start)
+        b[0, hb.k - 1] = 1.0
+        x, solved = _gmres(flat(hb.equations), flat(hb.precondition),
+                           b.reshape(-1).view(float), start.reshape(-1).view(float),
+                           _SOLVE_FRACTION * tol)
+        c = x.view(complex).reshape(top + 1, -1)
+        if solved > tol:
+            raise RuntimeError(f"the harmonic-balance solve stalled at residual "
+                               f"{solved:.3e} > tol = {tol:.3e}; loosen tol")
+        truncation = float(np.abs(c[-1]).max()) if top else 0.0
+        if truncation <= tol:
+            return c, max(solved, truncation)
+        step = -(-(top // 2) // spacing) * spacing
+        if top + step > _MAX_HARMONIC:
+            raise RuntimeError(f"the law's harmonics reach past {_MAX_HARMONIC}: "
+                               f"max |c_N| is {truncation:.3e} > tol at N = {top}; "
+                               f"loosen tol")
+        top += step
+
+
+def _samples(coef: np.ndarray, grid_size: int) -> np.ndarray:
+    """The law sum_n c_n e^{2 pi i n t} at the grid times i / grid_size, one
+    row per time, by one irfft.  Harmonic n lands on bin n mod grid_size, as
+    the conjugate on the mirrored bin past grid_size / 2, and doubled on a
+    bin whose imaginary part irfft drops (0, and grid_size / 2 when even)."""
+    bins = np.arange(len(coef)) % grid_size
+    mirror = 2 * bins > grid_size
+    values = np.where(mirror[:, None], np.conj(coef), coef)
+    bins = np.where(mirror, grid_size - bins, bins)
+    values[1:][(bins[1:] == 0) | (2 * bins[1:] == grid_size)] *= 2.0
+    spectrum = np.zeros((grid_size // 2 + 1, coef.shape[1]), complex)
+    np.add.at(spectrum, bins, values)
+    return np.fft.irfft(spectrum, n=grid_size, axis=0, norm="forward")
 
 
 def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 512,
-                       tol: float = 1e-10, max_periods: int = 500) -> PeriodicDistribution:
+                       tol: float = 1e-10) -> PeriodicDistribution:
     """Solve for the periodic regime of the truncated queue.
 
-    The periodic law is the fixed point of the one-period map Phi (grid_size
-    RK4 steps over one period), solved on a ladder of grids that share one
-    structure operator: below grid N comes grid N // _COARSEN while that has
-    at least _COARSE_MIN_GRID steps and its step times 2 max(lam + mu), over
-    the half-step rates of grid N, is within _RK4_REAL_LIMIT.  The coarsest
-    grid starts from the stationary law of the period-averaged generator,
-    each finer one from the t = 0 state of the fixed point below it.  Every
-    grid applies Anderson mixing of depth _ANDERSON_DEPTH to Phi,
-    renormalizing each mixed start to mass 1 and restarting the mixing
-    history whenever the period residual stops falling.  Once a period moves
-    its start by at most _PLAIN_FRACTION * tol, the periods run plainly, each
-    from where the last one ended, and the grid has converged when two
-    consecutive plain periods, sampled at its grid points, differ by at most
-    tol in sup norm.  The samples on grid_size are returned; `periods` counts
-    every application of Phi on grid_size steps, mixed or plain, and none of
-    the coarser grids'.  On every grid, RuntimeError is raised when
-    max_periods periods are exhausted first (naming the grid), when a period
-    ends non-finite or with an L1 norm past 1 + _NORM_SLACK (the grid is too
-    coarse for RK4 at these rates; raise grid_size), or when the converged
-    law puts more than _CAP_MASS_LIMIT = 1e-6 on the level cap at some grid
-    time (raise level_cap).  tol must be > 0 and max_periods >= 1.
+    The law's Fourier coefficients c_0..c_N solve the harmonic-balance
+    equations of `_HarmonicBalance` (Hill's method; Kundert &
+    Sangiovanni-Vincentelli, IEEE Trans. CAD 1986), by restarted GMRES
+    preconditioned with the mean generator shifted by 2 pi i n, block
+    eliminated over levels for every n at once (`_LevelElimination`).  N
+    starts at _FIRST_HARMONIC, or twice the rates' top harmonic where that
+    is larger, or 0 for constant rates, and grows by half, warm-started from
+    the last solve, until max |c_N| <= tol.  The law has only harmonics
+    that are multiples of the gcd d of the rates' harmonics (the others
+    solve to exactly 0), so N and each step of it are rounded up to
+    multiples of d.  The law is then sampled at the grid_size times
+    i / grid_size by one irfft, harmonics at or past grid_size / 2 folded
+    onto their aliases, so grid_size sets only the output samples.  `periods` is N and `residual` the larger of max |c_N|
+    (0 for N = 0) and the 2-norm of the equations' residual, both <= tol.
+
+    RuntimeError is raised when the residual stalls above tol (tol below
+    the rounding floor; loosen tol), when N would pass _MAX_HARMONIC = 128
+    with max |c_N| still above tol or the rates reach a harmonic past 64,
+    or when the law puts more than _CAP_MASS_LIMIT = 1e-6 on the level cap
+    at some grid time (raise level_cap).  tol must be > 0.
     """
     if level_cap < 1:
         raise ValueError("level_cap must be >= 1")
@@ -444,24 +677,16 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
         raise ValueError("grid_size must be >= 4")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if max_periods < 1:
-        raise ValueError("max_periods must be >= 1")
-    op = _structure_matrices(spec.k, spec.m, level_cap)
-    ladder = [grid_size]
-    while (coarse := ladder[-1] // _COARSEN) >= _COARSE_MIN_GRID:
-        lam, mu = _half_step_rates(spec, ladder[-1])
-        if coarse * _RK4_REAL_LIMIT < 2.0 * (lam + mu).max():
-            break
-        ladder.append(coarse)
-    p = _averaged_stationary(op, spec, level_cap)
-    for grid in reversed(ladder[1:]):
-        # a copy, else the coarse samples live through the finer periods
-        p = _periodic_samples(op, spec, grid, p, tol, max_periods)[0][0].copy()
-    samples, periods, residual = _periodic_samples(op, spec, grid_size, p, tol,
-                                                   max_periods)
+    coef, residual = _fourier_coefficients(spec, level_cap, tol)
+    samples = _samples(coef, grid_size)
+    km = spec.phase_count
+    cap_mass = float(samples[:, -km:].sum(axis=1).max())
+    if cap_mass > _CAP_MASS_LIMIT:
+        raise RuntimeError(f"probability {cap_mass:.3e} sits at the "
+                           f"level cap {level_cap}; raise level_cap")
     return PeriodicDistribution(
-        spec=spec, idle=samples[:, :spec.k], periods=periods, residual=residual,
-        levels=samples[:, spec.k:].reshape(grid_size, level_cap, spec.phase_count))
+        spec=spec, idle=samples[:, :spec.k], periods=len(coef) - 1, residual=residual,
+        levels=samples[:, spec.k:].reshape(grid_size, level_cap, km), series=coef)
 
 
 @dataclass(frozen=True)

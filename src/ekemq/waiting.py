@@ -31,8 +31,8 @@ The idle state contributes an atom at zero wait (or an m-stage Erlang for
 the sojourn).  `oracle_wait_cdf` computes the same quantity from a truncated
 ODE distribution with no root in sight.  It needs the law at time u only
 through the idle states and each level's sums over arrival stage, so it
-reads the law's service-stage interpolant (`stage_sums_at`, built once per
-law, k + level_cap * m columns) and never the interpolant of every state.
+reads the law's service-stage series (`stage_sums_at`, built once per law,
+k + level_cap * m columns) and never the series of every state.
 Its thresholds n = m j - s run
 through the consecutive integers 1..n_max, n_max = m * level_cap (shifted
 by m for the sojourn), so with w_n the law's weight at threshold n, C_i =

@@ -30,7 +30,10 @@ another way, kept to pin that route:
   whole columns through `ekemq._g17`;
 - `uncached_tail_constant`: the window constant C_n with its window
   integral formed at every call, against `bounds.tail_constant`, which
-  forms it once per (spec, t).
+  forms it once per (spec, t);
+- `time_domain_periodic`: the periodic law as the fixed point of the
+  one-period RK4 map, on a ladder of grids with Anderson mixing, against
+  `integrate_periodic`, which solves for the law's Fourier coefficients.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ from scipy.special import gammaln
 
 from ekemq._quad import composite_gauss
 from ekemq.model import ModelSpec, _normalize_phase
-from ekemq.oracle import (BoundaryFunctions, PeriodicDistribution, _rk4_march,
+from ekemq.oracle import (_CAP_MASS_LIMIT, _NORM_SLACK, BoundaryFunctions,
+                          PeriodicDistribution, _generator, _rk4_march,
                           _structure_matrices)
 from ekemq.roots import _INSIDE_TOL, CharacteristicRoot, _by_angle, _collision
 from ekemq.series import (_DENOM_FLOOR, SeriesEvaluator, _denominator,
@@ -314,3 +318,167 @@ def uncached_tail_constant(spec: ModelSpec, t: float, n: int) -> float:
     total_rate = spec.arrival.value(u) + spec.service.value(u)
     numer = float(np.dot(w, total_rate * np.exp((mb / lb) * lam_cum)))
     return numer / denom
+
+
+# The time-domain periodic solve: the period map's fixed point by RK4 on a
+# ladder of grids.
+# The periodic solve mixes the last _ANDERSON_DEPTH period residual
+# differences, and runs plain periods once a period moves its start by at
+# most _PLAIN_FRACTION * tol, so that the plain check of two consecutive
+# periods usually passes at once and the fixed point is resolved below tol.
+_ANDERSON_DEPTH = 8
+_PLAIN_FRACTION = 0.1
+
+# The solve on grid N starts from the t = 0 state of the fixed point on the
+# ladder's grid N // _COARSEN, while that grid has at least _COARSE_MIN_GRID
+# points and keeps h * 2 max(lam + mu) <= _RK4_REAL_LIMIT: by Gershgorin the
+# generator's spectrum lies in [-2 max(lam + mu), 0], and RK4's real
+# stability interval is [-2.78, 0].
+_COARSEN = 4
+_COARSE_MIN_GRID = 8
+_RK4_REAL_LIMIT = 2.5
+
+
+def _averaged_stationary(op, spec: ModelSpec, level_cap: int) -> np.ndarray:
+    """Stationary law of the period-averaged generator lam*S_arr + mu*S_srv,
+    lam and mu the mean rates.
+
+    The generator is level-tridiagonal, so linear level reduction from the
+    cap down writes each level as a linear image of the one below,
+    p_j = R_j p_{j-1}; the censored k x k system on the empty level then
+    fixes p_0 up to scale and the levels follow upwards.  The blocks are
+    sliced from the CSR and solved densely with numpy.
+    """
+    k, km = spec.k, spec.phase_count
+    g = _generator(op, spec.arrival.mean(), spec.service.mean())
+    edges = [0] + [k + j * km for j in range(level_cap + 1)]
+
+    def block(i: int, j: int) -> np.ndarray:
+        return g[edges[i]:edges[i + 1], edges[j]:edges[j + 1]].toarray()
+
+    maps = {}
+    diag = block(level_cap, level_cap)
+    for j in range(level_cap, 0, -1):
+        maps[j] = -np.linalg.solve(diag, block(j, j - 1))
+        diag = block(j - 1, j - 1) + block(j - 1, j) @ maps[j]
+    # the censored columns sum to zero; trade one equation for a scale
+    diag[-1] = 1.0
+    rhs = np.zeros(k)
+    rhs[-1] = 1.0
+    parts = [np.linalg.solve(diag, rhs)]
+    for j in range(1, level_cap + 1):
+        parts.append(maps[j] @ parts[-1])
+    p = np.concatenate(parts)
+    return p / p.sum()
+
+
+def _half_step_rates(spec: ModelSpec, grid_size: int):
+    """lam and mu at the half-step nodes i / (2 grid_size), i = 0..2 grid_size."""
+    nodes = np.arange(2 * grid_size + 1) / (2.0 * grid_size)
+    return spec.arrival.value(nodes), spec.service.value(nodes)
+
+
+def _periodic_samples(op, spec: ModelSpec, grid_size: int, p: np.ndarray,
+                      tol: float, max_periods: int):
+    """(samples at the grid times, periods, last residual) of the fixed point
+    on grid_size steps started at p, by the iteration and checks of
+    `integrate_periodic`."""
+    k, km, dim = spec.k, spec.phase_count, op[0].shape[0]
+    lam, mu = _half_step_rates(spec, grid_size)
+    h = 1.0 / grid_size
+    samples = np.empty((grid_size, dim))
+    prev = None  # samples of the plain period that ended where this one starts
+    ends, moves = [], []  # Anderson history: Phi(x) and Phi(x) - x
+    residual = np.inf
+
+    for period in range(1, max_periods + 1):
+        start = p
+        samples[0] = p
+        with np.errstate(over="ignore", invalid="ignore"):
+            march = _rk4_march(op, lam, mu, h, p)
+            for row in samples[1:]:
+                row[:] = next(march)
+            p = next(march)
+        norm = np.abs(p).sum()
+        if not norm <= 1.0 + _NORM_SLACK:
+            raise RuntimeError(f"grid_size {grid_size} is too coarse for RK4 at "
+                               f"these rates: a period ended with L1 norm "
+                               f"{norm:.3e}; raise grid_size")
+        if prev is not None:
+            residual = float(np.abs(samples - prev).max())
+            if residual <= tol:
+                cap_mass = float(samples[:, -km:].sum(axis=1).max())
+                if cap_mass > _CAP_MASS_LIMIT:
+                    raise RuntimeError(f"probability {cap_mass:.3e} sits at the "
+                                       f"level cap {(dim - k) // km}; raise level_cap")
+                return samples, period, residual
+        move = p - start
+        if moves and np.linalg.norm(move) >= np.linalg.norm(moves[-1]):
+            ends, moves = [], []
+        ends = (ends + [p])[-(_ANDERSON_DEPTH + 1):]
+        moves = (moves + [move])[-(_ANDERSON_DEPTH + 1):]
+        if len(moves) == 1 or np.abs(move).max() <= _PLAIN_FRACTION * tol:
+            prev = samples.copy()
+            continue
+        d_move = np.diff(np.array(moves), axis=0).T
+        d_end = np.diff(np.array(ends), axis=0).T
+        gamma = np.linalg.lstsq(d_move, move, rcond=None)[0]
+        p = p - d_end @ gamma
+        p = p / p.sum()
+        prev = None
+
+    raise RuntimeError(f"periodic regime not reached in {max_periods} periods "
+                       f"on grid {grid_size} (last residual {residual:.3e}); "
+                       f"raise max_periods or loosen tol")
+
+
+def time_domain_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 512,
+                       tol: float = 1e-10, max_periods: int = 500) -> PeriodicDistribution:
+    """Solve for the periodic regime of the truncated queue.
+
+    The periodic law is the fixed point of the one-period map Phi (grid_size
+    RK4 steps over one period), solved on a ladder of grids that share one
+    structure operator: below grid N comes grid N // _COARSEN while that has
+    at least _COARSE_MIN_GRID steps and its step times 2 max(lam + mu), over
+    the half-step rates of grid N, is within _RK4_REAL_LIMIT.  The coarsest
+    grid starts from the stationary law of the period-averaged generator,
+    each finer one from the t = 0 state of the fixed point below it.  Every
+    grid applies Anderson mixing of depth _ANDERSON_DEPTH to Phi,
+    renormalizing each mixed start to mass 1 and restarting the mixing
+    history whenever the period residual stops falling.  Once a period moves
+    its start by at most _PLAIN_FRACTION * tol, the periods run plainly, each
+    from where the last one ended, and the grid has converged when two
+    consecutive plain periods, sampled at its grid points, differ by at most
+    tol in sup norm.  The samples on grid_size are returned; `periods` counts
+    every application of Phi on grid_size steps, mixed or plain, and none of
+    the coarser grids'.  On every grid, RuntimeError is raised when
+    max_periods periods are exhausted first (naming the grid), when a period
+    ends non-finite or with an L1 norm past 1 + _NORM_SLACK (the grid is too
+    coarse for RK4 at these rates; raise grid_size), or when the converged
+    law puts more than _CAP_MASS_LIMIT = 1e-6 on the level cap at some grid
+    time (raise level_cap).  tol must be > 0 and max_periods >= 1.
+    """
+    if level_cap < 1:
+        raise ValueError("level_cap must be >= 1")
+    if grid_size < 4:
+        raise ValueError("grid_size must be >= 4")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if max_periods < 1:
+        raise ValueError("max_periods must be >= 1")
+    op = _structure_matrices(spec.k, spec.m, level_cap)
+    ladder = [grid_size]
+    while (coarse := ladder[-1] // _COARSEN) >= _COARSE_MIN_GRID:
+        lam, mu = _half_step_rates(spec, ladder[-1])
+        if coarse * _RK4_REAL_LIMIT < 2.0 * (lam + mu).max():
+            break
+        ladder.append(coarse)
+    p = _averaged_stationary(op, spec, level_cap)
+    for grid in reversed(ladder[1:]):
+        # a copy, else the coarse samples live through the finer periods
+        p = _periodic_samples(op, spec, grid, p, tol, max_periods)[0][0].copy()
+    samples, periods, residual = _periodic_samples(op, spec, grid_size, p, tol,
+                                                   max_periods)
+    return PeriodicDistribution(
+        spec=spec, idle=samples[:, :spec.k], periods=periods, residual=residual,
+        levels=samples[:, spec.k:].reshape(grid_size, level_cap, spec.phase_count))

@@ -486,7 +486,6 @@ def test_levels_outside_truncation_exit_2(tmp_path, capsys):
     ("oracle", "oracle.grid", "2"),
     ("oracle", "oracle.levels", "0"),
     ("oracle", "oracle.tol", "0"),
-    ("oracle", "oracle.max_periods", "0"),
     ("waiting", "waiting.steps", "0"),
     ("analyze", "analyze.times", "0"),
     ("bounds", "bounds.times", "0"),
@@ -506,13 +505,25 @@ def test_out_of_range_values_exit_2(tmp_path, capsys, command, key, value):
     assert not out.exists()
 
 
+def test_removed_max_periods_key_exits_2(tmp_path, capsys):
+    # the periodic solve iterates no periods, so the key is gone
+    cfg = write_cfg(tmp_path, **{"oracle.max_periods": 500})
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 2
+    assert "unknown key 'oracle.max_periods'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, **{"oracle.tol": 1e-14,
-                                 "oracle.max_periods": 1})
+    # a rate at harmonic 50: no N up to 128 brings |c_N| to tol
+    cfg = write_cfg(tmp_path, **{"model.arrival.base": 60.0,
+                                 "model.arrival.cos": "50:59",
+                                 "model.service.base": 120.0})
     assert main(["analyze", "--config", cfg,
                  "--out", str(tmp_path / "f")]) == 3
     err = capsys.readouterr().err
     assert "numerical failure in analyze" in err
+    assert "harmonics reach past 128" in err
 
 
 def test_mass_at_cap_exits_3(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Periodic ODE oracle: convergence, conservation, closed-form reductions."""
+"""Periodic ODE oracle: harmonic balance against the time-domain solve,
+conservation, closed-form reductions."""
 
 import dataclasses
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
+from reference import time_domain_periodic
 
 import ekemq
 from ekemq import oracle
@@ -190,16 +193,26 @@ def test_trig_interpolant_exact_on_bandlimited_data():
 
 
 def test_unconverged_run_raises():
-    # time-varying rates: constant ones start at their exact fixed point
-    spec = ModelSpec(1, 1, RateFunction(3.0, sin=((1, 2.0),)), RateFunction(5.0))
-    # the first rung of the grid-32 ladder is grid 8, and it fails there
-    with pytest.raises(RuntimeError, match="not reached in 3 periods on grid 8 "):
-        integrate_periodic(spec, level_cap=40, grid_size=32, tol=1e-13,
-                           max_periods=3)
+    # a rate at harmonic 50: the solve starts at N = 100, where |c_N| is still
+    # 2.6e-3, and half again would pass the largest N, 128
+    spec = ModelSpec(1, 1, RateFunction(60.0, cos=((50, 59.0),)), RateFunction(120.0))
+    with pytest.raises(RuntimeError, match="harmonics reach past 128: .* at N = 100"):
+        integrate_periodic(spec, level_cap=20, grid_size=64)
+    # a rate at harmonic 65 would start past 128
+    spec = ModelSpec(1, 1, RateFunction(60.0, cos=((65, 1.0),)), RateFunction(120.0))
+    with pytest.raises(RuntimeError, match="rates reach harmonic 65, past half"):
+        integrate_periodic(spec, level_cap=20, grid_size=64)
+
+
+def test_unreachable_tol_stalls():
+    # the equations' residual stops near 2.5e-16, in rounding
+    with pytest.raises(RuntimeError, match="stalled at residual .* > tol = 1.000e-16"):
+        integrate_periodic(ModelSpec(1, 1, RateFunction(3.0, sin=((1, 2.0),)),
+                                     RateFunction(5.0)), level_cap=40, tol=1e-16)
 
 
 def test_mass_at_cap_raises():
-    # load 0.98: the iteration converges, but 3e-3 of the law sits at the cap
+    # load 0.98: the solve converges, but 3e-3 of the law sits at the cap
     spec = ModelSpec(2, 3, RateFunction(1.9, sin=((1, 0.5),)),
                      RateFunction(2.9, cos=((2, 0.3),)))
     with pytest.raises(RuntimeError, match="at the level cap 60"):
@@ -211,23 +224,235 @@ def test_high_load_converges(periodic74_spec):
                      periodic74_spec.service)
     assert spec.load == pytest.approx(0.8)
     dist = integrate_periodic(spec, level_cap=120, grid_size=128, tol=1e-10)
-    # 11 fine periods from the grid-32 fixed point; plain periods from the
-    # averaged start need ~180
-    assert dist.periods < 60
+    # N = 12 suffices, as at load 0.34; the time-domain ladder took 11 fine
+    # periods after 24 on grid 32
+    assert dist.periods == 12
     assert dist.residual <= 1e-10
     assert dist.cap_mass() <= 1e-30
     mass = dist.idle.sum(axis=1) + dist.levels.sum(axis=(1, 2))
     assert np.abs(mass - 1.0).max() <= 1e-12
+    # within tol of the tight solve, where the tol-1e-10 ladder was 1.0e-9 off
+    tight = integrate_periodic(spec, level_cap=120, grid_size=128, tol=1e-14)
+    assert np.abs(dist.idle - tight.idle).max() <= 1e-10
+    assert np.abs(dist.levels - tight.levels).max() <= 1e-10
 
+
+def _law(dist):
+    return np.hstack([dist.idle, dist.levels.reshape(dist.grid_size, -1)])
+
+
+_STRESS = {
+    "reference": (ModelSpec(7, 4, RateFunction(3.0, sin=((1, -2.0),)),
+                            RateFunction(5.0, sin=((1, 4.0),))), 50),
+    # N grows 12 -> 18 here: max |c_12| is 1.6e-9, max |c_18| 5.4e-14
+    "k2-m3-harmonics-1-3-2": (ModelSpec(
+        2, 3, RateFunction(1.5, sin=((1, 0.8),), cos=((3, 0.5),)),
+        RateFunction(4.0, cos=((2, 1.5),))), 40),
+    "arrival-touching-zero": (ModelSpec(7, 4, RateFunction(3.0, cos=((1, -3.0),)),
+                                        RateFunction(5.0, sin=((1, 4.0),))), 50),
+    # the time-domain solve takes about 3 s here
+    "load-0.8": (ModelSpec(7, 4, RateFunction(7.0, sin=((1, -2.0),)),
+                           RateFunction(5.0, sin=((1, 4.0),))), 120),
+    # loads low enough that the capped level stays under the cap check's
+    # 1e-6: at most 8.7e-7 on level 1 and 8.1e-10 on level 2
+    "level-cap-1": (ModelSpec(2, 3, RateFunction(2e-6, sin=((1, 1e-6),), cos=((3, 5e-7),)),
+                              RateFunction(4.0, cos=((2, 1.5),))), 1),
+    "level-cap-2": (ModelSpec(2, 3, RateFunction(2e-3, sin=((1, 1e-3),), cos=((3, 5e-4),)),
+                              RateFunction(4.0, cos=((2, 1.5),))), 2),
+    # one harmonic, not the first: the law has only its multiples.  N runs
+    # 15 -> 25 -> 40 (max |c_25| is 2.7e-11) and 12 -> 18 -> 28 (max |c_18|
+    # is 2.3e-13); an N between multiples would test an exact 0 and stop,
+    # at N = 12 off by 1.0e-6 for harmonic 5
+    "arrival-harmonic-5-only": (ModelSpec(2, 3, RateFunction(1.5, sin=((5, 1.2),)),
+                                          RateFunction(4.0)), 40),
+    "service-harmonic-2-only": (ModelSpec(2, 3, RateFunction(1.5),
+                                          RateFunction(4.0, cos=((2, 3.9),))), 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRESS))
+def test_law_matches_time_domain_solve(name):
+    # RK4 at grid 2048 is within about 1.2e-13 of the truncated system's
+    # periodic law on the reference (its grid-512 error, 3.2e-11, over 4^4)
+    spec, cap = _STRESS[name]
+    dist = integrate_periodic(spec, level_cap=cap, grid_size=2048, tol=1e-13)
+    ref = time_domain_periodic(spec, level_cap=cap, grid_size=2048, tol=1e-13)
+    assert dist.residual <= 1e-13
+    assert np.abs(_law(dist) - _law(ref)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name, spacing, top", [("arrival-harmonic-5-only", 5, 40),
+                                                ("service-harmonic-2-only", 2, 28)])
+def test_n_steps_by_the_harmonic_spacing(name, spacing, top):
+    spec, cap = _STRESS[name]
+    coef, residual = oracle._fourier_coefficients(spec, cap, 1e-13)
+    assert len(coef) - 1 == top and residual <= 1e-13
+    # the harmonics off the spacing solve to exactly 0
+    off = np.arange(len(coef)) % spacing != 0
+    assert not coef[off].any()
+
+
+def test_constant_rates_take_the_mean_solve_alone(flat74_spec):
+    dist = integrate_periodic(flat74_spec, level_cap=50, grid_size=16, tol=1e-13)
+    assert dist.periods == 0 and dist.residual <= 1e-13
+    law = _law(dist)
+    assert np.array_equal(law, np.broadcast_to(law[0], law.shape))
+    # the stationary law of the generator: p G = 0 and mass 1
+    at, mt = _parts(_structure_matrices(7, 4, 50))
+    assert np.abs(3.0 * (at @ law[0]) + 5.0 * (mt @ law[0])).max() <= 1e-14
+    assert abs(law[0].sum() - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("grid_size", [4, 5, 8, 16])
+def test_coarse_grid_folds_the_harmonics(periodic74_spec, grid_size):
+    # N = 12 and grid_size < 2N + 1: the samples are the series itself,
+    # harmonics at or past grid_size / 2 folded onto their aliases
+    coef, _ = oracle._fourier_coefficients(periodic74_spec, 50, 1e-10)
+    assert len(coef) == 13
+    t = np.arange(grid_size) / grid_size
+    direct = (coef[0].real + 2.0 * np.real(
+        np.exp(2j * np.pi * np.outer(t, np.arange(1, 13))) @ coef[1:]))
+    dist = integrate_periodic(periodic74_spec, level_cap=50, grid_size=grid_size)
+    assert np.abs(_law(dist) - direct).max() <= 1e-15
+    if 512 % grid_size == 0:
+        # grid_size sets only the samples: the grid-512 law at the same times
+        fine = integrate_periodic(periodic74_spec, level_cap=50, grid_size=512)
+        assert np.abs(_law(dist) - _law(fine)[::512 // grid_size]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("grid_size", [8, 512])
+def test_law_reads_its_series_between_grid_times(periodic74_spec, grid_size):
+    # the solved series, not an interpolant of the samples: on grid 8 the
+    # samples alias harmonics 4..12, and the series does not
+    coef, _ = oracle._fourier_coefficients(periodic74_spec, 50, 1e-10)
+    dist = integrate_periodic(periodic74_spec, level_cap=50, grid_size=grid_size)
+    u = np.array([0.03, 0.41, 0.77])
+    direct = (coef[0].real + 2.0 * np.real(
+        np.exp(2j * np.pi * np.outer(u, np.arange(1, 13))) @ coef[1:]))
+    idle, levels = dist.states_at(u)
+    assert np.abs(np.hstack([idle, levels.reshape(3, -1)]) - direct).max() <= 1e-15
+    idle, by_stage = dist.stage_sums_at(u)
+    assert np.abs(by_stage - levels.reshape(3, 50, 7, 4).sum(axis=2)).max() <= 1e-15
+    with pytest.raises(ValueError):
+        dist.series[0, 0] = 1.0
+
+
+def test_stiff_rates_solve_on_any_grid():
+    # max(lam + mu) is about 72, so RK4 needs h <= 2.78 / 144 and refuses
+    # grid 16 (test_too_coarse_grid_is_reported); the coefficients do not
+    # depend on the grid
+    spec = ModelSpec(2, 3, RateFunction(20.0, sin=((1, 5.0),)),
+                     RateFunction(45.0, cos=((1, 5.0),)))
+    coarse = integrate_periodic(spec, level_cap=40, grid_size=16)
+    fine = integrate_periodic(spec, level_cap=40, grid_size=64)
+    assert coarse.residual <= 1e-10
+    assert np.abs(_law(coarse) - _law(fine)[::4]).max() <= 1e-15
+    assert _law(fine).min() >= -1e-12
+    assert np.abs(_law(fine).sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_growing_n_factors_each_harmonic_once(monkeypatch):
+    # max |c_12| is 1.6e-9 on this model: N grows to 18, warm-started, and
+    # only harmonics 13..18 are factored for it
+    spec, cap = _STRESS["k2-m3-harmonics-1-3-2"]
+    builds, ranges = [], []
+    # __init__(self, spec, level_cap) and __init__(self, hb, harmonics)
+    for cls, log, record in ((oracle._HarmonicBalance, builds, lambda args: args[2:]),
+                             (oracle._LevelElimination, ranges,
+                              lambda args: (args[2][0], args[2][-1]))):
+        original = cls.__init__
+
+        def spy(*args, original=original, log=log, record=record):
+            log.append(record(args))
+            original(*args)
+        monkeypatch.setattr(cls, "__init__", spy)
+    dist = integrate_periodic(spec, level_cap=cap, grid_size=64, tol=1e-12)
+    assert builds == [(cap,)]
+    assert ranges == [(0, 12), (13, 18)]
+    assert dist.periods == 18 and dist.residual <= 1e-12
+
+
+def test_level_blocks_are_reused_below_the_cap(periodic74_spec):
+    # the elimination's blocks converge within a few levels of the cap
+    hb = oracle._HarmonicBalance(periodic74_spec, 50)
+    hb.factor(13)
+    (factor,) = hb.factors
+    assert len(factor.inverses) <= 10
+    assert factor.inverses.shape[1:] == (13, 28, 28)
+
+
+def _harmonic_equations(spec, cap, c):
+    """The harmonic-balance equations with the dense structure matrices and
+    every convolution term written out; equation (0, k - 1) is the mass."""
+    at, mt = (part.toarray() for part in _parts(_structure_matrices(spec.k, spec.m, cap)))
+    count = len(c)
+    full = {n: c[n] if n >= 0 else np.conj(c[-n]) for n in range(1 - count, count)}
+
+    def amplitudes(rate):
+        amp = {0: complex(rate.base)}
+        for j, a in rate.cos:
+            amp[j] = amp.get(j, 0.0) + a / 2
+            amp[-j] = amp.get(-j, 0.0) + a / 2
+        for j, b in rate.sin:
+            amp[j] = amp.get(j, 0.0) + b / 2j
+            amp[-j] = amp.get(-j, 0.0) - b / 2j
+        return amp
+
+    lam, mu = amplitudes(spec.arrival), amplitudes(spec.service)
+    out = np.zeros_like(c)
+    for n in range(count):
+        out[n] = -2j * np.pi * n * c[n]
+        for j in set(lam) | set(mu):
+            if n - j in full:
+                out[n] += (lam.get(j, 0.0) * at + mu.get(j, 0.0) * mt) @ full[n - j]
+    out[0, spec.k - 1] = c[0].sum()
+    return out
+
+
+@pytest.mark.parametrize("level_cap", [1, 2, 6])
+@pytest.mark.parametrize("k, m", [(1, 1), (2, 3), (7, 4)])
+def test_equations_match_the_structure_matrices(k, m, level_cap):
+    spec = ModelSpec(k, m, RateFunction(1.0, sin=((1, 0.5),), cos=((3, 0.25),)),
+                     RateFunction(30.0, cos=((2, 4.0),)))
+    hb = oracle._HarmonicBalance(spec, level_cap)
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal((8, hb.dim)) + 1j * rng.standard_normal((8, hb.dim))
+    c[0] = c[0].real
+    want = _harmonic_equations(spec, level_cap, c)
+    got = hb.equations(c)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert not got[0].imag.any()
+
+
+@pytest.mark.parametrize("level_cap", [1, 2, 6, 50])
+@pytest.mark.parametrize("k, m", [(1, 1), (2, 3), (7, 4)])
+def test_preconditioner_inverts_the_mean_equations(k, m, level_cap):
+    # with constant rates the equations are the preconditioned ones, mass
+    # equation included; two factor ranges as when N grows
+    spec = ModelSpec(k, m, RateFunction(1.0), RateFunction(30.0))
+    hb = oracle._HarmonicBalance(spec, level_cap)
+    hb.factor(9)
+    hb.factor(14)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((14, hb.dim)) + 1j * rng.standard_normal((14, hb.dim))
+    x[0] = x[0].real
+    z = hb.precondition(hb.equations(x))
+    assert np.abs(z - x).max() <= 1e-11
+    assert not z[0].imag.any()
+
+
+# The time-domain solve in tests/reference.py (`time_domain_periodic`, the
+# period map's fixed point by RK4 on a ladder of grids) is the cross-check
+# of the harmonic-balance law; the tests below pin its own ladder.
 
 def test_nested_start_cuts_fine_periods(periodic74_spec):
     # started from the grid-32 fixed point (itself started from grid 8); the
     # averaged start needs 12 periods here and ends 3.5e-12 from the fixed point
-    dist = integrate_periodic(periodic74_spec, level_cap=50, grid_size=128)
+    dist = time_domain_periodic(periodic74_spec, level_cap=50, grid_size=128)
     assert dist.periods <= 8
     assert dist.residual <= 1e-10
-    tight = integrate_periodic(periodic74_spec, level_cap=50, grid_size=128,
-                               tol=1e-14)
+    tight = time_domain_periodic(periodic74_spec, level_cap=50, grid_size=128,
+                                 tol=1e-14)
     assert np.abs(dist.idle - tight.idle).max() <= 1e-11
     assert np.abs(dist.levels - tight.levels).max() <= 1e-11
 
@@ -238,17 +463,17 @@ def test_one_operator_walks_the_whole_ladder(periodic74_spec, monkeypatch):
     builds, calls, grids = [], [], []
 
     def spy(name, log, record):
-        original = getattr(oracle, name)
+        original = getattr(reference, name)
 
         def wrapped(*args, **kwargs):
             log.append(record(*args))
             return original(*args, **kwargs)
-        monkeypatch.setattr(oracle, name, wrapped)
+        monkeypatch.setattr(reference, name, wrapped)
 
     spy("_structure_matrices", builds, lambda *args: args)
-    spy("integrate_periodic", calls, lambda *args: args[1:])
+    spy("time_domain_periodic", calls, lambda *args: args[1:])
     spy("_periodic_samples", grids, lambda op, spec, grid, *rest: grid)
-    dist = oracle.integrate_periodic(periodic74_spec, 50, 128)
+    dist = reference.time_domain_periodic(periodic74_spec, 50, 128)
     assert builds == [(7, 4, 50)]
     assert calls == [(50, 128)]
     assert grids == [8, 32, 128]
@@ -260,7 +485,7 @@ def test_unstable_quarter_grid_starts_from_the_averaged_law():
     # stable, its quarter grid 16 overflows
     spec = ModelSpec(2, 3, RateFunction(20.0, sin=((1, 5.0),)),
                      RateFunction(45.0, cos=((1, 5.0),)))
-    dist = integrate_periodic(spec, level_cap=40, grid_size=64)
+    dist = time_domain_periodic(spec, level_cap=40, grid_size=64)
     assert dist.residual <= 1e-10
     assert dist.idle.min() >= -1e-12 and dist.levels.min() >= -1e-12
     mass = dist.idle.sum(axis=1) + dist.levels.sum(axis=(1, 2))
@@ -276,8 +501,17 @@ def test_too_coarse_grid_is_reported():
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         with pytest.raises(RuntimeError, match="grid_size 16 is too coarse"):
-            integrate_periodic(spec, level_cap=40, grid_size=16)
+            time_domain_periodic(spec, level_cap=40, grid_size=16)
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+def test_time_domain_run_out_of_periods_raises():
+    # time-varying rates: constant ones start at their exact fixed point
+    spec = ModelSpec(1, 1, RateFunction(3.0, sin=((1, 2.0),)), RateFunction(5.0))
+    # the first rung of the grid-32 ladder is grid 8, and it fails there
+    with pytest.raises(RuntimeError, match="not reached in 3 periods on grid 8 "):
+        time_domain_periodic(spec, level_cap=40, grid_size=32, tol=1e-13,
+                             max_periods=3)
 
 
 def _truncated_generator(spec, level_cap, absorbing):
@@ -389,7 +623,7 @@ def test_march_matches_plain_steps(periodic74_spec, absorbing):
 
 def test_accelerated_solve_matches_plain_iteration(periodic74_spec):
     spec, cap, grid_size = periodic74_spec, 30, 64
-    dist = integrate_periodic(spec, level_cap=cap, grid_size=grid_size)
+    dist = time_domain_periodic(spec, level_cap=cap, grid_size=grid_size)
     # the period map iterated from the uniform start until two sampled
     # periods agree to 1e-13
     at, mt = _parts(_structure_matrices(spec.k, spec.m, cap))
@@ -409,6 +643,25 @@ def test_accelerated_solve_matches_plain_iteration(periodic74_spec):
         pytest.fail("plain iteration did not reach 1e-13")
     solved = np.hstack([dist.idle, dist.levels.reshape(grid_size, -1)])
     assert np.abs(solved - samples).max() <= 1e-10
+
+
+def test_import_and_periodic_solve_load_no_scipy_sparse():
+    # scipy.sparse costs about 0.23 s to import; only the time-domain
+    # structure (`_structure_matrices`, for `busy_oracle`) imports it
+    src = str(Path(ekemq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ekemq\n"
+         "loaded = [n for n in sys.modules if n.startswith('scipy.sparse')]\n"
+         "spec = ekemq.ModelSpec(2, 3, ekemq.RateFunction(1.0, sin=((1, 0.5),)),\n"
+         "                       ekemq.RateFunction(4.0))\n"
+         "ekemq.integrate_periodic(spec, level_cap=10, grid_size=16)\n"
+         "print(loaded, [n for n in sys.modules if n.startswith('scipy.sparse')])"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] []"
 
 
 def test_import_loads_no_scipy_solvers():
@@ -454,5 +707,3 @@ def test_oracle_validates_arguments(mm1_spec):
     for tol in (np.nan, -1e-10, 0.0):
         with pytest.raises(ValueError, match="tol must be > 0"):
             integrate_periodic(mm1_spec, level_cap=10, grid_size=8, tol=tol)
-    with pytest.raises(ValueError, match="max_periods must be >= 1"):
-        integrate_periodic(mm1_spec, level_cap=10, grid_size=8, max_periods=0)

@@ -16,6 +16,7 @@ from ekemq import (
     SeriesEvaluator,
     build_root_set,
     extract_boundary,
+    integrate_periodic,
 )
 from ekemq import _quad
 from ekemq.series import phase_weights
@@ -81,6 +82,17 @@ def test_deep_levels_match_oracle(periodic74_dist, periodic74_boundary,
         diff = np.abs(ev.level_matrix(j, ts).real
                       - periodic74_dist.levels[:, j - 1, :]).max()
         assert diff < 1e-9
+
+
+def test_levels_two_to_five_match_the_harmonic_balance_law(periodic74_spec):
+    # the oracle's law is 1e-13 from the truncated system's, so the order-20
+    # series on its boundary meets it to rounding (4.4e-16 at level 2, where
+    # the RK4 ladder's law at grid 256 stood 2.9e-12 off)
+    dist = integrate_periodic(periodic74_spec, level_cap=50, grid_size=256, tol=1e-12)
+    ev = SeriesEvaluator(build_root_set(periodic74_spec, 20), extract_boundary(dist))
+    for j in (2, 3, 4, 5):
+        diff = np.abs(ev.level_matrix(j, dist.grid).real - dist.levels[:, j - 1]).max()
+        assert diff <= 1e-14, (j, diff)
 
 
 def test_series_values_are_real(periodic74_roots10, periodic74_boundary):
