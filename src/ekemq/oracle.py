@@ -18,10 +18,10 @@ solves these equations for n = 0..N, with c_{-n} = conj(c_n) and one n = 0
 equation traded for the total mass, by restarted GMRES (Saad & Schultz,
 SIAM J. Sci. Stat. Comput. 1986) preconditioned by the mean generator,
 block eliminated over levels for every harmonic at once; it grows N until
-the top harmonic is below the tolerance, samples the law on its output
-grid by one inverse FFT and keeps the series to read the law between grid
-times.  No period is integrated, and the error is the truncation past N,
-which |c_N| shows, plus the linear solve's residual.
+the top harmonic is below the tolerance.  The law is its Fourier series:
+one evaluator (`TrigInterpolant`) samples it on the output grid and reads
+it between grid times.  No period is integrated, and the error is the
+truncation past N, which |c_N| shows, plus the linear solve's residual.
 numpy does all of it.  The time-domain solve, RK4 periods to the period
 map's fixed point, is kept in the tests as the cross-check.
 
@@ -103,41 +103,37 @@ _NORM_SLACK = 1e-6
 
 
 class TrigInterpolant:
-    """Trigonometric interpolation of 1-periodic samples on a uniform grid.
+    """The real 1-periodic function sum_n c_n e^{2 pi i n t} over |n| <= N,
+    c_{-n} = conj(c_n), from c_0..c_N (rows of coef; c_0 taken real).
 
-    Exact at the sample points.  For an even number of samples the top
-    (Nyquist) harmonic is folded to a pure cosine, the usual convention for
-    real data.  `from_series` evaluates a real trigonometric series given
-    by its coefficients instead.
+    It is evaluated in real form, cos(2 pi n t) @ (w Re c) - sin(2 pi n t)
+    @ (w Im c) with w = 1, 2, 2, ..., which keeps every product real.
     """
 
-    def __init__(self, samples: np.ndarray):
-        samples = np.asarray(samples, dtype=float)
-        n = samples.shape[0]
-        coef = np.fft.rfft(samples, axis=0) / n
-        if n % 2 == 0:
-            coef[-1] *= 0.5
-        self._set_series(coef)
-
-    @classmethod
-    def from_series(cls, coef: np.ndarray) -> TrigInterpolant:
-        """The function sum_n c_n e^{2 pi i n t} over |n| <= N, with c_{-n} =
-        conj(c_n), from c_0..c_N (rows of coef; c_0 taken real)."""
-        interp = cls.__new__(cls)
-        interp._set_series(np.asarray(coef, dtype=complex))
-        return interp
-
-    def _set_series(self, coef: np.ndarray) -> None:
-        weights = np.full(coef.shape[0], 2.0)
+    def __init__(self, coef: np.ndarray):
+        coef = np.asarray(coef, dtype=complex)
+        weights = np.full((len(coef), 1), 2.0)
         weights[0] = 1.0
-        self._coef = weights[:, None] * coef
-        self._harmonics = np.arange(coef.shape[0])
+        self._cos, self._sin = weights * coef.real, weights * coef.imag
+        self._harmonics = np.arange(len(coef))
 
     def __call__(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        phases = np.exp(2j * np.pi * np.outer(u, self._harmonics))
-        vals = np.real(phases @ self._coef)
+        phases = 2.0 * np.pi * np.outer(np.asarray(u, dtype=float), self._harmonics)
+        vals = np.cos(phases) @ self._cos
+        vals -= np.sin(phases) @ self._sin
         return vals
+
+
+def _interpolating_series(samples: np.ndarray) -> np.ndarray:
+    """c_0..c_{n // 2} of the trigonometric interpolant of n samples of a
+    period at the times i / n (rows), for `TrigInterpolant`: exact at the
+    samples, and for even n the top (Nyquist) harmonic halved to a pure
+    cosine, the usual convention for real data."""
+    n = len(samples)
+    coef = np.fft.rfft(np.asarray(samples, dtype=float), axis=0) / n
+    if n % 2 == 0:
+        coef[-1] *= 0.5
+    return coef
 
 
 def _structure_matrices(k: int, m: int, level_cap: int, absorbing: bool = False):
@@ -266,7 +262,8 @@ class _Sampled:
 
 @dataclass(frozen=True)
 class PeriodicDistribution(_Sampled):
-    """Periodic law of the truncated queue, sampled on a uniform grid.
+    """Periodic law of the truncated queue: its Fourier series, and its
+    samples on a uniform grid.
 
     idle[i, a] is the probability of an empty system with arrival stage a at
     time grid[i]; levels[i, j-1, a*m+s] the probability of level j in phase
@@ -275,15 +272,15 @@ class PeriodicDistribution(_Sampled):
     for constant rates), and `residual` the larger of max |c_N| (0 for N =
     0) and the 2-norm of the harmonic-balance equations' residual; both
     names are kept from the time-domain solve, where they counted periods
-    and bounded the change between the last two.  `series` holds that
+    and bounded the change between the last two.  `series` holds the law's
     series, c_0..c_N as (N + 1, k + level_cap * km) complex rows in the
-    state order of the sample columns; a law built from samples alone has
-    none.
+    state order of the sample columns: the solved one, from
+    `integrate_periodic`, and for a law built from samples alone their
+    interpolating series (`_interpolating_series`; grid_size // 2 + 1 rows),
+    made by the constructor.
 
     Two trigonometric series read the law between grid times, each built
-    on first use, once per law: from `series` where the law has one, else
-    from the samples by interpolation (257 harmonics on grid 512, against
-    13 in the reference law's series).  The state series holds every
+    from `series` on first use, once per law.  The state series holds every
     state and serves `states_at`, `idle_at` and `levels_at`.  The stage
     series holds the k idle states and the level_cap * m sums of each
     level over arrival stage, and serves `stage_sums_at`, which is all the
@@ -305,27 +302,28 @@ class PeriodicDistribution(_Sampled):
         if len(self.idle) != len(self.levels):
             raise ValueError(f"idle has {len(self.idle)} grid rows, "
                              f"levels {len(self.levels)}")
-        for name, kind in (("idle", float), ("levels", float), ("series", complex)):
-            if getattr(self, name) is not None:
-                arr = np.array(getattr(self, name), dtype=kind)
-                object.__setattr__(self, name, _read_only(arr))
+        for name in ("idle", "levels"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name),
+                                                               dtype=float)))
+        if self.series is None:
+            series = _interpolating_series(np.concatenate(
+                [self.idle, self.levels.reshape(self.grid_size, -1)], axis=1))
+        else:
+            series = np.array(self.series, dtype=complex)
+        width = self.spec.k + self.level_cap * self.spec.phase_count
+        if series.shape[1] != width:
+            raise ValueError(f"series has {series.shape[1]} state columns, the law "
+                             f"k + level_cap * km = {width}")
+        object.__setattr__(self, "series", _read_only(series))
 
     @property
     def level_cap(self) -> int:
         return self.levels.shape[1]
 
-    def _series_of(self, columns) -> TrigInterpolant:
-        """The series of the state columns picked by columns, a linear map
-        of (rows, states) arrays: from `series`, or the samples' interpolant."""
-        if self.series is not None:
-            return TrigInterpolant.from_series(columns(self.series))
-        return TrigInterpolant(columns(np.concatenate(
-            [self.idle, self.levels.reshape(self.grid_size, -1)], axis=1)))
-
     @cached_property
     def _interp(self) -> TrigInterpolant:
         """Series of every state, built once per law."""
-        return self._series_of(lambda states: states)
+        return TrigInterpolant(self.series)
 
     def states_at(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(idle_at(u), levels_at(u)) from one evaluation of the series."""
@@ -343,7 +341,7 @@ class PeriodicDistribution(_Sampled):
     def _stage_interp(self) -> TrigInterpolant:
         """Series of the idle states and of the busy states summed over
         arrival stage, built once per law."""
-        return self._series_of(self._by_stage)
+        return TrigInterpolant(self._by_stage(self.series))
 
     def stage_sums_at(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(idle_at(u), levels_at(u) summed over arrival stage), shapes
@@ -379,8 +377,8 @@ def _harmonics(rate) -> dict[int, complex]:
 
 
 class _LevelElimination:
-    """Solves (Gbar - 2 pi i n) z_n = r_n for a range of harmonics n at once,
-    Gbar the transposed generator at the mean rates lam, mu.
+    """Solves (Gbar - 2 pi i n) z_n = r_n for the harmonics n = 0..count - 1
+    at once, Gbar the transposed generator at the mean rates lam, mu.
 
     Gbar is level-tridiagonal, so block elimination from the cap down writes
     level j as z_j = R_j z_{j-1} + g_j, and the k x k system left on the
@@ -390,15 +388,15 @@ class _LevelElimination:
     stage, so they are kept as km x m and km x k column slices.  For n = 0
     Gbar is singular; its equation (0, k - 1) is traded for the total mass,
     which the elimination writes as a linear form of z_0 plus the mass that
-    the g_j carry (weights w_j), so this slice solves the bordered mean
+    the g_j carry (weights w_j), so the n = 0 slice solves the bordered mean
     generator exactly: applied to the mass equation alone it returns the
     stationary law of the mean generator.
     """
 
-    def __init__(self, hb: _HarmonicBalance, harmonics: np.ndarray):
+    def __init__(self, hb: _HarmonicBalance, count: int):
         k, m, km, cap = hb.k, hb.m, hb.k * hb.m, hb.cap
         lam, mu = hb.mean
-        self.count = len(harmonics)
+        harmonics = np.arange(count)
         shift = 2j * np.pi * harmonics[:, None, None] * np.eye(km)
         diag = hb.cap_block - shift
         inverses = []
@@ -421,16 +419,13 @@ class _LevelElimination:
         self.first_up = first_up = -lam * self.inverses[block[1], :, :, :1]
         empty = hb.empty_block - 2j * np.pi * harmonics[:, None, None] * np.eye(k)
         empty[:, :, k - 1] += mu * first_up[:, m - 1::m, 0]
-        self.weights = None
-        if harmonics[0] == 0:
-            # w_j = 1 + (the mass that level j + 1 and above put on level j's
-            # final arrival stage), from the cap down
-            weights = np.ones((cap, km))
-            for j in range(cap - 1, 0, -1):
-                weights[j - 1, (k - 1) * m:] += weights[j] @ self.ups[j + 1][0].real
-            empty[0, k - 1] = 1.0
-            empty[0, k - 1, k - 1] += weights[0] @ first_up[0, :, 0].real
-            self.weights = weights
+        # w_j = 1 + (the mass that level j + 1 and above put on level j's
+        # final arrival stage), from the cap down
+        self.weights = weights = np.ones((cap, km))
+        for j in range(cap - 1, 0, -1):
+            weights[j - 1, (k - 1) * m:] += weights[j] @ self.ups[j + 1][0].real
+        empty[0, k - 1] = 1.0
+        empty[0, k - 1, k - 1] += weights[0] @ first_up[0, :, 0].real
         self.empty_inverse = np.linalg.inv(empty)
         self.k, self.m, self.cap, self.mu = k, m, cap, mu
 
@@ -445,8 +440,7 @@ class _LevelElimination:
         for j in range(cap - 1, 0, -1):
             g[j - 1] += self.downs[j] @ g[j, :, m - 1::m]
         rhs = r[:, :k, None] - self.mu * g[0, :, m - 1::m]
-        if self.weights is not None:
-            rhs[0, k - 1, 0] = r[0, k - 1].real - np.vdot(self.weights, g[:, 0, :, 0].real)
+        rhs[0, k - 1, 0] = r[0, k - 1].real - np.vdot(self.weights, g[:, 0, :, 0].real)
         empty = self.empty_inverse @ rhs
         g[0] += self.first_up @ empty[:, k - 1:]
         for j in range(2, cap + 1):
@@ -454,8 +448,7 @@ class _LevelElimination:
         z = np.empty_like(r)
         z[:, :k] = empty[..., 0]
         z[:, k:] = g[..., 0].transpose(1, 0, 2).reshape(count, -1)
-        if self.weights is not None:
-            z[0] = z[0].real
+        z[0] = z[0].real
         return z
 
 
@@ -471,8 +464,8 @@ class _HarmonicBalance:
     state's at n = 0, is traded for sum(c_0) = 1.  AT and MT are applied by
     slicing in the state order of `_structure_matrices`.  The preconditioner
     keeps the rates' means only, which decouples the harmonics; its factors
-    are one `_LevelElimination` per range of harmonics, added as N grows, so
-    no harmonic is factored twice.
+    are one `_LevelElimination` over the harmonics 0..N, `elimination`,
+    built again by `factor` whenever N grows.
     """
 
     def __init__(self, spec: ModelSpec, level_cap: int):
@@ -497,21 +490,10 @@ class _HarmonicBalance:
         local[(k - 1) * m:, (k - 1) * m:] += lam * np.eye(m)
         self.cap_block = local.T.copy()
         self.empty_block = arr.T.copy()
-        self.factors: list[_LevelElimination] = []
 
     def factor(self, count: int) -> None:
-        """Factor the harmonics not yet factored below count."""
-        done = sum(f.count for f in self.factors)
-        if count > done:
-            self.factors.append(_LevelElimination(self, np.arange(done, count)))
-
-    def precondition(self, r: np.ndarray) -> np.ndarray:
-        z = np.empty_like(r)
-        low = 0
-        for f in self.factors:
-            z[low:low + f.count] = f.solve(r[low:low + f.count])
-            low += f.count
-        return z
+        """Factor the preconditioner for the harmonics 0..count - 1."""
+        self.elimination = _LevelElimination(self, count)
 
     def equations(self, c: np.ndarray) -> np.ndarray:
         k, m, cap, dim, top = self.k, self.m, self.cap, self.dim, self.top
@@ -613,7 +595,7 @@ def _fourier_coefficients(spec: ModelSpec, level_cap: int, tol: float):
         start[:len(c)] = c  # warm start from the last N
         b = np.zeros_like(start)
         b[0, hb.k - 1] = 1.0
-        x, solved = _gmres(flat(hb.equations), flat(hb.precondition),
+        x, solved = _gmres(flat(hb.equations), flat(hb.elimination.solve),
                            b.reshape(-1).view(float), start.reshape(-1).view(float),
                            _SOLVE_FRACTION * tol)
         c = x.view(complex).reshape(top + 1, -1)
@@ -631,21 +613,6 @@ def _fourier_coefficients(spec: ModelSpec, level_cap: int, tol: float):
         top += step
 
 
-def _samples(coef: np.ndarray, grid_size: int) -> np.ndarray:
-    """The law sum_n c_n e^{2 pi i n t} at the grid times i / grid_size, one
-    row per time, by one irfft.  Harmonic n lands on bin n mod grid_size, as
-    the conjugate on the mirrored bin past grid_size / 2, and doubled on a
-    bin whose imaginary part irfft drops (0, and grid_size / 2 when even)."""
-    bins = np.arange(len(coef)) % grid_size
-    mirror = 2 * bins > grid_size
-    values = np.where(mirror[:, None], np.conj(coef), coef)
-    bins = np.where(mirror, grid_size - bins, bins)
-    values[1:][(bins[1:] == 0) | (2 * bins[1:] == grid_size)] *= 2.0
-    spectrum = np.zeros((grid_size // 2 + 1, coef.shape[1]), complex)
-    np.add.at(spectrum, bins, values)
-    return np.fft.irfft(spectrum, n=grid_size, axis=0, norm="forward")
-
-
 def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 512,
                        tol: float = 1e-10) -> PeriodicDistribution:
     """Solve for the periodic regime of the truncated queue.
@@ -660,10 +627,11 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     the last solve, until max |c_N| <= tol.  The law has only harmonics
     that are multiples of the gcd d of the rates' harmonics (the others
     solve to exactly 0), so N and each step of it are rounded up to
-    multiples of d.  The law is then sampled at the grid_size times
-    i / grid_size by one irfft, harmonics at or past grid_size / 2 folded
-    onto their aliases, so grid_size sets only the output samples.  `periods` is N and `residual` the larger of max |c_N|
-    (0 for N = 0) and the 2-norm of the equations' residual, both <= tol.
+    multiples of d.  The law's series (`TrigInterpolant`) is then evaluated
+    at the grid_size times i / grid_size, so grid_size sets only the output
+    samples, and the law keeps the series as `series`.  `periods` is N and
+    `residual` the larger of max |c_N| (0 for N = 0) and the 2-norm of the
+    equations' residual, both <= tol.
 
     RuntimeError is raised when the residual stalls above tol (tol below
     the rounding floor; loosen tol), when N would pass _MAX_HARMONIC = 128
@@ -678,7 +646,7 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     coef, residual = _fourier_coefficients(spec, level_cap, tol)
-    samples = _samples(coef, grid_size)
+    samples = TrigInterpolant(coef)(np.arange(grid_size) / grid_size)
     km = spec.phase_count
     cap_mass = float(samples[:, -km:].sum(axis=1).max())
     if cap_mass > _CAP_MASS_LIMIT:
@@ -694,8 +662,9 @@ class BoundaryFunctions(_Sampled):
     """The two boundary slices the series method needs, as smooth functions.
 
     idle[i] holds the k idle-state probabilities and first[i] the km level-1
-    probabilities at time grid[i]; evaluation between grid points uses
-    trigonometric interpolation, which reproduces the grid values exactly.
+    probabilities at time grid[i]; evaluation between grid points reads the
+    samples' interpolating series (`_interpolating_series`), which
+    reproduces the grid values exactly.
 
     A boundary is immutable: the constructor clips the slices at zero into
     fresh read-only arrays, so an edit raises instead of disagreeing with
@@ -718,11 +687,11 @@ class BoundaryFunctions(_Sampled):
 
     @cached_property
     def _idle_interp(self) -> TrigInterpolant:
-        return TrigInterpolant(self.idle)
+        return TrigInterpolant(_interpolating_series(self.idle))
 
     @cached_property
     def _first_interp(self) -> TrigInterpolant:
-        return TrigInterpolant(self.first)
+        return TrigInterpolant(_interpolating_series(self.first))
 
     def idle_at(self, u) -> np.ndarray:
         """Idle-state probabilities at times u, shape (len(u), k)."""

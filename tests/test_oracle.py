@@ -98,6 +98,16 @@ def test_grids_are_read_off_the_samples(mm1_spec):
     with pytest.raises(ValueError, match="grid rows"):
         PeriodicDistribution(spec=mm1_spec, idle=idle[:7], levels=levels,
                              periods=1, residual=0.0)
+    # so is a series of another width than k + level_cap * km: with the
+    # cap-30 series, levels[:, :15] would read 15 of its levels and
+    # levels[:, :20] fail to reshape
+    for cap in (15, 20):
+        with pytest.raises(ValueError, match=f"31 state columns, .* = {cap + 1}$"):
+            PeriodicDistribution(spec=mm1_spec, idle=idle, levels=levels[:, :cap],
+                                 periods=1, residual=0.0, series=dist.series)
+    # a law built from samples holds their interpolating series
+    assert dist.series.shape == (5, 31) and not dist.series.flags.writeable
+    assert np.abs(dist.states_at(dist.grid)[1] - dist.levels).max() <= 1e-16
 
 
 def test_total_mass_is_one(periodic74_dist):
@@ -185,11 +195,16 @@ def test_trig_interpolant_exact_on_bandlimited_data():
     grid = np.arange(16) / 16.0
     samples = (1.3 + 0.4 * np.cos(2 * np.pi * grid)
                - 0.9 * np.sin(2 * np.pi * 3 * grid))
-    interp = TrigInterpolant(samples[:, None])
+    coef = oracle._interpolating_series(samples[:, None])
+    assert coef.shape == (9, 1)
+    interp = TrigInterpolant(coef)
     dense = np.linspace(0.0, 2.0, 101)
     expected = (1.3 + 0.4 * np.cos(2 * np.pi * dense)
                 - 0.9 * np.sin(2 * np.pi * 3 * dense))
     assert np.abs(interp(dense)[:, 0] - expected).max() < 1e-12
+    # the series' own coefficients: c_1 = 0.2, c_3 = 0.45i
+    direct = TrigInterpolant([[1.3], [0.2], [0.0], [0.45j]])
+    assert np.abs(direct(dense)[:, 0] - expected).max() < 1e-14
 
 
 def test_unconverged_run_raises():
@@ -304,9 +319,9 @@ def test_constant_rates_take_the_mean_solve_alone(flat74_spec):
 
 
 @pytest.mark.parametrize("grid_size", [4, 5, 8, 16])
-def test_coarse_grid_folds_the_harmonics(periodic74_spec, grid_size):
-    # N = 12 and grid_size < 2N + 1: the samples are the series itself,
-    # harmonics at or past grid_size / 2 folded onto their aliases
+def test_coarse_grid_samples_the_series(periodic74_spec, grid_size):
+    # N = 12 and grid_size < 2N + 1: the samples are the series itself at
+    # the grid times, every harmonic included
     coef, _ = oracle._fourier_coefficients(periodic74_spec, 50, 1e-10)
     assert len(coef) == 13
     t = np.arange(grid_size) / grid_size
@@ -353,13 +368,13 @@ def test_stiff_rates_solve_on_any_grid():
 
 def test_growing_n_factors_each_harmonic_once(monkeypatch):
     # max |c_12| is 1.6e-9 on this model: N grows to 18, warm-started, and
-    # only harmonics 13..18 are factored for it
+    # one elimination is built for each N, over the harmonics 0..N
     spec, cap = _STRESS["k2-m3-harmonics-1-3-2"]
     builds, ranges = [], []
-    # __init__(self, spec, level_cap) and __init__(self, hb, harmonics)
+    # __init__(self, spec, level_cap) and __init__(self, hb, count)
     for cls, log, record in ((oracle._HarmonicBalance, builds, lambda args: args[2:]),
                              (oracle._LevelElimination, ranges,
-                              lambda args: (args[2][0], args[2][-1]))):
+                              lambda args: (0, args[2] - 1))):
         original = cls.__init__
 
         def spy(*args, original=original, log=log, record=record):
@@ -368,7 +383,7 @@ def test_growing_n_factors_each_harmonic_once(monkeypatch):
         monkeypatch.setattr(cls, "__init__", spy)
     dist = integrate_periodic(spec, level_cap=cap, grid_size=64, tol=1e-12)
     assert builds == [(cap,)]
-    assert ranges == [(0, 12), (13, 18)]
+    assert ranges == [(0, 12), (0, 18)]
     assert dist.periods == 18 and dist.residual <= 1e-12
 
 
@@ -376,9 +391,8 @@ def test_level_blocks_are_reused_below_the_cap(periodic74_spec):
     # the elimination's blocks converge within a few levels of the cap
     hb = oracle._HarmonicBalance(periodic74_spec, 50)
     hb.factor(13)
-    (factor,) = hb.factors
-    assert len(factor.inverses) <= 10
-    assert factor.inverses.shape[1:] == (13, 28, 28)
+    assert len(hb.elimination.inverses) <= 10
+    assert hb.elimination.inverses.shape[1:] == (13, 28, 28)
 
 
 def _harmonic_equations(spec, cap, c):
@@ -428,15 +442,14 @@ def test_equations_match_the_structure_matrices(k, m, level_cap):
 @pytest.mark.parametrize("k, m", [(1, 1), (2, 3), (7, 4)])
 def test_preconditioner_inverts_the_mean_equations(k, m, level_cap):
     # with constant rates the equations are the preconditioned ones, mass
-    # equation included; two factor ranges as when N grows
+    # equation included; one factorization of the harmonics 0..13
     spec = ModelSpec(k, m, RateFunction(1.0), RateFunction(30.0))
     hb = oracle._HarmonicBalance(spec, level_cap)
-    hb.factor(9)
     hb.factor(14)
     rng = np.random.default_rng(11)
     x = rng.standard_normal((14, hb.dim)) + 1j * rng.standard_normal((14, hb.dim))
     x[0] = x[0].real
-    z = hb.precondition(hb.equations(x))
+    z = hb.elimination.solve(hb.equations(x))
     assert np.abs(z - x).max() <= 1e-11
     assert not z[0].imag.any()
 

@@ -150,6 +150,27 @@ def test_period_integral_follows_the_boundary(periodic74_spec, periodic74_roots1
     assert np.array_equal(again, full)
 
 
+def test_level_one_rounding_floor(periodic74_dist, periodic74_roots10,
+                                  periodic74_boundary):
+    # at order 10 coefficients |f| up to 3.4e4 cancel to level-1 values of
+    # at most 0.095, so level 1 shows the boundary's rounding magnified: a
+    # 1e-16 relative perturbation of the samples moves it by 5.0e-12 to
+    # 1.3e-11 over six seeds (6.8e-12 for this one), as a change of BLAS
+    # thread count can
+    b = periodic74_boundary
+    rng = np.random.default_rng(2026)
+    moved = BoundaryFunctions(
+        idle=b.idle * (1.0 + 1e-16 * rng.standard_normal(b.idle.shape)),
+        first=b.first * (1.0 + 1e-16 * rng.standard_normal(b.first.shape)))
+    assert not np.array_equal(moved.first, b.first)
+    ts = periodic74_dist.grid
+    base = SeriesEvaluator(periodic74_roots10, b)
+    assert np.abs(base.coefficients(ts)).max() > 1e4
+    diff = np.abs(SeriesEvaluator(periodic74_roots10, moved).level_matrix(1, ts).real
+                  - base.level_matrix(1, ts).real).max()
+    assert 0.0 < diff <= 1e-10
+
+
 def test_returned_arrays_are_fresh(periodic74_roots10, periodic74_boundary):
     ev = SeriesEvaluator(periodic74_roots10, periodic74_boundary)
     ts = np.linspace(0.0, 1.0, 5)

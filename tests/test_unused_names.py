@@ -1,0 +1,57 @@
+"""Every private module-level name of the library is referenced in it.
+
+A stdlib stand-in for a linter's unused-code rule: a function, class or
+constant whose name starts with one underscore, defined at the top of a
+module under `src/ekemq/`, must be named somewhere in `src/ekemq/` outside
+its own definition, as a name, an attribute or an import.  Tests do not
+count, so code kept alive only by its tests shows.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ekemq"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    defined, used = [], []  # used: the names each top-level statement reads
+    for module, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name, len(used)) for name in names if _private(name)]
+            reads = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    reads.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    reads.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    reads.update(alias.name for alias in sub.names)
+            used.append(reads)
+    return [f"{module}: {name}" for module, name, own in defined
+            if not any(name in reads for i, reads in enumerate(used) if i != own)]
+
+
+def test_checker_sees_an_unreferenced_name():
+    sources = {"a.py": "def _used():\n    pass\ndef _recursive():\n    _recursive()\n"
+                       "class _Kept:\n    pass\n_LIMIT = 1\n_SHADOW: int = 2\n"
+                       "__all__ = []\n",
+               "b.py": "from .a import _Kept\nimport a\na._used()\n_SHADOW = 3\n"}
+    # a call from its own body and a name stored again are no references
+    assert _unreferenced(sources) == ["a.py: _recursive", "a.py: _LIMIT",
+                                      "a.py: _SHADOW", "b.py: _SHADOW"]
+
+
+def test_library_references_every_private_name():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert _unreferenced(sources) == []
