@@ -254,11 +254,13 @@ def _time_grid(count: int) -> np.ndarray:
     return np.arange(count) / count
 
 
+def _law(cfg: RunConfig, spec: ModelSpec):
+    return integrate_periodic(spec, level_cap=cfg["oracle.levels"],
+                              grid_size=cfg["oracle.grid"], tol=cfg["oracle.tol"])
+
+
 def _series_setup(cfg: RunConfig, spec: ModelSpec):
-    dist = integrate_periodic(
-        spec, level_cap=cfg["oracle.levels"], grid_size=cfg["oracle.grid"],
-        tol=cfg["oracle.tol"],
-    )
+    dist = _law(cfg, spec)
     return dist, extract_boundary(dist)
 
 
@@ -290,7 +292,7 @@ def cmd_roots(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
                 "poly_residual", "exp_residual"), *columns.T)
 
 
-def _write_law(out: Path, spec: ModelSpec, dist, boundary) -> None:
+def _write_law(out: Path, spec: ModelSpec, dist) -> None:
     """distribution.csv and boundary.csv of the oracle command: a line
     (t, state label, value) for every grid time t and state."""
     from . import _g17  # see _write_csv
@@ -299,21 +301,22 @@ def _write_law(out: Path, spec: ModelSpec, dist, boundary) -> None:
     phases = [f"{ph // m},{ph % m}" for ph in range(spec.phase_count)]
     labels = [f"0,{a}" for a in idle] + [
         f"{j},{ph}" for j in range(1, dist.level_cap + 1) for ph in phases]
-    # the grid times are rendered once and serve every chunk
+    # the grid times are rendered once and serve every chunk of both files
+    times = _g17.text_rows(dist.grid.tolist())[:, None]
     _write_csv(out / "distribution.csv", "periodic-distribution v1",
                ("t", "level", "arrival_stage", "service_stage", "probability"),
-               _g17.text_rows(dist.grid.tolist())[:, None], _g17.text_rows(labels)[None],
+               times, _g17.text_rows(labels)[None],
                np.hstack([dist.idle, dist.levels.reshape(dist.grid_size, -1)]))
     blabels = [f"idle,{a}" for a in idle] + [f"first,{ph}" for ph in phases]
     _write_csv(out / "boundary.csv", "boundary v1",
                ("t", "kind", "arrival_stage", "service_stage", "value"),
-               _g17.text_rows(boundary.grid.tolist())[:, None],
-               _g17.text_rows(blabels)[None], np.hstack([boundary.idle, boundary.first]))
+               times, _g17.text_rows(blabels)[None],
+               np.hstack([dist.idle, dist.levels[:, 0]]))
 
 
 def cmd_oracle(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
-    dist, boundary = _series_setup(cfg, spec)
-    _write_law(out, spec, dist, boundary)
+    dist = _law(cfg, spec)
+    _write_law(out, spec, dist)
     _write_json(out / "oracle.json", {
         "periods": dist.periods,
         "residual": dist.residual,

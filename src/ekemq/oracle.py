@@ -45,12 +45,13 @@ them.
 
 This module is deliberately independent of the root-series machinery: it
 never sees characteristic roots.  The series route does read one output of
-it, the empty-system boundary (`extract_boundary`), so series-vs-oracle
-agreement checks the series given the oracle's boundary; the levels beyond
-it are computed independently and compared in tests, not assumed anywhere.
-The boundary samples itself at the nodes of the series' period rule
-(`_quad.PERIOD_NODES`) on first use, so that every evaluator on it shares
-one set of samples.
+it, the empty-system boundary (`extract_boundary`): the columns of the k
+idle and km level-1 states in the law's solved series c_0..c_N, so
+series-vs-oracle agreement checks the series given the oracle's boundary;
+the levels beyond it are computed independently and compared in tests, not
+assumed anywhere.  The boundary evaluates its series at the nodes of the
+series' period rule (`_quad.PERIOD_NODES`) on first use, so that every
+evaluator on it shares one set of samples.
 """
 
 from __future__ import annotations
@@ -68,9 +69,10 @@ from .model import ModelSpec, _normalize_phase
 # The law's Fourier coefficients c_0..c_N are solved for with N first
 # _FIRST_HARMONIC, or twice the rates' top harmonic where that is larger
 # (none for constant rates: N = 0), and then grown by half, warm-started,
-# while max |c_N| > tol and N stays within _MAX_HARMONIC.  N is rounded up
-# to a multiple of the rates' harmonic spacing (`_HarmonicBalance.spacing`),
-# so that c_N is a harmonic the law can have.
+# while max |c_N| > tol and N stays within _MAX_HARMONIC.  N and its steps
+# are counted in units of the rates' harmonic spacing d
+# (`_HarmonicBalance.spacing`), each rounded up to a whole unit, so that
+# c_N is a harmonic the law can have.
 _FIRST_HARMONIC = 12
 _MAX_HARMONIC = 128
 
@@ -122,18 +124,6 @@ class TrigInterpolant:
         vals = np.cos(phases) @ self._cos
         vals -= np.sin(phases) @ self._sin
         return vals
-
-
-def _interpolating_series(samples: np.ndarray) -> np.ndarray:
-    """c_0..c_{n // 2} of the trigonometric interpolant of n samples of a
-    period at the times i / n (rows), for `TrigInterpolant`: exact at the
-    samples, and for even n the top (Nyquist) harmonic halved to a pure
-    cosine, the usual convention for real data."""
-    n = len(samples)
-    coef = np.fft.rfft(np.asarray(samples, dtype=float), axis=0) / n
-    if n % 2 == 0:
-        coef[-1] *= 0.5
-    return coef
 
 
 def _structure_matrices(k: int, m: int, level_cap: int, absorbing: bool = False):
@@ -247,37 +237,22 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class _Sampled:
-    """Samples whose rows are the times grid[i] = i / grid_size of a period;
-    grid_size and the read-only grid are read off the `idle` rows."""
-
-    @property
-    def grid_size(self) -> int:
-        return len(self.idle)
-
-    @cached_property
-    def grid(self) -> np.ndarray:
-        return _read_only(np.arange(self.grid_size) / self.grid_size)
-
-
 @dataclass(frozen=True)
-class PeriodicDistribution(_Sampled):
+class PeriodicDistribution:
     """Periodic law of the truncated queue: its Fourier series, and its
     samples on a uniform grid.
 
     idle[i, a] is the probability of an empty system with arrival stage a at
-    time grid[i]; levels[i, j-1, a*m+s] the probability of level j in phase
-    (a, s), j up to level_cap = levels.shape[1].  From `integrate_periodic`,
-    `periods` is N, the top harmonic of the law's solved Fourier series (0
-    for constant rates), and `residual` the larger of max |c_N| (0 for N =
-    0) and the 2-norm of the harmonic-balance equations' residual; both
-    names are kept from the time-domain solve, where they counted periods
-    and bounded the change between the last two.  `series` holds the law's
-    series, c_0..c_N as (N + 1, k + level_cap * km) complex rows in the
-    state order of the sample columns: the solved one, from
-    `integrate_periodic`, and for a law built from samples alone their
-    interpolating series (`_interpolating_series`; grid_size // 2 + 1 rows),
-    made by the constructor.
+    time grid[i] = i / grid_size, grid_size = len(idle); levels[i, j-1,
+    a*m+s] the probability of level j in phase (a, s), j up to level_cap =
+    levels.shape[1].  `series` holds the law's series, c_0..c_N as (N + 1,
+    k + level_cap * km) complex rows in the state order of the sample
+    columns.  From `integrate_periodic`, the series is the solved one and
+    the samples its values; `periods` is N, the top harmonic (0 for
+    constant rates), and `residual` the larger of max |c_N| (0 for N = 0)
+    and the 2-norm of the harmonic-balance equations' residual; both names
+    are kept from the time-domain solve, where they counted periods and
+    bounded the change between the last two.
 
     Two trigonometric series read the law between grid times, each built
     from `series` on first use, once per law.  The state series holds every
@@ -296,7 +271,7 @@ class PeriodicDistribution(_Sampled):
     levels: np.ndarray
     periods: int
     residual: float
-    series: np.ndarray | None = None
+    series: np.ndarray
 
     def __post_init__(self):
         if len(self.idle) != len(self.levels):
@@ -305,16 +280,21 @@ class PeriodicDistribution(_Sampled):
         for name in ("idle", "levels"):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name),
                                                                dtype=float)))
-        if self.series is None:
-            series = _interpolating_series(np.concatenate(
-                [self.idle, self.levels.reshape(self.grid_size, -1)], axis=1))
-        else:
-            series = np.array(self.series, dtype=complex)
+        series = np.array(self.series, dtype=complex)
         width = self.spec.k + self.level_cap * self.spec.phase_count
         if series.shape[1] != width:
             raise ValueError(f"series has {series.shape[1]} state columns, the law "
                              f"k + level_cap * km = {width}")
         object.__setattr__(self, "series", _read_only(series))
+
+    @property
+    def grid_size(self) -> int:
+        return len(self.idle)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """The read-only sample times i / grid_size."""
+        return _read_only(np.arange(self.grid_size) / self.grid_size)
 
     @property
     def level_cap(self) -> int:
@@ -377,8 +357,9 @@ def _harmonics(rate) -> dict[int, complex]:
 
 
 class _LevelElimination:
-    """Solves (Gbar - 2 pi i n) z_n = r_n for the harmonics n = 0..count - 1
-    at once, Gbar the transposed generator at the mean rates lam, mu.
+    """Solves (Gbar - 2 pi i n d) z_n = r_n for the harmonics n d, n =
+    0..count - 1, at once, Gbar the transposed generator at the mean rates
+    lam, mu, and d the rates' harmonic spacing.
 
     Gbar is level-tridiagonal, so block elimination from the cap down writes
     level j as z_j = R_j z_{j-1} + g_j, and the k x k system left on the
@@ -396,7 +377,7 @@ class _LevelElimination:
     def __init__(self, hb: _HarmonicBalance, count: int):
         k, m, km, cap = hb.k, hb.m, hb.k * hb.m, hb.cap
         lam, mu = hb.mean
-        harmonics = np.arange(count)
+        harmonics = np.arange(count) * hb.spacing
         shift = 2j * np.pi * harmonics[:, None, None] * np.eye(km)
         diag = hb.cap_block - shift
         inverses = []
@@ -460,26 +441,28 @@ class _HarmonicBalance:
     mu_j, the ODE p' = (lam(t) AT + mu(t) MT) p holds harmonic by harmonic:
     sum_j (lam_j AT + mu_j MT) c_{n-j} - 2 pi i n c_n = 0.  The law is
     real, so c_{-n} = conj(c_n) and only n = 0..N are unknowns, c_0 real;
-    harmonics past N are dropped.  Equation (0, k - 1), the last empty
-    state's at n = 0, is traded for sum(c_0) = 1.  AT and MT are applied by
-    slicing in the state order of `_structure_matrices`.  The preconditioner
-    keeps the rates' means only, which decouples the harmonics; its factors
-    are one `_LevelElimination` over the harmonics 0..N, `elimination`,
-    built again by `factor` whenever N grows.
+    harmonics past N are dropped.  The equations tie c_n only to the c_{n
+    -+ j} and the mass sits at n = 0, so c_n is exactly 0 unless n is a
+    multiple of the gcd d of the rates' harmonics, `spacing` (1 for
+    constant rates): the unknowns are the rows c_{nd}, n = 0..N / d, and
+    rate harmonic j sits at row offset j / d.  Equation (0, k - 1), the
+    last empty state's at n = 0, is traded for sum(c_0) = 1.  AT and MT are
+    applied by slicing in the state order of `_structure_matrices`.  The
+    preconditioner keeps the rates' means only, which decouples the
+    harmonics; its factors are one `_LevelElimination` over the harmonics
+    0, d, ..., N, `elimination`, built again by `factor` whenever N grows.
     """
 
     def __init__(self, spec: ModelSpec, level_cap: int):
         k, m = spec.k, spec.m
         self.k, self.m, self.cap = k, m, level_cap
         self.dim = k + level_cap * k * m
-        self.rates = [(rate.mean(), _harmonics(rate))
-                      for rate in (spec.arrival, spec.service)]
-        harmonics = [j for _, harm in self.rates for j in harm]
+        rates = [(rate.mean(), _harmonics(rate)) for rate in (spec.arrival, spec.service)]
+        harmonics = [j for _, harm in rates for j in harm]
         self.top = max(harmonics, default=0)
-        # the equations tie c_n only to the c_{n -+ j} and the mass sits at
-        # n = 0, so c_n is exactly 0 unless n is a multiple of the gcd of the
-        # rates' harmonics (0 for constant rates)
-        self.spacing = math.gcd(*harmonics)
+        self.spacing = d = math.gcd(*harmonics) or 1
+        self.rates = [(base, {j // d: amp for j, amp in harm.items()})
+                      for base, harm in rates]
         self.mean = lam, mu = spec.arrival.mean(), spec.service.mean()
         # a stage chain leaves each stage at its rate for the next one
         arr = lam * (np.eye(k, k=1) - np.eye(k))
@@ -492,13 +475,14 @@ class _HarmonicBalance:
         self.empty_block = arr.T.copy()
 
     def factor(self, count: int) -> None:
-        """Factor the preconditioner for the harmonics 0..count - 1."""
+        """Factor the preconditioner for the harmonics n d, n = 0..count - 1."""
         self.elimination = _LevelElimination(self, count)
 
     def equations(self, c: np.ndarray) -> np.ndarray:
-        k, m, cap, dim, top = self.k, self.m, self.cap, self.dim, self.top
+        k, m, cap, dim = self.k, self.m, self.cap, self.dim
+        top = self.top // self.spacing
         count = len(c)
-        # c_{-top} .. c_{count - 1 + top}, zero past N
+        # the rows n = -top .. count - 1 + top, zero past N
         padded = np.zeros((count + 2 * top, dim), complex)
         padded[top:top + count] = c
         padded[:top] = np.conj(c[top:0:-1])
@@ -524,7 +508,7 @@ class _HarmonicBalance:
         busy[..., 1:] += srv[..., :-1]
         busy[:, :-1, :, 0] += srv[:, 1:, :, m - 1]
         out[:, :k] += srv[:, 0, :, m - 1]
-        out -= (2j * np.pi * np.arange(count))[:, None] * c
+        out -= (2j * np.pi * (np.arange(count) * self.spacing))[:, None] * c
         out[0] = out[0].real
         out[0, k - 1] = c[0].real.sum()
         return out
@@ -577,11 +561,13 @@ def _gmres(operator, precondition, b: np.ndarray, x: np.ndarray, target: float):
 def _fourier_coefficients(spec: ModelSpec, level_cap: int, tol: float):
     """(c, residual): the law's Fourier coefficients c_0..c_N, an (N + 1,
     dim) complex array, by the search over N and the checks of
-    `integrate_periodic`."""
+    `integrate_periodic`.  The rows c_{nd} are solved for, n = 0..N / d,
+    and the rows between them are exact zeros."""
     hb = _HarmonicBalance(spec, level_cap)
-    spacing = hb.spacing
-    top = -(-max(_FIRST_HARMONIC, 2 * hb.top) // spacing) * spacing if hb.top else 0
-    if top > _MAX_HARMONIC:
+    d = hb.spacing
+    # N = top * d
+    top = -(-max(_FIRST_HARMONIC, 2 * hb.top) // d) if hb.top else 0
+    if top * d > _MAX_HARMONIC:
         raise RuntimeError(f"the rates reach harmonic {hb.top}, past half of the "
                            f"largest N, {_MAX_HARMONIC}")
 
@@ -604,11 +590,13 @@ def _fourier_coefficients(spec: ModelSpec, level_cap: int, tol: float):
                                f"{solved:.3e} > tol = {tol:.3e}; loosen tol")
         truncation = float(np.abs(c[-1]).max()) if top else 0.0
         if truncation <= tol:
-            return c, max(solved, truncation)
-        step = -(-(top // 2) // spacing) * spacing
-        if top + step > _MAX_HARMONIC:
+            series = np.zeros((top * d + 1, hb.dim), complex)
+            series[::d] = c
+            return series, max(solved, truncation)
+        step = -(-(top * d // 2) // d)
+        if (top + step) * d > _MAX_HARMONIC:
             raise RuntimeError(f"the law's harmonics reach past {_MAX_HARMONIC}: "
-                               f"max |c_N| is {truncation:.3e} > tol at N = {top}; "
+                               f"max |c_N| is {truncation:.3e} > tol at N = {top * d}; "
                                f"loosen tol")
         top += step
 
@@ -626,12 +614,12 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     is larger, or 0 for constant rates, and grows by half, warm-started from
     the last solve, until max |c_N| <= tol.  The law has only harmonics
     that are multiples of the gcd d of the rates' harmonics (the others
-    solve to exactly 0), so N and each step of it are rounded up to
-    multiples of d.  The law's series (`TrigInterpolant`) is then evaluated
-    at the grid_size times i / grid_size, so grid_size sets only the output
-    samples, and the law keeps the series as `series`.  `periods` is N and
-    `residual` the larger of max |c_N| (0 for N = 0) and the 2-norm of the
-    equations' residual, both <= tol.
+    are exactly 0), so only those are solved for, and N and each step of it
+    are rounded up to multiples of d.  The law's series (`TrigInterpolant`)
+    is then evaluated at the grid_size times i / grid_size, so grid_size
+    sets only the output samples, and the law keeps the series as
+    `series`.  `periods` is N and `residual` the larger of max |c_N| (0 for
+    N = 0) and the 2-norm of the equations' residual, both <= tol.
 
     RuntimeError is raised when the residual stalls above tol (tol below
     the rounding floor; loosen tol), when N would pass _MAX_HARMONIC = 128
@@ -658,60 +646,61 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
 
 
 @dataclass(frozen=True)
-class BoundaryFunctions(_Sampled):
-    """The two boundary slices the series method needs, as smooth functions.
+class BoundaryFunctions:
+    """The empty-system boundary the series method needs, as the Fourier
+    series of the law's k idle and km level-1 states.
 
-    idle[i] holds the k idle-state probabilities and first[i] the km level-1
-    probabilities at time grid[i]; evaluation between grid points reads the
-    samples' interpolating series (`_interpolating_series`), which
-    reproduces the grid values exactly.
+    series holds their c_0..c_N, (N + 1, k + km) complex rows, the idle
+    states first, for the model spec: `extract_boundary` slices it from the
+    law's solved series.  One `TrigInterpolant` of it serves `idle_at`,
+    `first_at` and `period_samples`, the values at the nodes of the series'
+    period rule.
 
-    A boundary is immutable: the constructor clips the slices at zero into
-    fresh read-only arrays, so an edit raises instead of disagreeing with
-    the interpolants and the values at the nodes of the series' period rule
-    (`period_samples`), each computed on first use, once per boundary.
+    A boundary is immutable: the constructor copies series into a read-only
+    array, so an edit raises instead of disagreeing with the interpolant
+    and the period samples, each computed on first use, once per boundary.
     """
 
-    idle: np.ndarray
-    first: np.ndarray
+    spec: ModelSpec
+    series: np.ndarray
 
     def __post_init__(self):
-        if len(self.idle) != len(self.first):
-            raise ValueError(f"boundary slice idle has {len(self.idle)} grid rows, "
-                             f"first {len(self.first)}")
-        for name in ("idle", "first"):
-            arr = getattr(self, name)
-            if arr.min() < -1e-9:
-                raise ValueError(f"boundary slice {name} is negative ({arr.min():.3e})")
-            object.__setattr__(self, name, _read_only(np.maximum(arr, 0.0)))
+        series = np.array(self.series, dtype=complex)
+        width = self.spec.k + self.spec.phase_count
+        if series.ndim != 2 or series.shape[1] != width:
+            raise ValueError(f"boundary series has shape {series.shape}, not "
+                             f"(N + 1, k + km = {width})")
+        object.__setattr__(self, "series", _read_only(series))
 
     @cached_property
-    def _idle_interp(self) -> TrigInterpolant:
-        return TrigInterpolant(_interpolating_series(self.idle))
-
-    @cached_property
-    def _first_interp(self) -> TrigInterpolant:
-        return TrigInterpolant(_interpolating_series(self.first))
+    def _interp(self) -> TrigInterpolant:
+        return TrigInterpolant(self.series)
 
     def idle_at(self, u) -> np.ndarray:
         """Idle-state probabilities at times u, shape (len(u), k)."""
-        return self._idle_interp(u)
+        return self._interp(u)[:, :self.spec.k]
 
     def first_at(self, u) -> np.ndarray:
         """Level-1 phase probabilities at times u, shape (len(u), km)."""
-        return self._first_interp(u)
+        return self._interp(u)[:, self.spec.k:]
 
     @cached_property
     def period_samples(self) -> tuple[np.ndarray, np.ndarray]:
         """(idle_at(u), first_at(u)) at the nodes u of the series' period
-        rule, `_quad.PERIOD_NODES`, read-only, computed once per boundary."""
-        u = _quad.PERIOD_NODES
-        return _read_only(self.idle_at(u)), _read_only(self.first_at(u))
+        rule, `_quad.PERIOD_NODES`, read-only, from one evaluation once per
+        boundary."""
+        vals = _read_only(self._interp(_quad.PERIOD_NODES))
+        return vals[:, :self.spec.k], vals[:, self.spec.k:]
 
 
 def extract_boundary(dist: PeriodicDistribution) -> BoundaryFunctions:
-    """Pull the idle and level-1 slices out of an integrated distribution."""
-    return BoundaryFunctions(idle=dist.idle, first=dist.levels[:, 0])
+    """The law's boundary: its series' columns of the idle and level-1
+    states.  A boundary below -1e-9 at a grid time is refused."""
+    for name, samples in (("idle", dist.idle), ("first", dist.levels[:, 0])):
+        if samples.min() < -1e-9:
+            raise ValueError(f"boundary slice {name} is negative ({samples.min():.3e})")
+    width = dist.spec.k + dist.spec.phase_count
+    return BoundaryFunctions(spec=dist.spec, series=dist.series[:, :width])
 
 
 def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,

@@ -16,7 +16,9 @@ where the coefficient attached to a root is the window integral
     drive(u) = idle[k-1](u) * chi * lam(u)
              - mu(u) * sum_a first[(a, m-1)](u) * chi**(a/k),
 
-Lam and M being the cumulative rates over [u, t].  All fractional powers of
+Lam and M being the cumulative rates over [u, t], and idle and first the
+boundary: the idle and level-1 columns of the periodic law's solved Fourier
+series (`oracle.extract_boundary`).  All fractional powers of
 chi are integer powers of y (chi**(1/k) = y**m, chi**(-1/m) = y**(-k)), so
 branch bookkeeping never leaves the root object.
 
@@ -28,10 +30,10 @@ time, `root_coefficient` in `tests/reference.py`.
 
 `SeriesEvaluator` computes each ingredient of that period integral once per
 object whose data it depends on: the period rule once, at import of
-`_quad`; the boundary at the rule's nodes once per boundary (boundaries are
-immutable); the root-only factors once per root set; the period integral
-itself once per root set and boundary; and the growth factors once per time
-grid.
+`_quad`; the boundary's series at the rule's nodes once per boundary
+(boundaries are immutable); the root-only factors once per root set; the
+period integral itself once per root set and boundary; and the growth
+factors once per time grid.
 
 A level sweep at deep levels drives far roots' terms below the normal range,
 where x86 multiplies in microcode at 10 to 100 times the normal cost; the
@@ -157,10 +159,12 @@ class SeriesEvaluator:
 
     Nothing is computed per evaluator that an earlier one on the same data
     computed: the period rule is built once at import, the boundary is
-    sampled at its nodes once per boundary, the root-only factors (powers,
-    denominators, arrival powers, phase rows) once per root set, and the
-    period integral once per root set and boundary.  An evaluator built again on a root set and boundary, as
-    `waiting.wait_cdf` does for every epoch, does no quadrature at all.
+    evaluated at its nodes once per boundary, the root-only factors
+    (powers, denominators, arrival powers, phase rows) once per root set,
+    and the period integral once per root set and boundary.  An evaluator
+    built again on a root set and boundary, as `waiting.wait_cdf` does for
+    every epoch, does no quadrature at all.  A boundary of another model
+    than the root set's is refused.
     The growth factors exp(W0(t)) are kept for the last time array asked
     for (compared by value, against a private copy), so a level sweep on one
     grid computes them once; every call still returns a fresh array.
@@ -168,7 +172,7 @@ class SeriesEvaluator:
 
     def __init__(self, roots: RootSet, boundary: BoundaryFunctions):
         spec = roots.spec
-        if boundary.first.shape[1] != spec.phase_count or boundary.idle.shape[1] != spec.k:
+        if boundary.spec != spec:
             raise ValueError("boundary belongs to a different model")
         self.spec = spec
         self._factors = _root_factors(roots)

@@ -33,7 +33,10 @@ another way, kept to pin that route:
   forms it once per (spec, t);
 - `time_domain_periodic`: the periodic law as the fixed point of the
   one-period RK4 map, on a ladder of grids with Anderson mixing, against
-  `integrate_periodic`, which solves for the law's Fourier coefficients.
+  `integrate_periodic`, which solves for the law's Fourier coefficients;
+- `interpolating_series`: the Fourier series of the trigonometric
+  interpolant of uniform samples, by rfft, which gives a law built from
+  samples (the time-domain solve's, and the tests' own) its `series`.
 """
 
 from __future__ import annotations
@@ -55,6 +58,18 @@ from ekemq.series import (_DENOM_FLOOR, SeriesEvaluator, _denominator,
                           _drive_values)
 from ekemq.waiting import (_DIRECT_TAIL_RADIUS, CDFCurve, _horizons,
                            _poisson_tail)
+
+
+def interpolating_series(samples: np.ndarray) -> np.ndarray:
+    """c_0..c_{n // 2} of the trigonometric interpolant of n samples of a
+    period at the times i / n (rows), for `TrigInterpolant`: exact at the
+    samples, and for even n the top (Nyquist) harmonic halved to a pure
+    cosine, the usual convention for real data."""
+    n = len(samples)
+    coef = np.fft.rfft(np.asarray(samples, dtype=float), axis=0) / n
+    if n % 2 == 0:
+        coef[-1] *= 0.5
+    return coef
 
 
 def root_coefficient(root: CharacteristicRoot, t: float,
@@ -481,4 +496,5 @@ def time_domain_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 
                                                    max_periods)
     return PeriodicDistribution(
         spec=spec, idle=samples[:, :spec.k], periods=periods, residual=residual,
-        levels=samples[:, spec.k:].reshape(grid_size, level_cap, spec.phase_count))
+        levels=samples[:, spec.k:].reshape(grid_size, level_cap, spec.phase_count),
+        series=interpolating_series(samples))

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import write_csv_by_rows
+from reference import interpolating_series, write_csv_by_rows
 
 import ekemq
-from ekemq import ModelSpec, RateFunction, extract_boundary, integrate_periodic
+from ekemq import ModelSpec, RateFunction, integrate_periodic
 from ekemq.bounds import truncation_error_bound
 from ekemq._g17 import POW10, csv_lines, fast_fields, text_rows
 from ekemq.cli import (
@@ -207,9 +207,9 @@ def test_outputs_are_byte_identical(tmp_path, command, keys, names):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def _write_law_by_rows(out, spec, dist, boundary):
+def _write_law_by_rows(out, spec, dist):
     """The row-tuple writer the law files had before: one row per grid time
-    and state."""
+    and state, the boundary's being the idle and level-1 ones."""
     m = spec.m
     rows = []
     for i, t in enumerate(dist.grid):
@@ -222,22 +222,21 @@ def _write_law_by_rows(out, spec, dist, boundary):
                       ("t", "level", "arrival_stage", "service_stage", "probability"),
                       rows)
     brows = []
-    for i, t in enumerate(boundary.grid):
+    for i, t in enumerate(dist.grid):
         for a in range(spec.k):
-            brows.append((t, "idle", a, -1, boundary.idle[i, a]))
+            brows.append((t, "idle", a, -1, dist.idle[i, a]))
         for ph in range(spec.phase_count):
-            brows.append((t, "first", ph // m, ph % m, boundary.first[i, ph]))
+            brows.append((t, "first", ph // m, ph % m, dist.levels[i, 0, ph]))
     write_csv_by_rows(out / "boundary.csv", "boundary v1",
                       ("t", "kind", "arrival_stage", "service_stage", "value"), brows)
 
 
 def _assert_law_writers_agree(tmp_path, spec, dist):
-    boundary = extract_boundary(dist)
     old, new = tmp_path / "old", tmp_path / "new"
     old.mkdir()
     new.mkdir()
-    _write_law(new, spec, dist, boundary)
-    _write_law_by_rows(old, spec, dist, boundary)
+    _write_law(new, spec, dist)
+    _write_law_by_rows(old, spec, dist)
     for name in ("distribution.csv", "boundary.csv"):
         assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
@@ -250,8 +249,9 @@ def test_law_writer_matches_row_writer(tmp_path):
     levels = rng.random((grid_size, cap, spec.phase_count)) * 10.0 ** -rng.integers(
         0, 300, (grid_size, cap, spec.phase_count))
     idle[0, 0], levels[1, 0, 0], levels[2, 1, 3], levels[3, 2, 5] = 1.0, 0.0, -0.0, 5e-324
-    dist = PeriodicDistribution(spec=spec, idle=idle, levels=levels,
-                                periods=0, residual=0.0)
+    dist = PeriodicDistribution(spec=spec, idle=idle, levels=levels, periods=0,
+                                residual=0.0, series=interpolating_series(
+                                    np.hstack([idle, levels.reshape(grid_size, -1)])))
     _assert_law_writers_agree(tmp_path, spec, dist)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference
-from reference import time_domain_periodic
+from reference import interpolating_series, time_domain_periodic
 
 import ekemq
 from ekemq import oracle
@@ -52,11 +52,11 @@ def test_mm1_boundary_is_flat(mm1_boundary):
 
 def test_boundary_is_immutable(mm1_dist):
     boundary = extract_boundary(mm1_dist)
-    for arr in (boundary.idle, boundary.first, boundary.grid):
+    for arr in (boundary.series, *boundary.period_samples):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, ...] = 5.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        boundary.idle = np.full_like(boundary.idle, 5.0)
+        boundary.series = np.full_like(boundary.series, 5.0)
     norm = 1.0 - 0.6 ** 61
     assert boundary.idle_at([0.0])[0, 0] == pytest.approx(0.4 / norm, abs=1e-10)
     # the distribution the boundary came from is read-only too
@@ -79,25 +79,26 @@ def test_distribution_is_immutable(mm1_dist):
     assert np.array_equal(levels, mm1_dist.levels_at([0.3, 0.7]))
 
 
+def _sampled_law(spec, idle, levels):
+    """A law built from samples, holding their interpolating series."""
+    series = interpolating_series(np.hstack([idle, levels.reshape(len(idle), -1)]))
+    return PeriodicDistribution(spec=spec, idle=idle, levels=levels, periods=1,
+                                residual=0.0, series=series)
+
+
 def test_grids_are_read_off_the_samples(mm1_spec):
     idle = np.full((8, 1), 0.4)
     levels = 0.4 * 0.6 ** np.arange(1, 31)[None, :, None] * np.ones((8, 1, 1))
-    dist = PeriodicDistribution(spec=mm1_spec, idle=idle, levels=levels,
-                                periods=1, residual=0.0)
+    dist = _sampled_law(mm1_spec, idle, levels)
     assert (dist.grid_size, dist.level_cap) == (8, 30)
     assert np.array_equal(dist.grid, np.arange(8) / 8)
     # the law holds copies, so editing the arrays it was built from is no edit
     idle[0, 0] = levels[0, 0, 0] = 5.0
     assert dist.idle[0, 0] == 0.4 and dist.levels[0, 0, 0] == pytest.approx(0.24)
-    boundary = extract_boundary(dist)
-    assert boundary.grid_size == 8
-    assert np.array_equal(boundary.grid, dist.grid)
-    # slices on grids of different sizes are refused
-    with pytest.raises(ValueError, match="grid rows"):
-        BoundaryFunctions(idle=boundary.idle, first=boundary.first[:7])
+    # samples on grids of different sizes are refused
     with pytest.raises(ValueError, match="grid rows"):
         PeriodicDistribution(spec=mm1_spec, idle=idle[:7], levels=levels,
-                             periods=1, residual=0.0)
+                             periods=1, residual=0.0, series=dist.series)
     # so is a series of another width than k + level_cap * km: with the
     # cap-30 series, levels[:, :15] would read 15 of its levels and
     # levels[:, :20] fail to reshape
@@ -105,9 +106,20 @@ def test_grids_are_read_off_the_samples(mm1_spec):
         with pytest.raises(ValueError, match=f"31 state columns, .* = {cap + 1}$"):
             PeriodicDistribution(spec=mm1_spec, idle=idle, levels=levels[:, :cap],
                                  periods=1, residual=0.0, series=dist.series)
-    # a law built from samples holds their interpolating series
-    assert dist.series.shape == (5, 31) and not dist.series.flags.writeable
-    assert np.abs(dist.states_at(dist.grid)[1] - dist.levels).max() <= 1e-16
+
+
+def test_boundary_is_the_law_series_sliced(periodic74_dist, periodic74_boundary):
+    # the boundary is the solved series of the idle and level-1 states,
+    # exactly, so at the grid times it reads the law's samples to rounding
+    dist, boundary = periodic74_dist, periodic74_boundary
+    assert boundary.spec == dist.spec
+    assert np.array_equal(boundary.series, dist.series[:, :7 + 28])
+    assert not boundary.series.flags.writeable
+    assert np.abs(boundary.idle_at(dist.grid) - dist.idle).max() <= 1e-16
+    assert np.abs(boundary.first_at(dist.grid) - dist.levels[:, 0]).max() <= 1e-16
+    # a series of another width than k + km is refused
+    with pytest.raises(ValueError, match=r"k \+ km = 35\)"):
+        BoundaryFunctions(spec=dist.spec, series=dist.series[:, :34])
 
 
 def test_total_mass_is_one(periodic74_dist):
@@ -175,13 +187,28 @@ def test_level_mass_and_ordering(periodic74_dist):
     assert np.all(m5 < m1)
 
 
-def test_boundary_rejects_negative_values(periodic74_dist):
+def test_boundary_values_are_nonnegative_and_shaped(periodic74_dist):
     boundary = extract_boundary(periodic74_dist)
     u = np.linspace(0.0, 2.0, 29)
     assert boundary.idle_at(u).min() >= 0.0
     assert boundary.first_at(u).min() >= 0.0
     assert boundary.idle_at(u).shape == (29, 7)
     assert boundary.first_at(u).shape == (29, 28)
+
+
+def test_boundary_rejects_negative_values(mm1_spec):
+    # a law whose idle or level-1 sample dips below -1e-9 at a grid time has
+    # no boundary; a dip within -1e-9 is rounding and passes
+    for name, row in (("idle", 3), ("first", 5)):
+        idle = np.full((8, 1), 0.4)
+        levels = 0.4 * 0.6 ** np.arange(1, 31)[None, :, None] * np.ones((8, 1, 1))
+        dipped = idle if name == "idle" else levels[:, 0]
+        dipped[row, 0] = -5e-10
+        extract_boundary(_sampled_law(mm1_spec, idle, levels))
+        dipped[row, 0] = -2e-9
+        with pytest.raises(ValueError, match=f"boundary slice {name} is negative "
+                                             r"\(-2.000e-09\)"):
+            extract_boundary(_sampled_law(mm1_spec, idle, levels))
 
 
 def test_boundary_periodicity(periodic74_boundary):
@@ -195,7 +222,7 @@ def test_trig_interpolant_exact_on_bandlimited_data():
     grid = np.arange(16) / 16.0
     samples = (1.3 + 0.4 * np.cos(2 * np.pi * grid)
                - 0.9 * np.sin(2 * np.pi * 3 * grid))
-    coef = oracle._interpolating_series(samples[:, None])
+    coef = interpolating_series(samples[:, None])
     assert coef.shape == (9, 1)
     interp = TrigInterpolant(coef)
     dense = np.linspace(0.0, 2.0, 101)
@@ -436,6 +463,46 @@ def test_equations_match_the_structure_matrices(k, m, level_cap):
     got = hb.equations(c)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert not got[0].imag.any()
+
+
+@pytest.mark.parametrize("spacing", [2, 5])
+def test_equations_on_the_harmonic_lattice(spacing):
+    # rates at harmonics d, 2d and 3d: the unknowns are the rows c_{nd}, and
+    # the equations at them are the full equations with zero rows between,
+    # where the full ones vanish; the preconditioner solves the mean
+    # equations at the harmonics nd
+    d, cap = spacing, 4
+    spec = ModelSpec(2, 3, RateFunction(1.0, sin=((d, 0.5),), cos=((3 * d, 0.25),)),
+                     RateFunction(30.0, cos=((2 * d, 4.0),)))
+    hb = oracle._HarmonicBalance(spec, cap)
+    assert hb.spacing == d
+    rng = np.random.default_rng(13)
+    c = rng.standard_normal((6, hb.dim)) + 1j * rng.standard_normal((6, hb.dim))
+    c[0] = c[0].real
+    full = np.zeros((5 * d + 1, hb.dim), complex)
+    full[::d] = c
+    want = _harmonic_equations(spec, cap, full)
+    assert not np.delete(want, np.s_[::d], axis=0).any()
+    assert np.abs(hb.equations(c) - want[::d]).max() <= 1e-12 * np.abs(want).max()
+    hb.factor(6)
+    mean = _harmonic_equations(ModelSpec(2, 3, RateFunction(1.0), RateFunction(30.0)),
+                               cap, full)[::d]
+    assert np.abs(hb.elimination.solve(mean) - c).max() <= 1e-11
+
+
+def test_solve_factors_only_the_lattice_harmonics(monkeypatch):
+    # harmonic 5 alone: N runs 15 -> 25 -> 40, and each elimination holds
+    # the harmonics 0, 5, ..., N only, 9 of the 41 at N = 40
+    spec, cap = _STRESS["arrival-harmonic-5-only"]
+    counts = []
+    original = oracle._LevelElimination.__init__
+
+    def spy(self, hb, count):
+        counts.append(count)
+        original(self, hb, count)
+    monkeypatch.setattr(oracle._LevelElimination, "__init__", spy)
+    coef, _ = oracle._fourier_coefficients(spec, cap, 1e-13)
+    assert counts == [4, 6, 9] and len(coef) == 41
 
 
 @pytest.mark.parametrize("level_cap", [1, 2, 6, 50])

@@ -48,6 +48,10 @@ def test_series_reads_only_the_boundary_from_the_oracle():
     assert _from_oracle("series") == {"BoundaryFunctions"}
 
 
+def test_series_wait_route_reads_only_the_boundary_and_the_law():
+    assert _from_oracle("waiting") == {"BoundaryFunctions", "PeriodicDistribution"}
+
+
 def test_only_the_oracle_names_its_generator_and_step():
     for path in SRC.glob("*.py"):
         source = path.read_text()

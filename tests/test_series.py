@@ -141,7 +141,7 @@ def test_period_integral_follows_the_boundary(periodic74_spec, periodic74_roots1
                                               periodic74_boundary):
     # the coefficients are linear in the boundary, and halving is exact
     b = periodic74_boundary
-    half = BoundaryFunctions(idle=0.5 * b.idle, first=0.5 * b.first)
+    half = BoundaryFunctions(spec=b.spec, series=0.5 * b.series)
     ts = np.linspace(0.0, 1.0, 5)
     full = SeriesEvaluator(periodic74_roots10, b).coefficients(ts)
     halved = SeriesEvaluator(periodic74_roots10, half).coefficients(ts)
@@ -154,15 +154,14 @@ def test_level_one_rounding_floor(periodic74_dist, periodic74_roots10,
                                   periodic74_boundary):
     # at order 10 coefficients |f| up to 3.4e4 cancel to level-1 values of
     # at most 0.095, so level 1 shows the boundary's rounding magnified: a
-    # 1e-16 relative perturbation of the samples moves it by 5.0e-12 to
-    # 1.3e-11 over six seeds (6.8e-12 for this one), as a change of BLAS
-    # thread count can
+    # 1e-16 relative perturbation of the boundary's series moves it by
+    # 8.7e-13 to 1.4e-11 over seven seeds (8.7e-13 for this one), as a
+    # change of BLAS thread count can
     b = periodic74_boundary
     rng = np.random.default_rng(2026)
     moved = BoundaryFunctions(
-        idle=b.idle * (1.0 + 1e-16 * rng.standard_normal(b.idle.shape)),
-        first=b.first * (1.0 + 1e-16 * rng.standard_normal(b.first.shape)))
-    assert not np.array_equal(moved.first, b.first)
+        spec=b.spec, series=b.series * (1.0 + 1e-16 * rng.standard_normal(b.series.shape)))
+    assert not np.array_equal(moved.series, b.series)
     ts = periodic74_dist.grid
     base = SeriesEvaluator(periodic74_roots10, b)
     assert np.abs(base.coefficients(ts)).max() > 1e4

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference import exact_exp_tail, gammainc_oracle_wait_cdf, looped_exp_tail
+from reference import (exact_exp_tail, gammainc_oracle_wait_cdf,
+                       interpolating_series, looped_exp_tail)
 from scipy.special import gammainc
 
 from ekemq import (
@@ -172,6 +173,20 @@ def test_oracle_route_rejects_a_law_of_another_model(mm1_spec, mm1_dist):
     assert np.abs(curve.values - (1.0 - 0.6 * np.exp(-2.0 * t))).max() < 1e-8
 
 
+def test_series_routes_reject_a_boundary_of_another_model(periodic74_spec,
+                                                          periodic74_boundary):
+    # load 0.8 with the reference's k and m, so every width agrees: its
+    # order-10 roots read with the reference boundary gave a level-2 mass of
+    # 1.24 at t = 0 and a queue-wait "CDF" of 3.46 at horizon 1
+    other = ModelSpec(7, 4, RateFunction(7.0, sin=((1, -2.0),)),
+                      periodic74_spec.service)
+    roots = build_root_set(other, 10)
+    with pytest.raises(ValueError, match="boundary belongs to a different model"):
+        SeriesEvaluator(roots, periodic74_boundary)
+    with pytest.raises(ValueError, match="boundary belongs to a different model"):
+        wait_cdf(other, roots, periodic74_boundary, 0.0, [1.0])
+
+
 def test_horizons_are_one_dimensional(periodic74_spec, periodic74_dist,
                                        periodic74_boundary, periodic74_roots10):
     for kind in ("queue", "sojourn"):
@@ -224,8 +239,8 @@ def test_wait_cdf_samples_boundary_once(periodic74_spec, periodic74_dist,
     ts = np.linspace(0.0, 2.0, 11)
     for u in np.arange(10) / 10.0:
         wait_cdf(periodic74_spec, periodic74_roots10, boundary, u, ts)
-    # the idle slice and the level-1 slice, each once at the rule's nodes
-    assert calls == [rule_size, rule_size]
+    # the boundary's one series, once at the rule's nodes
+    assert calls == [rule_size]
 
 
 def test_oracle_wait_matches_gammainc_route(periodic74_spec, periodic74_dist):
@@ -249,7 +264,8 @@ def test_oracle_wait_reads_only_the_stage_interpolant(periodic74_spec,
     dist = PeriodicDistribution(spec=periodic74_spec, idle=periodic74_dist.idle,
                                 levels=periodic74_dist.levels,
                                 periods=periodic74_dist.periods,
-                                residual=periodic74_dist.residual)
+                                residual=periodic74_dist.residual,
+                                series=periodic74_dist.series)
     ts = np.linspace(0.0, 3.0, 61)
     for u in (0.0, 0.3, 0.75):
         for kind in ("queue", "sojourn"):
@@ -267,8 +283,10 @@ def test_oracle_wait_long_horizon():
     n = 4 * np.arange(1, cap + 1)[:, None] - np.arange(4)[None, :]
     weights = 0.998 ** n.astype(float)
     levels = np.broadcast_to(0.9 * weights / weights.sum(), (grid, cap, 4))
-    dist = PeriodicDistribution(spec=spec, idle=np.full((grid, 1), 0.1),
-                                levels=levels, periods=1, residual=0.0)
+    idle = np.full((grid, 1), 0.1)
+    dist = PeriodicDistribution(spec=spec, idle=idle, levels=levels, periods=1,
+                                residual=0.0, series=interpolating_series(
+                                    np.hstack([idle, levels.reshape(grid, -1)])))
     ts = np.linspace(0.0, 200.0, 41)
     assert spec.service.cumulative(0.0, ts[-1]) == pytest.approx(1000.0)
     for kind in ("queue", "sojourn"):
