@@ -14,9 +14,7 @@ expressed in terms of the other.
 from .model import (
     RateFunction,
     ModelSpec,
-    GeneratorBlocks,
     ergodic_margin,
-    generator_blocks,
 )
 from .roots import (
     CharacteristicRoot,
@@ -37,19 +35,16 @@ from .series import (
 )
 from .bounds import (
     ErrorBudget,
-    root_modulus_bracket,
     tail_constant,
     truncation_error_bound,
 )
 from .waiting import (
     CDFCurve,
-    conditional_wait_cdf,
     wait_cdf,
     oracle_wait_cdf,
 )
 from .busy import (
     VolterraSolution,
-    net_change_matrix,
     busy_period_cdf,
 )
 
@@ -58,9 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     "RateFunction",
     "ModelSpec",
-    "GeneratorBlocks",
     "ergodic_margin",
-    "generator_blocks",
     "CharacteristicRoot",
     "RootSet",
     "characteristic_roots",
@@ -73,15 +66,12 @@ __all__ = [
     "SeriesEvaluator",
     "phase_weights",
     "ErrorBudget",
-    "root_modulus_bracket",
     "tail_constant",
     "truncation_error_bound",
     "CDFCurve",
-    "conditional_wait_cdf",
     "wait_cdf",
     "oracle_wait_cdf",
     "VolterraSolution",
-    "net_change_matrix",
     "busy_period_cdf",
     "__version__",
 ]

@@ -28,21 +28,13 @@ from .model import ModelSpec
 
 
 def _bracket_edges(spec: ModelSpec, n: float) -> tuple[float, float]:
-    """Unscaled bracket edges 2 pi n -+ (lam_bar + 2 mu_bar) / sqrt(2)."""
+    """Unscaled bracket edges 2 pi n -+ (lam_bar + 2 mu_bar) / sqrt(2);
+    over lam_bar they bracket |chi**(1/k)| of the outside roots at
+    frequency |n|, and the lower edge is only informative once it clears
+    lam_bar."""
     half = (spec.arrival_mean + 2.0 * spec.service_mean) / math.sqrt(2.0)
     center = 2.0 * math.pi * n
     return center - half, center + half
-
-
-def root_modulus_bracket(spec: ModelSpec, n: int) -> tuple[float, float]:
-    """Interval certain to contain |chi**(1/k)| for outside roots at frequency n.
-
-    Reads (2 pi |n| +- (lam_bar + 2 mu_bar) / sqrt(2)) / lam_bar.  The lower
-    edge is only informative once it clears 1, which happens for |n| of a
-    few at typical rates.
-    """
-    lower, upper = _bracket_edges(spec, abs(n))
-    return lower / spec.arrival_mean, upper / spec.arrival_mean
 
 
 def tail_constant(spec: ModelSpec, t: float, n: int) -> float:

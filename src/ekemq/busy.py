@@ -76,29 +76,14 @@ import numpy as np
 
 from .model import ModelSpec, _normalize_phase, _stage_blocks
 
-# Poisson pmf tables are cut this many standard deviations past the mean
-# (plus a floor for tiny means); entries beyond are below 1e-16 of the mass.
+# The lattice's cycle counts are cut this many standard deviations past the
+# Poisson mean (plus a floor for tiny means); the mass beyond is below 1e-16.
 _TAIL_SIGMAS = 12.0
 _TAIL_FLOOR = 35.0
 
 
 def _table_width(mean: float) -> int:
     return int(math.ceil(mean + _TAIL_SIGMAS * math.sqrt(mean) + _TAIL_FLOOR))
-
-
-def _poisson_table(means: np.ndarray, width: int) -> np.ndarray:
-    """pmf(Poisson(means[i]), x) for x = 0..width-1, shape (len(means), width).
-
-    Log-space keeps large means stable; means equal to zero reduce to the
-    unit mass at x = 0.
-    """
-    from scipy.special import gammaln  # see waiting._poisson_tail
-    counts = np.arange(width, dtype=float)
-    log_fact = gammaln(counts + 1.0)
-    means = np.asarray(means, dtype=float)[:, None]
-    safe = np.maximum(means, 1e-300)
-    with np.errstate(under="ignore"):
-        return np.exp(counts[None, :] * np.log(safe) - means - log_fact[None, :])
 
 
 def _unit_blocks(spec: ModelSpec):
@@ -116,33 +101,6 @@ def _unit_blocks(spec: ModelSpec):
         np.kron(eye_k, srv_local),                  # LS
         np.kron(eye_k, srv_done),                   # D
     )
-
-
-def net_change_matrix(spec: ModelSpec, u: float, t: float, n: int) -> np.ndarray:
-    """Free-process transition weights at net level change n, (km, km).
-
-    The literal sum F_n = sum over A - D = n of P_A kron P_D, with cycle
-    counts cut where the pmf tables end.  Each Toeplitz block is indexed from
-    a pmf row padded with k - 1 (m - 1) leading zeros, which supply the zero
-    weights of negative stage counts.
-    """
-    lam_cum = float(spec.arrival.cumulative(u, t))
-    mu_cum = float(spec.service.cumulative(u, t))
-    k, m = spec.k, spec.m
-    a_max = _table_width(lam_cum) // k + 1
-    d_max = _table_width(mu_cum) // m + 1
-    pa = _poisson_table(np.array([lam_cum]), a_max * k + k)[0]
-    pd = _poisson_table(np.array([mu_cum]), d_max * m + m)[0]
-    # P_A[a1, a2] = pa[A k + a2 - a1] is read at A k + (a2 - a1 + k - 1)
-    # from the padded row, likewise P_D
-    pa = np.pad(pa, (k - 1, 0))
-    pd = np.pad(pd, (m - 1, 0))
-    da = np.arange(k)[None, :] - np.arange(k)[:, None] + k - 1
-    ds = np.arange(m)[None, :] - np.arange(m)[:, None] + m - 1
-    out = np.zeros((k * m, k * m))
-    for a_cnt in range(max(0, n), min(a_max, d_max + n) + 1):
-        out += np.kron(pa[a_cnt * k + da], pd[(a_cnt - n) * m + ds])
-    return out
 
 
 def _poisson_taps(means: np.ndarray) -> np.ndarray:
@@ -298,6 +256,9 @@ def _volterra_march(spec: ModelSpec, level: int, phase, u: float,
                     horizon: float, step: float) -> VolterraSolution:
     if level < 1:
         raise ValueError("busy period starts at level >= 1")
+    for name, value in (("u", u), ("horizon", horizon), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if horizon <= 0 or step <= 0:
         raise ValueError("horizon and step must be positive")
     q0 = _normalize_phase(spec, phase)

@@ -100,6 +100,15 @@ def _at_least(parse, low, strict: bool = False):
     return checked
 
 
+def _parse_tol(raw: str) -> float:
+    """oracle.tol, refused outside (0, 1), where the solve would return a law
+    of no mass."""
+    value = _parse_float(raw)
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"must be > 0 and < 1, got {value}")
+    return value
+
+
 def _parse_kind(raw: str) -> str:
     raw = raw.strip()
     if raw not in ("queue", "sojourn"):
@@ -125,7 +134,7 @@ class RunConfig:
         "series.order": (_at_least(_parse_int, 0), 10),
         "oracle.levels": (_at_least(_parse_int, 1), 50),
         "oracle.grid": (_at_least(_parse_int, 4), 512),
-        "oracle.tol": (_at_least(_parse_float, 0.0, strict=True), 1e-10),
+        "oracle.tol": (_parse_tol, 1e-10),
         "analyze.levels": (_at_least(_parse_int_list, 1), (1, 2, 3)),
         "analyze.times": (_at_least(_parse_int, 1), 16),
         "bounds.levels": (_at_least(_parse_int_list, 1), (3, 4, 5)),

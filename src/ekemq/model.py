@@ -12,14 +12,15 @@ s in {0..m-1}.  Phases are flattened lexicographically as a*m + s.
 The level process is a quasi-birth-death chain: the generator restricted to
 one busy level splits into a block that moves one level up (an arrival stage
 completing from stage k-1), a block that moves one level down (a service
-stage completing from stage m-1), and a local block.  All three are built
-here, together with the boundary blocks that couple the empty system to
-level one.
+stage completing from stage m-1), and a local block.  Each is a Kronecker
+product of the stage chains' blocks (`_stage_blocks`); the busy-period march
+builds them from those, and the periodic oracle applies them by slicing.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,8 +202,15 @@ class ModelSpec:
 
 
 def _normalize_phase(spec: ModelSpec, phase) -> int:
-    """Flat index a*m + s of a phase given as (a, s) or already flat."""
-    a, s = phase if isinstance(phase, tuple) else divmod(int(phase), spec.m)
+    """Flat index a*m + s of a phase given as a pair (a, s), such as a tuple,
+    a list or an array, or already flat.  Entries must be integers: a
+    float such as 1.7 raises TypeError rather than being truncated."""
+    if np.ndim(phase) == 0:
+        a, s = divmod(operator.index(phase), spec.m)
+    elif len(phase) == 2:
+        a, s = map(operator.index, phase)
+    else:
+        raise ValueError(f"start phase must be flat or a pair (a, s), got {phase!r}")
     if not (0 <= a < spec.k and 0 <= s < spec.m):
         raise ValueError("start phase out of range")
     return a * spec.m + s
@@ -221,53 +229,3 @@ def _stage_blocks(count: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
     completion = np.zeros((count, count))
     completion[count - 1, 0] = rate
     return local, completion
-
-
-@dataclass(frozen=True)
-class GeneratorBlocks:
-    """Instantaneous generator of the queue, split by level movement.
-
-    up, local, down act on busy levels (km x km); idle is the k x k block of
-    the empty system; idle_up injects level 0 -> 1 on an arrival completion;
-    down_to_idle drains level 1 -> 0 on a service completion.  Rows of the
-    assembled generator sum to zero.
-    """
-
-    t: float
-    up: np.ndarray
-    local: np.ndarray
-    down: np.ndarray
-    idle: np.ndarray
-    idle_up: np.ndarray
-    down_to_idle: np.ndarray
-
-
-def generator_blocks(spec: ModelSpec, t: float) -> GeneratorBlocks:
-    """Evaluate all generator blocks at time t."""
-    k, m = spec.k, spec.m
-    lam = float(spec.arrival.value(t))
-    mu = float(spec.service.value(t))
-    arr_local, arr_done = _stage_blocks(k, lam)
-    srv_local, srv_done = _stage_blocks(m, mu)
-
-    up = np.kron(arr_done, np.eye(m))
-    local = np.kron(arr_local, np.eye(m)) + np.kron(np.eye(k), srv_local)
-    down = np.kron(np.eye(k), srv_done)
-
-    idle = arr_local.copy()
-    idle_up = np.zeros((k, k * m))
-    idle_up[k - 1, 0] = lam
-    down_to_idle = np.zeros((k * m, k))
-    for a in range(k):
-        down_to_idle[a * m + m - 1, a] = mu
-
-    return GeneratorBlocks(
-        t=float(t),
-        up=up,
-        local=local,
-        down=down,
-        idle=idle,
-        idle_up=idle_up,
-        down_to_idle=down_to_idle,
-    )
-

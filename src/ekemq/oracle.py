@@ -35,13 +35,11 @@ s: one small dense product refreshes it in place, no matrix is rebuilt
 inside the stepping loop, and each RK stage is a single sparse product,
 four per step.  scipy.sparse is imported only there, on first use.
 
-In the periodic system an arrival moves an empty state to the next arrival
-stage or starts level 1, while in the killed system the k empty states have
-no exits and count absorption by arrival stage.  `_structure_matrices`
-builds both and `_rk4_march` steps both: the killed one here, the periodic
-one in the tests' time-domain solve.  The harmonic-balance equations apply
-the periodic one by slicing, in its state order.  No other module calls
-them.
+In the killed system the k empty states have no exits and count absorption
+by arrival stage; `_structure_matrices` builds it and `_rk4_march` steps it.
+The harmonic-balance equations apply the periodic system, where an arrival
+moves an empty state to the next arrival stage or starts level 1, by
+slicing in the same state order.  No other module calls them.
 
 This module is deliberately independent of the root-series machinery: it
 never sees characteristic roots.  The series route does read one output of
@@ -126,8 +124,9 @@ class TrigInterpolant:
         return vals
 
 
-def _structure_matrices(k: int, m: int, level_cap: int, absorbing: bool = False):
-    """Unit-rate generator structure on one folded sparsity pattern.
+def _structure_matrices(k: int, m: int, level_cap: int):
+    """Unit-rate generator structure of the killed process on one folded
+    sparsity pattern.
 
     State order: k empty states (arrival stage a), then levels 1..level_cap
     with km phases each, phase (a, s) flattened as a*m + s.  Returned as
@@ -137,24 +136,21 @@ def _structure_matrices(k: int, m: int, level_cap: int, absorbing: bool = False)
     at rates lam, mu, lam * AT + mu * MT, is pattern with the data
     np.dot((lam, mu), parts); every part value is 0 or +-1, so each entry is
     rounded at most once.  scipy.sparse is imported here, on first use: the
-    periodic solve never needs it.
-    With absorbing=True the empty states keep no arrival exits: they are the
-    sinks of the process killed at its first visit to the empty level.
+    periodic solve never needs it.  The empty states have no exits: they
+    are the sinks of the process killed at its first visit to the empty
+    level.
     """
     import scipy.sparse as sp
 
     km = k * m
     dim = k + level_cap * km
-    # an arrival advances the stage: an empty state a goes to a + 1 (a = k-1
-    # to level 1, phase (0, 0), which is state k), a busy state x to x + m
-    # ((j, a, s) to (j, a + 1, s), or (j, k-1, s) to (j + 1, 0, s)); the
-    # final stage at the cap is blocked, and the killed process has ended
-    # in its empty states, so they have no exits
-    empty = np.arange(k if absorbing else 0, k)
+    # an arrival advances the stage: a busy state x goes to x + m ((j, a, s)
+    # to (j, a + 1, s), or (j, k-1, s) to (j + 1, 0, s)); the final stage at
+    # the cap is blocked
     busy = np.arange(k, dim - m)
-    arr_r = np.concatenate([empty, empty, busy, busy])
-    arr_c = np.concatenate([empty, empty + 1, busy, busy + m])
-    arr_v = np.repeat([-1.0, 1.0, -1.0, 1.0], [len(empty)] * 2 + [len(busy)] * 2)
+    arr_r = np.concatenate([busy, busy])
+    arr_c = np.concatenate([busy, busy + m])
+    arr_v = np.repeat([-1.0, 1.0], len(busy))
     # a service advances the stage, and the last stage completes it: level
     # j > 1 goes to (j - 1, a, 0), level 1 to the empty state a
     x = np.arange(k, dim)
@@ -625,14 +621,15 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     the rounding floor; loosen tol), when N would pass _MAX_HARMONIC = 128
     with max |c_N| still above tol or the rates reach a harmonic past 64,
     or when the law puts more than _CAP_MASS_LIMIT = 1e-6 on the level cap
-    at some grid time (raise level_cap).  tol must be > 0.
+    at some grid time (raise level_cap).  tol must lie in (0, 1): at tol >=
+    1 the solve's target would accept the zero start, a law of no mass.
     """
     if level_cap < 1:
         raise ValueError("level_cap must be >= 1")
     if grid_size < 4:
         raise ValueError("grid_size must be >= 4")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be > 0 and < 1, got {tol}")
     coef, residual = _fourier_coefficients(spec, level_cap, tol)
     samples = TrigInterpolant(coef)(np.arange(grid_size) / grid_size)
     km = spec.phase_count
@@ -731,6 +728,9 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
         raise ValueError("level_cap should comfortably exceed the start level")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+    for name, value in (("u", u), ("horizon", horizon), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if horizon <= 0 or step <= 0:
         raise ValueError("horizon and step must be positive")
     n_rec = int(round(horizon / step))
@@ -739,7 +739,7 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     q0 = _normalize_phase(spec, phase)
     k, km = spec.k, spec.phase_count
     h = (horizon / n_rec) / substeps
-    op = _structure_matrices(k, spec.m, level_cap, absorbing=True)
+    op = _structure_matrices(k, spec.m, level_cap)
     dim = op[0].shape[0]
 
     total_steps = n_rec * substeps

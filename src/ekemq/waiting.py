@@ -138,25 +138,6 @@ def _exp_tail(mean: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def conditional_wait_cdf(spec: ModelSpec, level: int, s: int, u: float, t):
-    """P{wait <= t} for a customer arriving at u to level `level`, stage s.
-
-    The wait ends at the (m*level - s)-th service-stage completion after u,
-    so this is the Poisson tail P{N(M(u, u+t)) >= m*level - s}.  The level
-    must be >= 1; the idle state carries no wait and is the caller's case.
-    """
-    if level < 1:
-        raise ValueError("conditional wait needs level >= 1")
-    if not 0 <= s < spec.m:
-        raise ValueError("service stage out of range")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("horizons must be nonnegative")
-    mu_cum = spec.service.cumulative(u, u + t)
-    out = _poisson_tail(spec.m * level - s, mu_cum)
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class CDFCurve:
     """A waiting-time (or sojourn-time) CDF sampled on a horizon grid."""
@@ -180,15 +161,23 @@ def _horizons(kind: str, horizons) -> np.ndarray:
     horizons = np.atleast_1d(np.asarray(horizons, dtype=float))
     if horizons.ndim != 1:
         raise ValueError("horizons must be a number or a 1-D array")
+    if not np.isfinite(horizons).all():
+        raise ValueError("horizons must be finite")
     if np.any(horizons < 0):
         raise ValueError("horizons must be nonnegative")
     return horizons
+
+
+def _check_u(u) -> None:
+    if not math.isfinite(u):
+        raise ValueError(f"u must be finite, got {u}")
 
 
 def wait_cdf(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
              u: float, horizons, kind: str = "queue") -> CDFCurve:
     """Series route to the waiting-time law of a virtual customer at time u."""
     horizons = _horizons(kind, horizons)
+    _check_u(u)
     if roots.spec != spec:
         raise ValueError("root set belongs to a different model")
     m = spec.m
@@ -222,6 +211,7 @@ def oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: float,
                     horizons, kind: str = "queue") -> CDFCurve:
     """ODE-oracle route: condition on the truncated state at time u."""
     horizons = _horizons(kind, horizons)
+    _check_u(u)
     if dist.spec != spec:
         raise ValueError("distribution belongs to a different model")
     m = spec.m

@@ -34,22 +34,46 @@ another way, kept to pin that route:
 - `time_domain_periodic`: the periodic law as the fixed point of the
   one-period RK4 map, on a ladder of grids with Anderson mixing, against
   `integrate_periodic`, which solves for the law's Fourier coefficients;
+- `periodic_structure`: the folded unit-rate structure of the periodic
+  truncated system, the killed one of `busy_oracle` with the empty states'
+  arrival exits added, which the time-domain solve marches, against the
+  slicing of `_HarmonicBalance.equations` and the generator blocks;
 - `interpolating_series`: the Fourier series of the trigonometric
   interpolant of uniform samples, by rfft, which gives a law built from
   samples (the time-domain solve's, and the tests' own) its `series`.
+
+The paper's building blocks, which the package computes another way:
+
+- `generator_blocks` (`GeneratorBlocks`): the QBD blocks up, local, down
+  and the boundary blocks at one time, against the folded structures, the
+  Volterra march's brute-force assembly and its closed-form implicit
+  solve;
+- `net_change_matrix` (with `_poisson_table`): the net-change weights F_n
+  as the literal sum of Kronecker products, against the Volterra lattice
+  march, a Skellam law, Fourier inversion and `net_change_probability`;
+- `conditional_wait_cdf`: the wait of one state (level, service stage)
+  as a Poisson tail, against `gammainc`, the scalar case of the telescoped
+  wait sums;
+- `root_modulus_bracket`: the bracket of |chi**(1/k)| for the outside
+  roots at frequency n, against `build_root_set`'s roots, with
+  `bounds._bracket_edges` as its edges.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import gammaln
 
 from ekemq._quad import composite_gauss
-from ekemq.model import ModelSpec, _normalize_phase
+from ekemq.bounds import _bracket_edges
+from ekemq.busy import _table_width
+from ekemq.model import ModelSpec, _normalize_phase, _stage_blocks
 from ekemq.oracle import (_CAP_MASS_LIMIT, _NORM_SLACK, BoundaryFunctions,
                           PeriodicDistribution, _generator, _rk4_march,
                           _structure_matrices)
@@ -196,7 +220,7 @@ def unflushed_busy_oracle(spec: ModelSpec, level: int, phase, u: float,
     the arguments are taken as valid."""
     n_rec = int(round(horizon / step))
     k, km = spec.k, spec.phase_count
-    op = _structure_matrices(k, spec.m, level_cap, absorbing=True)
+    op = _structure_matrices(k, spec.m, level_cap)
     total_steps = n_rec * substeps
     nodes = u + (horizon / total_steps) * 0.5 * np.arange(2 * total_steps + 1)
     p = np.zeros(op[0].shape[0])
@@ -335,6 +359,129 @@ def uncached_tail_constant(spec: ModelSpec, t: float, n: int) -> float:
     return numer / denom
 
 
+# The paper's building blocks, which the package computes another way: the
+# QBD generator blocks, the net-change weights F_n, the conditional wait of
+# one state and the root-modulus bracket.
+@dataclass(frozen=True)
+class GeneratorBlocks:
+    """Instantaneous generator of the queue, split by level movement.
+
+    up, local, down act on busy levels (km x km); idle is the k x k block of
+    the empty system; idle_up injects level 0 -> 1 on an arrival completion;
+    down_to_idle drains level 1 -> 0 on a service completion.  Rows of the
+    assembled generator sum to zero.
+    """
+
+    t: float
+    up: np.ndarray
+    local: np.ndarray
+    down: np.ndarray
+    idle: np.ndarray
+    idle_up: np.ndarray
+    down_to_idle: np.ndarray
+
+
+def generator_blocks(spec: ModelSpec, t: float) -> GeneratorBlocks:
+    """Evaluate all generator blocks at time t."""
+    k, m = spec.k, spec.m
+    lam = float(spec.arrival.value(t))
+    mu = float(spec.service.value(t))
+    arr_local, arr_done = _stage_blocks(k, lam)
+    srv_local, srv_done = _stage_blocks(m, mu)
+
+    up = np.kron(arr_done, np.eye(m))
+    local = np.kron(arr_local, np.eye(m)) + np.kron(np.eye(k), srv_local)
+    down = np.kron(np.eye(k), srv_done)
+
+    idle = arr_local.copy()
+    idle_up = np.zeros((k, k * m))
+    idle_up[k - 1, 0] = lam
+    down_to_idle = np.zeros((k * m, k))
+    for a in range(k):
+        down_to_idle[a * m + m - 1, a] = mu
+
+    return GeneratorBlocks(
+        t=float(t),
+        up=up,
+        local=local,
+        down=down,
+        idle=idle,
+        idle_up=idle_up,
+        down_to_idle=down_to_idle,
+    )
+
+
+def _poisson_table(means: np.ndarray, width: int) -> np.ndarray:
+    """pmf(Poisson(means[i]), x) for x = 0..width-1, shape (len(means), width).
+
+    Log-space keeps large means stable; means equal to zero reduce to the
+    unit mass at x = 0.
+    """
+    counts = np.arange(width, dtype=float)
+    log_fact = gammaln(counts + 1.0)
+    means = np.asarray(means, dtype=float)[:, None]
+    safe = np.maximum(means, 1e-300)
+    with np.errstate(under="ignore"):
+        return np.exp(counts[None, :] * np.log(safe) - means - log_fact[None, :])
+
+
+def net_change_matrix(spec: ModelSpec, u: float, t: float, n: int) -> np.ndarray:
+    """Free-process transition weights at net level change n, (km, km).
+
+    The literal sum F_n = sum over A - D = n of P_A kron P_D, with cycle
+    counts cut where the pmf tables end.  Each Toeplitz block is indexed from
+    a pmf row padded with k - 1 (m - 1) leading zeros, which supply the zero
+    weights of negative stage counts.
+    """
+    lam_cum = float(spec.arrival.cumulative(u, t))
+    mu_cum = float(spec.service.cumulative(u, t))
+    k, m = spec.k, spec.m
+    a_max = _table_width(lam_cum) // k + 1
+    d_max = _table_width(mu_cum) // m + 1
+    pa = _poisson_table(np.array([lam_cum]), a_max * k + k)[0]
+    pd = _poisson_table(np.array([mu_cum]), d_max * m + m)[0]
+    # P_A[a1, a2] = pa[A k + a2 - a1] is read at A k + (a2 - a1 + k - 1)
+    # from the padded row, likewise P_D
+    pa = np.pad(pa, (k - 1, 0))
+    pd = np.pad(pd, (m - 1, 0))
+    da = np.arange(k)[None, :] - np.arange(k)[:, None] + k - 1
+    ds = np.arange(m)[None, :] - np.arange(m)[:, None] + m - 1
+    out = np.zeros((k * m, k * m))
+    for a_cnt in range(max(0, n), min(a_max, d_max + n) + 1):
+        out += np.kron(pa[a_cnt * k + da], pd[(a_cnt - n) * m + ds])
+    return out
+
+
+def conditional_wait_cdf(spec: ModelSpec, level: int, s: int, u: float, t):
+    """P{wait <= t} for a customer arriving at u to level `level`, stage s.
+
+    The wait ends at the (m*level - s)-th service-stage completion after u,
+    so this is the Poisson tail P{N(M(u, u+t)) >= m*level - s}.  The level
+    must be >= 1; the idle state carries no wait and is the caller's case.
+    """
+    if level < 1:
+        raise ValueError("conditional wait needs level >= 1")
+    if not 0 <= s < spec.m:
+        raise ValueError("service stage out of range")
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("horizons must be nonnegative")
+    mu_cum = spec.service.cumulative(u, u + t)
+    out = _poisson_tail(spec.m * level - s, mu_cum)
+    return out if out.ndim else float(out)
+
+
+def root_modulus_bracket(spec: ModelSpec, n: int) -> tuple[float, float]:
+    """Interval certain to contain |chi**(1/k)| for outside roots at frequency n.
+
+    Reads (2 pi |n| +- (lam_bar + 2 mu_bar) / sqrt(2)) / lam_bar.  The lower
+    edge is only informative once it clears 1, which happens for |n| of a
+    few at typical rates.
+    """
+    lower, upper = _bracket_edges(spec, abs(n))
+    return lower / spec.arrival_mean, upper / spec.arrival_mean
+
+
 # The time-domain periodic solve: the period map's fixed point by RK4 on a
 # ladder of grids.
 # The periodic solve mixes the last _ANDERSON_DEPTH period residual
@@ -352,6 +499,27 @@ _PLAIN_FRACTION = 0.1
 _COARSEN = 4
 _COARSE_MIN_GRID = 8
 _RK4_REAL_LIMIT = 2.5
+
+
+def periodic_structure(k: int, m: int, level_cap: int):
+    """`_structure_matrices` of the periodic system, (pattern, parts) in its
+    folded form: the killed structure with the k empty states' arrival
+    exits added, -1 at (a, a) and +1 at (a + 1, a) of AT (the last empty
+    state's arrival starts level 1, phase (0, 0), which is state k), and
+    both parts refolded onto the union of their patterns."""
+    pattern, parts = _structure_matrices(k, m, level_cap)
+    dim = pattern.shape[0]
+    a = np.arange(k)
+    rows = np.concatenate([np.repeat(np.arange(dim), np.diff(pattern.indptr)), a, a + 1])
+    cols = np.concatenate([pattern.indices, a, a])
+    values = np.hstack([parts, [np.repeat([-1.0, 1.0], k), np.zeros(2 * k)]])
+    keys, at = np.unique(rows * dim + cols, return_inverse=True)
+    folded = np.zeros((2, len(keys)))
+    for part, vals in zip(folded, values):
+        np.add.at(part, at, vals)
+    indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
+    return sp.csr_matrix((np.zeros(len(keys)), keys % dim, indptr),
+                         shape=(dim, dim)), folded
 
 
 def _averaged_stationary(op, spec: ModelSpec, level_cap: int) -> np.ndarray:
@@ -481,7 +649,7 @@ def time_domain_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_periods < 1:
         raise ValueError("max_periods must be >= 1")
-    op = _structure_matrices(spec.k, spec.m, level_cap)
+    op = periodic_structure(spec.k, spec.m, level_cap)
     ladder = [grid_size]
     while (coarse := ladder[-1] // _COARSEN) >= _COARSE_MIN_GRID:
         lam, mu = _half_step_rates(spec, ladder[-1])

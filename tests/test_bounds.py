@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import uncached_tail_constant
+from reference import root_modulus_bracket, uncached_tail_constant
 
 from ekemq import (
     ModelSpec,
@@ -14,7 +14,6 @@ from ekemq import (
     build_root_set,
     extract_boundary,
     integrate_periodic,
-    root_modulus_bracket,
     tail_constant,
     truncation_error_bound,
 )

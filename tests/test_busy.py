@@ -17,8 +17,6 @@ from ekemq import (
     RateFunction,
     busy_oracle,
     busy_period_cdf,
-    generator_blocks,
-    net_change_matrix,
 )
 from ekemq.busy import (
     _BlockedLayout,
@@ -26,7 +24,8 @@ from ekemq.busy import (
     _inverse_kernels,
     _poisson_taps,
 )
-from reference import net_change_probability, unflushed_busy_oracle
+from reference import (generator_blocks, net_change_matrix,
+                       net_change_probability, unflushed_busy_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -493,3 +492,21 @@ def test_argument_checks(periodic74_spec, mm1_spec):
         busy_oracle(mm1_spec, 1, 0, horizon=0.1, step=0.25)
     with pytest.raises(ValueError):
         net_change_probability(periodic74_spec, 0.0, 1.0, 0, 9, 0, 0, 0)
+
+
+@pytest.mark.parametrize("route", [busy_period_cdf, busy_oracle])
+def test_phase_may_be_any_pair(periodic74_spec, route):
+    def run(phase):
+        return route(periodic74_spec, 1, phase, horizon=0.5, step=1 / 64)
+
+    want = run((2, 1))
+    for phase in ([2, 1], np.array([2, 1])):
+        got = run(phase)
+        assert got.phase == want.phase == 9
+        assert np.array_equal(got.values, want.values)
+    with pytest.raises(ValueError, match="pair"):
+        run((2, 1, 0))
+    # a float phase is refused, not truncated to an integer one
+    for phase in (9.5, (2.5, 1), np.array([2.0, 1.0])):
+        with pytest.raises(TypeError):
+            run(phase)

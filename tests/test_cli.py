@@ -486,6 +486,8 @@ def test_levels_outside_truncation_exit_2(tmp_path, capsys):
     ("oracle", "oracle.grid", "2"),
     ("oracle", "oracle.levels", "0"),
     ("oracle", "oracle.tol", "0"),
+    ("oracle", "oracle.tol", "1"),
+    ("oracle", "oracle.tol", "100"),
     ("waiting", "waiting.steps", "0"),
     ("analyze", "analyze.times", "0"),
     ("bounds", "bounds.times", "0"),

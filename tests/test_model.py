@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from reference import generator_blocks
+
 from ekemq import (
     ModelSpec,
     RateFunction,
     ergodic_margin,
-    generator_blocks,
 )
 
 

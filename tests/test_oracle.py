@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference
-from reference import interpolating_series, time_domain_periodic
+from reference import (generator_blocks, interpolating_series, periodic_structure,
+                       time_domain_periodic)
 
 import ekemq
 from ekemq import oracle
@@ -20,7 +21,6 @@ from ekemq import (
     ModelSpec,
     RateFunction,
     extract_boundary,
-    generator_blocks,
     integrate_periodic,
 )
 from ekemq.oracle import (
@@ -340,7 +340,7 @@ def test_constant_rates_take_the_mean_solve_alone(flat74_spec):
     law = _law(dist)
     assert np.array_equal(law, np.broadcast_to(law[0], law.shape))
     # the stationary law of the generator: p G = 0 and mass 1
-    at, mt = _parts(_structure_matrices(7, 4, 50))
+    at, mt = _parts(periodic_structure(7, 4, 50))
     assert np.abs(3.0 * (at @ law[0]) + 5.0 * (mt @ law[0])).max() <= 1e-14
     assert abs(law[0].sum() - 1.0) <= 1e-15
 
@@ -425,7 +425,7 @@ def test_level_blocks_are_reused_below_the_cap(periodic74_spec):
 def _harmonic_equations(spec, cap, c):
     """The harmonic-balance equations with the dense structure matrices and
     every convolution term written out; equation (0, k - 1) is the mass."""
-    at, mt = (part.toarray() for part in _parts(_structure_matrices(spec.k, spec.m, cap)))
+    at, mt = (part.toarray() for part in _parts(periodic_structure(spec.k, spec.m, cap)))
     count = len(c)
     full = {n: c[n] if n >= 0 else np.conj(c[-n]) for n in range(1 - count, count)}
 
@@ -626,6 +626,11 @@ def _parts(op):
     return _generator(op, 1.0, 0.0), _generator(op, 0.0, 1.0)
 
 
+def _structure(k, m, level_cap, absorbing):
+    """The killed structure `busy_oracle` marches, or the tests' periodic one."""
+    return (_structure_matrices if absorbing else periodic_structure)(k, m, level_cap)
+
+
 @pytest.mark.parametrize("absorbing", [False, True])
 @pytest.mark.parametrize("level_cap", [1, 2, 6])
 @pytest.mark.parametrize("k, m", [(1, 1), (2, 3), (7, 4)])
@@ -638,7 +643,7 @@ def test_structure_matches_generator_blocks(k, m, level_cap, absorbing):
 
     arr = generator(2.0) - generator(1.0)
     srv = (generator(1.0) - arr) / 16.0
-    op = _structure_matrices(k, m, level_cap, absorbing=absorbing)
+    op = _structure(k, m, level_cap, absorbing)
     pattern, parts = op
     at, mt = _parts(op)
     assert np.array_equal(at.toarray(), arr.T)
@@ -655,7 +660,7 @@ def test_structure_matches_generator_blocks(k, m, level_cap, absorbing):
 def test_folded_generator_is_exact_on_dyadic_data(k, m, absorbing):
     # powers of two times small integers: every product and sum is exact,
     # so the folded generator must reproduce the split one bit for bit
-    op = _structure_matrices(k, m, 6, absorbing=absorbing)
+    op = _structure(k, m, 6, absorbing)
     at, mt = _parts(op)
     v = np.random.default_rng(3).integers(-64, 65, op[0].shape[0]) * 2.0 ** -20
     for lam, mu in ((4.0, 0.5), (0.25, 8.0), (1.0, 1.0)):
@@ -688,7 +693,7 @@ def test_march_matches_plain_steps(periodic74_spec, absorbing):
     # split step rounds the two products' sums apart: the same steps to
     # within rounding (3.3e-16 relative measured)
     spec, grid_size = periodic74_spec, 64
-    op = _structure_matrices(spec.k, spec.m, 6, absorbing=absorbing)
+    op = _structure(spec.k, spec.m, 6, absorbing)
     at, mt = _parts(op)
     lam, mu = _rates(spec, grid_size)
     start = np.random.default_rng(5).random(op[0].shape[0])
@@ -706,7 +711,7 @@ def test_accelerated_solve_matches_plain_iteration(periodic74_spec):
     dist = time_domain_periodic(spec, level_cap=cap, grid_size=grid_size)
     # the period map iterated from the uniform start until two sampled
     # periods agree to 1e-13
-    at, mt = _parts(_structure_matrices(spec.k, spec.m, cap))
+    at, mt = _parts(periodic_structure(spec.k, spec.m, cap))
     dim = at.shape[0]
     lam, mu = _rates(spec, grid_size)
     p = np.full(dim, 1.0 / dim)
@@ -784,6 +789,8 @@ def test_oracle_validates_arguments(mm1_spec):
         integrate_periodic(mm1_spec, level_cap=10, grid_size=3)
     # a residual is never <= nan or below zero, and exactly zero only by luck,
     # so these would integrate every period and then fail
-    for tol in (np.nan, -1e-10, 0.0):
+    # and from tol = 1 on the solve's target accepts its zero start, a law of
+    # no mass
+    for tol in (np.nan, -1e-10, 0.0, 1.0, 100.0, np.inf):
         with pytest.raises(ValueError, match="tol must be > 0"):
             integrate_periodic(mm1_spec, level_cap=10, grid_size=8, tol=tol)

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference import (exact_exp_tail, gammainc_oracle_wait_cdf,
-                       interpolating_series, looped_exp_tail)
+from reference import (conditional_wait_cdf, exact_exp_tail,
+                       gammainc_oracle_wait_cdf, interpolating_series,
+                       looped_exp_tail)
 from scipy.special import gammainc
 
 from ekemq import (
@@ -16,7 +17,8 @@ from ekemq import (
     SeriesEvaluator,
     _quad,
     build_root_set,
-    conditional_wait_cdf,
+    busy_oracle,
+    busy_period_cdf,
     extract_boundary,
     oracle_wait_cdf,
     wait_cdf,
@@ -206,6 +208,32 @@ def test_horizons_are_one_dimensional(periodic74_spec, periodic74_dist,
         wait_cdf(periodic74_spec, periodic74_roots10, periodic74_boundary, 0.2, grid)
     with pytest.raises(ValueError, match="1-D"):
         oracle_wait_cdf(periodic74_spec, periodic74_dist, 0.2, grid)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("route, argument", [
+    ("wait_cdf", "u"), ("wait_cdf", "horizons"),
+    ("oracle_wait_cdf", "u"), ("oracle_wait_cdf", "horizons"),
+    ("busy_period_cdf", "u"), ("busy_period_cdf", "horizon"),
+    ("busy_period_cdf", "step"),
+    ("busy_oracle", "u"), ("busy_oracle", "horizon"), ("busy_oracle", "step"),
+])
+def test_non_finite_times_are_refused(mm1_spec, mm1_dist, mm1_boundary, mm1_roots,
+                                      route, argument, value):
+    # unchecked, a nan gives nan values or a misleading error, and an inf a
+    # RuntimeWarning or an OverflowError
+    busy = {"horizon": 0.5, "step": 1 / 64}
+    routes = {
+        "wait_cdf": lambda u=0.2, horizons=1.0:
+            wait_cdf(mm1_spec, mm1_roots, mm1_boundary, u, horizons),
+        "oracle_wait_cdf": lambda u=0.2, horizons=1.0:
+            oracle_wait_cdf(mm1_spec, mm1_dist, u, horizons),
+        "busy_period_cdf": lambda **kw: busy_period_cdf(mm1_spec, 1, 0, **{**busy, **kw}),
+        "busy_oracle": lambda **kw: busy_oracle(mm1_spec, 1, 0, **{**busy, **kw}),
+    }
+    given = [1.0, value] if argument == "horizons" else value
+    with pytest.raises(ValueError, match=f"{argument} must be finite"):
+        routes[route](**{argument: given})
 
 
 def test_repeated_wait_cdf_matches_fresh_objects(periodic74_spec, periodic74_dist):
