@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import composite_gauss
-from .model import ModelSpec
+from .model import ModelSpec, _as_index
 
 
 def _bracket_edges(spec: ModelSpec, n: float) -> tuple[float, float]:
@@ -49,8 +49,9 @@ def tail_constant(spec: ModelSpec, t: float, n: int) -> float:
     dominates).  The window integral in the numerator depends on the model
     and t only, so it is computed once per (spec, t) and kept for the next
     frequency, level or order (`_window_integral`); the constant is the same
-    float either way.
+    float either way.  n must be an integer.
     """
+    n = _as_index(n, "n")
     lb = spec.arrival_mean
     mb = spec.service_mean
     denom = spec.m * math.sqrt((lb + mb) ** 2 + 4.0 * math.pi ** 2 * n ** 2) \
@@ -105,8 +106,9 @@ def truncation_error_bound(spec: ModelSpec, t: float, level: int,
     Preconditions: level >= 3; k (level - 2) > 1 so the comparison integral
     converges; the bracket's lower edge 2 pi order > (lam_bar + 2 mu_bar) /
     sqrt(2); and C_order applicable.  Anything else yields an inapplicable
-    budget, never a number.
+    budget, never a number.  level and order must be integers.
     """
+    level, order = _as_index(level, "level"), _as_index(order, "order")
 
     def na(reason: str) -> ErrorBudget:
         return ErrorBudget(level=level, order=order, applicable=False, reason=reason)

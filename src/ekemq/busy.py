@@ -74,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, _normalize_phase, _stage_blocks
+from .model import ModelSpec, _as_index, _normalize_phase, _stage_blocks
 
 # The lattice's cycle counts are cut this many standard deviations past the
 # Poisson mean (plus a floor for tiny means); the mass beyond is below 1e-16.
@@ -254,6 +254,7 @@ def busy_period_cdf(spec: ModelSpec, level: int, phase, u: float = 0.0,
 
 def _volterra_march(spec: ModelSpec, level: int, phase, u: float,
                     horizon: float, step: float) -> VolterraSolution:
+    level = _as_index(level, "level")
     if level < 1:
         raise ValueError("busy period starts at level >= 1")
     for name, value in (("u", u), ("horizon", horizon), ("step", step)):

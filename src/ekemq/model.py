@@ -39,11 +39,19 @@ _POSITIVITY_POINTS_PER_HARMONIC = 64
 _POSITIVITY_NEWTON_STEPS = 4
 
 
+def _as_index(value, name: str) -> int:
+    """value as an int; a float (even 2.0) raises TypeError naming `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _as_terms(terms) -> tuple[tuple[int, float], ...]:
     """Normalize harmonic terms to a sorted tuple of (harmonic, amplitude)."""
     out = []
     for j, amp in terms:
-        j = int(j)
+        j = _as_index(j, "harmonic index")
         if j < 1:
             raise ValueError(f"harmonic index must be >= 1, got {j}")
         amp = float(amp)
@@ -206,9 +214,9 @@ def _normalize_phase(spec: ModelSpec, phase) -> int:
     a list or an array, or already flat.  Entries must be integers: a
     float such as 1.7 raises TypeError rather than being truncated."""
     if np.ndim(phase) == 0:
-        a, s = divmod(operator.index(phase), spec.m)
+        a, s = divmod(_as_index(phase, "phase"), spec.m)
     elif len(phase) == 2:
-        a, s = map(operator.index, phase)
+        a, s = (_as_index(x, "phase") for x in phase)
     else:
         raise ValueError(f"start phase must be flat or a pair (a, s), got {phase!r}")
     if not (0 <= a < spec.k and 0 <= s < spec.m):

@@ -62,7 +62,7 @@ import numpy as np
 
 from . import _quad
 from .busy import VolterraSolution
-from .model import ModelSpec, _normalize_phase
+from .model import ModelSpec, _as_index, _normalize_phase
 
 # The law's Fourier coefficients c_0..c_N are solved for with N first
 # _FIRST_HARMONIC, or twice the rates' top harmonic where that is larger
@@ -235,57 +235,42 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PeriodicDistribution:
-    """Periodic law of the truncated queue: its Fourier series, and its
-    samples on a uniform grid.
+    """Periodic law of the truncated queue: its Fourier series, read at any
+    time and sampled on a uniform grid.
 
-    idle[i, a] is the probability of an empty system with arrival stage a at
-    time grid[i] = i / grid_size, grid_size = len(idle); levels[i, j-1,
-    a*m+s] the probability of level j in phase (a, s), j up to level_cap =
-    levels.shape[1].  `series` holds the law's series, c_0..c_N as (N + 1,
-    k + level_cap * km) complex rows in the state order of the sample
-    columns.  From `integrate_periodic`, the series is the solved one and
-    the samples its values; `periods` is N, the top harmonic (0 for
-    constant rates), and `residual` the larger of max |c_N| (0 for N = 0)
-    and the 2-norm of the harmonic-balance equations' residual; both names
-    are kept from the time-domain solve, where they counted periods and
-    bounded the change between the last two.
+    `series` holds c_0..c_N as (N + 1, k + level_cap * km) complex rows: the
+    k idle states (arrival stage a), then levels 1..level_cap in phase (a,
+    s) at a*m + s; level_cap is read off the width, and any other width or
+    shape, or a grid_size below 1, raises ValueError.  `periods` is N and
+    `residual` the larger of max |c_N| and the 2-norm of the harmonic-balance
+    equations' residual, names kept from the time-domain solve.
 
-    Two trigonometric series read the law between grid times, each built
-    from `series` on first use, once per law.  The state series holds every
-    state and serves `states_at`, `idle_at` and `levels_at`.  The stage
-    series holds the k idle states and the level_cap * m sums of each
-    level over arrival stage, and serves `stage_sums_at`, which is all the
-    oracle wait route reads.
-
-    A law is immutable: the constructor copies idle, levels and series
-    into read-only arrays, so an edit raises instead of disagreeing with
-    the series built from them.
+    Each series below is built from `series` on first use, once per law.
+    The state series serves `states_at`, `idle_at`, `levels_at` and the
+    samples idle[i, a] and levels[i, j-1, a*m+s] at the times grid[i] = i /
+    grid_size: read-only views of one evaluation of it at the grid, made on
+    first read.  The stage series, the k idle states and the level_cap * m
+    sums of each level over arrival stage, serves `stage_sums_at`, all the
+    oracle wait route reads.  `series` is a read-only copy, so nothing read
+    from it can disagree with it.
     """
 
     spec: ModelSpec
-    idle: np.ndarray
-    levels: np.ndarray
+    series: np.ndarray
+    grid_size: int
     periods: int
     residual: float
-    series: np.ndarray
 
     def __post_init__(self):
-        if len(self.idle) != len(self.levels):
-            raise ValueError(f"idle has {len(self.idle)} grid rows, "
-                             f"levels {len(self.levels)}")
-        for name in ("idle", "levels"):
-            object.__setattr__(self, name, _read_only(np.array(getattr(self, name),
-                                                               dtype=float)))
         series = np.array(self.series, dtype=complex)
-        width = self.spec.k + self.level_cap * self.spec.phase_count
-        if series.shape[1] != width:
-            raise ValueError(f"series has {series.shape[1]} state columns, the law "
-                             f"k + level_cap * km = {width}")
+        k, km = self.spec.k, self.spec.phase_count
+        if series.ndim != 2 or series.shape[1] < k + km or (series.shape[1] - k) % km:
+            raise ValueError(f"series has shape {series.shape}, not (N + 1, k + "
+                             f"level_cap * km) with k = {k}, km = {km}, level_cap >= 1")
         object.__setattr__(self, "series", _read_only(series))
-
-    @property
-    def grid_size(self) -> int:
-        return len(self.idle)
+        object.__setattr__(self, "grid_size", _as_index(self.grid_size, "grid_size"))
+        if self.grid_size < 1:
+            raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -294,39 +279,42 @@ class PeriodicDistribution:
 
     @property
     def level_cap(self) -> int:
-        return self.levels.shape[1]
+        return (self.series.shape[1] - self.spec.k) // self.spec.phase_count
+
+    @cached_property
+    def _samples(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._split(_read_only(self._interp(self.grid)), self.spec.phase_count)
+
+    idle = property(lambda self: self._samples[0])
+    levels = property(lambda self: self._samples[1])
 
     @cached_property
     def _interp(self) -> TrigInterpolant:
         """Series of every state, built once per law."""
         return TrigInterpolant(self.series)
 
+    def _split(self, vals: np.ndarray, per_level: int) -> tuple[np.ndarray, np.ndarray]:
+        return vals[:, :self.spec.k], vals[:, self.spec.k:].reshape(
+            -1, self.level_cap, per_level)
+
     def states_at(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(idle_at(u), levels_at(u)) from one evaluation of the series."""
-        vals = self._interp(u)
-        return (vals[:, :self.spec.k], vals[:, self.spec.k:].reshape(
-            -1, self.level_cap, self.spec.phase_count))
-
-    def _by_stage(self, states: np.ndarray) -> np.ndarray:
-        k, m = self.spec.k, self.spec.m
-        rows = len(states)
-        by_stage = states[:, k:].reshape(rows, self.level_cap, k, m).sum(axis=2)
-        return np.concatenate([states[:, :k], by_stage.reshape(rows, -1)], axis=1)
+        return self._split(self._interp(u), self.spec.phase_count)
 
     @cached_property
     def _stage_interp(self) -> TrigInterpolant:
         """Series of the idle states and of the busy states summed over
         arrival stage, built once per law."""
-        return TrigInterpolant(self._by_stage(self.series))
+        k, m = self.spec.k, self.spec.m
+        idle, levels = self._split(self.series, k * m)
+        by_stage = levels.reshape(-1, self.level_cap, k, m).sum(axis=2)
+        return TrigInterpolant(np.hstack([idle, by_stage.reshape(len(idle), -1)]))
 
     def stage_sums_at(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(idle_at(u), levels_at(u) summed over arrival stage), shapes
         (len(u), k) and (len(u), level_cap, m), from one evaluation of the
-        stage series; the sums agree with those of `levels_at` to
-        rounding."""
-        vals = self._stage_interp(u)
-        return (vals[:, :self.spec.k],
-                vals[:, self.spec.k:].reshape(-1, self.level_cap, self.spec.m))
+        stage series; the sums agree with `levels_at`'s to rounding."""
+        return self._split(self._stage_interp(u), self.spec.m)
 
     def idle_at(self, u) -> np.ndarray:
         """Idle-state probabilities at arbitrary times, (len(u), k)."""
@@ -611,11 +599,11 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     the last solve, until max |c_N| <= tol.  The law has only harmonics
     that are multiples of the gcd d of the rates' harmonics (the others
     are exactly 0), so only those are solved for, and N and each step of it
-    are rounded up to multiples of d.  The law's series (`TrigInterpolant`)
-    is then evaluated at the grid_size times i / grid_size, so grid_size
-    sets only the output samples, and the law keeps the series as
-    `series`.  `periods` is N and `residual` the larger of max |c_N| (0 for
-    N = 0) and the 2-norm of the equations' residual, both <= tol.
+    are rounded up to multiples of d.  The law is built from the solved
+    series, with `periods` N and `residual` the larger of max |c_N| (0 for
+    N = 0) and the 2-norm of the equations' residual, both <= tol;
+    grid_size sets only the times i / grid_size of its samples, which the
+    cap check below evaluates.
 
     RuntimeError is raised when the residual stalls above tol (tol below
     the rounding floor; loosen tol), when N would pass _MAX_HARMONIC = 128
@@ -624,22 +612,19 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     at some grid time (raise level_cap).  tol must lie in (0, 1): at tol >=
     1 the solve's target would accept the zero start, a law of no mass.
     """
-    if level_cap < 1:
+    if _as_index(level_cap, "level_cap") < 1:
         raise ValueError("level_cap must be >= 1")
-    if grid_size < 4:
+    if _as_index(grid_size, "grid_size") < 4:
         raise ValueError("grid_size must be >= 4")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be > 0 and < 1, got {tol}")
-    coef, residual = _fourier_coefficients(spec, level_cap, tol)
-    samples = TrigInterpolant(coef)(np.arange(grid_size) / grid_size)
-    km = spec.phase_count
-    cap_mass = float(samples[:, -km:].sum(axis=1).max())
-    if cap_mass > _CAP_MASS_LIMIT:
-        raise RuntimeError(f"probability {cap_mass:.3e} sits at the "
+    series, residual = _fourier_coefficients(spec, level_cap, tol)
+    dist = PeriodicDistribution(spec=spec, series=series, grid_size=grid_size,
+                                periods=len(series) - 1, residual=residual)
+    if dist.cap_mass() > _CAP_MASS_LIMIT:
+        raise RuntimeError(f"probability {dist.cap_mass():.3e} sits at the "
                            f"level cap {level_cap}; raise level_cap")
-    return PeriodicDistribution(
-        spec=spec, idle=samples[:, :spec.k], periods=len(coef) - 1, residual=residual,
-        levels=samples[:, spec.k:].reshape(grid_size, level_cap, km), series=coef)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -722,11 +707,12 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     horizon 5, step 1/512); on the reference model no value and no
     cap_mass moves at all.
     """
+    level = _as_index(level, "level")
     if level < 1:
         raise ValueError("busy period starts at level >= 1")
-    if level > level_cap // 2:
+    if level > _as_index(level_cap, "level_cap") // 2:
         raise ValueError("level_cap should comfortably exceed the start level")
-    if substeps < 1:
+    if _as_index(substeps, "substeps") < 1:
         raise ValueError("substeps must be >= 1")
     for name, value in (("u", u), ("horizon", horizon), ("step", step)):
         if not math.isfinite(value):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelSpec
+from .model import ModelSpec, _as_index
 
 # |y| <= 1 + _INSIDE_TOL counts as an inside root; y = 1 at n = 0 must land
 # inside and no other root comes near the circle for stable models.
@@ -83,8 +83,9 @@ def characteristic_roots(spec: ModelSpec, n: int):
     _NEWTON_STEPS Newton steps.  Exactly k roots must satisfy
     |y| <= 1 + 1e-9 and m must lie strictly outside; any other split
     signals a bug or a broken model and raises RuntimeError.  Both groups
-    are sorted by arg(y) in [0, 2 pi).
+    are sorted by arg(y) in [0, 2 pi).  n must be an integer.
     """
+    n = _as_index(n, "n")
     ys = np.roots(_poly_coeffs(spec, n))
     polished = []
     for y in ys:
@@ -188,6 +189,7 @@ def build_root_set(spec: ModelSpec, order: int) -> RootSet:
     each frequency's roots by arg(y) in [0, 2 pi).  Pairwise distinctness
     within each frequency is enforced.
     """
+    order = _as_index(order, "order")
     if order < 0:
         raise ValueError("order must be >= 0")
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _quad
-from .model import ModelSpec
+from .model import ModelSpec, _as_index
 from .oracle import BoundaryFunctions
 from .roots import CharacteristicRoot, RootSet
 
@@ -207,6 +207,7 @@ class SeriesEvaluator:
         zero f(t) makes zero terms, never subnormal ones; a root with no
         nonzero f(t) gets +inf and is never cut).
         """
+        level = _as_index(level, "level")
         if level < 1:
             raise ValueError("series levels start at 1; level 0 is the idle state")
         f = self._coefficients(t)

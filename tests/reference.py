@@ -39,8 +39,10 @@ another way, kept to pin that route:
   arrival exits added, which the time-domain solve marches, against the
   slicing of `_HarmonicBalance.equations` and the generator blocks;
 - `interpolating_series`: the Fourier series of the trigonometric
-  interpolant of uniform samples, by rfft, which gives a law built from
-  samples (the time-domain solve's, and the tests' own) its `series`.
+  interpolant of uniform samples, by rfft, through which samples (the
+  time-domain solve's, and the tests' own) become a law: a law takes its
+  series only, and its samples at the grid times are this series' values,
+  the given samples to rounding.
 
 The paper's building blocks, which the package computes another way:
 
@@ -632,10 +634,12 @@ def time_domain_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 
     its start by at most _PLAIN_FRACTION * tol, the periods run plainly, each
     from where the last one ended, and the grid has converged when two
     consecutive plain periods, sampled at its grid points, differ by at most
-    tol in sup norm.  The samples on grid_size are returned; `periods` counts
-    every application of Phi on grid_size steps, mixed or plain, and none of
-    the coarser grids'.  On every grid, RuntimeError is raised when
-    max_periods periods are exhausted first (naming the grid), when a period
+    tol in sup norm.  The law of the samples on grid_size is returned, with
+    the samples' `interpolating_series`, so that its own samples are theirs
+    to rounding; `periods` counts every application of Phi on grid_size
+    steps, mixed or plain, and none of the coarser grids'.  On every grid,
+    RuntimeError is raised when max_periods periods are exhausted first
+    (naming the grid), when a period
     ends non-finite or with an L1 norm past 1 + _NORM_SLACK (the grid is too
     coarse for RK4 at these rates; raise grid_size), or when the converged
     law puts more than _CAP_MASS_LIMIT = 1e-6 on the level cap at some grid
@@ -662,7 +666,5 @@ def time_domain_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 
         p = _periodic_samples(op, spec, grid, p, tol, max_periods)[0][0].copy()
     samples, periods, residual = _periodic_samples(op, spec, grid_size, p, tol,
                                                    max_periods)
-    return PeriodicDistribution(
-        spec=spec, idle=samples[:, :spec.k], periods=periods, residual=residual,
-        levels=samples[:, spec.k:].reshape(grid_size, level_cap, spec.phase_count),
-        series=interpolating_series(samples))
+    return PeriodicDistribution(spec=spec, series=interpolating_series(samples),
+                                grid_size=grid_size, periods=periods, residual=residual)

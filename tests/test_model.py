@@ -11,7 +11,15 @@ from reference import generator_blocks
 from ekemq import (
     ModelSpec,
     RateFunction,
+    SeriesEvaluator,
+    build_root_set,
+    busy_oracle,
+    busy_period_cdf,
+    characteristic_roots,
     ergodic_margin,
+    integrate_periodic,
+    tail_constant,
+    truncation_error_bound,
 )
 
 
@@ -167,3 +175,59 @@ def test_up_block_advances_arrival_stage(periodic74_spec):
     assert b.up[6 * 4 + 2, 0 * 4 + 2] == pytest.approx(lam0)
     assert b.up[:5 * 4].max() == 0.0
     assert b.idle_up[6, 0] == pytest.approx(lam0)
+
+
+# (argument name, call with that argument set to x); the series evaluator
+# is the M/M/1 one, at order 0
+INTEGER_ARGUMENTS = {
+    "RateFunction harmonic": ("harmonic index",
+                              lambda spec, ev, x: RateFunction(3.0, cos=((x, 1.0),))),
+    "characteristic_roots n": ("n", lambda spec, ev, x: characteristic_roots(spec, x)),
+    "build_root_set order": ("order", lambda spec, ev, x: build_root_set(spec, x)),
+    "tail_constant n": ("n", lambda spec, ev, x: tail_constant(spec, 0.0, x)),
+    "truncation_error_bound level": (
+        "level", lambda spec, ev, x: truncation_error_bound(spec, 0.0, x, 10)),
+    "truncation_error_bound order": (
+        "order", lambda spec, ev, x: truncation_error_bound(spec, 0.0, 3, x)),
+    "level_matrix level": ("level", lambda spec, ev, x: ev.level_matrix(x, [0.1])),
+    "busy_period_cdf level": ("level", lambda spec, ev, x: busy_period_cdf(
+        spec, x, 0, horizon=0.5, step=1 / 64)),
+    "busy_oracle level": ("level", lambda spec, ev, x: busy_oracle(
+        spec, x, 0, horizon=0.5, step=1 / 64)),
+    # a multiple of x: a float x stays a float, and an integer one is a
+    # cap or grid the call accepts
+    "busy_oracle level_cap": ("level_cap", lambda spec, ev, x: busy_oracle(
+        spec, 1, 0, horizon=0.5, step=1 / 64, level_cap=20 * x)),
+    "busy_oracle substeps": ("substeps", lambda spec, ev, x: busy_oracle(
+        spec, 1, 0, horizon=0.5, step=1 / 64, substeps=x)),
+    "integrate_periodic level_cap": ("level_cap", lambda spec, ev, x: integrate_periodic(
+        spec, level_cap=30 * x, grid_size=8)),
+    "integrate_periodic grid_size": ("grid_size", lambda spec, ev, x: integrate_periodic(
+        spec, level_cap=40, grid_size=4 * x)),
+}
+
+
+@pytest.fixture(scope="module")
+def mm1_evaluator(mm1_roots, mm1_boundary):
+    return SeriesEvaluator(mm1_roots, mm1_boundary)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(2.7)], ids=repr)
+@pytest.mark.parametrize("case", INTEGER_ARGUMENTS)
+def test_integer_arguments_refuse_floats(mm1_spec, mm1_evaluator, case, bad):
+    # a float is neither truncated (harmonic 2.7 read as 2) nor used as a
+    # fraction (level 1.5 between levels 1 and 2)
+    name, call = INTEGER_ARGUMENTS[case]
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        call(mm1_spec, mm1_evaluator, bad)
+
+
+@pytest.mark.parametrize("case", INTEGER_ARGUMENTS)
+def test_integer_arguments_take_numpy_integers(mm1_spec, mm1_evaluator, case):
+    call = INTEGER_ARGUMENTS[case][1]
+    for x in (np.int64(3), np.uint8(3)):
+        assert repr(call(mm1_spec, mm1_evaluator, x)) == repr(
+            call(mm1_spec, mm1_evaluator, 3))
+    # a bool is an integer too
+    assert repr(call(mm1_spec, mm1_evaluator, True)) == repr(
+        call(mm1_spec, mm1_evaluator, 1))

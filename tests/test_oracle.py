@@ -70,20 +70,38 @@ def test_distribution_is_immutable(mm1_dist):
             arr[0, ...] = 5.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         mm1_dist.idle = np.full_like(mm1_dist.idle, 5.0)
-    # the interpolant built by idle_at still agrees with the grid samples
+    # the samples are the series at the grid, from the same evaluator
     grid = mm1_dist.grid
-    assert np.abs(mm1_dist.idle_at(grid) - mm1_dist.idle).max() < 1e-12
-    assert np.abs(mm1_dist.levels_at(grid) - mm1_dist.levels).max() < 1e-12
+    assert np.array_equal(mm1_dist.idle_at(grid), mm1_dist.idle)
+    assert np.array_equal(mm1_dist.levels_at(grid), mm1_dist.levels)
     idle, levels = mm1_dist.states_at([0.3, 0.7])
     assert np.array_equal(idle, mm1_dist.idle_at([0.3, 0.7]))
     assert np.array_equal(levels, mm1_dist.levels_at([0.3, 0.7]))
 
 
+def test_samples_are_the_series_at_the_grid(periodic74_spec, periodic74_dist):
+    # the samples are one evaluation of the law's own series at the grid,
+    # made on first read, so states_at(grid) reads them bit for bit
+    dist = periodic74_dist
+    idle, levels = dist.states_at(dist.grid)
+    assert np.array_equal(idle, dist.idle) and np.array_equal(levels, dist.levels)
+    assert dist.idle is dist.idle and dist.levels is dist.levels
+    assert dist.idle.base is dist.levels.base
+    assert not dist.levels.flags.writeable
+    # no time, no rows
+    assert [a.shape for a in dist.states_at([])] == [(0, 7), (0, 50, 28)]
+    assert [a.shape for a in dist.stage_sums_at([])] == [(0, 7), (0, 50, 4)]
+    fresh = PeriodicDistribution(spec=periodic74_spec, series=dist.series,
+                                 grid_size=dist.grid_size, periods=dist.periods,
+                                 residual=dist.residual)
+    assert "_samples" not in vars(fresh) and "_interp" not in vars(fresh)
+
+
 def _sampled_law(spec, idle, levels):
-    """A law built from samples, holding their interpolating series."""
+    """A law through the interpolating series of its samples."""
     series = interpolating_series(np.hstack([idle, levels.reshape(len(idle), -1)]))
-    return PeriodicDistribution(spec=spec, idle=idle, levels=levels, periods=1,
-                                residual=0.0, series=series)
+    return PeriodicDistribution(spec=spec, series=series, grid_size=len(idle),
+                                periods=1, residual=0.0)
 
 
 def test_grids_are_read_off_the_samples(mm1_spec):
@@ -92,20 +110,33 @@ def test_grids_are_read_off_the_samples(mm1_spec):
     dist = _sampled_law(mm1_spec, idle, levels)
     assert (dist.grid_size, dist.level_cap) == (8, 30)
     assert np.array_equal(dist.grid, np.arange(8) / 8)
-    # the law holds copies, so editing the arrays it was built from is no edit
-    idle[0, 0] = levels[0, 0, 0] = 5.0
-    assert dist.idle[0, 0] == 0.4 and dist.levels[0, 0, 0] == pytest.approx(0.24)
-    # samples on grids of different sizes are refused
-    with pytest.raises(ValueError, match="grid rows"):
-        PeriodicDistribution(spec=mm1_spec, idle=idle[:7], levels=levels,
-                             periods=1, residual=0.0, series=dist.series)
-    # so is a series of another width than k + level_cap * km: with the
-    # cap-30 series, levels[:, :15] would read 15 of its levels and
-    # levels[:, :20] fail to reshape
-    for cap in (15, 20):
-        with pytest.raises(ValueError, match=f"31 state columns, .* = {cap + 1}$"):
-            PeriodicDistribution(spec=mm1_spec, idle=idle, levels=levels[:, :cap],
-                                 periods=1, residual=0.0, series=dist.series)
+    assert np.abs(dist.idle - idle).max() < 1e-15
+    assert np.abs(dist.levels - levels).max() < 1e-15
+    # the law holds a copy, so editing the series it was built from is no edit
+    series = np.array(dist.series)
+    law = PeriodicDistribution(spec=mm1_spec, series=series, grid_size=8, periods=1,
+                               residual=0.0)
+    series[0, 0] = 5.0
+    assert law.idle[0, 0] == pytest.approx(0.4)
+
+
+def test_law_refuses_a_malformed_series(periodic74_spec):
+    # k = 7 and km = 28: a series needs 7 + 28 L columns for a whole L >= 1
+    def law(series):
+        return PeriodicDistribution(spec=periodic74_spec, series=series,
+                                    grid_size=8, periods=0, residual=0.0)
+
+    assert law(np.zeros((1, 7 + 2 * 28))).level_cap == 2
+    for grid_size in (0, -8):
+        with pytest.raises(ValueError, match=f"grid_size must be >= 1, got {grid_size}"):
+            PeriodicDistribution(spec=periodic74_spec, series=np.zeros((1, 35)),
+                                 grid_size=grid_size, periods=0, residual=0.0)
+    for series in (np.zeros(7 + 28), np.zeros((1, 7)), np.zeros((1, 7 + 28 + 5)),
+                   np.zeros((1, 7 + 2 * 28 - 1)), np.zeros((2, 3, 35))):
+        with pytest.raises(ValueError, match=r"series has shape .*, not \(N \+ 1, "
+                                             r"k \+ level_cap \* km\) with k = 7, "
+                                             r"km = 28, level_cap >= 1$"):
+            law(series)
 
 
 def test_boundary_is_the_law_series_sliced(periodic74_dist, periodic74_boundary):
@@ -198,17 +229,21 @@ def test_boundary_values_are_nonnegative_and_shaped(periodic74_dist):
 
 def test_boundary_rejects_negative_values(mm1_spec):
     # a law whose idle or level-1 sample dips below -1e-9 at a grid time has
-    # no boundary; a dip within -1e-9 is rounding and passes
-    for name, row in (("idle", 3), ("first", 5)):
-        idle = np.full((8, 1), 0.4)
-        levels = 0.4 * 0.6 ** np.arange(1, 31)[None, :, None] * np.ones((8, 1, 1))
-        dipped = idle if name == "idle" else levels[:, 0]
-        dipped[row, 0] = -5e-10
-        extract_boundary(_sampled_law(mm1_spec, idle, levels))
-        dipped[row, 0] = -2e-9
-        with pytest.raises(ValueError, match=f"boundary slice {name} is negative "
-                                             r"\(-2.000e-09\)"):
-            extract_boundary(_sampled_law(mm1_spec, idle, levels))
+    # no boundary; a dip within -1e-9 is rounding and passes.  A constant
+    # series is its samples exactly.
+    for name, column in (("idle", 0), ("first", 1)):
+        series = np.concatenate([[0.4], 0.4 * 0.6 ** np.arange(1, 31)])[None]
+        for value in (-5e-10, -2e-9):
+            series[0, column] = value
+            dist = PeriodicDistribution(spec=mm1_spec, series=series, grid_size=8,
+                                        periods=0, residual=0.0)
+            assert (dist.idle if name == "idle" else dist.levels[:, 0]).min() == value
+            if value == -5e-10:
+                extract_boundary(dist)
+                continue
+            with pytest.raises(ValueError, match=f"boundary slice {name} is negative "
+                                                 r"\(-2.000e-09\)"):
+                extract_boundary(dist)
 
 
 def test_boundary_periodicity(periodic74_boundary):

@@ -35,6 +35,7 @@ def test_volterra_route_imports_nothing_from_the_oracle():
 def test_oracle_imports_only_the_model_the_rule_and_the_busy_result():
     assert _package_imports("oracle") == {("", "_quad"),
                                           ("model", "ModelSpec"),
+                                          ("model", "_as_index"),
                                           ("model", "_normalize_phase"),
                                           ("busy", "VolterraSolution")}
 

@@ -6,8 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from reference import (conditional_wait_cdf, exact_exp_tail,
-                       gammainc_oracle_wait_cdf, interpolating_series,
-                       looped_exp_tail)
+                       gammainc_oracle_wait_cdf, looped_exp_tail)
 from scipy.special import gammainc
 
 from ekemq import (
@@ -289,11 +288,10 @@ def test_oracle_wait_matches_gammainc_route(periodic74_spec, periodic74_dist):
 def test_oracle_wait_reads_only_the_stage_interpolant(periodic74_spec,
                                                      periodic74_dist):
     # a fresh law, so that no earlier test has built either interpolant
-    dist = PeriodicDistribution(spec=periodic74_spec, idle=periodic74_dist.idle,
-                                levels=periodic74_dist.levels,
+    dist = PeriodicDistribution(spec=periodic74_spec, series=periodic74_dist.series,
+                                grid_size=periodic74_dist.grid_size,
                                 periods=periodic74_dist.periods,
-                                residual=periodic74_dist.residual,
-                                series=periodic74_dist.series)
+                                residual=periodic74_dist.residual)
     ts = np.linspace(0.0, 3.0, 61)
     for u in (0.0, 0.3, 0.75):
         for kind in ("queue", "sojourn"):
@@ -310,11 +308,10 @@ def test_oracle_wait_long_horizon():
     cap, grid = 400, 4
     n = 4 * np.arange(1, cap + 1)[:, None] - np.arange(4)[None, :]
     weights = 0.998 ** n.astype(float)
-    levels = np.broadcast_to(0.9 * weights / weights.sum(), (grid, cap, 4))
-    idle = np.full((grid, 1), 0.1)
-    dist = PeriodicDistribution(spec=spec, idle=idle, levels=levels, periods=1,
-                                residual=0.0, series=interpolating_series(
-                                    np.hstack([idle, levels.reshape(grid, -1)])))
+    # a constant law: its series is c_0 alone
+    series = np.concatenate([[0.1], (0.9 * weights / weights.sum()).ravel()])[None]
+    dist = PeriodicDistribution(spec=spec, series=series, grid_size=grid, periods=0,
+                                residual=0.0)
     ts = np.linspace(0.0, 200.0, 41)
     assert spec.service.cumulative(0.0, ts[-1]) == pytest.approx(1000.0)
     for kind in ("queue", "sojourn"):
