@@ -277,7 +277,7 @@ def _level_pairs(cfg: RunConfig, dist, ev: SeriesEvaluator):
     """(times, [(level, series, oracle)]) for the analyze levels."""
     times = _time_grid(cfg["analyze.times"])
     oracle_levels = dist.levels_at(times)
-    return times, [(j, ev.level_matrix(j, times).real, oracle_levels[:, j - 1, :])
+    return times, [(j, ev.level_matrix(j, times), oracle_levels[:, j - 1, :])
                    for j in cfg["analyze.levels"]]
 
 
@@ -310,17 +310,17 @@ def _write_law(out: Path, spec: ModelSpec, dist) -> None:
     phases = [f"{ph // m},{ph % m}" for ph in range(spec.phase_count)]
     labels = [f"0,{a}" for a in idle] + [
         f"{j},{ph}" for j in range(1, dist.level_cap + 1) for ph in phases]
-    # the grid times are rendered once and serve every chunk of both files
+    # the grid times are rendered once and serve every chunk of both files;
+    # the values are the law's one sample array, whose columns are in label
+    # order, and its first k + km columns, no copy of either
     times = _g17.text_rows(dist.grid.tolist())[:, None]
     _write_csv(out / "distribution.csv", "periodic-distribution v1",
                ("t", "level", "arrival_stage", "service_stage", "probability"),
-               times, _g17.text_rows(labels)[None],
-               np.hstack([dist.idle, dist.levels.reshape(dist.grid_size, -1)]))
+               times, _g17.text_rows(labels)[None], dist.samples)
     blabels = [f"idle,{a}" for a in idle] + [f"first,{ph}" for ph in phases]
     _write_csv(out / "boundary.csv", "boundary v1",
                ("t", "kind", "arrival_stage", "service_stage", "value"),
-               times, _g17.text_rows(blabels)[None],
-               np.hstack([dist.idle, dist.levels[:, 0]]))
+               times, _g17.text_rows(blabels)[None], dist.samples[:, :len(blabels)])
 
 
 def cmd_oracle(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
@@ -377,9 +377,9 @@ def cmd_bounds(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     orders = np.array(cfg["bounds.orders"], dtype=float)
     bounds, measured = [], []
     for j in cfg["bounds.levels"]:
-        ref_vals = ev_ref.level_matrix(j, times).real
+        ref_vals = ev_ref.level_matrix(j, times)
         for q in cfg["bounds.orders"]:
-            measured.append(np.abs(evs[q].level_matrix(j, times).real - ref_vals).max())
+            measured.append(np.abs(evs[q].level_matrix(j, times) - ref_vals).max())
             budgets = [truncation_error_bound(spec, t, j, q)
                        for t in times]
             if all(b.applicable for b in budgets):

@@ -233,7 +233,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicDistribution:
     """Periodic law of the truncated queue: its Fourier series, read at any
     time and sampled on a uniform grid.
@@ -252,7 +252,8 @@ class PeriodicDistribution:
     first read.  The stage series, the k idle states and the level_cap * m
     sums of each level over arrival stage, serves `stage_sums_at`, all the
     oracle wait route reads.  `series` is a read-only copy, so nothing read
-    from it can disagree with it.
+    from it can disagree with it.  Laws compare and hash by identity, as
+    their arrays have no single truth value.
     """
 
     spec: ModelSpec
@@ -282,8 +283,15 @@ class PeriodicDistribution:
         return (self.series.shape[1] - self.spec.k) // self.spec.phase_count
 
     @cached_property
+    def samples(self) -> np.ndarray:
+        """The state series at the grid times, (grid_size, k + level_cap *
+        km) in the columns of `series`, read-only, evaluated on first read;
+        idle and levels are views of it."""
+        return _read_only(self._interp(self.grid))
+
+    @cached_property
     def _samples(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._split(_read_only(self._interp(self.grid)), self.spec.phase_count)
+        return self._split(self.samples, self.spec.phase_count)
 
     idle = property(lambda self: self._samples[0])
     levels = property(lambda self: self._samples[1])
@@ -627,7 +635,7 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     return dist
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryFunctions:
     """The empty-system boundary the series method needs, as the Fourier
     series of the law's k idle and km level-1 states.
@@ -641,6 +649,7 @@ class BoundaryFunctions:
     A boundary is immutable: the constructor copies series into a read-only
     array, so an edit raises instead of disagreeing with the interpolant
     and the period samples, each computed on first use, once per boundary.
+    Boundaries compare and hash by identity, as laws do.
     """
 
     spec: ModelSpec

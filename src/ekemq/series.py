@@ -28,6 +28,13 @@ exp(2 pi i n) exactly one), so one period-integral per root serves every t.
 The tests pin it against the literal window quadrature for one root at one
 time, `root_coefficient` in `tests/reference.py`.
 
+The law is real and the roots at -n are the exact conjugates of those at n
+(`roots.build_root_set`), so each n < 0 root's term is the conjugate of its
+mirror's.  `SeriesEvaluator` therefore sums over the n >= 0 roots only,
+with weight 1 at n = 0 and 2 at n > 0 (an exact scaling), and takes the
+real part: half the exponentials of the full sum, and a level sweep that
+is one real matrix product per level.
+
 `SeriesEvaluator` computes each ingredient of that period integral once per
 object whose data it depends on: the period rule once, at import of
 `_quad`; the boundary's series at the rule's nodes once per boundary
@@ -37,9 +44,11 @@ factors once per time grid.
 
 A level sweep at deep levels drives far roots' terms below the normal range,
 where x86 multiplies in microcode at 10 to 100 times the normal cost; the
-level sweep therefore cuts every root whose smallest term at the level
-would be subnormal (`SeriesEvaluator.level_matrix` states the rule and its
-bound), so that its product sees zeros and normal numbers only.
+level sweep therefore cuts every root whose smallest term or smallest level
+row entry at the level would be subnormal, and flushes to zero any
+subnormal real or imaginary part left in the level rows
+(`SeriesEvaluator.level_matrix` states the rule and its bound), so that
+its product sees zeros and normal numbers only.
 """
 
 from __future__ import annotations
@@ -53,9 +62,10 @@ from .roots import CharacteristicRoot, RootSet
 
 _DENOM_FLOOR = 1e-12
 
-# log of the smallest normal double, 2**-1022: a root is cut from a level
-# when the log of its smallest term falls below it
-_LOG_TINY = float(np.log(np.finfo(float).tiny))
+# the smallest normal double, 2**-1022, and its log: a root is cut from a
+# level when the log of its smallest term or level row entry falls below it
+_TINY = np.finfo(float).tiny
+_LOG_TINY = float(np.log(_TINY))
 
 
 def phase_weights(root: CharacteristicRoot) -> np.ndarray:
@@ -89,21 +99,39 @@ def _denominator(spec: ModelSpec, ym, yik):
 class _RootFactors:
     """The factors of the series that depend on one root set alone.
 
-    Built once per `RootSet` and kept in it: the root powers
-    chi**(1/k) = y**m, chi**(-1/m) = y**(-k), chi and log chi, the
-    denominators, the arrival powers chi**(a/k), the phase rows, the log
-    of each row's smallest modulus and the stage sums
-    sum_a chi**(-a/k) of the wait series, all read-only; and the period
-    integral for the last boundary asked for.
-    exp(-W0) at the rule's nodes, a (nodes, n_roots) array, is formed inside
-    the period integral and not kept.
+    Built once per `RootSet` and kept in it, for the half set of roots with
+    n >= 0, in the root set's order: the root powers chi**(1/k) = y**m,
+    chi**(-1/m) = y**(-k), chi and log chi, the denominators, the arrival
+    powers chi**(a/k), the phase rows, the fold weights (1 at n = 0, 2 at
+    n > 0), the log of each weighted row's smallest modulus, the stage sums
+    sum_a chi**(-a/k) of the wait series; and, per root of the
+    whole set, `column`, the half-set column of the root or of its mirror,
+    and `mirrored`, true at n < 0.  All are read-only.  A root at n < 0 that
+    is not the exact conjugate of a root at -n is refused, as is a root at
+    n > 0 without such a mirror: the fold would be wrong for either.
+    The period integral is kept for the last boundary asked for; exp(-W0)
+    at the rule's nodes, a (nodes, n_half) array, is formed inside it and
+    not kept.
     """
 
     def __init__(self, roots: RootSet):
         spec = roots.spec
-        ys = np.array([r.y for r in roots.roots], dtype=complex)
+        half = [r for r in roots.roots if r.n >= 0]
+        place = {(r.n, r.y): i for i, r in enumerate(half)}
+        column = [place.get((r.n, r.y) if r.n >= 0 else (-r.n, r.y.conjugate()))
+                  for r in roots.roots]
+        mirrored = np.array([r.n < 0 for r in roots.roots], dtype=bool)
+        # every root at n < 0 mirrors one at -n, each root at n > 0 once
+        if None in column or sorted(c for c, neg in zip(column, mirrored) if neg) != [
+                i for i, r in enumerate(half) if r.n > 0]:
+            raise ValueError("root set is not closed under conjugation: each root at "
+                             "n < 0 must be the exact conjugate of one at -n")
+        ys = np.array([r.y for r in half], dtype=complex)
         k, m = spec.k, spec.m
         self.spec = spec
+        self.column = np.array(column, dtype=int)
+        self.mirrored = mirrored
+        self.weight = np.array([1.0 if r.n == 0 else 2.0 for r in half])
         self.ym = ys ** m
         self.yik = ys ** (-k)
         self.chi = ys ** (k * m)
@@ -111,21 +139,22 @@ class _RootFactors:
         self.denom = _denominator(spec, self.ym, self.yik)
         if np.any(np.abs(self.denom) < _DENOM_FLOOR):
             raise RuntimeError("degenerate series denominator in root set")
-        self.apows = self.ym[None, :] ** np.arange(k)[:, None]    # (k, n_roots)
+        self.apows = self.ym[None, :] ** np.arange(k)[:, None]    # (k, n_half)
         rows_a = self.ym[:, None] ** (-np.arange(k))[None, :]
         rows_s = (ys[:, None] ** k) ** np.arange(m)[None, :]
         self.rows = np.einsum("ra,rs->ras", rows_a, rows_s).reshape(len(ys), k * m)
-        self.log_row_min = np.log(np.abs(self.rows).min(axis=1))
+        self.log_row_min = np.log(self.weight * np.abs(self.rows).min(axis=1))
         self.stage_sum = rows_a.sum(axis=1)
-        for arr in (self.ym, self.yik, self.chi, self.log_chi, self.denom,
-                    self.apows, self.rows, self.log_row_min, self.stage_sum):
+        for arr in (self.column, self.mirrored, self.weight, self.ym, self.yik,
+                    self.chi, self.log_chi, self.denom, self.apows, self.rows,
+                    self.log_row_min, self.stage_sum):
             arr.flags.writeable = False
         self._last = None
 
     def period_integral(self, boundary: BoundaryFunctions) -> np.ndarray:
-        """Per-root (1/denom) * integral over [0, 1] of exp(-W0(u)) * drive(u),
-        read-only, kept for the last boundary asked for.  A boundary is
-        immutable, so its identity is a valid key."""
+        """Per half-set root (1/denom) * integral over [0, 1] of exp(-W0(u))
+        * drive(u), read-only, kept for the last boundary asked for.  A
+        boundary is immutable, so its identity is a valid key."""
         if self._last is None or self._last[0] is not boundary:
             u, w = _quad.PERIOD_NODES, _quad.PERIOD_WEIGHTS
             lam0 = self.spec.arrival.accumulated(u)
@@ -152,10 +181,11 @@ def _root_factors(roots: RootSet) -> _RootFactors:
 class SeriesEvaluator:
     """Evaluates the root series for many times and levels at once.
 
-    The constructor pays one period-integral per root; every later time
-    sweep is a closed-form exponential away.  Exactness of the underlying
-    period shift (hence agreement with the literal window quadrature) rests
-    on the root residual, which the root constructor already certifies.
+    The constructor pays one period-integral per root of the half set
+    n >= 0; every later time sweep is a closed-form exponential away.
+    Exactness of the underlying period shift (hence agreement with the
+    literal window quadrature) rests on the root residual, which the root
+    constructor already certifies.
 
     Nothing is computed per evaluator that an earlier one on the same data
     computed: the period rule is built once at import, the boundary is
@@ -165,9 +195,10 @@ class SeriesEvaluator:
     built again on a root set and boundary, as `waiting.wait_cdf` does for
     every epoch, does no quadrature at all.  A boundary of another model
     than the root set's is refused.
-    The growth factors exp(W0(t)) are kept for the last time array asked
-    for (compared by value, against a private copy), so a level sweep on one
-    grid computes them once; every call still returns a fresh array.
+    The growth factors exp(W0(t)), and with them f(t) and the real matrix
+    [Re f | Im f] of the level sweep, are kept for the last time array asked
+    for (compared by value, against a private copy), so a level sweep on
+    one grid computes them once; every call still returns a fresh array.
     """
 
     def __init__(self, roots: RootSet, boundary: BoundaryFunctions):
@@ -179,10 +210,11 @@ class SeriesEvaluator:
         self._coef = self._factors.period_integral(boundary)
         self._memo_t = None
         self._memo_f = None
-        self._memo_log_min = None
+        self._memo_sweep = None
 
     def _coefficients(self, t) -> np.ndarray:
-        """f(t) as kept for the last time array; callers must not write it."""
+        """f(t) of the half set, shape (len(t), n_half), as kept for the
+        last time array; callers must not write it."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if self._memo_t is None or not np.array_equal(t, self._memo_t):
             lam0 = self.spec.arrival.accumulated(t)
@@ -190,61 +222,82 @@ class SeriesEvaluator:
             growth = np.exp(np.outer(lam0, self._factors.ym - 1.0)
                             + np.outer(mu0, self._factors.yik - 1.0))
             self._memo_f = growth * self._coef[None, :]
-            self._memo_log_min = None
+            self._memo_sweep = None
             self._memo_t = t.copy()
         return self._memo_f
 
     def coefficients(self, t) -> np.ndarray:
-        """Per-root coefficients f(t), shape (len(t), n_roots)."""
-        return self._coefficients(t).copy()
+        """Per-root coefficients f(t), shape (len(t), n_roots), in the root
+        set's order: each n < 0 column is the conjugate of its mirror's."""
+        f = self._coefficients(t)[:, self._factors.column]
+        mirrored = self._factors.mirrored
+        f[:, mirrored] = f[:, mirrored].conj()
+        return f
 
-    def _level_coefficients(self, level: int, t) -> np.ndarray:
-        """f(t) * chi**(-level) per root, with the cut roots' columns zero:
-        the left operand of `level_matrix`'s product, shape (len(t), n_roots).
+    def _level_operands(self, level: int, t) -> tuple[np.ndarray, np.ndarray]:
+        """The two real operands of `level_matrix`'s product: [Re f | Im f],
+        shape (len(t), 2 n_half), kept with f(t), and [Re B; -Im B], shape
+        (2 n_half, km), B = weight * chi**(-level) * rows with the cut
+        roots' rows zero and every subnormal part flushed to zero.
 
-        Kept with f(t) on first use: per root, the log of min_t |f(t)| *
-        min |row|, the smallest term at level 0, over the nonzero f(t) (a
-        zero f(t) makes zero terms, never subnormal ones; a root with no
-        nonzero f(t) gets +inf and is never cut).
+        Kept with [Re f | Im f] on first use: per root, the log of
+        min(1, min_t |f(t)|) over the nonzero f(t) (a zero f(t) makes zero
+        terms, never subnormal ones; a root with no nonzero f(t) gets 0).
         """
         level = _as_index(level, "level")
         if level < 1:
             raise ValueError("series levels start at 1; level 0 is the idle state")
         f = self._coefficients(t)
-        log_chi = self._factors.log_chi
-        if self._memo_log_min is None:
+        if self._memo_sweep is None:
             size = np.abs(f)
             f_min = size.min(axis=0, where=size > 0.0, initial=np.inf)
-            self._memo_log_min = np.log(f_min) + self._factors.log_row_min
+            self._memo_sweep = (np.hstack([f.real, f.imag]),
+                                np.log(np.minimum(f_min, 1.0)))
+        f_parts, log_f_floor = self._memo_sweep
+        fac = self._factors
         # exp(-j log chi) instead of chi**(-j): the direct power overflows to
         # nan for far-out roots at deep levels, where the true value underflows
         with np.errstate(under="ignore"):
-            shift = np.exp(-float(level) * log_chi)
-        # log |chi**(-j)| = -j Re(log chi)
-        shift[self._memo_log_min - float(level) * log_chi.real < _LOG_TINY] = 0.0
-        return f * shift[None, :]
+            shift = np.exp(-float(level) * fac.log_chi) * fac.weight
+        # log |chi**(-j)| = -j Re(log chi); log_row_min has the weight in it
+        shift[log_f_floor + fac.log_row_min - float(level) * fac.log_chi.real
+              < _LOG_TINY] = 0.0
+        b = shift[:, None] * fac.rows
+        b_parts = np.vstack([b.real, -b.imag])
+        b_parts[np.abs(b_parts) < _TINY] = 0.0
+        return f_parts, b_parts
 
     def level_matrix(self, level: int, t) -> np.ndarray:
-        """Complex series values for one level, shape (len(t), km).
+        """Series values for one level, real, shape (len(t), km).
 
-        The value is sum over roots of f(t) chi**(-level) row, one product
-        of the (len(t), n_roots) coefficients and the (n_roots, km) phase
-        rows.  A root is cut (its chi**(-level) set to 0) when its smallest
-        term, min_t |f(t)| * |chi|**(-level) * min |row| (the minimum over
-        the nonzero f(t)), lies below 2**-1022, the smallest normal double,
-        compared in logs.  The row at phase (0, 0) is 1, so min |row| <= 1,
-        and every kept root's operands and terms have modulus 2**-1022 or
-        more, or are zero: the product does no subnormal arithmetic, which
-        on x86 runs in microcode at 10 to 100 times the normal cost.  (A
-        real or imaginary part far below its modulus can still be
+        The value is the real part of the sum over the half set of
+        weight * f(t) * chi**(-level) * row, which is the sum over every
+        root: each n < 0 root's term is the conjugate of its mirror's, and
+        the n = 0 roots are real or pair among themselves.  It is one real
+        product, [Re f | Im f] @ [Re B; -Im B] with B = weight *
+        chi**(-level) * rows, the (n_half, km) level rows.
+
+        A root is cut (its row of B set to 0) when its smallest level row
+        entry, weight * |chi|**(-level) * min |row|, times min(1, min_t
+        |f(t)|) (the minimum over the nonzero f(t)) lies below 2**-1022, the
+        smallest normal double, compared in logs: then neither its smallest
+        term nor its smallest entry of B is normal.  The row at phase (0, 0)
+        is 1, so min |row| <= 1, and every kept root's entries of B and
+        terms have modulus 2**-1022 or more.  A real or imaginary part of a
+        kept entry can still lie below 2**-1022 when its modulus does not;
+        each such part is flushed to zero.  So the product's right operand
+        holds zeros and normal numbers only and does no subnormal
+        arithmetic, which on x86 runs in microcode at 10 to 100 times the
+        normal cost.  (A part of f far below its modulus could still be
         subnormal; none is on the reference sweep of levels 1-30.)
 
-        Each term of a cut root is below 2**-1022 * (max_t |f| / min_t |f|)
-        * (max |row| / min |row|), the floor times the root's own dynamic
-        range, so a value moves by at most the sum of that bound over the
-        cut roots, up to the rounding of the logs and of the sum.  On the
-        reference model at order 40 the bound is below 1e-285 per root, no
-        value of levels 1-30 moves, and at levels 100-130 no value moves by
-        more than 5e-304.
+        Each term of a root whose row of B is cut or flushed moves by less
+        than sqrt(2) * 2**-1022 * max_t |f| * (max |row| / min |row|) /
+        min(1, min_t |f|), so a value moves by at most the sum of that bound
+        over those roots, up to the rounding of the logs and of the sum.  On
+        the reference model at order 40 min_t |f| exceeds 1, the bound is
+        below 1e-281 per root, no value of levels 1-30 moves, and at levels
+        100-130 no value moves by more than 5e-304.
         """
-        return self._level_coefficients(level, t) @ self._factors.rows
+        f_parts, rows = self._level_operands(level, t)
+        return f_parts @ rows

@@ -11,9 +11,14 @@ another way, kept to pin that route:
 - `outer_roots_by_iteration`: the outside characteristic roots by a
   fixed-point iteration, against `build_root_set`'s companion-matrix
   eigenvalues;
-- `uncut_level_matrix`: the level series with every root kept, against
-  `SeriesEvaluator.level_matrix`, which cuts roots whose terms would be
-  subnormal;
+- `uncut_level_matrix` and `uncut_level_rows`: the folded level series
+  and its level rows with every root kept, against
+  `SeriesEvaluator.level_matrix`, which cuts roots whose terms or level
+  rows would be subnormal and flushes subnormal parts;
+- `all_roots_coefficients` and `all_roots_level_matrix`: the coefficients
+  and the complex level series of every root, n < 0 included, computed
+  directly, against `SeriesEvaluator`, which computes the n >= 0 half and
+  folds the rest in as conjugates;
 - `unflushed_busy_oracle`: the absorbing-ODE march with no entry of its
   state zeroed, against `busy_oracle`, which flushes entries below
   `oracle._STATE_FLOOR` at every record;
@@ -72,6 +77,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln
 
+from ekemq import _quad
 from ekemq._quad import composite_gauss
 from ekemq.bounds import _bracket_edges
 from ekemq.busy import _table_width
@@ -79,7 +85,7 @@ from ekemq.model import ModelSpec, _normalize_phase, _stage_blocks
 from ekemq.oracle import (_CAP_MASS_LIMIT, _NORM_SLACK, BoundaryFunctions,
                           PeriodicDistribution, _generator, _rk4_march,
                           _structure_matrices)
-from ekemq.roots import _INSIDE_TOL, CharacteristicRoot, _by_angle, _collision
+from ekemq.roots import _INSIDE_TOL, CharacteristicRoot, RootSet, _by_angle, _collision
 from ekemq.series import (_DENOM_FLOOR, SeriesEvaluator, _denominator,
                           _drive_values)
 from ekemq.waiting import (_DIRECT_TAIL_RADIUS, CDFCurve, _horizons,
@@ -205,13 +211,66 @@ def outer_roots_by_iteration(spec: ModelSpec, n: int, tol: float = 1e-13,
     return _by_angle(found)
 
 
-def uncut_level_matrix(ev: SeriesEvaluator, level: int, t) -> np.ndarray:
-    """Series values at one level with no root cut: every root's term, down
-    to the subnormal ones, goes into the product."""
-    f = ev.coefficients(t)
+def uncut_level_rows(ev: SeriesEvaluator, level: int) -> np.ndarray:
+    """The right operand [Re B; -Im B] of `level_matrix`'s product with no
+    root cut and no part flushed: every root's level row, down to the
+    subnormal entries."""
+    fac = ev._factors
     with np.errstate(under="ignore"):
-        shift = np.exp(-float(level) * ev._factors.log_chi)
-    return (f * shift[None, :]) @ ev._factors.rows
+        b = (np.exp(-float(level) * fac.log_chi) * fac.weight)[:, None] * fac.rows
+    return np.vstack([b.real, -b.imag])
+
+
+def uncut_level_matrix(ev: SeriesEvaluator, level: int, t) -> np.ndarray:
+    """Series values at one level with no root cut: the folded sum over the
+    half set as one real product, with `uncut_level_rows` on the right."""
+    f = ev._coefficients(t)
+    return np.hstack([f.real, f.imag]) @ uncut_level_rows(ev, level)
+
+
+def _all_roots_factors(roots: RootSet):
+    """(y**m, y**(-k), chi, phase rows) of every root of the set."""
+    k, m = roots.spec.k, roots.spec.m
+    ys = np.array([r.y for r in roots], dtype=complex)
+    ym = ys ** m
+    rows_a = ym[:, None] ** (-np.arange(k))[None, :]
+    rows_s = (ys[:, None] ** k) ** np.arange(m)[None, :]
+    rows = np.einsum("ra,rs->ras", rows_a, rows_s).reshape(len(ys), k * m)
+    return ym, ys ** (-k), ys ** (k * m), rows
+
+
+def all_roots_coefficients(roots: RootSet, boundary: BoundaryFunctions,
+                           t) -> tuple[np.ndarray, np.ndarray]:
+    """f(t) of every root of the set, shape (len(t), n_roots), each computed
+    directly in complex arithmetic, the n < 0 roots like their mirrors; and
+    the scale each f(t) rounds against, |growth| * sum over the period
+    rule's nodes of |rule weight * drive * decay| / |denom|, which exceeds |f(t)|
+    where the period integral cancels."""
+    spec = roots.spec
+    ym, yik, chi, _ = _all_roots_factors(roots)
+    apows = ym[None, :] ** np.arange(spec.k)[:, None]
+    u, w = _quad.PERIOD_NODES, _quad.PERIOD_WEIGHTS
+    decay = np.exp(-(np.outer(spec.arrival.accumulated(u), ym - 1.0)
+                     + np.outer(spec.service.accumulated(u), yik - 1.0)))
+    idle, first = boundary.period_samples
+    terms = _drive_values(spec, u, idle, first, chi, apows) * decay
+    denom = _denominator(spec, ym, yik)
+    coef = (w @ terms) / denom
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    growth = np.exp(np.outer(spec.arrival.accumulated(t), ym - 1.0)
+                    + np.outer(spec.service.accumulated(t), yik - 1.0))
+    scale = np.abs(growth) * ((np.abs(w) @ np.abs(terms)) / np.abs(denom))[None, :]
+    return growth * coef[None, :], scale
+
+
+def all_roots_level_matrix(roots: RootSet, boundary: BoundaryFunctions, level: int,
+                           t) -> np.ndarray:
+    """The complex level series summed over every root, with no root cut and
+    no real part taken, shape (len(t), km)."""
+    _, _, chi, rows = _all_roots_factors(roots)
+    with np.errstate(under="ignore"):
+        shift = np.exp(-float(level) * np.log(chi))
+    return (all_roots_coefficients(roots, boundary, t)[0] * shift[None, :]) @ rows
 
 
 def unflushed_busy_oracle(spec: ModelSpec, level: int, phase, u: float,

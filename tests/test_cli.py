@@ -252,7 +252,8 @@ def test_law_writer_matches_row_writer(tmp_path):
     # a stand-in with a law's sample fields: no series reads -0.0 or 5e-324
     # exactly at a grid time
     dist = SimpleNamespace(grid=np.arange(grid_size) / grid_size, idle=idle,
-                           levels=levels, level_cap=cap, grid_size=grid_size)
+                           levels=levels, level_cap=cap, grid_size=grid_size,
+                           samples=np.hstack([idle, levels.reshape(grid_size, -1)]))
     _assert_law_writers_agree(tmp_path, spec, dist)
 
 

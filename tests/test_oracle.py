@@ -88,13 +88,35 @@ def test_samples_are_the_series_at_the_grid(periodic74_spec, periodic74_dist):
     assert dist.idle is dist.idle and dist.levels is dist.levels
     assert dist.idle.base is dist.levels.base
     assert not dist.levels.flags.writeable
+    # both are views of one read-only sample array in the series' columns
+    assert dist.samples is dist.samples and not dist.samples.flags.writeable
+    assert dist.samples.shape == (dist.grid_size, dist.series.shape[1])
+    assert np.shares_memory(dist.samples, dist.idle)
+    assert np.shares_memory(dist.samples, dist.levels)
+    assert np.array_equal(dist.samples[:, 7:].reshape(-1, 50, 28), dist.levels)
     # no time, no rows
     assert [a.shape for a in dist.states_at([])] == [(0, 7), (0, 50, 28)]
     assert [a.shape for a in dist.stage_sums_at([])] == [(0, 7), (0, 50, 4)]
     fresh = PeriodicDistribution(spec=periodic74_spec, series=dist.series,
                                  grid_size=dist.grid_size, periods=dist.periods,
                                  residual=dist.residual)
-    assert "_samples" not in vars(fresh) and "_interp" not in vars(fresh)
+    assert not {"samples", "_samples", "_interp"} & set(vars(fresh))
+
+
+def test_law_and_boundary_compare_by_identity(periodic74_spec, periodic74_dist,
+                                              periodic74_boundary):
+    # a law and a boundary hold arrays, whose == has no single truth value:
+    # both hash, serve as dict keys and compare equal only to themselves
+    dist, boundary = periodic74_dist, periodic74_boundary
+    twin = PeriodicDistribution(spec=periodic74_spec, series=dist.series,
+                                grid_size=dist.grid_size, periods=dist.periods,
+                                residual=dist.residual)
+    other = extract_boundary(twin)
+    keys = {dist: "law", twin: "twin", boundary: "boundary", other: "other"}
+    assert [keys[x] for x in (dist, twin, boundary, other)] == ["law", "twin", "boundary",
+                                                                 "other"]
+    assert dist == dist and not dist == twin and dist != twin
+    assert boundary == boundary and boundary != other and not boundary == other
 
 
 def _sampled_law(spec, idle, levels):

@@ -5,6 +5,8 @@ entry point is part of this module; the matrix assembly and its busy-period
 use are covered in test_busy.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import poisson, skellam
@@ -19,8 +21,11 @@ from ekemq import (
     integrate_periodic,
 )
 from ekemq import _quad
+from ekemq.roots import RootSet
 from ekemq.series import phase_weights
-from reference import net_change_probability, root_coefficient, uncut_level_matrix
+from reference import (all_roots_coefficients, all_roots_level_matrix,
+                       net_change_probability, root_coefficient, uncut_level_matrix,
+                       uncut_level_rows)
 
 _SWEEP_ORDERS = (3, 5, 10, 20, 40)
 _TINY = np.finfo(float).tiny
@@ -31,13 +36,25 @@ def _subnormal_count(arr: np.ndarray) -> int:
     return int(np.count_nonzero((parts > 0.0) & (parts < _TINY)))
 
 
+def _assert_folded_sum_is_the_full_sum(roots, boundary, ev, level, ts, imag_gate):
+    """The full complex sum over every root is real to imag_gate times its
+    scale (at least 1), and its real part is the folded value: to 1e-10 at
+    level 1, where the coefficients cancel, and to 1e-15 deeper."""
+    vals = ev.level_matrix(level, ts)
+    assert vals.dtype == np.float64
+    full = all_roots_level_matrix(roots, boundary, level, ts)
+    scale = max(np.abs(full.real).max(), 1e-30)
+    assert np.abs(full.imag).max() < imag_gate * max(scale, 1.0), level
+    assert np.abs(full.real - vals).max() <= (1e-10 if level == 1 else 1e-15), level
+
+
 def test_mm1_series_is_geometric(mm1_spec, mm1_roots, mm1_boundary):
     ev = SeriesEvaluator(mm1_roots, mm1_boundary)
     ts = np.linspace(0.0, 1.0, 9)
     for j in (1, 2, 5, 10, 20):
         vals = ev.level_matrix(j, ts)
-        assert np.abs(vals.real.sum(axis=1) - 0.4 * 0.6 ** j).max() < 1e-8
-        assert np.abs(vals.imag).max() < 1e-12
+        assert np.abs(vals.sum(axis=1) - 0.4 * 0.6 ** j).max() < 1e-8
+        _assert_folded_sum_is_the_full_sum(mm1_roots, mm1_boundary, ev, j, ts, 1e-12)
 
 
 def test_mm1_single_coefficient_value(mm1_spec, mm1_roots, mm1_boundary):
@@ -99,9 +116,43 @@ def test_series_values_are_real(periodic74_roots10, periodic74_boundary):
     ev = SeriesEvaluator(periodic74_roots10, periodic74_boundary)
     ts = np.linspace(0.0, 1.0, 7)
     for j in (1, 3, 12, 30):
-        vals = ev.level_matrix(j, ts)
-        scale = max(np.abs(vals.real).max(), 1e-30)
-        assert np.abs(vals.imag).max() < 1e-9 * max(scale, 1.0)
+        _assert_folded_sum_is_the_full_sum(periodic74_roots10, periodic74_boundary,
+                                           ev, j, ts, 1e-9)
+
+
+@pytest.fixture(scope="module")
+def harmonic2_model():
+    """k=2, m=3, arrival 1.5 + 0.5 cos 2 pi t + 0.3 cos 6 pi t, service
+    3 + sin 4 pi t: harmonics 1, 2 and 3, and k, m unlike the reference."""
+    spec = ModelSpec(2, 3, RateFunction(1.5, cos=((1, 0.5), (3, 0.3))),
+                     RateFunction(3.0, sin=((2, 1.0),)))
+    return spec, extract_boundary(integrate_periodic(spec, level_cap=60, grid_size=64,
+                                                     tol=1e-12))
+
+
+@pytest.mark.parametrize("model", ["reference", "harmonic-2"])
+def test_fold_premise_conjugate_roots(model, periodic74_spec, periodic74_boundary,
+                                      harmonic2_model):
+    # the fold rests on the n < 0 roots being exact conjugates of their
+    # mirrors; coefficients() rebuilds their columns as conjugates, which is
+    # the direct all-roots value bit for bit on the reference model, and in
+    # general within 4 ulp of the scale the period integral's sum rounds
+    # against (the BLAS may sum a column and its mirror in different orders)
+    spec, boundary = ((periodic74_spec, periodic74_boundary) if model == "reference"
+                      else harmonic2_model)
+    ts = np.linspace(0.0, 1.0, 33)
+    for q in (0, 3, 10, 40):
+        roots = build_root_set(spec, q)
+        mirror = {(r.n, r.y) for r in roots if r.n > 0}
+        negative = [r for r in roots if r.n < 0]
+        assert len(negative) == len(mirror) == q * spec.m
+        assert all((-r.n, r.y.conjugate()) in mirror for r in negative), q
+        folded = SeriesEvaluator(roots, boundary).coefficients(ts)
+        direct, scale = all_roots_coefficients(roots, boundary, ts)
+        if model == "reference":
+            assert np.array_equal(folded, direct), q
+        else:
+            assert np.all(np.abs(folded - direct) <= 4.0 * np.spacing(scale)), q
 
 
 def test_quadrature_self_convergence(periodic74_spec, periodic74_dist,
@@ -183,6 +234,18 @@ def test_returned_arrays_are_fresh(periodic74_roots10, periodic74_boundary):
     assert np.array_equal(ev.level_matrix(1, ts), expected_values)
 
 
+def test_root_set_without_exact_mirrors_is_refused(periodic74_spec, periodic74_boundary):
+    # the fold needs every n < 0 root to be the exact conjugate of one at -n
+    roots = build_root_set(periodic74_spec, 2)
+    index = next(i for i, r in enumerate(roots) if r.n == -1)
+    nudged = roots.roots[index]
+    nudged = dataclasses.replace(nudged, y=nudged.y * (1.0 + 2.0 ** -52))
+    for broken in (roots.roots[:index] + (nudged,) + roots.roots[index + 1:],
+                   tuple(r for r in roots if r.n != -2)):
+        with pytest.raises(ValueError, match="not closed under conjugation"):
+            SeriesEvaluator(RootSet(periodic74_spec, 2, broken), periodic74_boundary)
+
+
 @pytest.fixture(scope="module")
 def sweep_evaluators(periodic74_spec, periodic74_boundary):
     return {q: SeriesEvaluator(build_root_set(periodic74_spec, q), periodic74_boundary)
@@ -202,30 +265,39 @@ def test_level_sweep_does_no_subnormal_arithmetic(sweep_evaluators, periodic74_d
     for q, ev in sweep_evaluators.items():
         assert _subnormal_count(ev._factors.rows) == 0
         for j in range(1, 31):
-            assert _subnormal_count(ev._level_coefficients(j, ts)) == 0, (q, j)
-            with np.errstate(under="ignore"):
-                shift = np.exp(-float(j) * ev._factors.log_chi)
-            uncut += _subnormal_count(ev.coefficients(ts) * shift[None, :])
-    # without the cut, the order-40 sweep multiplies subnormal operands
-    assert uncut > 10_000
+            f_parts, rows = ev._level_operands(j, ts)
+            assert _subnormal_count(f_parts) == 0, (q, j)
+            assert _subnormal_count(rows) == 0, (q, j)
+            full = uncut_level_rows(ev, j)
+            uncut += _subnormal_count(full)
+            # a root keeps its row of B only if every entry's modulus is normal
+            half = len(rows) // 2
+            kept = rows.any(axis=1)
+            kept = kept[:half] | kept[half:]
+            assert np.hypot(full[:half], full[half:])[kept].min() >= _TINY, (q, j)
+    # without the cut, the sweep's level rows hold subnormal entries
+    assert uncut > 5_000
 
 
 def test_deep_level_cut_is_within_bound(sweep_evaluators, periodic74_dist):
     # past level 100 the values approach 1e-300 and the cut drops roots whose
-    # terms are normal; each term of a cut root is below 2**-1022 times its
-    # root's dynamic range, max |f| / min |f| * max |row| / min |row|
+    # terms are normal; each term of a root whose level row is cut or
+    # flushed moves by less than sqrt(2) * 2**-1022 * max |f| * (max |row| /
+    # min |row|) / min(1, min |f|)
     ev = sweep_evaluators[40]
     ts = periodic74_dist.grid
-    size = np.abs(ev.coefficients(ts))
+    size = np.abs(ev._coefficients(ts))
     rows = np.abs(ev._factors.rows)
-    term_bound = _TINY * (size.max(axis=0) / size.min(axis=0)) \
+    term_bound = np.sqrt(2.0) * _TINY * size.max(axis=0) / np.minimum(size.min(axis=0), 1.0) \
         * (rows.max(axis=1) / rows.min(axis=1))
-    assert term_bound.max() < 1e-285
+    assert term_bound.max() < 1e-281
+    half = len(rows)
     moved = 0
     for j in range(100, 131):
-        cut = ~ev._level_coefficients(j, ts).any(axis=0)
+        changed = (ev._level_operands(j, ts)[1] != uncut_level_rows(ev, j)).any(axis=1)
+        touched = changed[:half] | changed[half:]
         diff = np.abs(ev.level_matrix(j, ts) - uncut_level_matrix(ev, j, ts))
-        assert diff.max() <= term_bound[cut].sum(), j
+        assert diff.max() <= term_bound[touched].sum(), j
         moved += np.count_nonzero(diff)
     assert moved > 0
 
