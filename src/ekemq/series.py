@@ -163,7 +163,10 @@ class _RootFactors:
                              + np.outer(mu0, self.yik - 1.0)))
             idle, first = boundary.period_samples
             drive = _drive_values(self.spec, u, idle, first, self.chi, self.apows)
-            coef = (w @ (drive * decay)) / self.denom
+            # summed node by node down each column, not by a BLAS product,
+            # whose order of summation (and so its rounding) depends on the
+            # column's place in the matrix and on the thread count
+            coef = np.add.reduce(w[:, None] * (drive * decay), axis=0) / self.denom
             coef.flags.writeable = False
             self._last = (boundary, coef)
         return self._last[1]

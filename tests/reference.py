@@ -240,12 +240,9 @@ def _all_roots_factors(roots: RootSet):
 
 
 def all_roots_coefficients(roots: RootSet, boundary: BoundaryFunctions,
-                           t) -> tuple[np.ndarray, np.ndarray]:
+                           t) -> np.ndarray:
     """f(t) of every root of the set, shape (len(t), n_roots), each computed
-    directly in complex arithmetic, the n < 0 roots like their mirrors; and
-    the scale each f(t) rounds against, |growth| * sum over the period
-    rule's nodes of |rule weight * drive * decay| / |denom|, which exceeds |f(t)|
-    where the period integral cancels."""
+    directly in complex arithmetic, the n < 0 roots like their mirrors."""
     spec = roots.spec
     ym, yik, chi, _ = _all_roots_factors(roots)
     apows = ym[None, :] ** np.arange(spec.k)[:, None]
@@ -255,12 +252,11 @@ def all_roots_coefficients(roots: RootSet, boundary: BoundaryFunctions,
     idle, first = boundary.period_samples
     terms = _drive_values(spec, u, idle, first, chi, apows) * decay
     denom = _denominator(spec, ym, yik)
-    coef = (w @ terms) / denom
+    coef = np.add.reduce(w[:, None] * terms, axis=0) / denom
     t = np.atleast_1d(np.asarray(t, dtype=float))
     growth = np.exp(np.outer(spec.arrival.accumulated(t), ym - 1.0)
                     + np.outer(spec.service.accumulated(t), yik - 1.0))
-    scale = np.abs(growth) * ((np.abs(w) @ np.abs(terms)) / np.abs(denom))[None, :]
-    return growth * coef[None, :], scale
+    return growth * coef[None, :]
 
 
 def all_roots_level_matrix(roots: RootSet, boundary: BoundaryFunctions, level: int,
@@ -270,7 +266,7 @@ def all_roots_level_matrix(roots: RootSet, boundary: BoundaryFunctions, level: i
     _, _, chi, rows = _all_roots_factors(roots)
     with np.errstate(under="ignore"):
         shift = np.exp(-float(level) * np.log(chi))
-    return (all_roots_coefficients(roots, boundary, t)[0] * shift[None, :]) @ rows
+    return (all_roots_coefficients(roots, boundary, t) * shift[None, :]) @ rows
 
 
 def unflushed_busy_oracle(spec: ModelSpec, level: int, phase, u: float,
