@@ -2,9 +2,9 @@
 
 Every CSV file of the CLI is written by `csv_lines`, each float as
 Python's '%.17g' does.  Python converts one value per call, correctly
-rounded; here a whole block is converted at once, exactly where a
-long-double error bound proves the digits, and by Python's own '%.17g' for
-every other value.
+rounded; here a whole block is converted at once in float64 arithmetic,
+exactly where a double-double error bound proves the digits, and by
+Python's own '%.17g' for every other value.
 
 Each value takes a field of FIELD = 32 bytes, four 8-byte words of
 left-aligned, NUL-padded text:
@@ -17,15 +17,28 @@ never takes more than 24 bytes).  The last byte stays NUL for the separator
 that follows the value.  `csv_lines` builds whole CSV lines in one such
 byte matrix and drops its NULs on output.
 
-Exactness: POW10 holds each power of ten within half an ulp of the exact
-value (a test checks every entry), and the scaling product adds at most
-another half ulp, so a scaled value s is within s * eps of the exact one:
-at most 0.011 on x87's 64-bit significand, where s < 1e17.  Its 17 digits
-are exact when s is farther than ROUNDING_BOUND * s (1.001 eps, relative)
-from a half-integer; a value nearer a rounding tie, and 0, -0, nan, inf
-and |x| >= 1, go to Python's '%.17g'.  On the reference law the fast path
-takes 99% of the values.  Where long double is plain double the bound
-exceeds one half and every value takes the fallback.
+Exactness.  A value 0 < x < 1 of decimal exponent -q has the 17 digits of
+s = x * 10**(16 + q), 1e16 <= s < 1e17, rounded to an integer.  The scale
+T_q = 10**(16 + q) * 2**-SHIFT[q] is held as the double-double
+POW_HI[q] + POW_LO[q], within 2**-104 of T_q relative (a test checks every
+entry against `Fraction`).  SHIFT[q] is 600 from q = 291 on, where
+10**(16 + q) nears the top of the double range, and 0 below; x is scaled
+by 2**SHIFT[q] alike, which is exact and keeps x, and every partial
+product below, a normal double.  hi = fl(x * POW_HI) >= 1e16 > 2**53 is an
+integer.  Dekker's TwoProduct, with x and POW_HI split into 26-bit halves
+(POW_HI's are the tables POW_TOP and POW_BOTTOM), gives its rounding error
+e exactly, and lo = fl(e + fl(x * POW_LO)).  As |e| <= 8 and
+|x * POW_LO| < 11.2, hi + lo is within 1e17 * 2**-104 + 2**-50 + 2**-49
+< 7.6e-15 of s.  So hi + rint(lo) is s correctly rounded, unless lo lies
+within that of a half-integer: a value goes to Python's '%.17g' when lo
+lies within ROUNDING_BOUND = 1e-13 of one, in practice only at an exact
+tie (18 significant digits ending in 5, which '%.17g' rounds half to
+even), as do 0, -0, nan, inf and |x| >= 1.  q is taken from log10|x|,
+which can be one off next to a power of ten; the sign of
+(hi - 1e16) + lo, or of (hi - 1e17) + lo, then tells on which side s
+lies, since no double brings s within 0.01 of 1e16 or 1e17 (a test checks
+the doubles next to every power of ten).  On the reference law the fast
+path takes every value.
 """
 
 from __future__ import annotations
@@ -33,10 +46,34 @@ from __future__ import annotations
 import numpy as np
 
 FIELD = 32
-# POW10[q] = 10**(16 + q) in long double, 0 <= q <= 325, which scales a
-# value of decimal exponent -q to 17 digits before the point.
-POW10 = np.array([np.longdouble(f"1e{16 + q}") for q in range(326)])
-ROUNDING_BOUND = 1.001 * float(np.finfo(np.longdouble).eps)
+ROUNDING_BOUND = 1e-13
+
+
+def _powers_of_ten():
+    """(SHIFT, POW_HI, POW_LO, POW_TOP, POW_BOTTOM) for 0 <= q <= 325, from
+    10**n = 5**n * 2**n: 5**n converts correctly rounded to a double, as
+    does the integer it leaves, and scaling by 2**(n - SHIFT) is exact."""
+    n = np.arange(16, 342)
+    shift = np.where(n >= 16 + 291, 600, 0)
+    fives = [5 ** 16]
+    for _ in n[1:]:
+        fives.append(fives[-1] * 5)
+    head = [float(p) for p in fives]
+    # round() of an integer-valued double is that integer, exactly
+    tail = np.array([float(p - round(h)) for p, h in zip(fives, head)])
+    head = np.array(head)
+    # Dekker's split of the heads, whose product with 2**27 + 1 stays below
+    # 1e247
+    c = head * 134217729.0
+    top = c - (c - head)
+    return (shift,) + tuple(np.ldexp(a, n - shift) for a in (head, tail, top, head - top))
+
+
+# POW_HI[q] + POW_LO[q] = 10**(16 + q) * 2**-SHIFT[q], which scales a value
+# of decimal exponent -q, times 2**SHIFT[q], to 17 digits before the point;
+# POW_TOP[q] + POW_BOTTOM[q] = POW_HI[q], each of at most 26 bits
+SHIFT, POW_HI, POW_LO, POW_TOP, POW_BOTTOM = _powers_of_ten()
+_SCALE = np.ldexp(1.0, SHIFT)
 
 
 def text_rows(cells, width: int = 0) -> np.ndarray:
@@ -70,33 +107,63 @@ _TAIL = text_rows([""] + [f"e-{q:02d}" if q > 4 else "" for q in range(1, 326)],
                   8).view(np.uint64)[:, 0]
 
 
+def _scaled(x: np.ndarray, q: np.ndarray):
+    """(hi, lo) of s = x * 10**(16 + q), 0 < x < 1, as a double-double:
+    hi = fl(x * POW_HI[q]), an integer, and hi + lo within 7.6e-15 of s
+    (see the module docstring)."""
+    if SHIFT[q.max(initial=0)]:  # SHIFT grows with q
+        x = x * _SCALE[q]
+    hi = x * POW_HI[q]
+    # Dekker's TwoProduct: x and POW_HI[q] as sums of two 26-bit halves,
+    # whose products are exact, give hi's rounding error exactly; in place,
+    # as this is much of the formatter's arithmetic
+    xh = x * 134217729.0
+    xl = xh - x
+    xh -= xl
+    np.subtract(x, xh, out=xl)
+    top, bottom = POW_TOP[q], POW_BOTTOM[q]
+    lo = xh * top
+    lo -= hi
+    lo += np.multiply(xh, bottom, out=xh)
+    lo += np.multiply(xl, top, out=top)
+    lo += np.multiply(xl, bottom, out=xl)
+    lo += np.multiply(x, POW_LO[q], out=bottom)
+    return hi, lo
+
+
 def fast_fields(v: np.ndarray):
     """The fast path of `fields` on a flat float64 array: the fields of every
     value, as (len(v), FIELD // 8) uint64 words, and the mask of the values
     whose field is '%.17g' % x.  The other fields hold no meaning.
 
     Finite x with 0 < |x| < 1 are taken: with q = -floor(log10|x|),
-    s = |x| * 10**(16 + q) is formed in long double from `POW10`, q moved
-    by one where s leaves [1e16, 1e17), and s rounded to the 17 digits, with
-    a carry where it rounds up to 1e17.  The rounding is the correctly
-    rounded one, and the value stays taken, when s lies farther than its
-    error bound `ROUNDING_BOUND * s` from a half-integer.
+    s = |x| * 10**(16 + q) is formed as hi + lo by `_scaled`, q moved by one
+    where s leaves [1e16, 1e17), and s rounded to the 17 digits
+    hi + rint(lo), with a carry where it rounds up to 1e17.  The rounding is
+    the correctly rounded one, and the value stays taken, unless lo lies
+    within `ROUNDING_BOUND` of a half-integer.
     """
     taken = (v != 0.0) & (np.abs(v) < 1.0)
     # a stand-in for the values the fast path does not take
     x = np.where(taken, np.abs(v), 0.5)
     q = -np.floor(np.log10(x)).astype(np.intp)
-    x = x.astype(np.longdouble)
-    s = x * POW10[q]
-    off = np.flatnonzero((s < 1e16) | (s >= 1e17))
-    if off.size:
-        q[off] = np.clip(q[off] + (s[off] < 1e16) - (s[off] >= 1e17).astype(np.intp),
-                         0, 325)
-        s[off] = x[off] * POW10[q[off]]
-    r = np.rint(s)
-    taken &= (s >= 1e16) & (s < 1e17) & (
-        np.abs((s - r).astype(float)) < 0.5 - ROUNDING_BOUND * s.astype(float))
-    r = r.astype(np.int64)
+    hi, lo = _scaled(x, q)
+    # log10 is off by one only next to a power of ten, where hi is near
+    # 1e16 or 1e17; the sign of (hi - 1e16) + lo and (hi - 1e17) + lo tells
+    # the side
+    near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    if near.size:
+        h, l = hi[near], lo[near]
+        step = ((h - 1e16) + l < 0.0).astype(np.intp) - ((h - 1e17) + l >= 0.0)
+        off = near[step != 0]
+        q[off] += step[step != 0]
+        h, l = _scaled(x[off], q[off])
+        hi[off], lo[off] = h, l
+        # a value that log10 put two off would fall back
+        taken[off] &= ((h - 1e16) + l >= 0.0) & ((h - 1e17) + l < 0.0)
+    r = np.rint(lo)
+    taken &= np.abs(lo - r) < 0.5 - ROUNDING_BOUND
+    r = hi.astype(np.int64) + r.astype(np.int64)
     # keeps the digit split and the table indices in range for the rest
     r[~taken] = 10 ** 16
     carry = r == 10 ** 17
@@ -162,7 +229,10 @@ def csv_lines(*columns: np.ndarray) -> bytes:
     for column, is_text, width in zip(columns, text, widths):
         at, end = end, end + width
         if is_text:
-            out[..., at:end - 1] = column
+            # each field as one item of its bytes: a copy of short rows
+            # byte by byte costs twice as much
+            item = f"V{width - 1}"
+            out[..., at:end - 1].view(item)[..., 0] = column.view(item)[..., 0]
         else:
             out[..., at:end] = fields(column)
         out[..., end - 1] = ord("\n") if end == out.shape[-1] else ord(",")
