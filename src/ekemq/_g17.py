@@ -33,8 +33,9 @@ e exactly, and lo = fl(e + fl(x * POW_LO)).  As |e| <= 8 and
 within that of a half-integer: a value goes to Python's '%.17g' when lo
 lies within ROUNDING_BOUND = 1e-13 of one, in practice only at an exact
 tie (18 significant digits ending in 5, which '%.17g' rounds half to
-even), as do 0, -0, nan, inf and |x| >= 1.  q is taken from log10|x|,
-which can be one off next to a power of ten; the sign of
+even), as do nan, inf and |x| >= 1; 0 and -0 take the fast path as the
+fields "0" and "-0".  q is taken from log10|x|, which can be one off next
+to a power of ten; the sign of
 (hi - 1e16) + lo, or of (hi - 1e17) + lo, then tells on which side s
 lies, since no double brings s within 0.01 of 1e16 or 1e17 (a test checks
 the doubles next to every power of ten).  On the reference law the fast
@@ -105,6 +106,8 @@ _HEAD = text_rows([("-" if neg else "") + ("0." + "0" * form if form < 4 else ""
 # The word after the digits, at q = -(decimal exponent), 1 <= q <= 325.
 _TAIL = text_rows([""] + [f"e-{q:02d}" if q > 4 else "" for q in range(1, 326)],
                   8).view(np.uint64)[:, 0]
+# The fields of 0 and -0, at signbit.
+_ZERO = text_rows(["0", "-0"], FIELD).view(np.uint64)
 
 
 def _scaled(x: np.ndarray, q: np.ndarray):
@@ -136,14 +139,30 @@ def fast_fields(v: np.ndarray):
     value, as (len(v), FIELD // 8) uint64 words, and the mask of the values
     whose field is '%.17g' % x.  The other fields hold no meaning.
 
-    Finite x with 0 < |x| < 1 are taken: with q = -floor(log10|x|),
+    0 and -0 are taken, as "0" and "-0"; the digits of `_nonzero_fields`
+    are formed for the other values only.
+    """
+    nonzero = np.flatnonzero(v)
+    if nonzero.size == v.size:
+        return _nonzero_fields(v)
+    # np.take: 10 times faster than indexing the rows
+    text = np.take(_ZERO, np.signbit(v).view(np.int8), axis=0)
+    taken = np.ones(v.size, bool)
+    text[nonzero], taken[nonzero] = _nonzero_fields(v[nonzero])
+    return text, taken
+
+
+def _nonzero_fields(v: np.ndarray):
+    """`fast_fields` of values none of which is 0 or -0.
+
+    Finite x with |x| < 1 are taken: with q = -floor(log10|x|),
     s = |x| * 10**(16 + q) is formed as hi + lo by `_scaled`, q moved by one
     where s leaves [1e16, 1e17), and s rounded to the 17 digits
     hi + rint(lo), with a carry where it rounds up to 1e17.  The rounding is
     the correctly rounded one, and the value stays taken, unless lo lies
     within `ROUNDING_BOUND` of a half-integer.
     """
-    taken = (v != 0.0) & (np.abs(v) < 1.0)
+    taken = np.abs(v) < 1.0
     # a stand-in for the values the fast path does not take
     x = np.where(taken, np.abs(v), 0.5)
     q = -np.floor(np.log10(x)).astype(np.intp)
@@ -199,7 +218,7 @@ def fast_fields(v: np.ndarray):
 def fields(values: np.ndarray) -> np.ndarray:
     """'%.17g' % x for every x of `values`, as NUL-padded bytes, shape
     values.shape + (FIELD,): `fast_fields`, and Python's own '%.17g' for
-    every value it does not take (0, -0, nan, inf and |x| >= 1 among them).
+    every value it does not take (nan, inf and |x| >= 1 among them).
     """
     v = np.ravel(values).astype(float, copy=False)
     text, taken = fast_fields(v)

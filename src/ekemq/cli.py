@@ -335,6 +335,8 @@ def cmd_oracle(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
         "residual": dist.residual,
         "cap_mass": dist.cap_mass(),
         "level_cap": dist.level_cap,
+        "solved_levels": dist.solved_levels,
+        "level_decay": dist.level_decay,
         "grid_size": dist.grid_size,
     })
 

@@ -22,8 +22,11 @@ the top harmonic is below the tolerance.  The law is its Fourier series:
 one evaluator (`TrigInterpolant`) samples it on the output grid and reads
 it between grid times.  No period is integrated, and the error is the
 truncation past N, which |c_N| shows, plus the linear solve's residual.
-numpy does all of it.  The time-domain solve, RK4 periods to the period
-map's fixed point, is kept in the tests as the cross-check.
+Only the levels that hold more than about 1e-18 are solved, by the law's
+per-level decay sp(R) of the mean-rate QBD; the levels above them, up to
+the cap, are exact zeros.  numpy does all of it.  The time-domain solve,
+RK4 periods to the period map's fixed point, is kept in the tests as the
+cross-check.
 
 The busy-period oracle `busy_oracle` does integrate in time: the same
 truncated system with the empty level absorbing instead of reflecting is
@@ -88,6 +91,13 @@ _SOLVE_FRACTION = 0.01
 _REUSE_TOL = 1e-15
 
 _CAP_MASS_LIMIT = 1e-6
+
+# `integrate_periodic` solves the levels by which the law, falling by sp(R)
+# per level, reaches _LEVEL_FLOOR, and solves again on more levels while
+# its top solved level holds more than _SOLVED_MASS_LIMIT: the rule can
+# under-read when the rates swing the load.
+_LEVEL_FLOOR = 1e-18
+_SOLVED_MASS_LIMIT = 1e-15
 
 # `busy_oracle` zeroes the transient entries of its state below this at every
 # record: the mass front climbing the levels trails a band of subnormal
@@ -244,8 +254,14 @@ class PeriodicDistribution:
     shape, or a grid_size below 1, raises ValueError.  `periods` is N and
     `residual` the larger of max |c_N| and the 2-norm of the harmonic-balance
     equations' residual, names kept from the time-domain solve.
+    `level_decay` is sp(R), the per-level decay of the mean-rate QBD that
+    `integrate_periodic` chose the solved levels by (nan for a law built
+    otherwise).  `solved_levels` is the highest level with a nonzero
+    coefficient: the levels above it, up to level_cap, are exact zeros.
 
-    Each series below is built from `series` on first use, once per law.
+    Each series below is built from `series` on first use, once per law,
+    over the idle states and levels 1..solved_levels, and its values are
+    padded with the zero levels above.
     The state series serves `states_at`, `idle_at`, `levels_at` and the
     samples idle[i, a] and levels[i, j-1, a*m+s] at the times grid[i] = i /
     grid_size: read-only views of one evaluation of it at the grid, made on
@@ -261,6 +277,7 @@ class PeriodicDistribution:
     grid_size: int
     periods: int
     residual: float
+    level_decay: float = math.nan
 
     def __post_init__(self):
         series = np.array(self.series, dtype=complex)
@@ -269,6 +286,7 @@ class PeriodicDistribution:
             raise ValueError(f"series has shape {series.shape}, not (N + 1, k + "
                              f"level_cap * km) with k = {k}, km = {km}, level_cap >= 1")
         object.__setattr__(self, "series", _read_only(series))
+        object.__setattr__(self, "level_decay", float(self.level_decay))
         object.__setattr__(self, "grid_size", _as_index(self.grid_size, "grid_size"))
         if self.grid_size < 1:
             raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
@@ -283,11 +301,18 @@ class PeriodicDistribution:
         return (self.series.shape[1] - self.spec.k) // self.spec.phase_count
 
     @cached_property
+    def solved_levels(self) -> int:
+        """The highest level with a nonzero coefficient, 0 if none."""
+        held = np.flatnonzero(self.series[:, self.spec.k:].reshape(
+            len(self.series), self.level_cap, -1).any(axis=(0, 2)))
+        return held[-1].item() + 1 if held.size else 0
+
+    @cached_property
     def samples(self) -> np.ndarray:
         """The state series at the grid times, (grid_size, k + level_cap *
         km) in the columns of `series`, read-only, evaluated on first read;
         idle and levels are views of it."""
-        return _read_only(self._interp(self.grid))
+        return _read_only(self._at(self._interp, self.grid, self.spec.phase_count))
 
     @cached_property
     def _samples(self) -> tuple[np.ndarray, np.ndarray]:
@@ -298,8 +323,17 @@ class PeriodicDistribution:
 
     @cached_property
     def _interp(self) -> TrigInterpolant:
-        """Series of every state, built once per law."""
-        return TrigInterpolant(self.series)
+        """Series of every state up to the solved levels, built once per law."""
+        return TrigInterpolant(self.series[:, :self.spec.k + self.solved_levels
+                                           * self.spec.phase_count])
+
+    def _at(self, interp, u, per_level: int) -> np.ndarray:
+        """interp's values at times u, followed by zeros up to k +
+        level_cap * per_level columns."""
+        solved = interp(u)
+        vals = np.zeros((len(solved), self.spec.k + self.level_cap * per_level))
+        vals[:, :solved.shape[1]] = solved
+        return vals
 
     def _split(self, vals: np.ndarray, per_level: int) -> tuple[np.ndarray, np.ndarray]:
         return vals[:, :self.spec.k], vals[:, self.spec.k:].reshape(
@@ -307,22 +341,24 @@ class PeriodicDistribution:
 
     def states_at(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(idle_at(u), levels_at(u)) from one evaluation of the series."""
-        return self._split(self._interp(u), self.spec.phase_count)
+        km = self.spec.phase_count
+        return self._split(self._at(self._interp, u, km), km)
 
     @cached_property
     def _stage_interp(self) -> TrigInterpolant:
         """Series of the idle states and of the busy states summed over
         arrival stage, built once per law."""
         k, m = self.spec.k, self.spec.m
-        idle, levels = self._split(self.series, k * m)
-        by_stage = levels.reshape(-1, self.level_cap, k, m).sum(axis=2)
-        return TrigInterpolant(np.hstack([idle, by_stage.reshape(len(idle), -1)]))
+        series = self.series[:, :k + self.solved_levels * k * m]
+        by_stage = series[:, k:].reshape(len(series), -1, k, m).sum(axis=2)
+        return TrigInterpolant(np.hstack([series[:, :k],
+                                          by_stage.reshape(len(series), -1)]))
 
     def stage_sums_at(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(idle_at(u), levels_at(u) summed over arrival stage), shapes
         (len(u), k) and (len(u), level_cap, m), from one evaluation of the
         stage series; the sums agree with `levels_at`'s to rounding."""
-        return self._split(self._stage_interp(u), self.spec.m)
+        return self._split(self._at(self._stage_interp, u, self.spec.m), self.spec.m)
 
     def idle_at(self, u) -> np.ndarray:
         """Idle-state probabilities at arbitrary times, (len(u), k)."""
@@ -333,8 +369,10 @@ class PeriodicDistribution:
         return self.states_at(u)[1]
 
     def cap_mass(self) -> float:
-        """Largest probability seen at the truncation cap; a cap check."""
-        return float(self.levels[:, -1].sum(axis=1).max())
+        """Largest probability seen at a grid time on the top solved level,
+        `solved_levels` (0 if there is none); a cap check."""
+        top = self.solved_levels
+        return float(self.levels[:, top - 1].sum(axis=1).max()) if top else 0.0
 
 
 def _harmonics(rate) -> dict[int, complex]:
@@ -363,7 +401,10 @@ class _LevelElimination:
     which the elimination writes as a linear form of z_0 plus the mass that
     the g_j carry (weights w_j), so the n = 0 slice solves the bordered mean
     generator exactly: applied to the mass equation alone it returns the
-    stationary law of the mean generator.
+    stationary law of the mean generator.  `decay` is sp(R), the spectral
+    radius of the rate matrix R of the QBD at the mean rates (Neuts,
+    Matrix-Geometric Solutions in Stochastic Models, 1981): the law's
+    per-level decay.
     """
 
     def __init__(self, hb: _HarmonicBalance, count: int):
@@ -389,6 +430,11 @@ class _LevelElimination:
         self.ups = [ups[i] for i in block]
         downs = -mu * self.inverses[..., ::m]
         self.downs = [downs[i] for i in block]
+        # the n = 0 blocks converge from the cap down to the mean-rate QBD's,
+        # whose R, in this column form, is the lowest up block: it reads
+        # level j - 1's final arrival stage only, so sp(R) is that of the
+        # m x m block that feeds level j's final arrival stage
+        self.decay = float(np.abs(np.linalg.eigvals(ups[-1, 0, (k - 1) * m:])).max())
         self.first_up = first_up = -lam * self.inverses[block[1], :, :, :1]
         empty = hb.empty_block - 2j * np.pi * harmonics[:, None, None] * np.eye(k)
         empty[:, :, k - 1] += mu * first_up[:, m - 1::m, 0]
@@ -593,9 +639,19 @@ def _fourier_coefficients(spec: ModelSpec, level_cap: int, tol: float):
         top += step
 
 
+def _levels_to_floor(mass: float, decay: float) -> float:
+    """The levels it takes a mass that falls by `decay` per level to reach
+    _LEVEL_FLOOR: at least 1, and inf if it does not fall."""
+    if decay <= 0.0:
+        return 1
+    if not decay < 1.0:
+        return math.inf
+    return max(1, math.ceil(math.log(_LEVEL_FLOOR / mass) / math.log(decay)))
+
+
 def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 512,
                        tol: float = 1e-10) -> PeriodicDistribution:
-    """Solve for the periodic regime of the truncated queue.
+    """Solve for the periodic regime of the queue truncated at level_cap.
 
     The law's Fourier coefficients c_0..c_N solve the harmonic-balance
     equations of `_HarmonicBalance` (Hill's method; Kundert &
@@ -611,14 +667,29 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     series, with `periods` N and `residual` the larger of max |c_N| (0 for
     N = 0) and the 2-norm of the equations' residual, both <= tol;
     grid_size sets only the times i / grid_size of its samples, which the
-    cap check below evaluates.
+    cap checks below evaluate.
+
+    level_cap is the law's width and an upper limit on the levels solved.
+    The law falls by sp(R) per level, the spectral radius of the rate
+    matrix R of the QBD at the mean rates, which the mean generator's level
+    elimination yields (`_LevelElimination.decay`, the law's
+    `level_decay`).  The equations are solved on levels 1..L only, L =
+    min(level_cap, ceil(log 1e-18 / log sp(R))), blocking arrivals at L,
+    and the law's levels L + 1..level_cap are exact zeros (`solved_levels`
+    is L).  Where more than 1e-15 sits on level L < level_cap at some grid
+    time, the solve is repeated on the levels by which that mass, falling
+    by sp(R) per level, reaches 1e-18, up to level_cap.  So the level i
+    past L that is written as 0 holds about (mass at L) * sp(R)^i <= 1e-15
+    * sp(R)^i, and the truncation at L moves the solved levels by about
+    the mass at L, as a cap does.
 
     RuntimeError is raised when the residual stalls above tol (tol below
     the rounding floor; loosen tol), when N would pass _MAX_HARMONIC = 128
     with max |c_N| still above tol or the rates reach a harmonic past 64,
-    or when the law puts more than _CAP_MASS_LIMIT = 1e-6 on the level cap
-    at some grid time (raise level_cap).  tol must lie in (0, 1): at tol >=
-    1 the solve's target would accept the zero start, a law of no mass.
+    or when the law, solved on every level, puts more than _CAP_MASS_LIMIT
+    = 1e-6 on the level cap at some grid time (raise level_cap).  tol must
+    lie in (0, 1): at tol >= 1 the solve's target would accept the zero
+    start, a law of no mass.
     """
     if _as_index(level_cap, "level_cap") < 1:
         raise ValueError("level_cap must be >= 1")
@@ -626,11 +697,21 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
         raise ValueError("grid_size must be >= 4")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be > 0 and < 1, got {tol}")
-    series, residual = _fourier_coefficients(spec, level_cap, tol)
-    dist = PeriodicDistribution(spec=spec, series=series, grid_size=grid_size,
-                                periods=len(series) - 1, residual=residual)
-    if dist.cap_mass() > _CAP_MASS_LIMIT:
-        raise RuntimeError(f"probability {dist.cap_mass():.3e} sits at the "
+    decay = _LevelElimination(_HarmonicBalance(spec, level_cap), 1).decay
+    levels, mass = 0, 1.0
+    while True:
+        levels = min(level_cap, levels + _levels_to_floor(mass, decay))
+        solved, residual = _fourier_coefficients(spec, levels, tol)
+        series = np.zeros((len(solved), spec.k + level_cap * spec.phase_count), complex)
+        series[:, :solved.shape[1]] = solved
+        dist = PeriodicDistribution(spec=spec, series=series, grid_size=grid_size,
+                                    periods=len(series) - 1, residual=residual,
+                                    level_decay=decay)
+        mass = dist.cap_mass()
+        if levels == level_cap or mass <= _SOLVED_MASS_LIMIT:
+            break
+    if mass > _CAP_MASS_LIMIT:
+        raise RuntimeError(f"probability {mass:.3e} sits at the "
                            f"level cap {level_cap}; raise level_cap")
     return dist
 

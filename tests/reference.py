@@ -63,7 +63,10 @@ The paper's building blocks, which the package computes another way:
   wait sums;
 - `root_modulus_bracket`: the bracket of |chi**(1/k)| for the outside
   roots at frequency n, against `build_root_set`'s roots, with
-  `bounds._bracket_edges` as its edges.
+  `bounds._bracket_edges` as its edges;
+- `mean_rate_matrix`: the rate matrix R of the QBD at the mean rates by
+  Neuts' iteration, whose spectral radius is the law's per-level decay,
+  against the oracle's level elimination (`_LevelElimination.decay`).
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ from ekemq import _quad
 from ekemq._quad import composite_gauss
 from ekemq.bounds import _bracket_edges
 from ekemq.busy import _table_width
-from ekemq.model import ModelSpec, _normalize_phase, _stage_blocks
+from ekemq.model import ModelSpec, RateFunction, _normalize_phase, _stage_blocks
 from ekemq.oracle import (_CAP_MASS_LIMIT, _NORM_SLACK, BoundaryFunctions,
                           PeriodicDistribution, _generator, _rk4_march,
                           _structure_matrices)
@@ -537,6 +540,25 @@ def root_modulus_bracket(spec: ModelSpec, n: int) -> tuple[float, float]:
     """
     lower, upper = _bracket_edges(spec, abs(n))
     return lower / spec.arrival_mean, upper / spec.arrival_mean
+
+
+def mean_rate_matrix(spec: ModelSpec, tol: float = 1e-16,
+                     max_iterations: int = 100_000) -> np.ndarray:
+    """The minimal solution R of Up + R Loc + R^2 Dn = 0, the QBD blocks of
+    `generator_blocks` at the mean rates, by Neuts' iteration R = -(Up +
+    R^2 Dn) Loc^-1 from R = 0 (Neuts, Matrix-Geometric Solutions in
+    Stochastic Models, 1981), until no entry moves by more than tol."""
+    mean = ModelSpec(spec.k, spec.m, RateFunction(spec.arrival.mean()),
+                     RateFunction(spec.service.mean()))
+    blocks = generator_blocks(mean, 0.0)
+    local_inverse = np.linalg.inv(blocks.local)
+    r = np.zeros_like(blocks.up)
+    for _ in range(max_iterations):
+        step = -(blocks.up + r @ r @ blocks.down) @ local_inverse
+        if np.abs(step - r).max() <= tol:
+            return step
+        r = step
+    raise RuntimeError(f"Neuts' iteration did not settle in {max_iterations} steps")
 
 
 # The time-domain periodic solve: the period map's fixed point by RK4 on a

@@ -180,12 +180,35 @@ def test_oracle_outputs(tmp_path):
     # the level cap sits at 40, so the parked mass is the geometric tail
     assert meta["cap_mass"] == pytest.approx(0.4 * 0.6 ** 40, rel=1e-3)
     assert meta["level_cap"] == 40
+    # the law falls by 0.6 a level: 82 levels would reach 1e-18, so all 40
+    # are solved
+    assert meta["solved_levels"] == 40
+    assert meta["level_decay"] == pytest.approx(0.6, rel=1e-12)
     dist_lines = (out / "distribution.csv").read_text().splitlines()
     assert dist_lines[0] == "# schema: periodic-distribution v1"
     # level-0 rows carry no service stage
     first = dist_lines[2].split(",")
     assert first[1] == "0" and first[3] == "-1"
     assert (out / "boundary.csv").exists()
+
+
+def test_oracle_reports_the_solved_levels(tmp_path):
+    # the reference model on a grid of 16: levels 1..8 are solved, and
+    # distribution.csv keeps all 50, those past 8 at exactly 0
+    cfg = write_cfg(tmp_path, **{
+        "model.k": 7, "model.m": 4, "model.arrival.sin": "1:-2",
+        "model.service.sin": "1:4", "oracle.levels": 50, "oracle.grid": 16})
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((out / "oracle.json").read_text())
+    assert (meta["level_cap"], meta["solved_levels"]) == (50, 8)
+    assert meta["level_decay"] == pytest.approx(0.0032247, rel=1e-5)
+    assert 1e-17 < meta["cap_mass"] < 3.9e-17
+    rows = [line.split(",") for line in
+            (out / "distribution.csv").read_text().splitlines()[2:]]
+    assert len(rows) == 16 * (7 + 50 * 28)
+    assert {row[-1] for row in rows if int(row[1]) > 8} == {"0"}
+    assert all(float(row[-1]) > 0.0 for row in rows if int(row[1]) == 8)
 
 
 @pytest.mark.parametrize("command, keys, names", [
@@ -278,13 +301,31 @@ def test_law_writer_matches_row_writer_on_a_solved_law(tmp_path, periodic74_spec
     _assert_law_writers_agree(tmp_path, periodic74_spec, periodic74_law128)
 
 
-def test_formatter_fast_path_covers_most_of_a_law(periodic74_law128):
+def test_formatter_fast_path_covers_most_of_a_law(periodic74_law128, periodic74_dist):
     # no value of a law lies within the rounding bound of a tie, so none
-    # takes the fallback
-    law = periodic74_law128
-    values = np.concatenate([law.idle.ravel(), law.levels.ravel()])
-    _, taken = fast_fields(values)
-    assert taken.all()
+    # takes the fallback; in distribution.csv of bench/reference.cfg (the
+    # grid-512 law) levels 9-50 are exact zeros, which take the fast path too
+    reference = periodic74_dist.samples
+    assert reference.size == 720_384 and (reference == 0.0).sum() == 602_112
+    for law in (periodic74_law128, periodic74_dist):
+        _, taken = fast_fields(law.samples.ravel())
+        assert taken.all()
+
+
+def test_formatter_writes_signed_zeros_as_percent_g():
+    # 0 and -0 amid other values, in runs and alone, and a column of zeros
+    rng = np.random.default_rng(17)
+    values = rng.random(5_000) * 10.0 ** -rng.integers(0, 30, 5_000)
+    values[rng.random(5_000) < 0.6] = 0.0
+    values[rng.random(5_000) < 0.3] *= -1.0
+    values[[0, 1, 2]] = [-0.0, 0.5, 0.0]
+    for column in (values, np.zeros(9), -np.zeros(9), np.array([-0.0])):
+        _, taken = fast_fields(column)
+        assert taken[column == 0.0].all()
+        want = "".join("%.17g\n" % x for x in column.tolist())
+        assert csv_lines(column).decode() == want
+    assert (text_rows(["0", "-0"], 32).view(np.uint64)
+            == fast_fields(np.array([0.0, -0.0]))[0]).all()
 
 
 def _doubles_to_format():

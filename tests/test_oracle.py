@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference
-from reference import (generator_blocks, interpolating_series, periodic_structure,
-                       time_domain_periodic)
+from reference import (generator_blocks, interpolating_series, mean_rate_matrix,
+                       periodic_structure, time_domain_periodic)
 
 import ekemq
 from ekemq import oracle
@@ -188,7 +188,15 @@ def test_nonnegative_and_converged(periodic74_dist):
 
 
 def test_cap_leakage_negligible(periodic74_dist):
-    assert periodic74_dist.cap_mass() < 1e-30
+    # sp(R) is 0.003225 here, so the solve keeps levels 1..8 of the 50; the
+    # mass on level 8, at most 3.8e-17, is the check, not the zero level 50
+    dist = periodic74_dist
+    assert (dist.level_cap, dist.solved_levels) == (50, 8)
+    assert dist.level_decay == pytest.approx(0.0032247, rel=1e-5)
+    assert 3.7e-17 < dist.cap_mass() < 3.9e-17
+    assert dist.cap_mass() == dist.levels[:, 7].sum(axis=1).max()
+    assert not dist.series[:, 7 + 8 * 28:].any()
+    assert not dist.levels[:, 8:].any()
 
 
 def test_grid_refinement_consistency(periodic74_spec, periodic74_dist):
@@ -327,7 +335,9 @@ def test_high_load_converges(periodic74_spec):
     # periods after 24 on grid 32
     assert dist.periods == 12
     assert dist.residual <= 1e-10
-    assert dist.cap_mass() <= 1e-30
+    # solved on levels 1..37 of the 120: sp(R) is 0.3173
+    assert dist.solved_levels == 37
+    assert dist.cap_mass() <= 1e-15
     mass = dist.idle.sum(axis=1) + dist.levels.sum(axis=(1, 2))
     assert np.abs(mass - 1.0).max() <= 1e-12
     # within tol of the tight solve, where the tol-1e-10 ladder was 1.0e-9 off
@@ -452,7 +462,9 @@ def test_stiff_rates_solve_on_any_grid():
 
 def test_growing_n_factors_each_harmonic_once(monkeypatch):
     # max |c_12| is 1.6e-9 on this model: N grows to 18, warm-started, and
-    # one elimination is built for each N, over the harmonics 0..N
+    # one elimination is built for each N, over the harmonics 0..N, after
+    # the mean-rate elimination at the cap (harmonic 0 alone), which reads
+    # sp(R) = 0.2578 and so the 31 levels solved
     spec, cap = _STRESS["k2-m3-harmonics-1-3-2"]
     builds, ranges = [], []
     # __init__(self, spec, level_cap) and __init__(self, hb, count)
@@ -466,9 +478,10 @@ def test_growing_n_factors_each_harmonic_once(monkeypatch):
             original(*args)
         monkeypatch.setattr(cls, "__init__", spy)
     dist = integrate_periodic(spec, level_cap=cap, grid_size=64, tol=1e-12)
-    assert builds == [(cap,)]
-    assert ranges == [(0, 12), (0, 18)]
+    assert builds == [(cap,), (31,)]
+    assert ranges == [(0, 0), (0, 12), (0, 18)]
     assert dist.periods == 18 and dist.residual <= 1e-12
+    assert (dist.level_cap, dist.solved_levels) == (cap, 31)
 
 
 def test_level_blocks_are_reused_below_the_cap(periodic74_spec):
@@ -477,6 +490,69 @@ def test_level_blocks_are_reused_below_the_cap(periodic74_spec):
     hb.factor(13)
     assert len(hb.elimination.inverses) <= 10
     assert hb.elimination.inverses.shape[1:] == (13, 28, 28)
+
+
+# The load sweep of the solved levels: (spec, level_cap, levels solved).
+# The arrival mean of the reference climbs to loads 0.8 and 0.95; the k=2,
+# m=3 model of harmonics 1, 2 and 3 (load 0.75, sp(R) = 0.5046) asks for 61
+# levels and is held to its cap of 60.
+_SWEEP = {
+    "load-0.34": (_STRESS["reference"][0], 50, 8),
+    "load-0.8": (_STRESS["load-0.8"][0], 120, 37),
+    "load-0.95": (ModelSpec(7, 4, RateFunction(8.3125, sin=((1, -2.0),)),
+                            RateFunction(5.0, sin=((1, 4.0),))), 500, 159),
+    "k2-m3-harmonics-1-2-3": (ModelSpec(2, 3, RateFunction(1.5, cos=((1, 0.5), (3, 0.3))),
+                                        RateFunction(3.0, sin=((2, 1.0),))), 60, 60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP))
+def test_level_decay_is_the_neuts_spectral_radius(name):
+    # the mean-rate elimination's lowest up block against R by Neuts'
+    # iteration (554 steps at load 0.95)
+    spec, cap, _ = _SWEEP[name]
+    decay = oracle._LevelElimination(oracle._HarmonicBalance(spec, cap), 1).decay
+    want = np.abs(np.linalg.eigvals(mean_rate_matrix(spec))).max()
+    assert decay == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP))
+def test_solve_keeps_the_levels_that_hold_mass(name):
+    # the law solved on levels 1..L with zeros above is within 1e-13 of the
+    # law solved on every level (8.3e-17 at most here); it holds at most
+    # 1e-15 on level L, or L is the cap
+    spec, cap, solved = _SWEEP[name]
+    dist = integrate_periodic(spec, level_cap=cap, grid_size=64)
+    assert (dist.level_cap, dist.solved_levels) == (cap, solved)
+    assert dist.cap_mass() <= 1e-15 or solved == cap
+    assert not dist.series[:, spec.k + solved * spec.phase_count:].any()
+    assert dist.level_decay == oracle._LevelElimination(
+        oracle._HarmonicBalance(spec, cap), 1).decay
+    series, residual = oracle._fourier_coefficients(spec, cap, 1e-10)
+    every = PeriodicDistribution(spec=spec, series=series, grid_size=64,
+                                 periods=len(series) - 1, residual=residual)
+    assert np.abs(dist.samples - every.samples).max() <= 1e-13
+
+
+def test_mass_on_the_top_solved_level_widens_the_solve(periodic74_spec, monkeypatch):
+    # with the rule aimed at 1e-9 it keeps 4 levels; each law with more than
+    # 1e-15 on its top level is solved again on the levels that mass and
+    # sp(R) call for, down to the 8 levels of the rule at 1e-18
+    monkeypatch.setattr(oracle, "_LEVEL_FLOOR", 1e-9)
+    caps = []
+    original = oracle._fourier_coefficients
+
+    def spy(spec, level_cap, tol):
+        caps.append(level_cap)
+        return original(spec, level_cap, tol)
+    monkeypatch.setattr(oracle, "_fourier_coefficients", spy)
+    dist = integrate_periodic(periodic74_spec, level_cap=50, grid_size=64)
+    assert caps == [4, 6, 7, 8]
+    assert dist.solved_levels == 8 and dist.cap_mass() <= 1e-15
+    # a cap below the rule's levels holds: the solve stops at the cap
+    caps.clear()
+    assert integrate_periodic(periodic74_spec, level_cap=5, grid_size=64).solved_levels == 5
+    assert caps == [4, 5]
 
 
 def _harmonic_equations(spec, cap, c):
