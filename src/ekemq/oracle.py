@@ -370,9 +370,14 @@ class PeriodicDistribution:
 
     def cap_mass(self) -> float:
         """Largest probability seen at a grid time on the top solved level,
-        `solved_levels` (0 if there is none); a cap check."""
+        `solved_levels` (0 if there is none); a cap check.  It evaluates
+        that level's own series at the grid, so it builds no samples."""
         top = self.solved_levels
-        return float(self.levels[:, top - 1].sum(axis=1).max()) if top else 0.0
+        if not top:
+            return 0.0
+        k, km = self.spec.k, self.spec.phase_count
+        level = TrigInterpolant(self.series[:, k + (top - 1) * km:k + top * km])
+        return float(level(self.grid).sum(axis=1).max())
 
 
 def _harmonics(rate) -> dict[int, complex]:
@@ -666,8 +671,8 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     are rounded up to multiples of d.  The law is built from the solved
     series, with `periods` N and `residual` the larger of max |c_N| (0 for
     N = 0) and the 2-norm of the equations' residual, both <= tol;
-    grid_size sets only the times i / grid_size of its samples, which the
-    cap checks below evaluate.
+    grid_size sets only the times i / grid_size of its samples and of the
+    cap checks below, which evaluate the top solved level's series there.
 
     level_cap is the law's width and an upper limit on the levels solved.
     The law falls by sp(R) per level, the spectral radius of the rate
@@ -767,12 +772,17 @@ class BoundaryFunctions:
 
 def extract_boundary(dist: PeriodicDistribution) -> BoundaryFunctions:
     """The law's boundary: its series' columns of the idle and level-1
-    states.  A boundary below -1e-9 at a grid time is refused."""
-    for name, samples in (("idle", dist.idle), ("first", dist.levels[:, 0])):
+    states.  A boundary below -1e-9 at a grid time is refused; the check
+    evaluates the boundary's own series at the grid, not the law's
+    samples."""
+    k = dist.spec.k
+    boundary = BoundaryFunctions(spec=dist.spec,
+                                 series=dist.series[:, :k + dist.spec.phase_count])
+    vals = boundary._interp(dist.grid)
+    for name, samples in (("idle", vals[:, :k]), ("first", vals[:, k:])):
         if samples.min() < -1e-9:
             raise ValueError(f"boundary slice {name} is negative ({samples.min():.3e})")
-    width = dist.spec.k + dist.spec.phase_count
-    return BoundaryFunctions(spec=dist.spec, series=dist.series[:, :width])
+    return boundary
 
 
 def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,

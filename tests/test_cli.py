@@ -15,6 +15,7 @@ from reference import write_csv_by_rows
 import ekemq
 from ekemq import ModelSpec, RateFunction, integrate_periodic
 from ekemq.bounds import truncation_error_bound
+from ekemq.busy import busy_period_cdf
 from ekemq._g17 import (
     POW_BOTTOM,
     POW_HI,
@@ -29,10 +30,12 @@ from ekemq.cli import (
     _CHUNK_VALUES,
     ConfigError,
     RunConfig,
+    _series_setup,
     _write_csv,
     _write_law,
     main,
 )
+from ekemq.oracle import busy_oracle
 
 MM1_BASE = {
     "model.k": 1,
@@ -301,6 +304,51 @@ def test_law_writer_matches_row_writer_on_a_solved_law(tmp_path, periodic74_spec
     _assert_law_writers_agree(tmp_path, periodic74_spec, periodic74_law128)
 
 
+def _stand_in_law(spec, samples):
+    """A stand-in with a law's sample fields, read off a samples array."""
+    grid_size = len(samples)
+    return SimpleNamespace(
+        grid=np.arange(grid_size) / grid_size, idle=samples[:, :spec.k],
+        levels=samples[:, spec.k:].reshape(grid_size, -1, spec.phase_count),
+        level_cap=(samples.shape[1] - spec.k) // spec.phase_count,
+        grid_size=grid_size, samples=samples)
+
+
+@pytest.mark.parametrize("tail", ["signed-zero", "mid-level", "none"])
+def test_law_writer_splits_at_the_zero_tail(tmp_path, tail):
+    # k + 40 levels of km = 6, nonzero values in the first `head` columns;
+    # the writer formats the columns up to the last that is not +0 in
+    # chunks of _CHUNK_VALUES // that many grid rows, and the grid is two
+    # chunks and 3 rows
+    spec = ModelSpec(2, 3, RateFunction(1.0), RateFunction(2.0))
+    width = spec.k + 40 * spec.phase_count
+    head = {"signed-zero": 100, "mid-level": spec.k + 17 * spec.phase_count + 2,
+            "none": width}[tail]
+    formatted = width if tail == "signed-zero" else head
+    grid_size = 2 * (_CHUNK_VALUES // formatted) + 3
+    rng = np.random.default_rng(23)
+    samples = np.zeros((grid_size, width))
+    samples[:, :head] = rng.random((grid_size, head)) * 10.0 ** -rng.integers(
+        0, 40, (grid_size, head))
+    samples[:, head - 1] += 0.5  # the head's last column holds no zero
+    if tail == "signed-zero":
+        # one -0 in the last column keeps every column in the formatter
+        samples[grid_size // 2, -1] = -0.0
+    _assert_law_writers_agree(tmp_path, spec, _stand_in_law(spec, samples))
+    lines = (tmp_path / "new" / "distribution.csv").read_bytes().splitlines()
+    assert len(lines) == 2 + grid_size * width
+    zero_tail = [line for line in lines[2:] if line.endswith(b",0")]
+    assert len(zero_tail) == grid_size * (width - head) - (tail == "signed-zero")
+    assert sum(line.endswith(b",-0") for line in lines) == (tail == "signed-zero")
+
+
+def test_law_writer_takes_a_law_of_zeros(tmp_path):
+    # no column holds a value: every line ends in ",0"
+    spec = ModelSpec(2, 3, RateFunction(1.0), RateFunction(2.0))
+    _assert_law_writers_agree(tmp_path, spec,
+                              _stand_in_law(spec, np.zeros((7, spec.k + 3 * 6))))
+
+
 def test_formatter_fast_path_covers_most_of_a_law(periodic74_law128, periodic74_dist):
     # no value of a law lies within the rounding bound of a tie, so none
     # takes the fallback; in distribution.csv of bench/reference.cfg (the
@@ -561,6 +609,38 @@ def test_busy_overrides(tmp_path):
     header = (out / "busy.csv").read_text().splitlines()[1].split(",")
     assert header == ["t", "volterra_a0", "ode_a0",
                       "volterra_total", "ode_total"]
+
+
+def test_busy_reports_the_unresolved_mass(tmp_path):
+    # load 0.95 (the reference model at arrival rate 8.3125 - 2 sin 2 pi t):
+    # the default horizon leaves about 11% of the busy period unresolved
+    keys = {"model.k": 7, "model.m": 4, "model.arrival.base": 8.3125,
+            "model.arrival.sin": "1:-2", "model.service.base": 5.0,
+            "model.service.sin": "1:4", "busy.horizon": 5.0, "busy.cap": 40,
+            "busy.substeps": 1}
+    cfg = write_cfg(tmp_path, **keys)
+    out = tmp_path / "b"
+    assert main(["busy", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((out / "busy.json").read_text())
+    spec = RunConfig.load(cfg).spec()
+    step = MM1_BASE["busy.step"]
+    vol = busy_period_cdf(spec, 1, (0, 0), horizon=5.0, step=step)
+    ode = busy_oracle(spec, 1, (0, 0), horizon=5.0, step=step, level_cap=40,
+                      substeps=1)
+    assert meta["volterra_unresolved_mass"] == 1.0 - vol.total()[-1]
+    assert meta["ode_unresolved_mass"] == 1.0 - ode.total()[-1]
+    assert meta["volterra_unresolved_mass"] > 0.05
+    assert meta["ode_unresolved_mass"] > 0.05
+
+
+def test_series_commands_build_no_law_samples(tmp_path):
+    # the cap check and the boundary check evaluate their own series
+    cfg = RunConfig.load(write_cfg(tmp_path))
+    dist, boundary = _series_setup(cfg, cfg.spec())
+    assert "samples" not in dist.__dict__
+    top = dist.levels[:, dist.solved_levels - 1]
+    assert dist.cap_mass() == pytest.approx(top.sum(axis=1).max(), rel=1e-12)
+    assert np.allclose(boundary.idle_at(dist.grid), dist.idle, rtol=0.0, atol=1e-15)
 
 
 def test_compare_output(tmp_path):

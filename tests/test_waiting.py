@@ -261,8 +261,10 @@ def test_wait_cdf_samples_boundary_once(periodic74_spec, periodic74_dist,
             calls.append(np.size(u))
         return evaluate(self, u)
 
-    monkeypatch.setattr(TrigInterpolant, "__call__", counted)
+    # extract_boundary checks the boundary's series at the law's grid, of
+    # the rule's size, so it is set up before the count
     boundary = extract_boundary(periodic74_dist)
+    monkeypatch.setattr(TrigInterpolant, "__call__", counted)
     ts = np.linspace(0.0, 2.0, 11)
     for u in np.arange(10) / 10.0:
         wait_cdf(periodic74_spec, periodic74_roots10, boundary, u, ts)
