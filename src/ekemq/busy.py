@@ -189,21 +189,24 @@ def _causal_index(k: int, m: int) -> np.ndarray:
     return np.where((da >= 0) & (ds >= 0), da * m + ds, k * m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VolterraSolution:
     """Busy-period CDF started at (level, phase) at time u.
 
     values[i, a] is the probability that the system has emptied by times[i]
     with arrival stage a at that moment; sum over a for the plain CDF.
     off_support tracks how much of the computed absorption row leaked off
-    the fresh-service columns (a pure discretization diagnostic), cap_mass
-    the probability parked at the truncation cap (oracle route only).
+    the fresh-service columns (a pure discretization diagnostic).  The
+    oracle route marches levels 1..solved_levels of its truncated system
+    (None for the Volterra route), and cap_mass is the largest probability
+    on its top level, solved_levels, at a record (0 for the Volterra route).
     error_estimate is max over times of |fine - coarse| / 3 of the totals of
     the two marches behind a refined Volterra solution: the Richardson
     estimate of the raw march's error at half the step.  It is not an error
     bar for the refined values, which are usually orders of magnitude closer
     (M/M/1 at step 0.01: estimate 3.9e-4, refined error 6.5e-7).  It is None
-    for raw marches and the oracle.
+    for raw marches and the oracle.  Solutions compare and hash by
+    identity, as their arrays have no single truth value.
     """
 
     level: int
@@ -216,6 +219,7 @@ class VolterraSolution:
     off_support: float = 0.0
     cap_mass: float = 0.0
     error_estimate: float | None = None
+    solved_levels: int | None = None
 
     def total(self) -> np.ndarray:
         return self.values.sum(axis=1)

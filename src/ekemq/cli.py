@@ -477,6 +477,7 @@ def cmd_busy(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
         "off_support": vol.off_support,
         "error_estimate": vol.error_estimate,
         "cap_mass": ode.cap_mass,
+        "ode_solved_levels": ode.solved_levels,
         # the mass neither route has seen empty by the horizon
         "volterra_unresolved_mass": float(1.0 - vt[-1]),
         "ode_unresolved_mass": float(1.0 - ot[-1]),

@@ -142,9 +142,13 @@ def _exp_tail(mean: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CDFCurve:
-    """A waiting-time (or sojourn-time) CDF sampled on a horizon grid."""
+    """A waiting-time (or sojourn-time) CDF sampled on a horizon grid.
+
+    Curves compare and hash by identity, as their arrays have no single
+    truth value.
+    """
 
     kind: str
     u: float

@@ -17,6 +17,7 @@ from ekemq import (
     RateFunction,
     busy_oracle,
     busy_period_cdf,
+    oracle,
 )
 from ekemq.busy import (
     _BlockedLayout,
@@ -137,16 +138,66 @@ def test_mm1_volterra_frozen_values(mm1_spec):
                          ids=["bench-u0", "bench-u0.5", "cli-defaults"])
 def test_flush_keeps_oracle_values(periodic74_spec, u, step):
     # the benchmark's busy-period settings at two start times half a period
-    # apart, and the CLI defaults
+    # apart, and the CLI defaults: the flushed march on the levels that hold
+    # mass reads the values of the unflushed march on all 40, and the
+    # cap_mass of the unflushed march on its own levels
     sol = busy_oracle(periodic74_spec, 1, (0, 0), u=u, horizon=5.0, step=step,
                       level_cap=40, substeps=4)
-    values, cap_mass, subnormal = unflushed_busy_oracle(
+    values, _, subnormal = unflushed_busy_oracle(
         periodic74_spec, 1, (0, 0), u=u, horizon=5.0, step=step, level_cap=40,
         substeps=4)
+    assert sol.solved_levels == 9
     assert np.array_equal(sol.values, values)
+    _, cap_mass, _ = unflushed_busy_oracle(
+        periodic74_spec, 1, (0, 0), u=u, horizon=5.0, step=step,
+        level_cap=sol.solved_levels, substeps=4)
     assert sol.cap_mass == cap_mass
     # without the flush, the march carries subnormal entries
     assert subnormal > 1000
+
+
+_LOAD_08 = ModelSpec(7, 4, RateFunction(7.0, sin=((1, -2.0),)),
+                     RateFunction(5.0, sin=((1, 4.0),)))
+_K2_M3 = ModelSpec(2, 3, RateFunction(1.5, cos=((1, 0.5), (3, 0.3))),
+                   RateFunction(3.0, sin=((2, 1.0),)))
+
+
+@pytest.mark.parametrize("spec, cap, solved", [(_LOAD_08, 40, 38), (_K2_M3, 40, 40),
+                                               (_K2_M3, 120, 62)],
+                         ids=["load-0.8", "k2-m3", "k2-m3-cap-120"])
+def test_march_on_the_levels_that_hold_mass_keeps_values(spec, cap, solved):
+    # L = min(cap, 1 + ceil(log 1e-18 / log sp(R))), sp(R) 0.32 at load 0.8
+    # and 0.50 for k = 2, m = 3 (so L is the cap 40 there): the march on
+    # levels 1..L reads the values of the unflushed march on every level
+    sol = busy_oracle(spec, 1, 0, u=0.3, horizon=5.0, step=1 / 128,
+                      level_cap=cap, substeps=4)
+    values, _, _ = unflushed_busy_oracle(spec, 1, 0, u=0.3, horizon=5.0,
+                                         step=1 / 128, level_cap=cap, substeps=4)
+    assert sol.solved_levels == solved
+    assert np.array_equal(sol.values, values)
+    assert sol.cap_mass <= 1e-15 or solved == cap
+
+
+def test_mass_on_the_top_level_widens_the_march(periodic74_spec, monkeypatch):
+    # with the rule aimed at 1e-6 the first march keeps 4 levels; each march
+    # that puts more than 1e-15 on its top level stops and is made again on
+    # more levels
+    monkeypatch.setattr(oracle, "_LEVEL_FLOOR", 1e-6)
+    caps = []
+    original = oracle._structure_matrices
+
+    def spy(k, m, level_cap):
+        caps.append(level_cap)
+        return original(k, m, level_cap)
+    monkeypatch.setattr(oracle, "_structure_matrices", spy)
+    sol = busy_oracle(periodic74_spec, 1, (0, 0), horizon=5.0, step=1 / 128,
+                      level_cap=40, substeps=4)
+    values, _, _ = unflushed_busy_oracle(periodic74_spec, 1, (0, 0), u=0.0,
+                                         horizon=5.0, step=1 / 128, level_cap=40,
+                                         substeps=4)
+    assert len(caps) > 1 and caps[0] == 4 and caps[-1] == sol.solved_levels
+    assert sol.cap_mass <= 1e-15
+    assert np.abs(sol.values - values).max() <= 1e-14
 
 
 def test_mm1_oracle_frozen_values(mm1_spec):

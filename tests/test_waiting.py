@@ -235,6 +235,26 @@ def test_non_finite_times_are_refused(mm1_spec, mm1_dist, mm1_boundary, mm1_root
         routes[route](**{argument: given})
 
 
+@pytest.mark.parametrize("route", ["wait_cdf", "oracle_wait_cdf", "busy_period_cdf",
+                                   "busy_oracle"])
+def test_results_compare_by_identity(mm1_spec, mm1_dist, mm1_boundary, mm1_roots, route):
+    # a wait curve and a busy-period solution hold arrays, whose == has no
+    # single truth value: both hash, serve as dict keys and compare equal
+    # only to themselves, even to a result of the same call
+    run = {
+        "wait_cdf": lambda: wait_cdf(mm1_spec, mm1_roots, mm1_boundary, 0.2, [0.5, 1.0]),
+        "oracle_wait_cdf": lambda: oracle_wait_cdf(mm1_spec, mm1_dist, 0.2, [0.5, 1.0]),
+        "busy_period_cdf": lambda: busy_period_cdf(mm1_spec, 1, 0, horizon=0.5, step=1 / 64),
+        "busy_oracle": lambda: busy_oracle(mm1_spec, 1, 0, horizon=0.5, step=1 / 64),
+    }[route]
+    one, twin = run(), run()
+    assert np.array_equal(one.values, twin.values)
+    keys = {one: "one", twin: "twin"}
+    assert [keys[x] for x in (one, twin)] == ["one", "twin"]
+    assert hash(one) == hash(one)
+    assert one == one and not one == twin and one != twin
+
+
 def test_repeated_wait_cdf_matches_fresh_objects(periodic74_spec, periodic74_dist):
     spec = periodic74_spec
     roots = build_root_set(spec, 10)
