@@ -1,10 +1,7 @@
 """'%.17g' for float64 arrays at numpy speed, byte for byte.
 
 Every CSV file of the CLI is written by `csv_lines`, each float as
-Python's '%.17g' does, but for the zero tail of distribution.csv: the
-columns that are +0 at every grid time, whose lines, all ending in ",0",
-the CLI writes from one byte template per grid time.  Python converts
-one value per call, correctly
+Python's '%.17g' does.  Python converts one value per call, correctly
 rounded; here a whole block is converted at once in float64 arithmetic,
 exactly where a double-double error bound proves the digits, and by
 Python's own '%.17g' for every other value.
@@ -17,8 +14,8 @@ left-aligned, NUL-padded text:
 
 with the trailing zero digits NUL, or else the fallback string ("%.17g"
 never takes more than 24 bytes).  The last byte stays NUL for the separator
-that follows the value.  `line_matrix` builds whole CSV lines in one such
-byte matrix, and `csv_lines` drops its NULs on output.
+that follows the value.  `csv_lines` builds whole CSV lines in one such
+byte matrix and drops its NULs on output.
 
 Exactness.  A value 0 < x < 1 of decimal exponent -q has the 17 digits of
 s = x * 10**(16 + q), 1e16 <= s < 1e17, rounded to an integer.  The scale
@@ -234,10 +231,12 @@ def fields(values: np.ndarray) -> np.ndarray:
     return text.reshape(np.shape(values) + (FIELD,))
 
 
-def line_matrix(*columns: np.ndarray) -> np.ndarray:
-    """The lines of `csv_lines` before their NULs are dropped: a uint8
-    matrix of shape (the columns' broadcast shape) + (line width,), each
-    line's fields NUL-padded to fixed offsets."""
+def csv_lines(*columns: np.ndarray) -> bytes:
+    """One CSV line per element of the columns' broadcast shape, in C order:
+    a field from each column in turn, joined by ',' and ended by '\\n'.  A
+    column is a float array, written as '%.17g', or a `text_rows` matrix,
+    whose last axis holds each field's bytes; an integer passed as a float
+    is written as the integer."""
     text = [c.dtype == np.uint8 for c in columns]
     lead = np.broadcast_shapes(*(c.shape[:-1] if t else c.shape
                                  for c, t in zip(columns, text)))
@@ -256,15 +255,6 @@ def line_matrix(*columns: np.ndarray) -> np.ndarray:
         else:
             out[..., at:end] = fields(column)
         out[..., end - 1] = ord("\n") if end == out.shape[-1] else ord(",")
-    return out
-
-
-def csv_lines(*columns: np.ndarray) -> bytes:
-    """One CSV line per element of the columns' broadcast shape, in C order:
-    a field from each column in turn, joined by ',' and ended by '\\n'.  A
-    column is a float array, written as '%.17g', or a `text_rows` matrix,
-    whose last axis holds each field's bytes; an integer passed as a float
-    is written as the integer.  The bytes are `line_matrix`'s without its
-    NULs, which one pass over the whole matrix drops: the law writer sends
-    its zero tail, the columns that are +0 at every time, around both."""
-    return line_matrix(*columns).tobytes().translate(None, b"\0")
+    # each line's fields are NUL-padded to fixed offsets: one pass over the
+    # whole matrix drops the NULs
+    return out.tobytes().translate(None, b"\0")

@@ -232,22 +232,16 @@ class RunConfig:
 # The writer formats about this many floats at a time, a chunk of rows:
 # 2**14 wrote the reference law 5-10% faster than 2**13 in three sets of
 # alternating runs, and a chunk's working arrays peak at about 3.3 MB
-# (tracemalloc).  distribution.csv chunks only the columns it formats, up
-# to the last one that is not +0 at some time (231 of the reference law's
-# 1,407, so 70 grid rows a chunk); its zero tail is never formatted.
+# (tracemalloc).
 _CHUNK_VALUES = 2 ** 14
 
 
-def _csv_header(schema: str, header) -> bytes:
-    return f"# schema: {schema}\n{','.join(header)}\n".encode()
-
-
 def _write_csv(path: Path, schema: str, header, *columns: np.ndarray) -> None:
-    """Every CSV file of the CLI but distribution.csv: the schema line, the
-    header, then `_g17.csv_lines` of the columns, a chunk along the first
-    axis at a time.  A column has one axis per axis of the lines (a text
-    column one more, for its bytes), each of full length or 1; one of
-    length 1 on the first axis serves every chunk."""
+    """Every CSV file of the CLI: the schema line, the header, then
+    `_g17.csv_lines` of the columns, a chunk along the first axis at a
+    time.  A column has one axis per axis of the lines (a text column one
+    more, for its bytes), each of full length or 1; one of length 1 on the
+    first axis serves every chunk."""
     # _g17 is imported where it is used, so that a run that writes no CSV
     # neither loads the formatter nor builds its tables
     from . import _g17
@@ -257,7 +251,7 @@ def _write_csv(path: Path, schema: str, header, *columns: np.ndarray) -> None:
     per_row = len(floats) * math.prod(lead[1:])
     step = max(1, _CHUNK_VALUES // max(1, per_row))
     with open(path, "wb") as fh:
-        fh.write(_csv_header(schema, header))
+        fh.write(f"# schema: {schema}\n{','.join(header)}\n".encode())
         for i in range(0, max(len(c) for c in columns), step):
             fh.write(_g17.csv_lines(*(c[i:i + step] if len(c) > 1 else c
                                       for c in columns)))
@@ -313,53 +307,24 @@ def cmd_roots(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
 
 def _write_law(out: Path, spec: ModelSpec, dist) -> None:
     """distribution.csv and boundary.csv of the oracle command: a line
-    (t, state label, value) for every grid time t and state.
-
-    The values are the law's one sample array, whose columns are in label
-    order.  Its columns past the last one that holds a value other than +0
-    at some grid time (the levels the solve left at exact zeros) print
-    "0" at every time, so each time's lines of them are the time's text
-    joined with suffixes ",<label>,0\\n" made once; only the columns before
-    them, the head, go through the formatter, a chunk of grid rows at a
-    time, each time's head followed by its tail.
-    """
+    (t, state label, value) for every grid time t and state, from the law's
+    one sample array, whose columns are in label order.  distribution.csv
+    lists the idle states and levels 1..solved_levels: the levels past
+    them, up to level_cap, are exact zeros and are not listed.
+    boundary.csv lists the idle states and level 1."""
     from . import _g17  # see _write_csv
     m = spec.m
     idle = [f"{a},-1" for a in range(spec.k)]
     phases = [f"{ph // m},{ph % m}" for ph in range(spec.phase_count)]
     labels = [f"0,{a}" for a in idle] + [
-        f"{j},{ph}" for j in range(1, dist.level_cap + 1) for ph in phases]
-    samples = dist.samples
-    # +0 is the one double with no bit set, so -0 stays in the head; a law
-    # of +0 alone keeps a head of one column, which formats it alike
-    held = np.flatnonzero(samples.view(np.uint64).any(axis=0))
-    head = held[-1].item() + 1 if held.size else 1
-    # the grid times are rendered once and serve every chunk of both files
-    grid = dist.grid.tolist()
-    times = _g17.text_rows(grid)[:, None]
-    time_text = [("%.17g" % t).encode() for t in grid]
-    head_labels = _g17.text_rows(labels[:head])[None]
-    tail = [b""] + [f",{label},0\n".encode() for label in labels[head:]]
-    step = max(1, _CHUNK_VALUES // head)
-    with open(out / "distribution.csv", "wb") as fh:
-        fh.write(_csv_header("periodic-distribution v1", (
-            "t", "level", "arrival_stage", "service_stage", "probability")))
-        for i in range(0, len(time_text), step):
-            lines = _g17.line_matrix(times[i:i + step], head_labels,
-                                     samples[i:i + step, :head])
-            # a time's head is its row of the matrix without the NULs; the
-            # matrix goes before the rows are written, and their text
-            # before the next chunk is formatted, so that no two chunks'
-            # buffers are held at once
-            ends = np.count_nonzero(lines.reshape(len(lines), -1), axis=1).cumsum()
-            lines = memoryview(lines.tobytes().translate(None, b"\0"))
-            start = 0
-            for end, stamp in zip(ends.tolist(), time_text[i:i + step]):
-                fh.write(lines[start:end])
-                fh.write(stamp.join(tail))
-                start = end
-            del lines
+        f"{j},{ph}" for j in range(1, dist.solved_levels + 1) for ph in phases]
     blabels = [f"idle,{a}" for a in idle] + [f"first,{ph}" for ph in phases]
+    # the grid times are rendered once and serve every chunk of both files
+    times = _g17.text_rows(dist.grid.tolist())[:, None]
+    samples = dist.samples
+    _write_csv(out / "distribution.csv", "periodic-distribution v2",
+               ("t", "level", "arrival_stage", "service_stage", "probability"),
+               times, _g17.text_rows(labels)[None], samples[:, :len(labels)])
     _write_csv(out / "boundary.csv", "boundary v1",
                ("t", "kind", "arrival_stage", "service_stage", "value"),
                times, _g17.text_rows(blabels)[None], samples[:, :len(blabels)])

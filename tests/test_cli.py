@@ -30,6 +30,7 @@ from ekemq.cli import (
     _CHUNK_VALUES,
     ConfigError,
     RunConfig,
+    _law,
     _series_setup,
     _write_csv,
     _write_law,
@@ -188,7 +189,7 @@ def test_oracle_outputs(tmp_path):
     assert meta["solved_levels"] == 40
     assert meta["level_decay"] == pytest.approx(0.6, rel=1e-12)
     dist_lines = (out / "distribution.csv").read_text().splitlines()
-    assert dist_lines[0] == "# schema: periodic-distribution v1"
+    assert dist_lines[0] == "# schema: periodic-distribution v2"
     # level-0 rows carry no service stage
     first = dist_lines[2].split(",")
     assert first[1] == "0" and first[3] == "-1"
@@ -197,7 +198,7 @@ def test_oracle_outputs(tmp_path):
 
 def test_oracle_reports_the_solved_levels(tmp_path):
     # the reference model on a grid of 16: levels 1..8 are solved, and
-    # distribution.csv keeps all 50, those past 8 at exactly 0
+    # distribution.csv lists those 8 only, those past 8 being exactly 0
     cfg = write_cfg(tmp_path, **{
         "model.k": 7, "model.m": 4, "model.arrival.sin": "1:-2",
         "model.service.sin": "1:4", "oracle.levels": 50, "oracle.grid": 16})
@@ -209,8 +210,8 @@ def test_oracle_reports_the_solved_levels(tmp_path):
     assert 1e-17 < meta["cap_mass"] < 3.9e-17
     rows = [line.split(",") for line in
             (out / "distribution.csv").read_text().splitlines()[2:]]
-    assert len(rows) == 16 * (7 + 50 * 28)
-    assert {row[-1] for row in rows if int(row[1]) > 8} == {"0"}
+    assert len(rows) == 16 * (7 + 8 * 28)
+    assert max(int(row[1]) for row in rows) == 8
     assert all(float(row[-1]) > 0.0 for row in rows if int(row[1]) == 8)
 
 
@@ -243,17 +244,18 @@ def test_outputs_are_byte_identical(tmp_path, command, keys, names):
 
 
 def _write_law_by_rows(out, spec, dist):
-    """The row-tuple writer the law files had before: one row per grid time
-    and state, the boundary's being the idle and level-1 ones."""
+    """The law files by the row-tuple writer: one row per grid time and
+    state, the idle and solved ones in distribution.csv, the idle and
+    level-1 ones in boundary.csv."""
     m = spec.m
     rows = []
     for i, t in enumerate(dist.grid):
         for a in range(spec.k):
             rows.append((t, 0, a, -1, dist.idle[i, a]))
-        for j in range(1, dist.level_cap + 1):
+        for j in range(1, dist.solved_levels + 1):
             for ph in range(spec.phase_count):
                 rows.append((t, j, ph // m, ph % m, dist.levels[i, j - 1, ph]))
-    write_csv_by_rows(out / "distribution.csv", "periodic-distribution v1",
+    write_csv_by_rows(out / "distribution.csv", "periodic-distribution v2",
                       ("t", "level", "arrival_stage", "service_stage", "probability"),
                       rows)
     brows = []
@@ -287,7 +289,8 @@ def test_law_writer_matches_row_writer(tmp_path):
     # a stand-in with a law's sample fields: no series reads -0.0 or 5e-324
     # exactly at a grid time
     dist = SimpleNamespace(grid=np.arange(grid_size) / grid_size, idle=idle,
-                           levels=levels, level_cap=cap, grid_size=grid_size,
+                           levels=levels, level_cap=cap, solved_levels=cap,
+                           grid_size=grid_size,
                            samples=np.hstack([idle, levels.reshape(grid_size, -1)]))
     _assert_law_writers_agree(tmp_path, spec, dist)
 
@@ -304,55 +307,54 @@ def test_law_writer_matches_row_writer_on_a_solved_law(tmp_path, periodic74_spec
     _assert_law_writers_agree(tmp_path, periodic74_spec, periodic74_law128)
 
 
-def _stand_in_law(spec, samples):
-    """A stand-in with a law's sample fields, read off a samples array."""
-    grid_size = len(samples)
-    return SimpleNamespace(
-        grid=np.arange(grid_size) / grid_size, idle=samples[:, :spec.k],
-        levels=samples[:, spec.k:].reshape(grid_size, -1, spec.phase_count),
-        level_cap=(samples.shape[1] - spec.k) // spec.phase_count,
-        grid_size=grid_size, samples=samples)
-
-
-@pytest.mark.parametrize("tail", ["signed-zero", "mid-level", "none"])
-def test_law_writer_splits_at_the_zero_tail(tmp_path, tail):
-    # k + 40 levels of km = 6, nonzero values in the first `head` columns;
-    # the writer formats the columns up to the last that is not +0 in
-    # chunks of _CHUNK_VALUES // that many grid rows, and the grid is two
-    # chunks and 3 rows
-    spec = ModelSpec(2, 3, RateFunction(1.0), RateFunction(2.0))
-    width = spec.k + 40 * spec.phase_count
-    head = {"signed-zero": 100, "mid-level": spec.k + 17 * spec.phase_count + 2,
-            "none": width}[tail]
-    formatted = width if tail == "signed-zero" else head
-    grid_size = 2 * (_CHUNK_VALUES // formatted) + 3
-    rng = np.random.default_rng(23)
-    samples = np.zeros((grid_size, width))
-    samples[:, :head] = rng.random((grid_size, head)) * 10.0 ** -rng.integers(
-        0, 40, (grid_size, head))
-    samples[:, head - 1] += 0.5  # the head's last column holds no zero
-    if tail == "signed-zero":
-        # one -0 in the last column keeps every column in the formatter
-        samples[grid_size // 2, -1] = -0.0
-    _assert_law_writers_agree(tmp_path, spec, _stand_in_law(spec, samples))
-    lines = (tmp_path / "new" / "distribution.csv").read_bytes().splitlines()
-    assert len(lines) == 2 + grid_size * width
-    zero_tail = [line for line in lines[2:] if line.endswith(b",0")]
-    assert len(zero_tail) == grid_size * (width - head) - (tail == "signed-zero")
-    assert sum(line.endswith(b",-0") for line in lines) == (tail == "signed-zero")
-
-
 def test_law_writer_takes_a_law_of_zeros(tmp_path):
-    # no column holds a value: every line ends in ",0"
+    # solved_levels == 0: distribution.csv lists the k idle states at each
+    # time, and boundary.csv still lists level 1, as zeros
     spec = ModelSpec(2, 3, RateFunction(1.0), RateFunction(2.0))
-    _assert_law_writers_agree(tmp_path, spec,
-                              _stand_in_law(spec, np.zeros((7, spec.k + 3 * 6))))
+    grid_size, cap = 7, 3
+    dist = SimpleNamespace(grid=np.arange(grid_size) / grid_size,
+                           idle=np.zeros((grid_size, spec.k)),
+                           levels=np.zeros((grid_size, cap, spec.phase_count)),
+                           level_cap=cap, solved_levels=0, grid_size=grid_size,
+                           samples=np.zeros((grid_size, spec.k + cap * spec.phase_count)))
+    _assert_law_writers_agree(tmp_path, spec, dist)
+    lines = (tmp_path / "new" / "distribution.csv").read_text().splitlines()[2:]
+    assert len(lines) == grid_size * spec.k
+    assert {line.split(",")[1] for line in lines} == {"0"}
+    lines = (tmp_path / "new" / "boundary.csv").read_text().splitlines()[2:]
+    assert len(lines) == grid_size * (spec.k + spec.phase_count)
+    assert sum(line.split(",")[1] == "first" for line in lines) == grid_size * spec.phase_count
+    assert {line.rsplit(",", 1)[1] for line in lines} == {"0"}
+
+
+@pytest.mark.parametrize("law", ["reference", "all-levels"])
+def test_law_file_reads_back_bit_for_bit(tmp_path, request, law):
+    # distribution.csv read back with float() is the law's samples of the
+    # idle states and the solved levels, to the bit, and every value it
+    # leaves out is +0, the one double with no bit set
+    if law == "reference":
+        spec, dist = (request.getfixturevalue("periodic74_spec"),
+                      request.getfixturevalue("periodic74_dist"))
+        assert (dist.level_cap, dist.solved_levels) == (50, 8)
+    else:  # the law of test_oracle_outputs
+        cfg = RunConfig.load(write_cfg(tmp_path))
+        spec = cfg.spec()
+        dist = _law(cfg, spec)
+        assert dist.level_cap == dist.solved_levels == 40
+    _write_law(tmp_path, spec, dist)
+    listed = spec.k + dist.solved_levels * spec.phase_count
+    lines = (tmp_path / "distribution.csv").read_text().splitlines()[2:]
+    values = np.array([float(line.rsplit(",", 1)[1]) for line in lines])
+    assert values.shape == (dist.grid_size * listed,)
+    assert (values.reshape(dist.grid_size, listed).view(np.uint64)
+            == dist.samples[:, :listed].view(np.uint64)).all()
+    assert not dist.samples[:, listed:].view(np.uint64).any()
 
 
 def test_formatter_fast_path_covers_most_of_a_law(periodic74_law128, periodic74_dist):
     # no value of a law lies within the rounding bound of a tie, so none
-    # takes the fallback; in distribution.csv of bench/reference.cfg (the
-    # grid-512 law) levels 9-50 are exact zeros, which take the fast path too
+    # takes the fallback; in the law of bench/reference.cfg (grid 512)
+    # levels 9-50 are exact zeros, which take the fast path too
     reference = periodic74_dist.samples
     assert reference.size == 720_384 and (reference == 0.0).sum() == 602_112
     for law in (periodic74_law128, periodic74_dist):
