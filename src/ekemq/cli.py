@@ -34,7 +34,8 @@ import numpy as np
 from .bounds import truncation_error_bound
 from .busy import busy_period_cdf
 from .model import ModelSpec, RateFunction
-from .oracle import busy_oracle, extract_boundary, integrate_periodic
+from .oracle import (TrigInterpolant, busy_oracle, extract_boundary,
+                     integrate_periodic)
 from .roots import build_root_set
 from .series import SeriesEvaluator
 from .waiting import oracle_wait_cdf, wait_cdf
@@ -150,7 +151,6 @@ class RunConfig:
         "busy.u": (_parse_float, 0.0),
         "busy.horizon": (_at_least(_parse_float, 0.0, strict=True), 5.0),
         "busy.step": (_at_least(_parse_float, 0.0, strict=True), 1.0 / 512),
-        "busy.cap": (_at_least(_parse_int, 1), 40),
         "busy.substeps": (_at_least(_parse_int, 1), 4),
     }
 
@@ -191,8 +191,6 @@ class RunConfig:
         if a >= values["model.k"] or s >= values["model.m"]:
             raise ConfigError(f"key 'busy.phase': stages {a},{s} are outside "
                               "model.k x model.m")
-        if values["busy.cap"] < 2 * values["busy.level"]:
-            raise ConfigError("key 'busy.cap': below twice busy.level")
         # int(round(horizon / step)) >= 2, the march's step count, without
         # rounding an infinite ratio
         if values["busy.horizon"] / values["busy.step"] < 1.5:
@@ -305,23 +303,23 @@ def cmd_roots(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
                 "poly_residual", "exp_residual"), *columns.T)
 
 
-def _write_law(out: Path, spec: ModelSpec, dist) -> None:
+def _write_law(out: Path, spec: ModelSpec, grid: np.ndarray, samples: np.ndarray,
+               solved_levels: int) -> None:
     """distribution.csv and boundary.csv of the oracle command: a line
     (t, state label, value) for every grid time t and state, from the law's
-    one sample array, whose columns are in label order.  distribution.csv
-    lists the idle states and levels 1..solved_levels: the levels past
-    them, up to level_cap, are exact zeros and are not listed.
+    samples at the grid times, whose columns are in label order.
+    distribution.csv lists the idle states and levels 1..solved_levels: the
+    levels past them, up to level_cap, are exact zeros and are not listed.
     boundary.csv lists the idle states and level 1."""
     from . import _g17  # see _write_csv
     m = spec.m
     idle = [f"{a},-1" for a in range(spec.k)]
     phases = [f"{ph // m},{ph % m}" for ph in range(spec.phase_count)]
     labels = [f"0,{a}" for a in idle] + [
-        f"{j},{ph}" for j in range(1, dist.solved_levels + 1) for ph in phases]
+        f"{j},{ph}" for j in range(1, solved_levels + 1) for ph in phases]
     blabels = [f"idle,{a}" for a in idle] + [f"first,{ph}" for ph in phases]
     # the grid times are rendered once and serve every chunk of both files
-    times = _g17.text_rows(dist.grid.tolist())[:, None]
-    samples = dist.samples
+    times = _g17.text_rows(grid.tolist())[:, None]
     _write_csv(out / "distribution.csv", "periodic-distribution v2",
                ("t", "level", "arrival_stage", "service_stage", "probability"),
                times, _g17.text_rows(labels)[None], samples[:, :len(labels)])
@@ -332,7 +330,12 @@ def _write_law(out: Path, spec: ModelSpec, dist) -> None:
 
 def cmd_oracle(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     dist = _law(cfg, spec)
-    _write_law(out, spec, dist)
+    # the series of the listed states only, at the grid times: the levels
+    # past solved_levels are exact zeros, and boundary.csv lists level 1
+    # even when it is one of them
+    width = spec.k + max(dist.solved_levels, 1) * spec.phase_count
+    _write_law(out, spec, dist.grid, TrigInterpolant(dist.series[:, :width])(dist.grid),
+               dist.solved_levels)
     _write_json(out / "oracle.json", {
         "periods": dist.periods,
         "residual": dist.residual,
@@ -425,7 +428,7 @@ def cmd_busy(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
                           horizon=cfg["busy.horizon"], step=cfg["busy.step"])
     ode = busy_oracle(spec, level, phase, u=cfg["busy.u"],
                       horizon=cfg["busy.horizon"], step=cfg["busy.step"],
-                      level_cap=cfg["busy.cap"], substeps=cfg["busy.substeps"])
+                      substeps=cfg["busy.substeps"])
     header = ["t"]
     header += [f"volterra_a{a}" for a in range(spec.k)]
     header += [f"ode_a{a}" for a in range(spec.k)]

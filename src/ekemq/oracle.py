@@ -37,8 +37,10 @@ so the generator at a node is that pattern with the values lam * a + mu *
 s: one small dense product refreshes it in place, no matrix is rebuilt
 inside the stepping loop, and each RK stage is a single sparse product,
 four per step.  scipy.sparse is imported only there, on first use.  It
-marches only the levels that hold mass, by the rule that picks the periodic
-solve's levels (`_solve_held_levels`): level_cap is an upper limit.
+marches once, on the levels the horizon can reach: the start level plus
+the levels that the arrival stages completed by the horizon climb with
+more than about 1e-18 of probability, by a Chernoff bound on their Poisson
+count; level_cap is an upper limit.
 
 In the killed system the k empty states have no exits and count absorption
 by arrival stage; `_structure_matrices` builds it and `_rk4_march` steps it.
@@ -94,10 +96,12 @@ _REUSE_TOL = 1e-15
 
 _CAP_MASS_LIMIT = 1e-6
 
-# `integrate_periodic` and `busy_oracle` solve the levels by which a mass,
-# falling by sp(R) per level, reaches _LEVEL_FLOOR, and solve again on more
-# levels while their top solved level holds more than _SOLVED_MASS_LIMIT:
-# the rule can under-read when the rates swing the load.
+# `integrate_periodic` solves the levels by which a mass, falling by sp(R)
+# per level, reaches _LEVEL_FLOOR, and solves again on more levels while its
+# top solved level holds more than _SOLVED_MASS_LIMIT: the rule can
+# under-read when the rates swing the load.  `busy_oracle` marches the
+# levels that its horizon's arrivals reach with more than _LEVEL_FLOOR of
+# probability.
 _LEVEL_FLOOR = 1e-18
 _SOLVED_MASS_LIMIT = 1e-15
 
@@ -656,24 +660,6 @@ def _levels_to_floor(mass: float, decay: float) -> float:
     return max(1, math.ceil(math.log(_LEVEL_FLOOR / mass) / math.log(decay)))
 
 
-def _solve_held_levels(solve, decay: float, start: int, level_cap: int):
-    """solve(L) on the levels that hold mass: (result, mass) of its last call.
-
-    solve(L) works on levels 1..L only and returns its result with the peak
-    mass on level L.  L starts at start + the levels by which a mass that
-    falls by `decay` per level goes from 1 to _LEVEL_FLOOR, and while L <
-    level_cap and the mass on level L exceeds _SOLVED_MASS_LIMIT, solve runs
-    again on the levels by which that mass reaches _LEVEL_FLOOR beyond L;
-    every L is capped at level_cap.
-    """
-    levels, mass = start, 1.0
-    while True:
-        levels = min(level_cap, levels + _levels_to_floor(mass, decay))
-        result, mass = solve(levels)
-        if levels == level_cap or mass <= _SOLVED_MASS_LIMIT:
-            return result, mass
-
-
 def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 512,
                        tol: float = 1e-10) -> PeriodicDistribution:
     """Solve for the periodic regime of the queue truncated at level_cap.
@@ -723,17 +709,18 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be > 0 and < 1, got {tol}")
     decay = _LevelElimination(_HarmonicBalance(spec, level_cap), 1).decay
-
-    def solve(levels):
+    levels, mass = 0, 1.0
+    while True:
+        levels = min(level_cap, levels + _levels_to_floor(mass, decay))
         solved, residual = _fourier_coefficients(spec, levels, tol)
         series = np.zeros((len(solved), spec.k + level_cap * spec.phase_count), complex)
         series[:, :solved.shape[1]] = solved
         dist = PeriodicDistribution(spec=spec, series=series, grid_size=grid_size,
                                     periods=len(series) - 1, residual=residual,
                                     level_decay=decay)
-        return dist, dist.cap_mass()
-
-    dist, mass = _solve_held_levels(solve, decay, 0, level_cap)
+        mass = dist.cap_mass()
+        if levels == level_cap or mass <= _SOLVED_MASS_LIMIT:
+            break
     if mass > _CAP_MASS_LIMIT:
         raise RuntimeError(f"probability {mass:.3e} sits at the "
                            f"level cap {level_cap}; raise level_cap")
@@ -806,7 +793,7 @@ def extract_boundary(dist: PeriodicDistribution) -> BoundaryFunctions:
 
 def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
                 horizon: float = 5.0, step: float = 1.0 / 512,
-                level_cap: int = 40, substeps: int = 4) -> VolterraSolution:
+                level_cap: int = 1000, substeps: int = 4) -> VolterraSolution:
     """Absorbing-ODE route: integrate the killed process and read the sinks.
 
     Records the sinks every `step` (rounded so that whole steps fill the
@@ -814,18 +801,21 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     ends non-finite or with an L1 norm above 1 + _NORM_SLACK: the step is
     too coarse for RK4 at these rates.
 
-    level_cap is an upper limit on the levels marched, by the rule of
-    `integrate_periodic`: the process is marched on levels 1..L only,
-    arrivals blocked at L, with L = min(level_cap, level + ceil(log 1e-18 /
-    log sp(R))), sp(R) the per-level decay of the mean-rate QBD
-    (`_LevelElimination.decay`).  A march on L < level_cap stops at the
-    first record that puts more than 1e-15 on level L and is made again on
-    the levels by which that mass, falling by sp(R) per level, reaches
-    1e-18, up to level_cap.  So the mass on level L stays at most 1e-15 at
-    every record, and blocking arrivals there moves the sinks by about that
-    mass, as a cap does.  `solved_levels` is L and `cap_mass` the peak mass
-    on level L over the records.  At L = level_cap the run aborts instead
-    when more than 1e-10 sits on the cap at a record (raise level_cap).
+    The process is marched once, on levels 1..L only, arrivals blocked at L,
+    with L = min(level_cap, level + ceil((n* + a) / k)): the levels the
+    horizon can reach.  a is the start phase's arrival stage, and arrival
+    stages complete at rate lam(t) whatever the level, so their count over
+    the horizon is Poisson with mean Lambda = the arrival rate's integral
+    over [u, u + horizon], and a climb to level L takes at least n* of
+    them.  n* is the least n > Lambda whose Chernoff bound on that Poisson
+    tail, e^-Lambda (e Lambda / n)^n, is below 1e-18, so where L <
+    level_cap level L holds at most 1e-18 at any record, and blocking
+    arrivals there moves the sinks by less than that.  `solved_levels` is L
+    and `cap_mass` the peak mass on level L over the records.  The default
+    level_cap, 1000, is a size guard that sane horizons do not meet (L is
+    10 at the reference model's defaults); where it binds, the run aborts
+    when more than 1e-10 sits on the cap at a record (raise level_cap or
+    shorten the horizon).
 
     After the checks of each record, every transient entry of the state
     (levels 1..L; the sinks are never edited) with modulus below
@@ -833,8 +823,9 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     mass front does not run through the RK4 stages.  A record removes less
     than L km _STATE_FLOOR of mass, and the exact killed flow does not
     increase L1 mass, so the sinks move by at most n_rec L km _STATE_FLOOR
-    over the run, below 3e-274 at the defaults (L <= 40, horizon 5, step
-    1/512); on the reference model no value moves at all.
+    over the run: below 8e-275 on the reference model at the defaults (L =
+    10, km = 28, horizon 5, step 1/512), and below 8e-272 were L the default
+    cap 1000; on the reference model no value moves at all.
     """
     level = _as_index(level, "level")
     if level < 1:
@@ -860,41 +851,46 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     nodes = u + (horizon / total_steps) * 0.5 * np.arange(2 * total_steps + 1)
     lam, mu = spec.arrival.value(nodes), spec.service.value(nodes)
 
-    def march(levels):
-        op = _structure_matrices(k, spec.m, levels)
-        # the k sinks come first, then levels 1..levels
-        p = np.zeros(op[0].shape[0])
-        p[k + (level - 1) * km + q0] = 1.0
-        values = np.zeros((n_rec + 1, k))
-        top = slice(k + (levels - 1) * km, None)
-        top_mass = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps = _rk4_march(op, lam, mu, h, p)
-            for rec in range(1, n_rec + 1):
-                for _ in range(substeps):
-                    p = next(steps)
-                mass = np.abs(p)
-                norm = mass.sum()
-                if not norm <= 1.0 + _NORM_SLACK:
-                    raise RuntimeError(
-                        f"step {step} with substeps {substeps} is too coarse for "
-                        f"RK4 at these rates: a record ended with L1 norm "
-                        f"{norm:.3e}; lower step or raise substeps")
-                values[rec] = p[:k]
-                top_mass = max(top_mass, float(mass[top].sum()))
-                if levels < level_cap and top_mass > _SOLVED_MASS_LIMIT:
-                    break  # to be marched again on more levels
-                if top_mass > 1e-10:
-                    raise RuntimeError(
-                        f"probability {top_mass:.3e} reached the level cap "
-                        f"{level_cap}; raise level_cap")
-                p[k:][mass[k:] < _STATE_FLOOR] = 0.0
-        sol = VolterraSolution(
-            level=level, phase=q0, u=float(u), step=horizon / n_rec,
-            times=u + (horizon / n_rec) * np.arange(n_rec + 1),
-            values=values, source="ode", cap_mass=top_mass, solved_levels=levels,
-        )
-        return sol, top_mass
+    # n*: the least n > Lambda with log(e^-Lambda (e Lambda / n)^n) below
+    # log _LEVEL_FLOOR (n = 1 when no arrival stage can complete); the
+    # search stops once n alone reaches level_cap, which a long horizon's
+    # n* passes by far
+    mean = spec.arrival.cumulative(u, u + horizon)
+    n = math.floor(mean) + 1
+    while (mean > 0.0 and n < (level_cap - level) * k
+           and n * (1.0 + math.log(mean / n)) - mean >= math.log(_LEVEL_FLOOR)):
+        n += 1
+    levels = min(level_cap, level + -(-(n + q0 // spec.m) // k))
 
-    decay = _LevelElimination(_HarmonicBalance(spec, level_cap), 1).decay
-    return _solve_held_levels(march, decay, level, level_cap)[0]
+    op = _structure_matrices(k, spec.m, levels)
+    # the k sinks come first, then levels 1..levels
+    p = np.zeros(op[0].shape[0])
+    p[k + (level - 1) * km + q0] = 1.0
+    values = np.zeros((n_rec + 1, k))
+    top = slice(k + (levels - 1) * km, None)
+    top_mass = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _rk4_march(op, lam, mu, h, p)
+        for rec in range(1, n_rec + 1):
+            for _ in range(substeps):
+                p = next(steps)
+            mass = np.abs(p)
+            norm = mass.sum()
+            if not norm <= 1.0 + _NORM_SLACK:
+                raise RuntimeError(
+                    f"step {step} with substeps {substeps} is too coarse for "
+                    f"RK4 at these rates: a record ended with L1 norm "
+                    f"{norm:.3e}; lower step or raise substeps")
+            values[rec] = p[:k]
+            top_mass = max(top_mass, float(mass[top].sum()))
+            if top_mass > 1e-10:
+                raise RuntimeError(
+                    f"probability {top_mass:.3e} reached the level cap "
+                    f"{level_cap} within the horizon {horizon}; raise "
+                    f"level_cap or shorten the horizon")
+            p[k:][mass[k:] < _STATE_FLOOR] = 0.0
+    return VolterraSolution(
+        level=level, phase=q0, u=float(u), step=horizon / n_rec,
+        times=u + (horizon / n_rec) * np.arange(n_rec + 1),
+        values=values, source="ode", cap_mass=top_mass, solved_levels=levels,
+    )

@@ -146,7 +146,7 @@ def test_flush_keeps_oracle_values(periodic74_spec, u, step):
     values, _, subnormal = unflushed_busy_oracle(
         periodic74_spec, 1, (0, 0), u=u, horizon=5.0, step=step, level_cap=40,
         substeps=4)
-    assert sol.solved_levels == 9
+    assert sol.solved_levels == 10
     assert np.array_equal(sol.values, values)
     _, cap_mass, _ = unflushed_busy_oracle(
         periodic74_spec, 1, (0, 0), u=u, horizon=5.0, step=step,
@@ -156,33 +156,47 @@ def test_flush_keeps_oracle_values(periodic74_spec, u, step):
     assert subnormal > 1000
 
 
+_REFERENCE = ModelSpec(7, 4, RateFunction(3.0, sin=((1, -2.0),)),
+                       RateFunction(5.0, sin=((1, 4.0),)))
 _LOAD_08 = ModelSpec(7, 4, RateFunction(7.0, sin=((1, -2.0),)),
                      RateFunction(5.0, sin=((1, 4.0),)))
+_LOAD_095 = ModelSpec(7, 4, RateFunction(8.3125, sin=((1, -2.0),)),
+                      RateFunction(5.0, sin=((1, 4.0),)))
+_LOAD_099 = ModelSpec(7, 4, RateFunction(8.6625, sin=((1, -2.0),)),
+                      RateFunction(5.0, sin=((1, 4.0),)))
 _K2_M3 = ModelSpec(2, 3, RateFunction(1.5, cos=((1, 0.5), (3, 0.3))),
                    RateFunction(3.0, sin=((2, 1.0),)))
 
 
-@pytest.mark.parametrize("spec, cap, solved", [(_LOAD_08, 40, 38), (_K2_M3, 40, 40),
-                                               (_K2_M3, 120, 62)],
-                         ids=["load-0.8", "k2-m3", "k2-m3-cap-120"])
-def test_march_on_the_levels_that_hold_mass_keeps_values(spec, cap, solved):
-    # L = min(cap, 1 + ceil(log 1e-18 / log sp(R))), sp(R) 0.32 at load 0.8
-    # and 0.50 for k = 2, m = 3 (so L is the cap 40 there): the march on
-    # levels 1..L reads the values of the unflushed march on every level
-    sol = busy_oracle(spec, 1, 0, u=0.3, horizon=5.0, step=1 / 128,
+@pytest.mark.parametrize("spec, level, cap, solved", [
+    (_LOAD_08, 1, 40, 16), (_LOAD_095, 1, 120, 18), (_LOAD_099, 1, 120, 18),
+    (_REFERENCE, 3, 40, 12), (_K2_M3, 1, 40, 24), (_K2_M3, 1, 120, 24)],
+    ids=["load-0.8", "load-0.95-cap-120", "load-0.99-cap-120", "start-level-3",
+         "k2-m3", "k2-m3-cap-120"])
+def test_march_on_the_levels_that_hold_mass_keeps_values(spec, level, cap, solved):
+    # L = min(cap, level + ceil(n* / k)) from the start stage 0: n* is 63 at
+    # the reference model's arrival mass 15 over the horizon, 102 at load
+    # 0.8, 113 and 116 at loads 0.95 and 0.99, 45 for k = 2, m = 3; the
+    # march on levels 1..L reads the values of the unflushed march on every
+    # level, whatever the load
+    sol = busy_oracle(spec, level, 0, u=0.3, horizon=5.0, step=1 / 128,
                       level_cap=cap, substeps=4)
-    values, _, _ = unflushed_busy_oracle(spec, 1, 0, u=0.3, horizon=5.0,
+    values, _, _ = unflushed_busy_oracle(spec, level, 0, u=0.3, horizon=5.0,
                                          step=1 / 128, level_cap=cap, substeps=4)
     assert sol.solved_levels == solved
     assert np.array_equal(sol.values, values)
-    assert sol.cap_mass <= 1e-15 or solved == cap
+    assert sol.cap_mass <= 1e-18
 
 
-def test_mass_on_the_top_level_widens_the_march(periodic74_spec, monkeypatch):
-    # with the rule aimed at 1e-6 the first march keeps 4 levels; each march
-    # that puts more than 1e-15 on its top level stops and is made again on
-    # more levels
-    monkeypatch.setattr(oracle, "_LEVEL_FLOOR", 1e-6)
+def test_busy_oracle_marches_once_with_no_level_elimination(periodic74_spec,
+                                                             monkeypatch):
+    # the reach needs only the arrival rate's integral, 4.5 - 2 / pi over
+    # [0, 1.5] (n* = 33): one march per call, on 1 + ceil(33 / 7) levels
+    # from stage 0 at level 1 and 3 + ceil(35 / 7) from stage 2 at level 3,
+    # and no mean-rate QBD
+    def refuse(*args):
+        raise AssertionError("busy_oracle built a level elimination")
+    monkeypatch.setattr(oracle, "_LevelElimination", refuse)
     caps = []
     original = oracle._structure_matrices
 
@@ -190,14 +204,11 @@ def test_mass_on_the_top_level_widens_the_march(periodic74_spec, monkeypatch):
         caps.append(level_cap)
         return original(k, m, level_cap)
     monkeypatch.setattr(oracle, "_structure_matrices", spy)
-    sol = busy_oracle(periodic74_spec, 1, (0, 0), horizon=5.0, step=1 / 128,
-                      level_cap=40, substeps=4)
-    values, _, _ = unflushed_busy_oracle(periodic74_spec, 1, (0, 0), u=0.0,
-                                         horizon=5.0, step=1 / 128, level_cap=40,
-                                         substeps=4)
-    assert len(caps) > 1 and caps[0] == 4 and caps[-1] == sol.solved_levels
-    assert sol.cap_mass <= 1e-15
-    assert np.abs(sol.values - values).max() <= 1e-14
+    for level, phase in ((1, (0, 0)), (3, (2, 3))):
+        sol = busy_oracle(periodic74_spec, level, phase, horizon=1.5, step=1 / 128,
+                          level_cap=40, substeps=4)
+        assert caps[-1] == sol.solved_levels
+    assert caps == [6, 8]
 
 
 def test_mm1_oracle_frozen_values(mm1_spec):
@@ -497,8 +508,17 @@ def test_closed_form_inverse_matches_solve(k, m):
 
 
 def test_cap_overflow_is_reported(mm1_spec):
-    with pytest.raises(RuntimeError, match="level cap"):
+    # an arrival mass of 3 over the horizon reaches level 2 + 30, past the cap
+    with pytest.raises(RuntimeError, match="level cap 4 within the horizon 1.0"):
         busy_oracle(mm1_spec, 2, 0, horizon=1.0, step=0.05, level_cap=4)
+
+
+def test_long_horizon_marches_at_the_cap(mm1_spec):
+    # an arrival mass of 3e300: the search for n* stops at the cap instead
+    # of stepping toward n*, and the march on the 4 cap levels is then
+    # refused for its step
+    with pytest.raises(RuntimeError, match="too coarse"):
+        busy_oracle(mm1_spec, 1, 0, horizon=1e300, step=1e299, level_cap=4)
 
 
 @pytest.mark.parametrize("step", [0.5, 0.25])

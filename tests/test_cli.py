@@ -53,7 +53,6 @@ MM1_BASE = {
     "waiting.steps": 21,
     "busy.horizon": 1.0,
     "busy.step": 0.015625,
-    "busy.cap": 30,
 }
 
 
@@ -272,7 +271,7 @@ def _assert_law_writers_agree(tmp_path, spec, dist):
     old, new = tmp_path / "old", tmp_path / "new"
     old.mkdir()
     new.mkdir()
-    _write_law(new, spec, dist)
+    _write_law(new, spec, dist.grid, dist.samples, dist.solved_levels)
     _write_law_by_rows(old, spec, dist)
     for name in ("distribution.csv", "boundary.csv"):
         assert (new / name).read_bytes() == (old / name).read_bytes(), name
@@ -341,7 +340,7 @@ def test_law_file_reads_back_bit_for_bit(tmp_path, request, law):
         spec = cfg.spec()
         dist = _law(cfg, spec)
         assert dist.level_cap == dist.solved_levels == 40
-    _write_law(tmp_path, spec, dist)
+    _write_law(tmp_path, spec, dist.grid, dist.samples, dist.solved_levels)
     listed = spec.k + dist.solved_levels * spec.phase_count
     lines = (tmp_path / "distribution.csv").read_text().splitlines()[2:]
     values = np.array([float(line.rsplit(",", 1)[1]) for line in lines])
@@ -618,8 +617,7 @@ def test_busy_reports_the_unresolved_mass(tmp_path):
     # the default horizon leaves about 11% of the busy period unresolved
     keys = {"model.k": 7, "model.m": 4, "model.arrival.base": 8.3125,
             "model.arrival.sin": "1:-2", "model.service.base": 5.0,
-            "model.service.sin": "1:4", "busy.horizon": 5.0, "busy.cap": 40,
-            "busy.substeps": 1}
+            "model.service.sin": "1:4", "busy.horizon": 5.0, "busy.substeps": 1}
     cfg = write_cfg(tmp_path, **keys)
     out = tmp_path / "b"
     assert main(["busy", "--config", cfg, "--out", str(out)]) == 0
@@ -627,8 +625,7 @@ def test_busy_reports_the_unresolved_mass(tmp_path):
     spec = RunConfig.load(cfg).spec()
     step = MM1_BASE["busy.step"]
     vol = busy_period_cdf(spec, 1, (0, 0), horizon=5.0, step=step)
-    ode = busy_oracle(spec, 1, (0, 0), horizon=5.0, step=step, level_cap=40,
-                      substeps=1)
+    ode = busy_oracle(spec, 1, (0, 0), horizon=5.0, step=step, substeps=1)
     assert meta["volterra_unresolved_mass"] == 1.0 - vol.total()[-1]
     assert meta["ode_unresolved_mass"] == 1.0 - ode.total()[-1]
     assert meta["volterra_unresolved_mass"] > 0.05
@@ -643,6 +640,27 @@ def test_series_commands_build_no_law_samples(tmp_path):
     top = dist.levels[:, dist.solved_levels - 1]
     assert dist.cap_mass() == pytest.approx(top.sum(axis=1).max(), rel=1e-12)
     assert np.allclose(boundary.idle_at(dist.grid), dist.idle, rtol=0.0, atol=1e-15)
+
+
+def test_oracle_builds_no_law_samples(tmp_path, monkeypatch):
+    # the oracle command evaluates the series of the listed states only, and
+    # writes the bytes that the law's samples give
+    laws = []
+
+    def law(cfg, spec):
+        laws.append(_law(cfg, spec))
+        return laws[-1]
+    monkeypatch.setattr(ekemq.cli, "_law", law)
+    cfg = write_cfg(tmp_path, **{"model.k": 7, "model.m": 4, "model.arrival.sin": "1:-2",
+                                 "model.service.sin": "1:4", "oracle.levels": 50})
+    out = tmp_path / "o"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
+    (dist,) = laws
+    assert "samples" not in dist.__dict__
+    assert (dist.solved_levels, dist.level_cap) == (8, 50)
+    _write_law(tmp_path, dist.spec, dist.grid, dist.samples, dist.solved_levels)
+    for name in ("distribution.csv", "boundary.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_compare_output(tmp_path):
@@ -682,7 +700,6 @@ def test_levels_outside_truncation_exit_2(tmp_path, capsys):
     ("waiting", "waiting.horizon", "-1"),
     ("busy", "busy.substeps", "0"),
     ("busy", "busy.phase", "0,5"),
-    ("busy", "busy.cap", "1"),
     ("busy", "busy.step", "0.75"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, capsys, command, key, value):
@@ -702,6 +719,29 @@ def test_removed_max_periods_key_exits_2(tmp_path, capsys):
     assert main(["oracle", "--config", cfg, "--out", str(out)]) == 2
     assert "unknown key 'oracle.max_periods'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_removed_busy_cap_key_exits_2(tmp_path, capsys):
+    # the busy oracle marches the levels its horizon reaches, so the key is gone
+    cfg = write_cfg(tmp_path, **{"busy.cap": 40})
+    out = tmp_path / "out"
+    assert main(["busy", "--config", cfg, "--out", str(out)]) == 2
+    assert "unknown key 'busy.cap'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_busy_at_load_099_needs_no_cap_key(tmp_path):
+    # load 0.99: the march reaches 1 + ceil(116 / 7) levels over the horizon
+    keys = {"model.k": 7, "model.m": 4, "model.arrival.base": 8.6625,
+            "model.arrival.sin": "1:-2", "model.service.base": 5.0,
+            "model.service.sin": "1:4", "busy.horizon": 5.0,
+            "busy.step": 1 / 128, "busy.substeps": 1}
+    out = tmp_path / "b"
+    assert main(["busy", "--config", write_cfg(tmp_path, **keys),
+                 "--out", str(out)]) == 0
+    meta = json.loads((out / "busy.json").read_text())
+    assert meta["ode_solved_levels"] == 18
+    assert meta["cap_mass"] <= 1e-18
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
