@@ -200,6 +200,10 @@ class VolterraSolution:
     oracle route marches levels 1..solved_levels of its truncated system
     (None for the Volterra route), and cap_mass is the largest probability
     on its top level, solved_levels, at a record (0 for the Volterra route).
+    reach_bound is the a-priori bound on that probability by which the
+    oracle chose solved_levels, e^-Lambda (e Lambda / n*)^n* (see
+    `oracle.busy_oracle`); None for the Volterra route and where the
+    oracle's level_cap bound the march instead.
     error_estimate is max over times of |fine - coarse| / 3 of the totals of
     the two marches behind a refined Volterra solution: the Richardson
     estimate of the raw march's error at half the step.  It is not an error
@@ -220,6 +224,7 @@ class VolterraSolution:
     cap_mass: float = 0.0
     error_estimate: float | None = None
     solved_levels: int | None = None
+    reach_bound: float | None = None
 
     def total(self) -> np.ndarray:
         return self.values.sum(axis=1)

@@ -343,6 +343,7 @@ def cmd_oracle(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
         "level_cap": dist.level_cap,
         "solved_levels": dist.solved_levels,
         "level_decay": dist.level_decay,
+        "gmres_iterations": dist.gmres_iterations,
         "grid_size": dist.grid_size,
     })
 
@@ -446,6 +447,7 @@ def cmd_busy(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
         "error_estimate": vol.error_estimate,
         "cap_mass": ode.cap_mass,
         "ode_solved_levels": ode.solved_levels,
+        "ode_reach_bound": ode.reach_bound,
         # the mass neither route has seen empty by the horizon
         "volterra_unresolved_mass": float(1.0 - vt[-1]),
         "ode_unresolved_mass": float(1.0 - ot[-1]),

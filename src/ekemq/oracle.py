@@ -17,14 +17,20 @@ lam_j and mu_j the rates' Fourier coefficients.  `integrate_periodic`
 solves these equations for n = 0..N, with c_{-n} = conj(c_n) and one n = 0
 equation traded for the total mass, by restarted GMRES (Saad & Schultz,
 SIAM J. Sci. Stat. Comput. 1986) preconditioned by the mean generator,
-block eliminated over levels for every harmonic at once; it grows N until
-the top harmonic is below the tolerance.  The law is its Fourier series:
-one evaluator (`TrigInterpolant`) samples it on the output grid and reads
-it between grid times.  No period is integrated, and the error is the
-truncation past N, which |c_N| shows, plus the linear solve's residual.
-Only the levels that hold more than about 1e-18 are solved, by the law's
-per-level decay sp(R) of the mean-rate QBD; the levels above them, up to
-the cap, are exact zeros.  numpy does all of it.  The time-domain solve,
+block eliminated over levels for every harmonic at once (Neuts,
+Matrix-Geometric Solutions in Stochastic Models, 1981); it grows N until
+the top harmonic is below the tolerance.  Each level's diagonal block in
+that elimination is one lower triangular block per harmonic, the mean
+level block shifted by 2 pi i n d, plus a rank-m correction from the level
+above, so two km x km blocks are inverted per harmonic and each level
+costs an m x m inverse (Woodbury; Hager, SIAM Review 1989).  The law is
+its Fourier series: one evaluator (`TrigInterpolant`) samples it on the
+output grid and reads it between grid times.  No period is integrated,
+and the error is the truncation past N, which |c_N| shows, plus the linear
+solve's residual.  Only the levels that hold more than about 1e-18 are
+solved, by the law's per-level decay sp(R) of the mean-rate QBD, which the
+same level recursion yields at n = 0; the levels above them, up to the
+cap, are exact zeros.  numpy does all of it.  The time-domain solve,
 RK4 periods to the period map's fixed point, is kept in the tests as the
 cross-check.
 
@@ -90,8 +96,9 @@ _SOLVE_FRACTION = 0.01
 
 # From the cap down, the level blocks of the preconditioner's elimination
 # converge (within 7 to 11 levels on the reference model and up to load
-# 0.95); the first block within _REUSE_TOL of the one above it, relative in
-# max norm, serves every level below.
+# 0.95); once a block's k x m slice that feeds the level below is within
+# _REUSE_TOL of the one above it, relative in max norm, that block serves
+# every level below.
 _REUSE_TOL = 1e-15
 
 _CAP_MASS_LIMIT = 1e-6
@@ -262,8 +269,10 @@ class PeriodicDistribution:
     equations' residual, names kept from the time-domain solve.
     `level_decay` is sp(R), the per-level decay of the mean-rate QBD that
     `integrate_periodic` chose the solved levels by (nan for a law built
-    otherwise).  `solved_levels` is the highest level with a nonzero
-    coefficient: the levels above it, up to level_cap, are exact zeros.
+    otherwise).  `gmres_iterations` counts the GMRES iterations of that
+    solve at its final N (0 for a law built otherwise).  `solved_levels` is
+    the highest level with a nonzero coefficient: the levels above it, up
+    to level_cap, are exact zeros.
 
     Each series below is built from `series` on first use, once per law,
     over the idle states and levels 1..solved_levels, and its values are
@@ -284,6 +293,7 @@ class PeriodicDistribution:
     periods: int
     residual: float
     level_decay: float = math.nan
+    gmres_iterations: int = 0
 
     def __post_init__(self):
         series = np.array(self.series, dtype=complex)
@@ -377,7 +387,12 @@ class PeriodicDistribution:
     def cap_mass(self) -> float:
         """Largest probability seen at a grid time on the top solved level,
         `solved_levels` (0 if there is none); a cap check.  It evaluates
-        that level's own series at the grid, so it builds no samples."""
+        that level's own series at the grid, so it builds no samples, once
+        per law."""
+        return self._cap_mass
+
+    @cached_property
+    def _cap_mass(self) -> float:
         top = self.solved_levels
         if not top:
             return 0.0
@@ -397,6 +412,69 @@ def _harmonics(rate) -> dict[int, complex]:
     return out
 
 
+def _level_inverses(hb: _HarmonicBalance, count: int) -> np.ndarray:
+    """The inverses of the diagonal blocks that block elimination of Gbar -
+    2 pi i n d from the cap down leaves on the levels, for the harmonics n d,
+    n = 0..count - 1: a (blocks, count, km, km) stack, the cap's first,
+    then levels cap - 1, cap - 2, ... while they still change.
+
+    The cap's block is the cap block shifted by 2 pi i n d.  Below it, level
+    j's block is T_n - U W_j V^T: T_n the level block so shifted, lower
+    triangular as the stage chains only advance, and a correction that
+    level j + 1 sends down through its service completions.  It sits on the
+    k rows (a, 0) (U selects them) and the m columns (k - 1, s) (V), W_j =
+    lam mu Y_{j+1}, with Y_{j+1} the k x m slice of the inverse above on
+    rows (a, m - 1) and columns (0, s).  So by the Woodbury identity
+    (Hager, SIAM Review 1989) level j's inverse is T_n^-1 + (T_n^-1 U) M_j
+    (V^T T_n^-1) with M_j = W_j (I - C W_j)^-1, and its slice is Y_j = A +
+    B M_j D.  A, B, C and D are slices of T_n^-1: rows (a, m - 1) by
+    columns (0, s), rows (a, m - 1) by columns (a, 0), rows (k - 1, s) by
+    columns (a, 0), and rows (k - 1, s) by columns (0, s).  Only the cap
+    block and T_n are inverted as km x km blocks, once per harmonic;
+    each level costs one m x m inverse per harmonic.  The recursion stops
+    after the first level whose Y is within _REUSE_TOL of the one above it
+    (relative, max norm), as the levels below it repeat its block, or at
+    level 1; the kept blocks are then formed in one batched product.
+    """
+    k, m, km = hb.k, hb.m, hb.k * hb.m
+    lam, mu = hb.mean
+    shift = 2j * np.pi * (np.arange(count) * hb.spacing)[:, None, None] * np.eye(km)
+    cap_inverse = np.linalg.inv(hb.cap_block - shift)
+    inverse = np.linalg.inv(hb.level_block - shift)
+    columns, rows = inverse[..., ::m], inverse[:, (k - 1) * m:]  # T^-1 U, V^T T^-1
+    a, b = inverse[:, m - 1::m, :m], columns[:, m - 1::m]
+    c, d = rows[..., ::m], rows[..., :m]
+    y = cap_inverse[:, m - 1::m, :m]
+    corrections = []
+    for _ in range(hb.cap - 1):
+        w = (lam * mu) * y
+        corrections.append(w @ np.linalg.inv(np.eye(m) - c @ w))
+        below = a + b @ corrections[-1] @ d
+        if np.abs(below - y).max() <= _REUSE_TOL * np.abs(below).max():
+            break
+        y = below
+    blocks = np.empty((len(corrections) + 1, count, km, km), complex)
+    blocks[0] = cap_inverse
+    if corrections:
+        np.matmul(columns @ np.array(corrections), rows, out=blocks[1:])
+        blocks[1:] += inverse
+    return blocks
+
+
+def _mean_decay(hb: _HarmonicBalance) -> float:
+    """sp(R), the spectral radius of the rate matrix R of the QBD at the
+    mean rates (Neuts, Matrix-Geometric Solutions in Stochastic Models,
+    1981): the law's per-level decay.  The n = 0 blocks of
+    `_level_inverses` converge from the cap down to the mean-rate QBD's,
+    whose R, in the column form of the up blocks -lam * inverse[:, :m],
+    reads level j - 1's final arrival stage only; so sp(R) is that of the m
+    x m block of the lowest up block that feeds level j's final arrival
+    stage."""
+    k, m = hb.k, hb.m
+    lowest = _level_inverses(hb, 1)[-1, 0]
+    return float(np.abs(np.linalg.eigvals(-hb.mean[0] * lowest[(k - 1) * m:, :m])).max())
+
+
 class _LevelElimination:
     """Solves (Gbar - 2 pi i n d) z_n = r_n for the harmonics n d, n =
     0..count - 1, at once, Gbar the transposed generator at the mean rates
@@ -404,49 +482,32 @@ class _LevelElimination:
 
     Gbar is level-tridiagonal, so block elimination from the cap down writes
     level j as z_j = R_j z_{j-1} + g_j, and the k x k system left on the
-    empty level fixes z_0.  The blocks are (harmonics, km, km) arrays applied
-    with np.matmul.  R_j reads only the final arrival stage of level j - 1
-    and the correction that level j + 1 sends down only its final service
-    stage, so they are kept as km x m and km x k column slices.  For n = 0
-    Gbar is singular; its equation (0, k - 1) is traded for the total mass,
-    which the elimination writes as a linear form of z_0 plus the mass that
-    the g_j carry (weights w_j), so the n = 0 slice solves the bordered mean
-    generator exactly: applied to the mass equation alone it returns the
-    stationary law of the mean generator.  `decay` is sp(R), the spectral
-    radius of the rate matrix R of the QBD at the mean rates (Neuts,
-    Matrix-Geometric Solutions in Stochastic Models, 1981): the law's
-    per-level decay.
+    empty level fixes z_0.  The inverses of the diagonal blocks come from
+    `_level_inverses`, by rank-m updates of one triangular block per
+    harmonic; they are (harmonics, km, km) arrays applied with np.matmul,
+    the last kept one serving every level below it.  R_j reads only the
+    final arrival stage of level j - 1 and the correction that level j + 1
+    sends down only its final service stage, so they are kept as km x m and
+    km x k column slices.  For n = 0 Gbar is singular; its equation (0, k -
+    1) is traded for the total mass, which the elimination writes as a
+    linear form of z_0 plus the mass that the g_j carry (weights w_j), so
+    the n = 0 slice solves the bordered mean generator exactly: applied to
+    the mass equation alone it returns the stationary law of the mean
+    generator.
     """
 
     def __init__(self, hb: _HarmonicBalance, count: int):
         k, m, km, cap = hb.k, hb.m, hb.k * hb.m, hb.cap
         lam, mu = hb.mean
-        harmonics = np.arange(count) * hb.spacing
-        shift = 2j * np.pi * harmonics[:, None, None] * np.eye(km)
-        diag = hb.cap_block - shift
-        inverses = []
-        for _ in range(cap):
-            inverse = np.linalg.inv(diag)
-            if inverses and (np.abs(inverse - inverses[-1]).max()
-                             <= _REUSE_TOL * np.abs(inverse).max()):
-                break
-            inverses.append(inverse)
-            # the level below sees this one through its service completions
-            diag = hb.level_block - shift
-            diag[:, ::m, (k - 1) * m:] -= (lam * mu) * inverse[:, m - 1::m, :m]
-        self.inverses = np.array(inverses)  # levels cap, cap - 1, ...
+        self.inverses = _level_inverses(hb, count)  # levels cap, cap - 1, ...
         # level j's block, j = 0..cap (0 unused)
-        block = [min(cap - j, len(inverses) - 1) for j in range(cap + 1)]
+        block = [min(cap - j, len(self.inverses) - 1) for j in range(cap + 1)]
         ups = -lam * self.inverses[..., :m]
         self.ups = [ups[i] for i in block]
         downs = -mu * self.inverses[..., ::m]
         self.downs = [downs[i] for i in block]
-        # the n = 0 blocks converge from the cap down to the mean-rate QBD's,
-        # whose R, in this column form, is the lowest up block: it reads
-        # level j - 1's final arrival stage only, so sp(R) is that of the
-        # m x m block that feeds level j's final arrival stage
-        self.decay = float(np.abs(np.linalg.eigvals(ups[-1, 0, (k - 1) * m:])).max())
         self.first_up = first_up = -lam * self.inverses[block[1], :, :, :1]
+        harmonics = np.arange(count) * hb.spacing
         empty = hb.empty_block - 2j * np.pi * harmonics[:, None, None] * np.eye(k)
         empty[:, :, k - 1] += mu * first_up[:, m - 1::m, 0]
         # w_j = 1 + (the mass that level j + 1 and above put on level j's
@@ -567,11 +628,13 @@ def _gmres(operator, precondition, b: np.ndarray, x: np.ndarray, target: float):
     """Restarted GMRES (Saad & Schultz 1986) with right preconditioning for
     operator(x) = b on real vectors, started at x.
 
-    Returns (x, |b - operator(x)|_2) once that residual is at most target,
-    or once a restart cycle fails to halve it.
+    Returns (x, |b - operator(x)|_2, iterations) once that residual is at
+    most target, or once a restart cycle fails to halve it; iterations
+    counts the Arnoldi steps over every cycle.
     """
     r = b - operator(x)
     beta = float(np.linalg.norm(r))
+    iterations = 0
     while beta > target:
         basis = np.zeros((_RESTART + 1, len(b)))
         hess = np.zeros((_RESTART + 1, _RESTART))
@@ -598,20 +661,22 @@ def _gmres(operator, precondition, b: np.ndarray, x: np.ndarray, target: float):
             g[i] *= rotations[i, 0]
             if abs(g[i + 1]) <= target:
                 break
+        iterations += i + 1
         y = np.linalg.solve(np.triu(hess[:i + 1, :i + 1]), g[:i + 1])
         x = x + precondition(y @ basis[:i + 1])
         r = b - operator(x)
         last, beta = beta, float(np.linalg.norm(r))
         if beta > 0.5 * last:
             break
-    return x, beta
+    return x, beta, iterations
 
 
 def _fourier_coefficients(spec: ModelSpec, level_cap: int, tol: float):
-    """(c, residual): the law's Fourier coefficients c_0..c_N, an (N + 1,
-    dim) complex array, by the search over N and the checks of
-    `integrate_periodic`.  The rows c_{nd} are solved for, n = 0..N / d,
-    and the rows between them are exact zeros."""
+    """(c, residual, iterations): the law's Fourier coefficients c_0..c_N,
+    an (N + 1, dim) complex array, by the search over N and the checks of
+    `integrate_periodic`, and the GMRES iterations of the last solve, the
+    one at that N.  The rows c_{nd} are solved for, n = 0..N / d, and the
+    rows between them are exact zeros."""
     hb = _HarmonicBalance(spec, level_cap)
     d = hb.spacing
     # N = top * d
@@ -630,9 +695,9 @@ def _fourier_coefficients(spec: ModelSpec, level_cap: int, tol: float):
         start[:len(c)] = c  # warm start from the last N
         b = np.zeros_like(start)
         b[0, hb.k - 1] = 1.0
-        x, solved = _gmres(flat(hb.equations), flat(hb.elimination.solve),
-                           b.reshape(-1).view(float), start.reshape(-1).view(float),
-                           _SOLVE_FRACTION * tol)
+        x, solved, iterations = _gmres(
+            flat(hb.equations), flat(hb.elimination.solve), b.reshape(-1).view(float),
+            start.reshape(-1).view(float), _SOLVE_FRACTION * tol)
         c = x.view(complex).reshape(top + 1, -1)
         if solved > tol:
             raise RuntimeError(f"the harmonic-balance solve stalled at residual "
@@ -641,7 +706,7 @@ def _fourier_coefficients(spec: ModelSpec, level_cap: int, tol: float):
         if truncation <= tol:
             series = np.zeros((top * d + 1, hb.dim), complex)
             series[::d] = c
-            return series, max(solved, truncation)
+            return series, max(solved, truncation), iterations
         step = -(-(top * d // 2) // d)
         if (top + step) * d > _MAX_HARMONIC:
             raise RuntimeError(f"the law's harmonics reach past {_MAX_HARMONIC}: "
@@ -668,10 +733,11 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     equations of `_HarmonicBalance` (Hill's method; Kundert &
     Sangiovanni-Vincentelli, IEEE Trans. CAD 1986), by restarted GMRES
     preconditioned with the mean generator shifted by 2 pi i n, block
-    eliminated over levels for every n at once (`_LevelElimination`).  N
-    starts at _FIRST_HARMONIC, or twice the rates' top harmonic where that
-    is larger, or 0 for constant rates, and grows by half, warm-started from
-    the last solve, until max |c_N| <= tol.  The law has only harmonics
+    eliminated over levels for every n at once (`_LevelElimination`, by
+    rank-m updates of one triangular block per harmonic).  N starts at
+    _FIRST_HARMONIC, or twice the rates' top harmonic where that is larger,
+    or 0 for constant rates, and grows by half, warm-started from the last
+    solve, until max |c_N| <= tol.  The law has only harmonics
     that are multiples of the gcd d of the rates' harmonics (the others
     are exactly 0), so only those are solved for, and N and each step of it
     are rounded up to multiples of d.  The law is built from the solved
@@ -682,17 +748,17 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
 
     level_cap is the law's width and an upper limit on the levels solved.
     The law falls by sp(R) per level, the spectral radius of the rate
-    matrix R of the QBD at the mean rates, which the mean generator's level
-    elimination yields (`_LevelElimination.decay`, the law's
-    `level_decay`).  The equations are solved on levels 1..L only, L =
-    min(level_cap, ceil(log 1e-18 / log sp(R))), blocking arrivals at L,
-    and the law's levels L + 1..level_cap are exact zeros (`solved_levels`
-    is L).  Where more than 1e-15 sits on level L < level_cap at some grid
-    time, the solve is repeated on the levels by which that mass, falling
-    by sp(R) per level, reaches 1e-18, up to level_cap.  So the level i
-    past L that is written as 0 holds about (mass at L) * sp(R)^i <= 1e-15
-    * sp(R)^i, and the truncation at L moves the solved levels by about
-    the mass at L, as a cap does.
+    matrix R of the QBD at the mean rates, which the level recursion of the
+    mean generator yields at n = 0 on up to level_cap levels
+    (`_mean_decay`, the law's `level_decay`).  The equations are solved on
+    levels 1..L only, L = min(level_cap, ceil(log 1e-18 / log sp(R))),
+    blocking arrivals at L, and the law's levels L + 1..level_cap are exact
+    zeros (`solved_levels` is L).  Where more than 1e-15 sits on level L <
+    level_cap at some grid time, the solve is repeated on the levels by
+    which that mass, falling by sp(R) per level, reaches 1e-18, up to
+    level_cap.  So the level i past L that is written as 0 holds about
+    (mass at L) * sp(R)^i <= 1e-15 * sp(R)^i, and the truncation at L
+    moves the solved levels by about the mass at L, as a cap does.
 
     RuntimeError is raised when the residual stalls above tol (tol below
     the rounding floor; loosen tol), when N would pass _MAX_HARMONIC = 128
@@ -708,16 +774,16 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
         raise ValueError("grid_size must be >= 4")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be > 0 and < 1, got {tol}")
-    decay = _LevelElimination(_HarmonicBalance(spec, level_cap), 1).decay
+    decay = _mean_decay(_HarmonicBalance(spec, level_cap))
     levels, mass = 0, 1.0
     while True:
         levels = min(level_cap, levels + _levels_to_floor(mass, decay))
-        solved, residual = _fourier_coefficients(spec, levels, tol)
+        solved, residual, iterations = _fourier_coefficients(spec, levels, tol)
         series = np.zeros((len(solved), spec.k + level_cap * spec.phase_count), complex)
         series[:, :solved.shape[1]] = solved
         dist = PeriodicDistribution(spec=spec, series=series, grid_size=grid_size,
                                     periods=len(series) - 1, residual=residual,
-                                    level_decay=decay)
+                                    level_decay=decay, gmres_iterations=iterations)
         mass = dist.cap_mass()
         if levels == level_cap or mass <= _SOLVED_MASS_LIMIT:
             break
@@ -810,8 +876,9 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     them.  n* is the least n > Lambda whose Chernoff bound on that Poisson
     tail, e^-Lambda (e Lambda / n)^n, is below 1e-18, so where L <
     level_cap level L holds at most 1e-18 at any record, and blocking
-    arrivals there moves the sinks by less than that.  `solved_levels` is L
-    and `cap_mass` the peak mass on level L over the records.  The default
+    arrivals there moves the sinks by less than that.  `solved_levels` is L,
+    `reach_bound` that bound at n* (None where level_cap binds) and
+    `cap_mass` the peak mass on level L over the records.  The default
     level_cap, 1000, is a size guard that sane horizons do not meet (L is
     10 at the reference model's defaults); where it binds, the run aborts
     when more than 1e-10 sits on the cap at a record (raise level_cap or
@@ -857,10 +924,15 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     # n* passes by far
     mean = spec.arrival.cumulative(u, u + horizon)
     n = math.floor(mean) + 1
-    while (mean > 0.0 and n < (level_cap - level) * k
-           and n * (1.0 + math.log(mean / n)) - mean >= math.log(_LEVEL_FLOOR)):
+
+    def log_tail(n):
+        return n * (1.0 + math.log(mean / n)) - mean if mean > 0.0 else -math.inf
+    while n < (level_cap - level) * k and log_tail(n) >= math.log(_LEVEL_FLOOR):
         n += 1
-    levels = min(level_cap, level + -(-(n + q0 // spec.m) // k))
+    reach = level + -(-(n + q0 // spec.m) // k)
+    levels = min(level_cap, reach)
+    bound = (math.exp(log_tail(n)) if levels == reach
+             and log_tail(n) < math.log(_LEVEL_FLOOR) else None)
 
     op = _structure_matrices(k, spec.m, levels)
     # the k sinks come first, then levels 1..levels
@@ -893,4 +965,5 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
         level=level, phase=q0, u=float(u), step=horizon / n_rec,
         times=u + (horizon / n_rec) * np.arange(n_rec + 1),
         values=values, source="ode", cap_mass=top_mass, solved_levels=levels,
+        reach_bound=bound,
     )

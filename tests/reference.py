@@ -66,7 +66,11 @@ The paper's building blocks, which the package computes another way:
   `bounds._bracket_edges` as its edges;
 - `mean_rate_matrix`: the rate matrix R of the QBD at the mean rates by
   Neuts' iteration, whose spectral radius is the law's per-level decay,
-  against the oracle's level elimination (`_LevelElimination.decay`).
+  against the oracle's level recursion (`oracle._mean_decay`);
+- `dense_level_inverses`: the inverses of the level elimination's
+  diagonal blocks, each level's km x km block formed and inverted in full,
+  against `oracle._level_inverses`, which inverts two triangular blocks per
+  harmonic and updates them by rank m level by level.
 """
 
 from __future__ import annotations
@@ -85,9 +89,9 @@ from ekemq._quad import composite_gauss
 from ekemq.bounds import _bracket_edges
 from ekemq.busy import _table_width
 from ekemq.model import ModelSpec, RateFunction, _normalize_phase, _stage_blocks
-from ekemq.oracle import (_CAP_MASS_LIMIT, _NORM_SLACK, BoundaryFunctions,
-                          PeriodicDistribution, _generator, _rk4_march,
-                          _structure_matrices)
+from ekemq.oracle import (_CAP_MASS_LIMIT, _NORM_SLACK, _REUSE_TOL,
+                          BoundaryFunctions, PeriodicDistribution, _generator,
+                          _rk4_march, _structure_matrices)
 from ekemq.roots import _INSIDE_TOL, CharacteristicRoot, RootSet, _by_angle, _collision
 from ekemq.series import (_DENOM_FLOOR, SeriesEvaluator, _denominator,
                           _drive_values)
@@ -559,6 +563,31 @@ def mean_rate_matrix(spec: ModelSpec, tol: float = 1e-16,
             return step
         r = step
     raise RuntimeError(f"Neuts' iteration did not settle in {max_iterations} steps")
+
+
+def dense_level_inverses(hb, count: int) -> np.ndarray:
+    """The inverses of the diagonal blocks that block elimination of the
+    mean generator shifted by 2 pi i n d leaves on the levels of hb (an
+    `oracle._HarmonicBalance`), n = 0..count - 1, from the cap down: each
+    level's km x km block is formed in full, its correction from the level
+    above added, and inverted, until a block's inverse is within _REUSE_TOL
+    of the one above it (relative, max norm), which is then not kept.  A
+    (blocks, count, km, km) stack, the cap's first."""
+    k, m, km = hb.k, hb.m, hb.k * hb.m
+    lam, mu = hb.mean
+    shift = 2j * np.pi * (np.arange(count) * hb.spacing)[:, None, None] * np.eye(km)
+    diag = hb.cap_block - shift
+    inverses = []
+    for _ in range(hb.cap):
+        inverse = np.linalg.inv(diag)
+        if inverses and (np.abs(inverse - inverses[-1]).max()
+                         <= _REUSE_TOL * np.abs(inverse).max()):
+            break
+        inverses.append(inverse)
+        # the level below sees this one through its service completions
+        diag = hb.level_block - shift
+        diag[:, ::m, (k - 1) * m:] -= (lam * mu) * inverse[:, m - 1::m, :m]
+    return np.array(inverses)
 
 
 # The time-domain periodic solve: the period map's fixed point by RK4 on a

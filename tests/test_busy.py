@@ -6,6 +6,7 @@ integrating it around the unit circle and inverting by FFT recovers every
 weight at once without a Poisson table in sight.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -185,7 +186,7 @@ def test_march_on_the_levels_that_hold_mass_keeps_values(spec, level, cap, solve
                                          step=1 / 128, level_cap=cap, substeps=4)
     assert sol.solved_levels == solved
     assert np.array_equal(sol.values, values)
-    assert sol.cap_mass <= 1e-18
+    assert sol.cap_mass <= sol.reach_bound < 1e-18
 
 
 def test_busy_oracle_marches_once_with_no_level_elimination(periodic74_spec,
@@ -209,6 +210,20 @@ def test_busy_oracle_marches_once_with_no_level_elimination(periodic74_spec,
                           level_cap=40, substeps=4)
         assert caps[-1] == sol.solved_levels
     assert caps == [6, 8]
+
+
+def test_reach_bound_is_reported_where_the_rule_sets_the_levels(periodic74_spec):
+    # the arrival mass over [0, 5] is 15 and n* = 63: level 1 + ceil(63 / 7)
+    # = 10 holds at most e^-15 (15 e / 63)^63 = 3.8e-19 at any record.  At a
+    # level_cap of 9 the cap binds and the march reports no bound; at 10 it
+    # is the rule's own L.  The Volterra route reports none.
+    bound = math.exp(63 * (1.0 + math.log(15.0 / 63)) - 15.0)
+    for cap, levels, want in ((40, 10, bound), (10, 10, bound), (9, 9, None)):
+        sol = busy_oracle(periodic74_spec, 1, (0, 0), horizon=5.0, step=1 / 128,
+                          level_cap=cap, substeps=1)
+        assert (sol.solved_levels, sol.reach_bound) == (levels, want)
+    assert busy_period_cdf(periodic74_spec, 1, (0, 0), horizon=1.0,
+                           step=1 / 64).reach_bound is None
 
 
 def test_mm1_oracle_frozen_values(mm1_spec):

@@ -394,7 +394,7 @@ def test_law_matches_time_domain_solve(name):
                                                 ("service-harmonic-2-only", 2, 28)])
 def test_n_steps_by_the_harmonic_spacing(name, spacing, top):
     spec, cap = _STRESS[name]
-    coef, residual = oracle._fourier_coefficients(spec, cap, 1e-13)
+    coef, residual, _ = oracle._fourier_coefficients(spec, cap, 1e-13)
     assert len(coef) - 1 == top and residual <= 1e-13
     # the harmonics off the spacing solve to exactly 0
     off = np.arange(len(coef)) % spacing != 0
@@ -416,7 +416,7 @@ def test_constant_rates_take_the_mean_solve_alone(flat74_spec):
 def test_coarse_grid_samples_the_series(periodic74_spec, grid_size):
     # N = 12 and grid_size < 2N + 1: the samples are the series itself at
     # the grid times, every harmonic included
-    coef, _ = oracle._fourier_coefficients(periodic74_spec, 50, 1e-10)
+    coef, _, _ = oracle._fourier_coefficients(periodic74_spec, 50, 1e-10)
     assert len(coef) == 13
     t = np.arange(grid_size) / grid_size
     direct = (coef[0].real + 2.0 * np.real(
@@ -433,7 +433,7 @@ def test_coarse_grid_samples_the_series(periodic74_spec, grid_size):
 def test_law_reads_its_series_between_grid_times(periodic74_spec, grid_size):
     # the solved series, not an interpolant of the samples: on grid 8 the
     # samples alias harmonics 4..12, and the series does not
-    coef, _ = oracle._fourier_coefficients(periodic74_spec, 50, 1e-10)
+    coef, _, _ = oracle._fourier_coefficients(periodic74_spec, 50, 1e-10)
     dist = integrate_periodic(periodic74_spec, level_cap=50, grid_size=grid_size)
     u = np.array([0.03, 0.41, 0.77])
     direct = (coef[0].real + 2.0 * np.real(
@@ -462,11 +462,12 @@ def test_stiff_rates_solve_on_any_grid():
 
 def test_growing_n_factors_each_harmonic_once(monkeypatch):
     # max |c_12| is 1.6e-9 on this model: N grows to 18, warm-started, and
-    # one elimination is built for each N, over the harmonics 0..N, after
-    # the mean-rate elimination at the cap (harmonic 0 alone), which reads
-    # sp(R) = 0.2578 and so the 31 levels solved
+    # one elimination is built for each N, over the harmonics 0..N.  Before
+    # them the level recursion runs at harmonic 0 alone on the cap's levels
+    # and reads sp(R) = 0.2578, and so the 31 levels solved; no elimination
+    # is built for it
     spec, cap = _STRESS["k2-m3-harmonics-1-3-2"]
-    builds, ranges = [], []
+    builds, ranges, recursions = [], [], []
     # __init__(self, spec, level_cap) and __init__(self, hb, count)
     for cls, log, record in ((oracle._HarmonicBalance, builds, lambda args: args[2:]),
                              (oracle._LevelElimination, ranges,
@@ -477,19 +478,80 @@ def test_growing_n_factors_each_harmonic_once(monkeypatch):
             log.append(record(args))
             original(*args)
         monkeypatch.setattr(cls, "__init__", spy)
+    level_inverses = oracle._level_inverses
+
+    def recursion(hb, count):
+        recursions.append((hb.cap, count))
+        return level_inverses(hb, count)
+    monkeypatch.setattr(oracle, "_level_inverses", recursion)
     dist = integrate_periodic(spec, level_cap=cap, grid_size=64, tol=1e-12)
     assert builds == [(cap,), (31,)]
-    assert ranges == [(0, 0), (0, 12), (0, 18)]
+    assert ranges == [(0, 12), (0, 18)]
+    assert recursions == [(cap, 1), (31, 13), (31, 19)]
     assert dist.periods == 18 and dist.residual <= 1e-12
     assert (dist.level_cap, dist.solved_levels) == (cap, 31)
 
 
 def test_level_blocks_are_reused_below_the_cap(periodic74_spec):
-    # the elimination's blocks converge within a few levels of the cap
+    # the elimination's blocks converge within a few levels of the cap: it
+    # keeps the cap's block and those of the 6 levels below it, as the dense
+    # loop does, and the lowest serves levels 1..44
     hb = oracle._HarmonicBalance(periodic74_spec, 50)
     hb.factor(13)
-    assert len(hb.elimination.inverses) <= 10
-    assert hb.elimination.inverses.shape[1:] == (13, 28, 28)
+    assert hb.elimination.inverses.shape == (7, 13, 28, 28)
+    assert len(reference.dense_level_inverses(hb, 13)) == 7
+
+
+# Models and caps on which the level recursion's blocks are checked against
+# the dense loop: the reference, loads 0.8 and 0.95, the k=2, m=3 model of
+# harmonics 1, 2 and 3, M/M/1, and caps of 1 and 2 levels.
+_LEVEL_CASES = {
+    "reference": (_STRESS["reference"][0], 50),
+    "load-0.8": (_STRESS["load-0.8"][0], 120),
+    "load-0.95": (ModelSpec(7, 4, RateFunction(8.3125, sin=((1, -2.0),)),
+                            RateFunction(5.0, sin=((1, 4.0),))), 500),
+    "k2-m3-harmonics-1-2-3": (ModelSpec(2, 3, RateFunction(1.5, cos=((1, 0.5), (3, 0.3))),
+                                        RateFunction(3.0, sin=((2, 1.0),))), 60),
+    "k1-m1": (ModelSpec(1, 1, RateFunction(3.0, sin=((1, 1.0),)), RateFunction(5.0)), 60),
+    "k1-m1-cap-1": (ModelSpec(1, 1, RateFunction(3.0, sin=((1, 1.0),)), RateFunction(5.0)), 1),
+    "k1-m1-cap-2": (ModelSpec(1, 1, RateFunction(3.0, sin=((1, 1.0),)), RateFunction(5.0)), 2),
+    "reference-cap-1": (_STRESS["reference"][0], 1),
+    "reference-cap-2": (_STRESS["reference"][0], 2),
+    "level-cap-1": _STRESS["level-cap-1"],
+    "level-cap-2": _STRESS["level-cap-2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LEVEL_CASES))
+def test_level_inverses_match_the_dense_loop(name):
+    # every level's block, harmonics 0..12, within 1e-13 of the dense loop's
+    # (relative, max norm, per harmonic); the recursion may keep a block
+    # more or less than the loop, as its stop reads the k x m slices
+    spec, cap = _LEVEL_CASES[name]
+    hb = oracle._HarmonicBalance(spec, cap)
+    got, want = oracle._level_inverses(hb, 13), reference.dense_level_inverses(hb, 13)
+    assert abs(len(got) - len(want)) <= 1
+    for j in range(1, cap + 1):
+        new, old = got[min(cap - j, len(got) - 1)], want[min(cap - j, len(want) - 1)]
+        scale = np.abs(old).max(axis=(1, 2))
+        assert (np.abs(new - old).max(axis=(1, 2)) <= 1e-13 * scale).all()
+
+
+def test_factor_inverts_two_dense_stacks(periodic74_spec, monkeypatch):
+    # a factor inverts the cap block and the level block of every harmonic
+    # as (13, 28, 28) stacks, before the level loop; each of the 6 levels
+    # below the cap costs one (13, 4, 4) inverse, and the empty level one
+    # (13, 7, 7)
+    shapes = []
+    inv = np.linalg.inv
+
+    def spy(a):
+        shapes.append(np.shape(a))
+        return inv(a)
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    hb = oracle._HarmonicBalance(periodic74_spec, 50)
+    hb.factor(13)
+    assert shapes == [(13, 28, 28)] * 2 + [(13, 4, 4)] * 6 + [(13, 7, 7)]
 
 
 # The load sweep of the solved levels: (spec, level_cap, levels solved).
@@ -508,10 +570,10 @@ _SWEEP = {
 
 @pytest.mark.parametrize("name", sorted(_SWEEP))
 def test_level_decay_is_the_neuts_spectral_radius(name):
-    # the mean-rate elimination's lowest up block against R by Neuts'
-    # iteration (554 steps at load 0.95)
+    # the lowest up block of the level recursion at n = 0 against R by
+    # Neuts' iteration (554 steps at load 0.95)
     spec, cap, _ = _SWEEP[name]
-    decay = oracle._LevelElimination(oracle._HarmonicBalance(spec, cap), 1).decay
+    decay = oracle._mean_decay(oracle._HarmonicBalance(spec, cap))
     want = np.abs(np.linalg.eigvals(mean_rate_matrix(spec))).max()
     assert decay == pytest.approx(want, rel=1e-9)
 
@@ -526,12 +588,27 @@ def test_solve_keeps_the_levels_that_hold_mass(name):
     assert (dist.level_cap, dist.solved_levels) == (cap, solved)
     assert dist.cap_mass() <= 1e-15 or solved == cap
     assert not dist.series[:, spec.k + solved * spec.phase_count:].any()
-    assert dist.level_decay == oracle._LevelElimination(
-        oracle._HarmonicBalance(spec, cap), 1).decay
-    series, residual = oracle._fourier_coefficients(spec, cap, 1e-10)
+    assert dist.level_decay == oracle._mean_decay(oracle._HarmonicBalance(spec, cap))
+    series, residual, _ = oracle._fourier_coefficients(spec, cap, 1e-10)
     every = PeriodicDistribution(spec=spec, series=series, grid_size=64,
                                  periods=len(series) - 1, residual=residual)
     assert np.abs(dist.samples - every.samples).max() <= 1e-13
+
+
+def test_law_keeps_its_solve_figures(periodic74_spec, monkeypatch):
+    # the reference solve takes 18 GMRES iterations at N = 12, and the cap
+    # check's evaluation of the top solved level is the law's cap_mass: no
+    # series is evaluated for it again
+    dist = integrate_periodic(periodic74_spec, level_cap=50, grid_size=64)
+    assert (dist.periods, dist.gmres_iterations) == (12, 18)
+
+    def refuse(*args):
+        raise AssertionError("cap_mass evaluated a series again")
+    monkeypatch.setattr(oracle, "TrigInterpolant", refuse)
+    assert 1e-17 < dist.cap_mass() == dist.cap_mass() < 1e-15
+    law = PeriodicDistribution(spec=periodic74_spec, series=dist.series, grid_size=64,
+                               periods=dist.periods, residual=dist.residual)
+    assert law.gmres_iterations == 0
 
 
 def test_mass_on_the_top_solved_level_widens_the_solve(periodic74_spec, monkeypatch):
@@ -634,7 +711,7 @@ def test_solve_factors_only_the_lattice_harmonics(monkeypatch):
         counts.append(count)
         original(self, hb, count)
     monkeypatch.setattr(oracle._LevelElimination, "__init__", spy)
-    coef, _ = oracle._fourier_coefficients(spec, cap, 1e-13)
+    coef, _, _ = oracle._fourier_coefficients(spec, cap, 1e-13)
     assert counts == [4, 6, 9] and len(coef) == 41
 
 
