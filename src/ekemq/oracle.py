@@ -36,23 +36,25 @@ cross-check.
 
 The busy-period oracle `busy_oracle` does integrate in time: the same
 truncated system with the empty level absorbing instead of reflecting is
-driven with classical fourth-order Runge-Kutta steps.  The two constant
-structure matrices S_arr and S_srv carry unit rates and are folded onto one
-sparsity pattern, the union of theirs, with their values kept side by side,
-so the generator at a node is that pattern with the values lam * a + mu *
-s: one small dense product refreshes it in place, no matrix is rebuilt
-inside the stepping loop, and each RK stage is a single sparse product,
-four per step.  scipy.sparse is imported only there, on first use.  It
-marches once, on the levels the horizon can reach: the start level plus
-the levels that the arrival stages completed by the horizon climb with
-more than about 1e-18 of probability, by a Chernoff bound on their Poisson
-count; level_cap is an upper limit.
+driven with classical fourth-order Runge-Kutta steps.  Its levels are one
+dense (L, km) array; the derivative at level j reads levels j-1, j and j+1
+only, through the level block lam * A + mu * S, whose unit-rate parts A and
+S (`_level_parts`) are built here by index arithmetic.  With the levels
+held between zero rows, the three neighbours of every level lie side by
+side in memory, so each RK stage is one matrix product of that strided
+window by the block (`_level_march`), four per step, and no scipy module is
+needed.  It marches once, on the levels the horizon can reach: the start
+level plus the levels that the arrival stages completed by the horizon
+climb with more than about 1e-18 of probability, by a Chernoff bound on
+their Poisson count; level_cap is an upper limit.
 
 In the killed system the k empty states have no exits and count absorption
-by arrival stage; `_structure_matrices` builds it and `_rk4_march` steps it.
-The harmonic-balance equations apply the periodic system, where an arrival
+by arrival stage, and arrivals out of the top level leave it.  The
+harmonic-balance equations apply the periodic system, where an arrival
 moves an empty state to the next arrival stage or starts level 1, by
-slicing in the same state order.  No other module calls them.
+slicing one vector: the k empty states, then levels 1..cap with phase
+(a, s) at a*m + s.  No other module calls `_level_parts` or
+`_level_march`.
 
 This module is deliberately independent of the root-series machinery: it
 never sees characteristic roots.  The series route does read one output of
@@ -147,108 +149,96 @@ class TrigInterpolant:
         return vals
 
 
-def _structure_matrices(k: int, m: int, level_cap: int):
-    """Unit-rate generator structure of the killed process on one folded
-    sparsity pattern.
+def _level_parts(k: int, m: int) -> np.ndarray:
+    """Unit-rate arrival and service parts A, S of the level block, as one
+    (2, 3km, km) array.
 
-    State order: k empty states (arrival stage a), then levels 1..level_cap
-    with km phases each, phase (a, s) flattened as a*m + s.  Returned as
-    (pattern, parts): pattern is the dim x dim canonical CSR of the union of
-    the transposed arrival and service parts AT and MT, with zero data, and
-    parts the (2, nnz) values of AT and MT on it.  The transposed generator
-    at rates lam, mu, lam * AT + mu * MT, is pattern with the data
-    np.dot((lam, mu), parts); every part value is 0 or +-1, so each entry is
-    rounded at most once.  scipy.sparse is imported here, on first use: the
-    periodic solve never needs it.  The empty states have no exits: they
-    are the sinks of the process killed at its first visit to the empty
-    level.
+    Phase (a, s) of a level is a*m + s.  Row r of a part is a source state
+    in the window [level j-1 | level j | level j+1] (third r // km, phase r
+    % km), column the phase of level j it enters, so the rows of the state
+    at levels j-1..j+1, laid side by side, times lam * A + mu * S give the
+    derivative at level j.  Every part value is 0 or +-1, so each entry of
+    the block is rounded at most once.  Both routes build their stage
+    blocks apart: this one by index arithmetic.
     """
-    import scipy.sparse as sp
-
     km = k * m
-    dim = k + level_cap * km
-    # an arrival advances the stage: a busy state x goes to x + m ((j, a, s)
-    # to (j, a + 1, s), or (j, k-1, s) to (j + 1, 0, s)); the final stage at
-    # the cap is blocked
-    busy = np.arange(k, dim - m)
-    arr_r = np.concatenate([busy, busy])
-    arr_c = np.concatenate([busy, busy + m])
-    arr_v = np.repeat([-1.0, 1.0], len(busy))
-    # a service advances the stage, and the last stage completes it: level
-    # j > 1 goes to (j - 1, a, 0), level 1 to the empty state a
-    x = np.arange(k, dim)
-    s = (x - k) % m
-    done = np.where(x - k >= km, x - km - (m - 1), (x - k) // m)
-    srv_r = np.concatenate([x, x])
-    srv_c = np.concatenate([x, np.where(s < m - 1, x + 1, done)])
-    srv_v = np.repeat([-1.0, 1.0], len(x))
-
-    # entry (r, c) of the generator is entry (c, r) of its transpose; each
-    # part has at most one entry per position, and sorted keys c * dim + r
-    # are the row-major order of a canonical CSR
-    keys, at = np.unique(np.concatenate([arr_c, srv_c]) * dim
-                         + np.concatenate([arr_r, srv_r]), return_inverse=True)
-    parts = np.zeros((2, len(keys)))
-    parts[0, at[:len(arr_v)]] = arr_v
-    parts[1, at[len(arr_v):]] = srv_v
-    indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
-    pattern = sp.csr_matrix((np.zeros(len(keys)), keys % dim, indptr),
-                            shape=(dim, dim))
-    return pattern, parts
+    parts = np.zeros((2, 3, km, km))
+    x = np.arange(km)
+    a, s = divmod(x, m)
+    # each part's rate leaves every state
+    parts[:, 1, x, x] = -1.0
+    # an arrival advances the stage, and the final stage starts the level
+    # above at (0, s)
+    parts[0, 1, x[a < k - 1], x[a < k - 1] + m] = 1.0
+    parts[0, 0, x[a == k - 1], s[a == k - 1]] = 1.0
+    # a service advances the stage, and the final stage of the level above
+    # ends there at (a, 0)
+    parts[1, 1, x[s < m - 1], x[s < m - 1] + 1] = 1.0
+    parts[1, 2, x[s == m - 1], x[s == m - 1] - (m - 1)] = 1.0
+    return parts.reshape(2, 3 * km, km)
 
 
-def _generator(op, lam: float, mu: float):
-    """The transposed generator lam * AT + mu * MT of op =
-    `_structure_matrices(...)`, a CSR sharing the pattern's indices and
-    indptr."""
-    import scipy.sparse as sp
+def _level_march(parts: np.ndarray, m: int, lam: np.ndarray, mu: np.ndarray,
+                 h: float, levels: np.ndarray):
+    """Yield (levels, sinks) after each classical RK4 step of the killed
+    process from `levels`, an (L, km) array of levels 1..L, and empty sinks.
 
-    pattern, parts = op
-    return sp.csr_matrix((np.dot((lam, mu), parts), pattern.indices,
-                          pattern.indptr), shape=pattern.shape)
-
-
-def _rk4_march(op, lam: np.ndarray, mu: np.ndarray, h: float, p: np.ndarray):
-    """Yield the state after each classical RK4 step of p' = G(t) p from p.
-
-    G(t) is the folded generator of op = `_structure_matrices(...)` at the
-    rates lam(t), mu(t).  lam and mu hold the rates at half-step nodes, so
-    step i runs from node 2i through node 2i+1 to node 2i+2, and the march
-    makes (len(lam) - 1) // 2 steps.  Three CSR generators, for nodes 2i,
-    2i+1 and 2i+2, share the pattern's indices and indptr; the one at node
-    2i+2 becomes the next step's node 2i, so a step refreshes the values of
-    two and makes four products G @ v.  The yielded state is a buffer that
-    the next step overwrites; p itself is not written.  The caller may edit
-    the yielded state in place, and the march continues from the edited
-    state: `busy_oracle` zeroes entries below _STATE_FLOOR this way.
+    parts is `_level_parts(k, m)`.  lam and mu hold the rates at half-step
+    nodes, so step i runs from node 2i through node 2i+1 to node 2i+2, and
+    the march makes (len(lam) - 1) // 2 steps.  Each stage input is an (L +
+    2, km) buffer with zero rows 0 and L + 1, so the rows of levels j-1, j,
+    j+1 lie side by side in memory: the stage is one product of that
+    strided (L, 3km) window by the node's block lam * A + mu * S, scaled by
+    h / 2 so that the stage's product is its half-step increment d_i = (h /
+    2) k_i, and the next stage input is p + d_i (p + 2 d_3 for the last).
+    Level 1's neighbour below is the zero row (the sinks feed nothing back),
+    and level L's above is the other, so arrivals out of level L leave the
+    system.  The blocks are folded a batch of nodes at a time, under 1 MiB.
+    The sink of arrival stage a has slope mu times level 1's phase (a, m-1)
+    of the stage input.  Levels and sinks each add one product of their
+    four increments by the weights 1/3, 2/3, 2/3, 1/3, that is (h / 6) (k1
+    + 2 k2 + 2 k3 + k4).  The yielded
+    arrays are buffers that the next step overwrites; the caller may edit
+    the levels in place, and the march continues from the edited state:
+    `busy_oracle` zeroes entries below _STATE_FLOOR this way.
     """
-    parts = op[1]
-    g0, gh, g1 = (_generator(op, lam[0], mu[0]) for _ in range(3))
-    p = p.copy()
-    q = np.empty_like(p)
-    for i in range((len(lam) - 1) // 2):
-        np.dot((lam[2 * i + 1], mu[2 * i + 1]), parts, out=gh.data)
-        np.dot((lam[2 * i + 2], mu[2 * i + 2]), parts, out=g1.data)
-        k1 = g0 @ p
-        np.multiply(k1, 0.5 * h, out=q)
-        q += p
-        k2 = gh @ q
-        np.multiply(k2, 0.5 * h, out=q)
-        q += p
-        k3 = gh @ q
-        np.multiply(k3, h, out=q)
-        q += p
-        k4 = g1 @ q
-        # p + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
-        k2 *= 2.0
-        k2 += k1
-        k3 *= 2.0
-        k2 += k3
-        k2 += k4
-        k2 *= h / 6.0
-        p += k2
-        yield p
-        g0, g1 = g1, g0
+    count, km = levels.shape
+    steps = (len(lam) - 1) // 2
+    # steps per batch of folded blocks: 2 batch + 1 nodes of 3km x km
+    batch = max(1, ((1 << 20) // parts[0].nbytes - 1) // 2)
+    rates = (0.5 * h) * np.stack([lam, mu], axis=1)
+    stages = np.zeros((4, count + 2, km))
+    p, q2, q3, q4 = (stage[1:-1] for stage in stages)
+    p[:] = levels
+    w1, w2, w3, w4 = (np.lib.stride_tricks.as_strided(
+        stage, (count, 3 * km), (stage.strides[0], stage.itemsize), writeable=False)
+        for stage in stages)
+    increments = np.empty((4, count, km))
+    d1, d2, d3, d4 = increments
+    update = np.empty((count, km))
+    exits = stages[:, 1, m - 1::m]
+    sinks = np.zeros(km // m)
+    weights = np.array([1.0, 2.0, 2.0, 1.0]) / 3.0
+    for first in range(0, steps, batch):
+        size = min(batch, steps - first)
+        nodes = rates[2 * first:2 * (first + size) + 1]
+        blocks = np.dot(nodes, parts.reshape(2, -1)).reshape(len(nodes), 3 * km, km)
+        # h/2 mu at each stage's node, times its weight
+        drains = nodes[:, 1][np.arange(size)[:, None] * 2 + [0, 1, 1, 2]] * weights
+        for i in range(size):
+            b0, bh, b1 = blocks[2 * i:2 * i + 3]
+            np.matmul(w1, b0, out=d1)
+            np.add(p, d1, out=q2)
+            np.matmul(w2, bh, out=d2)
+            np.add(p, d2, out=q3)
+            np.matmul(w3, bh, out=d3)
+            np.add(d3, d3, out=q4)
+            q4 += p
+            np.matmul(w4, b1, out=d4)
+            sinks += np.dot(drains[i], exits)
+            np.dot(weights, increments.reshape(4, -1), out=update.reshape(-1))
+            p += update
+            yield p, sinks
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -557,10 +547,11 @@ class _HarmonicBalance:
     constant rates): the unknowns are the rows c_{nd}, n = 0..N / d, and
     rate harmonic j sits at row offset j / d.  Equation (0, k - 1), the
     last empty state's at n = 0, is traded for sum(c_0) = 1.  AT and MT are
-    applied by slicing in the state order of `_structure_matrices`.  The
-    preconditioner keeps the rates' means only, which decouples the
-    harmonics; its factors are one `_LevelElimination` over the harmonics
-    0, d, ..., N, `elimination`, built again by `factor` whenever N grows.
+    applied by slicing: the k empty states, then levels 1..cap with phase
+    (a, s) at a*m + s.  The preconditioner keeps the rates' means only,
+    which decouples the harmonics; its factors are one `_LevelElimination`
+    over the harmonics 0, d, ..., N, `elimination`, built again by `factor`
+    whenever N grows.
     """
 
     def __init__(self, spec: ModelSpec, level_cap: int):
@@ -867,22 +858,28 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     ends non-finite or with an L1 norm above 1 + _NORM_SLACK: the step is
     too coarse for RK4 at these rates.
 
-    The process is marched once, on levels 1..L only, arrivals blocked at L,
-    with L = min(level_cap, level + ceil((n* + a) / k)): the levels the
-    horizon can reach.  a is the start phase's arrival stage, and arrival
-    stages complete at rate lam(t) whatever the level, so their count over
-    the horizon is Poisson with mean Lambda = the arrival rate's integral
-    over [u, u + horizon], and a climb to level L takes at least n* of
-    them.  n* is the least n > Lambda whose Chernoff bound on that Poisson
-    tail, e^-Lambda (e Lambda / n)^n, is below 1e-18, so where L <
-    level_cap level L holds at most 1e-18 at any record, and blocking
-    arrivals there moves the sinks by less than that.  `solved_levels` is L,
-    `reach_bound` that bound at n* (None where level_cap binds) and
-    `cap_mass` the peak mass on level L over the records.  The default
-    level_cap, 1000, is a size guard that sane horizons do not meet (L is
-    10 at the reference model's defaults); where it binds, the run aborts
-    when more than 1e-10 sits on the cap at a record (raise level_cap or
-    shorten the horizon).
+    The process is marched once, on levels 1..L only, with L =
+    min(level_cap, level + ceil((n* + a) / k)): the levels the horizon can
+    reach.  a is the start phase's arrival stage, and arrival stages
+    complete at rate lam(t) whatever the level, so their count over the
+    horizon is Poisson with mean Lambda = the arrival rate's integral over
+    [u, u + horizon], and a climb to level L takes at least n* of them.  n*
+    is the least n > Lambda whose Chernoff bound on that Poisson tail,
+    e^-Lambda (e Lambda / n)^n, is below 1e-18, so where L < level_cap
+    level L holds at most 1e-18 at any record.  Arrivals out of level L
+    leave the system: the march drops the paths that reach level L + 1, so
+    the sinks move by at most the probability of that climb, below the same
+    bound.  `solved_levels` is L, `reach_bound` that bound at n* (None where
+    level_cap binds) and `cap_mass` the peak mass on level L over the
+    records.  The default level_cap, 1000, is a size guard that sane
+    horizons do not meet (L is 10 at the reference model's defaults); where
+    it binds, the run aborts when more than 1e-10 sits on the cap at a
+    record (raise level_cap or shorten the horizon).
+
+    The levels are one (L, km) array, and each RK4 stage is one matrix
+    product of the window of three neighbouring levels by the level block
+    lam(t) A + mu(t) S (`_level_march`); the k sinks gain the service
+    completions out of level 1.
 
     After the checks of each record, every transient entry of the state
     (levels 1..L; the sinks are never edited) with modulus below
@@ -934,33 +931,30 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     bound = (math.exp(log_tail(n)) if levels == reach
              and log_tail(n) < math.log(_LEVEL_FLOOR) else None)
 
-    op = _structure_matrices(k, spec.m, levels)
-    # the k sinks come first, then levels 1..levels
-    p = np.zeros(op[0].shape[0])
-    p[k + (level - 1) * km + q0] = 1.0
+    start = np.zeros((levels, km))
+    start[level - 1, q0] = 1.0
     values = np.zeros((n_rec + 1, k))
-    top = slice(k + (levels - 1) * km, None)
     top_mass = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = _rk4_march(op, lam, mu, h, p)
+        steps = _level_march(_level_parts(k, spec.m), spec.m, lam, mu, h, start)
         for rec in range(1, n_rec + 1):
             for _ in range(substeps):
-                p = next(steps)
+                p, sinks = next(steps)
             mass = np.abs(p)
-            norm = mass.sum()
+            norm = mass.sum() + np.abs(sinks).sum()
             if not norm <= 1.0 + _NORM_SLACK:
                 raise RuntimeError(
                     f"step {step} with substeps {substeps} is too coarse for "
                     f"RK4 at these rates: a record ended with L1 norm "
                     f"{norm:.3e}; lower step or raise substeps")
-            values[rec] = p[:k]
-            top_mass = max(top_mass, float(mass[top].sum()))
+            values[rec] = sinks
+            top_mass = max(top_mass, float(mass[-1].sum()))
             if top_mass > 1e-10:
                 raise RuntimeError(
                     f"probability {top_mass:.3e} reached the level cap "
                     f"{level_cap} within the horizon {horizon}; raise "
                     f"level_cap or shorten the horizon")
-            p[k:][mass[k:] < _STATE_FLOOR] = 0.0
+            p[mass < _STATE_FLOOR] = 0.0
     return VolterraSolution(
         level=level, phase=q0, u=float(u), step=horizon / n_rec,
         times=u + (horizon / n_rec) * np.arange(n_rec + 1),

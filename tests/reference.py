@@ -19,9 +19,12 @@ another way, kept to pin that route:
   and the complex level series of every root, n < 0 included, computed
   directly, against `SeriesEvaluator`, which computes the n >= 0 half and
   folds the rest in as conjugates;
-- `unflushed_busy_oracle`: the absorbing-ODE march with no entry of its
-  state zeroed, against `busy_oracle`, which flushes entries below
-  `oracle._STATE_FLOOR` at every record;
+- `unflushed_busy_oracle`: the absorbing-ODE march on the sparse folded
+  generator (`_structure_matrices`, `_generator`, `_rk4_march`), arrivals
+  blocked at the cap and no entry of its state zeroed, against
+  `busy_oracle`, which marches dense level blocks, lets arrivals leave its
+  top level and flushes entries below `oracle._STATE_FLOOR` at every
+  record;
 - `gammainc_oracle_wait_cdf`: the oracle wait route with one incomplete
   gamma per (horizon, threshold), against `oracle_wait_cdf`, which sums by
   parts over one Poisson pmf table;
@@ -90,8 +93,7 @@ from ekemq.bounds import _bracket_edges
 from ekemq.busy import _table_width
 from ekemq.model import ModelSpec, RateFunction, _normalize_phase, _stage_blocks
 from ekemq.oracle import (_CAP_MASS_LIMIT, _NORM_SLACK, _REUSE_TOL,
-                          BoundaryFunctions, PeriodicDistribution, _generator,
-                          _rk4_march, _structure_matrices)
+                          BoundaryFunctions, PeriodicDistribution)
 from ekemq.roots import _INSIDE_TOL, CharacteristicRoot, RootSet, _by_angle, _collision
 from ekemq.series import (_DENOM_FLOOR, SeriesEvaluator, _denominator,
                           _drive_values)
@@ -274,6 +276,104 @@ def all_roots_level_matrix(roots: RootSet, boundary: BoundaryFunctions, level: i
     with np.errstate(under="ignore"):
         shift = np.exp(-float(level) * np.log(chi))
     return (all_roots_coefficients(roots, boundary, t) * shift[None, :]) @ rows
+
+
+def _structure_matrices(k: int, m: int, level_cap: int):
+    """Unit-rate generator structure of the killed process on one folded
+    sparsity pattern.
+
+    State order: k empty states (arrival stage a), then levels 1..level_cap
+    with km phases each, phase (a, s) flattened as a*m + s.  Returned as
+    (pattern, parts): pattern is the dim x dim canonical CSR of the union of
+    the transposed arrival and service parts AT and MT, with zero data, and
+    parts the (2, nnz) values of AT and MT on it.  The transposed generator
+    at rates lam, mu, lam * AT + mu * MT, is pattern with the data
+    np.dot((lam, mu), parts); every part value is 0 or +-1, so each entry is
+    rounded at most once.  The empty states have no exits: they are the
+    sinks of the process killed at its first visit to the empty level.
+    """
+    km = k * m
+    dim = k + level_cap * km
+    # an arrival advances the stage: a busy state x goes to x + m ((j, a, s)
+    # to (j, a + 1, s), or (j, k-1, s) to (j + 1, 0, s)); the final stage at
+    # the cap is blocked
+    busy = np.arange(k, dim - m)
+    arr_r = np.concatenate([busy, busy])
+    arr_c = np.concatenate([busy, busy + m])
+    arr_v = np.repeat([-1.0, 1.0], len(busy))
+    # a service advances the stage, and the last stage completes it: level
+    # j > 1 goes to (j - 1, a, 0), level 1 to the empty state a
+    x = np.arange(k, dim)
+    s = (x - k) % m
+    done = np.where(x - k >= km, x - km - (m - 1), (x - k) // m)
+    srv_r = np.concatenate([x, x])
+    srv_c = np.concatenate([x, np.where(s < m - 1, x + 1, done)])
+    srv_v = np.repeat([-1.0, 1.0], len(x))
+
+    # entry (r, c) of the generator is entry (c, r) of its transpose; each
+    # part has at most one entry per position, and sorted keys c * dim + r
+    # are the row-major order of a canonical CSR
+    keys, at = np.unique(np.concatenate([arr_c, srv_c]) * dim
+                         + np.concatenate([arr_r, srv_r]), return_inverse=True)
+    parts = np.zeros((2, len(keys)))
+    parts[0, at[:len(arr_v)]] = arr_v
+    parts[1, at[len(arr_v):]] = srv_v
+    indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
+    pattern = sp.csr_matrix((np.zeros(len(keys)), keys % dim, indptr),
+                            shape=(dim, dim))
+    return pattern, parts
+
+
+def _generator(op, lam: float, mu: float):
+    """The transposed generator lam * AT + mu * MT of op =
+    `_structure_matrices(...)`, a CSR sharing the pattern's indices and
+    indptr."""
+    pattern, parts = op
+    return sp.csr_matrix((np.dot((lam, mu), parts), pattern.indices,
+                          pattern.indptr), shape=pattern.shape)
+
+
+def _rk4_march(op, lam: np.ndarray, mu: np.ndarray, h: float, p: np.ndarray):
+    """Yield the state after each classical RK4 step of p' = G(t) p from p.
+
+    G(t) is the folded generator of op = `_structure_matrices(...)` at the
+    rates lam(t), mu(t).  lam and mu hold the rates at half-step nodes, so
+    step i runs from node 2i through node 2i+1 to node 2i+2, and the march
+    makes (len(lam) - 1) // 2 steps.  Three CSR generators, for nodes 2i,
+    2i+1 and 2i+2, share the pattern's indices and indptr; the one at node
+    2i+2 becomes the next step's node 2i, so a step refreshes the values of
+    two and makes four products G @ v.  The yielded state is a buffer that
+    the next step overwrites; p itself is not written.  The caller may edit
+    the yielded state in place, and the march continues from the edited
+    state.
+    """
+    parts = op[1]
+    g0, gh, g1 = (_generator(op, lam[0], mu[0]) for _ in range(3))
+    p = p.copy()
+    q = np.empty_like(p)
+    for i in range((len(lam) - 1) // 2):
+        np.dot((lam[2 * i + 1], mu[2 * i + 1]), parts, out=gh.data)
+        np.dot((lam[2 * i + 2], mu[2 * i + 2]), parts, out=g1.data)
+        k1 = g0 @ p
+        np.multiply(k1, 0.5 * h, out=q)
+        q += p
+        k2 = gh @ q
+        np.multiply(k2, 0.5 * h, out=q)
+        q += p
+        k3 = gh @ q
+        np.multiply(k3, h, out=q)
+        q += p
+        k4 = g1 @ q
+        # p + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= h / 6.0
+        p += k2
+        yield p
+        g0, g1 = g1, g0
 
 
 def unflushed_busy_oracle(spec: ModelSpec, level: int, phase, u: float,

@@ -137,22 +137,23 @@ def test_mm1_volterra_frozen_values(mm1_spec):
 @pytest.mark.parametrize("u, step", [(0.0, 1.0 / 128), (0.5, 1.0 / 128),
                                      (0.0, 1.0 / 512)],
                          ids=["bench-u0", "bench-u0.5", "cli-defaults"])
-def test_flush_keeps_oracle_values(periodic74_spec, u, step):
+def test_flush_keeps_oracle_values(periodic74_spec, u, step, monkeypatch):
     # the benchmark's busy-period settings at two start times half a period
-    # apart, and the CLI defaults: the flushed march on the levels that hold
-    # mass reads the values of the unflushed march on all 40, and the
-    # cap_mass of the unflushed march on its own levels
+    # apart, and the CLI defaults: the flushed march reads the values and
+    # cap_mass of the same march with no entry zeroed, and its values are
+    # within rounding of the CSR march on all 40 levels (5.6e-17 measured)
     sol = busy_oracle(periodic74_spec, 1, (0, 0), u=u, horizon=5.0, step=step,
                       level_cap=40, substeps=4)
+    monkeypatch.setattr(oracle, "_STATE_FLOOR", 0.0)
+    plain = busy_oracle(periodic74_spec, 1, (0, 0), u=u, horizon=5.0, step=step,
+                        level_cap=40, substeps=4)
+    assert sol.solved_levels == plain.solved_levels == 10
+    assert np.array_equal(sol.values, plain.values)
+    assert sol.cap_mass == plain.cap_mass
     values, _, subnormal = unflushed_busy_oracle(
         periodic74_spec, 1, (0, 0), u=u, horizon=5.0, step=step, level_cap=40,
         substeps=4)
-    assert sol.solved_levels == 10
-    assert np.array_equal(sol.values, values)
-    _, cap_mass, _ = unflushed_busy_oracle(
-        periodic74_spec, 1, (0, 0), u=u, horizon=5.0, step=step,
-        level_cap=sol.solved_levels, substeps=4)
-    assert sol.cap_mass == cap_mass
+    assert np.abs(sol.values - values).max() <= 1e-15
     # without the flush, the march carries subnormal entries
     assert subnormal > 1000
 
@@ -178,15 +179,48 @@ def test_march_on_the_levels_that_hold_mass_keeps_values(spec, level, cap, solve
     # L = min(cap, level + ceil(n* / k)) from the start stage 0: n* is 63 at
     # the reference model's arrival mass 15 over the horizon, 102 at load
     # 0.8, 113 and 116 at loads 0.95 and 0.99, 45 for k = 2, m = 3; the
-    # march on levels 1..L reads the values of the unflushed march on every
-    # level, whatever the load
+    # march on levels 1..L reads the values of the unflushed CSR march on
+    # every level to rounding, whatever the load
     sol = busy_oracle(spec, level, 0, u=0.3, horizon=5.0, step=1 / 128,
                       level_cap=cap, substeps=4)
     values, _, _ = unflushed_busy_oracle(spec, level, 0, u=0.3, horizon=5.0,
                                          step=1 / 128, level_cap=cap, substeps=4)
     assert sol.solved_levels == solved
-    assert np.array_equal(sol.values, values)
+    assert np.abs(sol.values - values).max() <= 1e-15
     assert sol.cap_mass <= sol.reach_bound < 1e-18
+
+
+@pytest.mark.parametrize("k, m, lam, mu, level, phase, horizon", [
+    (7, 4, 3.0, 5.0, 1, (2, 3), 1.5), (1, 1, 3.0, 5.0, 1, 0, 2.0),
+    (1, 4, 3.0, 20.0, 2, (0, 3), 2.0), (4, 1, 12.0, 5.0, 1, (3, 0), 2.0)],
+    ids=["phase-2-3", "mm1", "k1-m4", "k4-m1"])
+def test_level_march_matches_the_csr_march(k, m, lam, mu, level, phase, horizon):
+    # a start phase off stage 0 at horizon 1.5, and the window of three
+    # levels at its k = 1 and m = 1 edges, where every arrival or every
+    # service crosses a level
+    spec = ModelSpec(k, m, RateFunction(lam, sin=((1, -2.0),)),
+                     RateFunction(mu, sin=((1, 4.0),)))
+    sol = busy_oracle(spec, level, phase, u=0.3, horizon=horizon, step=1 / 128,
+                      level_cap=60, substeps=4)
+    values, _, _ = unflushed_busy_oracle(spec, level, phase, u=0.3, horizon=horizon,
+                                         step=1 / 128, level_cap=60, substeps=4)
+    assert sol.solved_levels < 60
+    assert sol.total()[-1] > 0.5
+    assert np.abs(sol.values - values).max() <= 1e-15
+
+
+def test_arrivals_leave_the_bound_cap_within_its_mass():
+    # level_cap 5 binds (the rule's L is 8 over [0, 3]), and level 5 peaks
+    # at 6.5e-11, just below the refusal: arrivals out of level 5 leave the
+    # march where the CSR march blocks them, and the values stay within the
+    # refusal's 1e-10 of it (5.6e-17 measured)
+    sol = busy_oracle(_REFERENCE, 1, 0, horizon=3.0, step=1 / 128, level_cap=5,
+                      substeps=4)
+    values, cap_mass, _ = unflushed_busy_oracle(_REFERENCE, 1, 0, u=0.0, horizon=3.0,
+                                                step=1 / 128, level_cap=5, substeps=4)
+    assert (sol.solved_levels, sol.reach_bound) == (5, None)
+    assert 1e-11 < sol.cap_mass <= cap_mass <= 1e-10
+    assert np.abs(sol.values - values).max() <= 1e-10
 
 
 def test_busy_oracle_marches_once_with_no_level_elimination(periodic74_spec,
@@ -199,12 +233,12 @@ def test_busy_oracle_marches_once_with_no_level_elimination(periodic74_spec,
         raise AssertionError("busy_oracle built a level elimination")
     monkeypatch.setattr(oracle, "_LevelElimination", refuse)
     caps = []
-    original = oracle._structure_matrices
+    original = oracle._level_march
 
-    def spy(k, m, level_cap):
-        caps.append(level_cap)
-        return original(k, m, level_cap)
-    monkeypatch.setattr(oracle, "_structure_matrices", spy)
+    def spy(parts, m, lam, mu, h, levels):
+        caps.append(len(levels))
+        return original(parts, m, lam, mu, h, levels)
+    monkeypatch.setattr(oracle, "_level_march", spy)
     for level, phase in ((1, (0, 0)), (3, (2, 3))):
         sol = busy_oracle(periodic74_spec, level, phase, horizon=1.5, step=1 / 128,
                           level_cap=40, substeps=4)

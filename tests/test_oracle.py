@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference
-from reference import (generator_blocks, interpolating_series, mean_rate_matrix,
+from reference import (_generator, _rk4_march, _structure_matrices,
+                       generator_blocks, interpolating_series, mean_rate_matrix,
                        periodic_structure, time_domain_periodic)
 
 import ekemq
@@ -23,13 +24,7 @@ from ekemq import (
     extract_boundary,
     integrate_periodic,
 )
-from ekemq.oracle import (
-    PeriodicDistribution,
-    TrigInterpolant,
-    _generator,
-    _rk4_march,
-    _structure_matrices,
-)
+from ekemq.oracle import PeriodicDistribution, TrigInterpolant
 
 
 def test_mm1_reduces_to_truncated_geometric(mm1_dist):
@@ -865,6 +860,17 @@ def test_structure_matches_generator_blocks(k, m, level_cap, absorbing):
     assert parts.shape == (2, pattern.nnz)
 
 
+@pytest.mark.parametrize("k, m", [(1, 1), (1, 4), (3, 1), (2, 3), (7, 4)])
+def test_level_block_matches_generator_blocks(k, m):
+    # the busy oracle's level block at rates that are powers of two is the
+    # generator's up, local and down blocks stacked, exactly
+    spec = ModelSpec(k, m, RateFunction(2.0), RateFunction(16.0))
+    b = generator_blocks(spec, 0.0)
+    block = np.dot((2.0, 16.0), oracle._level_parts(k, m).reshape(2, -1))
+    assert np.array_equal(block.reshape(3 * k * m, k * m),
+                          np.vstack([b.up, b.local, b.down]))
+
+
 @pytest.mark.parametrize("absorbing", [False, True])
 @pytest.mark.parametrize("k, m", [(1, 1), (2, 3), (7, 4)])
 def test_folded_generator_is_exact_on_dyadic_data(k, m, absorbing):
@@ -941,8 +947,8 @@ def test_accelerated_solve_matches_plain_iteration(periodic74_spec):
 
 
 def test_import_and_periodic_solve_load_no_scipy_sparse():
-    # scipy.sparse costs about 0.23 s to import; only the time-domain
-    # structure (`_structure_matrices`, for `busy_oracle`) imports it
+    # scipy.sparse costs about 0.23 s to import; no library module imports
+    # it (test_public_scipy.py), and only the tests' CSR reference uses it
     src = str(Path(ekemq.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -974,9 +980,10 @@ def test_import_loads_no_scipy_solvers():
     assert proc.stdout.strip() == "[]"
 
 
-def test_busy_routes_load_no_scipy_special():
-    # scipy.special takes about 60 ms to import; only the wait laws and the
-    # test-side Poisson tables use it
+def test_busy_routes_load_no_scipy():
+    # neither busy route needs scipy: the Volterra march and the ODE
+    # oracle's dense level march are numpy only, so the busy command pays
+    # for no scipy import (scipy.special alone takes about 60 ms)
     src = str(Path(ekemq.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -985,11 +992,11 @@ def test_busy_routes_load_no_scipy_special():
          "spec = ekemq.ModelSpec(1, 1, ekemq.RateFunction(3.0), ekemq.RateFunction(5.0))\n"
          "ekemq.busy_period_cdf(spec, 1, 0, horizon=0.5, step=1 / 64)\n"
          "ekemq.busy_oracle(spec, 1, 0, horizon=0.5, step=1 / 64)\n"
-         "print('scipy.special' in sys.modules)"],
+         "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_oracle_validates_arguments(mm1_spec):

@@ -57,5 +57,5 @@ def test_only_the_oracle_names_its_generator_and_step():
     for path in SRC.glob("*.py"):
         source = path.read_text()
         if path.name != "oracle.py":
-            for name in ("_structure_matrices", "_generator", "_rk4_march"):
+            for name in ("_level_parts", "_level_march"):
                 assert name not in source, (path.name, name)
