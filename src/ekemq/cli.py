@@ -187,6 +187,9 @@ class RunConfig:
         if max(values["analyze.levels"], default=0) > cap:
             raise ConfigError(f"key 'analyze.levels': a level is past "
                               f"oracle.levels = {cap}")
+        if max(values["bounds.orders"], default=-1) >= values["bounds.reference"]:
+            raise ConfigError("key 'bounds.reference': must exceed every bounds.orders "
+                              f"entry, got {values['bounds.reference']}")
         a, s = values["busy.phase"]
         if a >= values["model.k"] or s >= values["model.m"]:
             raise ConfigError(f"key 'busy.phase': stages {a},{s} are outside "

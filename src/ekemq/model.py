@@ -173,10 +173,8 @@ class ModelSpec:
     service: RateFunction
 
     def __post_init__(self):
-        if int(self.k) != self.k or int(self.m) != self.m:
-            raise ValueError("stage counts must be integers")
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "k", _as_index(self.k, "k"))
+        object.__setattr__(self, "m", _as_index(self.m, "m"))
         if self.k < 1 or self.m < 1:
             raise ValueError("stage counts must be >= 1")
         if math.gcd(self.k, self.m) != 1:

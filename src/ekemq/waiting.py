@@ -31,22 +31,27 @@ The root sum runs over the roots with n >= 0 only, with the level
 series' fold weights (1 at n = 0, 2 at n > 0, `series`), and keeps the
 real part.
 
-The idle state contributes an atom at zero wait (or an m-stage Erlang for
-the sojourn).  `oracle_wait_cdf` computes the same quantity from a truncated
-ODE distribution with no root in sight.  It needs the law at time u only
+The idle state contributes an atom at zero wait, or for the sojourn the
+m-stage Erlang P{N >= m}, which each route takes from sums it already forms:
+`wait_cdf` adds exp(-M) M**m / m! to its P{N > m}.
+
+`oracle_wait_cdf` computes the same quantity from a truncated ODE
+distribution with no root in sight.  It needs the law at time u only
 through the idle states and each level's sums over arrival stage, so it
 reads the law's service-stage series (`stage_sums_at`, built once per law,
-k + level_cap * m columns) and never the series of every state.
-Its thresholds n = m j - s run
-through the consecutive integers 1..n_max, n_max = m * level_cap (shifted
-by m for the sojourn), so with w_n the law's weight at threshold n, C_i =
-sum_{n <= i} w_n and p_i the Poisson(M) pmf, summation by parts gives
+k + level_cap * m columns) and never the series of every state.  Its
+thresholds n = m j - s run through the consecutive integers 1..n_max,
+n_max = m * level_cap (shifted by m for the sojourn), so with w_n the law's
+weight at threshold n, C_i = sum_{n <= i} w_n and p_i the Poisson(M) pmf,
+summation by parts gives
 
-    sum_n w_n P{N >= n} = sum_{i <= n_max} p_i C_i + C_{n_max} P{N > n_max}:
+    sum_n w_n P{N >= n} = sum_{i <= n_max} p_i C_i + C_{n_max} P{N > n_max}
+                        = C_{n_max} - sum_{i <= n_max} p_i (C_{n_max} - C_i),
 
-one pmf table and one matrix-vector product, and a single incomplete gamma
-per horizon where there was one per threshold.  Every term is nonnegative,
-so nothing cancels.
+as P{N > n_max} = 1 - sum_{i <= n_max} p_i: one pmf table and one
+matrix-vector product, and no incomplete gamma.  Every term of the product
+is nonnegative, so nothing cancels in it.  Its sojourn atom is 1 minus the
+table's first m terms.
 """
 
 from __future__ import annotations
@@ -67,16 +72,6 @@ _DIRECT_TAIL_RADIUS = 8.0
 # means above which a pmf row cannot start from exp(-mean), which leaves the
 # normal range past about 708 and is 0 past 745, zeroing the whole row
 _SEED_LIMIT = 700.0
-
-
-def _poisson_tail(threshold, mean):
-    """P{Poisson(mean) >= threshold}; thresholds <= 0 give 1 exactly."""
-    # imported here, so that a run that computes no wait does not pay the
-    # import of scipy.special, 0.28-0.34 s on a 2-vCPU Xeon sandbox
-    from scipy.special import gammainc
-    threshold = np.asarray(threshold, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    return np.where(threshold <= 0, 1.0, gammainc(np.maximum(threshold, 1.0), mean))
 
 
 def _poisson_pmf_rows(mean: np.ndarray, top: int) -> np.ndarray:
@@ -203,11 +198,12 @@ def wait_cdf(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
         tail_factor = 1.0 - np.exp(np.outer(mu_cum, x - 1.0))
         atom = idle_mass * np.ones_like(mu_cum)
     else:
-        partial_real = sum(mu_cum ** q / math.factorial(q) for q in range(m + 1))
-        over_m = 1.0 - np.exp(-mu_cum) * partial_real
-        tail_factor = over_m[:, None] - chi[None, :] * np.exp(-mu_cum)[:, None] \
+        decay = np.exp(-mu_cum)
+        terms = [mu_cum ** q / math.factorial(q) for q in range(m + 1)]
+        over_m = 1.0 - decay * sum(terms)              # P{N > m}
+        tail_factor = over_m[:, None] - chi[None, :] * decay[:, None] \
             * _exp_tail(mu_cum, x, m)
-        atom = idle_mass * _poisson_tail(m, mu_cum)
+        atom = idle_mass * (over_m + decay * terms[-1])  # P{N >= m}
 
     series_part = tail_factor.real @ prefactor.real - tail_factor.imag @ prefactor.imag
     values = atom + series_part
@@ -236,12 +232,12 @@ def oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: float,
     cumulated = np.concatenate((np.zeros(shift + 1), np.cumsum(by_stage[:, ::-1])))
 
     mu_cum = spec.service.cumulative(u, u + horizons)
-    values = (_poisson_pmf_rows(mu_cum, top) @ cumulated
-              + cumulated[-1] * _poisson_tail(top + 1, mu_cum))
+    pmf = _poisson_pmf_rows(mu_cum, top)
+    values = cumulated[-1] - pmf @ (cumulated[-1] - cumulated)
     if kind == "queue":
         values = values + idle_mass
     else:
-        values = values + idle_mass * _poisson_tail(m, mu_cum)
+        values = values + idle_mass * (1.0 - pmf[:, :m].sum(axis=1))
 
     return CDFCurve(kind=kind, u=float(u), horizons=horizons.copy(),
                     values=values, source="oracle")

@@ -25,6 +25,8 @@ another way, kept to pin that route:
   `busy_oracle`, which marches dense level blocks, lets arrivals leave its
   top level and flushes entries below `oracle._STATE_FLOOR` at every
   record;
+- `poisson_tail`: a Poisson tail as scipy's regularized incomplete gamma,
+  against the tails both wait routes take from the Poisson sums they form;
 - `gammainc_oracle_wait_cdf`: the oracle wait route with one incomplete
   gamma per (horizon, threshold), against `oracle_wait_cdf`, which sums by
   parts over one Poisson pmf table;
@@ -85,7 +87,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from ekemq import _quad
 from ekemq._quad import composite_gauss
@@ -97,8 +99,7 @@ from ekemq.oracle import (_CAP_MASS_LIMIT, _NORM_SLACK, _REUSE_TOL,
 from ekemq.roots import _INSIDE_TOL, CharacteristicRoot, RootSet, _by_angle, _collision
 from ekemq.series import (_DENOM_FLOOR, SeriesEvaluator, _denominator,
                           _drive_values)
-from ekemq.waiting import (_DIRECT_TAIL_RADIUS, CDFCurve, _horizons,
-                           _poisson_tail)
+from ekemq.waiting import _DIRECT_TAIL_RADIUS, CDFCurve, _horizons
 
 
 def interpolating_series(samples: np.ndarray) -> np.ndarray:
@@ -405,6 +406,14 @@ def unflushed_busy_oracle(spec: ModelSpec, level: int, phase, u: float,
     return values, cap_mass, subnormal
 
 
+def poisson_tail(threshold, mean):
+    """P{Poisson(mean) >= threshold} by the regularized incomplete gamma;
+    thresholds <= 0 give 1 exactly."""
+    threshold = np.asarray(threshold, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    return np.where(threshold <= 0, 1.0, gammainc(np.maximum(threshold, 1.0), mean))
+
+
 def gammainc_oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: float,
                              horizons, kind: str = "queue") -> CDFCurve:
     """ODE-oracle route: condition on the truncated state at time u."""
@@ -424,12 +433,12 @@ def gammainc_oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: flo
         thresholds = thresholds + m
 
     mu_cum = spec.service.cumulative(u, u + horizons)
-    tails = _poisson_tail(thresholds[None, :], mu_cum[:, None])
+    tails = poisson_tail(thresholds[None, :], mu_cum[:, None])
     values = tails @ by_stage.ravel()
     if kind == "queue":
         values = values + idle_mass
     else:
-        values = values + idle_mass * _poisson_tail(m, mu_cum)
+        values = values + idle_mass * poisson_tail(m, mu_cum)
 
     return CDFCurve(kind=kind, u=float(u), horizons=horizons.copy(),
                     values=values, source="oracle")
@@ -631,7 +640,7 @@ def conditional_wait_cdf(spec: ModelSpec, level: int, s: int, u: float, t):
     if np.any(t < 0):
         raise ValueError("horizons must be nonnegative")
     mu_cum = spec.service.cumulative(u, u + t)
-    out = _poisson_tail(spec.m * level - s, mu_cum)
+    out = poisson_tail(spec.m * level - s, mu_cum)
     return out if out.ndim else float(out)
 
 

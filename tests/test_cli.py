@@ -702,6 +702,8 @@ def test_levels_outside_truncation_exit_2(tmp_path, capsys):
     ("busy", "busy.substeps", "0"),
     ("busy", "busy.phase", "0,5"),
     ("busy", "busy.step", "0.75"),
+    # an order at the reference would measure its error against itself
+    ("bounds", "bounds.reference", "10"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, capsys, command, key, value):
     # refused when the config is parsed, before any solve; the analyze-level

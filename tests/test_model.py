@@ -180,6 +180,10 @@ def test_up_block_advances_arrival_stage(periodic74_spec):
 # (argument name, call with that argument set to x); the series evaluator
 # is the M/M/1 one, at order 0
 INTEGER_ARGUMENTS = {
+    "ModelSpec k": ("k", lambda spec, ev, x: ModelSpec(x, 1, RateFunction(1.0),
+                                                       RateFunction(5.0))),
+    "ModelSpec m": ("m", lambda spec, ev, x: ModelSpec(1, x, RateFunction(1.0),
+                                                       RateFunction(5.0))),
     "RateFunction harmonic": ("harmonic index",
                               lambda spec, ev, x: RateFunction(3.0, cos=((x, 1.0),))),
     "characteristic_roots n": ("n", lambda spec, ev, x: characteristic_roots(spec, x)),

@@ -8,6 +8,9 @@ stage; they can change or vanish in any scipy release.  No route needs
 scipy.sparse at all: both ODE routes work on dense numpy blocks, and the
 sparse march is the tests' reference only.  The source of every module is
 read with `ast`.
+
+`test_numpy_only.py` refuses every scipy import under `src/ekemq/`, which
+covers both checks here.
 """
 
 import ast

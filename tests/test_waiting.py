@@ -342,6 +342,27 @@ def test_oracle_wait_long_horizon():
         assert np.abs(got - ref).max() <= 1e-13, kind
 
 
+def test_erlang_atom_alone_matches_gammainc(periodic74_spec, periodic74_roots10):
+    # a constant law with all its mass on idle stage 0 has no busy mass and
+    # a boundary of zero drive, so each route's CDF is that mass times its
+    # own Erlang atom: the mass at zero wait, and P{N >= m} for the sojourn
+    spec, mass = periodic74_spec, 0.75
+    series = np.zeros((1, spec.k + spec.phase_count))
+    series[0, 0] = mass
+    dist = PeriodicDistribution(spec=spec, series=series, grid_size=8, periods=0,
+                                residual=0.0)
+    boundary = extract_boundary(dist)
+    ts = np.concatenate(([0.0], np.geomspace(1e-3, 200.0, 300)))
+    for u in (0.0, 0.2, 0.7):
+        mean = spec.service.cumulative(u, u + ts)
+        assert mean[-1] == pytest.approx(1000.0)
+        for kind, atom in (("queue", mass), ("sojourn", mass * gammainc(spec.m, mean))):
+            series_route = wait_cdf(spec, periodic74_roots10, boundary, u, ts, kind=kind)
+            oracle_route = oracle_wait_cdf(spec, dist, u, ts, kind=kind)
+            assert np.abs(series_route.values - atom).max() <= 1e-15, kind
+            assert np.abs(oracle_route.values - atom).max() <= 1e-15, kind
+
+
 def test_sojourn_series_matches_looped_tail(periodic74_spec, periodic74_boundary,
                                             periodic74_roots10, periodic74_roots40,
                                             monkeypatch):
