@@ -2,7 +2,11 @@
 conservation, closed-form reductions."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from reference import (_generator, _rk4_march, _structure_matrices,
                        generator_blocks, interpolating_series, mean_rate_matrix,
                        periodic_structure, time_domain_periodic)
 
+import ekemq
 from ekemq import oracle
 from ekemq import (
     BoundaryFunctions,
@@ -939,6 +944,59 @@ def test_accelerated_solve_matches_plain_iteration(periodic74_spec):
         pytest.fail("plain iteration did not reach 1e-13")
     solved = np.hstack([dist.idle, dist.levels.reshape(grid_size, -1)])
     assert np.abs(solved - samples).max() <= 1e-10
+
+
+def test_import_and_periodic_solve_load_no_scipy_sparse():
+    # scipy.sparse costs about 0.23 s to import; no library module imports
+    # it (test_public_scipy.py), and only the tests' CSR reference uses it
+    src = str(Path(ekemq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ekemq\n"
+         "loaded = [n for n in sys.modules if n.startswith('scipy.sparse')]\n"
+         "spec = ekemq.ModelSpec(2, 3, ekemq.RateFunction(1.0, sin=((1, 0.5),)),\n"
+         "                       ekemq.RateFunction(4.0))\n"
+         "ekemq.integrate_periodic(spec, level_cap=10, grid_size=16)\n"
+         "print(loaded, [n for n in sys.modules if n.startswith('scipy.sparse')])"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] []"
+
+
+def test_import_loads_no_scipy_solvers():
+    # scipy.linalg and scipy.sparse.linalg cost about 7 MB and 50 ms to
+    # import; the averaged start is solved with numpy's dense solver
+    src = str(Path(ekemq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ekemq; print(sorted(n for n in sys.modules "
+         "if n in ('scipy.linalg', 'scipy.sparse.linalg')))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_busy_routes_load_no_scipy():
+    # neither busy route needs scipy: the Volterra march and the ODE
+    # oracle's dense level march are numpy only, so the busy command pays
+    # for no scipy import (scipy.special alone takes about 60 ms)
+    src = str(Path(ekemq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ekemq\n"
+         "spec = ekemq.ModelSpec(1, 1, ekemq.RateFunction(3.0), ekemq.RateFunction(5.0))\n"
+         "ekemq.busy_period_cdf(spec, 1, 0, horizon=0.5, step=1 / 64)\n"
+         "ekemq.busy_oracle(spec, 1, 0, horizon=0.5, step=1 / 64)\n"
+         "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_oracle_validates_arguments(mm1_spec):
