@@ -5,10 +5,10 @@ The package computes the asymptotic periodic law of the queue length, the
 waiting-time and sojourn-time distributions of a virtual customer, and the
 busy-period distribution.  Two independent computational routes are kept for
 everything: a root-series method built on the characteristic equation of the
-phase process, and a direct solution of truncated systems (harmonic balance
-for the periodic law, ODE integration for the busy period).  Agreement
-between the routes is the correctness argument, so neither route is ever
-expressed in terms of the other.
+phase process, and a direct solution of the Kolmogorov systems (harmonic
+balance on unbounded levels for the periodic law, ODE integration for the
+busy period).  Agreement between the routes is the correctness argument, so
+neither route is ever expressed in terms of the other.
 """
 
 from .model import (

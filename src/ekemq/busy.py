@@ -61,7 +61,7 @@ forcing-minus-history rows at levels -1..1 meet the generator blocks in one
 constant matrix, so a step is a handful of BLAS-sized calls.
 
 The absorbing-ODE route is `oracle.busy_oracle`, which integrates the
-killed process with the periodic oracle's truncated system.  This module
+killed process on the levels its horizon can reach.  This module
 imports nothing from `oracle`, and the oracle reads only the result type
 `VolterraSolution` from here, so the two routes share no code path; they
 must agree and tests enforce it.

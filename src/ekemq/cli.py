@@ -346,7 +346,7 @@ def cmd_oracle(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
         "level_cap": dist.level_cap,
         "solved_levels": dist.solved_levels,
         "level_decay": dist.level_decay,
-        "gmres_iterations": dist.gmres_iterations,
+        "iterations": dist.iterations,
         "grid_size": dist.grid_size,
     })
 

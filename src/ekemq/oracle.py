@@ -1,41 +1,40 @@
-"""Reference route: the truncated level process, solved directly.
+"""Reference route: the level process, solved directly.
 
-The queue is truncated at a finite level cap; arrivals that would push the
-chain above the cap are blocked (the blocked stage simply freezes, keeping
-the generator conservative).  The resulting linear ODE
+The queue's law obeys the linear ODE
 
     p'(t) = lam(t) * p(t) S_arr + mu(t) * p(t) S_srv
 
-has periodic coefficients, and its periodic solution is the law.  The
-rates are finite trigonometric sums, so with p(t) = sum_n c_n e^{2 pi i n t}
-the ODE holds exactly harmonic by harmonic (harmonic balance, or Hill's
-method: Kundert & Sangiovanni-Vincentelli, IEEE Trans. CAD 1986):
+on unbounded levels.  Its coefficients are periodic, and its periodic
+solution is the law.  The rates are finite trigonometric sums, so with p(t)
+= sum_n c_n e^{2 pi i n t} the ODE holds exactly harmonic by harmonic
+(harmonic balance, or Hill's method: Kundert & Sangiovanni-Vincentelli,
+IEEE Trans. CAD 1986):
 
     2 pi i n c_n = sum_j (lam_j S_arr^T + mu_j S_srv^T) c_{n-j},
 
 lam_j and mu_j the rates' Fourier coefficients.  `integrate_periodic`
 solves these equations for n = 0..N, with c_{-n} = conj(c_n) and one n = 0
-equation traded for the total mass, by restarted GMRES (Saad & Schultz,
-SIAM J. Sci. Stat. Comput. 1986) preconditioned by the mean generator,
-block eliminated over levels for every harmonic at once (Neuts,
-Matrix-Geometric Solutions in Stochastic Models, 1981); it grows N until
-the top harmonic is below the tolerance.  Each level's diagonal block in
-that elimination is one lower triangular block per harmonic, the mean
-level block shifted by 2 pi i n d, plus a rank-m correction from the level
-above, so two km x km blocks are inverted per harmonic and each level
-costs an m x m inverse (Woodbury; Hager, SIAM Review 1989).  The law is
-its Fourier series: one evaluator (`TrigInterpolant`) samples it on the
-output grid and reads it between grid times.  No period is integrated,
-and the error is the truncation past N, which |c_N| shows, plus the linear
-solve's residual.  Only the levels that hold more than about 1e-18 are
-solved, by the law's per-level decay sp(R) of the mean-rate QBD, which the
-same level recursion yields at n = 0; the levels above them, up to the
-cap, are exact zeros.  numpy does all of it.  The time-domain solve,
-RK4 periods to the period map's fixed point, is kept in the tests as the
+equation traded for the total mass, and grows N until the top harmonic is
+below the tolerance.  In real harmonic coordinates (Re c_n and Im c_n of
+each state) the equations repeat the same three blocks at every level above
+the first, so the law is matrix-geometric (Neuts, Matrix-Geometric
+Solutions in Stochastic Models, 1981; Bini, Latouche & Meini, Numerical
+Methods for Structured Markov Chains, 2005): level j is K y_{j-1}, where y_j
+= R y_{j-1} holds level j's final arrival stages.  `_rate_matrix` finds K
+and R by a fixed-point iteration on the interfaces between levels, and
+`_solve_levels` solves the empty level against them with the mass of every
+level above it.  The law is its Fourier series: one evaluator
+(`TrigInterpolant`) samples it on the output grid and reads it between
+grid times.  No period is integrated, and the error is the truncation past
+N, which |c_N| shows, plus the solve's residual.  The levels that hold more
+than about 1e-18, by the law's per-level decay sp(R) at the mean rates, are
+listed up to the level cap; those above them are exact zeros.  numpy does
+all of it.  The time-domain solve of the queue truncated at the cap, RK4
+periods to the period map's fixed point, is kept in the tests as the
 cross-check.
 
 The busy-period oracle `busy_oracle` does integrate in time: the same
-truncated system with the empty level absorbing instead of reflecting is
+level process with the empty level absorbing instead of reflecting is
 driven with classical fourth-order Runge-Kutta steps.  Its levels are one
 dense (L, km) array; the derivative at level j reads levels j-1, j and j+1
 only, through the level block lam * A + mu * S, whose unit-rate parts A and
@@ -50,11 +49,10 @@ their Poisson count; level_cap is an upper limit.
 
 In the killed system the k empty states have no exits and count absorption
 by arrival stage, and arrivals out of the top level leave it.  The
-harmonic-balance equations apply the periodic system, where an arrival
-moves an empty state to the next arrival stage or starts level 1, by
-slicing one vector: the k empty states, then levels 1..cap with phase
-(a, s) at a*m + s.  No other module calls `_level_parts` or
-`_level_march`.
+harmonic-balance equations (`_balance`) apply the periodic system, where an
+arrival moves an empty state to the next arrival stage or starts level 1,
+by slicing one array: the k empty states, then levels 1..L with phase (a,
+s) at a*m + s.  No other module calls `_level_parts` or `_level_march`.
 
 This module is deliberately independent of the root-series machinery: it
 never sees characteristic roots.  The series route does read one output of
@@ -81,38 +79,20 @@ from .model import ModelSpec, _as_index, _normalize_phase
 
 # The law's Fourier coefficients c_0..c_N are solved for with N first
 # _FIRST_HARMONIC, or twice the rates' top harmonic where that is larger
-# (none for constant rates: N = 0), and then grown by half, warm-started,
-# while max |c_N| > tol and N stays within _MAX_HARMONIC.  N and its steps
-# are counted in units of the rates' harmonic spacing d
-# (`_HarmonicBalance.spacing`), each rounded up to a whole unit, so that
-# c_N is a harmonic the law can have.
+# (none for constant rates: N = 0), and then grown by half while max |c_N| >
+# tol and N stays within _MAX_HARMONIC, each rate matrix starting from the
+# last.  N and its steps are counted in units of the rates' harmonic spacing
+# d, each rounded up to a whole unit, so that c_N is a harmonic the law can
+# have.
 _FIRST_HARMONIC = 12
 _MAX_HARMONIC = 128
 
-# GMRES restarts every _RESTART iterations.  It stops once the 2-norm of the
-# residual of the harmonic-balance equations is at most _SOLVE_FRACTION *
-# tol, or once a restart cycle fails to halve it: the residual then sits at
-# its rounding floor, about 1e-16.
-_RESTART = 30
-_SOLVE_FRACTION = 0.01
-
-# From the cap down, the level blocks of the preconditioner's elimination
-# converge (within 7 to 11 levels on the reference model and up to load
-# 0.95); once a block's k x m slice that feeds the level below is within
-# _REUSE_TOL of the one above it, relative in max norm, that block serves
-# every level below.
-_REUSE_TOL = 1e-15
-
 _CAP_MASS_LIMIT = 1e-6
 
-# `integrate_periodic` solves the levels by which a mass, falling by sp(R)
-# per level, reaches _LEVEL_FLOOR, and solves again on more levels while its
-# top solved level holds more than _SOLVED_MASS_LIMIT: the rule can
-# under-read when the rates swing the load.  `busy_oracle` marches the
-# levels that its horizon's arrivals reach with more than _LEVEL_FLOOR of
-# probability.
+# `integrate_periodic` lists the levels by which a mass, falling by sp(R)
+# per level, reaches _LEVEL_FLOOR; `busy_oracle` marches the levels that its
+# horizon's arrivals reach with more than _LEVEL_FLOOR of probability.
 _LEVEL_FLOOR = 1e-18
-_SOLVED_MASS_LIMIT = 1e-15
 
 # `busy_oracle` zeroes the transient entries of its state below this at every
 # record: the mass front climbing the levels trails a band of subnormal
@@ -248,8 +228,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicDistribution:
-    """Periodic law of the truncated queue: its Fourier series, read at any
-    time and sampled on a uniform grid.
+    """Periodic law of the queue, listed on levels 1..level_cap: its Fourier
+    series, read at any time and sampled on a uniform grid.
 
     `series` holds c_0..c_N as (N + 1, k + level_cap * km) complex rows: the
     k idle states (arrival stage a), then levels 1..level_cap in phase (a,
@@ -257,12 +237,14 @@ class PeriodicDistribution:
     shape, or a grid_size below 1, raises ValueError.  `periods` is N and
     `residual` the larger of max |c_N| and the 2-norm of the harmonic-balance
     equations' residual, names kept from the time-domain solve.
-    `level_decay` is sp(R), the per-level decay of the mean-rate QBD that
-    `integrate_periodic` chose the solved levels by (nan for a law built
-    otherwise).  `gmres_iterations` counts the GMRES iterations of that
-    solve at its final N (0 for a law built otherwise).  `solved_levels` is
-    the highest level with a nonzero coefficient: the levels above it, up
-    to level_cap, are exact zeros.
+    `level_decay` is sp(R), the per-level decay at the mean rates by which
+    `integrate_periodic` chose the listed levels (nan for a law built
+    otherwise).  `iterations` counts the rate matrix's fixed-point
+    iterations at the final N (0 for a law built otherwise).
+    `solved_levels` is the highest level with a nonzero coefficient: the
+    levels above it, up to level_cap, are exact zeros.  A law from
+    `integrate_periodic` lists the levels of the queue on unbounded levels,
+    so level_cap cuts the list and changes no listed value.
 
     Each series below is built from `series` on first use, once per law,
     over the idle states and levels 1..solved_levels, and its values are
@@ -270,11 +252,12 @@ class PeriodicDistribution:
     The state series serves `states_at`, `idle_at`, `levels_at` and the
     samples idle[i, a] and levels[i, j-1, a*m+s] at the times grid[i] = i /
     grid_size: read-only views of one evaluation of it at the grid, made on
-    first read.  The stage series, the k idle states and the level_cap * m
-    sums of each level over arrival stage, serves `stage_sums_at`, all the
-    oracle wait route reads.  `series` is a read-only copy, so nothing read
-    from it can disagree with it.  Laws compare and hash by identity, as
-    their arrays have no single truth value.
+    first read.  The stage series, the k idle states and the
+    solved_levels * m sums of each level over arrival stage, serves
+    `stage_sums_at`, all the oracle wait route reads.  `series` is a
+    read-only copy, so nothing read from it can disagree with it.  Laws
+    compare and hash by identity, as their arrays have no single truth
+    value.
     """
 
     spec: ModelSpec
@@ -283,7 +266,7 @@ class PeriodicDistribution:
     periods: int
     residual: float
     level_decay: float = math.nan
-    gmres_iterations: int = 0
+    iterations: int = 0
 
     def __post_init__(self):
         series = np.array(self.series, dtype=complex)
@@ -402,300 +385,187 @@ def _harmonics(rate) -> dict[int, complex]:
     return out
 
 
-def _level_inverses(hb: _HarmonicBalance, count: int) -> np.ndarray:
-    """The inverses of the diagonal blocks that block elimination of Gbar -
-    2 pi i n d from the cap down leaves on the levels, for the harmonics n d,
-    n = 0..count - 1: a (blocks, count, km, km) stack, the cap's first,
-    then levels cap - 1, cap - 2, ... while they still change.
+def _operators(rates, spacing: int, count: int) -> list[np.ndarray]:
+    """[Lam, Mu, D]: the real H x H operators, H = 2 count - 1, that multiply
+    a real 1-periodic function by the arrival and the service rate and
+    differentiate it, acting on the coordinates (Re c_0, Re c_d, Im c_d,
+    ..., Re c_nd, Im c_nd) of its series, n = count - 1, harmonics past nd
+    dropped.  rates holds each rate's mean and its harmonics' amplitudes
+    (`_harmonics`) by lattice index j / d, d = spacing."""
+    size = 2 * count - 1
+    # the coefficients c_nd, n = 1 - count..count - 1, of the coordinates
+    embed = np.zeros((size, size), complex)
+    n = np.arange(1, count)
+    embed[count - 1, 0] = 1.0
+    embed[count - 1 + n, 2 * n - 1] = embed[count - 1 - n, 2 * n - 1] = 1.0
+    embed[count - 1 + n, 2 * n] = 1j
+    embed[count - 1 - n, 2 * n] = -1j
 
-    The cap's block is the cap block shifted by 2 pi i n d.  Below it, level
-    j's block is T_n - U W_j V^T: T_n the level block so shifted, lower
-    triangular as the stage chains only advance, and a correction that
-    level j + 1 sends down through its service completions.  It sits on the
-    k rows (a, 0) (U selects them) and the m columns (k - 1, s) (V), W_j =
-    lam mu Y_{j+1}, with Y_{j+1} the k x m slice of the inverse above on
-    rows (a, m - 1) and columns (0, s).  So by the Woodbury identity
-    (Hager, SIAM Review 1989) level j's inverse is T_n^-1 + (T_n^-1 U) M_j
-    (V^T T_n^-1) with M_j = W_j (I - C W_j)^-1, and its slice is Y_j = A +
-    B M_j D.  A, B, C and D are slices of T_n^-1: rows (a, m - 1) by
-    columns (0, s), rows (a, m - 1) by columns (a, 0), rows (k - 1, s) by
-    columns (a, 0), and rows (k - 1, s) by columns (0, s).  Only the cap
-    block and T_n are inverted as km x km blocks, once per harmonic;
-    each level costs one m x m inverse per harmonic.  The recursion stops
-    after the first level whose Y is within _REUSE_TOL of the one above it
-    (relative, max norm), as the levels below it repeat its block, or at
-    level 1; the kept blocks are then formed in one batched product.
-    """
-    k, m, km = hb.k, hb.m, hb.k * hb.m
-    lam, mu = hb.mean
-    shift = 2j * np.pi * (np.arange(count) * hb.spacing)[:, None, None] * np.eye(km)
-    cap_inverse = np.linalg.inv(hb.cap_block - shift)
-    inverse = np.linalg.inv(hb.level_block - shift)
-    columns, rows = inverse[..., ::m], inverse[:, (k - 1) * m:]  # T^-1 U, V^T T^-1
-    a, b = inverse[:, m - 1::m, :m], columns[:, m - 1::m]
-    c, d = rows[..., ::m], rows[..., :m]
-    y = cap_inverse[:, m - 1::m, :m]
-    corrections = []
-    for _ in range(hb.cap - 1):
-        w = (lam * mu) * y
-        corrections.append(w @ np.linalg.inv(np.eye(m) - c @ w))
-        below = a + b @ corrections[-1] @ d
-        if np.abs(below - y).max() <= _REUSE_TOL * np.abs(below).max():
-            break
-        y = below
-    blocks = np.empty((len(corrections) + 1, count, km, km), complex)
-    blocks[0] = cap_inverse
-    if corrections:
-        np.matmul(columns @ np.array(corrections), rows, out=blocks[1:])
-        blocks[1:] += inverse
-    return blocks
-
-
-def _mean_decay(hb: _HarmonicBalance) -> float:
-    """sp(R), the spectral radius of the rate matrix R of the QBD at the
-    mean rates (Neuts, Matrix-Geometric Solutions in Stochastic Models,
-    1981): the law's per-level decay.  The n = 0 blocks of
-    `_level_inverses` converge from the cap down to the mean-rate QBD's,
-    whose R, in the column form of the up blocks -lam * inverse[:, :m],
-    reads level j - 1's final arrival stage only; so sp(R) is that of the m
-    x m block of the lowest up block that feeds level j's final arrival
-    stage."""
-    k, m = hb.k, hb.m
-    lowest = _level_inverses(hb, 1)[-1, 0]
-    return float(np.abs(np.linalg.eigvals(-hb.mean[0] * lowest[(k - 1) * m:, :m])).max())
-
-
-class _LevelElimination:
-    """Solves (Gbar - 2 pi i n d) z_n = r_n for the harmonics n d, n =
-    0..count - 1, at once, Gbar the transposed generator at the mean rates
-    lam, mu, and d the rates' harmonic spacing.
-
-    Gbar is level-tridiagonal, so block elimination from the cap down writes
-    level j as z_j = R_j z_{j-1} + g_j, and the k x k system left on the
-    empty level fixes z_0.  The inverses of the diagonal blocks come from
-    `_level_inverses`, by rank-m updates of one triangular block per
-    harmonic; they are (harmonics, km, km) arrays applied with np.matmul,
-    the last kept one serving every level below it.  R_j reads only the
-    final arrival stage of level j - 1 and the correction that level j + 1
-    sends down only its final service stage, so they are kept as km x m and
-    km x k column slices.  For n = 0 Gbar is singular; its equation (0, k -
-    1) is traded for the total mass, which the elimination writes as a
-    linear form of z_0 plus the mass that the g_j carry (weights w_j), so
-    the n = 0 slice solves the bordered mean generator exactly: applied to
-    the mass equation alone it returns the stationary law of the mean
-    generator.
-    """
-
-    def __init__(self, hb: _HarmonicBalance, count: int):
-        k, m, km, cap = hb.k, hb.m, hb.k * hb.m, hb.cap
-        lam, mu = hb.mean
-        self.inverses = _level_inverses(hb, count)  # levels cap, cap - 1, ...
-        # level j's block, j = 0..cap (0 unused)
-        block = [min(cap - j, len(self.inverses) - 1) for j in range(cap + 1)]
-        ups = -lam * self.inverses[..., :m]
-        self.ups = [ups[i] for i in block]
-        downs = -mu * self.inverses[..., ::m]
-        self.downs = [downs[i] for i in block]
-        self.first_up = first_up = -lam * self.inverses[block[1], :, :, :1]
-        harmonics = np.arange(count) * hb.spacing
-        empty = hb.empty_block - 2j * np.pi * harmonics[:, None, None] * np.eye(k)
-        empty[:, :, k - 1] += mu * first_up[:, m - 1::m, 0]
-        # w_j = 1 + (the mass that level j + 1 and above put on level j's
-        # final arrival stage), from the cap down
-        self.weights = weights = np.ones((cap, km))
-        for j in range(cap - 1, 0, -1):
-            weights[j - 1, (k - 1) * m:] += weights[j] @ self.ups[j + 1][0].real
-        empty[0, k - 1] = 1.0
-        empty[0, k - 1, k - 1] += weights[0] @ first_up[0, :, 0].real
-        self.empty_inverse = np.linalg.inv(empty)
-        self.k, self.m, self.cap, self.mu = k, m, cap, mu
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        k, m, cap = self.k, self.m, self.cap
-        count = len(r)
-        levels = r[:, k:].reshape(count, cap, -1).transpose(1, 0, 2)[..., None]
-        g = np.empty(levels.shape, complex)  # g[j - 1] holds level j
-        low = cap - len(self.inverses)  # levels 1..low share the last block
-        np.matmul(self.inverses[::-1], levels[low:], out=g[low:])
-        np.matmul(self.inverses[-1], levels[:low], out=g[:low])
-        for j in range(cap - 1, 0, -1):
-            g[j - 1] += self.downs[j] @ g[j, :, m - 1::m]
-        rhs = r[:, :k, None] - self.mu * g[0, :, m - 1::m]
-        rhs[0, k - 1, 0] = r[0, k - 1].real - np.vdot(self.weights, g[:, 0, :, 0].real)
-        empty = self.empty_inverse @ rhs
-        g[0] += self.first_up @ empty[:, k - 1:]
-        for j in range(2, cap + 1):
-            g[j - 1] += self.ups[j] @ g[j - 2, :, (k - 1) * m:]
-        z = np.empty_like(r)
-        z[:, :k] = empty[..., 0]
-        z[:, k:] = g[..., 0].transpose(1, 0, 2).reshape(count, -1)
-        z[0] = z[0].real
-        return z
-
-
-class _HarmonicBalance:
-    """The harmonic-balance equations of the truncated queue for c_0..c_N,
-    and their preconditioner.
-
-    With p(t) = sum_n c_n e^{2 pi i n t} and the rates' harmonics lam_j,
-    mu_j, the ODE p' = (lam(t) AT + mu(t) MT) p holds harmonic by harmonic:
-    sum_j (lam_j AT + mu_j MT) c_{n-j} - 2 pi i n c_n = 0.  The law is
-    real, so c_{-n} = conj(c_n) and only n = 0..N are unknowns, c_0 real;
-    harmonics past N are dropped.  The equations tie c_n only to the c_{n
-    -+ j} and the mass sits at n = 0, so c_n is exactly 0 unless n is a
-    multiple of the gcd d of the rates' harmonics, `spacing` (1 for
-    constant rates): the unknowns are the rows c_{nd}, n = 0..N / d, and
-    rate harmonic j sits at row offset j / d.  Equation (0, k - 1), the
-    last empty state's at n = 0, is traded for sum(c_0) = 1.  AT and MT are
-    applied by slicing: the k empty states, then levels 1..cap with phase
-    (a, s) at a*m + s.  The preconditioner keeps the rates' means only,
-    which decouples the harmonics; its factors are one `_LevelElimination`
-    over the harmonics 0, d, ..., N, `elimination`, built again by `factor`
-    whenever N grows.
-    """
-
-    def __init__(self, spec: ModelSpec, level_cap: int):
-        k, m = spec.k, spec.m
-        self.k, self.m, self.cap = k, m, level_cap
-        self.dim = k + level_cap * k * m
-        rates = [(rate.mean(), _harmonics(rate)) for rate in (spec.arrival, spec.service)]
-        harmonics = [j for _, harm in rates for j in harm]
-        self.top = max(harmonics, default=0)
-        self.spacing = d = math.gcd(*harmonics) or 1
-        self.rates = [(base, {j // d: amp for j, amp in harm.items()})
-                      for base, harm in rates]
-        self.mean = lam, mu = spec.arrival.mean(), spec.service.mean()
-        # a stage chain leaves each stage at its rate for the next one
-        arr = lam * (np.eye(k, k=1) - np.eye(k))
-        srv = mu * (np.eye(m, k=1) - np.eye(m))
-        local = np.kron(arr, np.eye(m)) + np.kron(np.eye(k), srv)
-        self.level_block = local.T.copy()
-        # at the cap the final arrival stage is blocked
-        local[(k - 1) * m:, (k - 1) * m:] += lam * np.eye(m)
-        self.cap_block = local.T.copy()
-        self.empty_block = arr.T.copy()
-
-    def factor(self, count: int) -> None:
-        """Factor the preconditioner for the harmonics n d, n = 0..count - 1."""
-        self.elimination = _LevelElimination(self, count)
-
-    def equations(self, c: np.ndarray) -> np.ndarray:
-        k, m, cap, dim = self.k, self.m, self.cap, self.dim
-        top = self.top // self.spacing
-        count = len(c)
-        # the rows n = -top .. count - 1 + top, zero past N
-        padded = np.zeros((count + 2 * top, dim), complex)
-        padded[top:top + count] = c
-        padded[:top] = np.conj(c[top:0:-1])
-        flows = []
-        for base, harm in self.rates:
-            flow = base * c
-            for j, amp in harm.items():
-                flow += amp * padded[top - j:top - j + count]
-                flow += np.conj(amp) * padded[top + j:top + j + count]
-            flows.append(flow)
-        arr, srv = flows
-        # an arrival moves empty state a to a + 1 (k - 1 to level 1), a
-        # busy state x to x + m; the final stage at the cap is blocked
-        out = -arr
-        out[:, dim - m:] = 0.0
-        out[:, 1:k + 1] += arr[:, :k]
-        out[:, k + m:] += arr[:, k:dim - m]
-        # a service advances the stage; the last one moves (j, a, m - 1) to
-        # (j - 1, a, 0), or at level 1 to empty state a
-        busy = out[:, k:].reshape(count, cap, k, m)
-        srv = srv[:, k:].reshape(count, cap, k, m)
-        busy -= srv
-        busy[..., 1:] += srv[..., :-1]
-        busy[:, :-1, :, 0] += srv[:, 1:, :, m - 1]
-        out[:, :k] += srv[:, 0, :, m - 1]
-        out -= (2j * np.pi * (np.arange(count) * self.spacing))[:, None] * c
-        out[0] = out[0].real
-        out[0, k - 1] = c[0].real.sum()
+    def real(conv):
+        rows = conv[count - 1:] @ embed
+        out = np.empty((size, size))
+        out[0], out[1::2], out[2::2] = rows[0].real, rows[1:].real, rows[1:].imag
         return out
 
-
-def _gmres(operator, precondition, b: np.ndarray, x: np.ndarray, target: float):
-    """Restarted GMRES (Saad & Schultz 1986) with right preconditioning for
-    operator(x) = b on real vectors, started at x.
-
-    Returns (x, |b - operator(x)|_2, iterations) once that residual is at
-    most target, or once a restart cycle fails to halve it; iterations
-    counts the Arnoldi steps over every cycle.
-    """
-    r = b - operator(x)
-    beta = float(np.linalg.norm(r))
-    iterations = 0
-    while beta > target:
-        basis = np.zeros((_RESTART + 1, len(b)))
-        hess = np.zeros((_RESTART + 1, _RESTART))
-        rotations = np.zeros((_RESTART, 2))
-        g = np.zeros(_RESTART + 1)
-        g[0] = beta
-        basis[0] = r / beta
-        for i in range(_RESTART):
-            w = operator(precondition(basis[i]))
-            for _ in range(2):  # classical Gram-Schmidt, twice
-                h = basis[:i + 1] @ w
-                w -= h @ basis[:i + 1]
-                hess[:i + 1, i] += h
-            hess[i + 1, i] = np.linalg.norm(w)
-            if hess[i + 1, i] > 0.0:
-                basis[i + 1] = w / hess[i + 1, i]
-            for j, (cos, sin) in enumerate(rotations[:i]):
-                hess[j:j + 2, i] = (cos * hess[j, i] + sin * hess[j + 1, i],
-                                    cos * hess[j + 1, i] - sin * hess[j, i])
-            radius = np.hypot(*hess[i:i + 2, i])
-            rotations[i] = hess[i:i + 2, i] / radius
-            hess[i, i] = radius
-            g[i + 1] = -rotations[i, 1] * g[i]
-            g[i] *= rotations[i, 0]
-            if abs(g[i + 1]) <= target:
-                break
-        iterations += i + 1
-        y = np.linalg.solve(np.triu(hess[:i + 1, :i + 1]), g[:i + 1])
-        x = x + precondition(y @ basis[:i + 1])
-        r = b - operator(x)
-        last, beta = beta, float(np.linalg.norm(r))
-        if beta > 0.5 * last:
-            break
-    return x, beta, iterations
+    ops = []
+    for base, harm in rates:
+        conv = base * np.eye(size, dtype=complex)
+        for j, amp in harm.items():
+            conv += amp * np.eye(size, k=-j) + np.conj(amp) * np.eye(size, k=j)
+        ops.append(real(conv))
+    ops.append(real(np.diag(2j * np.pi * spacing * np.arange(1 - count, count))))
+    return ops
 
 
-def _fourier_coefficients(spec: ModelSpec, level_cap: int, tol: float):
-    """(c, residual, iterations): the law's Fourier coefficients c_0..c_N,
-    an (N + 1, dim) complex array, by the search over N and the checks of
-    `integrate_periodic`, and the GMRES iterations of the last solve, the
-    one at that N.  The rows c_{nd} are solved for, n = 0..N / d, and the
-    rows between them are exact zeros."""
-    hb = _HarmonicBalance(spec, level_cap)
-    d = hb.spacing
-    # N = top * d
-    top = -(-max(_FIRST_HARMONIC, 2 * hb.top) // d) if hb.top else 0
-    if top * d > _MAX_HARMONIC:
-        raise RuntimeError(f"the rates reach harmonic {hb.top}, past half of the "
-                           f"largest N, {_MAX_HARMONIC}")
+def _balance(ops, k: int, m: int, x: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """The harmonic-balance equations p' = (lam(t) A + mu(t) S)^T p of the
+    queue at x, the coordinates of `_operators` of the empty level and
+    levels 1..L in rows (k empty states, then phase (a, s) of level j at k
+    + (j - 1) km + a m + s), with `above`, the (k, H) final service stages
+    (a, m - 1) of level L + 1, feeding level L: rows like x, the arrivals
+    out of level L leaving it."""
+    lam, mu, deriv = ops
+    arr, srv = x @ lam.T, x @ mu.T
+    out = -arr - x @ deriv.T
+    # an arrival moves empty state a to a + 1 (k - 1 to level 1, phase
+    # (0, 0)) and busy phase x to x + m, (k - 1, s) to the next level's (0, s)
+    out[1:k + 1] += arr[:k]
+    out[k + m:] += arr[k:-m]
+    # a service advances the stage; the last one moves (j, a, m - 1) to
+    # (j - 1, a, 0), or at level 1 to empty state a
+    busy, srv = out[k:].reshape(-1, k, m, len(lam)), srv[k:].reshape(-1, k, m, len(lam))
+    busy -= srv
+    busy[:, :, 1:] += srv[:, :, :-1]
+    busy[:-1, :, 0] += srv[1:, :, m - 1]
+    busy[-1, :, 0] += above @ mu.T
+    out[:k] += srv[0, :, m - 1]
+    return out
 
-    def flat(f):
-        return lambda v: f(v.view(complex).reshape(-1, hb.dim)).reshape(-1).view(float)
 
-    c = np.zeros((0, hb.dim), complex)
+def _rate_matrix(ops, k: int, m: int, start=None):
+    """(F, Y, R, iterations): the rate matrix of the harmonic-balance
+    equations of the levels above the empty one, on the coordinates of
+    `_operators`.
+
+    Every level j >= 2 balances B_up x_{j-1} + B_loc x_j + B_dn x_{j+1} = 0
+    with the same blocks: B_up takes level j - 1's final arrival stages (k
+    - 1, s) to (0, s) through Lam, B_dn level j + 1's final service stages
+    (a, m - 1) to (a, 0) through Mu, and B_loc is block lower triangular
+    over the phases (a, s), a*m + s, each diagonal block -(Lam + Mu + D).
+    So x_j = K y_{j-1} (Neuts, Matrix-Geometric Solutions in Stochastic
+    Models, 1981), y_j the final arrival stages of x_j, and y_j = R y_{j-1}.
+    F holds B_loc^-1 times the up and the down interface, (km H, (m + k)
+    H), by forward substitution over the phases with one H x H solve.  With
+    its rows (k - 1, s) and (a, m - 1), ap, bp and qu, qv, Y is the fixed
+    point of Y = -qu - qv Y R, R = -(I + bp Y)^-1 ap, the rows (a, m - 1)
+    of K; K = -F (I; Y R).  The iteration starts at Y = 0, or at `start`,
+    a Y on fewer harmonics padded with zeros, and stops once an update is
+    no smaller than the last or within rounding of Y."""
+    lam, mu, deriv = ops
+    h = len(lam)
+    steps = np.linalg.solve(lam + mu + deriv, np.hstack([lam, mu]))
+    step_a, step_s = steps[:, :h], steps[:, h:]
+    f = np.zeros((k, m, h, (m + k) * h))
+    for a in range(k):
+        for s in range(m):
+            if a:
+                f[a, s] += step_a @ f[a - 1, s]
+            else:
+                f[a, s, :, s * h:(s + 1) * h] -= step_a
+            if s:
+                f[a, s] += step_s @ f[a, s - 1]
+            else:
+                f[a, s, :, (m + a) * h:(m + a + 1) * h] -= step_s
+    mh = m * h
+    ap, bp = np.hsplit(f[k - 1].reshape(mh, -1), [mh])
+    qu, qv = np.hsplit(f[:, m - 1].reshape(k * h, -1), [mh])
+    eye = np.eye(mh)
+    y = np.zeros((k, h, m, h))
+    if start is not None:  # Y on fewer harmonics, whose coordinates come first
+        g = len(start) // k
+        y[:, :g, :, :g] = start.reshape(k, g, m, g)
+    y = y.reshape(k * h, mh)
+    change, iterations = math.inf, 0
     while True:
-        hb.factor(top + 1)
-        start = np.zeros((top + 1, hb.dim), complex)
-        start[:len(c)] = c  # warm start from the last N
-        b = np.zeros_like(start)
-        b[0, hb.k - 1] = 1.0
-        x, solved, iterations = _gmres(
-            flat(hb.equations), flat(hb.elimination.solve), b.reshape(-1).view(float),
-            start.reshape(-1).view(float), _SOLVE_FRACTION * tol)
-        c = x.view(complex).reshape(top + 1, -1)
+        iterations += 1
+        rate = -np.linalg.solve(eye + bp @ y, ap)
+        update = -qu - qv @ (y @ rate)
+        last, change = change, float(np.abs(update - y).max())
+        y = update
+        if not change < last or change <= np.finfo(float).eps * np.abs(y).max():
+            break
+    return f.reshape(k * mh, -1), y, -np.linalg.solve(eye + bp @ y, ap), iterations
+
+
+def _solve_levels(ops, k: int, m: int, levels: int, start=None):
+    """(x, residual, Y, iterations): the law on the empty level and levels
+    1..levels in the rows and coordinates of `_balance`, the 2-norm of its
+    equations' residual, and the Y and iterations of `_rate_matrix` from
+    `start`.
+
+    Level j is K y_{j-1}, with y_0 the last empty state in the slot s = 0,
+    as that state's arrival starts phase (0, 0).  The empty level balances
+    -(Lam + D) on each state, Lam from the state before and Mu from level
+    1's final service stages, Y y_0.  Its n = 0 equation of state k - 1 is
+    traded for the total mass, levels 1 and up holding K (I - R)^-1 y_0, so
+    the residual's mass row counts the levels past the written ones too."""
+    lam, mu, deriv = ops
+    h = len(lam)
+    mh = m * h
+    f, y, rate, iterations = _rate_matrix(ops, k, m, start)
+    # K y = -F (y; Y R y): the mass of levels 1 and up per unit of y_0
+    sums = f.reshape(k * m, h, -1)[:, 0].sum(axis=0)
+    tail = np.linalg.solve(np.eye(mh) - rate.T, -(sums[:mh] + sums[mh:] @ y @ rate))
+    z = np.zeros((k, h, k, h))
+    z[range(k), :, range(k)] = -(lam + deriv)
+    z[range(1, k), :, range(k - 1)] = lam
+    z[:, :, k - 1] += mu @ y.reshape(k, h, m, h)[:, :, 0]
+    z = z.reshape(k * h, k * h)
+    row = (k - 1) * h
+    z[row] = 0.0
+    z[row, ::h] = 1.0
+    z[row, row:] += tail[:h]
+    x = np.empty((k + levels * k * m, h))
+    x[:k] = np.linalg.solve(z, np.eye(k * h)[row]).reshape(k, h)
+    ys = np.zeros((levels + 1, mh))
+    ys[0, :h] = x[k - 1]
+    for j in range(levels):
+        ys[j + 1] = rate @ ys[j]
+    # level j is K y_{j-1} = -F (y_{j-1}; Y y_j)
+    x[k:] = -(np.hstack([ys[:-1], ys[1:] @ y.T]) @ f.T).reshape(-1, h)
+    out = _balance(ops, k, m, x, (y @ ys[-1]).reshape(k, h))
+    out[k - 1, 0] = x[:, 0].sum() + tail @ ys[-1] - 1.0
+    return x, float(np.linalg.norm(out)), y, iterations
+
+
+def _fourier_coefficients(spec: ModelSpec, levels: int, tol: float):
+    """(c, residual, iterations): the law's Fourier coefficients c_0..c_N on
+    the empty level and levels 1..levels, an (N + 1, k + levels km) complex
+    array, by the search over N and the checks of `integrate_periodic`, and
+    the iterations of the solve at that N.  The rows c_nd are solved for,
+    n = 0..N / d, and the rows between them are exact zeros."""
+    rates = [(rate.mean(), _harmonics(rate)) for rate in (spec.arrival, spec.service)]
+    harmonics = [j for _, harm in rates for j in harm]
+    d = math.gcd(*harmonics) or 1
+    rates = [(base, {j // d: amp for j, amp in harm.items()}) for base, harm in rates]
+    # N = top * d
+    top = -(-max(_FIRST_HARMONIC, 2 * max(harmonics)) // d) if harmonics else 0
+    if top * d > _MAX_HARMONIC:
+        raise RuntimeError(f"the rates reach harmonic {max(harmonics)}, past half of "
+                           f"the largest N, {_MAX_HARMONIC}")
+    y = None
+    while True:
+        x, solved, y, iterations = _solve_levels(_operators(rates, d, top + 1), spec.k,
+                                                 spec.m, levels, y)
         if solved > tol:
-            raise RuntimeError(f"the harmonic-balance solve stalled at residual "
+            raise RuntimeError(f"the rate-matrix solve stalled at residual "
                                f"{solved:.3e} > tol = {tol:.3e}; loosen tol")
+        c = np.empty((top + 1, len(x)), complex)
+        c[0] = x[:, 0]
+        c[1:] = (x[:, 1::2] + 1j * x[:, 2::2]).T
         truncation = float(np.abs(c[-1]).max()) if top else 0.0
         if truncation <= tol:
-            series = np.zeros((top * d + 1, hb.dim), complex)
+            series = np.zeros((top * d + 1, len(x)), complex)
             series[::d] = c
             return series, max(solved, truncation), iterations
         step = -(-(top * d // 2) // d)
@@ -706,58 +576,40 @@ def _fourier_coefficients(spec: ModelSpec, level_cap: int, tol: float):
         top += step
 
 
-def _levels_to_floor(mass: float, decay: float) -> float:
-    """The levels it takes a mass that falls by `decay` per level to reach
-    _LEVEL_FLOOR: at least 1, and inf if it does not fall."""
-    if decay <= 0.0:
-        return 1
-    if not decay < 1.0:
-        return math.inf
-    return max(1, math.ceil(math.log(_LEVEL_FLOOR / mass) / math.log(decay)))
-
-
 def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 512,
                        tol: float = 1e-10) -> PeriodicDistribution:
-    """Solve for the periodic regime of the queue truncated at level_cap.
+    """Solve for the periodic regime of the queue, listed on levels
+    1..level_cap.
 
     The law's Fourier coefficients c_0..c_N solve the harmonic-balance
-    equations of `_HarmonicBalance` (Hill's method; Kundert &
-    Sangiovanni-Vincentelli, IEEE Trans. CAD 1986), by restarted GMRES
-    preconditioned with the mean generator shifted by 2 pi i n, block
-    eliminated over levels for every n at once (`_LevelElimination`, by
-    rank-m updates of one triangular block per harmonic).  N starts at
-    _FIRST_HARMONIC, or twice the rates' top harmonic where that is larger,
-    or 0 for constant rates, and grows by half, warm-started from the last
-    solve, until max |c_N| <= tol.  The law has only harmonics
-    that are multiples of the gcd d of the rates' harmonics (the others
-    are exactly 0), so only those are solved for, and N and each step of it
-    are rounded up to multiples of d.  The law is built from the solved
-    series, with `periods` N and `residual` the larger of max |c_N| (0 for
-    N = 0) and the 2-norm of the equations' residual, both <= tol;
-    grid_size sets only the times i / grid_size of its samples and of the
-    cap checks below, which evaluate the top solved level's series there.
+    equations (Hill's method; Kundert & Sangiovanni-Vincentelli, IEEE Trans.
+    CAD 1986) of the queue on unbounded levels, which above the empty level
+    are matrix-geometric in the harmonic domain: level j is K y_{j-1}, y_j
+    = R y_{j-1} the final arrival stages of level j (`_rate_matrix`,
+    `_solve_levels`).  N starts at _FIRST_HARMONIC, or twice the rates' top
+    harmonic where that is larger, or 0 for constant rates, and grows by
+    half until max |c_N| <= tol.  The law has only harmonics that are
+    multiples of the gcd d of the rates' harmonics (the others are exactly
+    0), so only those are solved for, and N and each step of it are rounded
+    up to multiples of d.  The law is built from the solved series, with
+    `periods` N, `residual` the larger of max |c_N| (0 for N = 0) and the
+    2-norm of the equations' residual, both <= tol, and `iterations` those
+    of the rate matrix at N; grid_size sets only the times i / grid_size of
+    its samples and of the cap check below, which evaluates the top listed
+    level's series there.
 
-    level_cap is the law's width and an upper limit on the levels solved.
-    The law falls by sp(R) per level, the spectral radius of the rate
-    matrix R of the QBD at the mean rates, which the level recursion of the
-    mean generator yields at n = 0 on up to level_cap levels
-    (`_mean_decay`, the law's `level_decay`).  The equations are solved on
-    levels 1..L only, L = min(level_cap, ceil(log 1e-18 / log sp(R))),
-    blocking arrivals at L, and the law's levels L + 1..level_cap are exact
-    zeros (`solved_levels` is L).  Where more than 1e-15 sits on level L <
-    level_cap at some grid time, the solve is repeated on the levels by
-    which that mass, falling by sp(R) per level, reaches 1e-18, up to
-    level_cap.  So the level i past L that is written as 0 holds about
-    (mass at L) * sp(R)^i <= 1e-15 * sp(R)^i, and the truncation at L
-    moves the solved levels by about the mass at L, as a cap does.
+    The law falls by sp(R) per level at the mean rates, the spectral radius
+    of the m x m rate matrix of the same solve at N = 0 (the law's
+    `level_decay`), and levels 1..L are listed, L = min(level_cap, ceil(log
+    1e-18 / log sp(R))); the levels L + 1..level_cap are exact zeros
+    (`solved_levels` is L).  Where level_cap binds, the listed levels are
+    those of the unbounded queue, whatever level_cap is.
 
-    RuntimeError is raised when the residual stalls above tol (tol below
-    the rounding floor; loosen tol), when N would pass _MAX_HARMONIC = 128
-    with max |c_N| still above tol or the rates reach a harmonic past 64,
-    or when the law, solved on every level, puts more than _CAP_MASS_LIMIT
-    = 1e-6 on the level cap at some grid time (raise level_cap).  tol must
-    lie in (0, 1): at tol >= 1 the solve's target would accept the zero
-    start, a law of no mass.
+    RuntimeError is raised when the residual is above tol (tol below the
+    rounding floor; loosen tol), when N would pass _MAX_HARMONIC = 128 with
+    max |c_N| still above tol or the rates reach a harmonic past 64, or
+    when the law puts more than _CAP_MASS_LIMIT = 1e-6 on level L at some
+    grid time (raise level_cap).  tol must lie in (0, 1).
     """
     if _as_index(level_cap, "level_cap") < 1:
         raise ValueError("level_cap must be >= 1")
@@ -765,19 +617,17 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
         raise ValueError("grid_size must be >= 4")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be > 0 and < 1, got {tol}")
-    decay = _mean_decay(_HarmonicBalance(spec, level_cap))
-    levels, mass = 0, 1.0
-    while True:
-        levels = min(level_cap, levels + _levels_to_floor(mass, decay))
-        solved, residual, iterations = _fourier_coefficients(spec, levels, tol)
-        series = np.zeros((len(solved), spec.k + level_cap * spec.phase_count), complex)
-        series[:, :solved.shape[1]] = solved
-        dist = PeriodicDistribution(spec=spec, series=series, grid_size=grid_size,
-                                    periods=len(series) - 1, residual=residual,
-                                    level_decay=decay, gmres_iterations=iterations)
-        mass = dist.cap_mass()
-        if levels == level_cap or mass <= _SOLVED_MASS_LIMIT:
-            break
+    mean = [(spec.arrival.mean(), {}), (spec.service.mean(), {})]
+    rate = _rate_matrix(_operators(mean, 1, 1), spec.k, spec.m)[2]
+    decay = float(np.abs(np.linalg.eigvals(rate)).max())
+    levels = min(level_cap, max(1, math.ceil(math.log(_LEVEL_FLOOR) / math.log(decay))))
+    solved, residual, iterations = _fourier_coefficients(spec, levels, tol)
+    series = np.zeros((len(solved), spec.k + level_cap * spec.phase_count), complex)
+    series[:, :solved.shape[1]] = solved
+    dist = PeriodicDistribution(spec=spec, series=series, grid_size=grid_size,
+                                periods=len(series) - 1, residual=residual,
+                                level_decay=decay, iterations=iterations)
+    mass = dist.cap_mass()
     if mass > _CAP_MASS_LIMIT:
         raise RuntimeError(f"probability {mass:.3e} sits at the "
                            f"level cap {level_cap}; raise level_cap")

@@ -35,15 +35,16 @@ The idle state contributes an atom at zero wait, or for the sojourn the
 m-stage Erlang P{N >= m}, which each route takes from sums it already forms:
 `wait_cdf` adds exp(-M) M**m / m! to its P{N > m}.
 
-`oracle_wait_cdf` computes the same quantity from a truncated ODE
-distribution with no root in sight.  It needs the law at time u only
+`oracle_wait_cdf` computes the same quantity from the ODE oracle's law
+with no root in sight.  It needs the law at time u only
 through the idle states and each level's sums over arrival stage, so it
 reads the law's service-stage series (`stage_sums_at`, built once per law,
-k + level_cap * m columns) and never the series of every state.  Its
+k + solved_levels * m columns) and never the series of every state.  Its
 thresholds n = m j - s run through the consecutive integers 1..n_max,
-n_max = m * level_cap (shifted by m for the sojourn), so with w_n the law's
-weight at threshold n, C_i = sum_{n <= i} w_n and p_i the Poisson(M) pmf,
-summation by parts gives
+n_max = m * solved_levels (shifted by m for the sojourn), as the levels
+past solved_levels are exact zeros, so with w_n the law's weight at
+threshold n, C_i = sum_{n <= i} w_n and p_i the Poisson(M) pmf, summation
+by parts gives
 
     sum_n w_n P{N >= n} = sum_{i <= n_max} p_i C_i + C_{n_max} P{N > n_max}
                         = C_{n_max} - sum_{i <= n_max} p_i (C_{n_max} - C_i),
@@ -79,7 +80,8 @@ def _poisson_pmf_rows(mean: np.ndarray, top: int) -> np.ndarray:
 
     A row is one cumulative product of the ratios p_i / p_{i-1} = M / i
     from p_0 = exp(-M).  For M above _SEED_LIMIT that seed underflows, so
-    such a row starts at its mode a = min(floor(M), top) instead, where
+    such a row starts at its mode a = min(floor(M), top) instead (1 for
+    top = 0, a row of p_0 alone), where
 
         log p_a = a log1p((M - a) / a) - (M - a) - log(2 pi a) / 2
                   - (1/(12 a) - 1/(360 a**3) + 1/(1260 a**5))
@@ -97,7 +99,7 @@ def _poisson_pmf_rows(mean: np.ndarray, top: int) -> np.ndarray:
     far = mean > _SEED_LIMIT
     if far.any():
         big = mean[far][:, None]
-        a = np.minimum(np.floor(big), top)
+        a = np.minimum(np.floor(big), max(top, 1))
         i = np.arange(top + 1)
         log_mode = (a * np.log1p((big - a) / a) - (big - a) - 0.5 * np.log(2.0 * np.pi * a)
                     - (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * a * a)) / (a * a)) / a)
@@ -214,7 +216,7 @@ def wait_cdf(spec: ModelSpec, roots: RootSet, boundary: BoundaryFunctions,
 
 def oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: float,
                     horizons, kind: str = "queue") -> CDFCurve:
-    """ODE-oracle route: condition on the truncated state at time u."""
+    """ODE-oracle route: condition on the oracle's law at time u."""
     horizons = _horizons(kind, horizons)
     _check_u(u)
     if dist.spec != spec:
@@ -223,12 +225,12 @@ def oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: float,
 
     idle, by_stage = dist.stage_sums_at([u])
     idle_mass = float(idle[0].sum())
-    by_stage = by_stage[0]                             # (cap, m)
+    by_stage = by_stage[0, :dist.solved_levels]        # (solved_levels, m)
 
-    # weight of threshold n = m*j - s, n = 1..m*cap, cumulated from n = 0;
-    # the sojourn's thresholds start m further on
+    # weight of threshold n = m*j - s, n = 1..m*solved_levels, cumulated
+    # from n = 0; the sojourn's thresholds start m further on
     shift = m if kind == "sojourn" else 0
-    top = m * dist.level_cap + shift
+    top = m * len(by_stage) + shift
     cumulated = np.concatenate((np.zeros(shift + 1), np.cumsum(by_stage[:, ::-1])))
 
     mu_cum = spec.service.cumulative(u, u + horizons)

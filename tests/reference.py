@@ -47,7 +47,7 @@ another way, kept to pin that route:
 - `periodic_structure`: the folded unit-rate structure of the periodic
   truncated system, the killed one of `busy_oracle` with the empty states'
   arrival exits added, which the time-domain solve marches, against the
-  slicing of `_HarmonicBalance.equations` and the generator blocks;
+  slicing of `oracle._balance` and the generator blocks;
 - `interpolating_series`: the Fourier series of the trigonometric
   interpolant of uniform samples, by rfft, through which samples (the
   time-domain solve's, and the tests' own) become a law: a law takes its
@@ -71,11 +71,15 @@ The paper's building blocks, which the package computes another way:
   `bounds._bracket_edges` as its edges;
 - `mean_rate_matrix`: the rate matrix R of the QBD at the mean rates by
   Neuts' iteration, whose spectral radius is the law's per-level decay,
-  against the oracle's level recursion (`oracle._mean_decay`);
-- `dense_level_inverses`: the inverses of the level elimination's
-  diagonal blocks, each level's km x km block formed and inverted in full,
-  against `oracle._level_inverses`, which inverts two triangular blocks per
-  harmonic and updates them by rank m level by level.
+  against the oracle's rate matrix at N = 0 (`oracle._rate_matrix`);
+- `harmonic_operators`: the real harmonic-domain operators of the rates
+  and of d/dt by quadrature of each coordinate's basis function, against
+  `oracle._operators`, which forms them from the rates' Toeplitz
+  matrices;
+- `dense_interfaces`: the level block's inverse times the up and the down
+  interface, the km H x km H level block formed by Kronecker products and
+  solved in full, against `oracle._rate_matrix`, which substitutes forward
+  over the phases with one H x H solve.
 """
 
 from __future__ import annotations
@@ -94,8 +98,8 @@ from ekemq._quad import composite_gauss
 from ekemq.bounds import _bracket_edges
 from ekemq.busy import _table_width
 from ekemq.model import ModelSpec, RateFunction, _normalize_phase, _stage_blocks
-from ekemq.oracle import (_CAP_MASS_LIMIT, _NORM_SLACK, _REUSE_TOL,
-                          BoundaryFunctions, PeriodicDistribution)
+from ekemq.oracle import (_CAP_MASS_LIMIT, _NORM_SLACK, BoundaryFunctions,
+                          PeriodicDistribution)
 from ekemq.roots import _INSIDE_TOL, CharacteristicRoot, RootSet, _by_angle, _collision
 from ekemq.series import (_DENOM_FLOOR, SeriesEvaluator, _denominator,
                           _drive_values)
@@ -674,29 +678,50 @@ def mean_rate_matrix(spec: ModelSpec, tol: float = 1e-16,
     raise RuntimeError(f"Neuts' iteration did not settle in {max_iterations} steps")
 
 
-def dense_level_inverses(hb, count: int) -> np.ndarray:
-    """The inverses of the diagonal blocks that block elimination of the
-    mean generator shifted by 2 pi i n d leaves on the levels of hb (an
-    `oracle._HarmonicBalance`), n = 0..count - 1, from the cap down: each
-    level's km x km block is formed in full, its correction from the level
-    above added, and inverted, until a block's inverse is within _REUSE_TOL
-    of the one above it (relative, max norm), which is then not kept.  A
-    (blocks, count, km, km) stack, the cap's first."""
-    k, m, km = hb.k, hb.m, hb.k * hb.m
-    lam, mu = hb.mean
-    shift = 2j * np.pi * (np.arange(count) * hb.spacing)[:, None, None] * np.eye(km)
-    diag = hb.cap_block - shift
-    inverses = []
-    for _ in range(hb.cap):
-        inverse = np.linalg.inv(diag)
-        if inverses and (np.abs(inverse - inverses[-1]).max()
-                         <= _REUSE_TOL * np.abs(inverse).max()):
-            break
-        inverses.append(inverse)
-        # the level below sees this one through its service completions
-        diag = hb.level_block - shift
-        diag[:, ::m, (k - 1) * m:] -= (lam * mu) * inverse[:, m - 1::m, :m]
-    return np.array(inverses)
+def harmonic_operators(spec: ModelSpec, count: int, spacing: int = 1) -> list[np.ndarray]:
+    """[Lam, Mu, D] on the real coordinates (Re c_0, Re c_d, Im c_d, ...,
+    Re c_nd, Im c_nd), n = count - 1, d = spacing, of a real 1-periodic
+    function: column i holds the coordinates of the arrival rate times, the
+    service rate times, and the derivative of the function whose only
+    coordinate is the i-th, projected on harmonics 0..nd by a uniform rule
+    exact for its degree."""
+    harmonics = spacing * np.arange(1, count)
+    top = max((j for rate in (spec.arrival, spec.service) for j, _ in rate.cos + rate.sin),
+              default=0)
+    points = 2 * (2 * spacing * count + top) + 1
+    angle = 2.0 * np.pi * np.outer(np.arange(points) / points, harmonics)
+    cos, sin = np.cos(angle), np.sin(angle)
+
+    def columns(first, cos_part, sin_part):
+        out = np.empty((points, 2 * count - 1))
+        out[:, 0], out[:, 1::2], out[:, 2::2] = first, cos_part, sin_part
+        return out
+
+    # f = Re c_0 + 2 sum (Re c_n cos - Im c_n sin); Re c_n = mean(f cos)
+    # and Im c_n = -mean(f sin)
+    basis = columns(1.0, 2.0 * cos, -2.0 * sin)
+    slope = columns(0.0, -4.0 * np.pi * harmonics * sin, -4.0 * np.pi * harmonics * cos)
+    project = columns(1.0, cos, -sin).T / points
+    t = np.arange(points) / points
+    return [project @ (rate.value(t)[:, None] * basis)
+            for rate in (spec.arrival, spec.service)] + [project @ slope]
+
+
+def dense_interfaces(k: int, m: int, ops) -> np.ndarray:
+    """B_loc^-1 [B_up | B_dn] of the harmonic-balance level blocks on the
+    coordinates of ops = [Lam, Mu, D], (km H, (m + k) H): B_loc is formed
+    in full from the unit-rate stage blocks by Kronecker products and
+    solved densely.  B_up's columns are the final arrival stages (k - 1, s)
+    of the level below, B_dn's the final service stages (a, m - 1) of the
+    level above."""
+    lam, mu, deriv = ops
+    arr_local, arr_done = _stage_blocks(k, 1.0)
+    srv_local, srv_done = _stage_blocks(m, 1.0)
+    local = (np.kron(np.kron(arr_local, np.eye(m)).T, lam)
+             + np.kron(np.kron(np.eye(k), srv_local).T, mu) - np.kron(np.eye(k * m), deriv))
+    up = np.kron(np.kron(arr_done, np.eye(m)).T[:, (k - 1) * m:], lam)
+    down = np.kron(np.kron(np.eye(k), srv_done).T[:, m - 1::m], mu)
+    return np.linalg.solve(local, np.hstack([up, down]))
 
 
 # The time-domain periodic solve: the period map's fixed point by RK4 on a

@@ -223,15 +223,14 @@ def test_arrivals_leave_the_bound_cap_within_its_mass():
     assert np.abs(sol.values - values).max() <= 1e-10
 
 
-def test_busy_oracle_marches_once_with_no_level_elimination(periodic74_spec,
-                                                             monkeypatch):
+def test_busy_oracle_marches_once_with_no_rate_matrix(periodic74_spec, monkeypatch):
     # the reach needs only the arrival rate's integral, 4.5 - 2 / pi over
     # [0, 1.5] (n* = 33): one march per call, on 1 + ceil(33 / 7) levels
     # from stage 0 at level 1 and 3 + ceil(35 / 7) from stage 2 at level 3,
-    # and no mean-rate QBD
+    # and no periodic solve, not even the rate matrix at the mean rates
     def refuse(*args):
-        raise AssertionError("busy_oracle built a level elimination")
-    monkeypatch.setattr(oracle, "_LevelElimination", refuse)
+        raise AssertionError("busy_oracle built a rate matrix")
+    monkeypatch.setattr(oracle, "_rate_matrix", refuse)
     caps = []
     original = oracle._level_march
 

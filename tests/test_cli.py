@@ -205,7 +205,7 @@ def test_oracle_reports_the_solved_levels(tmp_path):
     assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
     meta = json.loads((out / "oracle.json").read_text())
     assert (meta["level_cap"], meta["solved_levels"]) == (50, 8)
-    assert (meta["periods"], meta["gmres_iterations"]) == (12, 18)
+    assert (meta["periods"], meta["iterations"]) == (12, 8)
     assert meta["level_decay"] == pytest.approx(0.0032247, rel=1e-5)
     assert 1e-17 < meta["cap_mass"] < 3.9e-17
     rows = [line.split(",") for line in

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -307,7 +308,7 @@ def test_unconverged_run_raises():
 
 
 def test_unreachable_tol_stalls():
-    # the equations' residual stops near 2.5e-16, in rounding
+    # the equations' residual stops near 5.8e-16, in rounding
     with pytest.raises(RuntimeError, match="stalled at residual .* > tol = 1.000e-16"):
         integrate_periodic(ModelSpec(1, 1, RateFunction(3.0, sin=((1, 2.0),)),
                                      RateFunction(5.0)), level_cap=40, tol=1e-16)
@@ -377,12 +378,49 @@ _STRESS = {
 @pytest.mark.parametrize("name", sorted(_STRESS))
 def test_law_matches_time_domain_solve(name):
     # RK4 at grid 2048 is within about 1.2e-13 of the truncated system's
-    # periodic law on the reference (its grid-512 error, 3.2e-11, over 4^4)
+    # periodic law on the reference (its grid-512 error, 3.2e-11, over 4^4).
+    # The law is that of the queue on unbounded levels, so the time-domain
+    # solve runs at a cap that does not bind (8 levels where the law lists
+    # 1 or 2) and is compared on the law's levels
     spec, cap = _STRESS[name]
     dist = integrate_periodic(spec, level_cap=cap, grid_size=2048, tol=1e-13)
-    ref = time_domain_periodic(spec, level_cap=cap, grid_size=2048, tol=1e-13)
+    ref = time_domain_periodic(spec, level_cap=max(cap, 8), grid_size=2048, tol=1e-13)
     assert dist.residual <= 1e-13
-    assert np.abs(_law(dist) - _law(ref)).max() <= 1e-12
+    width = spec.k + cap * spec.phase_count
+    assert np.abs(_law(dist) - _law(ref)[:, :width]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["level-cap-1", "level-cap-2"])
+def test_level_cap_only_cuts_the_list(name):
+    # the law lists the levels of the queue on unbounded levels: a cap of
+    # 1, 2, 8 or 50 lists the same values on the levels they share (at most
+    # 3.8e-13 from the law with arrivals blocked at the cap).  Level 1 of
+    # the second model holds 8.7e-4, so it refuses a cap of 1
+    spec, first = _STRESS[name]
+    with pytest.raises(RuntimeError, match="at the level cap 1") if first > 1 else nullcontext():
+        integrate_periodic(spec, level_cap=1, grid_size=64, tol=1e-13)
+    laws = [integrate_periodic(spec, level_cap=cap, grid_size=64, tol=1e-13)
+            for cap in (first, 2, 8, 50)]
+    widest = _law(laws[-1])
+    for dist in laws:
+        assert dist.periods == laws[-1].periods
+        width = spec.k + dist.level_cap * spec.phase_count
+        assert np.abs(_law(dist) - widest[:, :width]).max() <= 1e-16
+
+
+def test_load_0_99_lists_its_810_levels():
+    # arrival 8.6625 - 2 sin 2 pi t on the reference's service: the law
+    # falls by 0.9500993 a level, so 810 levels reach 1e-18, within a cap of
+    # 900; the rate matrix takes about 500 iterations at N = 12
+    spec = ModelSpec(7, 4, RateFunction(8.6625, sin=((1, -2.0),)),
+                     _STRESS["reference"][0].service)
+    assert spec.load == pytest.approx(0.99)
+    dist = integrate_periodic(spec, level_cap=900, grid_size=64)
+    assert dist.level_decay == pytest.approx(0.9500993, rel=1e-7)
+    assert (dist.periods, dist.solved_levels) == (12, 810)
+    assert dist.residual <= 1e-10
+    mass = dist.idle.sum(axis=1) + dist.levels.sum(axis=(1, 2))
+    assert np.abs(mass - 1.0).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name, spacing, top", [("arrival-harmonic-5-only", 5, 40),
@@ -455,50 +493,74 @@ def test_stiff_rates_solve_on_any_grid():
     assert np.abs(_law(fine).sum(axis=1) - 1.0).max() <= 1e-12
 
 
+def _mean_rate_decay(spec):
+    """sp(R) of the rate matrix at N = 0 and the mean rates."""
+    mean = [(spec.arrival.mean(), {}), (spec.service.mean(), {})]
+    rate = oracle._rate_matrix(oracle._operators(mean, 1, 1), spec.k, spec.m)[2]
+    return np.abs(np.linalg.eigvals(rate)).max()
+
+
+def _rate_operators(spec, count=13):
+    """`oracle._operators` of spec's rates on the harmonics 0..count - 1."""
+    rates = [(rate.mean(), oracle._harmonics(rate)) for rate in (spec.arrival, spec.service)]
+    return oracle._operators(rates, 1, count)
+
+
+def _coordinates(c):
+    """The real coordinates (states, 2 count - 1) of rows c_0..c_{count-1}."""
+    x = np.empty((c.shape[1], 2 * len(c) - 1))
+    x[:, 0], x[:, 1::2], x[:, 2::2] = c[0].real, c[1:].real.T, c[1:].imag.T
+    return x
+
+
+def _series(x):
+    """The rows c_0..c_{count-1} of real coordinates x."""
+    return np.vstack([x[:, 0], (x[:, 1::2] + 1j * x[:, 2::2]).T])
+
+
 def test_growing_n_factors_each_harmonic_once(monkeypatch):
-    # max |c_12| is 1.6e-9 on this model: N grows to 18, warm-started, and
-    # one elimination is built for each N, over the harmonics 0..N.  Before
-    # them the level recursion runs at harmonic 0 alone on the cap's levels
-    # and reads sp(R) = 0.2578, and so the 31 levels solved; no elimination
-    # is built for it
+    # max |c_12| is 1.6e-9 on this model: N grows to 18.  Each N takes one
+    # rate matrix over the harmonics 0..N, H = 2N + 1 coordinates, the one at
+    # N = 18 started from the one at N = 12.  Before them the rate matrix at
+    # N = 0 reads sp(R) = 0.2578, and so the 31 levels listed
     spec, cap = _STRESS["k2-m3-harmonics-1-3-2"]
-    builds, ranges, recursions = [], [], []
-    # __init__(self, spec, level_cap) and __init__(self, hb, count)
-    for cls, log, record in ((oracle._HarmonicBalance, builds, lambda args: args[2:]),
-                             (oracle._LevelElimination, ranges,
-                              lambda args: (0, args[2] - 1))):
-        original = cls.__init__
+    solves, listed = [], []
+    rate_matrix, solve_levels = oracle._rate_matrix, oracle._solve_levels
 
-        def spy(*args, original=original, log=log, record=record):
-            log.append(record(args))
-            original(*args)
-        monkeypatch.setattr(cls, "__init__", spy)
-    level_inverses = oracle._level_inverses
+    def spy(ops, k, m, start=None):
+        solves.append((len(ops[0]), None if start is None else start.shape))
+        return rate_matrix(ops, k, m, start)
 
-    def recursion(hb, count):
-        recursions.append((hb.cap, count))
-        return level_inverses(hb, count)
-    monkeypatch.setattr(oracle, "_level_inverses", recursion)
+    def levels_spy(ops, k, m, levels, start=None):
+        listed.append(levels)
+        return solve_levels(ops, k, m, levels, start)
+    monkeypatch.setattr(oracle, "_rate_matrix", spy)
+    monkeypatch.setattr(oracle, "_solve_levels", levels_spy)
     dist = integrate_periodic(spec, level_cap=cap, grid_size=64, tol=1e-12)
-    assert builds == [(cap,), (31,)]
-    assert ranges == [(0, 12), (0, 18)]
-    assert recursions == [(cap, 1), (31, 13), (31, 19)]
+    assert solves == [(1, None), (25, None), (37, (2 * 25, 3 * 25))]
+    assert listed == [31, 31]
     assert dist.periods == 18 and dist.residual <= 1e-12
     assert (dist.level_cap, dist.solved_levels) == (cap, 31)
 
 
 def test_level_blocks_are_reused_below_the_cap(periodic74_spec):
-    # the elimination's blocks converge within a few levels of the cap: it
-    # keeps the cap's block and those of the 6 levels below it, as the dense
-    # loop does, and the lowest serves levels 1..44
-    hb = oracle._HarmonicBalance(periodic74_spec, 50)
-    hb.factor(13)
-    assert hb.elimination.inverses.shape == (7, 13, 28, 28)
-    assert len(reference.dense_level_inverses(hb, 13)) == 7
+    # one pair of blocks serves every level: level j is K applied to level
+    # j - 1's final arrival stages, on all 50 levels of the cap
+    k, m = 7, 4
+    ops = _rate_operators(periodic74_spec)
+    f, y, rate, _ = oracle._rate_matrix(ops, k, m)
+    gain = -(f[:, :100] + f[:, 100:] @ y @ rate)
+    x = oracle._solve_levels(ops, k, m, 50)[0]
+    levels = x[k:].reshape(50, k * m * 25)
+    below = levels[:, (k - 1) * m * 25:]
+    for j in range(1, 50):
+        want = gain @ below[j - 1]
+        assert np.abs(levels[j] - want).max() <= 1e-15 * np.abs(levels[j - 1]).max()
+    assert np.abs(below[1:] - below[:-1] @ rate.T).max() <= 1e-15 * np.abs(below).max()
 
 
-# Models and caps on which the level recursion's blocks are checked against
-# the dense loop: the reference, loads 0.8 and 0.95, the k=2, m=3 model of
+# Models and caps on which the level block's inverse is checked against the
+# dense solve: the reference, loads 0.8 and 0.95, the k=2, m=3 model of
 # harmonics 1, 2 and 3, M/M/1, and caps of 1 and 2 levels.
 _LEVEL_CASES = {
     "reference": (_STRESS["reference"][0], 50),
@@ -519,34 +581,37 @@ _LEVEL_CASES = {
 
 @pytest.mark.parametrize("name", sorted(_LEVEL_CASES))
 def test_level_inverses_match_the_dense_loop(name):
-    # every level's block, harmonics 0..12, within 1e-13 of the dense loop's
-    # (relative, max norm, per harmonic); the recursion may keep a block
-    # more or less than the loop, as its stop reads the k x m slices
+    # the rates' operators on harmonics 0..12 are those of quadrature, and
+    # the level block's inverse times the interfaces, by forward
+    # substitution over the phases, is the dense solve's, within 1e-13
+    # relative; no block depends on the cap, so the coefficients listed on
+    # the cap's levels are those listed on 10 levels more
     spec, cap = _LEVEL_CASES[name]
-    hb = oracle._HarmonicBalance(spec, cap)
-    got, want = oracle._level_inverses(hb, 13), reference.dense_level_inverses(hb, 13)
-    assert abs(len(got) - len(want)) <= 1
-    for j in range(1, cap + 1):
-        new, old = got[min(cap - j, len(got) - 1)], want[min(cap - j, len(want) - 1)]
-        scale = np.abs(old).max(axis=(1, 2))
-        assert (np.abs(new - old).max(axis=(1, 2)) <= 1e-13 * scale).all()
+    ops = _rate_operators(spec)
+    for got, want in zip(ops, reference.harmonic_operators(spec, 13)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    got = oracle._rate_matrix(ops, spec.k, spec.m)[0]
+    want = reference.dense_interfaces(spec.k, spec.m, ops)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    listed = oracle._fourier_coefficients(spec, cap, 1e-10)[0]
+    wider = oracle._fourier_coefficients(spec, cap + 10, 1e-10)[0]
+    assert np.abs(listed - wider[:, :listed.shape[1]]).max() <= 1e-16
 
 
-def test_factor_inverts_two_dense_stacks(periodic74_spec, monkeypatch):
-    # a factor inverts the cap block and the level block of every harmonic
-    # as (13, 28, 28) stacks, before the level loop; each of the 6 levels
-    # below the cap costs one (13, 4, 4) inverse, and the empty level one
-    # (13, 7, 7)
+def test_rate_matrix_solves_one_diagonal_block(periodic74_spec, monkeypatch):
+    # the forward substitution solves the H x H diagonal block once, for
+    # both steps; each of the 8 iterations and the final R solve one (4 H)
+    # square system, H = 25 at N = 12
     shapes = []
-    inv = np.linalg.inv
+    solve = np.linalg.solve
 
-    def spy(a):
+    def spy(a, b):
         shapes.append(np.shape(a))
-        return inv(a)
-    monkeypatch.setattr(np.linalg, "inv", spy)
-    hb = oracle._HarmonicBalance(periodic74_spec, 50)
-    hb.factor(13)
-    assert shapes == [(13, 28, 28)] * 2 + [(13, 4, 4)] * 6 + [(13, 7, 7)]
+        return solve(a, b)
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    iterations = oracle._rate_matrix(_rate_operators(periodic74_spec), 7, 4)[3]
+    assert iterations == 8
+    assert shapes == [(25, 25)] + [(100, 100)] * 9
 
 
 # The load sweep of the solved levels: (spec, level_cap, levels solved).
@@ -565,25 +630,25 @@ _SWEEP = {
 
 @pytest.mark.parametrize("name", sorted(_SWEEP))
 def test_level_decay_is_the_neuts_spectral_radius(name):
-    # the lowest up block of the level recursion at n = 0 against R by
-    # Neuts' iteration (554 steps at load 0.95)
+    # the rate matrix at N = 0 against R by Neuts' iteration (554 steps at
+    # load 0.95)
     spec, cap, _ = _SWEEP[name]
-    decay = oracle._mean_decay(oracle._HarmonicBalance(spec, cap))
+    decay = _mean_rate_decay(spec)
     want = np.abs(np.linalg.eigvals(mean_rate_matrix(spec))).max()
     assert decay == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(_SWEEP))
 def test_solve_keeps_the_levels_that_hold_mass(name):
-    # the law solved on levels 1..L with zeros above is within 1e-13 of the
-    # law solved on every level (8.3e-17 at most here); it holds at most
-    # 1e-15 on level L, or L is the cap
+    # the law listed on levels 1..L with zeros above is within 1e-13 of the
+    # law listed on every level of the cap; it holds at most 1e-15 on level
+    # L, or L is the cap
     spec, cap, solved = _SWEEP[name]
     dist = integrate_periodic(spec, level_cap=cap, grid_size=64)
     assert (dist.level_cap, dist.solved_levels) == (cap, solved)
     assert dist.cap_mass() <= 1e-15 or solved == cap
     assert not dist.series[:, spec.k + solved * spec.phase_count:].any()
-    assert dist.level_decay == oracle._mean_decay(oracle._HarmonicBalance(spec, cap))
+    assert dist.level_decay == _mean_rate_decay(spec)
     series, residual, _ = oracle._fourier_coefficients(spec, cap, 1e-10)
     every = PeriodicDistribution(spec=spec, series=series, grid_size=64,
                                  periods=len(series) - 1, residual=residual)
@@ -591,11 +656,11 @@ def test_solve_keeps_the_levels_that_hold_mass(name):
 
 
 def test_law_keeps_its_solve_figures(periodic74_spec, monkeypatch):
-    # the reference solve takes 18 GMRES iterations at N = 12, and the cap
+    # the reference's rate matrix takes 8 iterations at N = 12, and the cap
     # check's evaluation of the top solved level is the law's cap_mass: no
     # series is evaluated for it again
     dist = integrate_periodic(periodic74_spec, level_cap=50, grid_size=64)
-    assert (dist.periods, dist.gmres_iterations) == (12, 18)
+    assert (dist.periods, dist.iterations) == (12, 8)
 
     def refuse(*args):
         raise AssertionError("cap_mass evaluated a series again")
@@ -603,33 +668,12 @@ def test_law_keeps_its_solve_figures(periodic74_spec, monkeypatch):
     assert 1e-17 < dist.cap_mass() == dist.cap_mass() < 1e-15
     law = PeriodicDistribution(spec=periodic74_spec, series=dist.series, grid_size=64,
                                periods=dist.periods, residual=dist.residual)
-    assert law.gmres_iterations == 0
-
-
-def test_mass_on_the_top_solved_level_widens_the_solve(periodic74_spec, monkeypatch):
-    # with the rule aimed at 1e-9 it keeps 4 levels; each law with more than
-    # 1e-15 on its top level is solved again on the levels that mass and
-    # sp(R) call for, down to the 8 levels of the rule at 1e-18
-    monkeypatch.setattr(oracle, "_LEVEL_FLOOR", 1e-9)
-    caps = []
-    original = oracle._fourier_coefficients
-
-    def spy(spec, level_cap, tol):
-        caps.append(level_cap)
-        return original(spec, level_cap, tol)
-    monkeypatch.setattr(oracle, "_fourier_coefficients", spy)
-    dist = integrate_periodic(periodic74_spec, level_cap=50, grid_size=64)
-    assert caps == [4, 6, 7, 8]
-    assert dist.solved_levels == 8 and dist.cap_mass() <= 1e-15
-    # a cap below the rule's levels holds: the solve stops at the cap
-    caps.clear()
-    assert integrate_periodic(periodic74_spec, level_cap=5, grid_size=64).solved_levels == 5
-    assert caps == [4, 5]
+    assert law.iterations == 0
 
 
 def _harmonic_equations(spec, cap, c):
-    """The harmonic-balance equations with the dense structure matrices and
-    every convolution term written out; equation (0, k - 1) is the mass."""
+    """The harmonic-balance equations of the queue truncated at cap, with
+    the dense structure matrices and every convolution term written out."""
     at, mt = (part.toarray() for part in _parts(periodic_structure(spec.k, spec.m, cap)))
     count = len(c)
     full = {n: c[n] if n >= 0 else np.conj(c[-n]) for n in range(1 - count, count)}
@@ -651,79 +695,80 @@ def _harmonic_equations(spec, cap, c):
         for j in set(lam) | set(mu):
             if n - j in full:
                 out[n] += (lam.get(j, 0.0) * at + mu.get(j, 0.0) * mt) @ full[n - j]
-    out[0, spec.k - 1] = c[0].sum()
     return out
+
+
+def _random_law(rng, count, dim):
+    c = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    c[0] = c[0].real
+    return c
 
 
 @pytest.mark.parametrize("level_cap", [1, 2, 6])
 @pytest.mark.parametrize("k, m", [(1, 1), (2, 3), (7, 4)])
 def test_equations_match_the_structure_matrices(k, m, level_cap):
+    # the equations on the empty level and levels 1..L, fed by level L + 1,
+    # are the rows of the structure matrices truncated one level higher
     spec = ModelSpec(k, m, RateFunction(1.0, sin=((1, 0.5),), cos=((3, 0.25),)),
                      RateFunction(30.0, cos=((2, 4.0),)))
-    hb = oracle._HarmonicBalance(spec, level_cap)
-    rng = np.random.default_rng(7)
-    c = rng.standard_normal((8, hb.dim)) + 1j * rng.standard_normal((8, hb.dim))
-    c[0] = c[0].real
-    want = _harmonic_equations(spec, level_cap, c)
-    got = hb.equations(c)
+    dim = k + level_cap * k * m
+    c = _random_law(np.random.default_rng(7), 8, dim + k * m)
+    want = _harmonic_equations(spec, level_cap + 1, c)[:, :dim]
+    above = _coordinates(c[:, dim:])[m - 1::m]
+    x = _coordinates(c[:, :dim])
+    got = _series(oracle._balance(reference.harmonic_operators(spec, 8), k, m, x, above))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert not got[0].imag.any()
 
 
 @pytest.mark.parametrize("spacing", [2, 5])
 def test_equations_on_the_harmonic_lattice(spacing):
     # rates at harmonics d, 2d and 3d: the unknowns are the rows c_{nd}, and
     # the equations at them are the full equations with zero rows between,
-    # where the full ones vanish; the preconditioner solves the mean
-    # equations at the harmonics nd
+    # where the full ones vanish
     d, cap = spacing, 4
     spec = ModelSpec(2, 3, RateFunction(1.0, sin=((d, 0.5),), cos=((3 * d, 0.25),)),
                      RateFunction(30.0, cos=((2 * d, 4.0),)))
-    hb = oracle._HarmonicBalance(spec, cap)
-    assert hb.spacing == d
-    rng = np.random.default_rng(13)
-    c = rng.standard_normal((6, hb.dim)) + 1j * rng.standard_normal((6, hb.dim))
-    c[0] = c[0].real
-    full = np.zeros((5 * d + 1, hb.dim), complex)
+    dim = 2 + cap * 6
+    c = _random_law(np.random.default_rng(13), 6, dim + 6)
+    full = np.zeros((5 * d + 1, dim + 6), complex)
     full[::d] = c
-    want = _harmonic_equations(spec, cap, full)
+    want = _harmonic_equations(spec, cap + 1, full)[:, :dim]
     assert not np.delete(want, np.s_[::d], axis=0).any()
-    assert np.abs(hb.equations(c) - want[::d]).max() <= 1e-12 * np.abs(want).max()
-    hb.factor(6)
-    mean = _harmonic_equations(ModelSpec(2, 3, RateFunction(1.0), RateFunction(30.0)),
-                               cap, full)[::d]
-    assert np.abs(hb.elimination.solve(mean) - c).max() <= 1e-11
+    ops = reference.harmonic_operators(spec, 6, d)
+    got = _series(oracle._balance(ops, 2, 3, _coordinates(c[:, :dim]),
+                                  _coordinates(c[:, dim:])[2::3]))
+    assert np.abs(got - want[::d]).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_solve_factors_only_the_lattice_harmonics(monkeypatch):
-    # harmonic 5 alone: N runs 15 -> 25 -> 40, and each elimination holds
-    # the harmonics 0, 5, ..., N only, 9 of the 41 at N = 40
+    # harmonic 5 alone: N runs 15 -> 25 -> 40, and each rate matrix holds
+    # the harmonics 0, 5, ..., N only, 9 of the 41 at N = 40 (H = 17)
     spec, cap = _STRESS["arrival-harmonic-5-only"]
-    counts = []
-    original = oracle._LevelElimination.__init__
+    sizes = []
+    original = oracle._rate_matrix
 
-    def spy(self, hb, count):
-        counts.append(count)
-        original(self, hb, count)
-    monkeypatch.setattr(oracle._LevelElimination, "__init__", spy)
+    def spy(ops, k, m, start=None):
+        sizes.append(len(ops[0]))
+        return original(ops, k, m, start)
+    monkeypatch.setattr(oracle, "_rate_matrix", spy)
     coef, _, _ = oracle._fourier_coefficients(spec, cap, 1e-13)
-    assert counts == [4, 6, 9] and len(coef) == 41
+    assert sizes == [7, 11, 17] and len(coef) == 41
 
 
 @pytest.mark.parametrize("level_cap", [1, 2, 6, 50])
 @pytest.mark.parametrize("k, m", [(1, 1), (2, 3), (7, 4)])
 def test_preconditioner_inverts_the_mean_equations(k, m, level_cap):
-    # with constant rates the equations are the preconditioned ones, mass
-    # equation included; one factorization of the harmonics 0..13
+    # with constant rates the equations are the mean equations at every
+    # harmonic: the solve over the harmonics 0..13 leaves c_1..c_13 at 0
+    # and c_0 the stationary law, its levels falling by Neuts' R
     spec = ModelSpec(k, m, RateFunction(1.0), RateFunction(30.0))
-    hb = oracle._HarmonicBalance(spec, level_cap)
-    hb.factor(14)
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((14, hb.dim)) + 1j * rng.standard_normal((14, hb.dim))
-    x[0] = x[0].real
-    z = hb.elimination.solve(hb.equations(x))
-    assert np.abs(z - x).max() <= 1e-11
-    assert not z[0].imag.any()
+    ops = oracle._operators([(1.0, {}), (30.0, {})], 1, 14)
+    x, residual, _, _ = oracle._solve_levels(ops, k, m, level_cap)
+    assert residual <= 1e-14
+    assert not x[:, 1:].any()
+    levels = x[k:, 0].reshape(level_cap, k * m)
+    rate = mean_rate_matrix(spec)
+    assert np.abs(levels[1:] - levels[:-1] @ rate).max(initial=0.0) <= 1e-15 * levels.max()
 
 
 # The time-domain solve in tests/reference.py (`time_domain_periodic`, the

@@ -307,6 +307,35 @@ def test_oracle_wait_matches_gammainc_route(periodic74_spec, periodic74_dist):
     assert worst <= 1e-15
 
 
+def test_oracle_wait_table_stops_at_the_solved_levels(periodic74_spec, periodic74_dist,
+                                                      monkeypatch):
+    # the law's levels 9..50 are exact zeros, so the pmf table spans the
+    # m * 8 = 32 thresholds of the solved levels (36 for the sojourn), not
+    # the cap's 200; the dropped terms of the full-width sum are exact zeros
+    spec, dist, m = periodic74_spec, periodic74_dist, 4
+    ts = np.linspace(0.0, 3.0, 61)
+    tops = []
+    pmf_rows = waiting._poisson_pmf_rows
+
+    def spy(mean, top):
+        tops.append(top)
+        return pmf_rows(mean, top)
+    monkeypatch.setattr(waiting, "_poisson_pmf_rows", spy)
+    for u in (0.0, 0.3, 0.75):
+        idle, by_stage = dist.stage_sums_at([u])
+        mu_cum = spec.service.cumulative(u, u + ts)
+        for kind, shift in (("queue", 0), ("sojourn", m)):
+            got = oracle_wait_cdf(spec, dist, u, ts, kind=kind).values
+            cumulated = np.concatenate((np.zeros(shift + 1),
+                                        np.cumsum(by_stage[0, :, ::-1])))
+            pmf = pmf_rows(mu_cum, m * dist.level_cap + shift)
+            full = cumulated[-1] - pmf @ (cumulated[-1] - cumulated)
+            full += idle[0].sum() * (1.0 if kind == "queue" else
+                                     1.0 - pmf[:, :m].sum(axis=1))
+            assert np.abs(got - full).max() <= 1e-16
+    assert tops == [32, 36] * 3
+
+
 def test_oracle_wait_reads_only_the_stage_interpolant(periodic74_spec,
                                                      periodic74_dist):
     # a fresh law, so that no earlier test has built either interpolant
