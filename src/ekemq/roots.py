@@ -14,9 +14,9 @@ a consistent branch, so y is stored and chi is always derived.
 For every n the equation has exactly k solutions with |y| <= 1 and m with
 |y| > 1 (stability makes y = 1, which appears at n = 0, count as inside).
 Only the m outside solutions enter the level series.  build_root_set
-solves them by the companion-matrix eigenvalue route (numpy.roots); the
-tests hold it against an independent solver, the fixed-point iteration
-`outer_roots_by_iteration` in `tests/reference.py`.
+solves them by the companion-matrix eigenvalue route (numpy.roots' matrix,
+built directly); the tests hold it against an independent solver, the
+fixed-point iteration `outer_roots_by_iteration` in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -86,7 +86,12 @@ def characteristic_roots(spec: ModelSpec, n: int):
     are sorted by arg(y) in [0, 2 pi).  n must be an integer.
     """
     n = _as_index(n, "n")
-    ys = np.roots(_poly_coeffs(spec, n))
+    c = _poly_coeffs(spec, n)
+    # numpy.roots' companion matrix, built here: c[0] and c[-1] are nonzero,
+    # so numpy.roots would strip nothing, and the eigenvalues keep its bits
+    companion = np.diag(np.ones(len(c) - 2, dtype=complex), -1)
+    companion[0, :] = -c[1:] / c[0]
+    ys = np.linalg.eigvals(companion)
     polished = []
     for y in ys:
         y = complex(y)

@@ -13,8 +13,10 @@ another way, kept to pin that route:
   eigenvalues;
 - `uncut_level_matrix` and `uncut_level_rows`: the folded level series
   and its level rows with every root kept, against
-  `SeriesEvaluator.level_matrix`, which cuts roots whose terms or level
-  rows would be subnormal and flushes subnormal parts;
+  `SeriesEvaluator.level_matrix`, which leaves out the roots past the last
+  one that can move the level, cuts roots whose terms or level rows would
+  be subnormal and flushes subnormal parts; `log_term_bounds`, the log
+  of each root's bound on its terms at a level, formed apart from the cut;
 - `all_roots_coefficients` and `all_roots_level_matrix`: the coefficients
   and the complex level series of every root, n < 0 included, computed
   directly, against `SeriesEvaluator`, which computes the n >= 0 half and
@@ -240,6 +242,17 @@ def uncut_level_matrix(ev: SeriesEvaluator, level: int, t) -> np.ndarray:
     half set as one real product, with `uncut_level_rows` on the right."""
     f = ev._coefficients(t)
     return np.hstack([f.real, f.imag]) @ uncut_level_rows(ev, level)
+
+
+def log_term_bounds(ev: SeriesEvaluator, level: int, t) -> np.ndarray:
+    """Per half-set root, the log of the bound weight * max_t |f(t)| *
+    max |row| * |chi|**(-level) on the modulus of its terms at the level,
+    formed from the roots' moduli, not from `_RootFactors`' logs."""
+    fac = ev._factors
+    f_max = np.abs(ev._coefficients(t)).max(axis=0, initial=0.0)
+    with np.errstate(divide="ignore"):
+        return (np.log(fac.weight * f_max * np.abs(fac.rows).max(axis=1))
+                - float(level) * np.log(np.abs(fac.chi)))
 
 
 def _all_roots_factors(roots: RootSet):

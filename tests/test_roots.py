@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ekemq import ModelSpec, RateFunction, build_root_set, characteristic_roots
+from ekemq.roots import _poly_coeffs
 from reference import outer_roots_by_iteration
 
 
@@ -102,3 +103,26 @@ def test_residual_scale_for_tight_frequencies():
     rs = build_root_set(spec, 15)
     assert len(rs) == 31 * 3
     assert max(r.poly_residual for r in rs.roots) < 1e-10
+
+
+@pytest.mark.parametrize("k, m", [(7, 4), (1, 1), (2, 3)])
+def test_eigenvalues_are_numpy_roots_bits(k, m, monkeypatch):
+    # each frequency's companion matrix gives np.roots' eigenvalues on that
+    # frequency, bit for bit, in np.roots' order
+    spec = ModelSpec(k, m, RateFunction(3.0, sin=((1, -2.0),)),
+                     RateFunction(5.0, sin=((1, 4.0),)))
+    eigvals = np.linalg.eigvals
+    calls = []
+
+    def spy(a):
+        calls.append(eigvals(a))
+        return calls[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    for q in (3, 10, 40):
+        calls.clear()
+        build_root_set(spec, q)
+        solved = list(calls)
+        assert len(solved) == q + 1
+        for n, ys in enumerate(solved):
+            assert ys.tobytes() == np.roots(_poly_coeffs(spec, n)).tobytes(), (q, n)

@@ -6,6 +6,7 @@ use are covered in test_busy.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -23,12 +24,13 @@ from ekemq import (
 from ekemq import _quad
 from ekemq.roots import RootSet
 from ekemq.series import phase_weights
-from reference import (all_roots_coefficients, all_roots_level_matrix,
+from reference import (all_roots_coefficients, all_roots_level_matrix, log_term_bounds,
                        net_change_probability, root_coefficient, uncut_level_matrix,
                        uncut_level_rows)
 
 _SWEEP_ORDERS = (3, 5, 10, 20, 40)
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 def _subnormal_count(arr: np.ndarray) -> int:
@@ -248,11 +250,46 @@ def sweep_evaluators(periodic74_spec, periodic74_boundary):
             for q in _SWEEP_ORDERS}
 
 
+def _kept(ev, level, ts) -> int:
+    """How many half-set roots the level's product runs over."""
+    return len(ev._level_operands(level, ts)[1]) // 2
+
+
+def _assert_within_cut_bound(ev, level, ts, moved_by_subnormal_cut=0.0):
+    """The level's values against the uncut product: bit for bit where no
+    root is left out; else every root left out is below 2**-64 of the
+    largest term bound, the last kept root is not, and the values move
+    by at most the left-out roots' bounds, besides moved_by_subnormal_cut
+    and the two products' rounding, (roots summed) * eps * sum of bounds
+    each.  Returns the largest move and the largest uncut value."""
+    log_bound = log_term_bounds(ev, level, ts)
+    half, n = len(log_bound), _kept(ev, level, ts)
+    values, uncut = ev.level_matrix(level, ts), uncut_level_matrix(ev, level, ts)
+    if n == half:
+        assert np.array_equal(values, uncut), level
+        return 0.0, np.abs(uncut).max()
+    # the cut's test, to the rounding of two routes to the logs
+    top = log_bound.max() - 64.0 * np.log(2.0)
+    assert log_bound[n - 1] >= top - 1e-9 and log_bound[n:].max() < top + 1e-9, level
+    with np.errstate(under="ignore"):
+        bound = np.exp(log_bound)
+    diff = np.abs(values - uncut).max()
+    rounding = (n + half) * _EPS * bound.sum()
+    assert diff <= bound[n:].sum() + moved_by_subnormal_cut + rounding, level
+    return diff, np.abs(uncut).max()
+
+
 def test_level_cut_keeps_every_value(sweep_evaluators, periodic74_dist):
+    # bit for bit wherever no root is left out, within the bound elsewhere;
+    # the largest move over the sweep is 5.1e-18 of its level's largest value
     ts = periodic74_dist.grid
+    cut = 0
     for q, ev in sweep_evaluators.items():
         for j in range(1, 31):
-            assert np.array_equal(ev.level_matrix(j, ts), uncut_level_matrix(ev, j, ts)), (q, j)
+            diff, scale = _assert_within_cut_bound(ev, j, ts)
+            assert diff <= 1e-17 * scale, (q, j)
+            cut += _kept(ev, j, ts) < len(ev._factors.weight)
+    assert cut > 100
 
 
 def test_level_sweep_does_no_subnormal_arithmetic(sweep_evaluators, periodic74_dist):
@@ -260,26 +297,30 @@ def test_level_sweep_does_no_subnormal_arithmetic(sweep_evaluators, periodic74_d
     uncut = 0
     for q, ev in sweep_evaluators.items():
         assert _subnormal_count(ev._factors.rows) == 0
+        half = len(ev._factors.weight)
         for j in range(1, 31):
             f_parts, rows = ev._level_operands(j, ts)
+            n = len(rows) // 2
+            assert f_parts.shape == (len(ts), 2 * n) and rows.shape[1] == 28, (q, j)
             assert _subnormal_count(f_parts) == 0, (q, j)
             assert _subnormal_count(rows) == 0, (q, j)
             full = uncut_level_rows(ev, j)
             uncut += _subnormal_count(full)
-            # a root keeps its row of B only if every entry's modulus is normal
-            half = len(rows) // 2
+            # a multiplied root keeps its row of B only if every entry's
+            # modulus is normal
             kept = rows.any(axis=1)
-            kept = kept[:half] | kept[half:]
-            assert np.hypot(full[:half], full[half:])[kept].min() >= _TINY, (q, j)
-    # without the cut, the sweep's level rows hold subnormal entries
+            kept = kept[:n] | kept[n:]
+            assert np.hypot(full[:n], full[half:half + n])[kept].min() >= _TINY, (q, j)
+    # without the cuts, the sweep's level rows hold subnormal entries
     assert uncut > 5_000
 
 
 def test_deep_level_cut_is_within_bound(sweep_evaluators, periodic74_dist):
-    # past level 100 the values approach 1e-300 and the cut drops roots whose
-    # terms are normal; each term of a root whose level row is cut or
-    # flushed moves by less than sqrt(2) * 2**-1022 * max |f| * (max |row| /
-    # min |row|) / min(1, min |f|)
+    # past level 100 the values approach 1e-300: the sum keeps one root,
+    # whose level row the subnormal cut drops or flushes at some levels;
+    # each term of a root whose level row is cut or flushed moves by less
+    # than sqrt(2) * 2**-1022 * max |f| * (max |row| / min |row|) / min(1,
+    # min |f|), and both cuts' bounds add up
     ev = sweep_evaluators[40]
     ts = periodic74_dist.grid
     size = np.abs(ev._coefficients(ts))
@@ -290,12 +331,67 @@ def test_deep_level_cut_is_within_bound(sweep_evaluators, periodic74_dist):
     half = len(rows)
     moved = 0
     for j in range(100, 131):
-        changed = (ev._level_operands(j, ts)[1] != uncut_level_rows(ev, j)).any(axis=1)
-        touched = changed[:half] | changed[half:]
-        diff = np.abs(ev.level_matrix(j, ts) - uncut_level_matrix(ev, j, ts))
-        assert diff.max() <= term_bound[touched].sum(), j
-        moved += np.count_nonzero(diff)
+        operands = ev._level_operands(j, ts)[1]
+        n = len(operands) // 2
+        full = uncut_level_rows(ev, j)
+        changed = (operands != np.vstack([full[:n], full[half:half + n]])).any(axis=1)
+        touched = changed[:n] | changed[n:]
+        moved += _assert_within_cut_bound(ev, j, ts, term_bound[:n][touched].sum())[0] > 0.0
     assert moved > 0
+
+
+def test_empty_time_array_gives_no_rows(periodic74_spec, sweep_evaluators,
+                                        periodic74_dist):
+    ev = SeriesEvaluator(build_root_set(periodic74_spec, 10),
+                         extract_boundary(periodic74_dist))
+    for j in (1, 5, 30):
+        assert ev.level_matrix(j, np.array([])).shape == (0, 28)
+    ts = periodic74_dist.grid
+    assert np.array_equal(ev.level_matrix(5, ts),
+                          sweep_evaluators[10].level_matrix(5, ts))
+
+
+def test_zero_boundary_gives_zeros_without_warnings(periodic74_roots10,
+                                                     periodic74_boundary):
+    b = periodic74_boundary
+    ev = SeriesEvaluator(periodic74_roots10,
+                         BoundaryFunctions(spec=b.spec, series=np.zeros_like(b.series)))
+    ts = np.linspace(0.0, 1.0, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in (1, 5, 30, 120):
+            values = ev.level_matrix(j, ts)
+            assert values.shape == (9, 28) and not values.any(), j
+
+
+def test_reference_kept_counts(sweep_evaluators, periodic74_dist):
+    ts = periodic74_dist.grid
+    ev = sweep_evaluators[40]
+    assert [_kept(ev, j, ts) for j in (1, 2)] == [164, 164]
+    assert _kept(ev, 10, ts) <= 12
+    assert max(_kept(ev, j, ts) for j in range(21, 31)) <= 4
+
+
+def test_deep_levels_need_no_far_roots(periodic74_roots40, sweep_evaluators,
+                                       periodic74_dist):
+    # from level 4 on order 40 keeps only roots with n <= 20, so orders 20
+    # and 40 multiply the same operands
+    ts = periodic74_dist.grid
+    half = [r for r in periodic74_roots40 if r.n >= 0]
+    for j in range(4, 31):
+        n = _kept(sweep_evaluators[40], j, ts)
+        assert n <= 44 and half[n - 1].n <= 20, j
+        assert np.array_equal(sweep_evaluators[40].level_matrix(j, ts),
+                              sweep_evaluators[20].level_matrix(j, ts)), j
+
+
+def test_order_80_stays_within_the_cut_bound(periodic74_spec, periodic74_boundary,
+                                             periodic74_dist):
+    ev = SeriesEvaluator(build_root_set(periodic74_spec, 80), periodic74_boundary)
+    ts = periodic74_dist.grid
+    for j in range(1, 61):
+        _assert_within_cut_bound(ev, j, ts)
+    assert _kept(ev, 60, ts) < 5
 
 
 def test_level_zero_is_rejected(periodic74_roots10, periodic74_boundary):
