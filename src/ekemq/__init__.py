@@ -22,9 +22,9 @@ from .roots import (
     characteristic_roots,
     build_root_set,
 )
+from ._fourier import BoundaryFunctions
 from .oracle import (
     PeriodicDistribution,
-    BoundaryFunctions,
     integrate_periodic,
     extract_boundary,
     busy_oracle,

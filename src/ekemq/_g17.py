@@ -19,27 +19,30 @@ byte matrix and drops its NULs on output.
 
 Exactness.  A value 0 < x < 1 of decimal exponent -q has the 17 digits of
 s = x * 10**(16 + q), 1e16 <= s < 1e17, rounded to an integer.  The scale
-T_q = 10**(16 + q) * 2**-SHIFT[q] is held as the double-double
-POW_HI[q] + POW_LO[q], within 2**-104 of T_q relative (a test checks every
-entry against `Fraction`).  SHIFT[q] is 600 from q = 291 on, where
-10**(16 + q) nears the top of the double range, and 0 below; x is scaled
-by 2**SHIFT[q] alike, which is exact and keeps x, and every partial
-product below, a normal double.  hi = fl(x * POW_HI) >= 1e16 > 2**53 is an
-integer.  Dekker's TwoProduct, with x and POW_HI split into 26-bit halves
-(POW_HI's are the tables POW_TOP and POW_BOTTOM), gives its rounding error
-e exactly, and lo = fl(e + fl(x * POW_LO)).  As |e| <= 8 and
-|x * POW_LO| < 11.2, hi + lo is within 1e17 * 2**-104 + 2**-50 + 2**-49
-< 7.6e-15 of s.  So hi + rint(lo) is s correctly rounded, unless lo lies
-within that of a half-integer: a value goes to Python's '%.17g' when lo
-lies within ROUNDING_BOUND = 1e-13 of one, in practice only at an exact
-tie (18 significant digits ending in 5, which '%.17g' rounds half to
-even), as do nan, inf and |x| >= 1; 0 and -0 take the fast path as the
-fields "0" and "-0".  q is taken from log10|x|, which can be one off next
-to a power of ten; the sign of
-(hi - 1e16) + lo, or of (hi - 1e17) + lo, then tells on which side s
-lies, since no double brings s within 0.01 of 1e16 or 1e17 (a test checks
-the doubles next to every power of ten).  On the reference law the fast
-path takes every value.
+10**(16 + q) is held as the double-double POW_HI[q] + POW_LO[q], within
+2**-104 of it relative (a test checks every entry against `Fraction`), for
+0 <= q <= 291: 10**307 is still a double.  hi = fl(x * POW_HI) >= 1e16 >
+2**53 is an integer.  Dekker's TwoProduct, with x and POW_HI split into
+26-bit halves (POW_HI's are the tables POW_TOP and POW_BOTTOM), gives its
+rounding error e exactly, as x >= 1e-290 keeps every nonzero half and
+partial product a normal double, and lo = fl(e + fl(x * POW_LO)).  As
+|e| <= 8 and |x * POW_LO| < 11.2, hi + lo is within 1e17 * 2**-104 + 2**-50
++ 2**-49 < 7.6e-15 of s.  So hi + rint(lo) is s correctly rounded, unless
+lo lies within that of a half-integer.
+
+The fast path takes finite x with 1e-290 <= |x| < 1, whose decade q, read
+from log10|x| and clipped into the table, is right, and whose lo does not
+lie within ROUNDING_BOUND = 1e-13 of a half-integer (in practice only an
+exact tie: 18 significant digits ending in 5, which '%.17g' rounds half to
+even).  log10 can be one off next to a power of ten; the decade is right
+when (hi - 1e16) + lo >= 0 and (hi - 1e17) + lo < 0, a sign that no double
+gets wrong, since none brings s within 0.01 of 1e16 or 1e17 (a test checks
+the doubles next to every power of ten).  Every other value goes to
+Python's '%.17g': nan, inf, |x| >= 1, 0, -0, |x| < 1e-290 and a misread
+decade.  On bench/reference.cfg the seven commands format 184,772 values,
+and the fallback takes 2,581 of them: 2,512 of 1 or more and 69 zeros, none
+of them in the law; no value lies below 1e-290, has a misread decade or
+sits at a tie.
 """
 
 from __future__ import annotations
@@ -51,11 +54,10 @@ ROUNDING_BOUND = 1e-13
 
 
 def _powers_of_ten():
-    """(SHIFT, POW_HI, POW_LO, POW_TOP, POW_BOTTOM) for 0 <= q <= 325, from
-    10**n = 5**n * 2**n: 5**n converts correctly rounded to a double, as
-    does the integer it leaves, and scaling by 2**(n - SHIFT) is exact."""
-    n = np.arange(16, 342)
-    shift = np.where(n >= 16 + 291, 600, 0)
+    """(POW_HI, POW_LO, POW_TOP, POW_BOTTOM) for 0 <= q <= 291, from 10**n
+    = 5**n * 2**n: 5**n converts correctly rounded to a double, as does the
+    integer it leaves, and scaling by 2**n is exact."""
+    n = np.arange(16, 16 + 292)
     fives = [5 ** 16]
     for _ in n[1:]:
         fives.append(fives[-1] * 5)
@@ -64,17 +66,16 @@ def _powers_of_ten():
     tail = np.array([float(p - round(h)) for p, h in zip(fives, head)])
     head = np.array(head)
     # Dekker's split of the heads, whose product with 2**27 + 1 stays below
-    # 1e247
+    # 1e223
     c = head * 134217729.0
     top = c - (c - head)
-    return (shift,) + tuple(np.ldexp(a, n - shift) for a in (head, tail, top, head - top))
+    return tuple(np.ldexp(a, n) for a in (head, tail, top, head - top))
 
 
-# POW_HI[q] + POW_LO[q] = 10**(16 + q) * 2**-SHIFT[q], which scales a value
-# of decimal exponent -q, times 2**SHIFT[q], to 17 digits before the point;
-# POW_TOP[q] + POW_BOTTOM[q] = POW_HI[q], each of at most 26 bits
-SHIFT, POW_HI, POW_LO, POW_TOP, POW_BOTTOM = _powers_of_ten()
-_SCALE = np.ldexp(1.0, SHIFT)
+# POW_HI[q] + POW_LO[q] = 10**(16 + q), which scales a value of decimal
+# exponent -q to 17 digits before the point; POW_TOP[q] + POW_BOTTOM[q] =
+# POW_HI[q], each of at most 26 bits
+POW_HI, POW_LO, POW_TOP, POW_BOTTOM = _powers_of_ten()
 
 
 def text_rows(cells, width: int = 0) -> np.ndarray:
@@ -103,19 +104,15 @@ _HEAD = text_rows([("-" if neg else "") + ("0." + "0" * form if form < 4 else ""
                    + str(d0) + ("." if point and form == 4 else "")
                    for neg in (0, 1) for form in range(5) for d0 in range(10)
                    for point in (0, 1)], 8).view(np.uint64)[:, 0]
-# The word after the digits, at q = -(decimal exponent), 1 <= q <= 325.
-_TAIL = text_rows([""] + [f"e-{q:02d}" if q > 4 else "" for q in range(1, 326)],
+# The word after the digits, at q = -(decimal exponent), 1 <= q <= 291.
+_TAIL = text_rows([""] + [f"e-{q:02d}" if q > 4 else "" for q in range(1, len(POW_HI))],
                   8).view(np.uint64)[:, 0]
-# The fields of 0 and -0, at signbit.
-_ZERO = text_rows(["0", "-0"], FIELD).view(np.uint64)
 
 
 def _scaled(x: np.ndarray, q: np.ndarray):
-    """(hi, lo) of s = x * 10**(16 + q), 0 < x < 1, as a double-double:
+    """(hi, lo) of s = x * 10**(16 + q), 1e-290 <= x < 1, as a double-double:
     hi = fl(x * POW_HI[q]), an integer, and hi + lo within 7.6e-15 of s
     (see the module docstring)."""
-    if SHIFT[q.max(initial=0)]:  # SHIFT grows with q
-        x = x * _SCALE[q]
     hi = x * POW_HI[q]
     # Dekker's TwoProduct: x and POW_HI[q] as sums of two 26-bit halves,
     # whose products are exact, give hi's rounding error exactly; in place,
@@ -139,52 +136,30 @@ def fast_fields(v: np.ndarray):
     value, as (len(v), FIELD // 8) uint64 words, and the mask of the values
     whose field is '%.17g' % x.  The other fields hold no meaning.
 
-    0 and -0 are taken, as "0" and "-0"; the digits of `_nonzero_fields`
-    are formed for the other values only.
+    With q = -floor(log10|x|), s = |x| * 10**(16 + q) is formed as hi + lo
+    by `_scaled` and rounded to the 17 digits hi + rint(lo), with a carry
+    where it rounds up to 1e17.  A value stays taken if 1e-290 <= |x| < 1,
+    its decade is right and lo does not lie within `ROUNDING_BOUND` of a
+    half-integer (see the module docstring).
     """
-    nonzero = np.flatnonzero(v)
-    if nonzero.size == v.size:
-        return _nonzero_fields(v)
-    # np.take: 10 times faster than indexing the rows
-    text = np.take(_ZERO, np.signbit(v).view(np.int8), axis=0)
-    taken = np.ones(v.size, bool)
-    text[nonzero], taken[nonzero] = _nonzero_fields(v[nonzero])
-    return text, taken
-
-
-def _nonzero_fields(v: np.ndarray):
-    """`fast_fields` of values none of which is 0 or -0.
-
-    Finite x with |x| < 1 are taken: with q = -floor(log10|x|),
-    s = |x| * 10**(16 + q) is formed as hi + lo by `_scaled`, q moved by one
-    where s leaves [1e16, 1e17), and s rounded to the 17 digits
-    hi + rint(lo), with a carry where it rounds up to 1e17.  The rounding is
-    the correctly rounded one, and the value stays taken, unless lo lies
-    within `ROUNDING_BOUND` of a half-integer.
-    """
-    taken = np.abs(v) < 1.0
+    x = np.abs(v)
+    taken = (x < 1.0) & (x >= 1e-290)
     # a stand-in for the values the fast path does not take
-    x = np.where(taken, np.abs(v), 0.5)
-    q = -np.floor(np.log10(x)).astype(np.intp)
+    x[~taken] = 0.5
+    # clipped, so that a log10 off by any amount still indexes the tables
+    q = np.clip(-np.floor(np.log10(x)), 0, len(POW_HI) - 1).astype(np.intp)
+    # `_scaled` frees its temporaries on return: kept here, they grew each
+    # chunk's heap past glibc's trim threshold, to be faulted in afresh
     hi, lo = _scaled(x, q)
-    # log10 is off by one only next to a power of ten, where hi is near
-    # 1e16 or 1e17; the sign of (hi - 1e16) + lo and (hi - 1e17) + lo tells
-    # the side
-    near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
-    if near.size:
-        h, l = hi[near], lo[near]
-        step = ((h - 1e16) + l < 0.0).astype(np.intp) - ((h - 1e17) + l >= 0.0)
-        off = near[step != 0]
-        q[off] += step[step != 0]
-        h, l = _scaled(x[off], q[off])
-        hi[off], lo[off] = h, l
-        # a value that log10 put two off would fall back
-        taken[off] &= ((h - 1e16) + l >= 0.0) & ((h - 1e17) + l < 0.0)
     r = np.rint(lo)
-    taken &= np.abs(lo - r) < 0.5 - ROUNDING_BOUND
+    # the decade is right where (hi - 1e16) + lo >= 0 and (hi - 1e17) + lo < 0
+    taken &= (np.abs(lo - r) < 0.5 - ROUNDING_BOUND) & ((hi - 1e16) + lo >= 0.0) \
+        & ((hi - 1e17) + lo < 0.0)
+    # keeps the casts, the digit split and the table indices in range for
+    # the rest
+    skip = ~taken
+    hi[skip], r[skip], q[skip] = 1e16, 0.0, 1
     r = hi.astype(np.int64) + r.astype(np.int64)
-    # keeps the digit split and the table indices in range for the rest
-    r[~taken] = 10 ** 16
     carry = r == 10 ** 17
     r[carry] = 10 ** 16
     q -= carry
@@ -218,7 +193,7 @@ def _nonzero_fields(v: np.ndarray):
 def fields(values: np.ndarray) -> np.ndarray:
     """'%.17g' % x for every x of `values`, as NUL-padded bytes, shape
     values.shape + (FIELD,): `fast_fields`, and Python's own '%.17g' for
-    every value it does not take (nan, inf and |x| >= 1 among them).
+    every value it does not take (nan, inf, 0 and |x| >= 1 among them).
     """
     v = np.ravel(values).astype(float, copy=False)
     text, taken = fast_fields(v)

@@ -34,8 +34,8 @@ import numpy as np
 from .bounds import truncation_error_bound
 from .busy import busy_period_cdf
 from .model import ModelSpec, RateFunction
-from .oracle import (TrigInterpolant, busy_oracle, extract_boundary,
-                     integrate_periodic)
+from ._fourier import TrigInterpolant
+from .oracle import busy_oracle, extract_boundary, integrate_periodic
 from .roots import build_root_set
 from .series import SeriesEvaluator
 from .waiting import oracle_wait_cdf, wait_cdf

@@ -56,13 +56,8 @@ s) at a*m + s.  No other module calls `_level_parts` or `_level_march`.
 
 This module is deliberately independent of the root-series machinery: it
 never sees characteristic roots.  The series route does read one output of
-it, the empty-system boundary (`extract_boundary`): the columns of the k
-idle and km level-1 states in the law's solved series c_0..c_N, so
-series-vs-oracle agreement checks the series given the oracle's boundary;
-the levels beyond it are computed independently and compared in tests, not
-assumed anywhere.  The boundary evaluates its series at the nodes of the
-series' period rule (`_quad.PERIOD_NODES`) on first use, so that every
-evaluator on it shares one set of samples.
+it, the empty-system boundary (`extract_boundary`), held with the law's
+evaluator in `_fourier`.
 """
 
 from __future__ import annotations
@@ -73,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _quad
+from ._fourier import BoundaryFunctions, TrigInterpolant, _read_only
 from .busy import VolterraSolution
 from .model import ModelSpec, _as_index, _normalize_phase
 
@@ -105,28 +100,6 @@ _STATE_FLOOR = 1e-280
 # ends with an L1 norm above 1 + _NORM_SLACK has grown negative entries: RK4
 # is unstable at that step, so the solve stops there.
 _NORM_SLACK = 1e-6
-
-
-class TrigInterpolant:
-    """The real 1-periodic function sum_n c_n e^{2 pi i n t} over |n| <= N,
-    c_{-n} = conj(c_n), from c_0..c_N (rows of coef; c_0 taken real).
-
-    It is evaluated in real form, cos(2 pi n t) @ (w Re c) - sin(2 pi n t)
-    @ (w Im c) with w = 1, 2, 2, ..., which keeps every product real.
-    """
-
-    def __init__(self, coef: np.ndarray):
-        coef = np.asarray(coef, dtype=complex)
-        weights = np.full((len(coef), 1), 2.0)
-        weights[0] = 1.0
-        self._cos, self._sin = weights * coef.real, weights * coef.imag
-        self._harmonics = np.arange(len(coef))
-
-    def __call__(self, u):
-        phases = 2.0 * np.pi * np.outer(np.asarray(u, dtype=float), self._harmonics)
-        vals = np.cos(phases) @ self._cos
-        vals -= np.sin(phases) @ self._sin
-        return vals
 
 
 def _level_parts(k: int, m: int) -> np.ndarray:
@@ -221,11 +194,6 @@ def _level_march(parts: np.ndarray, m: int, lam: np.ndarray, mu: np.ndarray,
             yield p, sinks
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class PeriodicDistribution:
     """Periodic law of the queue, listed on levels 1..level_cap: its Fourier
@@ -246,18 +214,14 @@ class PeriodicDistribution:
     `integrate_periodic` lists the levels of the queue on unbounded levels,
     so level_cap cuts the list and changes no listed value.
 
-    Each series below is built from `series` on first use, once per law,
-    over the idle states and levels 1..solved_levels, and its values are
-    padded with the zero levels above.
-    The state series serves `states_at`, `idle_at`, `levels_at` and the
-    samples idle[i, a] and levels[i, j-1, a*m+s] at the times grid[i] = i /
-    grid_size: read-only views of one evaluation of it at the grid, made on
-    first read.  The stage series, the k idle states and the
-    solved_levels * m sums of each level over arrival stage, serves
-    `stage_sums_at`, all the oracle wait route reads.  `series` is a
-    read-only copy, so nothing read from it can disagree with it.  Laws
-    compare and hash by identity, as their arrays have no single truth
-    value.
+    The state series, over the idle states and levels 1..solved_levels, is
+    built from `series` on first use, once per law, and its values are
+    padded with the zero levels above.  It serves `states_at`, `idle_at`,
+    `levels_at` and the samples idle[i, a] and levels[i, j-1, a*m+s] at the
+    times grid[i] = i / grid_size: read-only views of one evaluation of it
+    at the grid, made on first read.  `series` is a read-only copy, so
+    nothing read from it can disagree with it.  Laws compare and hash by
+    identity, as their arrays have no single truth value.
     """
 
     spec: ModelSpec
@@ -301,11 +265,11 @@ class PeriodicDistribution:
         """The state series at the grid times, (grid_size, k + level_cap *
         km) in the columns of `series`, read-only, evaluated on first read;
         idle and levels are views of it."""
-        return _read_only(self._at(self._interp, self.grid, self.spec.phase_count))
+        return _read_only(self._at(self.grid))
 
     @cached_property
     def _samples(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._split(self.samples, self.spec.phase_count)
+        return self._split(self.samples)
 
     idle = property(lambda self: self._samples[0])
     levels = property(lambda self: self._samples[1])
@@ -316,38 +280,21 @@ class PeriodicDistribution:
         return TrigInterpolant(self.series[:, :self.spec.k + self.solved_levels
                                            * self.spec.phase_count])
 
-    def _at(self, interp, u, per_level: int) -> np.ndarray:
-        """interp's values at times u, followed by zeros up to k +
-        level_cap * per_level columns."""
-        solved = interp(u)
-        vals = np.zeros((len(solved), self.spec.k + self.level_cap * per_level))
+    def _at(self, u) -> np.ndarray:
+        """The state series' values at times u, followed by zeros up to the
+        width of `series`."""
+        solved = self._interp(u)
+        vals = np.zeros((len(solved), self.series.shape[1]))
         vals[:, :solved.shape[1]] = solved
         return vals
 
-    def _split(self, vals: np.ndarray, per_level: int) -> tuple[np.ndarray, np.ndarray]:
+    def _split(self, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return vals[:, :self.spec.k], vals[:, self.spec.k:].reshape(
-            -1, self.level_cap, per_level)
+            -1, self.level_cap, self.spec.phase_count)
 
     def states_at(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(idle_at(u), levels_at(u)) from one evaluation of the series."""
-        km = self.spec.phase_count
-        return self._split(self._at(self._interp, u, km), km)
-
-    @cached_property
-    def _stage_interp(self) -> TrigInterpolant:
-        """Series of the idle states and of the busy states summed over
-        arrival stage, built once per law."""
-        k, m = self.spec.k, self.spec.m
-        series = self.series[:, :k + self.solved_levels * k * m]
-        by_stage = series[:, k:].reshape(len(series), -1, k, m).sum(axis=2)
-        return TrigInterpolant(np.hstack([series[:, :k],
-                                          by_stage.reshape(len(series), -1)]))
-
-    def stage_sums_at(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """(idle_at(u), levels_at(u) summed over arrival stage), shapes
-        (len(u), k) and (len(u), level_cap, m), from one evaluation of the
-        stage series; the sums agree with `levels_at`'s to rounding."""
-        return self._split(self._at(self._stage_interp, u, self.spec.m), self.spec.m)
+        return self._split(self._at(u))
 
     def idle_at(self, u) -> np.ndarray:
         """Idle-state probabilities at arbitrary times, (len(u), k)."""
@@ -632,55 +579,6 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
         raise RuntimeError(f"probability {mass:.3e} sits at the "
                            f"level cap {level_cap}; raise level_cap")
     return dist
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryFunctions:
-    """The empty-system boundary the series method needs, as the Fourier
-    series of the law's k idle and km level-1 states.
-
-    series holds their c_0..c_N, (N + 1, k + km) complex rows, the idle
-    states first, for the model spec: `extract_boundary` slices it from the
-    law's solved series.  One `TrigInterpolant` of it serves `idle_at`,
-    `first_at` and `period_samples`, the values at the nodes of the series'
-    period rule.
-
-    A boundary is immutable: the constructor copies series into a read-only
-    array, so an edit raises instead of disagreeing with the interpolant
-    and the period samples, each computed on first use, once per boundary.
-    Boundaries compare and hash by identity, as laws do.
-    """
-
-    spec: ModelSpec
-    series: np.ndarray
-
-    def __post_init__(self):
-        series = np.array(self.series, dtype=complex)
-        width = self.spec.k + self.spec.phase_count
-        if series.ndim != 2 or series.shape[1] != width:
-            raise ValueError(f"boundary series has shape {series.shape}, not "
-                             f"(N + 1, k + km = {width})")
-        object.__setattr__(self, "series", _read_only(series))
-
-    @cached_property
-    def _interp(self) -> TrigInterpolant:
-        return TrigInterpolant(self.series)
-
-    def idle_at(self, u) -> np.ndarray:
-        """Idle-state probabilities at times u, shape (len(u), k)."""
-        return self._interp(u)[:, :self.spec.k]
-
-    def first_at(self, u) -> np.ndarray:
-        """Level-1 phase probabilities at times u, shape (len(u), km)."""
-        return self._interp(u)[:, self.spec.k:]
-
-    @cached_property
-    def period_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """(idle_at(u), first_at(u)) at the nodes u of the series' period
-        rule, `_quad.PERIOD_NODES`, read-only, from one evaluation once per
-        boundary."""
-        vals = _read_only(self._interp(_quad.PERIOD_NODES))
-        return vals[:, :self.spec.k], vals[:, self.spec.k:]
 
 
 def extract_boundary(dist: PeriodicDistribution) -> BoundaryFunctions:

@@ -41,28 +41,32 @@ _NEWTON_STEPS = 3
 _COLLISION_GAP = 1e-8
 
 
-def _poly_coeffs(spec: ModelSpec, n: int) -> np.ndarray:
-    """Coefficients of the degree k+m characteristic polynomial, leading first."""
+def _poly(spec: ModelSpec, n: int) -> tuple:
+    """(lam_bar, lam_bar + mu_bar + 2 pi i n, mu_bar, k, m): the
+    characteristic polynomial of frequency n, read off the spec once."""
     lb = spec.arrival_mean
     mb = spec.service_mean
-    c = np.zeros(spec.k + spec.m + 1, dtype=complex)
+    return lb, lb + mb + 2j * math.pi * n, mb, spec.k, spec.m
+
+
+def _poly_coeffs(poly: tuple) -> np.ndarray:
+    """Coefficients of the degree k+m characteristic polynomial, leading first."""
+    lb, b, mb, k, m = poly
+    c = np.zeros(k + m + 1, dtype=complex)
     c[0] = lb
-    c[spec.m] = -(lb + mb + 2j * math.pi * n)
+    c[m] = -b
     c[-1] = mb
     return c
 
 
-def _poly_eval(spec: ModelSpec, n: int, y: complex) -> complex:
-    lb = spec.arrival_mean
-    mb = spec.service_mean
-    return lb * y ** (spec.k + spec.m) - (lb + mb + 2j * math.pi * n) * y ** spec.k + mb
+def _poly_eval(poly: tuple, y: complex) -> complex:
+    lb, b, mb, k, m = poly
+    return lb * y ** (k + m) - b * y ** k + mb
 
 
-def _poly_deriv(spec: ModelSpec, n: int, y: complex) -> complex:
-    lb = spec.arrival_mean
-    mb = spec.service_mean
-    k, m = spec.k, spec.m
-    return (k + m) * lb * y ** (k + m - 1) - k * (lb + mb + 2j * math.pi * n) * y ** (k - 1)
+def _poly_deriv(poly: tuple, y: complex) -> complex:
+    lb, b, _, k, m = poly
+    return (k + m) * lb * y ** (k + m - 1) - k * b * y ** (k - 1)
 
 
 def _by_angle(ys) -> list:
@@ -86,7 +90,8 @@ def characteristic_roots(spec: ModelSpec, n: int):
     are sorted by arg(y) in [0, 2 pi).  n must be an integer.
     """
     n = _as_index(n, "n")
-    c = _poly_coeffs(spec, n)
+    poly = _poly(spec, n)
+    c = _poly_coeffs(poly)
     # numpy.roots' companion matrix, built here: c[0] and c[-1] are nonzero,
     # so numpy.roots would strip nothing, and the eigenvalues keep its bits
     companion = np.diag(np.ones(len(c) - 2, dtype=complex), -1)
@@ -96,10 +101,10 @@ def characteristic_roots(spec: ModelSpec, n: int):
     for y in ys:
         y = complex(y)
         for _ in range(_NEWTON_STEPS):
-            d = _poly_deriv(spec, n, y)
+            d = _poly_deriv(poly, y)
             if d == 0:
                 break
-            y = y - _poly_eval(spec, n, y) / d
+            y = y - _poly_eval(poly, y) / d
         polished.append(y)
 
     inside = [y for y in polished if abs(y) <= 1.0 + _INSIDE_TOL]
@@ -145,21 +150,20 @@ class CharacteristicRoot:
         return self.y ** self.k
 
 
-def _make_root(spec: ModelSpec, n: int, branch: int, y: complex) -> CharacteristicRoot:
-    lb = spec.arrival_mean
-    mb = spec.service_mean
+def _make_root(poly: tuple, n: int, branch: int, y: complex) -> CharacteristicRoot:
+    lb, _, mb, k, m = poly
     scale = lb + mb + 2.0 * math.pi * abs(n)
-    poly_res = abs(_poly_eval(spec, n, y))
+    poly_res = abs(_poly_eval(poly, y))
     if poly_res > _POLY_RESIDUAL_SCALE * scale:
         raise RuntimeError(
             f"root residual {poly_res:.3e} too large at n={n} (scale {scale:.3e})"
         )
-    exponent = lb * (y ** spec.m - 1.0) + mb * (y ** (-spec.k) - 1.0) - 2j * math.pi * n
+    exponent = lb * (y ** m - 1.0) + mb * (y ** (-k) - 1.0) - 2j * math.pi * n
     exp_res = abs(cmath.exp(exponent) - 1.0)
     if exp_res > _EXP_RESIDUAL_TOL:
         raise RuntimeError(f"exponential residual {exp_res:.3e} too large at n={n}")
     return CharacteristicRoot(
-        n=n, branch=branch, y=complex(y), k=spec.k, m=spec.m,
+        n=n, branch=branch, y=complex(y), k=k, m=m,
         poly_residual=poly_res, exp_residual=exp_res,
     )
 
@@ -203,13 +207,15 @@ def build_root_set(spec: ModelSpec, order: int) -> RootSet:
         _, outside = characteristic_roots(spec, n)
         if _collision(outside) is not None:
             raise RuntimeError(f"outside roots collide at n={n}")
+        poly = _poly(spec, n)
         collected.extend(
-            _make_root(spec, n, b, y) for b, y in enumerate(outside)
+            _make_root(poly, n, b, y) for b, y in enumerate(outside)
         )
         if n > 0:
             mirrored = _by_angle(y.conjugate() for y in outside)
+            poly = _poly(spec, -n)
             collected.extend(
-                _make_root(spec, -n, b, y) for b, y in enumerate(mirrored)
+                _make_root(poly, -n, b, y) for b, y in enumerate(mirrored)
             )
 
     collected.sort(key=lambda r: (r.n, r.branch))

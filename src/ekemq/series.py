@@ -62,8 +62,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _quad
+from ._fourier import BoundaryFunctions
 from .model import ModelSpec, _as_index
-from .oracle import BoundaryFunctions
 from .roots import CharacteristicRoot, RootSet
 
 _DENOM_FLOOR = 1e-12

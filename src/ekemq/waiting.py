@@ -36,15 +36,13 @@ m-stage Erlang P{N >= m}, which each route takes from sums it already forms:
 `wait_cdf` adds exp(-M) M**m / m! to its P{N > m}.
 
 `oracle_wait_cdf` computes the same quantity from the ODE oracle's law
-with no root in sight.  It needs the law at time u only
-through the idle states and each level's sums over arrival stage, so it
-reads the law's service-stage series (`stage_sums_at`, built once per law,
-k + solved_levels * m columns) and never the series of every state.  Its
-thresholds n = m j - s run through the consecutive integers 1..n_max,
-n_max = m * solved_levels (shifted by m for the sojourn), as the levels
-past solved_levels are exact zeros, so with w_n the law's weight at
-threshold n, C_i = sum_{n <= i} w_n and p_i the Poisson(M) pmf, summation
-by parts gives
+with no root in sight.  It reads the law at time u once (`states_at`, the
+series of the idle states and the solved levels, built once per law) and
+sums each level over arrival stage.  Its thresholds n = m j - s run
+through the consecutive integers 1..n_max, n_max = m * solved_levels
+(shifted by m for the sojourn), as the levels past solved_levels are exact
+zeros, so with w_n the law's weight at threshold n, C_i = sum_{n <= i} w_n
+and p_i the Poisson(M) pmf, summation by parts gives
 
     sum_n w_n P{N >= n} = sum_{i <= n_max} p_i C_i + C_{n_max} P{N > n_max}
                         = C_{n_max} - sum_{i <= n_max} p_i (C_{n_max} - C_i),
@@ -62,8 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fourier import BoundaryFunctions
 from .model import ModelSpec
-from .oracle import BoundaryFunctions, PeriodicDistribution
+from .oracle import PeriodicDistribution
 from .roots import RootSet
 from .series import SeriesEvaluator
 
@@ -223,9 +222,10 @@ def oracle_wait_cdf(spec: ModelSpec, dist: PeriodicDistribution, u: float,
         raise ValueError("distribution belongs to a different model")
     m = spec.m
 
-    idle, by_stage = dist.stage_sums_at([u])
+    idle, levels = dist.states_at([u])
     idle_mass = float(idle[0].sum())
-    by_stage = by_stage[0, :dist.solved_levels]        # (solved_levels, m)
+    # each solved level summed over arrival stage, (solved_levels, m)
+    by_stage = levels[0, :dist.solved_levels].reshape(-1, spec.k, m).sum(axis=1)
 
     # weight of threshold n = m*j - s, n = 1..m*solved_levels, cumulated
     # from n = 0; the sojourn's thresholds start m further on

@@ -100,8 +100,8 @@ from ekemq._quad import composite_gauss
 from ekemq.bounds import _bracket_edges
 from ekemq.busy import _table_width
 from ekemq.model import ModelSpec, RateFunction, _normalize_phase, _stage_blocks
-from ekemq.oracle import (_CAP_MASS_LIMIT, _NORM_SLACK, BoundaryFunctions,
-                          PeriodicDistribution)
+from ekemq._fourier import BoundaryFunctions
+from ekemq.oracle import _CAP_MASS_LIMIT, _NORM_SLACK, PeriodicDistribution
 from ekemq.roots import _INSIDE_TOL, CharacteristicRoot, RootSet, _by_angle, _collision
 from ekemq.series import (_DENOM_FLOOR, SeriesEvaluator, _denominator,
                           _drive_values)

@@ -25,7 +25,8 @@ from ekemq import (
     extract_boundary,
     integrate_periodic,
 )
-from ekemq.oracle import PeriodicDistribution, TrigInterpolant
+from ekemq._fourier import TrigInterpolant
+from ekemq.oracle import PeriodicDistribution
 
 
 def test_mm1_reduces_to_truncated_geometric(mm1_dist):
@@ -92,7 +93,6 @@ def test_samples_are_the_series_at_the_grid(periodic74_spec, periodic74_dist):
     assert np.array_equal(dist.samples[:, 7:].reshape(-1, 50, 28), dist.levels)
     # no time, no rows
     assert [a.shape for a in dist.states_at([])] == [(0, 7), (0, 50, 28)]
-    assert [a.shape for a in dist.stage_sums_at([])] == [(0, 7), (0, 50, 4)]
     fresh = PeriodicDistribution(spec=periodic74_spec, series=dist.series,
                                  grid_size=dist.grid_size, periods=dist.periods,
                                  residual=dist.residual)
@@ -221,20 +221,6 @@ def test_interpolation_matches_grid_samples(periodic74_dist):
     assert np.abs(at - periodic74_dist.idle[idx]).max() < 1e-9
     lv = periodic74_dist.levels_at(grid[idx])
     assert np.abs(lv - periodic74_dist.levels[idx]).max() < 1e-9
-
-
-def test_stage_sums_match_summed_states(periodic74_dist):
-    # the stage interpolant sums the samples over arrival stage and then
-    # interpolates, the state interpolant's values are summed afterwards:
-    # rounding apart; the idle columns are the same interpolation
-    dist = periodic74_dist
-    for u in np.arange(64) / 64.0 + 1.0 / 1024.0:
-        idle, by_stage = dist.stage_sums_at([u])
-        ref_idle, levels = dist.states_at([u])
-        summed = levels.reshape(1, dist.level_cap, dist.spec.k, dist.spec.m).sum(axis=2)
-        assert by_stage.shape == (1, dist.level_cap, dist.spec.m)
-        assert np.abs(by_stage - summed).max() <= 1e-15
-        assert np.array_equal(idle, ref_idle)
 
 
 def test_level_mass_and_ordering(periodic74_dist):
@@ -473,8 +459,6 @@ def test_law_reads_its_series_between_grid_times(periodic74_spec, grid_size):
         np.exp(2j * np.pi * np.outer(u, np.arange(1, 13))) @ coef[1:]))
     idle, levels = dist.states_at(u)
     assert np.abs(np.hstack([idle, levels.reshape(3, -1)]) - direct).max() <= 1e-15
-    idle, by_stage = dist.stage_sums_at(u)
-    assert np.abs(by_stage - levels.reshape(3, 50, 7, 4).sum(axis=2)).max() <= 1e-15
     with pytest.raises(ValueError):
         dist.series[0, 0] = 1.0
 

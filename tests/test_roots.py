@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ekemq import ModelSpec, RateFunction, build_root_set, characteristic_roots
-from ekemq.roots import _poly_coeffs
+from ekemq.roots import _poly, _poly_coeffs
 from reference import outer_roots_by_iteration
 
 
@@ -125,4 +125,4 @@ def test_eigenvalues_are_numpy_roots_bits(k, m, monkeypatch):
         solved = list(calls)
         assert len(solved) == q + 1
         for n, ys in enumerate(solved):
-            assert ys.tobytes() == np.roots(_poly_coeffs(spec, n)).tobytes(), (q, n)
+            assert ys.tobytes() == np.roots(_poly_coeffs(_poly(spec, n))).tobytes(), (q, n)

@@ -3,7 +3,9 @@
 Agreement between routes is the correctness argument, so the busy period's
 Volterra route imports nothing from the oracle, the oracle reads only the
 busy period's result type, and the truncated generator and its RK4 march
-never leave `oracle.py`.  The package imports of every module are read off
+never leave `oracle.py`.  The law's Fourier containers live in `_fourier`,
+which imports no route, so the series route reads the boundary without
+importing the oracle.  The package imports of every module are read off
 its source.
 """
 
@@ -32,12 +34,19 @@ def test_volterra_route_imports_nothing_from_the_oracle():
     assert _from_oracle("busy") == set()
 
 
-def test_oracle_imports_only_the_model_the_rule_and_the_busy_result():
-    assert _package_imports("oracle") == {("", "_quad"),
+def test_oracle_imports_only_the_model_the_containers_and_the_busy_result():
+    assert _package_imports("oracle") == {("_fourier", "BoundaryFunctions"),
+                                          ("_fourier", "TrigInterpolant"),
+                                          ("_fourier", "_read_only"),
                                           ("model", "ModelSpec"),
                                           ("model", "_as_index"),
                                           ("model", "_normalize_phase"),
                                           ("busy", "VolterraSolution")}
+
+
+def test_containers_import_no_route_module():
+    routes = {"oracle", "series", "roots", "waiting", "busy", "bounds"}
+    assert not {mod or name for mod, name in _package_imports("_fourier")} & routes
 
 
 def test_roots_and_bounds_import_nothing_from_the_oracle():
@@ -45,12 +54,13 @@ def test_roots_and_bounds_import_nothing_from_the_oracle():
     assert _from_oracle("bounds") == set()
 
 
-def test_series_reads_only_the_boundary_from_the_oracle():
-    assert _from_oracle("series") == {"BoundaryFunctions"}
+def test_series_imports_nothing_from_the_oracle():
+    assert _from_oracle("series") == set()
 
 
 def test_series_wait_route_reads_only_the_boundary_and_the_law():
-    assert _from_oracle("waiting") == {"BoundaryFunctions", "PeriodicDistribution"}
+    # the boundary from `_fourier`, the law from the oracle
+    assert _from_oracle("waiting") == {"PeriodicDistribution"}
 
 
 def test_only_the_oracle_names_its_generator_and_step():

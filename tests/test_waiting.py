@@ -19,11 +19,12 @@ from ekemq import (
     busy_oracle,
     busy_period_cdf,
     extract_boundary,
+    oracle,
     oracle_wait_cdf,
     wait_cdf,
     waiting,
 )
-from ekemq.oracle import TrigInterpolant
+from ekemq._fourier import TrigInterpolant
 
 
 def test_conditional_wait_is_poisson_tail(periodic74_spec):
@@ -322,12 +323,13 @@ def test_oracle_wait_table_stops_at_the_solved_levels(periodic74_spec, periodic7
         return pmf_rows(mean, top)
     monkeypatch.setattr(waiting, "_poisson_pmf_rows", spy)
     for u in (0.0, 0.3, 0.75):
-        idle, by_stage = dist.stage_sums_at([u])
+        idle, levels = dist.states_at([u])
+        by_stage = levels[0].reshape(dist.level_cap, spec.k, m).sum(axis=1)
         mu_cum = spec.service.cumulative(u, u + ts)
         for kind, shift in (("queue", 0), ("sojourn", m)):
             got = oracle_wait_cdf(spec, dist, u, ts, kind=kind).values
             cumulated = np.concatenate((np.zeros(shift + 1),
-                                        np.cumsum(by_stage[0, :, ::-1])))
+                                        np.cumsum(by_stage[:, ::-1])))
             pmf = pmf_rows(mu_cum, m * dist.level_cap + shift)
             full = cumulated[-1] - pmf @ (cumulated[-1] - cumulated)
             full += idle[0].sum() * (1.0 if kind == "queue" else
@@ -336,19 +338,28 @@ def test_oracle_wait_table_stops_at_the_solved_levels(periodic74_spec, periodic7
     assert tops == [32, 36] * 3
 
 
-def test_oracle_wait_reads_only_the_stage_interpolant(periodic74_spec,
-                                                     periodic74_dist):
-    # a fresh law, so that no earlier test has built either interpolant
+def test_oracle_wait_builds_one_state_interpolant_per_law(periodic74_spec,
+                                                          periodic74_dist, monkeypatch):
+    # a fresh law, so that no earlier test has built its interpolant
     dist = PeriodicDistribution(spec=periodic74_spec, series=periodic74_dist.series,
                                 grid_size=periodic74_dist.grid_size,
                                 periods=periodic74_dist.periods,
                                 residual=periodic74_dist.residual)
+    built = []
+
+    def counted(coef):
+        built.append(np.shape(coef))
+        return TrigInterpolant(coef)
+    monkeypatch.setattr(oracle, "TrigInterpolant", counted)
     ts = np.linspace(0.0, 3.0, 61)
     for u in (0.0, 0.3, 0.75):
         for kind in ("queue", "sojourn"):
             oracle_wait_cdf(periodic74_spec, dist, u, ts, kind=kind)
-    assert "_stage_interp" in vars(dist)
-    assert "_interp" not in vars(dist)
+    # the series of the 7 idle states and the 8 solved levels' 28 phases,
+    # built once; no grid samples
+    assert built == [(13, 7 + 8 * 28)]
+    assert "_interp" in vars(dist)
+    assert not {"samples", "_samples"} & set(vars(dist))
 
 
 def test_oracle_wait_long_horizon():
