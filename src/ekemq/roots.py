@@ -13,15 +13,22 @@ a consistent branch, so y is stored and chi is always derived.
 
 For every n the equation has exactly k solutions with |y| <= 1 and m with
 |y| > 1 (stability makes y = 1, which appears at n = 0, count as inside).
-Only the m outside solutions enter the level series.  build_root_set
-solves them by the companion-matrix eigenvalue route (numpy.roots' matrix,
-built directly); the tests hold it against an independent solver, the
-fixed-point iteration `outer_roots_by_iteration` in `tests/reference.py`.
+Only the m outside solutions enter the level series.
+
+`characteristic_roots` solves any number of frequencies in one array pass:
+numpy.roots' companion matrix of every frequency, built directly, goes into
+one stacked `np.linalg.eigvals` call, and the Newton polish, the split by
+modulus, the sort by angle and the residuals run on real and imaginary
+arrays.  The polish repeats CPython's complex arithmetic operation by
+operation (`**` by binary powering, the product, Smith's quotient), so
+every root has the bits a Python loop over single frequencies gives it.
+build_root_set calls it once for n = 0..order.  The tests hold it against
+that loop (`root_set_by_frequency` in `tests/reference.py`) and against an
+independent solver, the fixed-point iteration `outer_roots_by_iteration`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -40,81 +47,151 @@ _NEWTON_STEPS = 3
 # Outside roots of one frequency closer than this count as collided.
 _COLLISION_GAP = 1e-8
 
+# A complex array below is one real array z of shape (2, ...), z[0] the real
+# and z[1] the imaginary parts, and each operation on it is the one CPython's
+# complexobject.c performs, rounding for rounding.  A float operand of a
+# complex operation is first made the complex (x, 0.0), as CPython before
+# 3.14 makes it, so zeros keep their signs too.
 
-def _poly(spec: ModelSpec, n: int) -> tuple:
-    """(lam_bar, lam_bar + mu_bar + 2 pi i n, mu_bar, k, m): the
-    characteristic polynomial of frequency n, read off the spec once."""
-    lb = spec.arrival_mean
-    mb = spec.service_mean
-    return lb, lb + mb + 2j * math.pi * n, mb, spec.k, spec.m
-
-
-def _poly_coeffs(poly: tuple) -> np.ndarray:
-    """Coefficients of the degree k+m characteristic polynomial, leading first."""
-    lb, b, mb, k, m = poly
-    c = np.zeros(k + m + 1, dtype=complex)
-    c[0] = lb
-    c[m] = -b
-    c[-1] = mb
-    return c
+_ONE = np.array([1.0, 0.0]).reshape(2, 1, 1)
+# negates the real part: x + (-y) is x - y, exactly
+_SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
 
 
-def _poly_eval(poly: tuple, y: complex) -> complex:
-    lb, b, mb, k, m = poly
-    return lb * y ** (k + m) - b * y ** k + mb
+def _constant(x: float, im: float = 0.0) -> np.ndarray:
+    return np.array([x, im]).reshape(2, 1, 1)
 
 
-def _poly_deriv(poly: tuple, y: complex) -> complex:
-    lb, b, _, k, m = poly
-    return (k + m) * lb * y ** (k + m - 1) - k * b * y ** (k - 1)
+def _product(a, b):
+    """CPython's complex product (_Py_c_prod): ar*br - ai*bi, ar*bi + ai*br."""
+    return a[0] * b + a[1] * b[::-1] * _SIGNS
 
 
-def _by_angle(ys) -> list:
-    """ys sorted by arg(y) in [0, 2 pi), ties broken by |y|."""
-    return sorted(ys, key=lambda y: (cmath.phase(y) % (2.0 * math.pi), abs(y)))
+def _quotient(a, b):
+    """CPython's complex quotient (_Py_c_quot): Smith's rule, dividing by
+    the larger part of b.  No entry of b may be zero."""
+    by_real = np.abs(b[0]) >= np.abs(b[1])
+    big, small = np.where(by_real, b, b[::-1])
+    ratio = small / big
+    u, v = np.where(by_real, a, a[::-1])
+    w = u * ratio
+    return np.stack((u + v * ratio, np.where(by_real, v - w, w - v))) / (big + small * ratio)
 
 
-def _collision(ys):
-    """The first pair (i, j), i < j, of ys closer than _COLLISION_GAP, or None."""
-    return next(((i, j) for i in range(len(ys)) for j in range(i + 1, len(ys))
-                 if abs(ys[i] - ys[j]) < _COLLISION_GAP), None)
+def _powers(y, exponents) -> list:
+    """y**e for each integer exponent e, |e| <= 100, as CPython's complex
+    `**` forms it (c_powi): binary powering from 1 + 0j, one product per set
+    bit of |e| with the repeated squares of y, and for e <= 0 the quotient
+    1 / y**-e.  The squares are formed once for all exponents."""
+    squares = [y]
+    while 2 ** len(squares) <= max(abs(e) for e in exponents):
+        squares.append(_product(squares[-1], squares[-1]))
+    out = []
+    for e in exponents:
+        power = _ONE
+        for bit, square in enumerate(squares):
+            if abs(e) >> bit & 1:
+                power = _product(power, square)
+        out.append(power if e > 0 else _quotient(_ONE, power))
+    return out
 
 
-def characteristic_roots(spec: ModelSpec, n: int):
-    """All k+m roots for frequency n, split into (inside, outside) by |y|.
+def _frequency_term(freqs: np.ndarray) -> np.ndarray:
+    """2j * math.pi * n for each n of freqs, as a (2, len(freqs), 1) pair."""
+    n = np.stack((freqs.astype(float), np.zeros(len(freqs))))[:, :, None]
+    return _product(_product(_constant(0.0, 2.0), _constant(math.pi)), n)
 
-    Roots come from the companion matrix and are polished with
-    _NEWTON_STEPS Newton steps.  Exactly k roots must satisfy
+
+def _shift(spec: ModelSpec, freqs: np.ndarray) -> np.ndarray:
+    """lam_bar + mu_bar + 2 pi i n, the coefficient of -y**k."""
+    return _constant(spec.arrival_mean + spec.service_mean) + _frequency_term(freqs)
+
+
+def _poly_value(spec: ModelSpec, b, p_top, p_k):
+    """lam_bar * y**(k+m) - b * y**k + mu_bar from the two powers of y."""
+    return (_product(_constant(spec.arrival_mean), p_top) - _product(b, p_k)
+            + _constant(spec.service_mean))
+
+
+def _join(z: np.ndarray) -> np.ndarray:
+    """The complex array of the pair z, every part kept as it is."""
+    out = np.empty(z.shape[1:], dtype=complex)
+    out.real, out.imag = z
+    return out
+
+
+def _by_angle(ys: np.ndarray) -> np.ndarray:
+    """Each row of ys sorted by arg(y) in [0, 2 pi), ties broken by |y|,
+    equal keys kept in their order."""
+    angle = np.arctan2(ys.imag, ys.real) % (2.0 * math.pi)
+    order = np.lexsort((np.hypot(ys.real, ys.imag), angle), axis=-1)
+    return np.take_along_axis(ys, order, axis=-1)
+
+
+def characteristic_roots(spec: ModelSpec, n):
+    """The k+m roots of frequency n, split into (inside, outside) by |y|.
+
+    n is an integer, or a 1-D integer array of frequencies.  For an integer
+    the result is two lists of complex numbers; for an array it is two
+    arrays, (len(n), k) and (len(n), m), row i holding frequency n[i].
+
+    All frequencies' companion matrices (numpy.roots' matrix, built
+    directly) go into one stacked `np.linalg.eigvals` call, so each row
+    keeps numpy.roots' bits.  Each root is then polished with _NEWTON_STEPS
+    Newton steps in CPython's own complex arithmetic (a root whose
+    derivative is zero stops there), so an array call and calls one
+    frequency at a time give the same bits.  Exactly k roots must satisfy
     |y| <= 1 + 1e-9 and m must lie strictly outside; any other split
-    signals a bug or a broken model and raises RuntimeError.  Both groups
-    are sorted by arg(y) in [0, 2 pi).  n must be an integer.
+    signals a bug or a broken model and raises RuntimeError naming the
+    first such frequency.  Both groups are sorted by arg(y) in [0, 2 pi),
+    ties by |y|.
     """
-    n = _as_index(n, "n")
-    poly = _poly(spec, n)
-    c = _poly_coeffs(poly)
-    # numpy.roots' companion matrix, built here: c[0] and c[-1] are nonzero,
-    # so numpy.roots would strip nothing, and the eigenvalues keep its bits
-    companion = np.diag(np.ones(len(c) - 2, dtype=complex), -1)
-    companion[0, :] = -c[1:] / c[0]
-    ys = np.linalg.eigvals(companion)
-    polished = []
-    for y in ys:
-        y = complex(y)
-        for _ in range(_NEWTON_STEPS):
-            d = _poly_deriv(poly, y)
-            if d == 0:
-                break
-            y = y - _poly_eval(poly, y) / d
-        polished.append(y)
+    if np.ndim(n) == 0:
+        inside, outside = characteristic_roots(spec, [_as_index(n, "n")])
+        return inside[0].tolist(), outside[0].tolist()
+    freqs = np.asarray(n)
+    if freqs.ndim != 1 or freqs.dtype.kind not in "iu":
+        raise TypeError(f"n must be an integer or a 1-D integer array, got {n!r}")
+    lb, k, m = spec.arrival_mean, spec.k, spec.m
+    b = _shift(spec, freqs)
 
-    inside = [y for y in polished if abs(y) <= 1.0 + _INSIDE_TOL]
-    outside = [y for y in polished if abs(y) > 1.0 + _INSIDE_TOL]
-    if len(inside) != spec.k or len(outside) != spec.m:
+    # numpy.roots' companion matrix of each frequency: the coefficients
+    # c[0] = lam_bar, c[m] = -b, c[k+m] = mu_bar are nonzero at both ends,
+    # so numpy.roots would strip nothing
+    c = np.zeros((len(freqs), k + m + 1), dtype=complex)
+    c[:, 0] = lb
+    c[:, m:m + 1] = _join(-b)
+    c[:, -1] = spec.service_mean
+    below = np.arange(k + m - 1)
+    companion = np.zeros((len(freqs), k + m, k + m), dtype=complex)
+    companion[:, below + 1, below] = 1.0
+    companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+    ys = np.linalg.eigvals(companion)
+
+    y = np.stack((ys.real, ys.imag))
+    kb = _product(_constant(float(k)), b)
+    moving = np.ones(ys.shape, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        p_top, p_k, p_top1, p_k1 = _powers(y, (k + m, k, k + m - 1, k - 1))
+        d = _product(_constant((k + m) * lb), p_top1) - _product(kb, p_k1)
+        moving &= (d != 0).any(axis=0)
+        step = _quotient(_poly_value(spec, b, p_top, p_k), np.where(moving, d, _ONE))
+        y = np.where(moving, y - step, y)
+
+    ys = _join(y)
+    modulus = np.hypot(*y)
+    inside = modulus <= 1.0 + _INSIDE_TOL
+    outside = modulus > 1.0 + _INSIDE_TOL
+    counts = inside.sum(axis=1), outside.sum(axis=1)
+    wrong = (counts[0] != k) | (counts[1] != m)
+    if wrong.any():
+        i = np.flatnonzero(wrong)[0]
         raise RuntimeError(
-            f"root split failed at n={n}: {len(inside)} inside, "
-            f"{len(outside)} outside (wanted {spec.k}/{spec.m})"
+            f"root split failed at n={freqs[i]}: {counts[0][i]} inside, "
+            f"{counts[1][i]} outside (wanted {k}/{m})"
         )
-    return _by_angle(inside), _by_angle(outside)
+    return (_by_angle(ys[inside].reshape(-1, k)),
+            _by_angle(ys[outside].reshape(-1, m)))
 
 
 @dataclass(frozen=True)
@@ -150,22 +227,22 @@ class CharacteristicRoot:
         return self.y ** self.k
 
 
-def _make_root(poly: tuple, n: int, branch: int, y: complex) -> CharacteristicRoot:
-    lb, _, mb, k, m = poly
-    scale = lb + mb + 2.0 * math.pi * abs(n)
-    poly_res = abs(_poly_eval(poly, y))
-    if poly_res > _POLY_RESIDUAL_SCALE * scale:
-        raise RuntimeError(
-            f"root residual {poly_res:.3e} too large at n={n} (scale {scale:.3e})"
-        )
-    exponent = lb * (y ** m - 1.0) + mb * (y ** (-k) - 1.0) - 2j * math.pi * n
-    exp_res = abs(cmath.exp(exponent) - 1.0)
-    if exp_res > _EXP_RESIDUAL_TOL:
-        raise RuntimeError(f"exponential residual {exp_res:.3e} too large at n={n}")
-    return CharacteristicRoot(
-        n=n, branch=branch, y=complex(y), k=k, m=m,
-        poly_residual=poly_res, exp_residual=exp_res,
-    )
+def _residuals(spec: ModelSpec, freqs: np.ndarray, ys: np.ndarray):
+    """|p(y)| and |exp(lam_bar (y**m - 1) + mu_bar (y**-k - 1) - 2 pi i n) - 1|
+    of each root, row i of ys at frequency freqs[i], each as Python's
+    complex arithmetic forms it: np.hypot is Python's abs, and np.exp of a
+    complex array calls the C library's cexp, which gives cmath.exp's bits
+    (np.abs of a complex array does not give abs's)."""
+    k, m = spec.k, spec.m
+    y = np.stack((ys.real, ys.imag))
+    p_top, p_k, p_m, p_minus_k = _powers(y, (k + m, k, m, -k))
+    poly_res = np.hypot(*_poly_value(spec, _shift(spec, freqs), p_top, p_k))
+    exponent = (_product(_constant(spec.arrival_mean), p_m - _ONE)
+                + _product(_constant(spec.service_mean), p_minus_k - _ONE)
+                - _frequency_term(freqs))
+    e = np.exp(_join(exponent))
+    exp_res = np.hypot(*(np.stack((e.real, e.imag)) - _ONE))
+    return poly_res, exp_res
 
 
 @dataclass(frozen=True)
@@ -193,30 +270,50 @@ def build_root_set(spec: ModelSpec, order: int) -> RootSet:
     """Collect the m outside roots for every n in [-order, order].
 
     Roots at -n are the conjugates of those at n (the polynomial's
-    coefficients conjugate when n flips sign), so only n >= 0 is solved and
-    the negative frequencies are filled by reflection.  Branch labels sort
-    each frequency's roots by arg(y) in [0, 2 pi).  Pairwise distinctness
-    within each frequency is enforced.
+    coefficients conjugate when n flips sign), so only n >= 0 is solved,
+    in one call of characteristic_roots, and the negative frequencies are
+    filled by reflection.  Branch labels sort each frequency's roots by
+    arg(y) in [0, 2 pi).  The split, pairwise distinctness within each
+    frequency and the residuals of every root are enforced, in that order;
+    each check names the first frequency that fails it, the residuals in
+    the order n = 0, 1, -1, 2, -2, ...
     """
     order = _as_index(order, "order")
     if order < 0:
         raise ValueError("order must be >= 0")
 
-    collected: list[CharacteristicRoot] = []
-    for n in range(order + 1):
-        _, outside = characteristic_roots(spec, n)
-        if _collision(outside) is not None:
-            raise RuntimeError(f"outside roots collide at n={n}")
-        poly = _poly(spec, n)
-        collected.extend(
-            _make_root(poly, n, b, y) for b, y in enumerate(outside)
-        )
-        if n > 0:
-            mirrored = _by_angle(y.conjugate() for y in outside)
-            poly = _poly(spec, -n)
-            collected.extend(
-                _make_root(poly, -n, b, y) for b, y in enumerate(mirrored)
-            )
+    _, outside = characteristic_roots(spec, np.arange(order + 1))
+    # complex subtraction is exact per part, as Python's is
+    gaps = outside[:, :, None] - outside[:, None, :]
+    collided = np.triu(np.hypot(gaps.real, gaps.imag) < _COLLISION_GAP, 1).any(axis=(1, 2))
+    if collided.any():
+        raise RuntimeError(f"outside roots collide at n={np.flatnonzero(collided)[0]}")
 
-    collected.sort(key=lambda r: (r.n, r.branch))
-    return RootSet(spec=spec, order=order, roots=tuple(collected))
+    # rows n = -order..order: the mirrored frequencies, then the solved ones
+    ys = np.concatenate((_by_angle(outside[1:].conj())[::-1], outside))
+    freqs = np.arange(-order, order + 1)
+    poly_res, exp_res = _residuals(spec, freqs, ys)
+    scale = spec.arrival_mean + spec.service_mean + 2.0 * math.pi * np.abs(freqs)
+    bad_poly = poly_res > _POLY_RESIDUAL_SCALE * scale[:, None]
+    bad = bad_poly | (exp_res > _EXP_RESIDUAL_TOL)
+    if bad.any():
+        # the first failing root in the order n = 0, 1, -1, 2, -2, ...
+        rows = np.argsort(2 * np.abs(freqs) - (freqs > 0))
+        row, j = np.argwhere(bad[rows])[0]
+        i = rows[row]
+        if bad_poly[i, j]:
+            raise RuntimeError(
+                f"root residual {poly_res[i, j]:.3e} too large at n={freqs[i]} "
+                f"(scale {scale[i]:.3e})"
+            )
+        raise RuntimeError(f"exponential residual {exp_res[i, j]:.3e} too large "
+                           f"at n={freqs[i]}")
+
+    k, m = spec.k, spec.m
+    return RootSet(spec=spec, order=order, roots=tuple(
+        CharacteristicRoot(n=n, branch=branch, y=y, k=k, m=m,
+                           poly_residual=p, exp_residual=e)
+        for n, row_y, row_p, row_e in zip(freqs.tolist(), ys.tolist(),
+                                          poly_res.tolist(), exp_res.tolist())
+        for branch, (y, p, e) in enumerate(zip(row_y, row_p, row_e))
+    ))

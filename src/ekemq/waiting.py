@@ -68,6 +68,7 @@ from .series import SeriesEvaluator
 
 _KINDS = ("queue", "sojourn")
 _DIRECT_TAIL_RADIUS = 8.0
+_EPS = np.finfo(float).eps
 
 # means above which a pmf row cannot start from exp(-mean), which leaves the
 # normal range past about 708 and is 0 past 745, zeroing the whole row
@@ -114,13 +115,14 @@ def _exp_tail(mean: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     Entries with |z| < _DIRECT_TAIL_RADIUS sum the terms q = m+1..Q
     directly, as one product of the tables mean**q / q! and x**q; Q is the
     first order at which no term can exceed eps times the first.  The
-    others subtract.
+    others, if any, subtract.
     """
     z = np.outer(mean, x)
-    near = np.abs(z) < _DIRECT_TAIL_RADIUS
-    radius = float(np.abs(z[near]).max(initial=0.0))
+    modulus = np.abs(z)
+    near = modulus < _DIRECT_TAIL_RADIUS
+    radius = float(modulus[near].max(initial=0.0))
     top, ratio = m + 1, 1.0
-    while ratio > np.finfo(float).eps:
+    while ratio > _EPS:
         top += 1
         ratio *= radius / top
     scaled = np.cumprod(mean[:, None] / np.arange(1, top + 1), axis=1)[:, m:]
@@ -129,12 +131,13 @@ def _exp_tail(mean: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     # interleaved (real, imaginary) columns of powers
     out = (scaled @ powers.view(float)).view(complex)
 
-    zf = z[~near]
-    term = partial = np.ones_like(zf)
-    for q in range(1, m + 1):
-        term = term * zf * (1.0 / q)
-        partial = partial + term
-    out[~near] = np.exp(zf) - partial
+    if not near.all():
+        zf = z[~near]
+        term = partial = np.ones_like(zf)
+        for q in range(1, m + 1):
+            term = term * zf * (1.0 / q)
+            partial = partial + term
+        out[~near] = np.exp(zf) - partial
     return out
 
 

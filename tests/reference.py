@@ -11,6 +11,11 @@ another way, kept to pin that route:
 - `outer_roots_by_iteration`: the outside characteristic roots by a
   fixed-point iteration, against `build_root_set`'s companion-matrix
   eigenvalues;
+- `root_set_by_frequency` (with `roots_by_frequency`): the root set solved
+  one frequency at a time, one `np.linalg.eigvals` call and a Python loop
+  of Newton steps per frequency and Python's own sort, collision check and
+  residuals per root, against `build_root_set`, which solves all
+  frequencies in one array pass and must give the same bits;
 - `uncut_level_matrix` and `uncut_level_rows`: the folded level series
   and its level rows with every root kept, against
   `SeriesEvaluator.level_matrix`, which leaves out the roots past the last
@@ -35,6 +40,9 @@ another way, kept to pin that route:
 - `looped_exp_tail`: the sojourn bracket summed term by term over the full
   array, against `waiting._exp_tail`, which forms the direct sum as one
   matrix product;
+- `rescanning_exp_tail`: `waiting._exp_tail` as it read eps at every step
+  of its order search and |z| twice, against `_exp_tail`, which must give
+  the same bits;
 - `exact_exp_tail`: one entry of the sojourn bracket in exact rational
   arithmetic, against both;
 - `write_csv_by_rows`: a CSV file written row tuple by row tuple, one
@@ -99,10 +107,11 @@ from ekemq import _quad
 from ekemq._quad import composite_gauss
 from ekemq.bounds import _bracket_edges
 from ekemq.busy import _table_width
-from ekemq.model import ModelSpec, RateFunction, _normalize_phase, _stage_blocks
+from ekemq.model import ModelSpec, RateFunction, _as_index, _normalize_phase, _stage_blocks
 from ekemq._fourier import BoundaryFunctions
 from ekemq.oracle import _CAP_MASS_LIMIT, _NORM_SLACK, PeriodicDistribution
-from ekemq.roots import _INSIDE_TOL, CharacteristicRoot, RootSet, _by_angle, _collision
+from ekemq.roots import (_COLLISION_GAP, _EXP_RESIDUAL_TOL, _INSIDE_TOL, _NEWTON_STEPS,
+                         _POLY_RESIDUAL_SCALE, CharacteristicRoot, RootSet)
 from ekemq.series import (_DENOM_FLOOR, SeriesEvaluator, _denominator,
                           _drive_values)
 from ekemq.waiting import _DIRECT_TAIL_RADIUS, CDFCurve, _horizons
@@ -181,6 +190,139 @@ def net_change_probability(spec: ModelSpec, u: float, t: float, n: int,
                  + _log_poisson((n + ell) * k + a, lam_cum))
     with np.errstate(under="ignore"):
         return float(np.exp(log_terms).sum())
+
+
+# `build_root_set` one frequency at a time: one companion matrix and one
+# `np.linalg.eigvals` call per frequency, a Python loop of Newton steps
+# over its roots, then Python's own sort, collision check and residuals
+# per root
+
+
+def _poly(spec: ModelSpec, n: int) -> tuple:
+    """(lam_bar, lam_bar + mu_bar + 2 pi i n, mu_bar, k, m): the
+    characteristic polynomial of frequency n, read off the spec once."""
+    lb = spec.arrival_mean
+    mb = spec.service_mean
+    return lb, lb + mb + 2j * math.pi * n, mb, spec.k, spec.m
+
+
+def _poly_coeffs(poly: tuple) -> np.ndarray:
+    """Coefficients of the degree k+m characteristic polynomial, leading first."""
+    lb, b, mb, k, m = poly
+    c = np.zeros(k + m + 1, dtype=complex)
+    c[0] = lb
+    c[m] = -b
+    c[-1] = mb
+    return c
+
+
+def _poly_eval(poly: tuple, y: complex) -> complex:
+    lb, b, mb, k, m = poly
+    return lb * y ** (k + m) - b * y ** k + mb
+
+
+def _poly_deriv(poly: tuple, y: complex) -> complex:
+    lb, b, _, k, m = poly
+    return (k + m) * lb * y ** (k + m - 1) - k * b * y ** (k - 1)
+
+
+def _by_angle(ys) -> list:
+    """ys sorted by arg(y) in [0, 2 pi), ties broken by |y|."""
+    return sorted(ys, key=lambda y: (cmath.phase(y) % (2.0 * math.pi), abs(y)))
+
+
+def _collision(ys):
+    """The first pair (i, j), i < j, of ys closer than _COLLISION_GAP, or None."""
+    return next(((i, j) for i in range(len(ys)) for j in range(i + 1, len(ys))
+                 if abs(ys[i] - ys[j]) < _COLLISION_GAP), None)
+
+
+def roots_by_frequency(spec: ModelSpec, n: int):
+    """All k+m roots for frequency n, split into (inside, outside) by |y|.
+
+    Roots come from the companion matrix and are polished with
+    _NEWTON_STEPS Newton steps.  Exactly k roots must satisfy
+    |y| <= 1 + 1e-9 and m must lie strictly outside; any other split
+    signals a bug or a broken model and raises RuntimeError.  Both groups
+    are sorted by arg(y) in [0, 2 pi).  n must be an integer.
+    """
+    n = _as_index(n, "n")
+    poly = _poly(spec, n)
+    c = _poly_coeffs(poly)
+    # numpy.roots' companion matrix, built here: c[0] and c[-1] are nonzero,
+    # so numpy.roots would strip nothing, and the eigenvalues keep its bits
+    companion = np.diag(np.ones(len(c) - 2, dtype=complex), -1)
+    companion[0, :] = -c[1:] / c[0]
+    ys = np.linalg.eigvals(companion)
+    polished = []
+    for y in ys:
+        y = complex(y)
+        for _ in range(_NEWTON_STEPS):
+            d = _poly_deriv(poly, y)
+            if d == 0:
+                break
+            y = y - _poly_eval(poly, y) / d
+        polished.append(y)
+
+    inside = [y for y in polished if abs(y) <= 1.0 + _INSIDE_TOL]
+    outside = [y for y in polished if abs(y) > 1.0 + _INSIDE_TOL]
+    if len(inside) != spec.k or len(outside) != spec.m:
+        raise RuntimeError(
+            f"root split failed at n={n}: {len(inside)} inside, "
+            f"{len(outside)} outside (wanted {spec.k}/{spec.m})"
+        )
+    return _by_angle(inside), _by_angle(outside)
+
+
+def _make_root(poly: tuple, n: int, branch: int, y: complex) -> CharacteristicRoot:
+    lb, _, mb, k, m = poly
+    scale = lb + mb + 2.0 * math.pi * abs(n)
+    poly_res = abs(_poly_eval(poly, y))
+    if poly_res > _POLY_RESIDUAL_SCALE * scale:
+        raise RuntimeError(
+            f"root residual {poly_res:.3e} too large at n={n} (scale {scale:.3e})"
+        )
+    exponent = lb * (y ** m - 1.0) + mb * (y ** (-k) - 1.0) - 2j * math.pi * n
+    exp_res = abs(cmath.exp(exponent) - 1.0)
+    if exp_res > _EXP_RESIDUAL_TOL:
+        raise RuntimeError(f"exponential residual {exp_res:.3e} too large at n={n}")
+    return CharacteristicRoot(
+        n=n, branch=branch, y=complex(y), k=k, m=m,
+        poly_residual=poly_res, exp_residual=exp_res,
+    )
+
+
+def root_set_by_frequency(spec: ModelSpec, order: int) -> RootSet:
+    """Collect the m outside roots for every n in [-order, order].
+
+    Roots at -n are the conjugates of those at n (the polynomial's
+    coefficients conjugate when n flips sign), so only n >= 0 is solved and
+    the negative frequencies are filled by reflection.  Branch labels sort
+    each frequency's roots by arg(y) in [0, 2 pi).  Pairwise distinctness
+    within each frequency is enforced.
+    """
+    order = _as_index(order, "order")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+
+    collected: list[CharacteristicRoot] = []
+    for n in range(order + 1):
+        _, outside = roots_by_frequency(spec, n)
+        if _collision(outside) is not None:
+            raise RuntimeError(f"outside roots collide at n={n}")
+        poly = _poly(spec, n)
+        collected.extend(
+            _make_root(poly, n, b, y) for b, y in enumerate(outside)
+        )
+        if n > 0:
+            mirrored = _by_angle(y.conjugate() for y in outside)
+            poly = _poly(spec, -n)
+            collected.extend(
+                _make_root(poly, -n, b, y) for b, y in enumerate(mirrored)
+            )
+
+    collected.sort(key=lambda r: (r.n, r.branch))
+    return RootSet(spec=spec, order=order, roots=tuple(collected))
 
 
 def outer_roots_by_iteration(spec: ModelSpec, n: int, tol: float = 1e-13,
@@ -482,6 +624,38 @@ def looped_exp_tail(z: np.ndarray, m: int) -> np.ndarray:
         direct = direct + term
         ratio *= radius / q
     return np.where(near, direct, np.exp(z) - partial)
+
+
+def rescanning_exp_tail(mean: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """exp(z) - sum_{q=0}^{m} z**q / q! at z = outer(mean, x), x complex,
+    reading eps at every step of the order search, |z| twice and running
+    the subtracting branch on no entries as on some.
+
+    Entries with |z| < _DIRECT_TAIL_RADIUS sum the terms q = m+1..Q
+    directly, as one product of the tables mean**q / q! and x**q; Q is the
+    first order at which no term can exceed eps times the first.  The
+    others subtract.
+    """
+    z = np.outer(mean, x)
+    near = np.abs(z) < _DIRECT_TAIL_RADIUS
+    radius = float(np.abs(z[near]).max(initial=0.0))
+    top, ratio = m + 1, 1.0
+    while ratio > np.finfo(float).eps:
+        top += 1
+        ratio *= radius / top
+    scaled = np.cumprod(mean[:, None] / np.arange(1, top + 1), axis=1)[:, m:]
+    powers = np.cumprod(np.broadcast_to(x, (top, x.size)), axis=0)[m:]
+    # scaled is real, so the complex product is one real product with the
+    # interleaved (real, imaginary) columns of powers
+    out = (scaled @ powers.view(float)).view(complex)
+
+    zf = z[~near]
+    term = partial = np.ones_like(zf)
+    for q in range(1, m + 1):
+        term = term * zf * (1.0 / q)
+        partial = partial + term
+    out[~near] = np.exp(zf) - partial
+    return out
 
 
 def exact_exp_tail(mean: float, x: complex, m: int) -> tuple[Fraction, Fraction]:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from ekemq import ModelSpec, RateFunction, build_root_set, characteristic_roots
-from ekemq.roots import _poly, _poly_coeffs
-from reference import outer_roots_by_iteration
+import reference
+from ekemq import ModelSpec, RateFunction, build_root_set, characteristic_roots, roots
+from reference import (_poly, _poly_coeffs, outer_roots_by_iteration, root_set_by_frequency,
+                       roots_by_frequency)
 
 
 def _sorted_by_arg(values):
@@ -105,12 +106,111 @@ def test_residual_scale_for_tight_frequencies():
     assert max(r.poly_residual for r in rs.roots) < 1e-10
 
 
+def _reference_rates(k, m):
+    return ModelSpec(k, m, RateFunction(3.0, sin=((1, -2.0),)),
+                     RateFunction(5.0, sin=((1, 4.0),)))
+
+
+def _bits(ys):
+    return [(y.real.hex(), y.imag.hex()) for y in ys]
+
+
+def _root_bits(rs):
+    return [(r.n, r.branch, r.k, r.m, *_bits([r.y]), r.poly_residual.hex(),
+             r.exp_residual.hex()) for r in rs.roots]
+
+
+@pytest.mark.parametrize("order", [0, 1, 10, 40])
+@pytest.mark.parametrize("k, m", [(7, 4), (2, 3), (1, 1)])
+def test_root_set_is_the_per_frequency_loop_bit_for_bit(k, m, order):
+    # the array pass gives every root, branch label and residual the bits
+    # of the loop that solved one frequency at a time
+    spec = _reference_rates(k, m)
+    got, ref = build_root_set(spec, order), root_set_by_frequency(spec, order)
+    assert len(got) == (2 * order + 1) * m
+    assert _root_bits(got) == _root_bits(ref)
+
+
+@pytest.mark.parametrize("k, m", [(7, 4), (2, 3), (1, 1)])
+def test_array_call_is_the_single_frequency_calls(k, m):
+    spec = _reference_rates(k, m)
+    freqs = np.arange(-20, 21)
+    inside, outside = characteristic_roots(spec, freqs)
+    assert inside.shape == (41, k) and outside.shape == (41, m)
+    for i, n in enumerate(freqs.tolist()):
+        one_in, one_out = characteristic_roots(spec, n)
+        assert _bits(one_in) == _bits(inside[i]) and _bits(one_out) == _bits(outside[i]), n
+        ref_in, ref_out = roots_by_frequency(spec, n)
+        assert _bits(ref_in) == _bits(one_in) and _bits(ref_out) == _bits(one_out), n
+
+
+def test_array_call_refuses_non_integer_frequencies(periodic74_spec):
+    for bad in (np.array([0.0, 1.0]), np.arange(4).reshape(2, 2), [0, 1.5]):
+        with pytest.raises(TypeError, match="^n must be an integer or a 1-D integer array"):
+            characteristic_roots(periodic74_spec, bad)
+
+
+def test_bad_split_names_the_first_failing_frequency(periodic74_spec, monkeypatch):
+    # with |y| <= 1.7 counted inside, all four outside roots of n = 3 count
+    # inside and none of n = 7 or 10 does (their smallest moduli are 1.96
+    # and 2.14)
+    monkeypatch.setattr(roots, "_INSIDE_TOL", 0.7)
+    monkeypatch.setattr(reference, "_INSIDE_TOL", 0.7)
+    with pytest.raises(RuntimeError, match=r"^root split failed at n=3: 11 inside, "
+                                           r"0 outside \(wanted 7/4\)$"):
+        characteristic_roots(periodic74_spec, [10, 7, 3, 0])
+    with pytest.raises(RuntimeError) as single:
+        characteristic_roots(periodic74_spec, 3)
+    with pytest.raises(RuntimeError) as looped:
+        roots_by_frequency(periodic74_spec, 3)
+    assert single.value.args == looped.value.args
+    with pytest.raises(RuntimeError, match="^root split failed at n=0: ") as got:
+        build_root_set(periodic74_spec, 10)
+    with pytest.raises(RuntimeError) as ref:
+        root_set_by_frequency(periodic74_spec, 10)
+    assert got.value.args == ref.value.args
+
+
+def test_collision_names_the_first_failing_frequency(periodic74_spec, monkeypatch):
+    # outside roots of n = 0 are 1.75 apart at the closest, and of n = 1
+    # 1.88; a gap of 1.8 makes n = 0 collide and n = 1 not
+    monkeypatch.setattr(roots, "_COLLISION_GAP", 1.8)
+    monkeypatch.setattr(reference, "_COLLISION_GAP", 1.8)
+    with pytest.raises(RuntimeError, match="^outside roots collide at n=0$") as got:
+        build_root_set(periodic74_spec, 10)
+    with pytest.raises(RuntimeError) as ref:
+        root_set_by_frequency(periodic74_spec, 10)
+    assert got.value.args == ref.value.args
+
+
+@pytest.mark.parametrize("which", ["poly", "exp"])
+def test_residual_failure_names_the_first_failing_root(periodic74_spec, monkeypatch, which):
+    # a tolerance just below the largest residual fails that root alone,
+    # and both routes name it with the same figures
+    ref_set = root_set_by_frequency(periodic74_spec, 10)
+    if which == "poly":
+        name = "_POLY_RESIDUAL_SCALE"
+        ratio = [r.poly_residual / (8.0 + 2.0 * np.pi * abs(r.n)) for r in ref_set]
+        tol = max(ratio) * (1.0 - 1e-9)
+        message = "^root residual .* too large at n="
+    else:
+        name = "_EXP_RESIDUAL_TOL"
+        tol = max(r.exp_residual for r in ref_set) * (1.0 - 1e-9)
+        message = "^exponential residual .* too large at n="
+    monkeypatch.setattr(roots, name, tol)
+    monkeypatch.setattr(reference, name, tol)
+    with pytest.raises(RuntimeError, match=message) as got:
+        build_root_set(periodic74_spec, 10)
+    with pytest.raises(RuntimeError) as ref:
+        root_set_by_frequency(periodic74_spec, 10)
+    assert got.value.args == ref.value.args
+
+
 @pytest.mark.parametrize("k, m", [(7, 4), (1, 1), (2, 3)])
 def test_eigenvalues_are_numpy_roots_bits(k, m, monkeypatch):
-    # each frequency's companion matrix gives np.roots' eigenvalues on that
-    # frequency, bit for bit, in np.roots' order
-    spec = ModelSpec(k, m, RateFunction(3.0, sin=((1, -2.0),)),
-                     RateFunction(5.0, sin=((1, 4.0),)))
+    # one stacked eigvals call per root set, whose row n holds np.roots'
+    # eigenvalues of frequency n, bit for bit, in np.roots' order
+    spec = _reference_rates(k, m)
     eigvals = np.linalg.eigvals
     calls = []
 
@@ -122,7 +222,7 @@ def test_eigenvalues_are_numpy_roots_bits(k, m, monkeypatch):
     for q in (3, 10, 40):
         calls.clear()
         build_root_set(spec, q)
-        solved = list(calls)
-        assert len(solved) == q + 1
-        for n, ys in enumerate(solved):
+        assert len(calls) == 1
+        assert calls[0].shape == (q + 1, k + m)
+        for n, ys in enumerate(calls[0]):
             assert ys.tobytes() == np.roots(_poly_coeffs(_poly(spec, n))).tobytes(), (q, n)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from reference import (conditional_wait_cdf, exact_exp_tail,
-                       gammainc_oracle_wait_cdf, looped_exp_tail)
+                       gammainc_oracle_wait_cdf, looped_exp_tail, rescanning_exp_tail)
 from scipy.special import gammainc
 
 from ekemq import (
@@ -425,6 +425,20 @@ def test_sojourn_series_matches_looped_tail(periodic74_spec, periodic74_boundary
                                          u, ts, kind=kind).values
             assert np.abs(got["sojourn"] - ref["sojourn"]).max() <= 5e-13
             assert np.array_equal(got["queue"], ref["queue"])
+
+
+@pytest.mark.parametrize("scale, far", [(0.5, "none"), (4.0, "some"), (40.0, "all")])
+@pytest.mark.parametrize("m", [1, 4])
+def test_exp_tail_keeps_its_bits(scale, far, m):
+    # all-near, mixed and all-far tables: the hoisted eps, the one |z| and
+    # the skipped subtraction leave every bit where it was
+    mean = scale * np.linspace(0.25, 1.0, 13)
+    x = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 9)) * np.linspace(1.2, 2.0, 9)
+    near = np.abs(np.outer(mean, x)) < waiting._DIRECT_TAIL_RADIUS
+    assert {"none": near.all(), "some": 0 < near.sum() < near.size,
+            "all": not near.any()}[far]
+    got, ref = waiting._exp_tail(mean, x, m), rescanning_exp_tail(mean, x, m)
+    assert got.tobytes() == ref.tobytes()
 
 
 def _exact_tail_errors(spec, roots, boundary, u, ts, every_root=1):
