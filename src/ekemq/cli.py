@@ -36,7 +36,7 @@ from .busy import busy_period_cdf
 from .model import ModelSpec, RateFunction
 from ._fourier import TrigInterpolant
 from .oracle import busy_oracle, extract_boundary, integrate_periodic
-from .roots import build_root_set
+from .roots import _listing, build_root_set
 from .series import SeriesEvaluator
 from .waiting import oracle_wait_cdf, wait_cdf
 
@@ -298,12 +298,14 @@ def _wait_pair(cfg: RunConfig, spec: ModelSpec, roots, dist, boundary,
 
 def cmd_roots(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     roots = build_root_set(spec, cfg["series.order"])
-    # abs(r.y) per root: np.abs of a complex array can differ in the last bit
-    columns = np.array([(r.n, r.branch, r.y.real, r.y.imag, abs(r.y),
-                         r.poly_residual, r.exp_residual) for r in roots.roots])
+    place, _, y = _listing(roots.y)
+    i = np.arange(len(y), dtype=float)
+    # np.hypot is Python's abs of a complex; np.abs can differ in the last bit
     _write_csv(out / "roots.csv", "roots v1",
-               ("n", "branch", "re_y", "im_y", "abs_y",
-                "poly_residual", "exp_residual"), *columns.T)
+               ("n", "branch", "re_y", "im_y", "abs_y", "poly_residual", "exp_residual"),
+               i // spec.m - roots.order, i % spec.m, y.real, y.imag,
+               np.hypot(y.real, y.imag), roots.poly_residual.ravel()[place],
+               roots.exp_residual.ravel()[place])
 
 
 def _write_law(out: Path, spec: ModelSpec, grid: np.ndarray, samples: np.ndarray,

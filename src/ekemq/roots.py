@@ -13,7 +13,8 @@ a consistent branch, so y is stored and chi is always derived.
 
 For every n the equation has exactly k solutions with |y| <= 1 and m with
 |y| > 1 (stability makes y = 1, which appears at n = 0, count as inside).
-Only the m outside solutions enter the level series.
+Only the m outside solutions enter the level series; those at -n are the
+conjugates of those at n, so a `RootSet` stores the n >= 0 roots alone.
 
 `characteristic_roots` solves any number of frequencies in one array pass:
 numpy.roots' companion matrix of every frequency, built directly, goes into
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fourier import _read_only
 from .model import ModelSpec, _as_index
 
 # |y| <= 1 + _INSIDE_TOL counts as an inside root; y = 1 at n = 0 must land
@@ -120,12 +122,11 @@ def _join(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _by_angle(ys: np.ndarray) -> np.ndarray:
-    """Each row of ys sorted by arg(y) in [0, 2 pi), ties broken by |y|,
-    equal keys kept in their order."""
+def _angle_order(ys: np.ndarray) -> np.ndarray:
+    """The order that sorts each row of ys by arg(y) in [0, 2 pi), ties
+    broken by |y|, equal keys kept in their order."""
     angle = np.arctan2(ys.imag, ys.real) % (2.0 * math.pi)
-    order = np.lexsort((np.hypot(ys.real, ys.imag), angle), axis=-1)
-    return np.take_along_axis(ys, order, axis=-1)
+    return np.lexsort((np.hypot(ys.real, ys.imag), angle), axis=-1)
 
 
 def characteristic_roots(spec: ModelSpec, n):
@@ -190,8 +191,8 @@ def characteristic_roots(spec: ModelSpec, n):
             f"root split failed at n={freqs[i]}: {counts[0][i]} inside, "
             f"{counts[1][i]} outside (wanted {k}/{m})"
         )
-    return (_by_angle(ys[inside].reshape(-1, k)),
-            _by_angle(ys[outside].reshape(-1, m)))
+    return tuple(np.take_along_axis(z, _angle_order(z), axis=-1)
+                 for z in (ys[inside].reshape(-1, k), ys[outside].reshape(-1, m)))
 
 
 @dataclass(frozen=True)
@@ -216,16 +217,6 @@ class CharacteristicRoot:
     def chi(self) -> complex:
         return self.y ** (self.k * self.m)
 
-    @property
-    def chi_root_k(self) -> complex:
-        """chi**(1/k) on the branch carried by y."""
-        return self.y ** self.m
-
-    @property
-    def chi_root_m(self) -> complex:
-        """chi**(1/m) on the branch carried by y."""
-        return self.y ** self.k
-
 
 def _residuals(spec: ModelSpec, freqs: np.ndarray, ys: np.ndarray):
     """|p(y)| and |exp(lam_bar (y**m - 1) + mu_bar (y**-k - 1) - 2 pi i n) - 1|
@@ -245,25 +236,61 @@ def _residuals(spec: ModelSpec, freqs: np.ndarray, ys: np.ndarray):
     return poly_res, exp_res
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Outside roots for every frequency |n| <= order, ordered by (n, branch).
+def _listing(y: np.ndarray):
+    """For each root of n = -q..q in (n, branch) order, from the (q + 1, m)
+    half set y of n = 0..q: its place in y.ravel(), whether it is the
+    conjugate of the root there, and its y.  Row -n is row n conjugated
+    (the coefficients conjugate when n flips sign) and sorted by angle."""
+    place = np.arange(y.size).reshape(y.shape)
+    mirrors = np.take_along_axis(place[1:], _angle_order(y[1:].conj()), axis=-1)[::-1]
+    place = np.concatenate((mirrors, place)).ravel()
+    conjugated = np.arange(len(place)) < mirrors.size
+    listed = y.ravel()[place]
+    listed.imag[conjugated] *= -1.0
+    return place, conjugated, listed
 
-    `_derived` keeps what other modules compute from the roots alone (the
-    series factors of `series.SeriesEvaluator`), filled on first use and
-    living as long as the set; it takes no part in comparison or repr.
+
+@dataclass(frozen=True, eq=False)
+class RootSet:
+    """Outside roots for every frequency |n| <= order, stored for n >= 0:
+    `y`, `poly_residual` and `exp_residual` are read-only (order + 1, m)
+    copies, row n holding frequency n's roots in branch order and their
+    residuals.  order is read off the rows; any other shape raises
+    ValueError.  Row -n, row n conjugated and sorted by angle, is placed by
+    `_listing`, not stored.  Iteration builds a `CharacteristicRoot` for each
+    root of n = -order..order in (n, branch) order, an n < 0 root with its
+    mirror's residuals.  Sets compare and hash by identity.  `_derived` keeps
+    what other modules compute from the roots alone, filled on first use.
     """
 
     spec: ModelSpec
-    order: int
-    roots: tuple[CharacteristicRoot, ...]
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    y: np.ndarray
+    poly_residual: np.ndarray
+    exp_residual: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name, dtype in (("y", complex), ("poly_residual", float),
+                            ("exp_residual", float)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            if arr.ndim != 2 or arr.shape != (len(self.y), self.spec.m) or not arr.size:
+                raise ValueError(f"{name} has shape {arr.shape}, "
+                                 f"not (order + 1, {self.spec.m})")
+            object.__setattr__(self, name, _read_only(arr))
+
+    @property
+    def order(self) -> int:
+        return len(self.y) - 1
 
     def __iter__(self):
-        return iter(self.roots)
+        place, _, y = _listing(self.y)
+        k, m = self.spec.k, self.spec.m
+        for i, (yi, j) in enumerate(zip(y.tolist(), place.tolist())):
+            yield CharacteristicRoot(i // m - self.order, i % m, yi, k, m,
+                                     self.poly_residual.item(j), self.exp_residual.item(j))
 
     def __len__(self) -> int:
-        return len(self.roots)
+        return (2 * len(self.y) - 1) * self.spec.m
 
 
 def build_root_set(spec: ModelSpec, order: int) -> RootSet:
@@ -271,12 +298,12 @@ def build_root_set(spec: ModelSpec, order: int) -> RootSet:
 
     Roots at -n are the conjugates of those at n (the polynomial's
     coefficients conjugate when n flips sign), so only n >= 0 is solved,
-    in one call of characteristic_roots, and the negative frequencies are
-    filled by reflection.  Branch labels sort each frequency's roots by
-    arg(y) in [0, 2 pi).  The split, pairwise distinctness within each
-    frequency and the residuals of every root are enforced, in that order;
-    each check names the first frequency that fails it, the residuals in
-    the order n = 0, 1, -1, 2, -2, ...
+    in one call of characteristic_roots, and only n >= 0 is kept.  Branch
+    labels sort each frequency's roots by arg(y) in [0, 2 pi).  The split,
+    pairwise distinctness within each frequency and the residuals of every
+    root, n < 0 included, are enforced, in that order; each check names the
+    first frequency that fails it, the residuals in the order n = 0, 1, -1,
+    2, -2, ...
     """
     order = _as_index(order, "order")
     if order < 0:
@@ -289,8 +316,8 @@ def build_root_set(spec: ModelSpec, order: int) -> RootSet:
     if collided.any():
         raise RuntimeError(f"outside roots collide at n={np.flatnonzero(collided)[0]}")
 
-    # rows n = -order..order: the mirrored frequencies, then the solved ones
-    ys = np.concatenate((_by_angle(outside[1:].conj())[::-1], outside))
+    # rows n = -order..order
+    ys = _listing(outside)[2].reshape(-1, spec.m)
     freqs = np.arange(-order, order + 1)
     poly_res, exp_res = _residuals(spec, freqs, ys)
     scale = spec.arrival_mean + spec.service_mean + 2.0 * math.pi * np.abs(freqs)
@@ -308,12 +335,4 @@ def build_root_set(spec: ModelSpec, order: int) -> RootSet:
             )
         raise RuntimeError(f"exponential residual {exp_res[i, j]:.3e} too large "
                            f"at n={freqs[i]}")
-
-    k, m = spec.k, spec.m
-    return RootSet(spec=spec, order=order, roots=tuple(
-        CharacteristicRoot(n=n, branch=branch, y=y, k=k, m=m,
-                           poly_residual=p, exp_residual=e)
-        for n, row_y, row_p, row_e in zip(freqs.tolist(), ys.tolist(),
-                                          poly_res.tolist(), exp_res.tolist())
-        for branch, (y, p, e) in enumerate(zip(row_y, row_p, row_e))
-    ))
+    return RootSet(spec, outside, poly_res[order:], exp_res[order:])

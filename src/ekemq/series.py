@@ -20,7 +20,7 @@ Lam and M being the cumulative rates over [u, t], and idle and first the
 boundary: the idle and level-1 columns of the periodic law's solved Fourier
 series (`oracle.extract_boundary`).  All fractional powers of
 chi are integer powers of y (chi**(1/k) = y**m, chi**(-1/m) = y**(-k)), so
-branch bookkeeping never leaves the root object.
+y alone carries the branch.
 
 `SeriesEvaluator` exploits the fact that at an exact root the integrand
 times exp(-W0(u)) is 1-periodic (the root condition makes the period factor
@@ -64,7 +64,7 @@ import numpy as np
 from . import _quad
 from ._fourier import BoundaryFunctions
 from .model import ModelSpec, _as_index
-from .roots import CharacteristicRoot, RootSet
+from .roots import CharacteristicRoot, RootSet, _listing
 
 _DENOM_FLOOR = 1e-12
 
@@ -80,8 +80,8 @@ _LOG_KEEP_RATIO = -64.0 * float(np.log(2.0))
 
 def phase_weights(root: CharacteristicRoot) -> np.ndarray:
     """Phase profile chi**(-a/k) * chi**(s/m) as a flat (km,) vector."""
-    a_part = root.chi_root_k ** (-np.arange(root.k))
-    s_part = root.chi_root_m ** (np.arange(root.m))
+    a_part = (root.y ** root.m) ** (-np.arange(root.k))
+    s_part = (root.y ** root.k) ** (np.arange(root.m))
     return np.kron(a_part, s_part)
 
 
@@ -109,16 +109,14 @@ def _denominator(spec: ModelSpec, ym, yik):
 class _RootFactors:
     """The factors of the series that depend on one root set alone.
 
-    Built once per `RootSet` and kept in it, for the half set of roots with
-    n >= 0, in the root set's order: the root powers chi**(1/k) = y**m,
+    Built once per `RootSet` and kept in it, for its half set of roots with
+    n >= 0, in the order of `RootSet.y`: the root powers chi**(1/k) = y**m,
     chi**(-1/m) = y**(-k), chi and log chi, the denominators, the arrival
     powers chi**(a/k), the phase rows, the fold weights (1 at n = 0, 2 at
     n > 0), the log of each weighted row's smallest and largest modulus,
     the stage sums sum_a chi**(-a/k) of the wait series; and, per root of
     the whole set, `column`, the half-set column of the root or of its mirror,
-    and `mirrored`, true at n < 0.  All are read-only.  A root at n < 0 that
-    is not the exact conjugate of a root at -n is refused, as is a root at
-    n > 0 without such a mirror: the fold would be wrong for either.
+    and `mirrored`, true at n < 0 (`roots._listing`).  All are read-only.
     The period integral is kept for the last boundary asked for; exp(-W0)
     at the rule's nodes, a (nodes, n_half) array, is formed inside it and
     not kept.
@@ -126,22 +124,11 @@ class _RootFactors:
 
     def __init__(self, roots: RootSet):
         spec = roots.spec
-        half = [r for r in roots.roots if r.n >= 0]
-        place = {(r.n, r.y): i for i, r in enumerate(half)}
-        column = [place.get((r.n, r.y) if r.n >= 0 else (-r.n, r.y.conjugate()))
-                  for r in roots.roots]
-        mirrored = np.array([r.n < 0 for r in roots.roots], dtype=bool)
-        # every root at n < 0 mirrors one at -n, each root at n > 0 once
-        if None in column or sorted(c for c, neg in zip(column, mirrored) if neg) != [
-                i for i, r in enumerate(half) if r.n > 0]:
-            raise ValueError("root set is not closed under conjugation: each root at "
-                             "n < 0 must be the exact conjugate of one at -n")
-        ys = np.array([r.y for r in half], dtype=complex)
+        ys = roots.y.ravel()
         k, m = spec.k, spec.m
         self.spec = spec
-        self.column = np.array(column, dtype=int)
-        self.mirrored = mirrored
-        self.weight = np.array([1.0 if r.n == 0 else 2.0 for r in half])
+        self.column, self.mirrored, _ = _listing(roots.y)
+        self.weight = np.where(np.arange(len(ys)) < m, 1.0, 2.0)
         self.ym = ys ** m
         self.yik = ys ** (-k)
         self.chi = ys ** (k * m)

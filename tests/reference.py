@@ -135,8 +135,8 @@ def root_coefficient(root: CharacteristicRoot, t: float,
     over [t-1, t]."""
     if (root.k, root.m) != (spec.k, spec.m):
         raise ValueError("root does not belong to this model")
-    ym = root.chi_root_k
-    yik = 1.0 / root.chi_root_m
+    ym = root.y ** root.m
+    yik = 1.0 / root.y ** root.k
     chi = root.chi
     denom = _denominator(spec, ym, yik)
     if abs(denom) < _DENOM_FLOOR:
@@ -292,8 +292,9 @@ def _make_root(poly: tuple, n: int, branch: int, y: complex) -> CharacteristicRo
     )
 
 
-def root_set_by_frequency(spec: ModelSpec, order: int) -> RootSet:
-    """Collect the m outside roots for every n in [-order, order].
+def root_set_by_frequency(spec: ModelSpec, order: int) -> tuple[CharacteristicRoot, ...]:
+    """Collect the m outside roots for every n in [-order, order], ordered
+    by (n, branch).
 
     Roots at -n are the conjugates of those at n (the polynomial's
     coefficients conjugate when n flips sign), so only n >= 0 is solved and
@@ -322,7 +323,7 @@ def root_set_by_frequency(spec: ModelSpec, order: int) -> RootSet:
             )
 
     collected.sort(key=lambda r: (r.n, r.branch))
-    return RootSet(spec=spec, order=order, roots=tuple(collected))
+    return tuple(collected)
 
 
 def outer_roots_by_iteration(spec: ModelSpec, n: int, tol: float = 1e-13,

@@ -69,13 +69,13 @@ def test_acceptance_root_structure():
         assert all(abs(y) > 1.0 for y in outside)
 
     rs = build_root_set(spec, 20)
-    assert max(r.poly_residual for r in rs.roots) <= 1e-10
-    assert max(r.exp_residual for r in rs.roots) <= 1e-10
+    assert max(r.poly_residual for r in rs) <= 1e-10
+    assert max(r.exp_residual for r in rs) <= 1e-10
     # the unit root at n = 0 sits on the circle, so it lands in the inside group
     inside0, _ = characteristic_roots(spec, 0)
     assert min(abs(y - 1.0) for y in inside0) <= 1e-12
 
-    for r in rs.roots:
+    for r in rs:
         if abs(r.n) < 3:
             continue
         lo, hi = root_modulus_bracket(spec, r.n)

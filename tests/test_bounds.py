@@ -39,7 +39,7 @@ def test_bracket_width_does_not_depend_on_frequency(periodic74_spec):
 
 def test_bracket_contains_outer_moduli(periodic74_spec, periodic74_roots40):
     m = periodic74_spec.m
-    for root in periodic74_roots40.roots:
+    for root in periodic74_roots40:
         if abs(root.n) < 3:
             continue
         lo, hi = root_modulus_bracket(periodic74_spec, root.n)
@@ -111,7 +111,7 @@ def test_window_constant_dominates_coefficients(periodic74_spec,
     ev = SeriesEvaluator(periodic74_roots40, periodic74_boundary)
     for t in (0.0, 0.25):
         f_abs = np.abs(ev.coefficients([t])[0])
-        for root, size in zip(periodic74_roots40.roots, f_abs):
+        for root, size in zip(periodic74_roots40, f_abs):
             if abs(root.n) < 2:
                 continue
             cap = tail_constant(periodic74_spec, t, root.n) * abs(root.chi)
@@ -162,7 +162,7 @@ def _coefficient_sizes(roots, boundary, t):
     """Largest |f(t)| over the branches at each frequency n, keyed by n."""
     f_abs = np.abs(SeriesEvaluator(roots, boundary).coefficients([t])[0])
     sizes = {}
-    for root, size in zip(roots.roots, f_abs):
+    for root, size in zip(roots, f_abs):
         sizes[root.n] = max(sizes.get(root.n, 0.0), float(size))
     return sizes
 

@@ -35,8 +35,8 @@ def test_split_counts_across_frequencies(periodic74_spec):
 def test_root_set_size_and_residuals(periodic74_spec):
     rs = build_root_set(periodic74_spec, 20)
     assert len(rs) == 41 * 4
-    assert max(r.poly_residual for r in rs.roots) < 1e-10
-    assert max(r.exp_residual for r in rs.roots) < 1e-8
+    assert max(r.poly_residual for r in rs) < 1e-10
+    assert max(r.exp_residual for r in rs) < 1e-8
 
 
 def test_root_set_conjugate_symmetry(periodic74_roots40):
@@ -66,12 +66,10 @@ def test_branch_labels_sorted_by_argument(periodic74_roots10):
 
 
 def test_fractional_powers_are_integer_powers(periodic74_roots10):
-    for r in periodic74_roots10.roots:
+    for r in periodic74_roots10:
         assert r.chi == pytest.approx(r.y ** 28, rel=1e-12)
-        assert r.chi_root_k == pytest.approx(r.y ** 4, rel=1e-12)
-        assert r.chi_root_m == pytest.approx(r.y ** 7, rel=1e-12)
-        assert r.chi_root_k ** 7 == pytest.approx(r.chi, rel=1e-9)
-        assert r.chi_root_m ** 4 == pytest.approx(r.chi, rel=1e-9)
+        assert (r.y ** 4) ** 7 == pytest.approx(r.chi, rel=1e-9)
+        assert (r.y ** 7) ** 4 == pytest.approx(r.chi, rel=1e-9)
 
 
 def test_iteration_agrees_with_companion(periodic74_spec):
@@ -103,7 +101,7 @@ def test_residual_scale_for_tight_frequencies():
                      RateFunction(2.0, cos=((1, 0.3),)))
     rs = build_root_set(spec, 15)
     assert len(rs) == 31 * 3
-    assert max(r.poly_residual for r in rs.roots) < 1e-10
+    assert max(r.poly_residual for r in rs) < 1e-10
 
 
 def _reference_rates(k, m):
@@ -117,18 +115,23 @@ def _bits(ys):
 
 def _root_bits(rs):
     return [(r.n, r.branch, r.k, r.m, *_bits([r.y]), r.poly_residual.hex(),
-             r.exp_residual.hex()) for r in rs.roots]
+             r.exp_residual.hex()) for r in rs]
 
 
 @pytest.mark.parametrize("order", [0, 1, 10, 40])
 @pytest.mark.parametrize("k, m", [(7, 4), (2, 3), (1, 1)])
 def test_root_set_is_the_per_frequency_loop_bit_for_bit(k, m, order):
     # the array pass gives every root, branch label and residual the bits
-    # of the loop that solved one frequency at a time
+    # of the loop that solved one frequency at a time; the set stores n >= 0
+    # only, and each n < 0 root takes its mirror's residuals, which are the
+    # bits the loop computes at the conjugate root
     spec = _reference_rates(k, m)
     got, ref = build_root_set(spec, order), root_set_by_frequency(spec, order)
     assert len(got) == (2 * order + 1) * m
     assert _root_bits(got) == _root_bits(ref)
+    stored = {(r.n, r.y): (r.poly_residual, r.exp_residual) for r in ref if r.n >= 0}
+    assert [(r.poly_residual.hex(), r.exp_residual.hex()) for r in ref if r.n < 0] == [
+        tuple(x.hex() for x in stored[-r.n, r.y.conjugate()]) for r in ref if r.n < 0]
 
 
 @pytest.mark.parametrize("k, m", [(7, 4), (2, 3), (1, 1)])

@@ -5,7 +5,6 @@ entry point is part of this module; the matrix assembly and its busy-period
 use are covered in test_busy.
 """
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -20,9 +19,10 @@ from ekemq import (
     build_root_set,
     extract_boundary,
     integrate_periodic,
+    wait_cdf,
 )
 from ekemq import _quad
-from ekemq.roots import RootSet
+from ekemq.roots import CharacteristicRoot, RootSet
 from ekemq.series import phase_weights
 from reference import (all_roots_coefficients, all_roots_level_matrix, log_term_bounds,
                        net_change_probability, root_coefficient, uncut_level_matrix,
@@ -60,7 +60,7 @@ def test_mm1_series_is_geometric(mm1_spec, mm1_roots, mm1_boundary):
 
 
 def test_mm1_single_coefficient_value(mm1_spec, mm1_roots, mm1_boundary):
-    f = root_coefficient(mm1_roots.roots[0], 0.37, mm1_boundary, mm1_spec)
+    f = root_coefficient(next(iter(mm1_roots)), 0.37, mm1_boundary, mm1_spec)
     assert f.real == pytest.approx(0.4, abs=1e-8)
     assert abs(f.imag) < 1e-12
 
@@ -72,7 +72,7 @@ def test_literal_window_matches_fast_path(periodic74_spec, periodic74_roots10,
     for _ in range(6):
         t = rng.uniform(1.0, 3.0)
         idx = rng.integers(0, len(periodic74_roots10))
-        root = periodic74_roots10.roots[idx]
+        root = list(periodic74_roots10)[idx]
         literal = root_coefficient(root, t, periodic74_boundary, periodic74_spec)
         fast = ev.coefficients(np.array([t]))[0, idx]
         assert literal == pytest.approx(fast, rel=1e-8, abs=1e-12)
@@ -232,16 +232,37 @@ def test_returned_arrays_are_fresh(periodic74_roots10, periodic74_boundary):
     assert np.array_equal(ev.level_matrix(1, ts), expected_values)
 
 
-def test_root_set_without_exact_mirrors_is_refused(periodic74_spec, periodic74_boundary):
-    # the fold needs every n < 0 root to be the exact conjugate of one at -n
-    roots = build_root_set(periodic74_spec, 2)
-    index = next(i for i, r in enumerate(roots) if r.n == -1)
-    nudged = roots.roots[index]
-    nudged = dataclasses.replace(nudged, y=nudged.y * (1.0 + 2.0 ** -52))
-    for broken in (roots.roots[:index] + (nudged,) + roots.roots[index + 1:],
-                   tuple(r for r in roots if r.n != -2)):
-        with pytest.raises(ValueError, match="not closed under conjugation"):
-            SeriesEvaluator(RootSet(periodic74_spec, 2, broken), periodic74_boundary)
+def test_series_route_builds_no_root_object(periodic74_spec, periodic74_boundary,
+                                            monkeypatch):
+    # the series route reads the root set's arrays: a root object is built
+    # only for a caller that iterates the set
+    built = []
+    init = CharacteristicRoot.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CharacteristicRoot, "__init__", spy)
+    roots = build_root_set(periodic74_spec, 10)
+    ev = SeriesEvaluator(roots, periodic74_boundary)
+    ts = np.linspace(0.0, 1.0, 9)
+    for level in range(1, 31):
+        ev.level_matrix(level, ts)
+    for kind in ("queue", "sojourn"):
+        wait_cdf(periodic74_spec, roots, periodic74_boundary, 0.3,
+                 np.linspace(0.0, 2.0, 5), kind=kind)
+    assert built == []
+    assert len(list(roots)) == len(built) == 21 * 4
+
+    for name in ("y", "poly_residual", "exp_residual"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(roots, name)[0, 0] = 0.0
+    # a y of m - 1 branches, a y of no rows, and residuals of fewer rows than y
+    for cut in (np.s_[:, :3], np.s_[:0], np.s_[:]):
+        with pytest.raises(ValueError, match="not \\(order \\+ 1, 4\\)"):
+            RootSet(periodic74_spec, np.vstack([roots.y, roots.y])[cut],
+                    roots.poly_residual, roots.exp_residual)
 
 
 @pytest.fixture(scope="module")
@@ -409,7 +430,7 @@ def test_mismatched_root_set_rejected(mm1_spec, periodic74_roots10,
 def test_phase_weight_table():
     spec = ModelSpec(2, 3, RateFunction(1.0), RateFunction(2.0))
     rs = build_root_set(spec, 0)
-    root = max(rs.roots, key=lambda r: abs(r.y))
+    root = max(rs, key=lambda r: abs(r.y))
     w = phase_weights(root)
     y = root.y
     expected = np.array([
