@@ -76,9 +76,9 @@ from .model import ModelSpec, _as_index, _normalize_phase
 # _FIRST_HARMONIC, or twice the rates' top harmonic where that is larger
 # (none for constant rates: N = 0), and then grown by half while max |c_N| >
 # tol and N stays within _MAX_HARMONIC, each rate matrix starting from the
-# last.  N and its steps are counted in units of the rates' harmonic spacing
-# d, each rounded up to a whole unit, so that c_N is a harmonic the law can
-# have.
+# last and the first from a ladder of coarser N (`_coarse_start`).  N and its
+# steps are counted in units of the rates' harmonic spacing d, each rounded
+# up to a whole unit, so that c_N is a harmonic the law can have.
 _FIRST_HARMONIC = 12
 _MAX_HARMONIC = 128
 
@@ -406,8 +406,10 @@ def _rate_matrix(ops, k: int, m: int, start=None):
     its rows (k - 1, s) and (a, m - 1), ap, bp and qu, qv, Y is the fixed
     point of Y = -qu - qv Y R, R = -(I + bp Y)^-1 ap, the rows (a, m - 1)
     of K; K = -F (I; Y R).  The iteration starts at Y = 0, or at `start`,
-    a Y on fewer harmonics padded with zeros, and stops once an update is
-    no smaller than the last or within rounding of Y."""
+    a Y on fewer harmonics padded with zeros (that of a smaller N, or of
+    `_coarse_start`'s ladder), and stops once an update is no smaller than
+    the last or within rounding of Y.  It converges linearly, at about
+    sp(R), so a start near the fixed point saves most of its iterations."""
     lam, mu, deriv = ops
     h = len(lam)
     steps = np.linalg.solve(lam + mu + deriv, np.hstack([lam, mu]))
@@ -485,12 +487,24 @@ def _solve_levels(ops, k: int, m: int, levels: int, start=None):
     return x, float(np.linalg.norm(out)), y, iterations
 
 
+def _coarse_start(rates, d: int, top: int, k: int, m: int):
+    """The Y that the rate matrix at N = top d starts from: that of a ladder
+    of coarser N, top halved (rounded down) while it stays >= 3, each rung's
+    iteration starting from the rung below it, so the iteration at N
+    starts near its fixed point; None (Y = 0) when top < 6."""
+    if top // 2 < 3:
+        return None
+    start = _coarse_start(rates, d, top // 2, k, m)
+    return _rate_matrix(_operators(rates, d, top // 2 + 1), k, m, start)[1]
+
+
 def _fourier_coefficients(spec: ModelSpec, levels: int, tol: float):
     """(c, residual, iterations): the law's Fourier coefficients c_0..c_N on
     the empty level and levels 1..levels, an (N + 1, k + levels km) complex
     array, by the search over N and the checks of `integrate_periodic`, and
     the iterations of the solve at that N.  The rows c_nd are solved for,
-    n = 0..N / d, and the rows between them are exact zeros."""
+    n = 0..N / d, and the rows between them are exact zeros.  The first N's
+    rate matrix starts from `_coarse_start`, each larger N's from the last."""
     rates = [(rate.mean(), _harmonics(rate)) for rate in (spec.arrival, spec.service)]
     harmonics = [j for _, harm in rates for j in harm]
     d = math.gcd(*harmonics) or 1
@@ -500,7 +514,7 @@ def _fourier_coefficients(spec: ModelSpec, levels: int, tol: float):
     if top * d > _MAX_HARMONIC:
         raise RuntimeError(f"the rates reach harmonic {max(harmonics)}, past half of "
                            f"the largest N, {_MAX_HARMONIC}")
-    y = None
+    y = _coarse_start(rates, d, top, spec.k, spec.m)
     while True:
         x, solved, y, iterations = _solve_levels(_operators(rates, d, top + 1), spec.k,
                                                  spec.m, levels, y)
@@ -541,7 +555,11 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     up to multiples of d.  The law is built from the solved series, with
     `periods` N, `residual` the larger of max |c_N| (0 for N = 0) and the
     2-norm of the equations' residual, both <= tol, and `iterations` those
-    of the rate matrix at N; grid_size sets only the times i / grid_size of
+    of the rate matrix at N.  The rate matrix at the first N starts from
+    those of a ladder of coarser N (N / d halved while >= 3: 3 and 6 under
+    12), each rung from the one below, and each larger N from the last
+    (`_coarse_start`); the start sets only the iterations, not the fixed
+    point they reach.  grid_size sets only the times i / grid_size of
     its samples and of the cap check below, which evaluates the top listed
     level's series there.
 

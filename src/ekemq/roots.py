@@ -42,7 +42,12 @@ from .model import ModelSpec, _as_index
 # inside and no other root comes near the circle for stable models.
 _INSIDE_TOL = 1e-9
 
-_POLY_RESIDUAL_SCALE = 1e-10
+# A root's |p(y)| is refused above _POLY_RESIDUAL_TOL times the sum of the
+# moduli of p's terms at it, lam_bar |y|**(k+m) + |b| |y|**k + mu_bar: for
+# small m the outside roots are large, and terms of 1e12 leave a rounding
+# |p(y)| far above the coefficients' scale.  |exp(...) - 1| is refused above
+# _EXP_RESIDUAL_TOL, unscaled, as the exponential is 1 at a root.
+_POLY_RESIDUAL_TOL = 1e-13
 _EXP_RESIDUAL_TOL = 1e-8
 _NEWTON_STEPS = 3
 
@@ -219,7 +224,8 @@ class CharacteristicRoot:
 
 
 def _residuals(spec: ModelSpec, freqs: np.ndarray, ys: np.ndarray):
-    """|p(y)| and |exp(lam_bar (y**m - 1) + mu_bar (y**-k - 1) - 2 pi i n) - 1|
+    """|p(y)|, the scale lam_bar |y**(k+m)| + |b| |y**k| + mu_bar of its
+    check and |exp(lam_bar (y**m - 1) + mu_bar (y**-k - 1) - 2 pi i n) - 1|
     of each root, row i of ys at frequency freqs[i], each as Python's
     complex arithmetic forms it: np.hypot is Python's abs, and np.exp of a
     complex array calls the C library's cexp, which gives cmath.exp's bits
@@ -227,13 +233,16 @@ def _residuals(spec: ModelSpec, freqs: np.ndarray, ys: np.ndarray):
     k, m = spec.k, spec.m
     y = np.stack((ys.real, ys.imag))
     p_top, p_k, p_m, p_minus_k = _powers(y, (k + m, k, m, -k))
-    poly_res = np.hypot(*_poly_value(spec, _shift(spec, freqs), p_top, p_k))
+    b = _shift(spec, freqs)
+    poly_res = np.hypot(*_poly_value(spec, b, p_top, p_k))
+    scale = (spec.arrival_mean * np.hypot(*p_top) + np.hypot(*b) * np.hypot(*p_k)
+             + spec.service_mean)
     exponent = (_product(_constant(spec.arrival_mean), p_m - _ONE)
                 + _product(_constant(spec.service_mean), p_minus_k - _ONE)
                 - _frequency_term(freqs))
     e = np.exp(_join(exponent))
     exp_res = np.hypot(*(np.stack((e.real, e.imag)) - _ONE))
-    return poly_res, exp_res
+    return poly_res, scale, exp_res
 
 
 def _listing(y: np.ndarray):
@@ -319,9 +328,8 @@ def build_root_set(spec: ModelSpec, order: int) -> RootSet:
     # rows n = -order..order
     ys = _listing(outside)[2].reshape(-1, spec.m)
     freqs = np.arange(-order, order + 1)
-    poly_res, exp_res = _residuals(spec, freqs, ys)
-    scale = spec.arrival_mean + spec.service_mean + 2.0 * math.pi * np.abs(freqs)
-    bad_poly = poly_res > _POLY_RESIDUAL_SCALE * scale[:, None]
+    poly_res, scale, exp_res = _residuals(spec, freqs, ys)
+    bad_poly = poly_res > _POLY_RESIDUAL_TOL * scale
     bad = bad_poly | (exp_res > _EXP_RESIDUAL_TOL)
     if bad.any():
         # the first failing root in the order n = 0, 1, -1, 2, -2, ...
@@ -331,7 +339,7 @@ def build_root_set(spec: ModelSpec, order: int) -> RootSet:
         if bad_poly[i, j]:
             raise RuntimeError(
                 f"root residual {poly_res[i, j]:.3e} too large at n={freqs[i]} "
-                f"(scale {scale[i]:.3e})"
+                f"(scale {scale[i, j]:.3e})"
             )
         raise RuntimeError(f"exponential residual {exp_res[i, j]:.3e} too large "
                            f"at n={freqs[i]}")

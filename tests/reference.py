@@ -111,7 +111,7 @@ from ekemq.model import ModelSpec, RateFunction, _as_index, _normalize_phase, _s
 from ekemq._fourier import BoundaryFunctions
 from ekemq.oracle import _CAP_MASS_LIMIT, _NORM_SLACK, PeriodicDistribution
 from ekemq.roots import (_COLLISION_GAP, _EXP_RESIDUAL_TOL, _INSIDE_TOL, _NEWTON_STEPS,
-                         _POLY_RESIDUAL_SCALE, CharacteristicRoot, RootSet)
+                         _POLY_RESIDUAL_TOL, CharacteristicRoot, RootSet)
 from ekemq.series import (_DENOM_FLOOR, SeriesEvaluator, _denominator,
                           _drive_values)
 from ekemq.waiting import _DIRECT_TAIL_RADIUS, CDFCurve, _horizons
@@ -275,10 +275,10 @@ def roots_by_frequency(spec: ModelSpec, n: int):
 
 
 def _make_root(poly: tuple, n: int, branch: int, y: complex) -> CharacteristicRoot:
-    lb, _, mb, k, m = poly
-    scale = lb + mb + 2.0 * math.pi * abs(n)
+    lb, b, mb, k, m = poly
+    scale = lb * abs(y ** (k + m)) + abs(b) * abs(y ** k) + mb
     poly_res = abs(_poly_eval(poly, y))
-    if poly_res > _POLY_RESIDUAL_SCALE * scale:
+    if poly_res > _POLY_RESIDUAL_TOL * scale:
         raise RuntimeError(
             f"root residual {poly_res:.3e} too large at n={n} (scale {scale:.3e})"
         )

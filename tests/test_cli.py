@@ -197,7 +197,9 @@ def test_oracle_outputs(tmp_path):
 
 def test_oracle_reports_the_solved_levels(tmp_path):
     # the reference model on a grid of 16: levels 1..8 are solved, and
-    # distribution.csv lists those 8 only, those past 8 being exactly 0
+    # distribution.csv lists those 8 only, those past 8 being exactly 0.
+    # The rate matrix at N = 12 starts from those at N = 3 and 6, and takes
+    # 3 iterations
     cfg = write_cfg(tmp_path, **{
         "model.k": 7, "model.m": 4, "model.arrival.sin": "1:-2",
         "model.service.sin": "1:4", "oracle.levels": 50, "oracle.grid": 16})
@@ -205,7 +207,7 @@ def test_oracle_reports_the_solved_levels(tmp_path):
     assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
     meta = json.loads((out / "oracle.json").read_text())
     assert (meta["level_cap"], meta["solved_levels"]) == (50, 8)
-    assert (meta["periods"], meta["iterations"]) == (12, 8)
+    assert (meta["periods"], meta["iterations"]) == (12, 3)
     assert meta["level_decay"] == pytest.approx(0.0032247, rel=1e-5)
     assert 1e-17 < meta["cap_mass"] < 3.9e-17
     rows = [line.split(",") for line in
@@ -668,6 +670,24 @@ def test_oracle_builds_no_law_samples(tmp_path, monkeypatch):
     _write_law(tmp_path, dist.spec, dist.grid, dist.samples, dist.solved_levels)
     for name in ("distribution.csv", "boundary.csv"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_small_m_model_runs_every_command(tmp_path):
+    # k = 7, m = 1: the outside root reaches |y| = 9.1 at n = 6, where p's
+    # terms are about 2e8 and |p(y)| at rounding is 4.5e-8, so the root
+    # check scales by the terms' moduli; the other keys as in the benchmark's
+    # reference config
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.k = 7\nmodel.m = 1\nmodel.arrival.base = 4.2\n"
+                   "model.arrival.sin = 1:-2\nmodel.service.base = 3\n"
+                   "model.service.sin = 1:1.5\nseries.order = 10\noracle.levels = 80\n"
+                   "oracle.grid = 512\noracle.tol = 1e-10\n")
+    out = tmp_path / "out"
+    for command in ("roots", "oracle", "analyze", "bounds", "waiting", "busy", "compare"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+    meta = json.loads((out / "compare.json").read_text())
+    above = {j: v for j, v in meta["levels_sup_diff"].items() if int(j) >= 2}
+    assert above and max(above.values()) <= 1e-13
 
 
 def test_compare_output(tmp_path):

@@ -397,7 +397,8 @@ def test_level_cap_only_cuts_the_list(name):
 def test_load_0_99_lists_its_810_levels():
     # arrival 8.6625 - 2 sin 2 pi t on the reference's service: the law
     # falls by 0.9500993 a level, so 810 levels reach 1e-18, within a cap of
-    # 900; the rate matrix takes about 500 iterations at N = 12
+    # 900; the rate matrix takes 6 iterations at N = 12 from the ladder's
+    # start (508 from Y = 0, test_coarse_start_reaches_the_zero_start_law)
     spec = ModelSpec(7, 4, RateFunction(8.6625, sin=((1, -2.0),)),
                      _STRESS["reference"][0].service)
     assert spec.load == pytest.approx(0.99)
@@ -505,8 +506,9 @@ def _series(x):
 def test_growing_n_factors_each_harmonic_once(monkeypatch):
     # max |c_12| is 1.6e-9 on this model: N grows to 18.  Each N takes one
     # rate matrix over the harmonics 0..N, H = 2N + 1 coordinates, the one at
-    # N = 18 started from the one at N = 12.  Before them the rate matrix at
-    # N = 0 reads sp(R) = 0.2578, and so the 31 levels listed
+    # N = 12 started from the ladder N = 3, 6 below it, each rung from the
+    # last, and the one at N = 18 from the one at N = 12.  Before them the
+    # rate matrix at N = 0 reads sp(R) = 0.2578, and so the 31 levels listed
     spec, cap = _STRESS["k2-m3-harmonics-1-3-2"]
     solves, listed = [], []
     rate_matrix, solve_levels = oracle._rate_matrix, oracle._solve_levels
@@ -521,10 +523,50 @@ def test_growing_n_factors_each_harmonic_once(monkeypatch):
     monkeypatch.setattr(oracle, "_rate_matrix", spy)
     monkeypatch.setattr(oracle, "_solve_levels", levels_spy)
     dist = integrate_periodic(spec, level_cap=cap, grid_size=64, tol=1e-12)
-    assert solves == [(1, None), (25, None), (37, (2 * 25, 3 * 25))]
+    assert solves == [(1, None), (7, None), (13, (2 * 7, 3 * 7)), (25, (2 * 13, 3 * 13)),
+                      (37, (2 * 25, 3 * 25))]
     assert listed == [31, 31]
     assert dist.periods == 18 and dist.residual <= 1e-12
     assert (dist.level_cap, dist.solved_levels) == (cap, 31)
+
+
+# Models on which the ladder's start is checked against Y = 0: (spec,
+# level_cap, grid_size, N, levels solved), N and the levels those of the
+# Y = 0 start.  The reference, loads 0.8 and 0.99, the k=2, m=3 model of
+# harmonics 1, 2 and 3 (N grows 12 -> 18) and M/M/1.
+_LADDER = {
+    "reference": (_STRESS["reference"][0], 50, 512, 12, 8),
+    "load-0.8": (_STRESS["load-0.8"][0], 120, 512, 12, 37),
+    "load-0.99": (ModelSpec(7, 4, RateFunction(8.6625, sin=((1, -2.0),)),
+                            RateFunction(5.0, sin=((1, 4.0),))), 900, 64, 12, 810),
+    "k2-m3-harmonics-1-2-3": (ModelSpec(2, 3, RateFunction(1.5, cos=((1, 0.5), (3, 0.3))),
+                                        RateFunction(3.0, sin=((2, 1.0),))), 60, 512, 18, 60),
+    "k1-m1": (ModelSpec(1, 1, RateFunction(1.0, sin=((1, -0.5),)),
+                        RateFunction(2.0, sin=((1, 1.0),))), 60, 512, 12, 60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LADDER))
+def test_coarse_start_reaches_the_zero_start_law(name):
+    # the rate matrix at N started from the ladder below it (N = 3 and 6
+    # under 12) reaches the fixed point that Y = 0 reaches: at the same N
+    # and on the same levels the law is within 1e-13 of the Y = 0 law, and
+    # at load 0.99 the ladder's start takes at most 10 iterations at N where
+    # Y = 0 takes 508
+    spec, cap, grid, top, solved = _LADDER[name]
+    dist = integrate_periodic(spec, level_cap=cap, grid_size=grid)
+    assert (dist.periods, dist.solved_levels) == (top, solved)
+    ops = _rate_operators(spec, top + 1)
+    flat, residual, _, iterations = oracle._solve_levels(ops, spec.k, spec.m, solved)
+    flat = _series(flat)
+    assert residual <= 1e-10 and np.abs(flat[-1]).max() <= 1e-10
+    assert np.abs(dist.series[:, :flat.shape[1]] - flat).max() <= 1e-13
+    rates = [(rate.mean(), oracle._harmonics(rate)) for rate in (spec.arrival, spec.service)]
+    start = oracle._coarse_start(rates, 1, top, spec.k, spec.m)
+    ladder = oracle._solve_levels(ops, spec.k, spec.m, solved, start)
+    assert np.abs(_series(ladder[0]) - flat).max() <= 1e-13
+    if name == "load-0.99":
+        assert iterations > 500 and max(dist.iterations, ladder[3]) <= 10
 
 
 def test_level_blocks_are_reused_below_the_cap(periodic74_spec):
@@ -584,8 +626,8 @@ def test_level_inverses_match_the_dense_loop(name):
 
 def test_rate_matrix_solves_one_diagonal_block(periodic74_spec, monkeypatch):
     # the forward substitution solves the H x H diagonal block once, for
-    # both steps; each of the 8 iterations and the final R solve one (4 H)
-    # square system, H = 25 at N = 12
+    # both steps; each of the 8 iterations from Y = 0 and the final R solve
+    # one (4 H) square system, H = 25 at N = 12
     shapes = []
     solve = np.linalg.solve
 
@@ -640,11 +682,12 @@ def test_solve_keeps_the_levels_that_hold_mass(name):
 
 
 def test_law_keeps_its_solve_figures(periodic74_spec, monkeypatch):
-    # the reference's rate matrix takes 8 iterations at N = 12, and the cap
+    # the reference's rate matrix takes 3 iterations at N = 12 from the
+    # start of N = 3 and 6 (8 from Y = 0), and the cap
     # check's evaluation of the top solved level is the law's cap_mass: no
     # series is evaluated for it again
     dist = integrate_periodic(periodic74_spec, level_cap=50, grid_size=64)
-    assert (dist.periods, dist.iterations) == (12, 8)
+    assert (dist.periods, dist.iterations) == (12, 3)
 
     def refuse(*args):
         raise AssertionError("cap_mass evaluated a series again")

@@ -192,8 +192,10 @@ def test_residual_failure_names_the_first_failing_root(periodic74_spec, monkeypa
     # and both routes name it with the same figures
     ref_set = root_set_by_frequency(periodic74_spec, 10)
     if which == "poly":
-        name = "_POLY_RESIDUAL_SCALE"
-        ratio = [r.poly_residual / (8.0 + 2.0 * np.pi * abs(r.n)) for r in ref_set]
+        name = "_POLY_RESIDUAL_TOL"
+        # the scale of each root's check, the sum of its terms' moduli
+        ratio = [r.poly_residual / (3.0 * abs(r.y ** 11) + abs(8.0 + 2j * np.pi * r.n)
+                                    * abs(r.y ** 7) + 5.0) for r in ref_set]
         tol = max(ratio) * (1.0 - 1e-9)
         message = "^root residual .* too large at n="
     else:
