@@ -19,13 +19,12 @@ conjugates of those at n, so a `RootSet` stores the n >= 0 roots alone.
 `characteristic_roots` solves any number of frequencies in one array pass:
 numpy.roots' companion matrix of every frequency, built directly, goes into
 one stacked `np.linalg.eigvals` call, and the Newton polish, the split by
-modulus, the sort by angle and the residuals run on real and imaginary
-arrays.  The polish repeats CPython's complex arithmetic operation by
-operation (`**` by binary powering, the product, Smith's quotient), so
-every root has the bits a Python loop over single frequencies gives it.
-build_root_set calls it once for n = 0..order.  The tests hold it against
-that loop (`root_set_by_frequency` in `tests/reference.py`) and against an
-independent solver, the fixed-point iteration `outer_roots_by_iteration`.
+modulus, the sort by angle and the residuals run on complex arrays in
+numpy's own arithmetic.  build_root_set calls it once for n = 0..order.
+The tests hold it against a Python loop over single frequencies
+(`root_set_by_frequency` in `tests/reference.py`), within the forward
+error that two backward-stable roots allow, and against an independent
+solver, the fixed-point iteration `outer_roots_by_iteration`.
 """
 
 from __future__ import annotations
@@ -54,77 +53,11 @@ _NEWTON_STEPS = 3
 # Outside roots of one frequency closer than this count as collided.
 _COLLISION_GAP = 1e-8
 
-# A complex array below is one real array z of shape (2, ...), z[0] the real
-# and z[1] the imaginary parts, and each operation on it is the one CPython's
-# complexobject.c performs, rounding for rounding.  A float operand of a
-# complex operation is first made the complex (x, 0.0), as CPython before
-# 3.14 makes it, so zeros keep their signs too.
-
-_ONE = np.array([1.0, 0.0]).reshape(2, 1, 1)
-# negates the real part: x + (-y) is x - y, exactly
-_SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
-
-
-def _constant(x: float, im: float = 0.0) -> np.ndarray:
-    return np.array([x, im]).reshape(2, 1, 1)
-
-
-def _product(a, b):
-    """CPython's complex product (_Py_c_prod): ar*br - ai*bi, ar*bi + ai*br."""
-    return a[0] * b + a[1] * b[::-1] * _SIGNS
-
-
-def _quotient(a, b):
-    """CPython's complex quotient (_Py_c_quot): Smith's rule, dividing by
-    the larger part of b.  No entry of b may be zero."""
-    by_real = np.abs(b[0]) >= np.abs(b[1])
-    big, small = np.where(by_real, b, b[::-1])
-    ratio = small / big
-    u, v = np.where(by_real, a, a[::-1])
-    w = u * ratio
-    return np.stack((u + v * ratio, np.where(by_real, v - w, w - v))) / (big + small * ratio)
-
-
-def _powers(y, exponents) -> list:
-    """y**e for each integer exponent e, |e| <= 100, as CPython's complex
-    `**` forms it (c_powi): binary powering from 1 + 0j, one product per set
-    bit of |e| with the repeated squares of y, and for e <= 0 the quotient
-    1 / y**-e.  The squares are formed once for all exponents."""
-    squares = [y]
-    while 2 ** len(squares) <= max(abs(e) for e in exponents):
-        squares.append(_product(squares[-1], squares[-1]))
-    out = []
-    for e in exponents:
-        power = _ONE
-        for bit, square in enumerate(squares):
-            if abs(e) >> bit & 1:
-                power = _product(power, square)
-        out.append(power if e > 0 else _quotient(_ONE, power))
-    return out
-
-
-def _frequency_term(freqs: np.ndarray) -> np.ndarray:
-    """2j * math.pi * n for each n of freqs, as a (2, len(freqs), 1) pair."""
-    n = np.stack((freqs.astype(float), np.zeros(len(freqs))))[:, :, None]
-    return _product(_product(_constant(0.0, 2.0), _constant(math.pi)), n)
-
 
 def _shift(spec: ModelSpec, freqs: np.ndarray) -> np.ndarray:
-    """lam_bar + mu_bar + 2 pi i n, the coefficient of -y**k."""
-    return _constant(spec.arrival_mean + spec.service_mean) + _frequency_term(freqs)
-
-
-def _poly_value(spec: ModelSpec, b, p_top, p_k):
-    """lam_bar * y**(k+m) - b * y**k + mu_bar from the two powers of y."""
-    return (_product(_constant(spec.arrival_mean), p_top) - _product(b, p_k)
-            + _constant(spec.service_mean))
-
-
-def _join(z: np.ndarray) -> np.ndarray:
-    """The complex array of the pair z, every part kept as it is."""
-    out = np.empty(z.shape[1:], dtype=complex)
-    out.real, out.imag = z
-    return out
+    """lam_bar + mu_bar + 2 pi i n, the coefficient of -y**k, as a column
+    with one row per n of freqs."""
+    return (spec.arrival_mean + spec.service_mean + 2j * math.pi * freqs)[:, None]
 
 
 def _angle_order(ys: np.ndarray) -> np.ndarray:
@@ -144,9 +77,10 @@ def characteristic_roots(spec: ModelSpec, n):
     All frequencies' companion matrices (numpy.roots' matrix, built
     directly) go into one stacked `np.linalg.eigvals` call, so each row
     keeps numpy.roots' bits.  Each root is then polished with _NEWTON_STEPS
-    Newton steps in CPython's own complex arithmetic (a root whose
-    derivative is zero stops there), so an array call and calls one
-    frequency at a time give the same bits.  Exactly k roots must satisfy
+    Newton steps in numpy's complex arithmetic (a root whose derivative is
+    zero stops there).  At n = 0, where the coefficients are real, a root
+    within _COLLISION_GAP / 2 of the real axis is made real, so the
+    positive real outside root has branch 0.  Exactly k roots must satisfy
     |y| <= 1 + 1e-9 and m must lie strictly outside; any other split
     signals a bug or a broken model and raises RuntimeError naming the
     first such frequency.  Both groups are sorted by arg(y) in [0, 2 pi),
@@ -158,7 +92,7 @@ def characteristic_roots(spec: ModelSpec, n):
     freqs = np.asarray(n)
     if freqs.ndim != 1 or freqs.dtype.kind not in "iu":
         raise TypeError(f"n must be an integer or a 1-D integer array, got {n!r}")
-    lb, k, m = spec.arrival_mean, spec.k, spec.m
+    lb, mb, k, m = spec.arrival_mean, spec.service_mean, spec.k, spec.m
     b = _shift(spec, freqs)
 
     # numpy.roots' companion matrix of each frequency: the coefficients
@@ -166,26 +100,26 @@ def characteristic_roots(spec: ModelSpec, n):
     # so numpy.roots would strip nothing
     c = np.zeros((len(freqs), k + m + 1), dtype=complex)
     c[:, 0] = lb
-    c[:, m:m + 1] = _join(-b)
-    c[:, -1] = spec.service_mean
+    c[:, m:m + 1] = -b
+    c[:, -1] = mb
     below = np.arange(k + m - 1)
     companion = np.zeros((len(freqs), k + m, k + m), dtype=complex)
     companion[:, below + 1, below] = 1.0
     companion[:, 0, :] = -c[:, 1:] / c[:, :1]
     ys = np.linalg.eigvals(companion)
 
-    y = np.stack((ys.real, ys.imag))
-    kb = _product(_constant(float(k)), b)
     moving = np.ones(ys.shape, dtype=bool)
     for _ in range(_NEWTON_STEPS):
-        p_top, p_k, p_top1, p_k1 = _powers(y, (k + m, k, k + m - 1, k - 1))
-        d = _product(_constant((k + m) * lb), p_top1) - _product(kb, p_k1)
-        moving &= (d != 0).any(axis=0)
-        step = _quotient(_poly_value(spec, b, p_top, p_k), np.where(moving, d, _ONE))
-        y = np.where(moving, y - step, y)
+        d = (k + m) * lb * ys ** (k + m - 1) - k * b * ys ** (k - 1)
+        moving &= d != 0
+        step = (lb * ys ** (k + m) - b * ys ** k + mb) / np.where(moving, d, 1.0)
+        ys = np.where(moving, ys - step, ys)
+    # at n = 0 the coefficients are real: a root that rounding leaves within
+    # _COLLISION_GAP / 2 of the real axis is real, as a conjugate pair that
+    # close would collide
+    ys.imag[(freqs == 0)[:, None] & (np.abs(ys.imag) < _COLLISION_GAP / 2)] = 0.0
 
-    ys = _join(y)
-    modulus = np.hypot(*y)
+    modulus = np.abs(ys)
     inside = modulus <= 1.0 + _INSIDE_TOL
     outside = modulus > 1.0 + _INSIDE_TOL
     counts = inside.sum(axis=1), outside.sum(axis=1)
@@ -226,23 +160,14 @@ class CharacteristicRoot:
 def _residuals(spec: ModelSpec, freqs: np.ndarray, ys: np.ndarray):
     """|p(y)|, the scale lam_bar |y**(k+m)| + |b| |y**k| + mu_bar of its
     check and |exp(lam_bar (y**m - 1) + mu_bar (y**-k - 1) - 2 pi i n) - 1|
-    of each root, row i of ys at frequency freqs[i], each as Python's
-    complex arithmetic forms it: np.hypot is Python's abs, and np.exp of a
-    complex array calls the C library's cexp, which gives cmath.exp's bits
-    (np.abs of a complex array does not give abs's)."""
-    k, m = spec.k, spec.m
-    y = np.stack((ys.real, ys.imag))
-    p_top, p_k, p_m, p_minus_k = _powers(y, (k + m, k, m, -k))
+    of each root, row i of ys at frequency freqs[i]."""
+    lb, mb, k, m = spec.arrival_mean, spec.service_mean, spec.k, spec.m
     b = _shift(spec, freqs)
-    poly_res = np.hypot(*_poly_value(spec, b, p_top, p_k))
-    scale = (spec.arrival_mean * np.hypot(*p_top) + np.hypot(*b) * np.hypot(*p_k)
-             + spec.service_mean)
-    exponent = (_product(_constant(spec.arrival_mean), p_m - _ONE)
-                + _product(_constant(spec.service_mean), p_minus_k - _ONE)
-                - _frequency_term(freqs))
-    e = np.exp(_join(exponent))
-    exp_res = np.hypot(*(np.stack((e.real, e.imag)) - _ONE))
-    return poly_res, scale, exp_res
+    top, yk = ys ** (k + m), ys ** k
+    poly_res = np.abs(lb * top - b * yk + mb)
+    scale = lb * np.abs(top) + np.abs(b) * np.abs(yk) + mb
+    exponent = lb * (ys ** m - 1.0) + mb * (ys ** -k - 1.0) - 2j * math.pi * freqs[:, None]
+    return poly_res, scale, np.abs(np.exp(exponent) - 1.0)
 
 
 def _listing(y: np.ndarray):
@@ -309,38 +234,32 @@ def build_root_set(spec: ModelSpec, order: int) -> RootSet:
     coefficients conjugate when n flips sign), so only n >= 0 is solved,
     in one call of characteristic_roots, and only n >= 0 is kept.  Branch
     labels sort each frequency's roots by arg(y) in [0, 2 pi).  The split,
-    pairwise distinctness within each frequency and the residuals of every
-    root, n < 0 included, are enforced, in that order; each check names the
-    first frequency that fails it, the residuals in the order n = 0, 1, -1,
-    2, -2, ...
+    pairwise distinctness within each frequency and the residuals are
+    enforced, in that order; each check names the first frequency n >= 0
+    that fails it.  The residuals are checked on the stored rows alone: a
+    root at -n has those of its mirror at n, so a failure at -n is named as
+    n.
     """
     order = _as_index(order, "order")
     if order < 0:
         raise ValueError("order must be >= 0")
 
     _, outside = characteristic_roots(spec, np.arange(order + 1))
-    # complex subtraction is exact per part, as Python's is
     gaps = outside[:, :, None] - outside[:, None, :]
-    collided = np.triu(np.hypot(gaps.real, gaps.imag) < _COLLISION_GAP, 1).any(axis=(1, 2))
+    collided = np.triu(np.abs(gaps) < _COLLISION_GAP, 1).any(axis=(1, 2))
     if collided.any():
         raise RuntimeError(f"outside roots collide at n={np.flatnonzero(collided)[0]}")
 
-    # rows n = -order..order
-    ys = _listing(outside)[2].reshape(-1, spec.m)
-    freqs = np.arange(-order, order + 1)
-    poly_res, scale, exp_res = _residuals(spec, freqs, ys)
+    # each root at -n has the residuals of its mirror at n, bit for bit
+    poly_res, scale, exp_res = _residuals(spec, np.arange(order + 1), outside)
     bad_poly = poly_res > _POLY_RESIDUAL_TOL * scale
     bad = bad_poly | (exp_res > _EXP_RESIDUAL_TOL)
     if bad.any():
-        # the first failing root in the order n = 0, 1, -1, 2, -2, ...
-        rows = np.argsort(2 * np.abs(freqs) - (freqs > 0))
-        row, j = np.argwhere(bad[rows])[0]
-        i = rows[row]
-        if bad_poly[i, j]:
+        n, j = np.argwhere(bad)[0]
+        if bad_poly[n, j]:
             raise RuntimeError(
-                f"root residual {poly_res[i, j]:.3e} too large at n={freqs[i]} "
-                f"(scale {scale[i, j]:.3e})"
+                f"root residual {poly_res[n, j]:.3e} too large at n={n} "
+                f"(scale {scale[n, j]:.3e})"
             )
-        raise RuntimeError(f"exponential residual {exp_res[i, j]:.3e} too large "
-                           f"at n={freqs[i]}")
-    return RootSet(spec, outside, poly_res[order:], exp_res[order:])
+        raise RuntimeError(f"exponential residual {exp_res[n, j]:.3e} too large at n={n}")
+    return RootSet(spec, outside, poly_res, exp_res)

@@ -14,8 +14,10 @@ another way, kept to pin that route:
 - `root_set_by_frequency` (with `roots_by_frequency`): the root set solved
   one frequency at a time, one `np.linalg.eigvals` call and a Python loop
   of Newton steps per frequency and Python's own sort, collision check and
-  residuals per root, against `build_root_set`, which solves all
-  frequencies in one array pass and must give the same bits;
+  residuals per root, all in Python's complex arithmetic, against
+  `build_root_set`, which solves all frequencies in one array pass in
+  numpy's and must find the same roots within the forward error of two
+  backward-stable roots;
 - `uncut_level_matrix` and `uncut_level_rows`: the folded level series
   and its level rows with every root kept, against
   `SeriesEvaluator.level_matrix`, which leaves out the roots past the last

@@ -1,12 +1,14 @@
 """Characteristic roots: counts, residuals, symmetry, and the dual solvers."""
 
+import re
+
 import numpy as np
 import pytest
 
 import reference
 from ekemq import ModelSpec, RateFunction, build_root_set, characteristic_roots, roots
-from reference import (_poly, _poly_coeffs, outer_roots_by_iteration, root_set_by_frequency,
-                       roots_by_frequency)
+from reference import (_poly, _poly_coeffs, _poly_deriv, outer_roots_by_iteration,
+                       root_set_by_frequency, roots_by_frequency)
 
 
 def _sorted_by_arg(values):
@@ -113,29 +115,53 @@ def _bits(ys):
     return [(y.real.hex(), y.imag.hex()) for y in ys]
 
 
-def _root_bits(rs):
-    return [(r.n, r.branch, r.k, r.m, *_bits([r.y]), r.poly_residual.hex(),
-             r.exp_residual.hex()) for r in rs]
+def _forward_gaps(spec, n, got, ref):
+    """For each root y of got at frequency n, its distance to the nearest
+    root of ref times |p'(y)|, in units of eps times the residual check's
+    scale lam_bar |y|**(k+m) + |b| |y|**k + mu_bar: two backward-stable
+    roots of one polynomial are a few such units apart.  The nearest roots
+    must be distinct, so the match is one to one."""
+    poly = _poly(spec, n)
+    lb, b, mb, k, m = poly
+    nearest = [min(range(len(ref)), key=lambda i: abs(ref[i] - y)) for y in got]
+    assert len(set(nearest)) == len(got) == len(ref), n
+    return [abs(ref[i] - y) * abs(_poly_deriv(poly, y))
+            / (np.finfo(float).eps * (lb * abs(y) ** (k + m) + abs(b) * abs(y) ** k + mb))
+            for i, y in zip(nearest, got)]
+
+
+# the forward error two backward-stable roots allow, in the units of
+# _forward_gaps
+_ROOT_GAP = 8.0
 
 
 @pytest.mark.parametrize("order", [0, 1, 10, 40])
 @pytest.mark.parametrize("k, m", [(7, 4), (2, 3), (1, 1)])
 def test_root_set_is_the_per_frequency_loop_bit_for_bit(k, m, order):
-    # the array pass gives every root, branch label and residual the bits
-    # of the loop that solved one frequency at a time; the set stores n >= 0
-    # only, and each n < 0 root takes its mirror's residuals, which are the
-    # bits the loop computes at the conjugate root
+    # the array pass, in numpy's complex arithmetic, finds the roots the
+    # loop over single frequencies finds in CPython's, within the forward
+    # error of two backward-stable roots, each root matched within its
+    # frequency; the set stores n >= 0 only, and the residuals of each n < 0
+    # root, computed at it, are its mirror's bit for bit
     spec = _reference_rates(k, m)
     got, ref = build_root_set(spec, order), root_set_by_frequency(spec, order)
-    assert len(got) == (2 * order + 1) * m
-    assert _root_bits(got) == _root_bits(ref)
-    stored = {(r.n, r.y): (r.poly_residual, r.exp_residual) for r in ref if r.n >= 0}
-    assert [(r.poly_residual.hex(), r.exp_residual.hex()) for r in ref if r.n < 0] == [
-        tuple(x.hex() for x in stored[-r.n, r.y.conjugate()]) for r in ref if r.n < 0]
+    assert len(got) == len(ref) == (2 * order + 1) * m
+    for n in range(-order, order + 1):
+        ys = [r.y for r in got if r.n == n]
+        assert max(_forward_gaps(spec, n, ys, [r.y for r in ref if r.n == n])) <= _ROOT_GAP
+    freqs = np.arange(order + 1)
+    stored = roots._residuals(spec, freqs, got.y)
+    mirrored = roots._residuals(spec, -freqs, got.y.conj())
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(stored, mirrored))
+    assert stored[0].tobytes() == got.poly_residual.tobytes()
+    assert stored[2].tobytes() == got.exp_residual.tobytes()
 
 
 @pytest.mark.parametrize("k, m", [(7, 4), (2, 3), (1, 1)])
 def test_array_call_is_the_single_frequency_calls(k, m):
+    # an array call and calls one frequency at a time give the same bits;
+    # both are within the forward error of two backward-stable roots of the
+    # loop in CPython's arithmetic
     spec = _reference_rates(k, m)
     freqs = np.arange(-20, 21)
     inside, outside = characteristic_roots(spec, freqs)
@@ -144,7 +170,7 @@ def test_array_call_is_the_single_frequency_calls(k, m):
         one_in, one_out = characteristic_roots(spec, n)
         assert _bits(one_in) == _bits(inside[i]) and _bits(one_out) == _bits(outside[i]), n
         ref_in, ref_out = roots_by_frequency(spec, n)
-        assert _bits(ref_in) == _bits(one_in) and _bits(ref_out) == _bits(one_out), n
+        assert max(_forward_gaps(spec, n, one_in + one_out, ref_in + ref_out)) <= _ROOT_GAP
 
 
 def test_array_call_refuses_non_integer_frequencies(periodic74_spec):
@@ -188,27 +214,31 @@ def test_collision_names_the_first_failing_frequency(periodic74_spec, monkeypatc
 
 @pytest.mark.parametrize("which", ["poly", "exp"])
 def test_residual_failure_names_the_first_failing_root(periodic74_spec, monkeypatch, which):
-    # a tolerance just below the largest residual fails that root alone,
-    # and both routes name it with the same figures
-    ref_set = root_set_by_frequency(periodic74_spec, 10)
+    # a tolerance just below the largest residual of the set fails that root
+    # alone (and its mirror, named by n >= 0), with the figures of its check
+    rs = build_root_set(periodic74_spec, 10)
     if which == "poly":
         name = "_POLY_RESIDUAL_TOL"
         # the scale of each root's check, the sum of its terms' moduli
-        ratio = [r.poly_residual / (3.0 * abs(r.y ** 11) + abs(8.0 + 2j * np.pi * r.n)
-                                    * abs(r.y ** 7) + 5.0) for r in ref_set]
-        tol = max(ratio) * (1.0 - 1e-9)
-        message = "^root residual .* too large at n="
+        scale = np.array([[3.0 * abs(y ** 11) + abs(8.0 + 2j * np.pi * n) * abs(y ** 7) + 5.0
+                           for y in row] for n, row in enumerate(rs.y.tolist())])
+        ratio = rs.poly_residual / scale
+        n, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+        tol = ratio[n, j] * (1.0 - 1e-9)
+        message = "^" + re.escape(f"root residual {rs.poly_residual[n, j]:.3e} too large "
+                                  f"at n={n} (scale ")
     else:
         name = "_EXP_RESIDUAL_TOL"
-        tol = max(r.exp_residual for r in ref_set) * (1.0 - 1e-9)
-        message = "^exponential residual .* too large at n="
+        n, j = np.unravel_index(np.argmax(rs.exp_residual), rs.exp_residual.shape)
+        tol = rs.exp_residual[n, j] * (1.0 - 1e-9)
+        message = "^" + re.escape(f"exponential residual {rs.exp_residual[n, j]:.3e} "
+                                  f"too large at n={n}") + "$"
     monkeypatch.setattr(roots, name, tol)
-    monkeypatch.setattr(reference, name, tol)
     with pytest.raises(RuntimeError, match=message) as got:
         build_root_set(periodic74_spec, 10)
-    with pytest.raises(RuntimeError) as ref:
-        root_set_by_frequency(periodic74_spec, 10)
-    assert got.value.args == ref.value.args
+    if which == "poly":
+        assert float(got.value.args[0].split("scale ")[1][:-1]) == pytest.approx(
+            scale[n, j], rel=1e-3)
 
 
 @pytest.mark.parametrize("k, m", [(7, 4), (1, 1), (2, 3)])
@@ -231,3 +261,43 @@ def test_eigenvalues_are_numpy_roots_bits(k, m, monkeypatch):
         assert calls[0].shape == (q + 1, k + m)
         for n, ys in enumerate(calls[0]):
             assert ys.tobytes() == np.roots(_poly_coeffs(_poly(spec, n))).tobytes(), (q, n)
+
+
+def _sweep_models(count=100, seed=7):
+    """The seeded random models of the roadmap's sweep: k, m uniform on
+    1..8 and coprime (a pair that is not is redrawn), mu_bar uniform on
+    [1, 6], the load uniform on [0.1, 0.97] with lam_bar = load k mu_bar / m,
+    arrival lam_bar + a sin 2 pi h_a t and service mu_bar + b cos 2 pi h_s t,
+    h_a and h_s uniform on {1, 2, 3}, a / lam_bar and b / mu_bar uniform on
+    [0, 0.9]; drawn in the order k, m, mu_bar, load, h_a, h_s, a, b."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        while np.gcd(k, m) != 1:
+            k, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        mu_bar, load = rng.uniform(1.0, 6.0), rng.uniform(0.1, 0.97)
+        h_a, h_s = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        a, b = rng.uniform(0.0, 0.9), rng.uniform(0.0, 0.9)
+        lam_bar = load * k * mu_bar / m
+        yield ModelSpec(k, m, RateFunction(lam_bar, sin=((h_a, a * lam_bar),)),
+                        RateFunction(mu_bar, cos=((h_s, b * mu_bar),)))
+
+
+def test_seeded_sweep_builds_every_root_set():
+    # every model of the sweep builds its root sets at orders 10, 20 and 40;
+    # row 0 (real coefficients) is closed under conjugation, its positive
+    # real root is exactly real and has branch 0, and every stored residual
+    # is within its check
+    for spec in _sweep_models():
+        for order in (10, 20, 40):
+            rs = build_root_set(spec, order)
+            row0 = rs.y[0].tolist()
+            assert max(_forward_gaps(spec, 0, row0, [y.conjugate() for y in row0])) \
+                <= _ROOT_GAP, (spec, order)
+            assert row0[0].imag == 0.0 and row0[0].real > 1.0, (spec, order)
+            lb, mb, k, m = spec.arrival_mean, spec.service_mean, spec.k, spec.m
+            freqs = np.arange(order + 1)[:, None]
+            scale = (lb * np.abs(rs.y) ** (k + m)
+                     + np.abs(lb + mb + 2j * np.pi * freqs) * np.abs(rs.y) ** k + mb)
+            assert (rs.poly_residual <= roots._POLY_RESIDUAL_TOL * scale).all(), (spec, order)
+            assert (rs.exp_residual <= roots._EXP_RESIDUAL_TOL).all(), (spec, order)
