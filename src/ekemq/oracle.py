@@ -23,7 +23,9 @@ Methods for Structured Markov Chains, 2005): level j is K y_{j-1}, where y_j
 = R y_{j-1} holds level j's final arrival stages.  `_rate_matrix` finds K
 and R by a fixed-point iteration on the interfaces between levels, and
 `_solve_levels` solves the empty level against them with the mass of every
-level above it.  The law is its Fourier series: one evaluator
+level above it.  One walk over N solves every rate matrix, each from the
+last: N = 0 (the mean rates), coarser N below the first, then the first N
+and its growth.  The law is its Fourier series: one evaluator
 (`TrigInterpolant`) samples it on the output grid and reads it between
 grid times.  No period is integrated, and the error is the truncation past
 N, which |c_N| shows, plus the solve's residual.  The levels that hold more
@@ -75,10 +77,11 @@ from .model import ModelSpec, _as_index, _normalize_phase
 # The law's Fourier coefficients c_0..c_N are solved for with N first
 # _FIRST_HARMONIC, or twice the rates' top harmonic where that is larger
 # (none for constant rates: N = 0), and then grown by half while max |c_N| >
-# tol and N stays within _MAX_HARMONIC, each rate matrix starting from the
-# last and the first from a ladder of coarser N (`_coarse_start`).  N and its
-# steps are counted in units of the rates' harmonic spacing d, each rounded
-# up to a whole unit, so that c_N is a harmonic the law can have.
+# tol and N stays within _MAX_HARMONIC.  Their rate matrices are the end of
+# one walk over N (`_fourier_coefficients`), each started from the one
+# before.  N and its steps are counted in units of the rates' harmonic
+# spacing d, each rounded up to a whole unit, so that c_N is a harmonic the
+# law can have.
 _FIRST_HARMONIC = 12
 _MAX_HARMONIC = 128
 
@@ -406,10 +409,11 @@ def _rate_matrix(ops, k: int, m: int, start=None):
     its rows (k - 1, s) and (a, m - 1), ap, bp and qu, qv, Y is the fixed
     point of Y = -qu - qv Y R, R = -(I + bp Y)^-1 ap, the rows (a, m - 1)
     of K; K = -F (I; Y R).  The iteration starts at Y = 0, or at `start`,
-    a Y on fewer harmonics padded with zeros (that of a smaller N, or of
-    `_coarse_start`'s ladder), and stops once an update is no smaller than
-    the last or within rounding of Y.  It converges linearly, at about
-    sp(R), so a start near the fixed point saves most of its iterations."""
+    a Y on as many or fewer harmonics padded with zeros (that of the N
+    before on `_fourier_coefficients`' walk), and stops once an update is
+    no smaller than the last or within rounding of Y.  It converges
+    linearly, at about sp(R), so a start near the fixed point saves most of
+    its iterations."""
     lam, mu, deriv = ops
     h = len(lam)
     steps = np.linalg.solve(lam + mu + deriv, np.hstack([lam, mu]))
@@ -487,24 +491,16 @@ def _solve_levels(ops, k: int, m: int, levels: int, start=None):
     return x, float(np.linalg.norm(out)), y, iterations
 
 
-def _coarse_start(rates, d: int, top: int, k: int, m: int):
-    """The Y that the rate matrix at N = top d starts from: that of a ladder
-    of coarser N, top halved (rounded down) while it stays >= 3, each rung's
-    iteration starting from the rung below it, so the iteration at N
-    starts near its fixed point; None (Y = 0) when top < 6."""
-    if top // 2 < 3:
-        return None
-    start = _coarse_start(rates, d, top // 2, k, m)
-    return _rate_matrix(_operators(rates, d, top // 2 + 1), k, m, start)[1]
-
-
-def _fourier_coefficients(spec: ModelSpec, levels: int, tol: float):
-    """(c, residual, iterations): the law's Fourier coefficients c_0..c_N on
-    the empty level and levels 1..levels, an (N + 1, k + levels km) complex
-    array, by the search over N and the checks of `integrate_periodic`, and
-    the iterations of the solve at that N.  The rows c_nd are solved for,
-    n = 0..N / d, and the rows between them are exact zeros.  The first N's
-    rate matrix starts from `_coarse_start`, each larger N's from the last."""
+def _fourier_coefficients(spec: ModelSpec, level_cap: int, tol: float):
+    """(c, residual, iterations, decay): the law's Fourier coefficients
+    c_0..c_N, an (N + 1, k + level_cap km) complex array, by the search over
+    N and the checks of `integrate_periodic`, the iterations of the solve at
+    that N, and sp(R) at the mean rates.  The rows c_nd are solved for, n =
+    0..N / d, on the empty level and levels 1..L; the other rows and the
+    levels past L are exact zeros.  The rate matrices are solved on one walk
+    over N / d, each from the Y of the one before: 0 (the mean rates, whose R
+    sets L), the first N halved while >= 3, coarsest first, then the first N
+    and its growth."""
     rates = [(rate.mean(), _harmonics(rate)) for rate in (spec.arrival, spec.service)]
     harmonics = [j for _, harm in rates for j in harm]
     d = math.gcd(*harmonics) or 1
@@ -514,21 +510,25 @@ def _fourier_coefficients(spec: ModelSpec, levels: int, tol: float):
     if top * d > _MAX_HARMONIC:
         raise RuntimeError(f"the rates reach harmonic {max(harmonics)}, past half of "
                            f"the largest N, {_MAX_HARMONIC}")
-    y = _coarse_start(rates, d, top, spec.k, spec.m)
+    # N = 0 keeps only the rates' means
+    _, y, rate, _ = _rate_matrix(_operators(rates, d, 1), spec.k, spec.m)
+    decay = float(np.abs(np.linalg.eigvals(rate)).max())
+    levels = min(level_cap, max(1, math.ceil(math.log(_LEVEL_FLOOR) / math.log(decay))))
+    # the rungs top // 2, top // 4, ... while >= 3, coarsest first
+    for rung in [top >> i for i in range(top.bit_length() - 1, 0, -1) if top >> i >= 3]:
+        y = _rate_matrix(_operators(rates, d, rung + 1), spec.k, spec.m, y)[1]
     while True:
         x, solved, y, iterations = _solve_levels(_operators(rates, d, top + 1), spec.k,
                                                  spec.m, levels, y)
         if solved > tol:
             raise RuntimeError(f"the rate-matrix solve stalled at residual "
                                f"{solved:.3e} > tol = {tol:.3e}; loosen tol")
-        c = np.empty((top + 1, len(x)), complex)
-        c[0] = x[:, 0]
-        c[1:] = (x[:, 1::2] + 1j * x[:, 2::2]).T
+        c = np.zeros((top * d + 1, spec.k + level_cap * spec.phase_count), complex)
+        c[0, :len(x)] = x[:, 0]
+        c[d::d, :len(x)] = (x[:, 1::2] + 1j * x[:, 2::2]).T
         truncation = float(np.abs(c[-1]).max()) if top else 0.0
         if truncation <= tol:
-            series = np.zeros((top * d + 1, len(x)), complex)
-            series[::d] = c
-            return series, max(solved, truncation), iterations
+            return c, max(solved, truncation), iterations, decay
         step = -(-(top * d // 2) // d)
         if (top + step) * d > _MAX_HARMONIC:
             raise RuntimeError(f"the law's harmonics reach past {_MAX_HARMONIC}: "
@@ -555,16 +555,16 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     up to multiples of d.  The law is built from the solved series, with
     `periods` N, `residual` the larger of max |c_N| (0 for N = 0) and the
     2-norm of the equations' residual, both <= tol, and `iterations` those
-    of the rate matrix at N.  The rate matrix at the first N starts from
-    those of a ladder of coarser N (N / d halved while >= 3: 3 and 6 under
-    12), each rung from the one below, and each larger N from the last
-    (`_coarse_start`); the start sets only the iterations, not the fixed
-    point they reach.  grid_size sets only the times i / grid_size of
+    of the rate matrix at N.  The rate matrices are solved on one walk over
+    N / d, each from the Y of the one before (`_fourier_coefficients`): 0,
+    the first N halved while >= 3, coarsest first (3 and 6 under 12), then
+    the first N and its growth; the start sets only the iterations, not the
+    fixed point they reach.  grid_size sets only the times i / grid_size of
     its samples and of the cap check below, which evaluates the top listed
     level's series there.
 
     The law falls by sp(R) per level at the mean rates, the spectral radius
-    of the m x m rate matrix of the same solve at N = 0 (the law's
+    of the m x m rate matrix at the walk's first step, N = 0 (the law's
     `level_decay`), and levels 1..L are listed, L = min(level_cap, ceil(log
     1e-18 / log sp(R))); the levels L + 1..level_cap are exact zeros
     (`solved_levels` is L).  Where level_cap binds, the listed levels are
@@ -582,13 +582,7 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
         raise ValueError("grid_size must be >= 4")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be > 0 and < 1, got {tol}")
-    mean = [(spec.arrival.mean(), {}), (spec.service.mean(), {})]
-    rate = _rate_matrix(_operators(mean, 1, 1), spec.k, spec.m)[2]
-    decay = float(np.abs(np.linalg.eigvals(rate)).max())
-    levels = min(level_cap, max(1, math.ceil(math.log(_LEVEL_FLOOR) / math.log(decay))))
-    solved, residual, iterations = _fourier_coefficients(spec, levels, tol)
-    series = np.zeros((len(solved), spec.k + level_cap * spec.phase_count), complex)
-    series[:, :solved.shape[1]] = solved
+    series, residual, iterations, decay = _fourier_coefficients(spec, level_cap, tol)
     dist = PeriodicDistribution(spec=spec, series=series, grid_size=grid_size,
                                 periods=len(series) - 1, residual=residual,
                                 level_decay=decay, iterations=iterations)

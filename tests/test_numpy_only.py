@@ -1,10 +1,12 @@
 """The library runs on numpy alone.
 
 Every import under `src/ekemq/` is from the standard library, numpy or the
-package itself, read with `ast`; and a process that imports the package and
-runs every CLI command loads no scipy module.  So no route reaches a
-scipy kernel, public or private, and scipy serves the tests' references
-only.
+package itself, read with `ast`, and no module names scipy's private sparse
+product methods (`_matmul_vector`, `_mul_vector`, which skip the per-call
+dispatch of `@` and can change or vanish in any scipy release); and a
+process that imports the package and runs every CLI command loads no scipy
+module.  So no route reaches a scipy kernel, public or private, and scipy
+serves the tests' references only.
 """
 
 import ast
@@ -18,6 +20,7 @@ from ekemq.cli import _COMMANDS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ekemq"
 _ALLOWED = {"numpy", "ekemq"}
+_PRIVATE_METHODS = {"_matmul_vector", "_mul_vector"}
 
 # a small periodic model, quick on every command; bounds.reference exceeds
 # every bounds.orders entry
@@ -40,15 +43,19 @@ busy.substeps = 1
 """
 
 
-def _foreign_imports(source: str) -> list[str]:
+def _foreign_uses(source: str) -> list[str]:
     """'line n: name' for every import from outside the standard library,
-    numpy and ekemq; a relative import is the package's own."""
+    numpy and ekemq (a relative import is the package's own) and every
+    attribute named after a private scipy sparse product method."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(source, feature_version=(3, 10))):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             names = [node.module]
+        elif isinstance(node, ast.Attribute) and node.attr in _PRIVATE_METHODS:
+            found.append((node.lineno, node.attr))
+            continue
         else:
             continue
         found += [(node.lineno, name) for name in names
@@ -70,19 +77,24 @@ def test_checker_sees_foreign_imports():
               "def f():\n"
               "    import scipy.sparse.linalg as sla\n"
               "import numpyx, json\n"
-              "from mpmath import mp\n")
-    assert _foreign_imports(source) == [
+              "from mpmath import mp\n"
+              "y = g._matmul_vector(x)\n"
+              "f = g._mul_vector\n"
+              "z = g.matmul_vector(x)\n")
+    assert _foreign_uses(source) == [
         "line 8: scipy.special",
         "line 9: scipy",
         "line 11: scipy.sparse.linalg",
         "line 12: numpyx",
-        "line 13: mpmath"]
+        "line 13: mpmath",
+        "line 14: _matmul_vector",
+        "line 15: _mul_vector"]
 
 
 def test_library_imports_stdlib_numpy_and_itself_only():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        found += [f"{path.name}: {entry}" for entry in _foreign_imports(path.read_text())]
+        found += [f"{path.name}: {entry}" for entry in _foreign_uses(path.read_text())]
     assert found == []
 
 

@@ -2,12 +2,8 @@
 conservation, closed-form reductions."""
 
 import dataclasses
-import os
-import subprocess
-import sys
 import warnings
 from contextlib import nullcontext
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +12,6 @@ from reference import (_generator, _rk4_march, _structure_matrices,
                        generator_blocks, interpolating_series, mean_rate_matrix,
                        periodic_structure, time_domain_periodic)
 
-import ekemq
 from ekemq import oracle
 from ekemq import (
     BoundaryFunctions,
@@ -397,8 +392,8 @@ def test_level_cap_only_cuts_the_list(name):
 def test_load_0_99_lists_its_810_levels():
     # arrival 8.6625 - 2 sin 2 pi t on the reference's service: the law
     # falls by 0.9500993 a level, so 810 levels reach 1e-18, within a cap of
-    # 900; the rate matrix takes 6 iterations at N = 12 from the ladder's
-    # start (508 from Y = 0, test_coarse_start_reaches_the_zero_start_law)
+    # 900; the rate matrix takes 6 iterations at N = 12 from the walk's
+    # start (508 from Y = 0, test_walk_reaches_the_zero_start_law)
     spec = ModelSpec(7, 4, RateFunction(8.6625, sin=((1, -2.0),)),
                      _STRESS["reference"][0].service)
     assert spec.load == pytest.approx(0.99)
@@ -414,7 +409,7 @@ def test_load_0_99_lists_its_810_levels():
                                                 ("service-harmonic-2-only", 2, 28)])
 def test_n_steps_by_the_harmonic_spacing(name, spacing, top):
     spec, cap = _STRESS[name]
-    coef, residual, _ = oracle._fourier_coefficients(spec, cap, 1e-13)
+    coef, residual, _, _ = oracle._fourier_coefficients(spec, cap, 1e-13)
     assert len(coef) - 1 == top and residual <= 1e-13
     # the harmonics off the spacing solve to exactly 0
     off = np.arange(len(coef)) % spacing != 0
@@ -436,7 +431,7 @@ def test_constant_rates_take_the_mean_solve_alone(flat74_spec):
 def test_coarse_grid_samples_the_series(periodic74_spec, grid_size):
     # N = 12 and grid_size < 2N + 1: the samples are the series itself at
     # the grid times, every harmonic included
-    coef, _, _ = oracle._fourier_coefficients(periodic74_spec, 50, 1e-10)
+    coef = oracle._fourier_coefficients(periodic74_spec, 50, 1e-10)[0]
     assert len(coef) == 13
     t = np.arange(grid_size) / grid_size
     direct = (coef[0].real + 2.0 * np.real(
@@ -453,7 +448,7 @@ def test_coarse_grid_samples_the_series(periodic74_spec, grid_size):
 def test_law_reads_its_series_between_grid_times(periodic74_spec, grid_size):
     # the solved series, not an interpolant of the samples: on grid 8 the
     # samples alias harmonics 4..12, and the series does not
-    coef, _, _ = oracle._fourier_coefficients(periodic74_spec, 50, 1e-10)
+    coef = oracle._fourier_coefficients(periodic74_spec, 50, 1e-10)[0]
     dist = integrate_periodic(periodic74_spec, level_cap=50, grid_size=grid_size)
     u = np.array([0.03, 0.41, 0.77])
     direct = (coef[0].real + 2.0 * np.real(
@@ -505,17 +500,20 @@ def _series(x):
 
 def test_growing_n_factors_each_harmonic_once(monkeypatch):
     # max |c_12| is 1.6e-9 on this model: N grows to 18.  Each N takes one
-    # rate matrix over the harmonics 0..N, H = 2N + 1 coordinates, the one at
-    # N = 12 started from the ladder N = 3, 6 below it, each rung from the
-    # last, and the one at N = 18 from the one at N = 12.  Before them the
-    # rate matrix at N = 0 reads sp(R) = 0.2578, and so the 31 levels listed
+    # rate matrix over the harmonics 0..N, H = 2N + 1 coordinates, on one
+    # walk: N = 0 (the mean rates, whose sp(R) = 0.2578 sets the 31 levels
+    # listed), the rungs N = 3 and 6, then N = 12 and 18, each started from
+    # the Y of the one before
     spec, cap = _STRESS["k2-m3-harmonics-1-3-2"]
-    solves, listed = [], []
+    solves, starts, ys, listed = [], [], [], []
     rate_matrix, solve_levels = oracle._rate_matrix, oracle._solve_levels
 
     def spy(ops, k, m, start=None):
         solves.append((len(ops[0]), None if start is None else start.shape))
-        return rate_matrix(ops, k, m, start)
+        starts.append(start)
+        out = rate_matrix(ops, k, m, start)
+        ys.append(out[1])
+        return out
 
     def levels_spy(ops, k, m, levels, start=None):
         listed.append(levels)
@@ -523,18 +521,19 @@ def test_growing_n_factors_each_harmonic_once(monkeypatch):
     monkeypatch.setattr(oracle, "_rate_matrix", spy)
     monkeypatch.setattr(oracle, "_solve_levels", levels_spy)
     dist = integrate_periodic(spec, level_cap=cap, grid_size=64, tol=1e-12)
-    assert solves == [(1, None), (7, None), (13, (2 * 7, 3 * 7)), (25, (2 * 13, 3 * 13)),
+    assert solves == [(1, None), (7, (2, 3)), (13, (2 * 7, 3 * 7)), (25, (2 * 13, 3 * 13)),
                       (37, (2 * 25, 3 * 25))]
+    assert all(start is y for start, y in zip(starts[1:], ys))
     assert listed == [31, 31]
     assert dist.periods == 18 and dist.residual <= 1e-12
     assert (dist.level_cap, dist.solved_levels) == (cap, 31)
 
 
-# Models on which the ladder's start is checked against Y = 0: (spec,
+# Models on which the walk's start is checked against Y = 0: (spec,
 # level_cap, grid_size, N, levels solved), N and the levels those of the
 # Y = 0 start.  The reference, loads 0.8 and 0.99, the k=2, m=3 model of
 # harmonics 1, 2 and 3 (N grows 12 -> 18) and M/M/1.
-_LADDER = {
+_WALK = {
     "reference": (_STRESS["reference"][0], 50, 512, 12, 8),
     "load-0.8": (_STRESS["load-0.8"][0], 120, 512, 12, 37),
     "load-0.99": (ModelSpec(7, 4, RateFunction(8.6625, sin=((1, -2.0),)),
@@ -546,14 +545,14 @@ _LADDER = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_LADDER))
-def test_coarse_start_reaches_the_zero_start_law(name):
-    # the rate matrix at N started from the ladder below it (N = 3 and 6
+@pytest.mark.parametrize("name", sorted(_WALK))
+def test_walk_reaches_the_zero_start_law(name):
+    # the rate matrix at N started from the walk below it (N = 0, 3 and 6
     # under 12) reaches the fixed point that Y = 0 reaches: at the same N
     # and on the same levels the law is within 1e-13 of the Y = 0 law, and
-    # at load 0.99 the ladder's start takes at most 10 iterations at N where
+    # at load 0.99 the walk's start takes at most 10 iterations at N where
     # Y = 0 takes 508
-    spec, cap, grid, top, solved = _LADDER[name]
+    spec, cap, grid, top, solved = _WALK[name]
     dist = integrate_periodic(spec, level_cap=cap, grid_size=grid)
     assert (dist.periods, dist.solved_levels) == (top, solved)
     ops = _rate_operators(spec, top + 1)
@@ -561,12 +560,8 @@ def test_coarse_start_reaches_the_zero_start_law(name):
     flat = _series(flat)
     assert residual <= 1e-10 and np.abs(flat[-1]).max() <= 1e-10
     assert np.abs(dist.series[:, :flat.shape[1]] - flat).max() <= 1e-13
-    rates = [(rate.mean(), oracle._harmonics(rate)) for rate in (spec.arrival, spec.service)]
-    start = oracle._coarse_start(rates, 1, top, spec.k, spec.m)
-    ladder = oracle._solve_levels(ops, spec.k, spec.m, solved, start)
-    assert np.abs(_series(ladder[0]) - flat).max() <= 1e-13
     if name == "load-0.99":
-        assert iterations > 500 and max(dist.iterations, ladder[3]) <= 10
+        assert iterations > 500 and dist.iterations <= 10
 
 
 def test_level_blocks_are_reused_below_the_cap(periodic74_spec):
@@ -606,12 +601,13 @@ _LEVEL_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(_LEVEL_CASES))
-def test_level_inverses_match_the_dense_loop(name):
+def test_level_inverses_match_the_dense_loop(name, monkeypatch):
     # the rates' operators on harmonics 0..12 are those of quadrature, and
     # the level block's inverse times the interfaces, by forward
     # substitution over the phases, is the dense solve's, within 1e-13
     # relative; no block depends on the cap, so the coefficients listed on
-    # the cap's levels are those listed on 10 levels more
+    # every level of the cap (a floor of 1e-300 lists them all) are those
+    # listed on 10 levels more
     spec, cap = _LEVEL_CASES[name]
     ops = _rate_operators(spec)
     for got, want in zip(ops, reference.harmonic_operators(spec, 13)):
@@ -619,8 +615,10 @@ def test_level_inverses_match_the_dense_loop(name):
     got = oracle._rate_matrix(ops, spec.k, spec.m)[0]
     want = reference.dense_interfaces(spec.k, spec.m, ops)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    monkeypatch.setattr(oracle, "_LEVEL_FLOOR", 1e-300)
     listed = oracle._fourier_coefficients(spec, cap, 1e-10)[0]
     wider = oracle._fourier_coefficients(spec, cap + 10, 1e-10)[0]
+    assert listed[:, -spec.phase_count:].any()
     assert np.abs(listed - wider[:, :listed.shape[1]]).max() <= 1e-16
 
 
@@ -665,19 +663,21 @@ def test_level_decay_is_the_neuts_spectral_radius(name):
 
 
 @pytest.mark.parametrize("name", sorted(_SWEEP))
-def test_solve_keeps_the_levels_that_hold_mass(name):
+def test_solve_keeps_the_levels_that_hold_mass(name, monkeypatch):
     # the law listed on levels 1..L with zeros above is within 1e-13 of the
-    # law listed on every level of the cap; it holds at most 1e-15 on level
-    # L, or L is the cap
+    # law listed on every level of the cap (a floor of 1e-300 lists them
+    # all); it holds at most 1e-15 on level L, or L is the cap
     spec, cap, solved = _SWEEP[name]
     dist = integrate_periodic(spec, level_cap=cap, grid_size=64)
     assert (dist.level_cap, dist.solved_levels) == (cap, solved)
     assert dist.cap_mass() <= 1e-15 or solved == cap
     assert not dist.series[:, spec.k + solved * spec.phase_count:].any()
     assert dist.level_decay == _mean_rate_decay(spec)
-    series, residual, _ = oracle._fourier_coefficients(spec, cap, 1e-10)
+    monkeypatch.setattr(oracle, "_LEVEL_FLOOR", 1e-300)
+    series, residual, _, _ = oracle._fourier_coefficients(spec, cap, 1e-10)
     every = PeriodicDistribution(spec=spec, series=series, grid_size=64,
                                  periods=len(series) - 1, residual=residual)
+    assert every.solved_levels == cap
     assert np.abs(dist.samples - every.samples).max() <= 1e-13
 
 
@@ -768,8 +768,9 @@ def test_equations_on_the_harmonic_lattice(spacing):
 
 
 def test_solve_factors_only_the_lattice_harmonics(monkeypatch):
-    # harmonic 5 alone: N runs 15 -> 25 -> 40, and each rate matrix holds
-    # the harmonics 0, 5, ..., N only, 9 of the 41 at N = 40 (H = 17)
+    # harmonic 5 alone: N runs 0 -> 15 -> 25 -> 40 (15 / 5 = 3 has no rung
+    # below it), and each rate matrix holds the harmonics 0, 5, ..., N
+    # only, 9 of the 41 at N = 40 (H = 17)
     spec, cap = _STRESS["arrival-harmonic-5-only"]
     sizes = []
     original = oracle._rate_matrix
@@ -778,8 +779,8 @@ def test_solve_factors_only_the_lattice_harmonics(monkeypatch):
         sizes.append(len(ops[0]))
         return original(ops, k, m, start)
     monkeypatch.setattr(oracle, "_rate_matrix", spy)
-    coef, _, _ = oracle._fourier_coefficients(spec, cap, 1e-13)
-    assert sizes == [7, 11, 17] and len(coef) == 41
+    coef = oracle._fourier_coefficients(spec, cap, 1e-13)[0]
+    assert sizes == [1, 7, 11, 17] and len(coef) == 41
 
 
 @pytest.mark.parametrize("level_cap", [1, 2, 6, 50])
@@ -1016,59 +1017,6 @@ def test_accelerated_solve_matches_plain_iteration(periodic74_spec):
         pytest.fail("plain iteration did not reach 1e-13")
     solved = np.hstack([dist.idle, dist.levels.reshape(grid_size, -1)])
     assert np.abs(solved - samples).max() <= 1e-10
-
-
-def test_import_and_periodic_solve_load_no_scipy_sparse():
-    # scipy.sparse costs about 0.23 s to import; no library module imports
-    # it (test_public_scipy.py), and only the tests' CSR reference uses it
-    src = str(Path(ekemq.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ekemq\n"
-         "loaded = [n for n in sys.modules if n.startswith('scipy.sparse')]\n"
-         "spec = ekemq.ModelSpec(2, 3, ekemq.RateFunction(1.0, sin=((1, 0.5),)),\n"
-         "                       ekemq.RateFunction(4.0))\n"
-         "ekemq.integrate_periodic(spec, level_cap=10, grid_size=16)\n"
-         "print(loaded, [n for n in sys.modules if n.startswith('scipy.sparse')])"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[] []"
-
-
-def test_import_loads_no_scipy_solvers():
-    # scipy.linalg and scipy.sparse.linalg cost about 7 MB and 50 ms to
-    # import; the averaged start is solved with numpy's dense solver
-    src = str(Path(ekemq.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ekemq; print(sorted(n for n in sys.modules "
-         "if n in ('scipy.linalg', 'scipy.sparse.linalg')))"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_busy_routes_load_no_scipy():
-    # neither busy route needs scipy: the Volterra march and the ODE
-    # oracle's dense level march are numpy only, so the busy command pays
-    # for no scipy import (scipy.special alone takes about 60 ms)
-    src = str(Path(ekemq.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ekemq\n"
-         "spec = ekemq.ModelSpec(1, 1, ekemq.RateFunction(3.0), ekemq.RateFunction(5.0))\n"
-         "ekemq.busy_period_cdf(spec, 1, 0, horizon=0.5, step=1 / 64)\n"
-         "ekemq.busy_oracle(spec, 1, 0, horizon=0.5, step=1 / 64)\n"
-         "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
 
 
 def test_oracle_validates_arguments(mm1_spec):

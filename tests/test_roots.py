@@ -137,7 +137,7 @@ _ROOT_GAP = 8.0
 
 @pytest.mark.parametrize("order", [0, 1, 10, 40])
 @pytest.mark.parametrize("k, m", [(7, 4), (2, 3), (1, 1)])
-def test_root_set_is_the_per_frequency_loop_bit_for_bit(k, m, order):
+def test_root_set_is_the_per_frequency_loop_within_forward_error(k, m, order):
     # the array pass, in numpy's complex arithmetic, finds the roots the
     # loop over single frequencies finds in CPython's, within the forward
     # error of two backward-stable roots, each root matched within its
