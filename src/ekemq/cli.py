@@ -34,7 +34,6 @@ import numpy as np
 from .bounds import truncation_error_bound
 from .busy import busy_period_cdf
 from .model import ModelSpec, RateFunction
-from ._fourier import TrigInterpolant
 from .oracle import busy_oracle, extract_boundary, integrate_periodic
 from .roots import _listing, build_root_set
 from .series import SeriesEvaluator
@@ -335,12 +334,7 @@ def _write_law(out: Path, spec: ModelSpec, grid: np.ndarray, samples: np.ndarray
 
 def cmd_oracle(cfg: RunConfig, spec: ModelSpec, out: Path) -> None:
     dist = _law(cfg, spec)
-    # the series of the listed states only, at the grid times: the levels
-    # past solved_levels are exact zeros, and boundary.csv lists level 1
-    # even when it is one of them
-    width = spec.k + max(dist.solved_levels, 1) * spec.phase_count
-    _write_law(out, spec, dist.grid, TrigInterpolant(dist.series[:, :width])(dist.grid),
-               dist.solved_levels)
+    _write_law(out, spec, dist.grid, dist.samples, dist.solved_levels)
     _write_json(out / "oracle.json", {
         "periods": dist.periods,
         "residual": dist.residual,

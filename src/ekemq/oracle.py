@@ -25,13 +25,14 @@ and R by a fixed-point iteration on the interfaces between levels, and
 `_solve_levels` solves the empty level against them with the mass of every
 level above it.  One walk over N solves every rate matrix, each from the
 last: N = 0 (the mean rates), coarser N below the first, then the first N
-and its growth.  The law is its Fourier series: one evaluator
-(`TrigInterpolant`) samples it on the output grid and reads it between
-grid times.  No period is integrated, and the error is the truncation past
-N, which |c_N| shows, plus the solve's residual.  The levels that hold more
-than about 1e-18, by the law's per-level decay sp(R) at the mean rates, are
-listed up to the level cap; those above them are exact zeros.  numpy does
-all of it.  The time-domain solve of the queue truncated at the cap, RK4
+and its growth.  The law is its Fourier series, stored on the levels it
+solved: those that hold more than about 1e-18, by the law's per-level
+decay sp(R) at the mean rates, up to the level cap; the levels above them
+are exact zeros, which the law's readers pad in.  One evaluator
+(`TrigInterpolant`) samples the series on the output grid and reads it
+between grid times.  No period is integrated, and the error is the
+truncation past N, which |c_N| shows, plus the solve's residual.  numpy
+does all of it.  The time-domain solve of the queue truncated at the cap, RK4
 periods to the period map's fixed point, is kept in the tests as the
 cross-check.
 
@@ -202,27 +203,27 @@ class PeriodicDistribution:
     """Periodic law of the queue, listed on levels 1..level_cap: its Fourier
     series, read at any time and sampled on a uniform grid.
 
-    `series` holds c_0..c_N as (N + 1, k + level_cap * km) complex rows: the
-    k idle states (arrival stage a), then levels 1..level_cap in phase (a,
-    s) at a*m + s; level_cap is read off the width, and any other width or
-    shape, or a grid_size below 1, raises ValueError.  `periods` is N and
-    `residual` the larger of max |c_N| and the 2-norm of the harmonic-balance
-    equations' residual, names kept from the time-domain solve.
-    `level_decay` is sp(R), the per-level decay at the mean rates by which
-    `integrate_periodic` chose the listed levels (nan for a law built
-    otherwise).  `iterations` counts the rate matrix's fixed-point
-    iterations at the final N (0 for a law built otherwise).
-    `solved_levels` is the highest level with a nonzero coefficient: the
-    levels above it, up to level_cap, are exact zeros.  A law from
-    `integrate_periodic` lists the levels of the queue on unbounded levels,
-    so level_cap cuts the list and changes no listed value.
+    `series` holds c_0..c_N as (N + 1, k + L * km) complex rows over the
+    states it lists: the k idle states (arrival stage a), then levels 1..L
+    in phase (a, s) at a*m + s, L >= 1 the `solved_levels`.  The levels L +
+    1..level_cap are exact zeros, and level_cap is L unless given; any
+    other width or shape, a level_cap below L or a grid_size below 1 raises
+    ValueError.  `periods` is N and `residual` the larger of max |c_N| and
+    the 2-norm of the harmonic-balance equations' residual, names kept from
+    the time-domain solve.  `level_decay` is sp(R), the per-level decay at
+    the mean rates by which `integrate_periodic` chose the listed levels
+    (nan for a law built otherwise).  `iterations` counts the rate matrix's
+    fixed-point iterations at the final N (0 for a law built otherwise).  A
+    law from `integrate_periodic` lists the levels of the queue on
+    unbounded levels, so level_cap cuts the list and changes no listed
+    value.
 
-    The state series, over the idle states and levels 1..solved_levels, is
-    built from `series` on first use, once per law, and its values are
-    padded with the zero levels above.  It serves `states_at`, `idle_at`,
-    `levels_at` and the samples idle[i, a] and levels[i, j-1, a*m+s] at the
-    times grid[i] = i / grid_size: read-only views of one evaluation of it
-    at the grid, made on first read.  `series` is a read-only copy, so
+    One evaluator of `series`, built on first use, once per law, serves
+    `samples`, the listed states at the times grid[i] = i / grid_size in
+    the columns of `series`, and `states_at`, `idle_at` and `levels_at`,
+    whose levels run to level_cap with zeros past L; idle[i, a] and
+    levels[i, j-1, a*m+s] are `states_at(grid)`.  Each sample array is
+    read-only and made on first read.  `series` is a read-only copy, so
     nothing read from it can disagree with it.  Laws compare and hash by
     identity, as their arrays have no single truth value.
     """
@@ -234,18 +235,24 @@ class PeriodicDistribution:
     residual: float
     level_decay: float = math.nan
     iterations: int = 0
+    level_cap: int | None = None
 
     def __post_init__(self):
         series = np.array(self.series, dtype=complex)
         k, km = self.spec.k, self.spec.phase_count
         if series.ndim != 2 or series.shape[1] < k + km or (series.shape[1] - k) % km:
             raise ValueError(f"series has shape {series.shape}, not (N + 1, k + "
-                             f"level_cap * km) with k = {k}, km = {km}, level_cap >= 1")
+                             f"L * km) with k = {k}, km = {km}, L >= 1")
         object.__setattr__(self, "series", _read_only(series))
         object.__setattr__(self, "level_decay", float(self.level_decay))
         object.__setattr__(self, "grid_size", _as_index(self.grid_size, "grid_size"))
         if self.grid_size < 1:
             raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
+        cap = self.solved_levels if self.level_cap is None else self.level_cap
+        object.__setattr__(self, "level_cap", _as_index(cap, "level_cap"))
+        if self.level_cap < self.solved_levels:
+            raise ValueError(f"level_cap {self.level_cap} is below the "
+                             f"{self.solved_levels} levels of series")
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -253,74 +260,54 @@ class PeriodicDistribution:
         return _read_only(np.arange(self.grid_size) / self.grid_size)
 
     @property
-    def level_cap(self) -> int:
+    def solved_levels(self) -> int:
+        """L, the levels that `series` lists."""
         return (self.series.shape[1] - self.spec.k) // self.spec.phase_count
 
     @cached_property
-    def solved_levels(self) -> int:
-        """The highest level with a nonzero coefficient, 0 if none."""
-        held = np.flatnonzero(self.series[:, self.spec.k:].reshape(
-            len(self.series), self.level_cap, -1).any(axis=(0, 2)))
-        return held[-1].item() + 1 if held.size else 0
-
-    @cached_property
     def samples(self) -> np.ndarray:
-        """The state series at the grid times, (grid_size, k + level_cap *
-        km) in the columns of `series`, read-only, evaluated on first read;
-        idle and levels are views of it."""
-        return _read_only(self._at(self.grid))
+        """The listed states at the grid times, (grid_size, k + L * km) in
+        the columns of `series`, read-only, evaluated on first read."""
+        return _read_only(self._interp(self.grid))
 
     @cached_property
     def _samples(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._split(self.samples)
+        return tuple(_read_only(vals) for vals in self.states_at(self.grid))
 
     idle = property(lambda self: self._samples[0])
     levels = property(lambda self: self._samples[1])
 
     @cached_property
     def _interp(self) -> TrigInterpolant:
-        """Series of every state up to the solved levels, built once per law."""
-        return TrigInterpolant(self.series[:, :self.spec.k + self.solved_levels
-                                           * self.spec.phase_count])
-
-    def _at(self, u) -> np.ndarray:
-        """The state series' values at times u, followed by zeros up to the
-        width of `series`."""
-        solved = self._interp(u)
-        vals = np.zeros((len(solved), self.series.shape[1]))
-        vals[:, :solved.shape[1]] = solved
-        return vals
-
-    def _split(self, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return vals[:, :self.spec.k], vals[:, self.spec.k:].reshape(
-            -1, self.level_cap, self.spec.phase_count)
+        return TrigInterpolant(self.series)
 
     def states_at(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(idle_at(u), levels_at(u)) from one evaluation of the series."""
-        return self._split(self._at(u))
+        listed = self._interp(u)
+        k, km = self.spec.k, self.spec.phase_count
+        vals = np.zeros((len(listed), k + self.level_cap * km))
+        vals[:, :listed.shape[1]] = listed
+        return vals[:, :k], vals[:, k:].reshape(len(vals), self.level_cap, km)
 
     def idle_at(self, u) -> np.ndarray:
         """Idle-state probabilities at arbitrary times, (len(u), k)."""
         return self.states_at(u)[0]
 
     def levels_at(self, u) -> np.ndarray:
-        """Busy-level probabilities at arbitrary times, (len(u), cap, km)."""
+        """Busy-level probabilities at arbitrary times, (len(u), level_cap,
+        km), zeros past L."""
         return self.states_at(u)[1]
 
     def cap_mass(self) -> float:
-        """Largest probability seen at a grid time on the top solved level,
-        `solved_levels` (0 if there is none); a cap check.  It evaluates
-        that level's own series at the grid, so it builds no samples, once
-        per law."""
+        """Largest probability seen at a grid time on the top listed level,
+        L; a cap check.  It evaluates that level's own series at the grid,
+        so it builds no samples, once per law."""
         return self._cap_mass
 
     @cached_property
     def _cap_mass(self) -> float:
-        top = self.solved_levels
-        if not top:
-            return 0.0
         k, km = self.spec.k, self.spec.phase_count
-        level = TrigInterpolant(self.series[:, k + (top - 1) * km:k + top * km])
+        level = TrigInterpolant(self.series[:, k + (self.solved_levels - 1) * km:])
         return float(level(self.grid).sum(axis=1).max())
 
 
@@ -410,8 +397,10 @@ def _rate_matrix(ops, k: int, m: int, start=None):
     point of Y = -qu - qv Y R, R = -(I + bp Y)^-1 ap, the rows (a, m - 1)
     of K; K = -F (I; Y R).  The iteration starts at Y = 0, or at `start`,
     a Y on as many or fewer harmonics padded with zeros (that of the N
-    before on `_fourier_coefficients`' walk), and stops once an update is
-    no smaller than the last or within rounding of Y.  It converges
+    before on `_fourier_coefficients`' walk).  It stops once an update is
+    within rounding of Y, or, within sqrt(eps) of Y, no smaller than the
+    last, where rounding stalls it; further from the fixed point the
+    updates of a warm start may stop falling for a while.  It converges
     linearly, at about sp(R), so a start near the fixed point saves most of
     its iterations."""
     lam, mu, deriv = ops
@@ -438,6 +427,7 @@ def _rate_matrix(ops, k: int, m: int, start=None):
         g = len(start) // k
         y[:, :g, :, :g] = start.reshape(k, g, m, g)
     y = y.reshape(k * h, mh)
+    eps = np.finfo(float).eps
     change, iterations = math.inf, 0
     while True:
         iterations += 1
@@ -445,7 +435,12 @@ def _rate_matrix(ops, k: int, m: int, start=None):
         update = -qu - qv @ (y @ rate)
         last, change = change, float(np.abs(update - y).max())
         y = update
-        if not change < last or change <= np.finfo(float).eps * np.abs(y).max():
+        # rounding stalls the updates below 22 eps |Y| on the tests' seeded
+        # sweep, and a warm start's can stop falling at 2.4e-4 |Y| and still
+        # converge; a NaN update stops it too
+        scale = np.abs(y).max()
+        if not (change > eps * scale
+                and (change < last or change > math.sqrt(eps) * scale)):
             break
     return f.reshape(k * mh, -1), y, -np.linalg.solve(eye + bp @ y, ap), iterations
 
@@ -493,11 +488,11 @@ def _solve_levels(ops, k: int, m: int, levels: int, start=None):
 
 def _fourier_coefficients(spec: ModelSpec, level_cap: int, tol: float):
     """(c, residual, iterations, decay): the law's Fourier coefficients
-    c_0..c_N, an (N + 1, k + level_cap km) complex array, by the search over
-    N and the checks of `integrate_periodic`, the iterations of the solve at
-    that N, and sp(R) at the mean rates.  The rows c_nd are solved for, n =
-    0..N / d, on the empty level and levels 1..L; the other rows and the
-    levels past L are exact zeros.  The rate matrices are solved on one walk
+    c_0..c_N over the k idle states and levels 1..L, an (N + 1, k + L km)
+    complex array, by the search over N and the checks of
+    `integrate_periodic`, the iterations of the solve at that N, and sp(R)
+    at the mean rates.  The rows c_nd are solved for, n = 0..N / d; the
+    other rows are exact zeros.  The rate matrices are solved on one walk
     over N / d, each from the Y of the one before: 0 (the mean rates, whose R
     sets L), the first N halved while >= 3, coarsest first, then the first N
     and its growth."""
@@ -523,9 +518,9 @@ def _fourier_coefficients(spec: ModelSpec, level_cap: int, tol: float):
         if solved > tol:
             raise RuntimeError(f"the rate-matrix solve stalled at residual "
                                f"{solved:.3e} > tol = {tol:.3e}; loosen tol")
-        c = np.zeros((top * d + 1, spec.k + level_cap * spec.phase_count), complex)
-        c[0, :len(x)] = x[:, 0]
-        c[d::d, :len(x)] = (x[:, 1::2] + 1j * x[:, 2::2]).T
+        c = np.zeros((top * d + 1, len(x)), complex)
+        c[0] = x[:, 0]
+        c[d::d] = (x[:, 1::2] + 1j * x[:, 2::2]).T
         truncation = float(np.abs(c[-1]).max()) if top else 0.0
         if truncation <= tol:
             return c, max(solved, truncation), iterations, decay
@@ -552,23 +547,24 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     half until max |c_N| <= tol.  The law has only harmonics that are
     multiples of the gcd d of the rates' harmonics (the others are exactly
     0), so only those are solved for, and N and each step of it are rounded
-    up to multiples of d.  The law is built from the solved series, with
-    `periods` N, `residual` the larger of max |c_N| (0 for N = 0) and the
-    2-norm of the equations' residual, both <= tol, and `iterations` those
-    of the rate matrix at N.  The rate matrices are solved on one walk over
-    N / d, each from the Y of the one before (`_fourier_coefficients`): 0,
-    the first N halved while >= 3, coarsest first (3 and 6 under 12), then
-    the first N and its growth; the start sets only the iterations, not the
-    fixed point they reach.  grid_size sets only the times i / grid_size of
-    its samples and of the cap check below, which evaluates the top listed
-    level's series there.
+    up to multiples of d.  The law is built from the solved series on
+    levels 1..L and from level_cap, with `periods` N, `residual` the larger
+    of max |c_N| (0 for N = 0) and the 2-norm of the equations' residual,
+    both <= tol, and `iterations` those of the rate matrix at N.  The rate
+    matrices are solved on one walk over N / d, each from the Y of the one
+    before (`_fourier_coefficients`): 0, the first N halved while >= 3,
+    coarsest first (3 and 6 under 12), then the first N and its growth; the
+    start sets only the iterations, not the fixed point they reach.
+    grid_size sets only the times i / grid_size of its samples and of the
+    cap check below, which evaluates the top listed level's series there.
 
     The law falls by sp(R) per level at the mean rates, the spectral radius
     of the m x m rate matrix at the walk's first step, N = 0 (the law's
     `level_decay`), and levels 1..L are listed, L = min(level_cap, ceil(log
-    1e-18 / log sp(R))); the levels L + 1..level_cap are exact zeros
-    (`solved_levels` is L).  Where level_cap binds, the listed levels are
-    those of the unbounded queue, whatever level_cap is.
+    1e-18 / log sp(R))): the law's series holds them (`solved_levels` is
+    L), and its readers pad the levels L + 1..level_cap with exact zeros.
+    Where level_cap binds, the listed levels are those of the unbounded
+    queue, whatever level_cap is.
 
     RuntimeError is raised when the residual is above tol (tol below the
     rounding floor; loosen tol), when N would pass _MAX_HARMONIC = 128 with
@@ -585,7 +581,8 @@ def integrate_periodic(spec: ModelSpec, level_cap: int = 50, grid_size: int = 51
     series, residual, iterations, decay = _fourier_coefficients(spec, level_cap, tol)
     dist = PeriodicDistribution(spec=spec, series=series, grid_size=grid_size,
                                 periods=len(series) - 1, residual=residual,
-                                level_decay=decay, iterations=iterations)
+                                level_decay=decay, iterations=iterations,
+                                level_cap=level_cap)
     mass = dist.cap_mass()
     if mass > _CAP_MASS_LIMIT:
         raise RuntimeError(f"probability {mass:.3e} sits at the "
@@ -631,10 +628,11 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     the sinks move by at most the probability of that climb, below the same
     bound.  `solved_levels` is L, `reach_bound` that bound at n* (None where
     level_cap binds) and `cap_mass` the peak mass on level L over the
-    records.  The default level_cap, 1000, is a size guard that sane
-    horizons do not meet (L is 10 at the reference model's defaults); where
-    it binds, the run aborts when more than 1e-10 sits on the cap at a
-    record (raise level_cap or shorten the horizon).
+    records.  Any start level below level_cap is taken.  The default
+    level_cap, 1000, is a size guard that sane horizons do not meet (L is
+    10 at the reference model's defaults); where it binds, the run aborts
+    when more than 1e-10 sits on the cap at a record (raise level_cap or
+    shorten the horizon).
 
     The levels are one (L, km) array, and each RK4 stage is one matrix
     product of the window of three neighbouring levels by the level block
@@ -655,8 +653,8 @@ def busy_oracle(spec: ModelSpec, level: int, phase, u: float = 0.0,
     if level < 1:
         raise ValueError("busy period starts at level >= 1")
     level_cap = _as_index(level_cap, "level_cap")
-    if level > level_cap // 2:
-        raise ValueError("level_cap should comfortably exceed the start level")
+    if level >= level_cap:
+        raise ValueError(f"start level {level} is not below level_cap {level_cap}")
     if _as_index(substeps, "substeps") < 1:
         raise ValueError("substeps must be >= 1")
     for name, value in (("u", u), ("horizon", horizon), ("step", step)):

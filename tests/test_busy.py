@@ -599,8 +599,8 @@ def test_argument_checks(periodic74_spec, mm1_spec):
         busy_period_cdf(periodic74_spec, 1, 28)
     with pytest.raises(ValueError):
         busy_period_cdf(periodic74_spec, 1, 0, horizon=-1.0)
-    with pytest.raises(ValueError):
-        busy_oracle(mm1_spec, 30, 0, level_cap=40)
+    with pytest.raises(ValueError, match="start level 40 is not below level_cap 40"):
+        busy_oracle(mm1_spec, 40, 0, level_cap=40)
     with pytest.raises(ValueError, match="substeps must be >= 1"):
         busy_oracle(mm1_spec, 1, 0, substeps=0)
     with pytest.raises(ValueError, match="horizon and step must be positive"):

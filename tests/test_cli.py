@@ -652,8 +652,9 @@ def test_series_commands_build_no_law_samples(tmp_path):
 
 
 def test_oracle_builds_no_law_samples(tmp_path, monkeypatch):
-    # the oracle command evaluates the series of the listed states only, and
-    # writes the bytes that the law's samples give
+    # the oracle command writes the law's samples, the listed states at the
+    # grid, and builds no sample array padded to the level cap; the bytes
+    # are those of the padded arrays
     laws = []
 
     def law(cfg, spec):
@@ -665,9 +666,12 @@ def test_oracle_builds_no_law_samples(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
     (dist,) = laws
-    assert "samples" not in dist.__dict__
+    assert "_samples" not in dist.__dict__
+    assert dist.__dict__["samples"].shape == (dist.grid_size, 7 + 8 * 28)
     assert (dist.solved_levels, dist.level_cap) == (8, 50)
-    _write_law(tmp_path, dist.spec, dist.grid, dist.samples, dist.solved_levels)
+    padded = np.hstack([dist.idle, dist.levels.reshape(dist.grid_size, -1)])
+    assert padded.shape == (dist.grid_size, 7 + 50 * 28)
+    _write_law(tmp_path, dist.spec, dist.grid, padded, dist.solved_levels)
     for name in ("distribution.csv", "boundary.csv"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
@@ -772,6 +776,19 @@ def test_busy_at_load_099_needs_no_cap_key(tmp_path):
     assert meta["ode_solved_levels"] == 18
     assert 0.0 < meta["ode_reach_bound"] < 1e-18
     assert meta["cap_mass"] <= 1e-18
+
+
+def test_busy_starts_past_half_the_oracle_cap(tmp_path):
+    # the ODE route marches the levels its horizon reaches, so a start level
+    # past 500, half of its level cap of 1000, runs: over the horizon of 1
+    # the arrivals climb 30 levels with more than 1e-18 of probability, and
+    # neither route sees the system empty by then
+    cfg = write_cfg(tmp_path, **{"busy.level": 501})
+    out = tmp_path / "b"
+    assert main(["busy", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((out / "busy.json").read_text())
+    assert (meta["level"], meta["ode_solved_levels"]) == (501, 531)
+    assert meta["volterra_unresolved_mass"] == meta["ode_unresolved_mass"] == 1.0
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

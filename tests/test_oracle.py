@@ -11,6 +11,7 @@ import reference
 from reference import (_generator, _rk4_march, _structure_matrices,
                        generator_blocks, interpolating_series, mean_rate_matrix,
                        periodic_structure, time_domain_periodic)
+from test_roots import _sweep_models
 
 from ekemq import oracle
 from ekemq import (
@@ -72,20 +73,23 @@ def test_distribution_is_immutable(mm1_dist):
 
 
 def test_samples_are_the_series_at_the_grid(periodic74_spec, periodic74_dist):
-    # the samples are one evaluation of the law's own series at the grid,
-    # made on first read, so states_at(grid) reads them bit for bit
+    # idle and levels are states_at(grid), made on first read, so they read
+    # it bit for bit, with levels padded to the cap
     dist = periodic74_dist
     idle, levels = dist.states_at(dist.grid)
     assert np.array_equal(idle, dist.idle) and np.array_equal(levels, dist.levels)
     assert dist.idle is dist.idle and dist.levels is dist.levels
     assert dist.idle.base is dist.levels.base
-    assert not dist.levels.flags.writeable
-    # both are views of one read-only sample array in the series' columns
+    assert not dist.idle.flags.writeable and not dist.levels.flags.writeable
+    assert dist.levels.shape == (512, 50, 28) and not dist.levels[:, 8:].any()
+    # the samples are the listed states in the series' columns, read-only:
+    # padded with zeros, they are idle and levels to the bit
     assert dist.samples is dist.samples and not dist.samples.flags.writeable
-    assert dist.samples.shape == (dist.grid_size, dist.series.shape[1])
-    assert np.shares_memory(dist.samples, dist.idle)
-    assert np.shares_memory(dist.samples, dist.levels)
-    assert np.array_equal(dist.samples[:, 7:].reshape(-1, 50, 28), dist.levels)
+    assert dist.samples.shape == (dist.grid_size, dist.series.shape[1]) == (512, 231)
+    padded = np.zeros((512, 7 + 50 * 28))
+    padded[:, :231] = dist.samples
+    assert np.array_equal(padded.view(np.uint64), np.hstack(
+        [dist.idle, dist.levels.reshape(512, -1)]).view(np.uint64))
     # no time, no rows
     assert [a.shape for a in dist.states_at([])] == [(0, 7), (0, 50, 28)]
     fresh = PeriodicDistribution(spec=periodic74_spec, series=dist.series,
@@ -134,12 +138,20 @@ def test_grids_are_read_off_the_samples(mm1_spec):
 
 
 def test_law_refuses_a_malformed_series(periodic74_spec):
-    # k = 7 and km = 28: a series needs 7 + 28 L columns for a whole L >= 1
-    def law(series):
+    # k = 7 and km = 28: a series needs 7 + 28 L columns for a whole L >= 1,
+    # and L is its width, whatever the columns hold
+    def law(series, **cap):
         return PeriodicDistribution(spec=periodic74_spec, series=series,
-                                    grid_size=8, periods=0, residual=0.0)
+                                    grid_size=8, periods=0, residual=0.0, **cap)
 
-    assert law(np.zeros((1, 7 + 2 * 28))).level_cap == 2
+    zeros = law(np.zeros((1, 7 + 2 * 28)))
+    assert (zeros.solved_levels, zeros.level_cap) == (2, 2)
+    wide = law(zeros.series, level_cap=np.int64(5))
+    assert wide.level_cap == 5 and type(wide.level_cap) is int
+    with pytest.raises(ValueError, match="level_cap 1 is below the 2 levels of series"):
+        law(zeros.series, level_cap=1)
+    with pytest.raises(TypeError, match="level_cap must be an integer"):
+        law(zeros.series, level_cap=2.0)
     for grid_size in (0, -8):
         with pytest.raises(ValueError, match=f"grid_size must be >= 1, got {grid_size}"):
             PeriodicDistribution(spec=periodic74_spec, series=np.zeros((1, 35)),
@@ -147,8 +159,8 @@ def test_law_refuses_a_malformed_series(periodic74_spec):
     for series in (np.zeros(7 + 28), np.zeros((1, 7)), np.zeros((1, 7 + 28 + 5)),
                    np.zeros((1, 7 + 2 * 28 - 1)), np.zeros((2, 3, 35))):
         with pytest.raises(ValueError, match=r"series has shape .*, not \(N \+ 1, "
-                                             r"k \+ level_cap \* km\) with k = 7, "
-                                             r"km = 28, level_cap >= 1$"):
+                                             r"k \+ L \* km\) with k = 7, "
+                                             r"km = 28, L >= 1$"):
             law(series)
 
 
@@ -186,7 +198,7 @@ def test_cap_leakage_negligible(periodic74_dist):
     assert dist.level_decay == pytest.approx(0.0032247, rel=1e-5)
     assert 3.7e-17 < dist.cap_mass() < 3.9e-17
     assert dist.cap_mass() == dist.levels[:, 7].sum(axis=1).max()
-    assert not dist.series[:, 7 + 8 * 28:].any()
+    assert dist.series.shape == (13, 7 + 8 * 28)
     assert not dist.levels[:, 8:].any()
 
 
@@ -437,7 +449,7 @@ def test_coarse_grid_samples_the_series(periodic74_spec, grid_size):
     direct = (coef[0].real + 2.0 * np.real(
         np.exp(2j * np.pi * np.outer(t, np.arange(1, 13))) @ coef[1:]))
     dist = integrate_periodic(periodic74_spec, level_cap=50, grid_size=grid_size)
-    assert np.abs(_law(dist) - direct).max() <= 1e-15
+    assert np.abs(dist.samples - direct).max() <= 1e-15
     if 512 % grid_size == 0:
         # grid_size sets only the samples: the grid-512 law at the same times
         fine = integrate_periodic(periodic74_spec, level_cap=50, grid_size=512)
@@ -454,7 +466,8 @@ def test_law_reads_its_series_between_grid_times(periodic74_spec, grid_size):
     direct = (coef[0].real + 2.0 * np.real(
         np.exp(2j * np.pi * np.outer(u, np.arange(1, 13))) @ coef[1:]))
     idle, levels = dist.states_at(u)
-    assert np.abs(np.hstack([idle, levels.reshape(3, -1)]) - direct).max() <= 1e-15
+    listed = np.hstack([idle, levels[:, :8].reshape(3, -1)])
+    assert np.abs(listed - direct).max() <= 1e-15 and not levels[:, 8:].any()
     with pytest.raises(ValueError):
         dist.series[0, 0] = 1.0
 
@@ -529,10 +542,16 @@ def test_growing_n_factors_each_harmonic_once(monkeypatch):
     assert (dist.level_cap, dist.solved_levels) == (cap, 31)
 
 
+_SEEDED = list(_sweep_models())
+
 # Models on which the walk's start is checked against Y = 0: (spec,
 # level_cap, grid_size, N, levels solved), N and the levels those of the
 # Y = 0 start.  The reference, loads 0.8 and 0.99, the k=2, m=3 model of
-# harmonics 1, 2 and 3 (N grows 12 -> 18) and M/M/1.
+# harmonics 1, 2 and 3 (N grows 12 -> 18), M/M/1, and models 2 and 56 of
+# the seeded sweep (k=4, m=5 at load 0.966 and k=3, m=2 at 0.952): both
+# have harmonic 3 in both rates, so the walk runs N = 0, 12, 18, and from
+# the mean rates' Y the updates at N = 12 stop falling at 2.4e-4 and
+# 5.1e-5 of |Y|, far above rounding, and then converge.
 _WALK = {
     "reference": (_STRESS["reference"][0], 50, 512, 12, 8),
     "load-0.8": (_STRESS["load-0.8"][0], 120, 512, 12, 37),
@@ -542,6 +561,8 @@ _WALK = {
                                         RateFunction(3.0, sin=((2, 1.0),))), 60, 512, 18, 60),
     "k1-m1": (ModelSpec(1, 1, RateFunction(1.0, sin=((1, -0.5),)),
                         RateFunction(2.0, sin=((1, 1.0),))), 60, 512, 12, 60),
+    "seeded-2": (_SEEDED[2], 3000, 64, 18, 271),
+    "seeded-56": (_SEEDED[56], 3000, 64, 18, 353),
 }
 
 
@@ -671,14 +692,14 @@ def test_solve_keeps_the_levels_that_hold_mass(name, monkeypatch):
     dist = integrate_periodic(spec, level_cap=cap, grid_size=64)
     assert (dist.level_cap, dist.solved_levels) == (cap, solved)
     assert dist.cap_mass() <= 1e-15 or solved == cap
-    assert not dist.series[:, spec.k + solved * spec.phase_count:].any()
+    assert dist.series.shape[1] == spec.k + solved * spec.phase_count
     assert dist.level_decay == _mean_rate_decay(spec)
     monkeypatch.setattr(oracle, "_LEVEL_FLOOR", 1e-300)
     series, residual, _, _ = oracle._fourier_coefficients(spec, cap, 1e-10)
     every = PeriodicDistribution(spec=spec, series=series, grid_size=64,
                                  periods=len(series) - 1, residual=residual)
-    assert every.solved_levels == cap
-    assert np.abs(dist.samples - every.samples).max() <= 1e-13
+    assert every.solved_levels == every.level_cap == cap
+    assert np.abs(_law(dist) - _law(every)).max() <= 1e-13
 
 
 def test_law_keeps_its_solve_figures(periodic74_spec, monkeypatch):
